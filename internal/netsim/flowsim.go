@@ -3,6 +3,7 @@ package netsim
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -20,7 +21,9 @@ type Flow struct {
 	active    bool
 	done      func(f *Flow)
 	failed    func(f *Flow, err error)
+	finish    func() // the one completion callback every flow/done event runs
 	event     *sim.Event
+	eventRate float64 // rate the pending flow/done event was scheduled at
 }
 
 // Size returns the flow's total size in MB.
@@ -38,8 +41,15 @@ func (f *Flow) Remaining() float64 { return f.remaining }
 type FlowSim struct {
 	sim    *sim.Simulator
 	topo   *Topology
-	flows  map[int]*Flow
+	flows  []*Flow // in flight (latency phase and active), in start order
 	nextID int
+
+	// Progressive-filling scratch, indexed by Link.ID and reused by every
+	// recompute so the steady state allocates nothing.
+	residual []float64 // capacity not yet handed to a frozen flow
+	crossing []int     // unfrozen flows on the link; all zero between calls
+	touched  []int     // IDs of the links that carry an active flow
+	unfrozen []*Flow
 
 	// Metrics.
 	started   int64
@@ -50,21 +60,15 @@ type FlowSim struct {
 
 // NewFlowSim couples a simulator and a topology.
 func NewFlowSim(s *sim.Simulator, t *Topology) *FlowSim {
-	return &FlowSim{sim: s, topo: t, flows: make(map[int]*Flow)}
+	return &FlowSim{sim: s, topo: t}
 }
 
 // Active returns the number of in-flight flows.
 func (fs *FlowSim) Active() int { return len(fs.flows) }
 
-// Flows returns the in-flight flows (active and latency-phase), in
-// unspecified order. Intended for tests and diagnostics.
-func (fs *FlowSim) Flows() []*Flow {
-	out := make([]*Flow, 0, len(fs.flows))
-	for _, f := range fs.flows {
-		out = append(out, f)
-	}
-	return out
-}
+// Flows returns a copy of the in-flight flows (active and latency-phase)
+// in start order. Intended for tests and diagnostics.
+func (fs *FlowSim) Flows() []*Flow { return slices.Clone(fs.flows) }
 
 // IsActive reports whether the flow has passed its latency phase and is
 // consuming bandwidth.
@@ -99,17 +103,19 @@ func (fs *FlowSim) Start(src, dst NodeID, sizeMB float64, done func(*Flow), fail
 		size: sizeMB, remaining: sizeMB, route: route,
 		started: fs.sim.Now(), done: done, failed: failed,
 	}
+	f.finish = func() { fs.finish(f) }
 	fs.nextID++
-	fs.flows[f.ID] = f
+	fs.flows = append(fs.flows, f)
 	fs.started++
 	lat := RouteLatency(route)
 	if len(route) == 0 {
 		// Local transfer: completes after latency only (disk-to-disk
 		// copy on the same host is not network-bound).
-		f.event = fs.sim.Schedule(lat, "flow/local-done", func() { fs.finish(f) })
+		f.event = fs.sim.Schedule(lat, "flow/local-done", f.finish)
 		return f, nil
 	}
 	f.event = fs.sim.Schedule(lat, "flow/activate", func() {
+		f.event = nil // this event; recompute schedules the completion
 		f.active = true
 		f.lastSet = fs.sim.Now()
 		fs.recompute()
@@ -119,7 +125,7 @@ func (fs *FlowSim) Start(src, dst NodeID, sizeMB float64, done func(*Flow), fail
 
 // Cancel aborts a flow without invoking callbacks.
 func (fs *FlowSim) Cancel(f *Flow) {
-	if _, ok := fs.flows[f.ID]; !ok {
+	if !slices.Contains(fs.flows, f) {
 		return
 	}
 	fs.removeFlow(f)
@@ -142,7 +148,9 @@ func (fs *FlowSim) removeFlow(f *Flow) {
 		fs.sim.Cancel(f.event)
 		f.event = nil
 	}
-	delete(fs.flows, f.ID)
+	if i := slices.Index(fs.flows, f); i >= 0 {
+		fs.flows = slices.Delete(fs.flows, i, i+1)
+	}
 	f.active = false
 }
 
@@ -152,7 +160,10 @@ func (fs *FlowSim) OnLinkChange() {
 	now := fs.sim.Now()
 	// Settle progress before rerouting.
 	fs.settle(now)
-	for _, f := range fs.flows {
+	// A failed callback may start or cancel flows (repair requeues and
+	// pumps), so walk a snapshot: every flow active now is looked at once,
+	// in start order, unless an earlier callback already removed it.
+	for _, f := range fs.Flows() {
 		if !f.active {
 			continue
 		}
@@ -194,18 +205,19 @@ func (fs *FlowSim) settle(now sim.Time) {
 	}
 }
 
-// recompute reruns max–min fair allocation and reschedules completions.
+// recompute reruns max–min fair allocation by progressive filling and
+// reschedules the completion of every flow whose rate changed. Ties
+// between bottleneck candidates go to the lowest link ID, so the
+// allocation, and with it every completion time, is reproducible bit for
+// bit.
 func (fs *FlowSim) recompute() {
-	now := fs.sim.Now()
-	fs.settle(now)
+	fs.settle(fs.sim.Now())
 
-	// Progressive filling over active flows.
-	type linkState struct {
-		residual float64
-		flows    []*Flow
+	if n := len(fs.topo.links); len(fs.residual) < n {
+		fs.residual = make([]float64, n)
+		fs.crossing = make([]int, n)
 	}
-	states := make(map[*Link]*linkState)
-	var unfrozen []*Flow
+	touched, unfrozen := fs.touched[:0], fs.unfrozen[:0]
 	for _, f := range fs.flows {
 		if !f.active {
 			continue
@@ -213,81 +225,77 @@ func (fs *FlowSim) recompute() {
 		unfrozen = append(unfrozen, f)
 		f.rate = math.Inf(1)
 		for _, l := range f.route {
-			st := states[l]
-			if st == nil {
-				st = &linkState{residual: l.Capacity}
-				states[l] = st
+			if fs.crossing[l.ID] == 0 {
+				touched = append(touched, l.ID)
+				fs.residual[l.ID] = l.Capacity
 			}
-			st.flows = append(st.flows, f)
+			fs.crossing[l.ID]++
 		}
 	}
-	frozen := make(map[int]bool)
 	for len(unfrozen) > 0 {
-		// Find the bottleneck link: minimum fair share among links that
-		// still carry unfrozen flows.
-		var bottleneck *Link
-		share := math.Inf(1)
-		for l, st := range states {
-			n := 0
-			for _, f := range st.flows {
-				if !frozen[f.ID] {
-					n++
-				}
-			}
+		// The bottleneck is the link with the smallest fair share among
+		// those still carrying unfrozen flows.
+		bottleneck, share := -1, math.Inf(1)
+		for _, id := range touched {
+			n := fs.crossing[id]
 			if n == 0 {
 				continue
 			}
-			s := st.residual / float64(n)
-			if s < share {
-				share = s
-				bottleneck = l
+			if s := fs.residual[id] / float64(n); s < share || (s == share && id < bottleneck) {
+				bottleneck, share = id, s
 			}
 		}
-		if bottleneck == nil {
-			// No capacity constraints left (shouldn't happen for routed
-			// flows, every route has >= 1 link).
+		if bottleneck < 0 {
+			// No finite capacity constrains the remaining flows.
 			break
 		}
 		// Freeze every unfrozen flow crossing the bottleneck.
-		newUnfrozen := unfrozen[:0]
+		keep := unfrozen[:0]
 		for _, f := range unfrozen {
-			crosses := false
-			for _, l := range f.route {
-				if l == bottleneck {
-					crosses = true
-					break
-				}
-			}
-			if !crosses {
-				newUnfrozen = append(newUnfrozen, f)
+			if !f.crosses(bottleneck) {
+				keep = append(keep, f)
 				continue
 			}
-			frozen[f.ID] = true
 			f.rate = share
 			for _, l := range f.route {
-				states[l].residual -= share
-				if states[l].residual < 0 {
-					states[l].residual = 0
-				}
+				fs.residual[l.ID] = math.Max(0, fs.residual[l.ID]-share)
+				fs.crossing[l.ID]--
 			}
 		}
-		unfrozen = newUnfrozen
+		unfrozen = keep
 	}
+	for _, id := range touched {
+		fs.crossing[id] = 0
+	}
+	fs.touched, fs.unfrozen = touched, unfrozen
 
-	// Reschedule completion events at the new rates.
+	// A pending completion scheduled at the rate the flow still has is
+	// still right; only flows whose rate moved are rescheduled.
 	for _, f := range fs.flows {
 		if !f.active {
 			continue
 		}
 		if f.event != nil {
+			if f.rate == f.eventRate {
+				continue
+			}
 			fs.sim.Cancel(f.event)
 			f.event = nil
 		}
 		if f.rate <= 0 || math.IsInf(f.rate, 1) {
 			continue
 		}
-		f := f
-		delay := f.remaining / f.rate
-		f.event = fs.sim.Schedule(delay, "flow/done", func() { fs.finish(f) })
+		f.eventRate = f.rate
+		f.event = fs.sim.Schedule(f.remaining/f.rate, "flow/done", f.finish)
 	}
+}
+
+// crosses reports whether the flow's route includes the link with this ID.
+func (f *Flow) crosses(linkID int) bool {
+	for _, l := range f.route {
+		if l.ID == linkID {
+			return true
+		}
+	}
+	return false
 }

@@ -11,6 +11,17 @@
 // max–min fair share of every link on its route, recomputed whenever a
 // flow starts, finishes or a link changes state. This is the standard
 // flow-level approximation used by datacenter simulators.
+//
+// A repair storm is thousands of such recomputations, so the allocator
+// (FlowSim.recompute) is built to cost what changed and nothing more:
+// progressive filling runs over scratch arrays indexed by Link.ID that
+// the FlowSim owns and reuses (no per-call maps, zero allocations in the
+// steady state), flows are visited in start order and bottleneck ties go
+// to the lowest link ID, so a seed reproduces its completion times bit
+// for bit, and a flow's completion event is rescheduled only when its
+// rate actually moved. Topology.Route searches over scratch of its own
+// and allocates only the path it returns. Neither type is safe for
+// concurrent use; a simulation owns one of each.
 package netsim
 
 import (
@@ -62,7 +73,13 @@ type Topology struct {
 	names   []string
 	links   []*Link
 	adj     [][]*Link
-	version uint64 // bumped on link state change to invalidate route caches
+	version uint64 // see Version; nothing in this package caches on it
+
+	// Route's breadth-first-search scratch, reused between calls.
+	seen   []uint64 // seen[n] == search: n was reached by the current search
+	prev   []*Link  // link each reached node was reached over
+	queue  []NodeID
+	search uint64
 }
 
 // NewTopology returns an empty topology.
@@ -130,7 +147,9 @@ func (t *Topology) SetLinkUp(l *Link, up bool) {
 	}
 }
 
-// Version returns the topology's state version (bumped on any change).
+// Version returns the topology's state version, bumped whenever a link
+// is added or changes state: two calls returning the same value bracket
+// an interval in which every Route answer stayed valid.
 func (t *Topology) Version() uint64 { return t.version }
 
 // Route returns a minimum-hop path of links from src to dst over
@@ -146,40 +165,41 @@ func (t *Topology) Route(src, dst NodeID) ([]*Link, error) {
 	if src == dst {
 		return nil, nil
 	}
-	// BFS.
-	prev := make([]*Link, len(t.kinds))
-	visited := make([]bool, len(t.kinds))
-	visited[src] = true
-	queue := []NodeID{src}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
+	// Breadth-first search over scratch the topology keeps between calls;
+	// a node is visited when its stamp equals this search's number.
+	if len(t.seen) < len(t.kinds) {
+		t.seen = make([]uint64, len(t.kinds))
+		t.prev = make([]*Link, len(t.kinds))
+	}
+	t.search++
+	t.seen[src] = t.search
+	t.queue = append(t.queue[:0], src)
+	for head := 0; head < len(t.queue); head++ {
+		n := t.queue[head]
 		for _, l := range t.adj[n] {
 			if !l.up {
 				continue
 			}
 			m := l.other(n)
-			if visited[m] {
+			if t.seen[m] == t.search {
 				continue
 			}
-			visited[m] = true
-			prev[m] = l
-			if m == dst {
-				// Reconstruct.
-				var path []*Link
-				cur := dst
-				for cur != src {
-					pl := prev[cur]
-					path = append(path, pl)
-					cur = pl.other(cur)
-				}
-				// Reverse into src->dst order.
-				for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-					path[i], path[j] = path[j], path[i]
-				}
-				return path, nil
+			t.seen[m] = t.search
+			t.prev[m] = l
+			if m != dst {
+				t.queue = append(t.queue, m)
+				continue
 			}
-			queue = append(queue, m)
+			hops := 0
+			for cur := dst; cur != src; cur = t.prev[cur].other(cur) {
+				hops++
+			}
+			path := make([]*Link, hops)
+			for cur := dst; cur != src; cur = t.prev[cur].other(cur) {
+				hops--
+				path[hops] = t.prev[cur]
+			}
+			return path, nil
 		}
 	}
 	return nil, fmt.Errorf("netsim: no route from %s to %s", t.names[src], t.names[dst])

@@ -92,12 +92,27 @@ type Manager struct {
 	anyTW        stats.TimeWeighted // any-unavailable indicator over time
 	zeroTW       stats.TimeWeighted // any-object-at-zero-copies indicator (§1)
 
+	// Availability state, moved only by what changed: a node's
+	// availability flipping touches the objects on that node, a finished
+	// repair the one object it relocated. nodeDown is each node's
+	// availability as of its last transition callback; live[i] counts
+	// object i's shards on available nodes; unavailable and zeroCopy count
+	// the objects below their scheme's MinAvailable and MinRecoverable.
+	nodeDown    []bool
+	live        []int
+	unavailable int
+	zeroCopy    int
+
 	// Per-tenant accounting for SLA-as-distribution queries (§4.1):
-	// prevDown[i] tracks whether object i was unavailable at lastScan,
-	// downTime[i] accumulates its unavailable time.
-	prevDown []bool
-	downTime []float64
-	lastScan sim.Time
+	// downTime[i] is object i's unavailable time over its finished
+	// outages, downSince[i] the start of the outage it is in (read only
+	// while live[i] < MinAvailable).
+	downTime  []float64
+	downSince []sim.Time
+
+	// pickTarget scratch.
+	candidates []int
+	holds      []bool
 }
 
 // NewManager wires a repair manager to a cluster and store. Call Start to
@@ -113,9 +128,14 @@ func NewManager(s *sim.Simulator, cl *cluster.Cluster, st *storage.Store, cfg Co
 	m.unavailTW.Set(s.Now(), 0)
 	m.anyTW.Set(s.Now(), 0)
 	m.zeroTW.Set(s.Now(), 0)
-	m.prevDown = make([]bool, st.Len())
-	m.downTime = make([]float64, st.Len())
-	m.lastScan = s.Now()
+	m.nodeDown = make([]bool, cl.Size())
+	for id := range m.nodeDown {
+		m.nodeDown[id] = !cl.Available(id)
+	}
+	m.holds = make([]bool, cl.Size())
+	m.live = make([]int, 0, st.Len())
+	m.downTime = make([]float64, 0, st.Len())
+	m.downSince = make([]sim.Time, 0, st.Len())
 	return m, nil
 }
 
@@ -124,8 +144,8 @@ func (m *Manager) Start() {
 	m.clst.OnNodeDown(func(n *cluster.Node) {
 		m.onNodeDown(n.ID)
 	})
-	m.clst.OnNodeUp(func(*cluster.Node) {
-		m.updateUnavailability()
+	m.clst.OnNodeUp(func(n *cluster.Node) {
+		m.nodeChanged(n.ID)
 		// A recovered node may unblock tasks that had no eligible
 		// repair target (wide schemes on small clusters).
 		m.pump()
@@ -141,7 +161,7 @@ func (m *Manager) destroyed(id int) bool { return !m.clst.Nodes()[id].Up() }
 
 // onNodeDown schedules repairs for every shard on the dead node.
 func (m *Manager) onNodeDown(nodeID int) {
-	m.updateUnavailability()
+	m.nodeChanged(nodeID)
 	if !m.destroyed(nodeID) {
 		// Reachability-only transition (ToR/PDU/utility domain outage):
 		// the node's data is intact and serves again on restore, so
@@ -190,7 +210,6 @@ func (m *Manager) pump() {
 // startRepair begins one transfer; returns false if the task was dropped
 // (already healthy, lost, or no valid source/target).
 func (m *Manager) startRepair(t task) bool {
-	down := func(id int) bool { return !m.clst.Available(id) }
 	// Skip if the shard's node recovered or the object is gone. The
 	// "still missing" test is about data (node-local state): a shard on
 	// a merely-unreachable node needs no re-replication.
@@ -211,14 +230,14 @@ func (m *Manager) startRepair(t task) bool {
 		m.lostCount++
 		return false
 	}
-	src := m.pickSource(t.obj, down)
+	src := m.pickSource(t.obj)
 	if src < 0 {
 		// Survivors exist but none is reachable right now (a correlated
 		// domain outage): requeue for the next cluster event.
 		m.queue = append(m.queue, t)
 		return false
 	}
-	dst := m.pickTarget(t.obj, down)
+	dst := m.pickTarget(t.obj)
 	if dst < 0 {
 		// No eligible target now; requeue for the next pump.
 		m.queue = append(m.queue, t)
@@ -266,10 +285,19 @@ func (m *Manager) finishRepair(t task, dst int, size float64) {
 		m.lostCount++
 		return
 	}
+	m.track() // before Locations moves, so the delta below is against the old placement
 	if err := m.store.Relocate(t.obj, t.from, dst); err != nil {
 		// Placement raced with recovery; treat as no-op repair.
 		return
 	}
+	delta := 0
+	if !m.nodeDown[t.from] {
+		delta--
+	}
+	if !m.nodeDown[dst] {
+		delta++
+	}
+	m.adjust(t.obj, delta)
 	m.completed++
 	m.bytesMoved += size
 	// Repair time spans from detection to committed relocation, including
@@ -277,13 +305,13 @@ func (m *Manager) finishRepair(t task, dst int, size float64) {
 	// vs. parallel repair trades off (§1).
 	m.repairTimes.Add(m.sim.Now() - t.created)
 	m.lastRepairAt = m.sim.Now()
-	m.updateUnavailability()
+	m.publish()
 }
 
 // pickSource returns an available node holding a live shard, or -1.
-func (m *Manager) pickSource(obj *storage.Object, down func(int) bool) int {
+func (m *Manager) pickSource(obj *storage.Object) int {
 	for _, loc := range obj.Locations {
-		if !down(loc) {
+		if m.clst.Available(loc) {
 			return loc
 		}
 	}
@@ -292,58 +320,103 @@ func (m *Manager) pickSource(obj *storage.Object, down func(int) bool) int {
 
 // pickTarget returns an available node not holding a shard, chosen via
 // the repair stream, or -1.
-func (m *Manager) pickTarget(obj *storage.Object, down func(int) bool) int {
-	holds := make(map[int]bool, len(obj.Locations))
+func (m *Manager) pickTarget(obj *storage.Object) int {
 	for _, loc := range obj.Locations {
-		holds[loc] = true
+		m.holds[loc] = true
 	}
-	var candidates []int
+	m.candidates = m.candidates[:0]
 	for id := 0; id < m.clst.Size(); id++ {
-		if !down(id) && !holds[id] {
-			candidates = append(candidates, id)
+		if m.clst.Available(id) && !m.holds[id] {
+			m.candidates = append(m.candidates, id)
 		}
 	}
-	if len(candidates) == 0 {
+	for _, loc := range obj.Locations {
+		m.holds[loc] = false
+	}
+	if len(m.candidates) == 0 {
 		return -1
 	}
 	r := m.sim.Stream("repair-target")
-	return candidates[r.Intn(len(candidates))]
+	return m.candidates[r.Intn(len(m.candidates))]
 }
 
-// updateUnavailability re-evaluates the unavailable-object count signal
-// and banks per-tenant unavailable time since the previous scan.
-func (m *Manager) updateUnavailability() {
-	down := func(id int) bool { return !m.clst.Available(id) }
+// nodeChanged is the cluster's node-transition callback: if node id's
+// availability differs from what the manager last saw, every object with
+// a shard there gains or loses one live shard. (A node that dies inside
+// an already-failed domain, or is repaired inside one, fires the callback
+// without changing availability.)
+func (m *Manager) nodeChanged(id int) {
+	m.track()
+	if down := !m.clst.Available(id); down != m.nodeDown[id] {
+		m.nodeDown[id] = down
+		delta := 1
+		if down {
+			delta = -1
+		}
+		for _, obj := range m.store.ObjectsOn(id) {
+			m.adjust(obj, delta)
+		}
+	}
+	m.publish()
+}
+
+// track starts accounting for objects added to the store since the last
+// call (all of them, the first time): an object is available from the
+// moment it is first seen unless its nodes say otherwise.
+func (m *Manager) track() {
+	for _, obj := range m.store.Objects()[len(m.live):] {
+		m.live = append(m.live, len(obj.Locations))
+		m.downTime = append(m.downTime, 0)
+		m.downSince = append(m.downSince, 0)
+		missing := 0
+		for _, loc := range obj.Locations {
+			if m.nodeDown[loc] {
+				missing++
+			}
+		}
+		m.adjust(obj, -missing)
+	}
+}
+
+// adjust moves obj's live-shard count by delta and carries the running
+// counts and the tenant's outage clock across the thresholds it crosses.
+func (m *Manager) adjust(obj *storage.Object, delta int) {
+	was := m.live[obj.ID]
+	now := was + delta
+	m.live[obj.ID] = now
+	if min := obj.Scheme.MinAvailable(); (was < min) != (now < min) {
+		if now < min {
+			m.unavailable++
+			m.downSince[obj.ID] = m.sim.Now()
+		} else {
+			m.unavailable--
+			m.downTime[obj.ID] += m.sim.Now() - m.downSince[obj.ID]
+		}
+	}
+	if min := obj.Scheme.MinRecoverable(); (was < min) != (now < min) {
+		if now < min {
+			m.zeroCopy++
+		} else {
+			m.zeroCopy--
+		}
+	}
+}
+
+// publish brings the three time-weighted signals up to now from the
+// running counts, first taking in any object the store has gained.
+func (m *Manager) publish() {
+	m.track()
 	now := m.sim.Now()
-	dt := now - m.lastScan
-	count := 0
-	for i, obj := range m.store.Objects() {
-		if i >= len(m.prevDown) {
-			// Objects added after manager construction: extend tracking.
-			m.prevDown = append(m.prevDown, false)
-			m.downTime = append(m.downTime, 0)
-		}
-		if m.prevDown[i] && dt > 0 {
-			m.downTime[i] += dt
-		}
-		unavail := !m.store.Available(obj, down)
-		m.prevDown[i] = unavail
-		if unavail {
-			count++
-		}
+	m.unavailTW.Set(now, float64(m.unavailable))
+	m.anyTW.Set(now, indicator(m.unavailable > 0))
+	m.zeroTW.Set(now, indicator(m.zeroCopy > 0))
+}
+
+func indicator(b bool) float64 {
+	if b {
+		return 1
 	}
-	m.lastScan = now
-	m.unavailTW.Set(now, float64(count))
-	ind := 0.0
-	if count > 0 {
-		ind = 1
-	}
-	m.anyTW.Set(now, ind)
-	zero := 0.0
-	if m.store.LostCount(down) > 0 {
-		zero = 1
-	}
-	m.zeroTW.Set(now, zero)
+	return 0
 }
 
 // Completed returns the number of finished repairs.
@@ -366,14 +439,14 @@ func (m *Manager) LastRepairAt() sim.Time { return m.lastRepairAt }
 // MeanUnavailableObjects returns the time-averaged number of unavailable
 // objects over [0, now].
 func (m *Manager) MeanUnavailableObjects() float64 {
-	m.updateUnavailability()
+	m.publish()
 	return m.unavailTW.Average()
 }
 
 // AnyUnavailableFraction returns the fraction of time at least one object
 // was unavailable over [0, now] — the availability-SLA metric of §3.
 func (m *Manager) AnyUnavailableFraction() float64 {
-	m.updateUnavailability()
+	m.publish()
 	return m.anyTW.Average()
 }
 
@@ -381,7 +454,7 @@ func (m *Manager) AnyUnavailableFraction() float64 {
 // zero live copies — §1's stricter unavailability notion, the quantity
 // parallel repair and faster networks shrink.
 func (m *Manager) ZeroCopyFraction() float64 {
-	m.updateUnavailability()
+	m.publish()
 	return m.zeroTW.Average()
 }
 
@@ -389,13 +462,17 @@ func (m *Manager) ZeroCopyFraction() float64 {
 // of [0, now] its object was unavailable), enabling §4.1 SLAs expressed
 // as distributions over tenants ("95% of customers at three nines").
 func (m *Manager) TenantAvailabilities() []float64 {
-	m.updateUnavailability()
+	m.publish()
 	horizon := m.sim.Now()
 	out := make([]float64, len(m.downTime))
-	for i, dt := range m.downTime {
+	for i, obj := range m.store.Objects() {
 		if horizon <= 0 {
 			out[i] = 1
 			continue
+		}
+		dt := m.downTime[i]
+		if m.live[i] < obj.Scheme.MinAvailable() {
+			dt += horizon - m.downSince[i]
 		}
 		out[i] = 1 - dt/horizon
 	}

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/rng"
 )
@@ -78,6 +79,16 @@ func (s Scheme) MinAvailable() int {
 	return s.K
 }
 
+// MinRecoverable returns the minimum number of surviving shards from
+// which the object can still be reconstructed: one copy under
+// replication, K shards under RS.
+func (s Scheme) MinRecoverable() int {
+	if s.Kind == Replication {
+		return 1
+	}
+	return s.K
+}
+
 func (s Scheme) String() string {
 	if s.Kind == Replication {
 		return fmt.Sprintf("rep-%d", s.Replicas)
@@ -99,6 +110,10 @@ type Store struct {
 	view    View
 	policy  Policy
 	objects []*Object
+	// byNode[n] lists the objects with a shard on node n in ascending ID
+	// order. Built by the first ObjectsOn, kept current by AddObjects and
+	// Relocate.
+	byNode [][]*Object
 }
 
 // NewStore creates a store over the given view with the given policy.
@@ -145,9 +160,13 @@ func (st *Store) AddObjects(count int, sizeMB float64, scheme Scheme, r *rng.Sou
 		if err := distinct(locs, st.view.Nodes); err != nil {
 			return fmt.Errorf("storage: policy %s for object %d: %w", st.policy.Name(), id, err)
 		}
-		st.objects = append(st.objects, &Object{
-			ID: id, SizeMB: sizeMB, Scheme: scheme, Locations: locs,
-		})
+		obj := &Object{ID: id, SizeMB: sizeMB, Scheme: scheme, Locations: locs}
+		st.objects = append(st.objects, obj)
+		if st.byNode != nil {
+			for _, n := range locs {
+				st.byNode[n] = append(st.byNode[n], obj)
+			}
+		}
 	}
 	return nil
 }
@@ -231,10 +250,7 @@ func (st *Store) Lost(obj *Object, down func(int) bool) bool {
 			up++
 		}
 	}
-	if obj.Scheme.Kind == Replication {
-		return up == 0
-	}
-	return up < obj.Scheme.K
+	return up < obj.Scheme.MinRecoverable()
 }
 
 // TotalStoredMB returns the physical bytes stored (logical × overhead).
@@ -246,18 +262,28 @@ func (st *Store) TotalStoredMB() float64 {
 	return total
 }
 
-// ObjectsOn returns the objects having a shard/replica on node n.
+// ObjectsOn returns the objects having a shard/replica on node n, in
+// ascending ID order. The slice is the store's own index: it must not be
+// modified and is valid only until the next Relocate or AddObjects.
 func (st *Store) ObjectsOn(n int) []*Object {
-	var out []*Object
-	for _, o := range st.objects {
-		for _, loc := range o.Locations {
-			if loc == n {
-				out = append(out, o)
-				break
+	if st.byNode == nil {
+		counts := make([]int, st.view.Nodes)
+		for _, o := range st.objects {
+			for _, loc := range o.Locations {
+				counts[loc]++
+			}
+		}
+		st.byNode = make([][]*Object, st.view.Nodes)
+		for node, c := range counts {
+			st.byNode[node] = make([]*Object, 0, c)
+		}
+		for _, o := range st.objects {
+			for _, loc := range o.Locations {
+				st.byNode[loc] = append(st.byNode[loc], o)
 			}
 		}
 	}
-	return out
+	return st.byNode[n]
 }
 
 // Relocate moves obj's shard from node `from` to node `to` (repair
@@ -280,5 +306,13 @@ func (st *Store) Relocate(obj *Object, from, to int) error {
 		return fmt.Errorf("storage: node %d holds no shard of object %d", from, obj.ID)
 	}
 	obj.Locations[fromIdx] = to
+	if st.byNode != nil {
+		byID := func(o *Object, id int) int { return o.ID - id }
+		if i, ok := slices.BinarySearchFunc(st.byNode[from], obj.ID, byID); ok {
+			st.byNode[from] = slices.Delete(st.byNode[from], i, i+1)
+		}
+		i, _ := slices.BinarySearchFunc(st.byNode[to], obj.ID, byID)
+		st.byNode[to] = slices.Insert(st.byNode[to], i, obj)
+	}
 	return nil
 }

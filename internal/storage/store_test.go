@@ -251,6 +251,59 @@ func TestObjectsOn(t *testing.T) {
 	}
 }
 
+// TestObjectsOnIndexTracksStore holds the node index ObjectsOn answers
+// from against a scan of every object's Locations, through relocations
+// (including onto a node whose window of the index is full) and a second
+// AddObjects, and pins a lookup at zero allocations.
+func TestObjectsOnIndexTracksStore(t *testing.T) {
+	r := rng.New(4)
+	st, err := NewStore(flatView(8), Random{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.AddObjects(60, 1, ReplicationScheme(3), r); err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string) {
+		t.Helper()
+		for n := 0; n < 8; n++ {
+			var want []int
+			for _, o := range st.Objects() {
+				for _, loc := range o.Locations {
+					if loc == n {
+						want = append(want, o.ID)
+					}
+				}
+			}
+			got := st.ObjectsOn(n)
+			if len(got) != len(want) {
+				t.Fatalf("%s: node %d indexes %d objects, scan finds %d", when, n, len(got), len(want))
+			}
+			for i, o := range got {
+				if o.ID != want[i] {
+					t.Fatalf("%s: node %d entry %d is object %d, scan (ascending ID) says %d", when, n, i, o.ID, want[i])
+				}
+			}
+		}
+	}
+	check("after first lookup")
+	for step := 0; step < 200; step++ {
+		obj := st.Objects()[r.Intn(st.Len())]
+		from := obj.Locations[r.Intn(len(obj.Locations))]
+		if err := st.Relocate(obj, from, r.Intn(8)); err != nil {
+			continue // target already holds a shard
+		}
+		check("after relocate")
+	}
+	if err := st.AddObjects(20, 1, RSScheme(2, 2), r); err != nil {
+		t.Fatal(err)
+	}
+	check("after second AddObjects")
+	if allocs := testing.AllocsPerRun(100, func() { _ = st.ObjectsOn(3) }); allocs != 0 {
+		t.Fatalf("ObjectsOn allocated %v times per call, want 0", allocs)
+	}
+}
+
 func TestRelocate(t *testing.T) {
 	r := rng.New(9)
 	st, err := NewStore(flatView(10), RoundRobin{})

@@ -374,7 +374,8 @@ type Engine struct {
 	// via WITH trials = n).
 	Trials int
 	// Workers bounds point-level parallelism when no MONOTONE dimension
-	// requests pruning.
+	// requests pruning (0 = GOMAXPROCS; overridable per-query via WITH
+	// workers = n).
 	Workers int
 	// TrialWorkers bounds trial-level parallelism inside each design
 	// point (0 = GOMAXPROCS). The serving layer sets 1 so its shared
@@ -694,7 +695,7 @@ func (e *Engine) Plan(q *Query) (*Plan, error) {
 	if trials < 1 {
 		trials = 5
 	}
-	workers := 0
+	workers := e.Workers
 	targetCI := 0.0
 	screen := e.Screen
 	screenMargin := e.ScreenMargin

@@ -468,3 +468,26 @@ func TestScreenMarginZeroIsExact(t *testing.T) {
 		t.Fatalf("margin 0 not recorded as explicit: set=%v margin=%v", e.ScreenMarginSet, e.ScreenMargin)
 	}
 }
+
+// TestPlanHonoursEngineWorkers pins the point-level parallelism bound a
+// Plan carries: the engine's Workers (what `wtql -workers n` and the
+// serving layer set) unless the query's WITH names its own.
+func TestPlanHonoursEngineWorkers(t *testing.T) {
+	e := &Engine{Trials: 1, Workers: 3}
+	for src, want := range map[string]int{
+		"SIMULATE availability VARY storage.replication IN (1, 3)":                  3,
+		"SIMULATE availability VARY storage.replication IN (1, 3) WITH workers = 2": 2,
+	} {
+		q, err := Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := e.Plan(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan.workers != want {
+			t.Errorf("%s: plan runs %d point workers, want %d", src, plan.workers, want)
+		}
+	}
+}
