@@ -16,6 +16,12 @@
 // nest — a node is available only while it is itself up AND every domain
 // covering it is up, tracked with per-node and per-link veto counters so
 // restoring an outer domain never "un-fails" an inner one.
+//
+// A Cluster is built once and can then carry any number of simulations:
+// Reset returns it, in place, to the state Build left it in — equal to a
+// freshly built cluster, with every handle from before (flows, domains
+// added since Build, registered callbacks) dead. Build itself is
+// "allocate, then Reset", so the two cannot drift apart.
 package cluster
 
 import (
@@ -89,6 +95,22 @@ type Node struct {
 	up       bool
 	upSignal stats.TimeWeighted
 	accessLk *netsim.Link
+
+	// Whole-node lifecycle wiring: names and callbacks are built by the
+	// first StartFailures and reused by every cycle and every trial after
+	// it; the two streams are the current trial's (one stream twice in
+	// legacy mode, see StartFailures).
+	streamName, ttfStreamName, repairStreamName string
+	failName, repairName                        string
+	failFn, repairFn                            func()
+	ttfStream, repairStream                     *rng.Source
+}
+
+// componentWiring is what StartFailures needs to start one component's
+// lifecycle, built once: its stream name and its two callbacks.
+type componentWiring struct {
+	stream           string
+	onFail, onRepair func(*hardware.Component)
 }
 
 // Domain is one correlated-failure domain: a set of nodes (and,
@@ -138,6 +160,9 @@ func (n *Node) AccessLinkCapacity() float64 {
 }
 
 // Cluster is a fully wired simulated data center.
+//
+// A cluster can be reused for any number of simulations: Reset returns it
+// to the state Build left it in, keeping everything Build allocated.
 type Cluster struct {
 	cfg  Config
 	sim  *sim.Simulator
@@ -146,9 +171,10 @@ type Cluster struct {
 	Flow *netsim.FlowSim
 
 	nodes    []*Node
-	torIDs   []netsim.NodeID
-	torSws   []*hardware.Component // indexed by rack; nil without SwitchFailures
+	comps    []hardware.Component  // every node's disks, NIC, CPU and memory, in one block
+	torSws   []*hardware.Component // indexed by rack; nil until StartFailures runs with SwitchFailures
 	uplinks  []*netsim.Link
+	hostCap  float64 // configured access-link capacity, the baseline service throttles scale
 	onDown   []func(*Node)
 	onUp     []func(*Node)
 	onDisk   []func(*Node, int) // node, disk index
@@ -156,19 +182,21 @@ type Cluster struct {
 
 	// Failure domains. rackDomains[r] is the built-in ToR domain of rack
 	// r; nodeVeto[i] counts down domains covering node i and linkVeto
-	// counts down domains forcing a link down, so overlapping domains
-	// compose (restoring one never un-fails another).
+	// (indexed by Link.ID) counts down domains forcing a link down, so
+	// overlapping domains compose (restoring one never un-fails another).
 	domains     []*Domain
 	rackDomains []*Domain
 	nodeVeto    []int
-	linkVeto    map[*netsim.Link]int
+	linkVeto    []int
 	onDomDown   []func(*Domain)
 	onDomUp     []func(*Domain)
 
-	// baseAccessCap memoizes the configured access-link capacities the
-	// first time SetServiceThrottle runs, so throttles compose from the
-	// unthrottled baseline rather than each other.
-	baseAccessCap []float64
+	// Failure wiring built by the first StartFailures (see wire): disks in
+	// node-major order, then one entry per NIC and per ToR switch.
+	wired    bool
+	diskWire []componentWiring
+	nicWire  []componentWiring
+	torWire  []componentWiring
 
 	nodeFailures int64
 	rackFailures int64
@@ -206,7 +234,7 @@ func Build(s *sim.Simulator, cat *hardware.Catalog, cfg Config) (*Cluster, error
 	if uplink <= 0 {
 		uplink = 10 * hostCap
 	}
-	topo, hosts, tors, err := netsim.TwoTier(netsim.TwoTierConfig{
+	net, err := netsim.TwoTier(netsim.TwoTierConfig{
 		Racks: cfg.Racks, HostsPerRack: cfg.NodesPerRack,
 		HostLinkCap: hostCap, UplinkCap: uplink, LinkLatency: cfg.LinkLatency,
 	})
@@ -214,54 +242,45 @@ func Build(s *sim.Simulator, cat *hardware.Catalog, cfg Config) (*Cluster, error
 		return nil, err
 	}
 
+	size := cfg.Racks * cfg.NodesPerRack
+	perNode := cfg.DisksPerNode + 3 // disks, NIC, CPU, memory
 	c := &Cluster{
-		cfg: cfg, sim: s, cat: cat, Topo: topo,
-		Flow:     netsim.NewFlowSim(s, topo),
-		torIDs:   tors,
+		cfg: cfg, sim: s, cat: cat, Topo: net.Topo,
+		Flow:     netsim.NewFlowSim(s, net.Topo),
+		nodes:    make([]*Node, size),
+		comps:    make([]hardware.Component, size*perNode),
 		torSws:   make([]*hardware.Component, cfg.Racks),
-		nodeVeto: make([]int, cfg.Racks*cfg.NodesPerRack),
-		linkVeto: make(map[*netsim.Link]int),
+		uplinks:  net.Uplinks,
+		hostCap:  hostCap,
+		nodeVeto: make([]int, size),
+		linkVeto: make([]int, len(net.Topo.Links())),
 	}
-	// Identify each host's access link and each rack's uplink.
-	linkOf := func(a, b netsim.NodeID) *netsim.Link {
-		for _, l := range topo.Links() {
-			if (l.A == a && l.B == b) || (l.A == b && l.B == a) {
-				return l
+	// Nodes, their disk lists and their components each come out of one
+	// block: a cluster is a handful of allocations however many nodes.
+	nodes := make([]Node, size)
+	disks := make([]*hardware.Component, size*cfg.DisksPerNode)
+	for id := range nodes {
+		n := &nodes[id]
+		*n = Node{ID: id, Rack: id / cfg.NodesPerRack, Host: net.Hosts[id], accessLk: net.Access[id]}
+		comps := c.comps[id*perNode : (id+1)*perNode]
+		n.Disks = disks[id*cfg.DisksPerNode : (id+1)*cfg.DisksPerNode : (id+1)*cfg.DisksPerNode]
+		for d := range n.Disks {
+			n.Disks[d] = &comps[d]
+			if err := n.Disks[d].Init(id*100+d, diskSpec); err != nil {
+				return nil, err
 			}
 		}
-		return nil
-	}
-	core := netsim.NodeID(0) // TwoTier adds the core switch first
-	for r := 0; r < cfg.Racks; r++ {
-		c.uplinks = append(c.uplinks, linkOf(tors[r], core))
-	}
-
-	id := 0
-	for r := 0; r < cfg.Racks; r++ {
-		for h := 0; h < cfg.NodesPerRack; h++ {
-			n := &Node{ID: id, Rack: r, Host: hosts[id], up: true}
-			n.accessLk = linkOf(n.Host, tors[r])
-			var cerr error
-			mk := func(cid int, spec hardware.Spec) *hardware.Component {
-				comp, e := hardware.NewComponent(cid, spec)
-				if e != nil && cerr == nil {
-					cerr = e
-				}
-				return comp
-			}
-			for d := 0; d < cfg.DisksPerNode; d++ {
-				n.Disks = append(n.Disks, mk(id*100+d, diskSpec))
-			}
-			n.NIC = mk(id*100+90, nicSpec)
-			n.CPU = mk(id*100+91, cpuSpec)
-			n.Mem = mk(id*100+92, memSpec)
-			if cerr != nil {
-				return nil, cerr
-			}
-			n.upSignal.Set(s.Now(), 1)
-			c.nodes = append(c.nodes, n)
-			id++
+		n.NIC, n.CPU, n.Mem = &comps[perNode-3], &comps[perNode-2], &comps[perNode-1]
+		if err := n.NIC.Init(id*100+90, nicSpec); err != nil {
+			return nil, err
 		}
+		if err := n.CPU.Init(id*100+91, cpuSpec); err != nil {
+			return nil, err
+		}
+		if err := n.Mem.Init(id*100+92, memSpec); err != nil {
+			return nil, err
+		}
+		c.nodes[id] = n
 	}
 	// The built-in correlated-failure domains: one per rack, covering its
 	// nodes and severing its uplink while down (the ToR mechanism).
@@ -276,7 +295,56 @@ func Build(s *sim.Simulator, cat *hardware.Catalog, cfg Config) (*Cluster, error
 		}
 		c.rackDomains = append(c.rackDomains, d)
 	}
+	c.Reset()
 	return c, nil
+}
+
+// Reset returns the cluster to the state Build left it in, in place:
+// every link up at its configured capacity and no flow in flight, every
+// node and component healthy with zeroed counters and uptime signals, no
+// domain down, the domains added since Build (internal/power's) gone,
+// every registered callback dropped, no failure process running. Reset
+// the driving simulator first: the cluster restarts its clocks from the
+// simulator's Now and forgets, rather than cancels, its pending events.
+//
+// A reset cluster is equal to a freshly built one, and every handle from
+// before is dead: flows, added domains, registered callbacks.
+func (c *Cluster) Reset() {
+	c.Topo.Reset()
+	c.Flow.Reset()
+	for i := range c.comps {
+		c.comps[i].Reset()
+	}
+	for _, sw := range c.torSws {
+		if sw != nil {
+			sw.Reset()
+		}
+	}
+	now := c.sim.Now()
+	for _, n := range c.nodes {
+		n.up = true
+		n.upSignal = stats.TimeWeighted{}
+		n.upSignal.Set(now, 1)
+		n.ttfStream, n.repairStream = nil, nil
+	}
+	clear(c.domains[len(c.rackDomains):])
+	c.domains = c.domains[:len(c.rackDomains)]
+	for _, d := range c.rackDomains {
+		d.up = true
+	}
+	clear(c.nodeVeto)
+	clear(c.linkVeto)
+	c.onDown, c.onUp = dropAll(c.onDown), dropAll(c.onUp)
+	c.onDisk, c.onDiskOK = dropAll(c.onDisk), dropAll(c.onDiskOK)
+	c.onDomDown, c.onDomUp = dropAll(c.onDomDown), dropAll(c.onDomUp)
+	c.nodeFailures, c.rackFailures = 0, 0
+}
+
+// dropAll empties a callback list, releasing the callbacks and keeping
+// the storage.
+func dropAll[T any](list []T) []T {
+	clear(list)
+	return list[:0]
 }
 
 // AddDomain registers a correlated-failure domain over the given node
@@ -324,8 +392,8 @@ func (c *Cluster) FailDomain(d *Domain) {
 	d.up = false
 	changed := false
 	for _, l := range d.links {
-		c.linkVeto[l]++
-		if c.linkVeto[l] == 1 {
+		c.linkVeto[l.ID]++
+		if c.linkVeto[l.ID] == 1 {
 			c.Topo.SetLinkUp(l, false)
 			changed = true
 		}
@@ -359,8 +427,8 @@ func (c *Cluster) RestoreDomain(d *Domain) {
 	d.up = true
 	changed := false
 	for _, l := range d.links {
-		c.linkVeto[l]--
-		if c.linkVeto[l] == 0 {
+		c.linkVeto[l.ID]--
+		if c.linkVeto[l.ID] == 0 {
 			c.Topo.SetLinkUp(l, true)
 			changed = true
 		}
@@ -486,44 +554,93 @@ func (c *Cluster) RestoreRack(r int) {
 // simulator: whole-node lifecycles (NodeTTF/NodeRepair), per-component
 // lifecycles (disks and NICs), and ToR switch lifecycles.
 func (c *Cluster) StartFailures() {
+	c.wire()
 	for _, n := range c.nodes {
-		n := n
 		if c.cfg.NodeTTF != nil {
-			var ttfStream, repairStream *rng.Source
 			if c.sim.Keyed() {
 				// Keyed (CRN/antithetic) mode splits the lifecycle into a
 				// mirrored failure-time stream and a shared repair stream:
 				// an antithetic twin inverts when nodes fail but repairs
 				// take identical durations, the pairing that actually
 				// anti-correlates availability.
-				ttfStream = c.sim.MirroredStream(fmt.Sprintf("node-%d/ttf", n.ID))
-				repairStream = c.sim.Stream(fmt.Sprintf("node-%d/repair", n.ID))
+				n.ttfStream = c.sim.MirroredStream(n.ttfStreamName)
+				n.repairStream = c.sim.Stream(n.repairStreamName)
 			} else {
-				s := c.sim.Stream(fmt.Sprintf("node-%d", n.ID))
-				ttfStream, repairStream = s, s
+				s := c.sim.Stream(n.streamName)
+				n.ttfStream, n.repairStream = s, s
 			}
-			c.scheduleNodeLifecycle(n, ttfStream, repairStream)
+			c.scheduleNodeFailure(n)
 		}
 		if c.cfg.ComponentFailures {
 			for d, disk := range n.Disks {
-				d := d
-				disk.OnFail(func(*hardware.Component) {
-					for _, fn := range c.onDisk {
-						fn(n, d)
-					}
+				c.startComponent(disk, c.diskWire[n.ID*len(n.Disks)+d])
+			}
+			c.startComponent(n.NIC, c.nicWire[n.ID])
+		}
+	}
+	if c.cfg.SwitchFailures {
+		for r, sw := range c.torSws {
+			c.startComponent(sw, c.torWire[r])
+		}
+	}
+}
+
+func (c *Cluster) startComponent(comp *hardware.Component, w componentWiring) {
+	comp.OnFail(w.onFail)
+	comp.OnRepair(w.onRepair)
+	comp.StartLifecycle(c.sim, c.sim.Stream(w.stream))
+}
+
+// wire builds, once, what every StartFailures after the first reuses:
+// stream and event names, the callbacks that tie component failures to
+// node and rack state, and the ToR switch components. A lifecycle event
+// then costs a draw and a Schedule, with no name formatted and no closure
+// built.
+func (c *Cluster) wire() {
+	if c.wired {
+		return
+	}
+	c.wired = true
+	for _, n := range c.nodes {
+		if c.cfg.NodeTTF != nil {
+			n.streamName = fmt.Sprintf("node-%d", n.ID)
+			n.ttfStreamName = fmt.Sprintf("node-%d/ttf", n.ID)
+			n.repairStreamName = fmt.Sprintf("node-%d/repair", n.ID)
+			n.failName = fmt.Sprintf("node%d/fail", n.ID)
+			n.repairName = fmt.Sprintf("node%d/repair", n.ID)
+			n.failFn = func() {
+				c.FailNode(n.ID)
+				rep := c.cfg.NodeRepair.Sample(n.repairStream)
+				c.sim.Schedule(rep, n.repairName, n.repairFn)
+			}
+			n.repairFn = func() {
+				c.RestoreNode(n.ID)
+				c.scheduleNodeFailure(n)
+			}
+		}
+		if c.cfg.ComponentFailures {
+			for d := range n.Disks {
+				c.diskWire = append(c.diskWire, componentWiring{
+					stream: fmt.Sprintf("disk-%d-%d", n.ID, d),
+					onFail: func(*hardware.Component) {
+						for _, fn := range c.onDisk {
+							fn(n, d)
+						}
+					},
+					onRepair: func(*hardware.Component) {
+						for _, fn := range c.onDiskOK {
+							fn(n, d)
+						}
+					},
 				})
-				disk.OnRepair(func(*hardware.Component) {
-					for _, fn := range c.onDiskOK {
-						fn(n, d)
-					}
-				})
-				disk.StartLifecycle(c.sim, c.sim.Stream(fmt.Sprintf("disk-%d-%d", n.ID, d)))
 			}
 			// NIC failure severs connectivity: treat as node-down for
 			// serving purposes.
-			n.NIC.OnFail(func(*hardware.Component) { c.FailNode(n.ID) })
-			n.NIC.OnRepair(func(*hardware.Component) { c.RestoreNode(n.ID) })
-			n.NIC.StartLifecycle(c.sim, c.sim.Stream(fmt.Sprintf("nic-%d", n.ID)))
+			c.nicWire = append(c.nicWire, componentWiring{
+				stream:   fmt.Sprintf("nic-%d", n.ID),
+				onFail:   func(*hardware.Component) { c.FailNode(n.ID) },
+				onRepair: func(*hardware.Component) { c.RestoreNode(n.ID) },
+			})
 		}
 	}
 	if c.cfg.SwitchFailures {
@@ -531,33 +648,28 @@ func (c *Cluster) StartFailures() {
 		if err != nil {
 			panic(err) // validated in Build
 		}
-		for r := 0; r < c.cfg.Racks; r++ {
-			r := r
+		for r := range c.torSws {
 			sw, err := hardware.NewComponent(1000000+r, swSpec)
 			if err != nil {
 				panic(err)
 			}
 			c.torSws[r] = sw
-			sw.OnFail(func(*hardware.Component) { c.FailRack(r) })
-			sw.OnRepair(func(*hardware.Component) { c.RestoreRack(r) })
-			sw.StartLifecycle(c.sim, c.sim.Stream(fmt.Sprintf("tor-%d", r)))
+			c.torWire = append(c.torWire, componentWiring{
+				stream:   fmt.Sprintf("tor-%d", r),
+				onFail:   func(*hardware.Component) { c.FailRack(r) },
+				onRepair: func(*hardware.Component) { c.RestoreRack(r) },
+			})
 		}
 	}
 }
 
-// scheduleNodeLifecycle drives the whole-node fail/repair cycle. The
-// TTF and repair streams coincide in legacy mode and are split in keyed
-// mode (see StartFailures).
-func (c *Cluster) scheduleNodeLifecycle(n *Node, ttfStream, repairStream *rng.Source) {
-	ttf := c.cfg.NodeTTF.Sample(ttfStream)
-	c.sim.Schedule(ttf, fmt.Sprintf("node%d/fail", n.ID), func() {
-		c.FailNode(n.ID)
-		rep := c.cfg.NodeRepair.Sample(repairStream)
-		c.sim.Schedule(rep, fmt.Sprintf("node%d/repair", n.ID), func() {
-			c.RestoreNode(n.ID)
-			c.scheduleNodeLifecycle(n, ttfStream, repairStream)
-		})
-	})
+// scheduleNodeFailure draws node n's next whole-node failure; failFn and
+// repairFn (see wire) carry the cycle on from there. The TTF and repair
+// streams coincide in legacy mode and are split in keyed mode (see
+// StartFailures).
+func (c *Cluster) scheduleNodeFailure(n *Node) {
+	ttf := c.cfg.NodeTTF.Sample(n.ttfStream)
+	c.sim.Schedule(ttf, n.failName, n.failFn)
 }
 
 // SetServiceThrottle scales every node's access-link capacity to factor
@@ -569,20 +681,12 @@ func (c *Cluster) SetServiceThrottle(factor float64) error {
 	if factor <= 0 || factor > 1 {
 		return fmt.Errorf("cluster: service throttle %v outside (0, 1]", factor)
 	}
-	if c.baseAccessCap == nil {
-		c.baseAccessCap = make([]float64, len(c.nodes))
-		for i, n := range c.nodes {
-			if n.accessLk != nil {
-				c.baseAccessCap[i] = n.accessLk.Capacity
-			}
-		}
-	}
 	changed := false
-	for i, n := range c.nodes {
+	want := c.hostCap * factor
+	for _, n := range c.nodes {
 		if n.accessLk == nil {
 			continue
 		}
-		want := c.baseAccessCap[i] * factor
 		if n.accessLk.Capacity != want {
 			n.accessLk.Capacity = want
 			changed = true

@@ -7,16 +7,10 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/cluster"
-	"repro/internal/dist"
 	"repro/internal/hardware"
 	"repro/internal/power"
-	"repro/internal/repair"
-	"repro/internal/rng"
-	"repro/internal/sim"
 	"repro/internal/sla"
 	"repro/internal/stats"
-	"repro/internal/storage"
 )
 
 // AbortRule enables §4.2 early abort: a trial is stopped as soon as its
@@ -282,11 +276,15 @@ func (r Runner) simulate(ctx context.Context, sc Scenario) (*RunResult, error) {
 	var next atomic.Int64
 	stop := make(chan struct{}) // closed to halt workers after early stop
 	results := make(chan indexedOutcome, workers)
+	cat := hardware.DefaultCatalog() // read-only from here on, shared by every worker's world
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			// The worker's world: built by its first trial, reset in place
+			// before each later one, never seen by another goroutine.
+			world := trialWorld{runner: r, sc: sc, cat: cat}
 			for {
 				i := int(next.Add(1) - 1)
 				if i >= r.Trials {
@@ -299,7 +297,7 @@ func (r Runner) simulate(ctx context.Context, sc Scenario) (*RunResult, error) {
 					return
 				default:
 				}
-				out := r.runTrial(sc, uint64(i))
+				out := world.run(uint64(i))
 				select {
 				case results <- indexedOutcome{idx: i, out: out}:
 				case <-stop:
@@ -473,127 +471,4 @@ func max1(w float64) float64 {
 		return 1
 	}
 	return w
-}
-
-// runTrial builds and runs one independent replication.
-func (r Runner) runTrial(sc Scenario, trial uint64) trialOutcome {
-	crn := r.CRN || r.Antithetic
-	anti := r.Antithetic && trial&1 == 1
-	pairBase := trial
-	if r.Antithetic {
-		pairBase = trial &^ 1 // odd twins share the even twin's stream key
-	}
-	var s *sim.Simulator
-	var placeRng *rng.Source
-	if crn {
-		s = sim.NewKeyed(sc.Seed, pairBase, anti)
-		// Placement is shared (not mirrored) within an antithetic pair:
-		// the pair compares mirrored failure draws over one object layout.
-		placeRng = rng.Keyed(sc.Seed, pairBase, "placement")
-	} else {
-		s = sim.New(sc.Seed*1_000_003 + trial)
-		placeRng = rng.New(sc.Seed*7_919 + trial)
-	}
-
-	var biased *dist.HazardBiased
-	if r.biasActive() {
-		b, err := dist.NewHazardBiased(sc.Cluster.NodeTTF, r.FailureBias)
-		if err != nil {
-			return trialOutcome{err: err}
-		}
-		// Censoring-aware weighting: TTF draws beyond the remaining
-		// horizon contribute the bounded survival ratio, keeping weight
-		// variance under control at any bias.
-		b.Now = s.Now
-		b.Horizon = sc.HorizonHours
-		biased = b
-		sc.Cluster.NodeTTF = biased // sc is a per-trial copy
-	}
-
-	cl, err := cluster.Build(s, hardware.DefaultCatalog(), sc.Cluster)
-	if err != nil {
-		return trialOutcome{err: err}
-	}
-	view := storage.View{Nodes: cl.Size(), RackOf: rackOf(cl)}
-	policy, err := storage.PolicyByName(sc.Placement)
-	if err != nil {
-		return trialOutcome{err: err}
-	}
-	st, err := storage.NewStore(view, policy)
-	if err != nil {
-		return trialOutcome{err: err}
-	}
-	if err := st.AddObjects(sc.Users, sc.ObjectSizeMB, sc.Scheme, placeRng); err != nil {
-		return trialOutcome{err: err}
-	}
-	mgr, err := repair.NewManager(s, cl, st, sc.Repair)
-	if err != nil {
-		return trialOutcome{err: err}
-	}
-	mgr.Start()
-	var psys *power.System
-	if sc.Power.Enabled {
-		psys, err = power.Attach(s, cl, hardware.DefaultCatalog(), sc.Power, sc.HorizonHours)
-		if err != nil {
-			return trialOutcome{err: err}
-		}
-	}
-	cl.StartFailures()
-
-	if r.Abort != nil {
-		every := r.Abort.CheckEvery
-		if every == 0 {
-			every = 512
-		}
-		minAvail := r.Abort.MinAvailability
-		s.SetAbortCheck(func() bool {
-			// Lower bound on final unavailable fraction: unavailable time
-			// already accrued divided by the full horizon.
-			accrued := mgr.AnyUnavailableFraction() * s.Now()
-			return 1-accrued/sc.HorizonHours < minAvail
-		}, every)
-	}
-
-	s.RunUntil(sc.HorizonHours)
-
-	out := trialOutcome{
-		availability: 1 - mgr.AnyUnavailableFraction(),
-		zeroCopy:     mgr.ZeroCopyFraction(),
-		tenantAvail:  mgr.TenantAvailabilities(),
-		meanUnavail:  mgr.MeanUnavailableObjects(),
-		lost:         mgr.LostObjects(),
-		repairs:      mgr.Completed(),
-		repairBytes:  mgr.BytesMovedMB(),
-		nodeFailures: cl.NodeFailures(),
-		events:       s.Executed(),
-		weight:       1,
-		aborted:      s.Aborted(),
-	}
-	if biased != nil {
-		out.weight = biased.Weight()
-	}
-	if psys != nil {
-		// Aborted trials stop early; the meter integrates to wherever the
-		// clock actually reached.
-		out.power = psys.Stats(s.Now())
-	}
-	if mgr.RepairTimes().N() > 0 {
-		out.repairMakespan = mgr.RepairTimes().Max()
-	}
-	if s.Aborted() {
-		// An aborted trial is, by construction, a trial that violated the
-		// availability bound; report the bound itself as a conservative
-		// (optimistic) availability so aggregates stay monotone.
-		out.availability = 1 - mgr.AnyUnavailableFraction()*s.Now()/sc.HorizonHours
-	}
-	return out
-}
-
-// rackOf extracts the rack map for placement.
-func rackOf(cl *cluster.Cluster) []int {
-	out := make([]int, cl.Size())
-	for i, n := range cl.Nodes() {
-		out[i] = n.Rack
-	}
-	return out
 }

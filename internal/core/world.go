@@ -1,0 +1,179 @@
+package core
+
+import (
+	"repro/internal/cluster"
+	"repro/internal/dist"
+	"repro/internal/hardware"
+	"repro/internal/power"
+	"repro/internal/repair"
+	"repro/internal/rng"
+	"repro/internal/sim"
+	"repro/internal/storage"
+)
+
+// trialWorld is everything one trial simulates — simulator, cluster (with
+// its topology, flow simulator and components), object store and repair
+// manager — owned by one worker goroutine of one Runner.simulate call.
+// The worker's first trial builds it with the layers' public constructors;
+// every trial, the first included, then starts by resetting each layer in
+// place to its just-built state, so a trial costs what it simulates rather
+// than what it would take to construct the data center again. A layer's
+// constructor is "allocate, then run the same reset", which is why a
+// reused world and a world built fresh for the trial give bit-identical
+// outcomes (TestReusedWorldMatchesFresh; bench/'s replay, which builds
+// fresh, checks the same from outside).
+type trialWorld struct {
+	runner Runner
+	sc     Scenario          // this worker's copy; Cluster.NodeTTF is biased under FailureBias
+	cat    *hardware.Catalog // shared with the other workers, read-only
+
+	sim    *sim.Simulator // nil until build has succeeded
+	place  rng.Source     // placement stream, reseeded per trial
+	cl     *cluster.Cluster
+	store  *storage.Store
+	mgr    *repair.Manager
+	biased *dist.HazardBiased // nil unless FailureBias is active
+	abort  func() bool        // nil unless the runner has an AbortRule
+}
+
+// build allocates the world. Nothing here depends on the trial index:
+// seeds, placements and every other per-trial state are run's business.
+func (w *trialWorld) build() error {
+	r, sc := w.runner, w.sc
+	s := sim.New(0)
+	var biased *dist.HazardBiased
+	if r.biasActive() {
+		b, err := dist.NewHazardBiased(sc.Cluster.NodeTTF, r.FailureBias)
+		if err != nil {
+			return err
+		}
+		// Censoring-aware weighting: TTF draws beyond the remaining
+		// horizon contribute the bounded survival ratio, keeping weight
+		// variance under control at any bias.
+		b.Now = s.Now
+		b.Horizon = sc.HorizonHours
+		biased = b
+		sc.Cluster.NodeTTF = biased
+	}
+	cl, err := cluster.Build(s, w.cat, sc.Cluster)
+	if err != nil {
+		return err
+	}
+	policy, err := storage.PolicyByName(sc.Placement)
+	if err != nil {
+		return err
+	}
+	st, err := storage.NewStore(storage.View{Nodes: cl.Size(), RackOf: rackOf(cl)}, policy)
+	if err != nil {
+		return err
+	}
+	mgr, err := repair.NewManager(s, cl, st, sc.Repair)
+	if err != nil {
+		return err
+	}
+	w.sc, w.sim, w.cl, w.store, w.mgr, w.biased = sc, s, cl, st, mgr, biased
+	if r.Abort != nil {
+		minAvail := r.Abort.MinAvailability
+		w.abort = func() bool {
+			// Lower bound on final unavailable fraction: unavailable time
+			// already accrued divided by the full horizon.
+			accrued := mgr.AnyUnavailableFraction() * s.Now()
+			return 1-accrued/sc.HorizonHours < minAvail
+		}
+	}
+	return nil
+}
+
+// run executes one independent replication.
+func (w *trialWorld) run(trial uint64) trialOutcome {
+	if w.sim == nil {
+		if err := w.build(); err != nil {
+			return trialOutcome{err: err}
+		}
+	}
+	r, sc, s, cl, mgr := w.runner, w.sc, w.sim, w.cl, w.mgr
+
+	if r.CRN || r.Antithetic {
+		pairBase := trial
+		if r.Antithetic {
+			pairBase = trial &^ 1 // odd twins share the even twin's stream key
+		}
+		s.ResetKeyed(sc.Seed, pairBase, r.Antithetic && trial&1 == 1)
+		// Placement is shared (not mirrored) within an antithetic pair:
+		// the pair compares mirrored failure draws over one object layout.
+		w.place.Rekey(sc.Seed, pairBase, "placement")
+	} else {
+		s.Reset(sc.Seed*1_000_003 + trial)
+		w.place.Reseed(sc.Seed*7_919 + trial)
+	}
+	if w.biased != nil {
+		w.biased.Reset()
+	}
+	cl.Reset()
+	w.store.Reset()
+	if err := w.store.AddObjects(sc.Users, sc.ObjectSizeMB, sc.Scheme, &w.place); err != nil {
+		return trialOutcome{err: err}
+	}
+	mgr.Reset()
+	mgr.Start()
+	var psys *power.System
+	if sc.Power.Enabled {
+		var err error
+		psys, err = power.Attach(s, cl, w.cat, sc.Power, sc.HorizonHours)
+		if err != nil {
+			return trialOutcome{err: err}
+		}
+	}
+	cl.StartFailures()
+
+	if w.abort != nil {
+		every := r.Abort.CheckEvery
+		if every == 0 {
+			every = 512
+		}
+		s.SetAbortCheck(w.abort, every)
+	}
+
+	s.RunUntil(sc.HorizonHours)
+
+	out := trialOutcome{
+		availability: 1 - mgr.AnyUnavailableFraction(),
+		zeroCopy:     mgr.ZeroCopyFraction(),
+		tenantAvail:  mgr.TenantAvailabilities(),
+		meanUnavail:  mgr.MeanUnavailableObjects(),
+		lost:         mgr.LostObjects(),
+		repairs:      mgr.Completed(),
+		repairBytes:  mgr.BytesMovedMB(),
+		nodeFailures: cl.NodeFailures(),
+		events:       s.Executed(),
+		weight:       1,
+		aborted:      s.Aborted(),
+	}
+	if w.biased != nil {
+		out.weight = w.biased.Weight()
+	}
+	if psys != nil {
+		// Aborted trials stop early; the meter integrates to wherever the
+		// clock actually reached.
+		out.power = psys.Stats(s.Now())
+	}
+	if mgr.RepairTimes().N() > 0 {
+		out.repairMakespan = mgr.RepairTimes().Max()
+	}
+	if s.Aborted() {
+		// An aborted trial is, by construction, a trial that violated the
+		// availability bound; report the bound itself as a conservative
+		// (optimistic) availability so aggregates stay monotone.
+		out.availability = 1 - mgr.AnyUnavailableFraction()*s.Now()/sc.HorizonHours
+	}
+	return out
+}
+
+// rackOf extracts the rack map for placement.
+func rackOf(cl *cluster.Cluster) []int {
+	out := make([]int, cl.Size())
+	for i, n := range cl.Nodes() {
+		out[i] = n.Rack
+	}
+	return out
+}

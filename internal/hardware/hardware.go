@@ -116,7 +116,8 @@ func (s State) String() string {
 }
 
 // Component is one physical instance of a Spec with a failure/repair
-// lifecycle driven by the simulator.
+// lifecycle driven by the simulator. ID and Spec are fixed by NewComponent
+// or Init.
 type Component struct {
 	ID   int
 	Spec Spec
@@ -132,14 +133,51 @@ type Component struct {
 	onRepair    []func(*Component)
 	onDegrade   []func(*Component)
 	lifecycleEv *sim.Event
+
+	// Lifecycle wiring. The simulator and stream are those of the last
+	// StartLifecycle; the event names and the two callbacks are built by
+	// the first one and serve every cycle after it, across Resets.
+	lcSim      *sim.Simulator
+	lcStream   *rng.Source
+	failName   string
+	repairName string
+	failFn     func()
+	repairFn   func()
 }
 
 // NewComponent instantiates spec with the given id.
 func NewComponent(id int, spec Spec) (*Component, error) {
-	if err := spec.Validate(); err != nil {
+	c := new(Component)
+	if err := c.Init(id, spec); err != nil {
 		return nil, err
 	}
-	return &Component{ID: id, Spec: spec, state: StateHealthy, perfFactor: 1}, nil
+	return c, nil
+}
+
+// Init makes c the component NewComponent(id, spec) returns, in storage
+// the caller owns — for callers that allocate components in blocks.
+func (c *Component) Init(id int, spec Spec) error {
+	if err := spec.Validate(); err != nil {
+		return err
+	}
+	*c = Component{ID: id, Spec: spec}
+	c.Reset()
+	return nil
+}
+
+// Reset returns the component to its just-built state: healthy, counters
+// and downtime zero, no callbacks registered, no lifecycle running. The
+// simulator that drove it is expected to have been reset as well; a
+// pending lifecycle event is forgotten, not cancelled.
+func (c *Component) Reset() {
+	c.state, c.perfFactor = StateHealthy, 1
+	c.failures, c.repairs = 0, 0
+	c.downSince, c.totalDown, c.lastChange = 0, 0, 0
+	clear(c.onFail)
+	clear(c.onRepair)
+	clear(c.onDegrade)
+	c.onFail, c.onRepair, c.onDegrade = c.onFail[:0], c.onRepair[:0], c.onDegrade[:0]
+	c.lifecycleEv, c.lcSim, c.lcStream = nil, nil, nil
 }
 
 // State returns the current operational state.
@@ -183,19 +221,26 @@ func (c *Component) OnDegrade(fn func(*Component)) { c.onDegrade = append(c.onDe
 // (hours by convention). The cycle is: healthy --TTF--> failed --Repair-->
 // healthy --TTF--> ...
 func (c *Component) StartLifecycle(s *sim.Simulator, stream *rng.Source) {
-	c.scheduleFailure(s, stream)
+	if c.failFn == nil {
+		c.failName = fmt.Sprintf("%s#%d/fail", c.Spec.Kind, c.ID)
+		c.repairName = fmt.Sprintf("%s#%d/repair", c.Spec.Kind, c.ID)
+		c.failFn = func() {
+			c.Fail(c.lcSim.Now())
+			rep := c.Spec.Repair.Sample(c.lcStream)
+			c.lifecycleEv = c.lcSim.Schedule(rep, c.repairName, c.repairFn)
+		}
+		c.repairFn = func() {
+			c.Restore(c.lcSim.Now())
+			c.scheduleFailure()
+		}
+	}
+	c.lcSim, c.lcStream = s, stream
+	c.scheduleFailure()
 }
 
-func (c *Component) scheduleFailure(s *sim.Simulator, stream *rng.Source) {
-	ttf := c.Spec.TTF.Sample(stream)
-	c.lifecycleEv = s.Schedule(ttf, fmt.Sprintf("%s#%d/fail", c.Spec.Kind, c.ID), func() {
-		c.Fail(s.Now())
-		rep := c.Spec.Repair.Sample(stream)
-		c.lifecycleEv = s.Schedule(rep, fmt.Sprintf("%s#%d/repair", c.Spec.Kind, c.ID), func() {
-			c.Restore(s.Now())
-			c.scheduleFailure(s, stream)
-		})
-	})
+func (c *Component) scheduleFailure() {
+	ttf := c.Spec.TTF.Sample(c.lcStream)
+	c.lifecycleEv = c.lcSim.Schedule(ttf, c.failName, c.failFn)
 }
 
 // StopLifecycle cancels any pending lifecycle event.

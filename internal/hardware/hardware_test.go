@@ -222,3 +222,69 @@ func TestKindString(t *testing.T) {
 		t.Error("state names wrong")
 	}
 }
+
+// TestResetMatchesNewComponent: a component that failed, limped, counted
+// downtime and has callbacks and a lifecycle running replays, after a
+// Reset (and a reset of its simulator), the failure history a new
+// component has — and formats its event names and builds its lifecycle
+// callbacks only the first time.
+func TestResetMatchesNewComponent(t *testing.T) {
+	history := func(s *sim.Simulator, c *Component) (out []float64) {
+		c.OnFail(func(*Component) { out = append(out, s.Now()) })
+		c.OnRepair(func(*Component) { out = append(out, -s.Now()) })
+		c.StartLifecycle(s, s.Stream("disk"))
+		s.RunUntil(20000)
+		return append(out, float64(c.Failures()), float64(c.Repairs()), c.TotalDowntime(s.Now()), c.PerfFactor())
+	}
+	s := sim.New(1)
+	reused, err := NewComponent(3, testSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	history(s, reused)
+	if err := reused.Degrade(s.Now(), 0.5); err != nil {
+		t.Fatal(err)
+	}
+	for _, seed := range []uint64{8, 1} {
+		s.Reset(seed)
+		reused.Reset()
+		if reused.State() != StateHealthy || reused.Failures() != 0 || reused.TotalDowntime(0) != 0 || reused.PerfFactor() != 1 {
+			t.Fatalf("after Reset: %v, %d failures, downtime %v", reused.State(), reused.Failures(), reused.TotalDowntime(0))
+		}
+		fresh, err := NewComponent(3, testSpec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := history(s, reused), history(sim.New(seed), fresh)
+		if len(got) != len(want) || len(got) < 10 {
+			t.Fatalf("seed %d: %d history entries, fresh %d", seed, len(got), len(want))
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("seed %d: history entry %d is %v, fresh %v", seed, i, got[i], want[i])
+			}
+		}
+	}
+	var block [2]Component
+	if err := block[1].Init(7, testSpec()); err != nil {
+		t.Fatal(err)
+	}
+	if block[1].ID != 7 || block[1].State() != StateHealthy || block[1].PerfFactor() != 1 {
+		t.Errorf("Init left %+v", block[1])
+	}
+	bad := testSpec()
+	bad.TTF = nil
+	if block[0].Init(1, bad) == nil {
+		t.Error("Init accepted an invalid spec")
+	}
+	// A lifecycle on a reused component costs two events per cycle and
+	// no allocation: the names and callbacks are the first start's.
+	if allocs := testing.AllocsPerRun(10, func() {
+		s.Reset(5)
+		reused.Reset()
+		reused.StartLifecycle(s, s.Stream("disk"))
+		s.RunUntil(20000)
+	}); allocs != 0 {
+		t.Errorf("a reused component's lifecycle allocates %.0f times per run, want 0", allocs)
+	}
+}

@@ -67,7 +67,7 @@ func TestMaxMinUnderDomainFlaps(t *testing.T) {
 		r := rng.New(seed)
 		racks := 3 + r.Intn(3)
 		perRack := 2 + r.Intn(3)
-		topo, hosts, tors, err := TwoTier(TwoTierConfig{
+		topo, hosts, tors, err := twoTier(TwoTierConfig{
 			Racks: racks, HostsPerRack: perRack,
 			HostLinkCap: 100 + 100*r.Float64(),
 			UplinkCap:   50 + 100*r.Float64(),

@@ -63,6 +63,18 @@ func NewFlowSim(s *sim.Simulator, t *Topology) *FlowSim {
 	return &FlowSim{sim: s, topo: t}
 }
 
+// Reset returns the flow simulator to its just-built state: every flow in
+// flight is dropped without a callback, IDs start over, the metrics are
+// zero. The simulator that carried the flows' events is expected to have
+// been reset as well, and the topology too; every *Flow from before is
+// dead.
+func (fs *FlowSim) Reset() {
+	clear(fs.flows)
+	fs.flows = fs.flows[:0]
+	fs.nextID = 0
+	fs.started, fs.completed, fs.aborted, fs.bytes = 0, 0, 0, 0
+}
+
 // Active returns the number of in-flight flows.
 func (fs *FlowSim) Active() int { return len(fs.flows) }
 

@@ -24,7 +24,7 @@ func TestMaxMinFairnessProperties(t *testing.T) {
 		r := rng.New(seed)
 		racks := 2 + r.Intn(3)
 		perRack := 2 + r.Intn(3)
-		topo, hosts, _, err := TwoTier(TwoTierConfig{
+		topo, hosts, _, err := twoTier(TwoTierConfig{
 			Racks: racks, HostsPerRack: perRack,
 			HostLinkCap: 50 + 200*r.Float64(),
 			UplinkCap:   30 + 100*r.Float64(),

@@ -29,8 +29,17 @@ func TestRouteSingleSwitch(t *testing.T) {
 	}
 }
 
+// twoTier is TwoTier with the handles most tests want, unpacked.
+func twoTier(cfg TwoTierConfig) (*Topology, []NodeID, []NodeID, error) {
+	net, err := TwoTier(cfg)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return net.Topo, net.Hosts, net.ToRs, nil
+}
+
 func TestRouteTwoTier(t *testing.T) {
-	topo, hosts, tors, err := TwoTier(TwoTierConfig{
+	topo, hosts, tors, err := twoTier(TwoTierConfig{
 		Racks: 3, HostsPerRack: 4, HostLinkCap: 125, UplinkCap: 1250, LinkLatency: 0.001,
 	})
 	if err != nil {
@@ -190,7 +199,7 @@ func TestMaxMinUnevenPaths(t *testing.T) {
 	// Flow A crosses a narrow uplink; flow B shares only the wide access
 	// link with A and should get the leftovers (max-min, not equal split).
 	s := sim.New(1)
-	topo, hosts, _, err := TwoTier(TwoTierConfig{
+	topo, hosts, _, err := twoTier(TwoTierConfig{
 		Racks: 2, HostsPerRack: 2, HostLinkCap: 100, UplinkCap: 30, LinkLatency: 0,
 	})
 	if err != nil {
@@ -354,7 +363,7 @@ func TestFlowValidation(t *testing.T) {
 func TestManyFlowsConservation(t *testing.T) {
 	// All started flows eventually complete, and delivered bytes match.
 	s := sim.New(9)
-	topo, hosts, _, err := TwoTier(TwoTierConfig{
+	topo, hosts, _, err := twoTier(TwoTierConfig{
 		Racks: 3, HostsPerRack: 3, HostLinkCap: 125, UplinkCap: 500, LinkLatency: 0.001,
 	})
 	if err != nil {
@@ -385,5 +394,95 @@ func TestManyFlowsConservation(t *testing.T) {
 	}
 	if math.Abs(fs.BytesDelivered()-total) > 1e-6*total {
 		t.Fatalf("delivered %v MB, want %v", fs.BytesDelivered(), total)
+	}
+}
+
+// TestTwoTierHandsBackItsLinks: Access and Uplinks are index-aligned
+// with Hosts and ToRs and are the topology's own links.
+func TestTwoTierHandsBackItsLinks(t *testing.T) {
+	net, err := TwoTier(TwoTierConfig{Racks: 3, HostsPerRack: 4, HostLinkCap: 10, UplinkCap: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(net.Access) != len(net.Hosts) || len(net.Uplinks) != len(net.ToRs) ||
+		len(net.Access)+len(net.Uplinks) != len(net.Topo.Links()) {
+		t.Fatalf("%d access links for %d hosts, %d uplinks for %d ToRs, %d links in all",
+			len(net.Access), len(net.Hosts), len(net.Uplinks), len(net.ToRs), len(net.Topo.Links()))
+	}
+	joins := func(l *Link, a, b NodeID) bool { return (l.A == a && l.B == b) || (l.A == b && l.B == a) }
+	for i, l := range net.Access {
+		if !joins(l, net.Hosts[i], net.ToRs[i/4]) || l.Capacity != 10 || net.Topo.Links()[l.ID] != l {
+			t.Errorf("Access[%d] = %+v does not join host %d to ToR %d", i, *l, net.Hosts[i], net.ToRs[i/4])
+		}
+	}
+	for r, l := range net.Uplinks {
+		if !joins(l, net.ToRs[r], 0) || l.Capacity != 40 || net.Topo.Links()[l.ID] != l {
+			t.Errorf("Uplinks[%d] = %+v does not join ToR %d to the core", r, *l, net.ToRs[r])
+		}
+	}
+}
+
+// TestResetMatchesFreshNetwork: a topology with links down and throttled
+// and a flow simulator with transfers in flight behave, after their
+// Resets (and the simulator's), as freshly built ones do — no flow
+// left, no callback fired, same completion times bit for bit.
+func TestResetMatchesFreshNetwork(t *testing.T) {
+	cfg := TwoTierConfig{Racks: 2, HostsPerRack: 3, HostLinkCap: 100, UplinkCap: 150, LinkLatency: 0.01}
+	storm := func(s *sim.Simulator, net *TwoTierNet, fs *FlowSim) (done []float64) {
+		for i := range net.Hosts {
+			src, dst := net.Hosts[i], net.Hosts[(i+4)%len(net.Hosts)]
+			if _, err := fs.Start(src, dst, float64(50*(i+1)), func(*Flow) { done = append(done, s.Now()) }, nil); err != nil {
+				panic(err)
+			}
+		}
+		s.RunUntil(1.5)
+		return done
+	}
+	s := sim.New(1)
+	net, err := TwoTier(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := NewFlowSim(s, net.Topo)
+	storm(s, net, fs)
+	fired := false
+	if _, err := fs.Start(net.Hosts[0], net.Hosts[5], 1e9, func(*Flow) { fired = true }, func(*Flow, error) { fired = true }); err != nil {
+		t.Fatal(err)
+	}
+	net.Access[1].Capacity = 7
+	net.Topo.SetLinkUp(net.Uplinks[0], false)
+	fs.OnLinkChange()
+	if fs.Active() == 0 {
+		t.Fatal("the dirtying run left no flow in flight")
+	}
+
+	s.Reset(1)
+	net.Topo.Reset()
+	fs.Reset()
+	if fs.Active() != 0 || fs.Completed() != 0 || fs.Aborted() != 0 || fs.BytesDelivered() != 0 {
+		t.Fatalf("after Reset: %d active, %d completed, %d aborted, %v MB", fs.Active(), fs.Completed(), fs.Aborted(), fs.BytesDelivered())
+	}
+	if !net.Uplinks[0].Up() || net.Access[1].Capacity != 100 || net.Topo.Version() != uint64(len(net.Topo.Links())) {
+		t.Fatalf("after Reset: uplink up=%v, access capacity %v, version %d", net.Uplinks[0].Up(), net.Access[1].Capacity, net.Topo.Version())
+	}
+	freshSim := sim.New(1)
+	freshNet, err := TwoTier(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := storm(s, net, fs), storm(freshSim, freshNet, NewFlowSim(freshSim, freshNet.Topo))
+	if len(got) != len(want) || len(got) == 0 {
+		t.Fatalf("%d completions after Reset, %d on a fresh network", len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Errorf("completion %d at %v after Reset, %v on a fresh network", i, got[i], want[i])
+		}
+	}
+	if fired {
+		t.Error("a flow dropped by Reset ran a callback")
+	}
+	if id := fs.Flows(); len(id) > 0 && id[0].ID >= len(net.Hosts) {
+		t.Errorf("flow IDs did not start over: %d", id[0].ID)
 	}
 }

@@ -111,7 +111,7 @@ func checkAgainstReference(t *testing.T, fs *FlowSim, seed uint64, step int) boo
 // topology and runs their activation events.
 func steadyFlows(tb testing.TB, n int) (*sim.Simulator, *FlowSim, []NodeID) {
 	tb.Helper()
-	topo, hosts, _, err := TwoTier(TwoTierConfig{
+	topo, hosts, _, err := twoTier(TwoTierConfig{
 		Racks: 3, HostsPerRack: 10, HostLinkCap: 1250, UplinkCap: 12500,
 	})
 	if err != nil {
@@ -216,7 +216,7 @@ func TestFailedCallbackStartsReplacementFlow(t *testing.T) {
 // one flow from Start to done, i.e. two flow events (activate, done), each
 // a full reallocation over the other 15.
 func BenchmarkFlowSimRepairStorm(b *testing.B) {
-	topo, hosts, _, err := TwoTier(TwoTierConfig{
+	topo, hosts, _, err := twoTier(TwoTierConfig{
 		Racks: 3, HostsPerRack: 10, HostLinkCap: 1250, UplinkCap: 12500,
 	})
 	if err != nil {

@@ -54,6 +54,7 @@ type Link struct {
 	Capacity float64
 	Latency  float64
 	up       bool
+	built    float64 // the capacity AddLink was given; Topology.Reset restores it
 }
 
 // Up reports whether the link is operational.
@@ -112,7 +113,7 @@ func (t *Topology) AddLink(a, b NodeID, capacity, latency float64) (*Link, error
 	if latency < 0 {
 		return nil, fmt.Errorf("netsim: link latency must be >= 0, got %v", latency)
 	}
-	l := &Link{ID: len(t.links), A: a, B: b, Capacity: capacity, Latency: latency, up: true}
+	l := &Link{ID: len(t.links), A: a, B: b, Capacity: capacity, Latency: latency, up: true, built: capacity}
 	t.links = append(t.links, l)
 	t.adj[a] = append(t.adj[a], l)
 	t.adj[b] = append(t.adj[b], l)
@@ -145,6 +146,16 @@ func (t *Topology) SetLinkUp(l *Link, up bool) {
 		l.up = up
 		t.version++
 	}
+}
+
+// Reset returns every link to the state AddLink left it in — up, at the
+// capacity it was added with — and the version to what it was then. The
+// topology is then equal to a freshly built one.
+func (t *Topology) Reset() {
+	for _, l := range t.links {
+		l.up, l.Capacity = true, l.built
+	}
+	t.version = uint64(len(t.links))
 }
 
 // Version returns the topology's state version, bumped whenever a link
@@ -223,36 +234,55 @@ type TwoTierConfig struct {
 	LinkLatency  float64
 }
 
+// TwoTierNet is a built two-tier tree with handles to everything TwoTier
+// created, index-aligned: Access[i] joins Hosts[i] to its rack's ToR and
+// Uplinks[r] joins ToRs[r] to the core switch.
+type TwoTierNet struct {
+	Topo    *Topology
+	Hosts   []NodeID // rack-major order
+	ToRs    []NodeID
+	Access  []*Link
+	Uplinks []*Link
+}
+
 // TwoTier builds a two-tier tree: hosts connect to their rack's ToR
-// switch, and every ToR connects to a single core switch. It returns the
-// topology, host ids in rack-major order, and the ToR switch ids.
-func TwoTier(cfg TwoTierConfig) (*Topology, []NodeID, []NodeID, error) {
+// switch, and every ToR connects to a single core switch.
+func TwoTier(cfg TwoTierConfig) (*TwoTierNet, error) {
 	if cfg.Racks < 1 || cfg.HostsPerRack < 1 {
-		return nil, nil, nil, fmt.Errorf("netsim: two-tier needs >= 1 rack and host, got %d racks x %d hosts",
+		return nil, fmt.Errorf("netsim: two-tier needs >= 1 rack and host, got %d racks x %d hosts",
 			cfg.Racks, cfg.HostsPerRack)
 	}
 	if cfg.HostLinkCap <= 0 || cfg.UplinkCap <= 0 {
-		return nil, nil, nil, fmt.Errorf("netsim: two-tier capacities must be > 0")
+		return nil, fmt.Errorf("netsim: two-tier capacities must be > 0")
 	}
 	t := NewTopology()
+	net := &TwoTierNet{
+		Topo:    t,
+		Hosts:   make([]NodeID, 0, cfg.Racks*cfg.HostsPerRack),
+		ToRs:    make([]NodeID, 0, cfg.Racks),
+		Access:  make([]*Link, 0, cfg.Racks*cfg.HostsPerRack),
+		Uplinks: make([]*Link, 0, cfg.Racks),
+	}
 	core := t.AddNode(Switch, "core")
-	hosts := make([]NodeID, 0, cfg.Racks*cfg.HostsPerRack)
-	tors := make([]NodeID, 0, cfg.Racks)
 	for r := 0; r < cfg.Racks; r++ {
 		tor := t.AddNode(Switch, fmt.Sprintf("tor-%d", r))
-		tors = append(tors, tor)
-		if _, err := t.AddLink(tor, core, cfg.UplinkCap, cfg.LinkLatency); err != nil {
-			return nil, nil, nil, err
+		net.ToRs = append(net.ToRs, tor)
+		uplink, err := t.AddLink(tor, core, cfg.UplinkCap, cfg.LinkLatency)
+		if err != nil {
+			return nil, err
 		}
+		net.Uplinks = append(net.Uplinks, uplink)
 		for h := 0; h < cfg.HostsPerRack; h++ {
 			host := t.AddNode(Host, fmt.Sprintf("host-%d-%d", r, h))
-			hosts = append(hosts, host)
-			if _, err := t.AddLink(host, tor, cfg.HostLinkCap, cfg.LinkLatency); err != nil {
-				return nil, nil, nil, err
+			net.Hosts = append(net.Hosts, host)
+			access, err := t.AddLink(host, tor, cfg.HostLinkCap, cfg.LinkLatency)
+			if err != nil {
+				return nil, err
 			}
+			net.Access = append(net.Access, access)
 		}
 	}
-	return t, hosts, tors, nil
+	return net, nil
 }
 
 // SingleSwitch builds a star topology with n hosts around one switch.

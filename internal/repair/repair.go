@@ -11,6 +11,12 @@
 // unavailable." Mode and MaxConcurrent encode exactly that choice, and
 // the network model (internal/netsim) makes the faster-network comparison
 // meaningful.
+//
+// A Manager follows the reuse contract of the layers under it: after the
+// simulator, cluster and store have been reset, Manager.Reset returns it
+// to the state NewManager left it in — equal to a freshly built manager —
+// and Start registers it on the cluster again. NewManager is "allocate,
+// then Reset".
 package repair
 
 import (
@@ -113,6 +119,9 @@ type Manager struct {
 	// pickTarget scratch.
 	candidates []int
 	holds      []bool
+
+	// The two cluster callbacks Start registers, built once.
+	onDown, onUp func(*cluster.Node)
 }
 
 // NewManager wires a repair manager to a cluster and store. Call Start to
@@ -124,32 +133,59 @@ func NewManager(s *sim.Simulator, cl *cluster.Cluster, st *storage.Store, cfg Co
 	if cl.Size() != st.View().Nodes {
 		return nil, fmt.Errorf("repair: cluster has %d nodes but store view has %d", cl.Size(), st.View().Nodes)
 	}
-	m := &Manager{cfg: cfg, sim: s, clst: cl, store: st, lost: make(map[int]bool)}
-	m.unavailTW.Set(s.Now(), 0)
-	m.anyTW.Set(s.Now(), 0)
-	m.zeroTW.Set(s.Now(), 0)
-	m.nodeDown = make([]bool, cl.Size())
-	for id := range m.nodeDown {
-		m.nodeDown[id] = !cl.Available(id)
+	m := &Manager{
+		cfg: cfg, sim: s, clst: cl, store: st,
+		lost:      make(map[int]bool),
+		nodeDown:  make([]bool, cl.Size()),
+		holds:     make([]bool, cl.Size()),
+		live:      make([]int, 0, st.Len()),
+		downTime:  make([]float64, 0, st.Len()),
+		downSince: make([]sim.Time, 0, st.Len()),
 	}
-	m.holds = make([]bool, cl.Size())
-	m.live = make([]int, 0, st.Len())
-	m.downTime = make([]float64, 0, st.Len())
-	m.downSince = make([]sim.Time, 0, st.Len())
-	return m, nil
-}
-
-// Start registers the manager on cluster failure events.
-func (m *Manager) Start() {
-	m.clst.OnNodeDown(func(n *cluster.Node) {
-		m.onNodeDown(n.ID)
-	})
-	m.clst.OnNodeUp(func(n *cluster.Node) {
+	m.onDown = func(n *cluster.Node) { m.onNodeDown(n.ID) }
+	m.onUp = func(n *cluster.Node) {
 		m.nodeChanged(n.ID)
 		// A recovered node may unblock tasks that had no eligible
 		// repair target (wide schemes on small clusters).
 		m.pump()
-	})
+	}
+	m.Reset()
+	return m, nil
+}
+
+// Reset returns the manager to the state NewManager left it in, in place:
+// nothing queued or in flight, no object lost, every metric zero, the
+// signals restarted at the simulator's Now, node availability read again
+// from the cluster, and no object tracked — the store's population is
+// taken in again at the next event. Reset the simulator, the cluster and
+// the store first, then call Start again: the cluster's Reset dropped the
+// manager's callbacks.
+//
+// A reset manager is equal to a freshly built one; the *stats.Sample
+// from RepairTimes is emptied with it.
+func (m *Manager) Reset() {
+	clear(m.queue)
+	m.queue = m.queue[:0]
+	m.active = 0
+	clear(m.lost)
+	m.completed, m.bytesMoved, m.lastRepairAt, m.lostCount = 0, 0, 0, 0
+	m.repairTimes.Reset()
+	now := m.sim.Now()
+	m.unavailTW, m.anyTW, m.zeroTW = stats.TimeWeighted{}, stats.TimeWeighted{}, stats.TimeWeighted{}
+	m.unavailTW.Set(now, 0)
+	m.anyTW.Set(now, 0)
+	m.zeroTW.Set(now, 0)
+	for id := range m.nodeDown {
+		m.nodeDown[id] = !m.clst.Available(id)
+	}
+	m.live, m.downTime, m.downSince = m.live[:0], m.downTime[:0], m.downSince[:0]
+	m.unavailable, m.zeroCopy = 0, 0
+}
+
+// Start registers the manager on cluster failure events.
+func (m *Manager) Start() {
+	m.clst.OnNodeDown(m.onDown)
+	m.clst.OnNodeUp(m.onUp)
 }
 
 // destroyed reports whether node id's data is gone: the node itself is

@@ -46,7 +46,15 @@ func splitmix64(x *uint64) uint64 {
 // New returns a Source seeded from seed. Distinct seeds give statistically
 // independent streams.
 func New(seed uint64) *Source {
-	var r Source
+	r := new(Source)
+	r.Reseed(seed)
+	return r
+}
+
+// Reseed puts the source, in place, into the state New(seed) returns:
+// seeded from seed, plain (not antithetic), no cached normal variate.
+func (r *Source) Reseed(seed uint64) {
+	*r = Source{}
 	x := seed
 	for i := range r.s {
 		r.s[i] = splitmix64(&x)
@@ -55,7 +63,6 @@ func New(seed uint64) *Source {
 	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
 		r.s[0] = 0x9e3779b97f4a7c15
 	}
-	return &r
 }
 
 func rotl(x uint64, k uint) uint64 { return x<<k | x>>(64-k) }
@@ -130,11 +137,17 @@ func (r *Source) Int63() int64 { return int64(r.Uint64() >> 1) }
 // Perm returns a pseudo-random permutation of [0, n).
 func (r *Source) Perm(n int) []int {
 	p := make([]int, n)
+	r.PermInto(p)
+	return p
+}
+
+// PermInto fills p with the permutation of [0, len(p)) that Perm(len(p))
+// returns, consuming the same draws.
+func (r *Source) PermInto(p []int) {
 	for i := range p {
 		p[i] = i
 	}
-	r.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
-	return p
+	r.Shuffle(len(p), func(i, j int) { p[i], p[j] = p[j], p[i] })
 }
 
 // Shuffle randomizes the order of n elements using swap (Fisher–Yates).
@@ -148,10 +161,24 @@ func (r *Source) Shuffle(n int, swap func(i, j int)) {
 // Sample returns k distinct integers drawn uniformly from [0, n) in
 // selection order. It panics if k > n or k < 0.
 func (r *Source) Sample(n, k int) []int {
-	if k < 0 || k > n {
+	if k < 0 {
 		panic("rng: Sample with k out of range")
 	}
 	out := make([]int, k)
+	r.SampleInto(out, n, nil)
+	return out
+}
+
+// SampleInto fills out with the len(out) distinct integers that
+// Sample(n, len(out)) returns, consuming the same draws. identity is
+// optional scratch that lets the dense case run without allocating: nil,
+// or a slice of at least n entries with identity[i] == i, which is how
+// SampleInto leaves it. It panics if len(out) > n.
+func (r *Source) SampleInto(out []int, n int, identity []int) {
+	k := len(out)
+	if k > n {
+		panic("rng: Sample with k out of range")
+	}
 	switch {
 	case k == 0:
 	case 8*k <= n && k <= 64:
@@ -174,16 +201,24 @@ func (r *Source) Sample(n, k int) []int {
 				i++
 			}
 		}
-	case n <= 1024:
-		// Dense partial Fisher–Yates over a small scratch slice.
-		scratch := make([]int, n)
-		for i := range scratch {
-			scratch[i] = i
+	case len(identity) >= n || n <= 1024:
+		// Dense partial Fisher–Yates over the identity permutation.
+		if len(identity) < n {
+			identity = make([]int, n)
+			for i := range identity {
+				identity[i] = i
+			}
 		}
 		for i := 0; i < k; i++ {
 			j := i + r.Intn(n-i)
-			scratch[i], scratch[j] = scratch[j], scratch[i]
-			out[i] = scratch[i]
+			identity[i], identity[j] = identity[j], identity[i]
+			out[i] = identity[i]
+		}
+		// Undo in O(k): the swaps touched positions 0..k-1 and the
+		// positions whose original values now sit in out.
+		for i, v := range out {
+			identity[i] = i
+			identity[v] = v
 		}
 	default:
 		// Partial Fisher–Yates over a sparse map: O(k) time and space even
@@ -203,7 +238,6 @@ func (r *Source) Sample(n, k int) []int {
 			swapped[j] = vi
 		}
 	}
-	return out
 }
 
 // NormFloat64 returns a standard normal variate via the Marsaglia polar
@@ -253,10 +287,15 @@ func fnv1a(s string) uint64 {
 // setting is inherited, so a mirrored parent yields mirrored children
 // with state identical to the plain twin's children.
 func (r *Source) Derive(name string) *Source {
-	x := r.s[0] ^ rotl(r.s[2], 13) ^ fnv1a(name)
-	d := New(x)
-	d.flip = r.flip
+	d := new(Source)
+	r.DeriveInto(d, name)
 	return d
+}
+
+// DeriveInto puts d, in place, into the state Derive(name) returns.
+func (r *Source) DeriveInto(d *Source, name string) {
+	d.Reseed(r.s[0] ^ rotl(r.s[2], 13) ^ fnv1a(name))
+	d.flip = r.flip
 }
 
 // Fork returns a new independent Source, advancing the receiver. The
@@ -278,9 +317,17 @@ func (r *Source) Fork() *Source {
 // Best() ranking) converge in far fewer trials than with independent
 // sampling.
 func Keyed(seed, trial uint64, name string) *Source {
+	r := new(Source)
+	r.Rekey(seed, trial, name)
+	return r
+}
+
+// Rekey puts the source, in place, into the state Keyed(seed, trial,
+// name) returns.
+func (r *Source) Rekey(seed, trial uint64, name string) {
 	x := seed
 	a := splitmix64(&x)
 	y := trial ^ 0x6a09e667f3bcc909 // sqrt(2) bits: decorrelate trial from seed
 	b := splitmix64(&y)
-	return New(a ^ rotl(b, 17) ^ fnv1a(name))
+	r.Reseed(a ^ rotl(b, 17) ^ fnv1a(name))
 }

@@ -327,3 +327,96 @@ func TestKeyedPureFunction(t *testing.T) {
 		t.Error("name does not decorrelate keyed streams")
 	}
 }
+
+// TestInPlaceVariantsMatchConstructors: Reseed, Rekey and DeriveInto put
+// a used source into exactly the state New, Keyed and Derive return —
+// antithetic flag and cached normal variate included.
+func TestInPlaceVariantsMatchConstructors(t *testing.T) {
+	same := func(name string, got, want *Source) {
+		t.Helper()
+		if *got != *want {
+			t.Fatalf("%s: in-place state %+v, constructor state %+v", name, *got, *want)
+		}
+		if got.NormFloat64() != want.NormFloat64() || got.Uint64() != want.Uint64() {
+			t.Fatalf("%s: draws differ", name)
+		}
+	}
+	used := New(1)
+	used.SetAntithetic(true)
+	used.NormFloat64() // caches the paired variate
+	used.Reseed(42)
+	same("Reseed", used, New(42))
+
+	used.SetAntithetic(true)
+	used.NormFloat64()
+	used.Rekey(5, 9, "node-3/ttf")
+	same("Rekey", used, Keyed(5, 9, "node-3/ttf"))
+
+	parent := New(7)
+	parent.SetAntithetic(true)
+	used.NormFloat64()
+	parent.DeriveInto(used, "disk")
+	same("DeriveInto", used, parent.Derive("disk"))
+	if !used.Antithetic() {
+		t.Fatal("DeriveInto dropped the parent's antithetic setting")
+	}
+}
+
+// TestSampleIntoMatchesSample: same values from the same draws on all
+// three paths (rejection, dense, sparse), with and without the identity
+// scratch, which must come back as the identity.
+func TestSampleIntoMatchesSample(t *testing.T) {
+	identity := make([]int, 5000)
+	for i := range identity {
+		identity[i] = i
+	}
+	shape := New(3)
+	for round := 0; round < 2000; round++ {
+		n := 1 + shape.Intn(60)
+		if round%50 == 0 {
+			n = 1025 + shape.Intn(3000) // beyond the dense limit without scratch
+		}
+		k := shape.Intn(n + 1)
+		if round%3 == 0 {
+			k = shape.Intn(min(n, 8) + 1) // small k: the rejection path when n is large enough
+		}
+		seed := shape.Uint64()
+		want := New(seed).Sample(n, k)
+		for _, scratch := range [][]int{nil, identity} {
+			got := make([]int, k)
+			r := New(seed)
+			r.SampleInto(got, n, scratch)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("n=%d k=%d scratch=%v: SampleInto %v, Sample %v", n, k, scratch != nil, got, want)
+				}
+			}
+			after := New(seed)
+			after.Sample(n, k)
+			if r.Uint64() != after.Uint64() {
+				t.Fatalf("n=%d k=%d scratch=%v: SampleInto consumed different draws", n, k, scratch != nil)
+			}
+		}
+		for i, v := range identity {
+			if v != i {
+				t.Fatalf("n=%d k=%d: identity[%d] = %d after SampleInto", n, k, i, v)
+			}
+		}
+	}
+}
+
+func TestPermIntoMatchesPerm(t *testing.T) {
+	for n := 0; n < 40; n++ {
+		want := New(uint64(n)).Perm(n)
+		got := make([]int, n)
+		for i := range got {
+			got[i] = -1 // PermInto must not depend on what p held
+		}
+		New(uint64(n)).PermInto(got)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("n=%d: PermInto %v, Perm %v", n, got, want)
+			}
+		}
+	}
+}

@@ -20,9 +20,10 @@ import (
 func startObsFleet(t testing.TB, n int, interval time.Duration) (*Server, *httptest.Server, []*Server, []string) {
 	t.Helper()
 	tss := make([]*httptest.Server, n)
+	handlers := make([]lateHandler, n)
 	urls := make([]string, n)
 	for i := range tss {
-		tss[i] = httptest.NewServer(http.NotFoundHandler())
+		tss[i] = httptest.NewServer(&handlers[i])
 		t.Cleanup(tss[i].Close)
 		urls[i] = tss[i].URL
 	}
@@ -32,7 +33,7 @@ func startObsFleet(t testing.TB, n int, interval time.Duration) (*Server, *httpt
 			t.Fatal(err)
 		}
 		t.Cleanup(srv.Close)
-		tss[i].Config.Handler = srv.Handler()
+		handlers[i].set(srv.Handler())
 	}
 	coord, err := New(Config{Coordinator: true, Peers: urls, HistoryInterval: interval})
 	if err != nil {
@@ -197,10 +198,8 @@ func TestFleetMetricsFederation(t *testing.T) {
 // worker_down alert fires, then resolves when evaluation sees the
 // member back.
 func TestFederationPartialWorkerDown(t *testing.T) {
-	tss := []*httptest.Server{
-		httptest.NewServer(http.NotFoundHandler()),
-		httptest.NewServer(http.NotFoundHandler()),
-	}
+	handlers := make([]lateHandler, 2)
+	tss := []*httptest.Server{httptest.NewServer(&handlers[0]), httptest.NewServer(&handlers[1])}
 	urls := []string{tss[0].URL, tss[1].URL}
 	for i := range tss {
 		srv, err := New(Config{PoolSize: 1, Peers: urls, Self: urls[i], HistoryInterval: 10 * time.Millisecond})
@@ -208,7 +207,7 @@ func TestFederationPartialWorkerDown(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(srv.Close)
-		tss[i].Config.Handler = srv.Handler()
+		handlers[i].set(srv.Handler())
 	}
 	t.Cleanup(tss[0].Close)
 	coord, err := New(Config{Coordinator: true, Peers: urls, HistoryInterval: 10 * time.Millisecond})

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/obs"
@@ -20,9 +21,10 @@ import (
 func startTracedFleet(t testing.TB, n int) (*Server, *httptest.Server, []*Server, []string) {
 	t.Helper()
 	tss := make([]*httptest.Server, n)
+	handlers := make([]lateHandler, n)
 	urls := make([]string, n)
 	for i := range tss {
-		tss[i] = httptest.NewServer(http.NotFoundHandler())
+		tss[i] = httptest.NewServer(&handlers[i])
 		t.Cleanup(tss[i].Close)
 		urls[i] = tss[i].URL
 	}
@@ -33,11 +35,25 @@ func startTracedFleet(t testing.TB, n int) (*Server, *httptest.Server, []*Server
 			t.Fatal(err)
 		}
 		t.Cleanup(srv.Close)
-		tss[i].Config.Handler = srv.Handler()
+		handlers[i].set(srv.Handler())
 		workers[i] = srv
 	}
 	coord, cts := newTestServer(t, Config{Coordinator: true, Peers: urls})
 	return coord, cts, workers, urls
+}
+
+// lateHandler answers 404 until its handler is stored: a worker's
+// listener is already being probed by its peers when the worker is built.
+type lateHandler struct{ h atomic.Pointer[http.Handler] }
+
+func (l *lateHandler) set(h http.Handler) { l.h.Store(&h) }
+
+func (l *lateHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if h := l.h.Load(); h != nil {
+		(*h).ServeHTTP(w, r)
+		return
+	}
+	http.NotFound(w, r)
 }
 
 // scrape fetches a server's /metrics exposition.

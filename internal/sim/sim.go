@@ -22,6 +22,17 @@
 // order, the execution order is exactly that of the previous binary-heap
 // implementation: engine refactors change how events are stored, never
 // which event fires next.
+//
+// # Reuse
+//
+// A sweep is thousands of replications of one model, so a Simulator can
+// be run again instead of built again: Reset (ResetKeyed for the keyed
+// mode) returns it, in place, to the state New (NewKeyed) builds, keeping
+// the arena, the heap's backing array and the stream table. The contract
+// is the same in every layer that has a Reset (cluster, storage, repair):
+// a reset value is equal to a freshly built one, and every handle from
+// before — here *Event, and the *rng.Source a Stream call returned — is
+// dead.
 package sim
 
 import (
@@ -110,22 +121,25 @@ type Simulator struct {
 	seq      uint64
 	executed uint64
 	stopped  bool
-	root     *rng.Source
-	streams  map[string]*rng.Source
+	root     rng.Source
+	// streams holds every named stream ever requested. Reset keeps the
+	// entries and bumps epoch; a stream is reseeded in place the first
+	// time it is requested in the new epoch.
+	streams map[string]*stream
+	epoch   uint64
 	// Keyed-stream mode (common random numbers, §4.2): when keyed is
 	// true, Stream(name) derives rng.Keyed(keySeed, keyTrial, name) — a
 	// pure function of the triple, so every simulator built with the same
 	// (seed, trial) sees identical draws per stream name regardless of
 	// which design point it simulates. antithetic mirrors the uniforms
-	// of MirroredStream sources only; streamMirror records which variant
-	// each cached name was created as, so a mixed request is caught
-	// instead of silently returning the wrong one.
-	keyed        bool
-	keySeed      uint64
-	keyTrial     uint64
-	antithetic   bool
-	streamMirror map[string]bool
-	tracer       Tracer
+	// of MirroredStream sources only; each stream records which variant
+	// it was created as, so a mixed request is caught instead of silently
+	// returning the wrong one.
+	keyed      bool
+	keySeed    uint64
+	keyTrial   uint64
+	antithetic bool
+	tracer     Tracer
 	// abortCheck, when set, is consulted every abortEvery events; a true
 	// return stops the run (early abort, §4.2).
 	abortCheck func() bool
@@ -133,9 +147,19 @@ type Simulator struct {
 	aborted    bool
 }
 
+// stream is one named random stream: the source, the epoch it was last
+// seeded in, and whether it was requested mirrored.
+type stream struct {
+	src    rng.Source
+	epoch  uint64
+	mirror bool
+}
+
 // New returns a Simulator whose random streams derive from seed.
 func New(seed uint64) *Simulator {
-	return &Simulator{root: rng.New(seed), abortEvery: 1024}
+	s := new(Simulator)
+	s.Reset(seed)
+	return s
 }
 
 // NewKeyed returns a Simulator whose named streams are keyed by
@@ -146,14 +170,49 @@ func New(seed uint64) *Simulator {
 // emit the complemented uniforms of the plain (seed, trial) twin while
 // Stream sources stay identical to it.
 func NewKeyed(seed, trial uint64, antithetic bool) *Simulator {
-	return &Simulator{
-		root:       rng.New(seed),
-		abortEvery: 1024,
-		keyed:      true,
-		keySeed:    seed,
-		keyTrial:   trial,
-		antithetic: antithetic,
+	s := new(Simulator)
+	s.ResetKeyed(seed, trial, antithetic)
+	return s
+}
+
+// Reset returns the simulator, in place, to the state New(seed) builds:
+// clock at zero, calendar empty with every pending callback dropped,
+// counters, stop and abort flags cleared, no tracer, no abort check,
+// named streams reseeded. It keeps the event arena, the heap's backing
+// array and the stream table, so a reset simulator re-running a model of
+// the same shape allocates nothing.
+//
+// A reset simulator is equal to a freshly built one, and every handle
+// from before is dead: an *Event must not be cancelled or rescheduled, a
+// *rng.Source from Stream must be requested again. Reset must not be
+// called from inside an event callback.
+func (s *Simulator) Reset(seed uint64) {
+	s.reset(seed)
+	s.keyed, s.keySeed, s.keyTrial, s.antithetic = false, 0, 0, false
+}
+
+// ResetKeyed is Reset to the state NewKeyed(seed, trial, antithetic)
+// builds.
+func (s *Simulator) ResetKeyed(seed, trial uint64, antithetic bool) {
+	s.reset(seed)
+	s.keyed, s.keySeed, s.keyTrial, s.antithetic = true, seed, trial, antithetic
+}
+
+// reset is the one initialisation routine behind New, NewKeyed, Reset
+// and ResetKeyed.
+func (s *Simulator) reset(seed uint64) {
+	// Every slot is either free or referenced from the heap (pending or
+	// tombstoned), so freeing the heap's slots empties the calendar.
+	for _, entry := range s.heap {
+		s.freeSlot(entry.idx, s.slot(entry.idx))
 	}
+	s.heap = s.heap[:0]
+	s.now, s.live, s.seq, s.executed = 0, 0, 0, 0
+	s.stopped, s.aborted = false, false
+	s.root.Reseed(seed)
+	s.epoch++
+	s.tracer = nil
+	s.abortCheck, s.abortEvery = nil, 1024
 }
 
 // Antithetic reports whether this simulator is the mirrored member of
@@ -202,31 +261,32 @@ func (s *Simulator) MirroredStream(name string) *rng.Source {
 }
 
 func (s *Simulator) stream(name string, mirror bool) *rng.Source {
-	if src, ok := s.streams[name]; ok {
-		if s.keyed && s.streamMirror[name] != mirror {
-			// A name must be consistently plain or mirrored: handing the
-			// cached other variant back would silently break the
-			// antithetic pairing contract on this coordinate.
-			panic(fmt.Sprintf("sim: stream %q requested both mirrored and non-mirrored", name))
+	st, ok := s.streams[name]
+	switch {
+	case !ok:
+		if s.streams == nil {
+			s.streams = make(map[string]*stream)
 		}
-		return src
+		st = new(stream)
+		s.streams[name] = st
+	case st.epoch != s.epoch:
+		// Left over from before a Reset: seed it again, in place.
+	case s.keyed && st.mirror != mirror:
+		// A name must be consistently plain or mirrored: handing the
+		// cached other variant back would silently break the
+		// antithetic pairing contract on this coordinate.
+		panic(fmt.Sprintf("sim: stream %q requested both mirrored and non-mirrored", name))
+	default:
+		return &st.src
 	}
-	if s.streams == nil {
-		s.streams = make(map[string]*rng.Source)
-	}
-	var src *rng.Source
+	st.epoch, st.mirror = s.epoch, mirror
 	if s.keyed {
-		src = rng.Keyed(s.keySeed, s.keyTrial, name)
-		src.SetAntithetic(mirror && s.antithetic)
-		if s.streamMirror == nil {
-			s.streamMirror = make(map[string]bool)
-		}
-		s.streamMirror[name] = mirror
+		st.src.Rekey(s.keySeed, s.keyTrial, name)
+		st.src.SetAntithetic(mirror && s.antithetic)
 	} else {
-		src = s.root.Derive(name)
+		s.root.DeriveInto(&st.src, name)
 	}
-	s.streams[name] = src
-	return src
+	return &st.src
 }
 
 // SetTracer installs fn as the event tracer (nil disables tracing).

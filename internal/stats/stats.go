@@ -282,6 +282,12 @@ func (s *Sample) Add(x float64) {
 	s.sorted = false
 }
 
+// Reset empties the sample, keeping its storage.
+func (s *Sample) Reset() {
+	s.xs = s.xs[:0]
+	s.sorted = false
+}
+
 // N returns the number of observations.
 func (s *Sample) N() int { return len(s.xs) }
 

@@ -5,6 +5,14 @@
 // across cluster nodes by pluggable placement policies — Random and
 // RoundRobin as in Figure 1, plus rack-aware and copyset variants — and
 // judged available under a majority-quorum protocol.
+//
+// A Store is built once and can then be populated any number of times:
+// Reset empties it, in place, to the state NewStore left it in — equal to
+// a freshly built store — and the next AddObjects places, with whatever
+// stream it is given, into the Objects and Locations the store already
+// owns. Every handle from before the Reset (*Object, ObjectsOn slices) is
+// dead. Policies place into storage the caller owns and keep their
+// scratch in the View, so re-placing a population allocates nothing.
 package storage
 
 import "encoding/binary"

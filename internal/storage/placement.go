@@ -7,10 +7,84 @@ import (
 )
 
 // View is the placement-relevant summary of a cluster: how many nodes and
-// which rack each lives in.
+// which rack each lives in. A view must not be modified once it has been
+// placed over: the first placement groups its nodes by rack and later
+// ones reuse the grouping.
 type View struct {
 	Nodes  int
 	RackOf []int // len Nodes; nil means a single flat rack
+
+	// work is built by the first placement over the view and shared by
+	// the view's copies, so that placing an object allocates nothing.
+	work *viewWork
+}
+
+// viewWork is a view's derived grouping plus the scratch its placements
+// share. A view, like a Store, serves one goroutine.
+type viewWork struct {
+	byRack   [][]int  // node ids of each rack, ascending; nil for a flat view
+	order    []int    // RackAware: the rack permutation of the current object
+	identity []int    // identity[i] == i, for rng.SampleInto
+	stamp    []uint64 // stamp[n] == epoch: node n is in the current set
+	epoch    uint64
+}
+
+// scratch returns the view's work area, building it on first use.
+func (v *View) scratch() *viewWork {
+	if v.work != nil {
+		return v.work
+	}
+	w := &viewWork{identity: make([]int, v.Nodes), stamp: make([]uint64, v.Nodes)}
+	for i := range w.identity {
+		w.identity[i] = i
+	}
+	if v.RackOf != nil {
+		racks := v.Racks()
+		sizes := make([]int, racks)
+		for _, rk := range v.RackOf {
+			sizes[rk]++
+		}
+		// One backing array, carved by rack.
+		backing := make([]int, 0, v.Nodes)
+		w.byRack = make([][]int, racks)
+		for rk, size := range sizes {
+			w.byRack[rk] = backing[len(backing) : len(backing) : len(backing)+size]
+			backing = backing[:len(backing)+size]
+		}
+		for n, rk := range v.RackOf {
+			w.byRack[rk] = append(w.byRack[rk], n)
+		}
+		w.order = make([]int, racks)
+	}
+	v.work = w
+	return w
+}
+
+// newSet empties the node set that add fills.
+func (w *viewWork) newSet() { w.epoch++ }
+
+// add puts node n into the current set and reports whether it was new.
+func (w *viewWork) add(n int) bool {
+	if w.stamp[n] == w.epoch {
+		return false
+	}
+	w.stamp[n] = w.epoch
+	return true
+}
+
+// distinct checks that locs are in-range, pairwise different node ids.
+func (v *View) distinct(locs []int) error {
+	w := v.scratch()
+	w.newSet()
+	for _, l := range locs {
+		if l < 0 || l >= v.Nodes {
+			return fmt.Errorf("node %d out of range", l)
+		}
+		if !w.add(l) {
+			return fmt.Errorf("duplicate node %d in placement", l)
+		}
+	}
+	return nil
 }
 
 // Validate checks internal consistency.
@@ -43,8 +117,9 @@ func (v View) Racks() int {
 type Policy interface {
 	// Name identifies the policy ("random", "roundrobin", ...).
 	Name() string
-	// Place returns count distinct node ids for the object.
-	Place(objectID, count int, view View, r *rng.Source) ([]int, error)
+	// Place fills dst, which the caller owns, with len(dst) distinct node
+	// ids for the object.
+	Place(dst []int, objectID int, view *View, r *rng.Source) error
 }
 
 // Random places each object's replicas on a uniformly random set of
@@ -53,11 +128,12 @@ type Random struct{}
 
 func (Random) Name() string { return "random" }
 
-func (Random) Place(objectID, count int, view View, r *rng.Source) ([]int, error) {
-	if err := checkCount(count, view); err != nil {
-		return nil, err
+func (Random) Place(dst []int, objectID int, view *View, r *rng.Source) error {
+	if err := checkCount(len(dst), view); err != nil {
+		return err
 	}
-	return r.Sample(view.Nodes, count), nil
+	r.SampleInto(dst, view.Nodes, view.scratch().identity)
+	return nil
 }
 
 // RoundRobin places object i's replicas on nodes i, i+1, ..., i+count-1
@@ -66,15 +142,14 @@ type RoundRobin struct{}
 
 func (RoundRobin) Name() string { return "roundrobin" }
 
-func (RoundRobin) Place(objectID, count int, view View, _ *rng.Source) ([]int, error) {
-	if err := checkCount(count, view); err != nil {
-		return nil, err
+func (RoundRobin) Place(dst []int, objectID int, view *View, _ *rng.Source) error {
+	if err := checkCount(len(dst), view); err != nil {
+		return err
 	}
-	out := make([]int, count)
-	for j := 0; j < count; j++ {
-		out[j] = (objectID + j) % view.Nodes
+	for j := range dst {
+		dst[j] = (objectID + j) % view.Nodes
 	}
-	return out, nil
+	return nil
 }
 
 // RackAware places replicas on distinct racks when possible (the policy
@@ -85,46 +160,40 @@ type RackAware struct{}
 
 func (RackAware) Name() string { return "rackaware" }
 
-func (RackAware) Place(objectID, count int, view View, r *rng.Source) ([]int, error) {
-	if err := checkCount(count, view); err != nil {
-		return nil, err
+func (RackAware) Place(dst []int, objectID int, view *View, r *rng.Source) error {
+	if err := checkCount(len(dst), view); err != nil {
+		return err
 	}
 	if view.RackOf == nil {
-		return Random{}.Place(objectID, count, view, r)
+		return Random{}.Place(dst, objectID, view, r)
 	}
-	// Group nodes by rack.
-	racks := view.Racks()
-	byRack := make([][]int, racks)
-	for n, rk := range view.RackOf {
-		byRack[rk] = append(byRack[rk], n)
-	}
-	chosen := make(map[int]bool, count)
-	out := make([]int, 0, count)
-	rackOrder := r.Perm(racks)
-	for len(out) < count {
+	w := view.scratch()
+	w.newSet()
+	r.PermInto(w.order)
+	placed := 0
+	for placed < len(dst) {
 		progressed := false
-		for _, rk := range rackOrder {
-			if len(out) == count {
+		for _, rk := range w.order {
+			if placed == len(dst) {
 				break
 			}
-			nodes := byRack[rk]
+			nodes := w.byRack[rk]
 			// Pick an unchosen node in this rack, if any.
 			start := r.Intn(len(nodes))
-			for i := 0; i < len(nodes); i++ {
-				n := nodes[(start+i)%len(nodes)]
-				if !chosen[n] {
-					chosen[n] = true
-					out = append(out, n)
+			for i := range nodes {
+				if n := nodes[(start+i)%len(nodes)]; w.add(n) {
+					dst[placed] = n
+					placed++
 					progressed = true
 					break
 				}
 			}
 		}
 		if !progressed {
-			return nil, fmt.Errorf("storage: rack-aware placement could not find %d distinct nodes", count)
+			return fmt.Errorf("storage: rack-aware placement could not find %d distinct nodes", len(dst))
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // CopySet restricts placements to a small set of precomputed replica
@@ -154,17 +223,18 @@ func NewCopySet(groupSize, scatter int) (*CopySet, error) {
 
 func (c *CopySet) Name() string { return "copyset" }
 
-func (c *CopySet) Place(objectID, count int, view View, r *rng.Source) ([]int, error) {
-	if err := checkCount(count, view); err != nil {
-		return nil, err
+func (c *CopySet) Place(dst []int, objectID int, view *View, r *rng.Source) error {
+	if err := checkCount(len(dst), view); err != nil {
+		return err
 	}
-	if count != c.GroupSize {
-		return nil, fmt.Errorf("storage: copyset built for group size %d, asked for %d", c.GroupSize, count)
+	if len(dst) != c.GroupSize {
+		return fmt.Errorf("storage: copyset built for group size %d, asked for %d", c.GroupSize, len(dst))
 	}
 	if c.sets == nil || c.forView != view.Nodes {
 		c.build(view.Nodes, r)
 	}
-	return c.sets[r.Intn(len(c.sets))], nil
+	copy(dst, c.sets[r.Intn(len(c.sets))])
+	return nil
 }
 
 // build partitions `scatter` random permutations into groups.
@@ -186,7 +256,7 @@ func (c *CopySet) build(nodes int, r *rng.Source) {
 	}
 }
 
-func checkCount(count int, view View) error {
+func checkCount(count int, view *View) error {
 	if err := view.Validate(); err != nil {
 		return err
 	}

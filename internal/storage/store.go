@@ -106,14 +106,27 @@ type Object struct {
 
 // Store tracks every object's placement and answers availability and
 // durability questions against a node-state predicate.
+//
+// A store can be reused for any number of simulations: Reset empties it
+// and the next AddObjects places into the Objects and Locations the
+// store already owns.
 type Store struct {
 	view    View
 	policy  Policy
 	objects []*Object
+	// owned counts the Objects this store has allocated: the first owned
+	// entries of st.objects' backing array (past len after a Reset) each
+	// point at one.
+	owned int
 	// byNode[n] lists the objects with a shard on node n in ascending ID
-	// order. Built by the first ObjectsOn, kept current by AddObjects and
-	// Relocate.
-	byNode [][]*Object
+	// order. Built by the first ObjectsOn (indexed says whether it has
+	// been), kept current by AddObjects and Relocate. index is the one
+	// backing array the build carves the lists from and perNode its
+	// counting scratch; both are kept between builds.
+	byNode  [][]*Object
+	index   []*Object
+	perNode []int
+	indexed bool
 }
 
 // NewStore creates a store over the given view with the given policy.
@@ -125,6 +138,17 @@ func NewStore(view View, policy Policy) (*Store, error) {
 		return nil, fmt.Errorf("storage: nil placement policy")
 	}
 	return &Store{view: view, policy: policy}, nil
+}
+
+// Reset empties the store, in place, to the state NewStore left it in,
+// keeping what it has allocated for the next population.
+//
+// A reset store is equal to a freshly built one, and every handle from
+// before is dead: each *Object will be handed out again, with a new
+// placement, by the next AddObjects, and so will the ObjectsOn slices.
+func (st *Store) Reset() {
+	st.objects = st.objects[:0]
+	st.indexed = false
 }
 
 // Policy returns the placement policy.
@@ -146,41 +170,46 @@ func (st *Store) AddObjects(count int, sizeMB float64, scheme Scheme, r *rng.Sou
 	if err := scheme.Validate(); err != nil {
 		return err
 	}
-	if scheme.Width() > st.view.Nodes {
+	width := scheme.Width()
+	if width > st.view.Nodes {
 		return fmt.Errorf("storage: scheme %v needs %d nodes, view has %d",
-			scheme, scheme.Width(), st.view.Nodes)
+			scheme, width, st.view.Nodes)
 	}
 	base := len(st.objects)
-	for i := 0; i < count; i++ {
+	// Objects a Reset left behind are reused; the rest come in one block.
+	st.objects = st.objects[:min(base+count, st.owned)]
+	if missing := base + count - st.owned; missing > 0 {
+		block := make([]Object, missing)
+		for i := range block {
+			st.objects = append(st.objects, &block[i])
+		}
+		st.owned = base + count
+	}
+	var locBlock []int // Locations for the objects that own none wide enough
+	for i, obj := range st.objects[base:] {
 		id := base + i
-		locs, err := st.policy.Place(id, scheme.Width(), st.view, r)
+		if cap(obj.Locations) < width {
+			if len(locBlock) == 0 {
+				locBlock = make([]int, (count-i)*width)
+			}
+			obj.Locations, locBlock = locBlock[:width:width], locBlock[width:]
+		}
+		*obj = Object{ID: id, SizeMB: sizeMB, Scheme: scheme, Locations: obj.Locations[:width]}
+		err := st.policy.Place(obj.Locations, id, &st.view, r)
 		if err != nil {
-			return fmt.Errorf("storage: placing object %d: %w", id, err)
+			err = fmt.Errorf("storage: placing object %d: %w", id, err)
+		} else if err = st.view.distinct(obj.Locations); err != nil {
+			err = fmt.Errorf("storage: policy %s for object %d: %w", st.policy.Name(), id, err)
 		}
-		if err := distinct(locs, st.view.Nodes); err != nil {
-			return fmt.Errorf("storage: policy %s for object %d: %w", st.policy.Name(), id, err)
+		if err != nil {
+			st.objects = st.objects[:id]
+			return err
 		}
-		obj := &Object{ID: id, SizeMB: sizeMB, Scheme: scheme, Locations: locs}
-		st.objects = append(st.objects, obj)
-		if st.byNode != nil {
-			for _, n := range locs {
+		if st.indexed {
+			for _, n := range obj.Locations {
 				st.byNode[n] = append(st.byNode[n], obj)
 			}
 		}
-	}
-	return nil
-}
-
-func distinct(locs []int, nodes int) error {
-	seen := make(map[int]bool, len(locs))
-	for _, l := range locs {
-		if l < 0 || l >= nodes {
-			return fmt.Errorf("node %d out of range", l)
-		}
-		if seen[l] {
-			return fmt.Errorf("duplicate node %d in placement", l)
-		}
-		seen[l] = true
 	}
 	return nil
 }
@@ -266,24 +295,42 @@ func (st *Store) TotalStoredMB() float64 {
 // ascending ID order. The slice is the store's own index: it must not be
 // modified and is valid only until the next Relocate or AddObjects.
 func (st *Store) ObjectsOn(n int) []*Object {
-	if st.byNode == nil {
-		counts := make([]int, st.view.Nodes)
-		for _, o := range st.objects {
-			for _, loc := range o.Locations {
-				counts[loc]++
-			}
-		}
-		st.byNode = make([][]*Object, st.view.Nodes)
-		for node, c := range counts {
-			st.byNode[node] = make([]*Object, 0, c)
-		}
-		for _, o := range st.objects {
-			for _, loc := range o.Locations {
-				st.byNode[loc] = append(st.byNode[loc], o)
-			}
-		}
+	if !st.indexed {
+		st.buildIndex()
 	}
 	return st.byNode[n]
+}
+
+// buildIndex fills byNode from the current placements. Every node's list
+// is carved out of one backing array, with no room to spare: a list that
+// Relocate or AddObjects grows moves to storage of its own.
+func (st *Store) buildIndex() {
+	st.indexed = true
+	if st.byNode == nil {
+		st.byNode = make([][]*Object, st.view.Nodes)
+		st.perNode = make([]int, st.view.Nodes)
+	}
+	clear(st.perNode)
+	shards := 0
+	for _, o := range st.objects {
+		for _, loc := range o.Locations {
+			st.perNode[loc]++
+		}
+		shards += len(o.Locations)
+	}
+	if cap(st.index) < shards {
+		st.index = make([]*Object, shards)
+	}
+	backing := st.index[:0]
+	for node, c := range st.perNode {
+		st.byNode[node] = backing[len(backing) : len(backing) : len(backing)+c]
+		backing = backing[:len(backing)+c]
+	}
+	for _, o := range st.objects {
+		for _, loc := range o.Locations {
+			st.byNode[loc] = append(st.byNode[loc], o)
+		}
+	}
 }
 
 // Relocate moves obj's shard from node `from` to node `to` (repair
@@ -306,7 +353,7 @@ func (st *Store) Relocate(obj *Object, from, to int) error {
 		return fmt.Errorf("storage: node %d holds no shard of object %d", from, obj.ID)
 	}
 	obj.Locations[fromIdx] = to
-	if st.byNode != nil {
+	if st.indexed {
 		byID := func(o *Object, id int) int { return o.ID - id }
 		if i, ok := slices.BinarySearchFunc(st.byNode[from], obj.ID, byID); ok {
 			st.byNode[from] = slices.Delete(st.byNode[from], i, i+1)

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -8,6 +9,28 @@ import (
 )
 
 func flatView(n int) View { return View{Nodes: n} }
+
+// place runs p.Place into a slice of its own.
+func place(p Policy, obj, count int, view *View, r *rng.Source) ([]int, error) {
+	locs := make([]int, count)
+	return locs, p.Place(locs, obj, view, r)
+}
+
+// distinct is the map-based check View.distinct replaced, kept as the
+// tests' independent judge of a placement.
+func distinct(locs []int, nodes int) error {
+	seen := make(map[int]bool, len(locs))
+	for _, l := range locs {
+		if l < 0 || l >= nodes {
+			return fmt.Errorf("node %d out of range", l)
+		}
+		if seen[l] {
+			return fmt.Errorf("duplicate node %d in placement", l)
+		}
+		seen[l] = true
+	}
+	return nil
+}
 
 func rackView(racks, perRack int) View {
 	v := View{Nodes: racks * perRack, RackOf: make([]int, racks*perRack)}
@@ -27,7 +50,7 @@ func TestPoliciesProduceDistinctValidNodes(t *testing.T) {
 	view := rackView(5, 6)
 	for _, p := range policies {
 		for obj := 0; obj < 200; obj++ {
-			locs, err := p.Place(obj, 3, view, r)
+			locs, err := place(p, obj, 3, &view, r)
 			if err != nil {
 				t.Fatalf("%s: %v", p.Name(), err)
 			}
@@ -44,7 +67,7 @@ func TestPoliciesProduceDistinctValidNodes(t *testing.T) {
 func TestRoundRobinDeterministicWindows(t *testing.T) {
 	view := flatView(10)
 	p := RoundRobin{}
-	locs, err := p.Place(8, 3, view, nil)
+	locs, err := place(p, 8, 3, &view, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +84,7 @@ func TestRackAwareSpreadsAcrossRacks(t *testing.T) {
 	view := rackView(3, 4)
 	p := RackAware{}
 	for obj := 0; obj < 100; obj++ {
-		locs, err := p.Place(obj, 3, view, r)
+		locs, err := place(p, obj, 3, &view, r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +101,7 @@ func TestRackAwareSpreadsAcrossRacks(t *testing.T) {
 func TestRackAwareWrapsWhenFewRacks(t *testing.T) {
 	r := rng.New(3)
 	view := rackView(2, 5)
-	locs, err := RackAware{}.Place(0, 4, view, r)
+	locs, err := place(RackAware{}, 0, 4, &view, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +119,7 @@ func TestCopySetLimitsDistinctGroups(t *testing.T) {
 	view := flatView(9)
 	groups := map[[3]int]bool{}
 	for obj := 0; obj < 500; obj++ {
-		locs, err := cs.Place(obj, 3, view, r)
+		locs, err := place(cs, obj, 3, &view, r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -372,7 +395,7 @@ func TestPlacementPropertyRandomViews(t *testing.T) {
 		count := 1 + r.Intn(nodes)
 		view := flatView(nodes)
 		for _, p := range []Policy{Random{}, RoundRobin{}} {
-			locs, err := p.Place(r.Intn(1000), count, view, r)
+			locs, err := place(p, r.Intn(1000), count, &view, r)
 			if err != nil {
 				return false
 			}
