@@ -46,8 +46,9 @@
 // terminal dashboard from these endpoints.
 //
 // Durability: by default every client-facing query is write-ahead
-// journaled under -journal (one fsync'd record per committed design
-// point, carrying its cache key) and runs detached from the client
+// journaled under -journal (one record per committed design point,
+// carrying its cache key; records are group-committed, and a point is
+// fsync'd before any client sees it) and runs detached from the client
 // connection. A crashed daemon (kill -9, OOM, power loss) replays the
 // journal on restart, resurrects incomplete jobs under their original
 // ids, and resumes only the undelivered points; clients reconnect with

@@ -143,6 +143,9 @@ func renderTrace(w io.Writer, tr *traceResponse) {
 			if idx, ok := sp.Attrs["index"]; ok {
 				label += " #" + idx
 			}
+			if n, ok := sp.Attrs["batch"]; ok {
+				label += " batch=" + n // records that shared this journal fsync
+			}
 			fmt.Fprintf(w, "  %9s %-44s %10s %s\n",
 				sp.Start.Sub(t0).Round(time.Microsecond), clip(label, 44),
 				sp.Duration.Round(time.Microsecond), bar(sp, t0, window))

@@ -132,7 +132,7 @@ func DefaultAlertRules() []AlertRule {
 		},
 		{
 			Name:        "journal_fsync_slow",
-			Description: "Journal fsync p99 latency is above 50ms — durable commits are dragging the commit path.",
+			Description: "Journal batch flush (write + fsync) p99 latency is above 50ms — every durable stream line waits at least that long to become visible.",
 			Severity:    "warning",
 			Kind:        "quantile", Metric: "wt_journal_fsync_seconds", Quantile: 0.99,
 			Op: ">", Value: 0.05, Window: RuleDuration(60 * time.Second),

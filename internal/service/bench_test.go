@@ -4,11 +4,13 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"runtime"
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/wtql"
 )
 
@@ -109,32 +111,51 @@ func BenchmarkFleet100ConcurrentClients(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "queries/s")
 }
 
-// BenchmarkJournalAppend measures one durable point commit: marshal,
-// frame (length + CRC), one write, one fsync. This is the per-point
-// cost journaling adds to a sweep — the number behind EXPERIMENTS.md
-// E16's "journal overhead" claim.
+// BenchmarkJournalAppend measures a durable commit of `records` points
+// that arrive together: frame each (length + CRC) into the open batch,
+// then wait for the last to reach the disk. records=1 is the old
+// record-at-a-time cost — one write, one fsync; records=8 is a warm
+// sweep's worth, and fsyncs/op says how many flushes they shared (the
+// first may leave alone if the committer is idle, the rest follow in
+// one). This is the number behind EXPERIMENTS.md E16's and E21's journal
+// overhead claims.
 func BenchmarkJournalAppend(b *testing.B) {
-	j, err := OpenJournal(b.TempDir())
-	if err != nil {
-		b.Fatal(err)
-	}
-	jj, err := j.Begin("job-1", benchQuery, 2, time.Unix(1700000000, 0))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer jj.Close()
 	line := []byte(`{"type":"point","done":1,"total":3,"index":0,"config":{"cluster.nodes":"5"},"metrics":{"availability":0.9991},"trials":2,"all_met":true}`)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := jj.Point(i, "0123456789abcdef0123456789abcdef", line); err != nil {
-			b.Fatal(err)
-		}
+	const key = "0123456789abcdef0123456789abcdef"
+	for _, records := range []int{1, 8} {
+		b.Run(fmt.Sprintf("records=%d", records), func(b *testing.B) {
+			j, err := OpenJournal(b.TempDir())
+			if err != nil {
+				b.Fatal(err)
+			}
+			fsyncs := obs.NewRegistry().Histogram("fsync_seconds", "Flushes.", obs.DurationBuckets)
+			j.instrument(nil, fsyncs)
+			jj, err := j.Begin("job-1", benchQuery, 2, time.Unix(1700000000, 0))
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer jj.Close()
+			jj.sync() // the begin record's flush is not a point's cost
+			before, index := fsyncs.Count(), 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for r := 1; r < records; r++ {
+					jj.queuePoint(index, key, line, nil)
+					index++
+				}
+				if err := jj.Point(index, key, line); err != nil {
+					b.Fatal(err)
+				}
+				index++
+			}
+			b.ReportMetric(float64(fsyncs.Count()-before)/float64(b.N), "fsyncs/op")
+		})
 	}
 }
 
 // BenchmarkDurableQueryThroughput is BenchmarkServiceQueryThroughput
 // with journaling on: end-to-end queries/second of the durable path
-// (detached execution, WAL append + fsync per point, stream replay from
+// (detached execution, group-committed WAL records, stream replay from
 // the job log) with a warm trial cache.
 func BenchmarkDurableQueryThroughput(b *testing.B) {
 	_, ts := newTestServer(b, Config{PoolSize: 4, JournalDir: b.TempDir()})

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/design"
+	"repro/internal/obs"
 	"repro/internal/wtql"
 )
 
@@ -18,11 +19,21 @@ import (
 // restarted daemon resurrects incomplete jobs and resumes only their
 // undelivered points.
 //
-// The write-ahead discipline: a point's journal record is fsync'd
-// *before* the event line becomes visible to any stream follower. A
-// client that has seen N point events can therefore always resume with
-// from=N after a crash — the daemon cannot have forgotten an event it
-// delivered.
+// A journaled job never waits for the disk. submit, appendPoint and
+// runDetached queue each stream line behind its journal record and carry
+// on; the job's committer (journal.go) fsyncs whatever has accumulated
+// as one batch and only then appends the batch's lines, in order, to the
+// in-memory log that followers read — so the job computes its next
+// points while the previous ones sync.
+//
+// The write-ahead discipline is unchanged by the batching: a line's
+// journal record is fsync'd *before* the line becomes visible to any
+// stream follower. A client that has seen N point events can therefore
+// always resume with from=N after a crash — the daemon cannot have
+// forgotten an event it delivered. If the journal breaks mid-job (disk
+// full, file gone) the same committer keeps releasing lines in order,
+// non-durably: the job finishes normally and recovery sees a clean
+// prefix.
 
 var (
 	// ErrUnknownJob reports a Follow on an id the registry does not hold.
@@ -48,24 +59,37 @@ func (s *Server) submit(req QueryRequest, tr traceCtx) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	s.mu.Lock()
-	j := s.jobs[id]
-	s.mu.Unlock()
-	if s.journal != nil && req.Points == nil {
-		if jj, jerr := s.journal.Begin(id, req.Query, req.Trials, j.info.Created); jerr == nil {
-			j.jj = jj
-		}
-		// A Begin failure (disk full, permissions) degrades this job to
-		// non-durable rather than refusing it.
-	}
 	line, err := json.Marshal(JobEvent{Type: "job", ID: id})
 	if err != nil {
 		s.finish(id, err)
 		return "", err
 	}
-	s.appendLine(j, 'j', line)
+	s.mu.Lock()
+	j := s.jobs[id]
+	s.mu.Unlock()
+	if s.journal != nil && req.Points == nil {
+		if jj, jerr := s.journal.Begin(id, req.Query, req.Trials, j.info.Created); jerr == nil {
+			s.attachJournal(j, jj)
+		}
+		// A Begin failure (disk full, permissions) degrades this job to
+		// non-durable rather than refusing it.
+	}
+	// The job line rides behind the begin record: the id is not announced
+	// before the journal can resurrect it.
+	if _, ok := j.jj.queueLine('j', line); !ok {
+		s.appendLine(j, logLine{'j', line})
+	}
 	go s.runDetached(jctx, id, req, nil)
 	return id, nil
+}
+
+// attachJournal makes jj the job's journal: every line queued on it is
+// appended to the job's stream log once its batch is durable.
+func (s *Server) attachJournal(j *job, jj *JobJournal) {
+	jj.releaseTo(func(lines []logLine) { s.appendLine(j, lines...) })
+	s.mu.Lock()
+	j.jj = jj
+	s.mu.Unlock()
 }
 
 // Follow streams a durable job's NDJSON lines to emit: the committed
@@ -129,39 +153,40 @@ func (s *Server) Follow(ctx context.Context, id string, from int, emit func(line
 	}
 }
 
-// appendLine appends one line to a job's in-memory stream log and wakes
-// every follower. Element data is immutable once appended.
-func (s *Server) appendLine(j *job, kind byte, data []byte) {
+// appendLine appends lines to a job's in-memory stream log — making them
+// visible — and wakes every follower. For a journaled job only its
+// committer calls this, after the batch carrying the lines' records is
+// fsync'd. Element data is immutable once appended.
+func (s *Server) appendLine(j *job, lines ...logLine) {
 	s.mu.Lock()
-	j.lines = append(j.lines, logLine{kind: kind, data: data})
-	if kind == 'p' {
-		j.points++
-	}
-	if kind == 't' {
-		j.logClosed = true
+	j.lines = append(j.lines, lines...)
+	for _, ln := range lines {
+		switch ln.kind {
+		case 'p':
+			j.points++
+		case 't':
+			j.logClosed = true
+		}
 	}
 	s.mu.Unlock()
 	s.cond.Broadcast()
 }
 
-// appendPoint makes one committed point durable then visible — journal
-// fsync strictly before the in-memory (client-visible) append.
+// appendPoint queues one committed point: durable first, then visible.
+// The journal_append span runs from here to the fsync that covers the
+// record.
 func (s *Server) appendPoint(j *job, index int, key string, line []byte) {
 	if s.pointGate != nil {
 		s.pointGate(index)
 	}
-	if jj := j.jj; jj != nil {
-		sp := s.tel.startSpan(j.trace, j.root.ID(), "journal_append").
+	var sp *obs.SpanHandle
+	if j.jj != nil {
+		sp = s.tel.startSpan(j.trace, j.root.ID(), "journal_append").
 			Attr("index", strconv.Itoa(index))
-		if err := jj.Point(index, key, line); err != nil {
-			// Journaling broke mid-job (disk full, file gone). Serving
-			// continues non-durably; the journal is closed so recovery
-			// sees a clean prefix instead of a torn one.
-			jj.Close()
-		}
-		sp.End()
 	}
-	s.appendLine(j, 'p', line)
+	if _, ok := j.jj.queuePoint(index, key, line, sp); !ok {
+		s.appendLine(j, logLine{'p', line})
+	}
 }
 
 // resumeState carries a recovered job's journaled committed prefix into
@@ -211,10 +236,12 @@ func (s *Server) runDetached(ctx context.Context, id string, req QueryRequest, r
 			Degraded:  info.Degraded,
 		})
 	}
-	if jj := j.jj; jj != nil {
-		jj.End(status, errMsg, line)
+	if s.pointGate != nil {
+		s.pointGate(info.Done)
 	}
-	s.appendLine(j, 't', line)
+	if _, ok := j.jj.queueEnd(status, errMsg, line); !ok {
+		s.appendLine(j, logLine{'t', line})
+	}
 }
 
 // executeDurable runs a durable job's query — SET statement, fleet
@@ -449,7 +476,7 @@ func (s *Server) restoreJob(rec *RecoveredJob) bool {
 		return false
 	}
 	if jj, err := s.journal.Reopen(rec.ID); err == nil {
-		j.jj = jj
+		s.attachJournal(j, jj)
 	}
 	req := QueryRequest{Query: rec.Query, Trials: rec.Trials}
 	go s.runDetached(ctx, rec.ID, req, &resumeState{points: rec.Points})
@@ -457,18 +484,27 @@ func (s *Server) restoreJob(rec *RecoveredJob) bool {
 }
 
 // crashForTest simulates kill -9 for in-process tests: every job's
-// journal is abandoned in place — no terminal record, exactly the state
-// a hard kill leaves on disk — and running contexts are cancelled so
-// the doomed executions stop burning the pool.
+// journal is abandoned in place — what was queued is flushed, then no
+// terminal record, exactly the state a hard kill between two batches
+// leaves on disk — and running contexts are cancelled so the doomed
+// executions stop burning the pool.
 func (s *Server) crashForTest() {
+	for _, jj := range s.journals() {
+		jj.abandon()
+	}
+	s.CancelAll()
+}
+
+// journals snapshots every job's journal. Waiting on one must happen
+// outside s.mu: its committer takes s.mu to release lines.
+func (s *Server) journals() []*JobJournal {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	var jjs []*JobJournal
 	for _, j := range s.jobs {
 		if j.jj != nil {
-			j.jj.abandon()
-		}
-		if j.info.State == JobRunning {
-			j.cancel()
+			jjs = append(jjs, j.jj)
 		}
 	}
+	return jjs
 }

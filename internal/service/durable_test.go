@@ -9,6 +9,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -40,8 +42,10 @@ func collectJob(t testing.TB, srv *Server, id string, from int) [][]byte {
 }
 
 // crashAtPoint submits query on srv and simulates kill -9 with exactly
-// k points committed: the point gate blocks the k'th (0-based) commit
-// before it reaches the journal, the "kill" lands, then execution is
+// k points committed: the point gate blocks the k'th (0-based) commit —
+// or, when the sweep has only k points, the terminal record — before it
+// is queued on the journal, the "kill" lands (flushing the k point
+// records already queued, nothing after them), then execution is
 // released into its cancelled context. Returns the job id.
 func crashAtPoint(t testing.TB, srv *Server, query string, k int) string {
 	t.Helper()
@@ -97,22 +101,30 @@ func tableOf(t testing.TB, lines [][]byte) string {
 // undelivered points, and produce the byte-identical final table — with
 // the committed prefix served from journal + cache, not re-simulated.
 func TestCrashResumeGolden(t *testing.T) {
+	noLeakedCommitters(t)
 	_, single := newTestServer(t, Config{PoolSize: 2})
 	want := lastEvent(t, postQuery(t, single, bigQuery))
 	wantTable, _ := want["table"].(string)
 	if wantTable == "" {
 		t.Fatal("golden run produced no table")
 	}
+	// The crash matrix: every interruption point of the 12-point sweep,
+	// from "only the begin record is durable" to "every point is, the
+	// terminal record is not".
+	for seen := 0; seen <= 12; seen++ {
+		t.Run(fmt.Sprintf("k=%d", seen), func(t *testing.T) { crashResumeGolden(t, seen, wantTable) })
+	}
+}
 
+func crashResumeGolden(t *testing.T, seen int, wantTable string) {
 	journalDir, cacheDir := t.TempDir(), t.TempDir()
 	a, err := New(Config{PoolSize: 1, JournalDir: journalDir, CacheDir: cacheDir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Freeze the job the moment its third point tries to commit: exactly
-	// two points are fsync'd when the "kill" lands — a deterministic
+	// Freeze the job the moment point `seen` tries to commit: exactly
+	// `seen` points are fsync'd when the "kill" lands — a deterministic
 	// crash position, not a sleep race.
-	const seen = 2
 	id := crashAtPoint(t, a, bigQuery, seen)
 
 	b, err := New(Config{PoolSize: 2, JournalDir: journalDir, CacheDir: cacheDir})
@@ -126,6 +138,9 @@ func TestCrashResumeGolden(t *testing.T) {
 	}
 	if resumed != 1 {
 		t.Fatalf("resumed %d jobs, want 1 (warnings: %v)", resumed, warns)
+	}
+	if exact := fmt.Sprintf("resuming %s at %d committed point(s)", id, seen); !strings.Contains(strings.Join(warns, "\n"), exact) {
+		t.Fatalf("journal does not hold exactly %d points: %v", seen, warns)
 	}
 	info, ok := b.Job(id)
 	if !ok || !info.Resumed {
@@ -173,6 +188,7 @@ func TestCrashResumeGolden(t *testing.T) {
 // suffix of Follow(from=0) with the first N point events removed,
 // byte-for-byte — the contract the wtql reconnect logic depends on.
 func TestStreamResumeFromOffset(t *testing.T) {
+	noLeakedCommitters(t)
 	srv, err := New(Config{PoolSize: 2, JournalDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
@@ -209,6 +225,7 @@ func TestStreamResumeFromOffset(t *testing.T) {
 // /v1/jobs/{id}/stream?from=N replays the suffix and tails to the
 // terminal line; unknown jobs 404; a bad cursor 400s.
 func TestHTTPStreamEndpointResume(t *testing.T) {
+	noLeakedCommitters(t)
 	srv, ts := newTestServer(t, Config{PoolSize: 2, JournalDir: t.TempDir()})
 	id, err := srv.Submit(QueryRequest{Query: smallQuery})
 	if err != nil {
@@ -263,6 +280,7 @@ func TestHTTPStreamEndpointResume(t *testing.T) {
 // the undelivered points — done numbering stays global, the table is
 // complete.
 func TestQueryFromSuppression(t *testing.T) {
+	noLeakedCommitters(t)
 	_, ts := newTestServer(t, Config{PoolSize: 2, JournalDir: t.TempDir()})
 	want := lastEvent(t, postQuery(t, ts, smallQuery))
 
@@ -304,6 +322,7 @@ func TestQueryFromSuppression(t *testing.T) {
 // before the durability layer existed — inline streaming, identical
 // event shapes, a 404 from the stream endpoint.
 func TestJournalDisabledMatchesLegacy(t *testing.T) {
+	noLeakedCommitters(t)
 	srvOn, tsOn := newTestServer(t, Config{PoolSize: 2, JournalDir: t.TempDir()})
 	srvOff, tsOff := newTestServer(t, Config{PoolSize: 2})
 	if srvOn.journal == nil || srvOff.journal != nil {
@@ -340,23 +359,29 @@ func TestJournalDisabledMatchesLegacy(t *testing.T) {
 // only the missing shards, and deliver the byte-identical table under
 // the original job id.
 func TestCoordinatorTakeoverGolden(t *testing.T) {
+	noLeakedCommitters(t)
 	_, single := newTestServer(t, Config{PoolSize: 2})
 	want := lastEvent(t, postQuery(t, single, bigQuery))
 	wantTable, _ := want["table"].(string)
 
-	// Two live workers shared by both coordinator generations.
+	// Two live workers shared by every coordinator generation.
 	urls := make([]string, 2)
 	for i := 0; i < 2; i++ {
 		_, ts := newTestServer(t, Config{PoolSize: 2, CacheDir: t.TempDir()})
 		urls[i] = ts.URL
 	}
+	for k := 0; k <= 12; k++ {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) { coordinatorTakeoverGolden(t, urls, k, wantTable) })
+	}
+}
 
+func coordinatorTakeoverGolden(t *testing.T, urls []string, k int, wantTable string) {
 	journalDir := t.TempDir()
 	c1, err := New(Config{Coordinator: true, Peers: urls, JournalDir: journalDir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	id := crashAtPoint(t, c1, bigQuery, 2)
+	id := crashAtPoint(t, c1, bigQuery, k)
 
 	c2, err := New(Config{Coordinator: true, Peers: urls, JournalDir: journalDir})
 	if err != nil {
@@ -393,6 +418,7 @@ func TestCoordinatorTakeoverGolden(t *testing.T) {
 // exact table — end-to-end proof that resume survives repeated
 // connection loss.
 func TestChaosCutResume(t *testing.T) {
+	noLeakedCommitters(t)
 	_, clean := newTestServer(t, Config{PoolSize: 2})
 	want := lastEvent(t, postQuery(t, clean, smallQuery))
 
@@ -483,6 +509,292 @@ func drainCutStream(t *testing.T, resp *http.Response) (jobID string, points int
 				return jobID, points, table
 			}
 			return jobID, points, table
+		}
+	}
+}
+
+// journalEntries is how many entries smallQuery's job queues on its
+// journal: the begin record, the job line, four points, the end record.
+const journalEntries = 7
+
+// awaitQueued blocks until jj's job has queued n entries.
+func awaitQueued(t testing.TB, jj *JobJournal, n uint64) {
+	t.Helper()
+	for deadline := time.Now().Add(time.Minute); ; time.Sleep(100 * time.Microsecond) {
+		jj.mu.Lock()
+		queued := jj.queued
+		jj.mu.Unlock()
+		if queued >= n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Errorf("job queued %d journal entries, want %d", queued, n)
+			return
+		}
+	}
+}
+
+// TestJournalWriteAheadWatermark pins the write-ahead rule under
+// group commit. With the disk held still the job runs to completion and
+// queues its whole stream, yet a follower sees none of it; every line a
+// follower is ever handed already has its record in the file; and the
+// batch that was waiting goes out behind one fsync, which is where its
+// journal_append spans end.
+func TestJournalWriteAheadWatermark(t *testing.T) {
+	noLeakedCommitters(t)
+	srv, err := New(Config{PoolSize: 2, JournalDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	// The first two flushes stop at the gate until the test lets them by.
+	// One job, so one committer: flushes needs no lock.
+	entered := make(chan *JobJournal)
+	hold := []chan struct{}{make(chan struct{}), make(chan struct{})}
+	flushes := 0
+	srv.journal.flushGate = func(jj *JobJournal) {
+		if n := flushes; n < len(hold) {
+			flushes++
+			entered <- jj
+			<-hold[n]
+		}
+	}
+	id, err := srv.Submit(QueryRequest{Query: smallQuery})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := srv.journal.path(id)
+
+	var (
+		mu   sync.Mutex
+		seen []string // event types delivered to the follower
+	)
+	followed := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		defer cancel()
+		followed <- srv.Follow(ctx, id, 0, func(line []byte) error {
+			var ev struct {
+				Type string `json:"type"`
+			}
+			if err := json.Unmarshal(line, &ev); err != nil {
+				return err
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			_, kinds := wholeFrames(data)
+			onDisk := strings.Join(kinds, " ")
+			mu.Lock()
+			defer mu.Unlock()
+			seen = append(seen, ev.Type)
+			points := strings.Count(strings.Join(seen, " "), "point")
+			switch {
+			case ev.Type == "job" && !strings.HasPrefix(onDisk, "begin"),
+				ev.Type == "point" && strings.Count(onDisk, "point") < points,
+				ev.Type == "result" && !strings.HasSuffix(onDisk, "end"):
+				t.Errorf("follower was handed %v with only [%s] on disk", seen, onDisk)
+			}
+			return nil
+		})
+	}()
+
+	jj := <-entered // the begin record's flush is held
+	awaitQueued(t, jj, journalEntries)
+	if info, _ := srv.Job(id); info.State != JobDone {
+		t.Fatalf("job did not run to completion behind the held flush: %+v", info)
+	}
+	held := time.Now()
+	mu.Lock()
+	if len(seen) != 0 {
+		t.Fatalf("follower saw %v before anything was durable", seen)
+	}
+	mu.Unlock()
+	if st, err := os.Stat(path); err != nil || st.Size() != 0 {
+		t.Fatalf("journal file not empty behind the held flush: %v %v", st, err)
+	}
+
+	close(hold[0])
+	<-entered // first batch released, second (all four points + end) held
+	mu.Lock()
+	if got := strings.Join(seen, " "); got != "" && got != "job" {
+		t.Fatalf("follower saw [%s] with only the begin record durable", got)
+	}
+	mu.Unlock()
+	heldFor := time.Since(held)
+
+	close(hold[1])
+	if err := <-followed; err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(seen, " "); got != "job point point point point result" {
+		t.Fatalf("stream delivered [%s]", got)
+	}
+	if n, recs := srv.tel.journalFsync.Count(), srv.tel.journalAppends.Value(); n != 2 || recs != 6 {
+		t.Fatalf("%d flushes for %d records, want 2 for 6", n, recs)
+	}
+	info, _ := srv.Job(id)
+	spans, _ := srv.tel.tracer.Spans(info.TraceID)
+	appends := 0
+	for _, sp := range spans {
+		if sp.Name != "journal_append" {
+			continue
+		}
+		appends++
+		// Started when the point was queued, before the hold; ended by
+		// the fsync after it — not at enqueue.
+		if sp.Attrs["batch"] != "5" || sp.Duration < heldFor {
+			t.Errorf("journal_append span %+v: want batch=5 and duration >= %v", sp, heldFor)
+		}
+	}
+	if appends != 4 {
+		t.Fatalf("%d journal_append spans, want 4", appends)
+	}
+}
+
+// TestJournalFlushErrorDegradesJob: the journal's file breaks under a
+// running job with two points durable. The failed batch and everything
+// after it must still be released, in order — the client's stream is
+// complete and byte-identical to an undisturbed run's — the job finishes
+// normally, the file is left a clean contiguous prefix, and a restarted
+// daemon resumes from it.
+func TestJournalFlushErrorDegradesJob(t *testing.T) {
+	noLeakedCommitters(t)
+	clean, err := New(Config{PoolSize: 1, JournalDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(clean.Close)
+	cleanID, err := clean.Submit(QueryRequest{Query: smallQuery})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := collectJob(t, clean, cleanID, 0)
+
+	journalDir, cacheDir := t.TempDir(), t.TempDir()
+	srv, err := New(Config{PoolSize: 1, JournalDir: journalDir, CacheDir: cacheDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const durable = 2
+	srv.pointGate = func(index int) {
+		if index != durable {
+			return
+		}
+		// Points 0 and 1 are on disk and nothing is in flight: close the
+		// descriptor under the journal, so its next write fails.
+		jj := srv.journals()[0]
+		jj.sync()
+		jj.f.Close()
+	}
+	id, err := srv.Submit(QueryRequest{Query: smallQuery})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := collectJob(t, srv, id, 0)
+	if len(got) != len(want) {
+		t.Fatalf("degraded stream has %d lines, clean run %d", len(got), len(want))
+	}
+	for i := range want {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Fatalf("degraded stream differs at line %d:\n%s\nvs\n%s", i, got[i], want[i])
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if !srv.WaitJobs(ctx) {
+		t.Fatal("job wedged after the flush failure")
+	}
+	if info, _ := srv.Job(id); info.State != JobDone {
+		t.Fatalf("job finished as %+v, want done", info)
+	}
+	srv.Close()
+
+	j, _ := OpenJournal(journalDir)
+	jobs, warns, err := j.Recover()
+	if err != nil || len(jobs) != 1 || len(warns) != 0 {
+		t.Fatalf("broken journal is not a clean prefix: jobs=%+v warns=%v err=%v", jobs, warns, err)
+	}
+	if jobs[0].Status != "" || len(jobs[0].Points) != durable {
+		t.Fatalf("recovered %d points, status %q; want %d durable points of an incomplete job", len(jobs[0].Points), jobs[0].Status, durable)
+	}
+
+	b, err := New(Config{PoolSize: 1, JournalDir: journalDir, CacheDir: cacheDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(b.Close)
+	if resumed, warns, err := b.Recover(); err != nil || resumed != 1 {
+		t.Fatalf("restart resumed %d jobs (err=%v, warnings=%v)", resumed, err, warns)
+	}
+	if tableOf(t, collectJob(t, b, id, 0)) != tableOf(t, want) {
+		t.Fatal("table resumed from the broken journal differs")
+	}
+}
+
+// TestJournalTornBatchResumeGolden: a daemon killed while a multi-record batch
+// was on its way to the disk leaves a prefix of the batch's bytes. For a
+// cut inside each record of such a batch, the restarted daemon must
+// replay the whole records before the cut verbatim, re-run the rest and
+// produce the byte-identical table.
+func TestJournalTornBatchResumeGolden(t *testing.T) {
+	noLeakedCommitters(t)
+	journalDir, cacheDir := t.TempDir(), t.TempDir()
+	a, err := New(Config{PoolSize: 2, JournalDir: journalDir, CacheDir: cacheDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(a.Close)
+	// Hold the begin record's flush until the job has queued everything:
+	// the four points and the end record then share the second batch.
+	first := true
+	a.journal.flushGate = func(jj *JobJournal) {
+		if first {
+			first = false
+			awaitQueued(t, jj, journalEntries)
+		}
+	}
+	id, err := a.Submit(QueryRequest{Query: smallQuery})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := collectJob(t, a, id, 0)
+	if n := a.tel.journalFsync.Count(); n != 2 {
+		t.Fatalf("job flushed %d batches, want 2", n)
+	}
+	data, err := os.ReadFile(a.journal.path(id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ends, _ := wholeFrames(data)
+	if len(ends) != 6 {
+		t.Fatalf("journal holds %d records, want 6", len(ends))
+	}
+
+	for r := 1; r < len(ends); r++ {
+		cut := (ends[r-1] + ends[r]) / 2 // inside record r: r-1 points survive
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, id+journalExt), data[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		b, err := New(Config{PoolSize: 2, JournalDir: dir, CacheDir: cacheDir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resumed, warns, err := b.Recover()
+		if err != nil || resumed != 1 || !strings.Contains(strings.Join(warns, "\n"), "truncating") {
+			t.Fatalf("cut in record %d: resumed %d (err=%v, warnings=%v)", r, resumed, err, warns)
+		}
+		got := collectJob(t, b, id, 0)
+		b.Close()
+		if tableOf(t, got) != tableOf(t, want) {
+			t.Fatalf("cut in record %d: resumed table differs", r)
+		}
+		for i := 0; i < r; i++ { // the job line and the r-1 surviving points
+			if !bytes.Equal(got[i], want[i]) {
+				t.Fatalf("cut in record %d: replayed line %d differs:\n%s\nvs\n%s", r, i, got[i], want[i])
+			}
 		}
 	}
 }

@@ -3,6 +3,7 @@ package service
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -27,12 +28,33 @@ import (
 //	         client was (or will be) sent,
 //	end      the terminal result/error line.
 //
-// Every record is appended with a single write() and fsync'd before the
-// corresponding event becomes visible to any client, so a stream
-// observer can never have seen an event a restarted daemon has
-// forgotten. On restart, Recover replays the files: complete jobs come
-// back replayable, incomplete jobs are resurrected and resume execution
-// of only their undelivered points — the committed prefix is served
+// The journal is a group-committing log. Begin, Point and End frame their
+// record into the job's open batch, park the stream line the record
+// guards behind it, and return; the job's one committer goroutine takes
+// everything queued, issues one write() and one fsync for the batch, and
+// only then hands the batch's lines, in queue order, to the job's stream
+// log. A batch is whatever accumulated while the previous one was on its
+// way to the disk, so a job that commits faster than the disk syncs
+// shares fsyncs and one that commits slower pays one per record — no
+// window, no timer, nothing to tune.
+//
+// Three rules hold for every batch:
+//
+//   - Write-ahead: no line reaches a stream follower before the record
+//     that carries it is fsync'd, so an observer can never have seen an
+//     event a restarted daemon has forgotten.
+//   - Order: records reach the file, and lines the stream, in exactly the
+//     order they were queued; batching changes how many records share an
+//     fsync, never the bytes written (format v1, below).
+//   - Failure: a failed write or fsync truncates the file back to the
+//     last durable record boundary and closes it; every line already
+//     queued and every later one is still released, in order, just not
+//     durably — the job finishes normally and recovery sees a clean
+//     contiguous prefix.
+//
+// On restart, Recover replays the files: complete jobs come back
+// replayable, incomplete jobs are resurrected and resume execution of
+// only their undelivered points — the committed prefix is served
 // verbatim from the journal, and the cache keys in the point records
 // make any re-planning a trial-cache hit rather than a re-simulation.
 //
@@ -40,7 +62,7 @@ import (
 //
 //	[4B little-endian payload length][4B CRC-32 (IEEE) of payload][payload JSON]
 //
-// A torn tail write (crash mid-append) therefore shows up as a short or
+// A torn tail write (crash mid-batch) therefore shows up as a short or
 // CRC-failing record; Recover truncates the file back to the last good
 // record and reports it, never panicking and never silently dropping a
 // committed point that made it to disk intact.
@@ -86,11 +108,16 @@ type journalRecord struct {
 type Journal struct {
 	dir string
 
-	// appends/fsync, when set via instrument, count records appended and
-	// time each append (write + fsync). Copied into every JobJournal so
-	// the hot append path reads plain fields; nil-safe no-ops otherwise.
+	// appends/fsync, when set via instrument, count records made durable
+	// and time each batch flush (write + fsync); nil-safe no-ops otherwise.
 	appends *obs.Counter
 	fsync   *obs.Histogram
+
+	// flushGate, when set (tests only), runs on the committer goroutine
+	// just before a batch is written — the hook that holds the disk still
+	// while a test looks at what followers can see, or breaks the file to
+	// inject a flush failure.
+	flushGate func(*JobJournal)
 }
 
 // OpenJournal opens (creating if needed) a journal directory.
@@ -104,7 +131,7 @@ func OpenJournal(dir string) (*Journal, error) {
 // Dir returns the journal directory.
 func (j *Journal) Dir() string { return j.dir }
 
-// instrument wires the journal's append counter and fsync-latency
+// instrument wires the journal's record counter and flush-latency
 // histogram (nil instruments leave it un-instrumented).
 func (j *Journal) instrument(appends *obs.Counter, fsync *obs.Histogram) {
 	j.appends, j.fsync = appends, fsync
@@ -114,23 +141,20 @@ func (j *Journal) path(jobID string) string {
 	return filepath.Join(j.dir, jobID+journalExt)
 }
 
-// Begin creates a new job journal and durably records the submitted
-// query and its resolved trial override.
+// Begin creates a new job journal, queues the begin record (the
+// submitted query and its resolved trial override) and starts the job's
+// committer. The record — and the file's directory entry — are durable
+// once the first batch has flushed.
 func (j *Journal) Begin(jobID, query string, trials int, created time.Time) (*JobJournal, error) {
 	f, err := os.OpenFile(j.path(jobID), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("service: journal begin: %w", err)
 	}
-	jj := &JobJournal{f: f, path: j.path(jobID), appends: j.appends, fsync: j.fsync}
-	if err := jj.append(journalRecord{
+	jj := j.start(f, jobID, 0)
+	jj.enqueue(journalRecord{
 		Kind: "begin", V: journalVersion,
 		Job: jobID, Query: query, Trials: trials, Created: created.UTC(),
-	}); err != nil {
-		f.Close()
-		os.Remove(jj.path)
-		return nil, err
-	}
-	syncDir(j.dir) // the file's existence must survive the crash too
+	}, logLine{}, nil, false)
 	return jj, nil
 }
 
@@ -141,7 +165,26 @@ func (j *Journal) Reopen(jobID string) (*JobJournal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("service: journal reopen: %w", err)
 	}
-	return &JobJournal{f: f, path: j.path(jobID), appends: j.appends, fsync: j.fsync}, nil
+	st, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("service: journal reopen: %w", err)
+	}
+	return j.start(f, jobID, st.Size()), nil
+}
+
+// start wraps an open journal file of size bytes and launches its
+// committer. An empty file is a new one: its directory entry must
+// survive the crash too, so the first flush also fsyncs the directory.
+func (j *Journal) start(f *os.File, jobID string, size int64) *JobJournal {
+	jj := &JobJournal{
+		jr: j, f: f, path: j.path(jobID), size: size, syncDir: size == 0,
+		open:  batchPool.Get().(*batch),
+		spare: batchPool.Get().(*batch),
+	}
+	jj.cond.L = &jj.mu
+	go jj.run()
+	return jj
 }
 
 // Remove deletes a job's journal file (registry eviction).
@@ -183,74 +226,322 @@ func jobSeq(id string) (int, bool) {
 	return n, true
 }
 
-// JobJournal appends records for one job. Append order is the event
-// order; every append is one write() call followed by fsync, so a crash
-// tears at most the final record — which Recover then truncates away.
-type JobJournal struct {
-	mu      sync.Mutex
-	f       *os.File
-	path    string
-	dead    bool // abandoned (crash simulation) or closed: appends become no-ops
-	appends *obs.Counter
-	fsync   *obs.Histogram
+// batch is one hand-off from a job to its committer: the framed records
+// one write() will carry, the stream lines they guard and the
+// journal_append spans that end when they are durable. Batches are
+// recycled through batchPool, each with an encoder that frames straight
+// into it, so a queued record costs no allocation of its own.
+type batch struct {
+	frames  []byte
+	records int
+	lines   []logLine
+	spans   []*obs.SpanHandle
+	enc     *json.Encoder // writes into frames
 }
 
-func (jj *JobJournal) append(rec journalRecord) error {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	buf := make([]byte, 8+len(payload))
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
-	copy(buf[8:], payload)
+var batchPool = sync.Pool{New: func() any {
+	b := new(batch)
+	b.enc = json.NewEncoder(b)
+	return b
+}}
 
-	jj.mu.Lock()
-	defer jj.mu.Unlock()
-	if jj.dead {
-		return fmt.Errorf("service: journal %s is closed", jj.path)
-	}
-	var t0 time.Time
-	if jj.fsync != nil {
-		t0 = time.Now()
-	}
-	if _, err := jj.f.Write(buf); err != nil {
+// Write appends encoder output to the batch's frame buffer.
+func (b *batch) Write(p []byte) (int, error) {
+	b.frames = append(b.frames, p...)
+	return len(p), nil
+}
+
+// frame appends rec as one v1 frame: header, then exactly the bytes
+// json.Marshal(rec) yields.
+func (b *batch) frame(rec *journalRecord) error {
+	start := len(b.frames)
+	b.frames = append(b.frames, 0, 0, 0, 0, 0, 0, 0, 0)
+	if err := b.enc.Encode(rec); err != nil {
+		b.frames = b.frames[:start]
 		return err
 	}
-	if err := jj.f.Sync(); err != nil {
-		return err
-	}
-	jj.appends.Inc()
-	jj.fsync.Observe(time.Since(t0).Seconds())
+	b.frames = b.frames[:len(b.frames)-1] // Encode's newline is not payload
+	payload := b.frames[start+8:]
+	binary.LittleEndian.PutUint32(b.frames[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(b.frames[start+4:], crc32.ChecksumIEEE(payload))
+	b.records++
 	return nil
 }
 
-// Point durably records one committed design point: its global index,
-// cache key, and the exact NDJSON line clients see.
-func (jj *JobJournal) Point(index int, key string, line []byte) error {
-	return jj.append(journalRecord{Kind: "point", Index: index, Key: key, Line: json.RawMessage(line)})
+// reset empties the batch for reuse, dropping its references.
+func (b *batch) reset() {
+	clear(b.lines)
+	clear(b.spans)
+	b.frames, b.lines, b.spans = b.frames[:0], b.lines[:0], b.spans[:0]
+	b.records = 0
 }
 
-// End durably records the job's terminal event and closes the file.
+// errJournalClosed reports a record queued on a journal that no longer
+// writes: closed, abandoned, or broken by an earlier flush failure.
+var errJournalClosed = errors.New("service: journal is closed")
+
+// JobJournal is one job's group-committing journal. Any goroutine may
+// queue; run, the committer, is the only one that writes the file or
+// releases lines, which is what keeps both in queue order. Never call
+// Close, abandon or sync holding a lock the release callback takes.
+type JobJournal struct {
+	jr   *Journal
+	path string
+
+	mu   sync.Mutex
+	cond sync.Cond // any change below: work for the committer, progress for waiters
+	// release receives each batch's lines once the batch is durable (nil:
+	// lines are dropped — a journal written for its file alone).
+	release func([]logLine)
+	// open collects what is queued; spare is the other half of the double
+	// buffer, nil while the committer has it in flight.
+	open, spare *batch
+	queued      uint64        // entries ever queued
+	released    uint64        // entries whose batch the committer has finished with
+	durable     uint64        // entries up to here reached the disk
+	err         error         // non-nil once the journal stopped writing; lines still flow
+	rec         journalRecord // enqueue's framing scratch
+	closing     bool          // no more entries; the committer drains and exits
+	exited      bool
+
+	// The file belongs to the committer while a batch is in flight, and
+	// to whoever holds mu when none is.
+	f       *os.File
+	size    int64 // bytes durably written: the truncation point if a flush fails
+	syncDir bool  // the directory entry still awaits its fsync
+}
+
+// enqueue frames rec (the zero record for a bare line) behind everything
+// already queued, parks line and span behind it, and wakes the
+// committer. last marks the job's final entry. It reports the entry's
+// sequence number, or false — nothing queued — on a nil journal (the job
+// is not journaled) or one already closed.
+func (jj *JobJournal) enqueue(rec journalRecord, line logLine, span *obs.SpanHandle, last bool) (uint64, bool) {
+	if jj == nil {
+		return 0, false
+	}
+	jj.mu.Lock()
+	defer jj.mu.Unlock()
+	if jj.closing {
+		return 0, false
+	}
+	b := jj.open
+	if rec.Kind != "" && jj.err == nil {
+		// Framed from jj.rec so the encoder's interface argument points
+		// into the journal, not at a fresh heap copy per record. An
+		// unframeable record (a line that is not JSON) stops the journal
+		// here, keeping the prefix on disk contiguous.
+		jj.rec = rec
+		jj.err = b.frame(&jj.rec)
+	}
+	if line.data != nil {
+		b.lines = append(b.lines, line)
+	}
+	if span != nil {
+		b.spans = append(b.spans, span)
+	}
+	jj.queued++
+	jj.closing = last
+	jj.cond.Broadcast()
+	return jj.queued, true
+}
+
+// releaseTo names the receiver of durable lines; call it before queuing
+// any line.
+func (jj *JobJournal) releaseTo(release func([]logLine)) {
+	jj.mu.Lock()
+	jj.release = release
+	jj.mu.Unlock()
+}
+
+// wait blocks until entry seq's batch is done and reports whether its
+// record is on disk.
+func (jj *JobJournal) wait(seq uint64, ok bool) error {
+	if !ok {
+		return errJournalClosed
+	}
+	jj.mu.Lock()
+	defer jj.mu.Unlock()
+	for jj.released < seq {
+		jj.cond.Wait()
+	}
+	if seq > jj.durable {
+		return jj.err
+	}
+	return nil
+}
+
+// sync blocks until everything queued so far has been flushed and
+// released.
+func (jj *JobJournal) sync() {
+	jj.mu.Lock()
+	defer jj.mu.Unlock()
+	for seq := jj.queued; jj.released < seq; {
+		jj.cond.Wait()
+	}
+}
+
+// run is the committer: take everything queued, make it durable with one
+// write and one fsync, release its lines, repeat until the journal closes.
+func (jj *JobJournal) run() {
+	jj.mu.Lock()
+	defer jj.mu.Unlock()
+	for {
+		// No batch is in flight here, so queued - released is what open holds.
+		for jj.queued == jj.released && !jj.closing {
+			jj.cond.Wait()
+		}
+		if jj.queued == jj.released {
+			break
+		}
+		b, upTo := jj.open, jj.queued
+		jj.open, jj.spare = jj.spare, nil
+		if jj.err != nil {
+			jj.closeFile() // stopped writing since the last batch
+		}
+		writing, release := jj.f != nil, jj.release
+		jj.mu.Unlock()
+
+		var err error
+		if writing && b.records > 0 {
+			err = jj.flush(b)
+		}
+		if len(b.spans) > 0 {
+			n := strconv.Itoa(b.records)
+			for _, sp := range b.spans {
+				if err != nil {
+					sp.Attr("error", err.Error())
+				}
+				sp.Attr("batch", n).End()
+			}
+		}
+		if release != nil && len(b.lines) > 0 {
+			release(b.lines)
+		}
+		b.reset()
+
+		jj.mu.Lock()
+		if writing && err == nil {
+			jj.durable = upTo
+		}
+		if jj.err == nil {
+			jj.err = err
+		}
+		jj.released = upTo
+		jj.spare = b
+		jj.cond.Broadcast()
+	}
+	jj.closeFile()
+	batchPool.Put(jj.open)
+	batchPool.Put(jj.spare)
+	jj.open, jj.spare = nil, nil
+	jj.exited = true
+	jj.cond.Broadcast()
+}
+
+// flush makes one batch durable: one write, one fsync, plus the
+// directory's fsync on a new file's first batch. On failure the file is
+// cut back to the last durable record boundary and closed.
+func (jj *JobJournal) flush(b *batch) error {
+	if gate := jj.jr.flushGate; gate != nil {
+		gate(jj)
+	}
+	var t0 time.Time
+	if jj.jr.fsync != nil {
+		t0 = time.Now()
+	}
+	_, err := jj.f.Write(b.frames)
+	if err == nil {
+		err = jj.f.Sync()
+	}
+	if err != nil {
+		jj.f.Truncate(jj.size) // best effort; Recover repairs a torn tail anyway
+		jj.closeFile()
+		return fmt.Errorf("service: journal %s: %w", jj.path, err)
+	}
+	jj.size += int64(len(b.frames))
+	jj.jr.appends.Add(uint64(b.records))
+	jj.jr.fsync.Observe(time.Since(t0).Seconds())
+	if jj.syncDir {
+		syncDir(jj.jr.dir)
+		jj.syncDir = false
+	}
+	return nil
+}
+
+// closeFile closes the file, if still open. The caller owns it (see
+// JobJournal.f).
+func (jj *JobJournal) closeFile() {
+	if jj.f != nil {
+		jj.f.Close()
+		jj.f = nil
+	}
+}
+
+// queueLine parks a stream line that has no record of its own (the job
+// line) behind the records already queued.
+func (jj *JobJournal) queueLine(kind byte, line []byte) (uint64, bool) {
+	return jj.enqueue(journalRecord{}, logLine{kind, line}, nil, false)
+}
+
+// queuePoint queues one committed design point — its global index, cache
+// key and the exact NDJSON line clients will see — and returns; span
+// ends when the record is durable.
+func (jj *JobJournal) queuePoint(index int, key string, line []byte, span *obs.SpanHandle) (uint64, bool) {
+	return jj.enqueue(journalRecord{Kind: "point", Index: index, Key: key, Line: line},
+		logLine{'p', line}, span, false)
+}
+
+// queueEnd queues the job's terminal record and line; the committer
+// flushes them, closes the file and exits.
+func (jj *JobJournal) queueEnd(status, errMsg string, line []byte) (uint64, bool) {
+	return jj.enqueue(journalRecord{Kind: "end", Status: status, Error: errMsg, Line: line},
+		logLine{'t', line}, nil, true)
+}
+
+// Point is queuePoint that waits: it returns once the record is on disk,
+// or with the reason it is not.
+func (jj *JobJournal) Point(index int, key string, line []byte) error {
+	return jj.wait(jj.queuePoint(index, key, line, nil))
+}
+
+// End is queueEnd that waits for the record and for the file to close.
 func (jj *JobJournal) End(status, errMsg string, line []byte) error {
-	err := jj.append(journalRecord{Kind: "end", Status: status, Error: errMsg, Line: json.RawMessage(line)})
+	err := jj.wait(jj.queueEnd(status, errMsg, line))
 	jj.Close()
 	return err
 }
 
-// Close closes the underlying file; later appends fail cleanly.
+// Close flushes what is queued, closes the file and waits for the
+// committer to exit; entries queued later are refused.
 func (jj *JobJournal) Close() {
 	jj.mu.Lock()
 	defer jj.mu.Unlock()
-	if !jj.dead {
-		jj.dead = true
-		jj.f.Close()
+	jj.closing = true
+	jj.cond.Broadcast()
+	for !jj.exited {
+		jj.cond.Wait()
 	}
 }
 
-// abandon simulates a crash for tests: the file is closed as-is, with
-// no terminal record, exactly as kill -9 would leave it.
-func (jj *JobJournal) abandon() { jj.Close() }
+// abandon simulates a crash for tests: everything queued so far reaches
+// the disk — the kill lands between two batches, so "exactly k points
+// committed" means exactly k point records in the file — then the file
+// is closed as-is, with no terminal record, exactly as kill -9 would
+// leave it. The doomed job's later lines are released without being
+// written. (A kill in the middle of a batch is a torn tail: see
+// TestJournalTornBatch.)
+func (jj *JobJournal) abandon() {
+	jj.mu.Lock()
+	defer jj.mu.Unlock()
+	for jj.released < jj.queued {
+		jj.cond.Wait()
+	}
+	jj.closeFile() // nothing in flight: the file is ours
+	if jj.err == nil {
+		jj.err = errJournalClosed
+	}
+}
 
 // RecoveredPoint is one journaled committed design point.
 type RecoveredPoint struct {
@@ -321,6 +612,10 @@ func recoverFile(path string) (*RecoveredJob, []string) {
 		return nil, []string{fmt.Sprintf("journal %s: %v", path, err)}
 	}
 	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return nil, []string{fmt.Sprintf("journal %s: %v", path, err)}
+	}
 
 	var (
 		job    *RecoveredJob
@@ -344,8 +639,16 @@ func recoverFile(path string) (*RecoveredJob, []string) {
 			truncateAt(path, good, &warnings)
 			break
 		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(rd, payload); err != nil {
+		// A length the rest of the file cannot hold is a torn payload; say
+		// so without allocating what a garbage prefix asks for.
+		var payload []byte
+		torn := int64(n) > st.Size()-good-8
+		if !torn {
+			payload = make([]byte, n)
+			_, err := io.ReadFull(rd, payload)
+			torn = err != nil
+		}
+		if torn {
 			warnings = append(warnings, fmt.Sprintf("journal %s: torn record payload at offset %d: truncating", path, good))
 			truncateAt(path, good, &warnings)
 			break

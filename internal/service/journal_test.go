@@ -1,15 +1,59 @@
 package service
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
+
+// noLeakedCommitters fails t if, after its other cleanups (server and
+// listener shutdown) have run, a journal committer or a detached job is
+// still alive. Call it first in a test, so its cleanup runs last.
+func noLeakedCommitters(t *testing.T) {
+	t.Helper()
+	t.Cleanup(func() {
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			buf := make([]byte, 1<<20)
+			buf = buf[:runtime.Stack(buf, true)]
+			if !bytes.Contains(buf, []byte("(*JobJournal).run")) &&
+				!bytes.Contains(buf, []byte("(*Server).runDetached")) {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Errorf("goroutines leaked past the end of the test:\n%s", buf)
+				return
+			}
+			time.Sleep(2 * time.Millisecond) // goroutine exit has no event to wait on
+		}
+	})
+}
+
+// wholeFrames walks the whole v1 frames at the start of data — what a
+// crash at this instant would leave behind a possibly torn tail — and
+// returns the offset just past each and each record's kind.
+func wholeFrames(data []byte) (ends []int, kinds []string) {
+	for off := 0; off+8 <= len(data); {
+		next := off + 8 + int(binary.LittleEndian.Uint32(data[off:]))
+		var rec journalRecord
+		if next > len(data) || json.Unmarshal(data[off+8:next], &rec) != nil {
+			break
+		}
+		ends, kinds = append(ends, next), append(kinds, rec.Kind)
+		off = next
+	}
+	return ends, kinds
+}
 
 // writeJournal builds one job's journal file through the production
 // append path and returns its path. end == "" leaves the job incomplete
@@ -37,6 +81,7 @@ func writeJournal(t *testing.T, dir, jobID string, points int, end string) strin
 		}
 	} else {
 		jj.abandon()
+		jj.Close() // the doomed job is gone too: let its committer exit
 	}
 	return j.path(jobID)
 }
@@ -45,6 +90,7 @@ func writeJournal(t *testing.T, dir, jobID string, points int, end string) strin
 // production path recover exactly, and an incomplete journal (no end
 // record) comes back with empty status — the resume trigger.
 func TestJournalRoundTrip(t *testing.T) {
+	noLeakedCommitters(t)
 	dir := t.TempDir()
 	writeJournal(t, dir, "job-1", 3, "done")
 	writeJournal(t, dir, "job-2", 2, "")
@@ -83,6 +129,7 @@ func TestJournalRoundTrip(t *testing.T) {
 // truncated away with a warning; the committed prefix survives and the
 // file is left at a clean boundary a Reopen can append to.
 func TestJournalTruncatedTail(t *testing.T) {
+	noLeakedCommitters(t)
 	dir := t.TempDir()
 	path := writeJournal(t, dir, "job-1", 3, "")
 	data, err := os.ReadFile(path)
@@ -131,6 +178,7 @@ func TestJournalTruncatedTail(t *testing.T) {
 // rot, torn sector) fail the CRC; recovery keeps the records before the
 // damage, reports it, and never panics.
 func TestJournalGarbageMidFile(t *testing.T) {
+	noLeakedCommitters(t)
 	dir := t.TempDir()
 	path := writeJournal(t, dir, "job-1", 4, "")
 	data, err := os.ReadFile(path)
@@ -170,6 +218,7 @@ func TestJournalGarbageMidFile(t *testing.T) {
 // 0xffffffff) must be treated as corruption, not as an allocation
 // request.
 func TestJournalOversizeLengthIsCorruption(t *testing.T) {
+	noLeakedCommitters(t)
 	dir := t.TempDir()
 	path := writeJournal(t, dir, "job-1", 2, "")
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
@@ -205,6 +254,7 @@ func TestJournalOversizeLengthIsCorruption(t *testing.T) {
 // must refuse what it cannot parse rather than guess (or truncate a
 // newer daemon's valid data).
 func TestJournalNewerVersionRefused(t *testing.T) {
+	noLeakedCommitters(t)
 	dir := t.TempDir()
 	payload, _ := json.Marshal(journalRecord{
 		Kind: "begin", V: journalVersion + 1, Job: "job-9", Query: smallQuery,
@@ -245,6 +295,7 @@ func TestJournalNewerVersionRefused(t *testing.T) {
 // TestJournalHeadlessFileIgnored: a journal with no begin record (or an
 // empty file) yields no job and a warning, never a panic.
 func TestJournalHeadlessFileIgnored(t *testing.T) {
+	noLeakedCommitters(t)
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, "job-3"+journalExt), nil, 0o644); err != nil {
 		t.Fatal(err)
@@ -257,4 +308,287 @@ func TestJournalHeadlessFileIgnored(t *testing.T) {
 	if len(jobs) != 0 || len(warns) == 0 {
 		t.Fatalf("jobs=%+v warns=%v", jobs, warns)
 	}
+}
+
+// TestJournalGroupCommit pins the batch semantics at the journal's own
+// level: records queued while a flush is held share the next fsync, no
+// line is released before its batch is on disk, lines come out in queue
+// order, and the file is byte-identical to one written a record at a
+// time.
+func TestJournalGroupCommit(t *testing.T) {
+	noLeakedCommitters(t)
+	reg := obs.NewRegistry()
+	appends := reg.Counter("appends_total", "Records.")
+	fsyncs := reg.Histogram("fsync_seconds", "Flushes.", obs.DurationBuckets)
+
+	j, err := OpenJournal(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.instrument(appends, fsyncs)
+	entered, hold := make(chan struct{}, 8), make(chan struct{})
+	j.flushGate = func(*JobJournal) {
+		entered <- struct{}{}
+		<-hold
+	}
+	created := time.Unix(1700000000, 0)
+	jj, err := j.Begin("job-1", smallQuery, 2, created)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var released []logLine // written by the committer, read after Close
+	jj.releaseTo(func(lines []logLine) { released = append(released, lines...) })
+
+	<-entered // the begin record's flush is held at the disk
+	queued := func(_ uint64, ok bool) {
+		t.Helper()
+		if !ok {
+			t.Fatal("journal refused an entry")
+		}
+	}
+	jobLine, _ := json.Marshal(JobEvent{Type: "job", ID: "job-1"})
+	queued(jj.queueLine('j', jobLine))
+	want := []logLine{{'j', jobLine}}
+	for i := 0; i < 3; i++ {
+		line, _ := json.Marshal(PointEvent{Type: "point", Done: i + 1, Total: 3, Index: i})
+		queued(jj.queuePoint(i, "key", line, nil))
+		want = append(want, logLine{'p', line})
+	}
+	endLine, _ := json.Marshal(ResultEvent{Type: "result", ID: "job-1"})
+	queued(jj.queueEnd("done", "", endLine))
+	want = append(want, logLine{'t', endLine})
+
+	if st, err := os.Stat(j.path("job-1")); err != nil || st.Size() != 0 {
+		t.Fatalf("bytes reached the file while its first flush was held: %v %v", st, err)
+	}
+	if n := fsyncs.Count(); n != 0 {
+		t.Fatalf("%d flushes observed before any completed", n)
+	}
+	close(hold)
+	jj.Close()
+
+	if !reflect.DeepEqual(released, want) {
+		t.Fatalf("released lines %q, want %q", released, want)
+	}
+	// Two batches: the begin record alone, then everything that queued
+	// while it was syncing — four records behind one fsync.
+	if fsyncs.Count() != 2 || appends.Value() != 5 {
+		t.Fatalf("%d flushes for %d records, want 2 for 5", fsyncs.Count(), appends.Value())
+	}
+	// What the journal_fsync_slow alert reads is still a latency in
+	// seconds — per flush now, not per record.
+	if s := fsyncs.Sum(); s <= 0 || s > 60 {
+		t.Fatalf("flush latency histogram sums to %v s over 2 flushes", s)
+	}
+	if _, ok := jj.enqueue(journalRecord{Kind: "point"}, logLine{}, nil, false); ok {
+		t.Fatal("closed journal accepted a record")
+	}
+
+	// Same records, one blocking call each: the bytes must not differ.
+	serial, err := OpenJournal(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sj, err := serial.Begin("job-1", smallQuery, 2, created)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, ln := range want[1:4] {
+		if err := sj.Point(i, "key", ln.data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sj.End("done", "", endLine); err != nil {
+		t.Fatal(err)
+	}
+	batched, _ := os.ReadFile(j.path("job-1"))
+	oneByOne, _ := os.ReadFile(serial.path("job-1"))
+	if len(batched) == 0 || !bytes.Equal(batched, oneByOne) {
+		t.Fatalf("batched file (%d B) differs from record-at-a-time file (%d B)", len(batched), len(oneByOne))
+	}
+}
+
+// TestJournalFormatMatchesParent: format v1 is untouched. The golden file
+// was written by the last commit whose journal fsync'd every record on
+// its own (99895da). This code must recover it, and writing the records
+// it holds must reproduce it byte for byte — so that commit's
+// recoverFile reads our files exactly as it reads its own.
+func TestJournalFormatMatchesParent(t *testing.T) {
+	noLeakedCommitters(t)
+	golden, err := os.ReadFile(filepath.Join("testdata", "journal_v1_parent.wtj"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "job-7"+journalExt)
+	if err := os.WriteFile(path, golden, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	old, warns := recoverFile(path)
+	if old == nil || len(warns) != 0 || old.ID != "job-7" || len(old.Points) != 3 || old.Status != "done" {
+		t.Fatalf("parent's journal recovered as %+v (warnings %v)", old, warns)
+	}
+
+	j, err := OpenJournal(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	jj, err := j.Begin(old.ID, old.Query, old.Trials, old.Created)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range old.Points {
+		jj.queuePoint(p.Index, p.Key, p.Line, nil)
+	}
+	if err := jj.End(old.Status, old.Error, old.EndLine); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(j.path(old.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, golden) {
+		t.Fatalf("journal bytes differ from the parent's:\n got %q\nwant %q", got, golden)
+	}
+}
+
+// TestJournalTornBatch: a crash in the middle of a batch leaves any
+// prefix of its bytes behind. A journal whose points and end record went
+// out as one multi-record batch is cut at every byte offset of that
+// batch: Recover must keep exactly the whole records before the cut,
+// truncate the file to that boundary and warn only when bytes were torn.
+func TestJournalTornBatch(t *testing.T) {
+	noLeakedCommitters(t)
+	src, err := OpenJournal(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	entered, hold := make(chan struct{}, 8), make(chan struct{})
+	src.flushGate = func(*JobJournal) {
+		entered <- struct{}{}
+		<-hold
+	}
+	jj, err := src.Begin("job-1", smallQuery, 2, time.Unix(1700000000, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	const points = 4
+	for i := 0; i < points; i++ {
+		line, _ := json.Marshal(PointEvent{Type: "point", Done: i + 1, Total: points, Index: i})
+		jj.queuePoint(i, "key", line, nil)
+	}
+	endLine, _ := json.Marshal(ResultEvent{Type: "result", ID: "job-1"})
+	jj.queueEnd("done", "", endLine)
+	close(hold)
+	jj.Close()
+	if n := len(entered); n != 1 {
+		t.Fatalf("points and end went out in %d batches, want 1", n)
+	}
+
+	data, err := os.ReadFile(src.path("job-1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ends, _ := wholeFrames(data)
+	if len(ends) != points+2 {
+		t.Fatalf("journal holds %d records, want %d", len(ends), points+2)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "job-1"+journalExt)
+	j, _ := OpenJournal(dir)
+	for cut := ends[0]; cut <= len(data); cut++ {
+		whole := 0 // records wholly before the cut
+		for whole < len(ends) && ends[whole] <= cut {
+			whole++
+		}
+		if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		jobs, warns, err := j.Recover()
+		if err != nil || len(jobs) != 1 {
+			t.Fatalf("cut %d: jobs=%+v err=%v", cut, jobs, err)
+		}
+		wantPoints, wantStatus := min(whole-1, points), ""
+		if whole == len(ends) {
+			wantStatus = "done"
+		}
+		if got := jobs[0]; len(got.Points) != wantPoints || got.Status != wantStatus {
+			t.Fatalf("cut %d: recovered %d points, status %q; want %d, %q", cut, len(got.Points), got.Status, wantPoints, wantStatus)
+		}
+		if st, err := os.Stat(path); err != nil || st.Size() != int64(ends[whole-1]) {
+			t.Fatalf("cut %d: file left at %d bytes, want the record boundary %d", cut, st.Size(), ends[whole-1])
+		}
+		if torn := cut != ends[whole-1]; torn != (len(warns) > 0) {
+			t.Fatalf("cut %d: torn=%v but warnings %v", cut, torn, warns)
+		}
+	}
+}
+
+// FuzzRecoverFile: recovery over arbitrary bytes never panics and never
+// hangs, and its repair is stable — a second pass over the file the
+// first pass left behind recovers the same job.
+func FuzzRecoverFile(f *testing.F) {
+	seedDir := f.TempDir()
+	j, err := OpenJournal(seedDir)
+	if err != nil {
+		f.Fatal(err)
+	}
+	jj, err := j.Begin("job-1", smallQuery, 2, time.Unix(1700000000, 0))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		line, _ := json.Marshal(PointEvent{Type: "point", Done: i + 1, Total: 3, Index: i})
+		jj.queuePoint(i, "key", line, nil)
+	}
+	endLine, _ := json.Marshal(ResultEvent{Type: "result", ID: "job-1"})
+	if err := jj.End("done", "", endLine); err != nil {
+		f.Fatal(err)
+	}
+	valid, err := os.ReadFile(j.path("job-1"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	// The hand-written corruption suite's cases, as seeds.
+	f.Add(valid)
+	f.Add([]byte{})
+	f.Add(valid[:len(valid)-10]) // torn tail
+	flipped := bytes.Clone(valid)
+	flipped[len(flipped)/2] ^= 0xff // garbage mid-file
+	f.Add(flipped)
+	f.Add(append(bytes.Clone(valid), 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0)) // oversize length
+	f.Add(bytes.Replace(valid, []byte(`"v":1`), []byte(`"v":2`), 1))      // CRC now wrong
+	newer, _ := json.Marshal(journalRecord{Kind: "begin", V: journalVersion + 1, Job: "job-9"})
+	hdr := make([]byte, 8)
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(newer)))
+	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(newer))
+	f.Add(append(hdr, newer...)) // refused version
+	f.Add(valid[len(valid)/3:])  // headless
+
+	dir := f.TempDir()
+	path := filepath.Join(dir, "job-1"+journalExt)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		first, _ := recoverFile(path)
+		second, warns := recoverFile(path)
+		if !reflect.DeepEqual(first, second) {
+			t.Fatalf("recovery is not stable:\nfirst  %+v\nsecond %+v", first, second)
+		}
+		for _, w := range warns {
+			if strings.Contains(w, "truncating") {
+				t.Fatalf("second pass still repairing: %v", warns)
+			}
+		}
+		if first == nil {
+			return
+		}
+		for i, p := range first.Points {
+			if p.Index != i {
+				t.Fatalf("recovered points not contiguous: %d at position %d", p.Index, i)
+			}
+		}
+	})
 }

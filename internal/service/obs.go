@@ -118,9 +118,9 @@ func newTelemetry(worker string, enabled bool) *telemetry {
 			"Simulation trials executed, flushed at point commit."),
 
 		journalAppends: reg.Counter("wt_journal_appends_total",
-			"Records appended to the job journal."),
+			"Records made durable in the job journal."),
 		journalFsync: reg.Histogram("wt_journal_fsync_seconds",
-			"Journal append latency including the fsync.", obs.DurationBuckets),
+			"Journal flush latency: the write + fsync of one batch of records.", obs.DurationBuckets),
 
 		shardsLaunched: reg.Counter("wt_fleet_shards_launched_total",
 			"Shard streams launched at workers (including failover relaunches)."),

@@ -84,9 +84,11 @@ type job struct {
 	// stream. lines grows append-only under Server.mu and each element
 	// is immutable once appended; points counts the 'p' lines (the
 	// stream-resume cursor unit). logClosed is set when the terminal
-	// line lands. jj is the job's journal, nil when journaling is off —
-	// in which case lines stays empty and the job streams inline on its
-	// handler goroutine exactly as before journaling existed.
+	// line lands. jj is the job's journal (set once, under Server.mu):
+	// lines reach the log through its committer, after their records are
+	// fsync'd. It is nil when journaling is off — in which case lines
+	// stays empty and the job streams inline on its handler goroutine
+	// exactly as before journaling existed.
 	durable   bool
 	lines     []logLine
 	points    int
@@ -170,9 +172,10 @@ type Config struct {
 	// defaults via LoadAlertRules). nil means DefaultAlertRules.
 	AlertRules []AlertRule
 	// JournalDir, when non-empty, enables the durable job layer: every
-	// client-facing query is write-ahead journaled (query, one fsync'd
-	// record per committed point with its cache key, terminal record),
-	// runs detached from its client connection, and is resumable via
+	// client-facing query is write-ahead journaled (query, one record per
+	// committed point with its cache key, terminal record — group
+	// committed, each fsync'd before its event is visible), runs
+	// detached from its client connection, and is resumable via
 	// GET /v1/jobs/{id}/stream?from=N. After a crash, Recover replays
 	// the directory and resumes incomplete jobs. Empty disables
 	// journaling entirely: queries stream inline and die with their
@@ -199,8 +202,10 @@ type Server struct {
 	started time.Time
 	now     func() time.Time
 	// pointGate, when set (tests only), is called before each durable
-	// point commit — the hook crash tests use to freeze a job at an
-	// exact committed-point count before simulating kill -9.
+	// point is queued for commit, with its index, and before the terminal
+	// record, with the number of points committed — the hook crash tests
+	// use to freeze a job at an exact committed-point count before
+	// simulating kill -9.
 	pointGate func(index int)
 
 	mu       sync.Mutex
@@ -308,9 +313,10 @@ func New(cfg Config) (*Server, error) {
 }
 
 // Close stops the server's background work (the health monitor's probe
-// loop, the history sampler, the fleet federator and the alert engine).
-// It does not wait for running jobs — that is BeginDrain plus
-// http.Server.Shutdown's business.
+// loop, the history sampler, the fleet federator and the alert engine)
+// and waits for every journal to flush what its job has queued, so no
+// batch is left in flight. It does not wait for running jobs — that is
+// BeginDrain plus WaitJobs' business.
 func (s *Server) Close() {
 	if s.health != nil {
 		s.health.Stop()
@@ -318,6 +324,9 @@ func (s *Server) Close() {
 	s.sampler.Stop()
 	s.fed.Stop()
 	s.alerts.Stop()
+	for _, jj := range s.journals() {
+		jj.sync()
+	}
 }
 
 // Health exposes the fleet health monitor (nil without Peers).
@@ -362,11 +371,19 @@ func (s *Server) CancelAll() {
 	}
 }
 
-// WaitJobs blocks until every running job has reached a terminal state
-// or ctx expires, reporting whether the registry drained. Durable jobs
-// run detached from their client connections, so http.Server.Shutdown
-// (which only waits for open connections) no longer implies the work is
-// done — the drain path must wait on the jobs themselves.
+// unsettled reports whether a job is still running or, durable, still
+// has its terminal line on the way to the disk. Caller holds s.mu.
+func (j *job) unsettled() bool {
+	return j.info.State == JobRunning || (j.durable && !j.logClosed)
+}
+
+// WaitJobs blocks until every job has reached a terminal state — and,
+// for durable jobs, the terminal record has been flushed and its line
+// released — or ctx expires, reporting whether the registry drained.
+// Durable jobs run detached from their client connections, so
+// http.Server.Shutdown (which only waits for open connections) no
+// longer implies the work is done — the drain path must wait on the
+// jobs themselves.
 func (s *Server) WaitJobs(ctx context.Context) bool {
 	tick := time.NewTicker(20 * time.Millisecond)
 	defer tick.Stop()
@@ -374,7 +391,7 @@ func (s *Server) WaitJobs(ctx context.Context) bool {
 		s.mu.Lock()
 		running := 0
 		for _, j := range s.jobs {
-			if j.info.State == JobRunning {
+			if j.unsettled() {
 				running++
 			}
 		}
@@ -392,8 +409,8 @@ func (s *Server) WaitJobs(ctx context.Context) bool {
 
 // maxRetainedJobs bounds the job registry: finished jobs beyond this
 // count are evicted oldest-first, so a long-running daemon's memory
-// does not grow with total queries served. Running jobs are never
-// evicted.
+// does not grow with total queries served. Running jobs — and durable
+// ones whose terminal record is still being flushed — are never evicted.
 const maxRetainedJobs = 1024
 
 // newJob registers a running job and returns its id plus a context the
@@ -444,7 +461,7 @@ func (s *Server) evictFinishedLocked() {
 	for len(s.order) > maxRetainedJobs {
 		evicted := false
 		for i, id := range s.order {
-			if s.jobs[id].info.State != JobRunning {
+			if !s.jobs[id].unsettled() {
 				delete(s.jobs, id)
 				s.order = append(s.order[:i], s.order[i+1:]...)
 				if s.journal != nil {
