@@ -143,6 +143,60 @@ type Explorer struct {
 	// all committed points (including pruned ones); total is the space
 	// size. The callback must not block for long.
 	Progress func(done, total int, out PointOutcome)
+
+	// list is the sweep's prepared point list, made on first use. Every
+	// field above except Subset and Progress must be set before then and
+	// left alone after.
+	listOnce sync.Once
+	list     *pointList
+}
+
+// pointList is a sweep's design points with what is fixed about each
+// before it runs: its scenario, its SLAs and its content address. Each
+// is worked out at most once, by whichever of PointKeys or a run asks
+// first, so a query that shards or journals by key and then runs builds
+// every scenario and hashes every key once.
+type pointList struct {
+	points []design.Point
+	prep   []preparedPoint
+	dists  distKeys
+}
+
+type preparedPoint struct {
+	built sync.Once
+	sc    Scenario
+	slas  []sla.SLA
+	err   error
+
+	keyed sync.Once
+	key   string
+}
+
+// prepared returns the explorer's point list.
+func (e *Explorer) prepared() *pointList {
+	e.listOnce.Do(func() {
+		points := e.Space.Points()
+		e.list = &pointList{points: points, prep: make([]preparedPoint, len(points))}
+	})
+	return e.list
+}
+
+// build returns point i with its scenario and SLAs built.
+func (e *Explorer) build(l *pointList, i int) (*preparedPoint, error) {
+	pp := &l.prep[i]
+	pp.built.Do(func() {
+		pp.sc, pp.slas, pp.err = e.Build(l.points[i])
+		if pp.err != nil {
+			pp.err = fmt.Errorf("core: building point %s: %w", l.points[i].Key(), pp.err)
+		}
+	})
+	return pp, pp.err
+}
+
+// key returns a built point's CacheKey.
+func (e *Explorer) key(l *pointList, pp *preparedPoint) string {
+	pp.keyed.Do(func() { pp.key = cacheKey(&pp.sc, &e.Runner, &l.dists) })
+	return pp.key
 }
 
 // indexedPoint pairs a point outcome with its order index.
@@ -185,11 +239,21 @@ func (e *Explorer) Run() (*Exploration, error) {
 // in-flight points finish their current trial batch and the partial
 // exploration is discarded.
 func (e *Explorer) RunContext(ctx context.Context) (*Exploration, error) {
+	return e.RunPoints(ctx, e.Subset, e.Progress)
+}
+
+// RunPoints is RunContext with subset and progress standing in for the
+// Subset and Progress fields, which it does not read. It only reads the
+// explorer, so one Explorer serves any number of RunPoints calls, one
+// after another or at once — a sweep run in shards, say — and they all
+// share its prepared points.
+func (e *Explorer) RunPoints(ctx context.Context, subset []int, progress func(done, total int, out PointOutcome)) (*Exploration, error) {
 	if e.Space == nil || e.Build == nil {
 		return nil, fmt.Errorf("core: explorer needs a space and a build function")
 	}
-	points := e.Space.Points()
-	sel := e.Subset
+	list := e.prepared()
+	points := list.points
+	sel := subset
 	if sel == nil {
 		sel = make([]int, len(points))
 		for i := range sel {
@@ -248,7 +312,7 @@ func (e *Explorer) RunContext(ctx context.Context) (*Exploration, error) {
 					// guaranteed to still be dominated at commit time.
 					res = indexedPoint{idx: i, out: PointOutcome{Point: p, Index: gi, Pruned: true}}
 				} else {
-					out, err := e.runPoint(ctx, p)
+					out, err := e.runPoint(ctx, list, gi)
 					out.Index = gi
 					res = indexedPoint{idx: i, out: out, err: err, ran: true}
 				}
@@ -280,9 +344,9 @@ func (e *Explorer) RunContext(ctx context.Context) (*Exploration, error) {
 		stopped    = false
 		firstErr   error
 	)
-	progress := func(out PointOutcome) {
-		if e.Progress != nil {
-			e.Progress(len(exp.Outcomes), len(sel), out)
+	committed := func(out PointOutcome) {
+		if progress != nil {
+			progress(len(exp.Outcomes), len(sel), out)
 		}
 	}
 	for res := range results {
@@ -312,7 +376,7 @@ func (e *Explorer) RunContext(ctx context.Context) (*Exploration, error) {
 			if pruner != nil && pruner.dominated(r.out.Point) {
 				exp.Outcomes = append(exp.Outcomes, PointOutcome{Point: r.out.Point, Index: r.out.Index, Pruned: true})
 				exp.Pruned++
-				progress(exp.Outcomes[len(exp.Outcomes)-1])
+				committed(exp.Outcomes[len(exp.Outcomes)-1])
 				continue
 			}
 			if !r.ran {
@@ -329,7 +393,7 @@ func (e *Explorer) RunContext(ctx context.Context) (*Exploration, error) {
 					pruner.recordFailure(r.out.Point)
 				}
 				exp.Outcomes = append(exp.Outcomes, r.out)
-				progress(r.out)
+				committed(r.out)
 				continue
 			}
 			exp.Executed++
@@ -341,7 +405,7 @@ func (e *Explorer) RunContext(ctx context.Context) (*Exploration, error) {
 				pruner.recordFailure(r.out.Point)
 			}
 			exp.Outcomes = append(exp.Outcomes, r.out)
-			progress(r.out)
+			committed(r.out)
 		}
 	}
 	if firstErr != nil {
@@ -362,30 +426,48 @@ func (e *Explorer) PointKeys() ([]string, error) {
 	if e.Space == nil || e.Build == nil {
 		return nil, fmt.Errorf("core: explorer needs a space and a build function")
 	}
-	points := e.Space.Points()
-	keys := make([]string, len(points))
-	for i, p := range points {
-		sc, slas, err := e.Build(p)
+	list := e.prepared()
+	keys := make([]string, len(list.points))
+	for i := range list.points {
+		pp, err := e.build(list, i)
 		if err != nil {
-			return nil, fmt.Errorf("core: building point %s: %w", p.Key(), err)
+			return nil, err
 		}
-		runner := e.Runner
-		runner.SLAs = slas
-		keys[i] = CacheKey(sc, runner)
+		keys[i] = e.key(list, pp)
 	}
 	return keys, nil
+}
+
+// Scenario returns the scenario Build makes of the point at index in the
+// space's point order: the prepared one, so asking after (or before) a
+// run builds nothing twice.
+func (e *Explorer) Scenario(index int) (Scenario, error) {
+	if e.Space == nil || e.Build == nil {
+		return Scenario{}, fmt.Errorf("core: explorer needs a space and a build function")
+	}
+	list := e.prepared()
+	if index < 0 || index >= len(list.points) {
+		return Scenario{}, fmt.Errorf("core: point index %d outside [0, %d)", index, len(list.points))
+	}
+	pp, err := e.build(list, index)
+	if err != nil {
+		return Scenario{}, err
+	}
+	return pp.sc, nil
 }
 
 // runPoint builds one scenario, screens it analytically when enabled,
 // and simulates it otherwise — unless the trial cache already holds the
 // point's result, in which case the cached statistics are reused and
 // only the SLA verdicts are recomputed.
-func (e *Explorer) runPoint(ctx context.Context, p design.Point) (PointOutcome, error) {
+func (e *Explorer) runPoint(ctx context.Context, list *pointList, i int) (PointOutcome, error) {
 	started := time.Now()
-	sc, slas, err := e.Build(p)
+	p := list.points[i]
+	pp, err := e.build(list, i)
 	if err != nil {
-		return PointOutcome{}, fmt.Errorf("core: building point %s: %w", p.Key(), err)
+		return PointOutcome{}, err
 	}
+	sc, slas := pp.sc, pp.slas
 	if e.Screen != nil {
 		bounds, ok, err := AnalyticScreen(sc)
 		if err != nil {
@@ -431,7 +513,7 @@ func (e *Explorer) runPoint(ctx context.Context, p design.Point) (PointOutcome, 
 		fromCache bool
 	)
 	if e.Cache != nil {
-		key = CacheKey(sc, runner)
+		key = e.key(list, pp)
 		var hit *RunResult
 		var ok bool
 		if cc, hasCtx := e.Cache.(ContextTrialCache); hasCtx {

@@ -110,7 +110,7 @@ type AnalyticBounds struct {
 func AnalyticScreen(sc Scenario) (AnalyticBounds, bool, error) {
 	var pb AnalyticBounds
 	if sc.Power.Enabled {
-		activeW, err := power.NodeActiveWatts(hardware.DefaultCatalog(), sc.Cluster)
+		activeW, err := power.NodeActiveWatts(hardware.SharedCatalog(), sc.Cluster)
 		if err != nil {
 			return AnalyticBounds{}, false, fmt.Errorf("core: screening power floor: %w", err)
 		}

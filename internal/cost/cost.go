@@ -66,26 +66,6 @@ func (b Breakdown) String() string {
 		b.TotalUSD(), b.CapexUSD, b.EnergyUSD, b.ReplacementUSD, b.HorizonHours)
 }
 
-// nodeSpecs lists the per-node component specs of a cluster config.
-func nodeSpecs(cat *hardware.Catalog, cfg cluster.Config) ([]hardware.Spec, error) {
-	var specs []hardware.Spec
-	disk, err := cat.Get(cfg.DiskSpec)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < cfg.DisksPerNode; i++ {
-		specs = append(specs, disk)
-	}
-	for _, name := range []string{cfg.NICSpec, cfg.CPUSpec, cfg.MemSpec} {
-		sp, err := cat.Get(name)
-		if err != nil {
-			return nil, err
-		}
-		specs = append(specs, sp)
-	}
-	return specs, nil
-}
-
 // Estimate prices a cluster configuration over horizonHours. Expected
 // replacements use each component's mean time to failure: horizon/MTTF
 // failures per component in steady state (each swap costs labor plus the
@@ -100,13 +80,15 @@ func Estimate(cat *hardware.Catalog, cfg cluster.Config, book PriceBook, horizon
 	if err := cfg.Validate(); err != nil {
 		return Breakdown{}, err
 	}
-	perNode, err := nodeSpecs(cat, cfg)
-	if err != nil {
-		return Breakdown{}, err
-	}
-	swSpec, err := cat.Get(cfg.SwitchSpec)
-	if err != nil {
-		return Breakdown{}, err
+	// Looked up before anything is priced, in this order, so an unknown
+	// spec is reported the same whichever it is.
+	var specs [5]hardware.Spec // disk, NIC, CPU, memory, switch
+	for i, name := range [...]string{cfg.DiskSpec, cfg.NICSpec, cfg.CPUSpec, cfg.MemSpec, cfg.SwitchSpec} {
+		sp, err := cat.Get(name)
+		if err != nil {
+			return Breakdown{}, err
+		}
+		specs[i] = sp
 	}
 
 	nodes := float64(cfg.Racks * cfg.NodesPerRack)
@@ -123,11 +105,16 @@ func Estimate(cat *hardware.Catalog, cfg cluster.Config, book PriceBook, horizon
 			b.ReplacementUSD += expectedFailures * (sp.CostUSD + book.ReplacementLaborUSD)
 		}
 	}
-	for _, sp := range perNode {
+	// One term per component, disks first: the sums are floating point, and
+	// rendered tables depend on their last bit.
+	for i := 0; i < cfg.DisksPerNode; i++ {
+		addSpec(specs[0], nodes)
+	}
+	for _, sp := range specs[1:4] {
 		addSpec(sp, nodes)
 	}
 	// One ToR switch per rack plus one core switch.
-	addSpec(swSpec, float64(cfg.Racks)+1)
+	addSpec(specs[4], float64(cfg.Racks)+1)
 	return b, nil
 }
 

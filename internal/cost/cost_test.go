@@ -43,6 +43,58 @@ func TestEstimateBreakdown(t *testing.T) {
 	}
 }
 
+// TestEstimateSumsInComponentOrder: rendered tables show cost.total to
+// six digits and goldens hold its last bit, so Estimate must add one term
+// per component in the order it always has — each disk, NIC, CPU, memory,
+// then the switches — and needs no memory to do it.
+func TestEstimateSumsInComponentOrder(t *testing.T) {
+	cat, book, horizon := hardware.DefaultCatalog(), DefaultPriceBook(), 1234.5
+	c := cfg()
+	c.DisksPerNode = 7
+	got, err := Estimate(cat, c, book, horizon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Breakdown{HorizonHours: horizon}
+	add := func(name string, count float64) {
+		sp, err := cat.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.CapexUSD += sp.CostUSD * count
+		kwh := sp.PowerWatts / 1000 * horizon * book.PUE
+		want.EnergyKWh += kwh * count
+		want.EnergyUSD += kwh * book.USDPerKWh * count
+		want.ReplacementUSD += horizon / sp.TTF.Mean() * count * (sp.CostUSD + book.ReplacementLaborUSD)
+	}
+	nodes := float64(c.Racks * c.NodesPerRack)
+	for i := 0; i < c.DisksPerNode; i++ {
+		add(c.DiskSpec, nodes)
+	}
+	add(c.NICSpec, nodes)
+	add(c.CPUSpec, nodes)
+	add(c.MemSpec, nodes)
+	add(c.SwitchSpec, float64(c.Racks)+1)
+	if got != want {
+		t.Fatalf("Estimate = %+v\nwant      %+v", got, want)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { Estimate(cat, c, book, horizon) }); allocs != 0 {
+		t.Errorf("Estimate allocates %.0f times per call, want 0", allocs)
+	}
+	// An unknown spec is reported before anything is priced, whichever it is.
+	for _, breakIt := range []func(*cluster.Config){
+		func(c *cluster.Config) { c.DiskSpec = "nope" }, func(c *cluster.Config) { c.NICSpec = "nope" },
+		func(c *cluster.Config) { c.CPUSpec = "nope" }, func(c *cluster.Config) { c.MemSpec = "nope" },
+		func(c *cluster.Config) { c.SwitchSpec = "nope" },
+	} {
+		bad := cfg()
+		breakIt(&bad)
+		if b, err := Estimate(cat, bad, book, horizon); err == nil || b != (Breakdown{}) {
+			t.Errorf("Estimate(%+v) = %+v, %v; want an error and nothing priced", bad, b, err)
+		}
+	}
+}
+
 func TestSSDCostsMoreThanHDD(t *testing.T) {
 	cat := hardware.DefaultCatalog()
 	hdd := cfg()

@@ -11,6 +11,7 @@ package design
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -23,11 +24,11 @@ func FormatValue(v Value) string {
 	case string:
 		return x
 	case float64:
-		return fmt.Sprintf("%g", x)
+		return strconv.FormatFloat(x, 'g', -1, 64) // what %g prints
 	case int:
-		return fmt.Sprintf("%d", x)
+		return strconv.Itoa(x)
 	case bool:
-		return fmt.Sprintf("%t", x)
+		return strconv.FormatBool(x)
 	default:
 		return fmt.Sprintf("%v", x)
 	}
@@ -66,6 +67,9 @@ func (d Dimension) Validate() error {
 type Space struct {
 	dims  []Dimension
 	index map[string]int
+	// labels[i][j] is "name=value" for dimension i's j-th value, formatted
+	// once: a point's Key is made of them.
+	labels [][]string
 }
 
 // NewSpace validates and constructs a space.
@@ -82,6 +86,11 @@ func NewSpace(dims ...Dimension) (*Space, error) {
 			return nil, fmt.Errorf("design: duplicate dimension %q", d.Name)
 		}
 		s.index[d.Name] = i
+		labels := make([]string, len(d.Values))
+		for j, v := range d.Values {
+			labels[j] = d.Name + "=" + FormatValue(v)
+		}
+		s.labels = append(s.labels, labels)
 	}
 	return s, nil
 }
@@ -122,6 +131,17 @@ func (p Point) MustValue(name string) Value {
 	return v
 }
 
+// Len is the number of dimensions the point assigns.
+func (p Point) Len() int { return len(p.idx) }
+
+// At returns the i-th dimension's name and the point's value for it, in
+// the space's declaration order: the allocation-free, deterministically
+// ordered way to walk a point.
+func (p Point) At(i int) (string, Value) {
+	d := p.space.dims[i]
+	return d.Name, d.Values[p.idx[i]]
+}
+
 // Assignments returns the point as a name->value map.
 func (p Point) Assignments() map[string]Value {
 	out := make(map[string]Value, len(p.idx))
@@ -134,9 +154,9 @@ func (p Point) Assignments() map[string]Value {
 // Key returns a canonical string identity ("dim=value,..." sorted by
 // dimension name), used for result stores and deduplication.
 func (p Point) Key() string {
-	parts := make([]string, 0, len(p.idx))
-	for i, d := range p.space.dims {
-		parts = append(parts, d.Name+"="+FormatValue(d.Values[p.idx[i]]))
+	parts := make([]string, len(p.idx))
+	for i, j := range p.idx {
+		parts[i] = p.space.labels[i][j]
 	}
 	sort.Strings(parts)
 	return strings.Join(parts, ",")

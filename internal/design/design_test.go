@@ -1,6 +1,10 @@
 package design
 
 import (
+	"fmt"
+	"math"
+	"sort"
+	"strings"
 	"testing"
 )
 
@@ -94,6 +98,23 @@ func TestPointAccessors(t *testing.T) {
 	// Key is canonical and order-independent.
 	if p.Key() != "net=10g,placement=random,replicas=3" {
 		t.Errorf("key = %q", p.Key())
+	}
+	// At walks the dimensions in declaration order and agrees with the map;
+	// Key, made of labels formatted once per space, is still the sorted
+	// "name=value" list for every point.
+	for _, pt := range s.Points() {
+		var parts []string
+		for i := 0; i < pt.Len(); i++ {
+			name, v := pt.At(i)
+			if name != s.Dims()[i].Name || v != pt.Assignments()[name] {
+				t.Fatalf("At(%d) = %s, %v; assignments %v", i, name, v, pt.Assignments())
+			}
+			parts = append(parts, name+"="+FormatValue(v))
+		}
+		sort.Strings(parts)
+		if want := strings.Join(parts, ","); pt.Key() != want {
+			t.Fatalf("key = %q, want %q", pt.Key(), want)
+		}
 	}
 }
 
@@ -192,6 +213,18 @@ func TestFormatValue(t *testing.T) {
 	for _, c := range cases {
 		if got := FormatValue(c.v); got != c.want {
 			t.Errorf("FormatValue(%v) = %q, want %q", c.v, got, c.want)
+		}
+	}
+	// Formatted values are table cells, stream events and store keys: the
+	// strconv forms must print what the fmt verbs they replaced print.
+	for _, v := range []Value{0.0, 1e21, 1e-7, 123456789.0, 0.1 + 0.2, math.Inf(-1), math.NaN(),
+		-7, math.MaxInt64, false, int8(3), []int{1}, nil} {
+		want := fmt.Sprintf("%v", v)
+		if f, ok := v.(float64); ok {
+			want = fmt.Sprintf("%g", f)
+		}
+		if got := FormatValue(v); got != want {
+			t.Errorf("FormatValue(%#v) = %q, fmt prints %q", v, got, want)
 		}
 	}
 }

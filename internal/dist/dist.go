@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/rng"
@@ -53,6 +54,18 @@ func Must[D Dist](d D, err error) D {
 		panic(err)
 	}
 	return d
+}
+
+// spec renders a one- or two-parameter family's spec-grammar form,
+// head + a [+ mid + b] + ")", each value as %.6g prints it, in a single
+// allocation: String sits on the trial cache's key path.
+func spec(head string, a float64, mid string, b float64) string {
+	var buf [80]byte
+	s := strconv.AppendFloat(append(buf[:0], head...), a, 'g', 6, 64)
+	if mid != "" {
+		s = strconv.AppendFloat(append(s, mid...), b, 'g', 6, 64)
+	}
+	return string(append(s, ')'))
 }
 
 func checkPositive(pkg string, name string, v float64) error {
@@ -118,7 +131,7 @@ func (w Weibull) Quantile(p float64) float64 {
 }
 
 func (w Weibull) String() string {
-	return fmt.Sprintf("weibull(shape=%.6g, scale=%.6g)", w.Shape, w.Scale)
+	return spec("weibull(shape=", w.Shape, ", scale=", w.Scale)
 }
 
 // ---------------------------------------------------------------------------
@@ -185,7 +198,7 @@ func (l LogNormal) Quantile(p float64) float64 {
 }
 
 func (l LogNormal) String() string {
-	return fmt.Sprintf("lognormal(mu=%.6g, sigma=%.6g)", l.Mu, l.Sigma)
+	return spec("lognormal(mu=", l.Mu, ", sigma=", l.Sigma)
 }
 
 // ---------------------------------------------------------------------------
@@ -225,7 +238,7 @@ func (e Exponential) Quantile(p float64) float64 {
 }
 
 func (e Exponential) String() string {
-	return fmt.Sprintf("exp(mean=%.6g)", 1/e.Rate)
+	return spec("exp(mean=", 1/e.Rate, "", 0)
 }
 
 // ---------------------------------------------------------------------------
@@ -263,7 +276,7 @@ func (d Deterministic) Quantile(p float64) float64 {
 }
 
 func (d Deterministic) String() string {
-	return fmt.Sprintf("det(%.6g)", d.Value)
+	return spec("det(", d.Value, "", 0)
 }
 
 // ---------------------------------------------------------------------------
@@ -334,7 +347,7 @@ func (g Gamma) Quantile(p float64) float64 {
 }
 
 func (g Gamma) String() string {
-	return fmt.Sprintf("gamma(shape=%.6g, scale=%.6g)", g.Shape, g.Scale)
+	return spec("gamma(shape=", g.Shape, ", scale=", g.Scale)
 }
 
 // ---------------------------------------------------------------------------
@@ -391,7 +404,7 @@ func (p Pareto) Quantile(q float64) float64 {
 }
 
 func (p Pareto) String() string {
-	return fmt.Sprintf("pareto(xm=%.6g, alpha=%.6g)", p.Xm, p.Alpha)
+	return spec("pareto(xm=", p.Xm, ", alpha=", p.Alpha)
 }
 
 // ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@ package dist
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -185,4 +187,39 @@ func mustErr(t *testing.T, jsonSpec string) error {
 		t.Fatalf("expected error for %s", jsonSpec)
 	}
 	return err
+}
+
+// TestStringIsSprintf: the parametric families render through spec, one
+// allocation each, and cache keys hold their output — so it must be, bit
+// for bit, what the fmt.Sprintf("%.6g") forms it replaced print, for any
+// parameter a struct literal can hold.
+func TestStringIsSprintf(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	values := []float64{0, 1, -1, 0.7, 12000.0000001, 1e-7, 123456.5, 1234567, 1e21, 5e-324,
+		math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN(), math.Copysign(0, -1)}
+	for i := 0; i < 200; i++ {
+		values = append(values, math.Float64frombits(rng.Uint64()), rng.NormFloat64()*math.Pow(10, float64(rng.Intn(40)-20)))
+	}
+	for _, a := range values {
+		b := values[rng.Intn(len(values))]
+		for _, c := range []struct {
+			got  Dist
+			want string
+		}{
+			{Weibull{Shape: a, Scale: b}, fmt.Sprintf("weibull(shape=%.6g, scale=%.6g)", a, b)},
+			{LogNormal{Mu: a, Sigma: b}, fmt.Sprintf("lognormal(mu=%.6g, sigma=%.6g)", a, b)},
+			{Exponential{Rate: a}, fmt.Sprintf("exp(mean=%.6g)", 1/a)},
+			{Deterministic{Value: a}, fmt.Sprintf("det(%.6g)", a)},
+			{Gamma{Shape: a, Scale: b}, fmt.Sprintf("gamma(shape=%.6g, scale=%.6g)", a, b)},
+			{Pareto{Xm: a, Alpha: b}, fmt.Sprintf("pareto(xm=%.6g, alpha=%.6g)", a, b)},
+		} {
+			if got := c.got.String(); got != c.want {
+				t.Fatalf("%T String() = %q, Sprintf gives %q", c.got, got, c.want)
+			}
+		}
+	}
+	w := Must(NewWeibull(0.7, 12000))
+	if allocs := testing.AllocsPerRun(100, func() { _ = w.String() }); allocs > 1 {
+		t.Errorf("Weibull.String allocates %.0f times, want 1", allocs)
+	}
 }

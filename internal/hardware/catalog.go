@@ -3,6 +3,7 @@ package hardware
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/dist"
 )
@@ -11,7 +12,8 @@ import (
 // provisioning use case (§3: "should I invest in storage or memory?")
 // sweeps over.
 type Catalog struct {
-	specs map[string]Spec
+	specs  map[string]Spec
+	shared bool // SharedCatalog's: Add refuses, so any goroutine may read it
 }
 
 // NewCatalog returns an empty catalog.
@@ -21,6 +23,9 @@ func NewCatalog() *Catalog {
 
 // Add registers a spec, rejecting duplicates and invalid specs.
 func (c *Catalog) Add(sp Spec) error {
+	if c.shared {
+		return fmt.Errorf("hardware: the shared catalog is read-only; build one with DefaultCatalog to add %q", sp.Name)
+	}
 	if err := sp.Validate(); err != nil {
 		return err
 	}
@@ -83,6 +88,10 @@ func weibullFromAFRShape(afr, shape float64) dist.Dist {
 // observed vs. 0.88% datasheet, Schroeder & Gibson); repairs are LogNormal
 // with a multi-hour median. Prices and speeds are 2014-era list values —
 // the wind tunnel compares configurations, so only ratios matter.
+//
+// Every call builds a new catalog (eighteen specs, each with fitted
+// failure and repair distributions) that the caller owns and may Add to.
+// Code that only looks specs up uses SharedCatalog.
 func DefaultCatalog() *Catalog {
 	c := NewCatalog()
 	lnRepair := func(meanHours, cv float64) dist.Dist {
@@ -224,3 +233,14 @@ func DefaultCatalog() *Catalog {
 	}
 	return c
 }
+
+// SharedCatalog returns the process's one read-only DefaultCatalog, built
+// on first use. Its Add fails; Get, Names and OfKind are safe from any
+// goroutine.
+func SharedCatalog() *Catalog { return sharedCatalog() }
+
+var sharedCatalog = sync.OnceValue(func() *Catalog {
+	c := DefaultCatalog()
+	c.shared = true
+	return c
+})

@@ -2,6 +2,7 @@ package hardware
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/dist"
@@ -165,6 +166,35 @@ func TestDefaultCatalogComplete(t *testing.T) {
 		if err := sp.Validate(); err != nil {
 			t.Errorf("catalog spec %q invalid: %v", name, err)
 		}
+	}
+}
+
+// TestSharedCatalog: the shared catalog is the default menu, one instance
+// for the process, and refuses Add — which is what lets every goroutine
+// read it without a lock.
+func TestSharedCatalog(t *testing.T) {
+	shared, own := SharedCatalog(), DefaultCatalog()
+	if SharedCatalog() != shared {
+		t.Fatal("SharedCatalog built a second catalog")
+	}
+	if got, want := shared.Names(), own.Names(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("shared catalog lists %v, the default catalog %v", got, want)
+	}
+	for _, name := range own.Names() {
+		a, _ := shared.Get(name)
+		b, _ := own.Get(name)
+		if !reflect.DeepEqual(a, b) {
+			t.Errorf("spec %q differs between the shared and a fresh default catalog", name)
+		}
+	}
+	if err := shared.Add(testSpec()); err == nil {
+		t.Fatal("the shared catalog accepted a spec")
+	}
+	if _, err := shared.Get("test-disk"); err == nil {
+		t.Fatal("a refused Add still registered the spec")
+	}
+	if err := own.Add(testSpec()); err != nil {
+		t.Fatalf("DefaultCatalog must stay a mutable constructor: %v", err)
 	}
 }
 

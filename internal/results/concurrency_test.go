@@ -133,4 +133,17 @@ func TestFingerprintStable(t *testing.T) {
 	if got2 := Fingerprint(map[string]string{"k": "v"}); got2 != got {
 		t.Fatalf("fingerprint not deterministic: %s vs %s", got, got2)
 	}
+	// A literal taken from the commit before Fingerprint stopped copying
+	// each field into the hash (be31c54): the digest of a given map is
+	// what every persisted cache entry is filed under.
+	const pinned = "a91e630d207b257efa4fa5ecc51c896351925bfe1377c157887c4eda5660357d"
+	if got := Fingerprint(map[string]string{
+		"k": "v", "cluster.racks": "3", "node.ttf": "weibull(shape=0.7, scale=12000)",
+		"": "empty key", "empty value": "",
+	}); got != pinned {
+		t.Fatalf("fingerprint changed: %s, pinned %s", got, pinned)
+	}
+	if got, want := Fingerprint(nil), "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"; got != want {
+		t.Fatalf("fingerprint of no fields = %s, want SHA-256 of nothing %s", got, want)
+	}
 }

@@ -15,26 +15,28 @@ import (
 // same fingerprint iff they hold exactly the same key/value pairs.
 //
 // The trial cache (internal/service) keys completed trial statistics by
-// Fingerprint of the full (scenario, engine-knob) tuple, so the encoding
-// must never change silently: any change invalidates every persisted
-// cache entry. The hash is SHA-256, making cross-config collisions a
+// the Fingerprint of the full (scenario, engine-knob) tuple — core.CacheKey
+// writes this very encoding without building the map, and its tests hold
+// it to this function — so the encoding must never change silently: any
+// change invalidates every persisted cache entry. The hash is SHA-256, making cross-config collisions a
 // non-concern at any realistic archive size.
 func Fingerprint(kv map[string]string) string {
 	keys := make([]string, 0, len(kv))
-	for k := range kv {
+	size := 0
+	for k, v := range kv {
 		keys = append(keys, k)
+		size += 8 + len(k) + 8 + len(v)
 	}
 	sort.Strings(keys)
-	h := sha256.New()
-	var lenBuf [8]byte
-	writeField := func(s string) {
-		binary.LittleEndian.PutUint64(lenBuf[:], uint64(len(s)))
-		h.Write(lenBuf[:])
-		h.Write([]byte(s))
-	}
+	// One buffer, hashed once: appending a string copies it once, where
+	// handing it to a hash.Hash costs a []byte conversion per field first.
+	buf := make([]byte, 0, size)
 	for _, k := range keys {
-		writeField(k)
-		writeField(kv[k])
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(k)))
+		buf = append(buf, k...)
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(kv[k])))
+		buf = append(buf, kv[k]...)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	sum := sha256.Sum256(buf)
+	return hex.EncodeToString(sum[:])
 }

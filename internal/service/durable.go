@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -59,11 +60,7 @@ func (s *Server) submit(req QueryRequest, tr traceCtx) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	line, err := json.Marshal(JobEvent{Type: "job", ID: id})
-	if err != nil {
-		s.finish(id, err)
-		return "", err
-	}
+	line := jobLine(id)
 	s.mu.Lock()
 	j := s.jobs[id]
 	s.mu.Unlock()
@@ -189,6 +186,18 @@ func (s *Server) appendPoint(j *job, index int, key string, line []byte) {
 	}
 }
 
+// keepLine copies an encoded event out of its encoder's buffer, without
+// the newline: stream logs and journal records hold bare lines.
+func keepLine(encoded []byte) []byte {
+	return bytes.Clone(encoded[:len(encoded)-1])
+}
+
+// jobLine is the first line of job id's stream.
+func jobLine(id string) []byte {
+	var enc eventEncoder
+	return keepLine(enc.encodeJob(JobEvent{Type: "job", ID: id}))
+}
+
 // resumeState carries a recovered job's journaled committed prefix into
 // its resumed execution.
 type resumeState struct {
@@ -205,36 +214,30 @@ func (s *Server) runDetached(ctx context.Context, id string, req QueryRequest, r
 	if j == nil {
 		return
 	}
+	// Each event is encoded into the job's one encoder and copied out at
+	// its exact size: the copy is what the journal record, the stream log
+	// and every follower share. A point whose metrics cannot be encoded
+	// (NaN, ±Inf) is left out of the stream and the journal.
+	enc := encoders.Get().(*eventEncoder)
+	defer encoders.Put(enc)
 	emit := func(ev PointEvent, key string, out core.PointOutcome) {
-		line, err := json.Marshal(ev)
+		line, err := enc.encodePoint(&ev)
 		if err != nil {
 			return
 		}
-		s.appendPoint(j, ev.Index, key, line)
+		s.appendPoint(j, ev.Index, key, keepLine(line))
 	}
 	rs, err := s.executeDurable(ctx, id, req, res, emit)
 
 	info, _ := s.Job(id)
-	var line []byte
-	status := "done"
-	errMsg := ""
-	if err != nil {
-		line, _ = json.Marshal(ErrorEvent{Type: "error", Error: err.Error()})
-		status, errMsg = "failed", err.Error()
+	terminal, failure := enc.encodeTerminal(id, rs, info.Degraded, err)
+	line := keepLine(terminal)
+	status, errMsg := "done", ""
+	if failure != nil {
+		status, errMsg = "failed", failure.Error()
 		if info.State == JobCancelled {
 			status = "cancelled"
 		}
-	} else {
-		line, _ = json.Marshal(ResultEvent{
-			Type: "result", ID: id,
-			Columns:  rs.Columns,
-			Rows:     rowsOrEmpty(rs.Rows),
-			Executed: rs.Executed, Pruned: rs.Pruned, Screened: rs.Screened,
-			CacheHits: rs.CacheHits,
-			Settings:  rs.Settings,
-			Table:     rs.Render(),
-			Degraded:  info.Degraded,
-		})
 	}
 	if s.pointGate != nil {
 		s.pointGate(info.Done)
@@ -255,7 +258,7 @@ func (s *Server) executeDurable(ctx context.Context, id string, req QueryRequest
 		return nil, err
 	}
 	if len(q.Set) > 0 {
-		eng := s.engine(nil)
+		eng := s.engine()
 		if req.Trials > 0 {
 			eng.Trials = req.Trials
 		}
@@ -275,7 +278,7 @@ func (s *Server) executeDurable(ctx context.Context, id string, req QueryRequest
 		}
 	}
 
-	eng := s.engine(nil)
+	eng := s.engine()
 	if req.Trials > 0 {
 		eng.Trials = req.Trials
 	}
@@ -304,7 +307,7 @@ func (s *Server) executeDurable(ctx context.Context, id string, req QueryRequest
 		eng.Progress = func(done, total int, out core.PointOutcome) {
 			s.progress(id, done, total, out.FromCache)
 			s.tel.observePoint(trace, root, out)
-			emit(pointEvent(done, total, out), keys[out.Index], out)
+			emit(pointEvent(plan.Config(out.Index), done, total, out), keys[out.Index], out)
 		}
 		rs, err := plan.Run(ctx)
 		s.finish(id, err)
@@ -322,7 +325,7 @@ func (s *Server) executeDurable(ctx context.Context, id string, req QueryRequest
 			if done <= k {
 				return
 			}
-			emit(pointEvent(done, total, out), keys[out.Index], out)
+			emit(pointEvent(plan.Config(out.Index), done, total, out), keys[out.Index], out)
 		}
 		rs, err := plan.Run(ctx)
 		s.finish(id, err)
@@ -342,7 +345,7 @@ func (s *Server) executeDurable(ctx context.Context, id string, req QueryRequest
 				n := len(outcomes)
 				s.progress(id, n, total, out.FromCache)
 				s.tel.observePoint(trace, root, out)
-				emit(pointEvent(n, total, out), keys[out.Index], out)
+				emit(pointEvent(plan.Config(out.Index), n, total, out), keys[out.Index], out)
 			})
 			if err != nil {
 				s.finish(id, err)
@@ -416,12 +419,7 @@ func (s *Server) restoreJob(rec *RecoveredJob) bool {
 		cancel:  cancel,
 		durable: true,
 	}
-	jobLine, err := json.Marshal(JobEvent{Type: "job", ID: rec.ID})
-	if err != nil {
-		cancel()
-		return false
-	}
-	j.lines = append(j.lines, logLine{kind: 'j', data: jobLine})
+	j.lines = append(j.lines, logLine{kind: 'j', data: jobLine(rec.ID)})
 	for _, p := range rec.Points {
 		j.lines = append(j.lines, logLine{kind: 'p', data: p.Line})
 		j.points++

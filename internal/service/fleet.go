@@ -168,7 +168,7 @@ func (s *Server) executeFleet(ctx context.Context, id, query string, trials int,
 	// each worker does, so the cache keys it shards on are the keys the
 	// workers will compute; the resolved trial count is forwarded
 	// explicitly so a worker's own -trials default cannot skew them.
-	eng := s.engine(nil)
+	eng := s.engine()
 	if trials > 0 {
 		eng.Trials = trials
 	}
@@ -277,7 +277,7 @@ func (s *Server) runFleetPlan(ctx context.Context, id, query string, plan *wtql.
 		go func() {
 			err := plan.RunSubset(fctx, indices, func(out core.PointOutcome) {
 				s.tel.observePoint(trace, sh.span.ID(), out)
-				ev := pointEvent(0, 0, out)
+				ev := pointEvent(plan.Config(out.Index), 0, 0, out)
 				select {
 				case ch <- fleetMsg{shard: sh, ev: &ev}:
 				case <-fctx.Done():

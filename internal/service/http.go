@@ -10,7 +10,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/design"
 	"repro/internal/wtql"
 )
 
@@ -210,9 +209,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	emit := func(v any) {
-		enc.Encode(v)
+	// One Write and one Flush per event: progress is live, and an abort
+	// (or a chaos cut) lands between events, never inside one. A point
+	// whose metrics cannot be encoded (NaN, ±Inf) is left out of the
+	// stream, as encoding/json's Encoder left it out.
+	enc := encoders.Get().(*eventEncoder)
+	defer encoders.Put(enc)
+	emit := func(line []byte, err error) {
+		if err == nil {
+			w.Write(line)
+		}
 		if flusher != nil {
 			flusher.Flush()
 		}
@@ -224,41 +230,27 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusServiceUnavailable, ErrorEvent{Type: "error", Error: err.Error()})
 		return
 	}
-	emit(JobEvent{Type: "job", ID: id})
+	emit(enc.encodeJob(JobEvent{Type: "job", ID: id}), nil)
 
 	// The stream writes below all happen on this handler goroutine: the
 	// engine's Progress callback is invoked from the sweep's commit path,
-	// which runs inside ExecuteContext; the coordinator's merge loop
-	// likewise runs inside executeFleet.
+	// which runs inside execute; the coordinator's merge loop likewise
+	// runs inside executeFleet.
 	var (
 		rs      *wtql.ResultSet
 		handled bool
 	)
 	if s.fleet != nil {
 		rs, err, handled = s.executeFleet(jctx, id, req.Query, req.Trials, nil,
-			func(ev PointEvent, _ string, _ core.PointOutcome) { emit(ev) })
+			func(ev PointEvent, _ string, _ core.PointOutcome) { emit(enc.encodePoint(&ev)) })
 	}
 	if !handled {
 		rs, err = s.execute(jctx, id, req.Query, req.Trials, req.Points,
-			func(done, total int, out core.PointOutcome) {
-				emit(pointEvent(done, total, out))
-			})
-	}
-	if err != nil {
-		emit(ErrorEvent{Type: "error", Error: err.Error()})
-		return
+			func(ev PointEvent, _ core.PointOutcome) { emit(enc.encodePoint(&ev)) })
 	}
 	info, _ := s.Job(id)
-	emit(ResultEvent{
-		Type: "result", ID: id,
-		Columns:  rs.Columns,
-		Rows:     rowsOrEmpty(rs.Rows),
-		Executed: rs.Executed, Pruned: rs.Pruned, Screened: rs.Screened,
-		CacheHits: rs.CacheHits,
-		Settings:  rs.Settings,
-		Table:     rs.Render(),
-		Degraded:  info.Degraded,
-	})
+	line, _ := enc.encodeTerminal(id, rs, info.Degraded, err)
+	emit(line, nil)
 }
 
 // handleStream resumes (or re-follows) a durable job's NDJSON stream:
@@ -281,23 +273,26 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 }
 
 // streamJob follows a durable job, writing each line + newline and
-// flushing — the same bytes the inline path's json.Encoder produces.
+// flushing — the same bytes the inline path writes.
 func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, id string, from int) {
 	if from > 0 {
 		s.tel.streamResumes.Inc()
 	}
 	flusher, _ := w.(http.Flusher)
 	wrote := false
+	enc := encoders.Get().(*eventEncoder) // for its buffer: the line being written
+	defer encoders.Put(enc)
 	err := s.Follow(r.Context(), id, from, func(line []byte) error {
 		if !wrote {
 			w.Header().Set("Content-Type", "application/x-ndjson")
 			wrote = true
 		}
-		// One Write per event line (json.Encoder's behavior on the inline
-		// path): an abort between an event and its newline would strand a
-		// never-flushed partial line, and the chaos cut counter assumes
-		// one write == one delivered event.
-		if _, err := w.Write(append(line[:len(line):len(line)], '\n')); err != nil {
+		// One Write per event line, as on the inline path: an abort
+		// between an event and its newline would strand a never-flushed
+		// partial line, and the chaos cut counter assumes one write == one
+		// delivered event.
+		enc.buf = append(append(enc.buf[:0], line...), '\n')
+		if _, err := w.Write(enc.buf); err != nil {
 			return err
 		}
 		if flusher != nil {
@@ -313,18 +308,18 @@ func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, id string, fr
 	}
 }
 
-func pointEvent(done, total int, out core.PointOutcome) PointEvent {
+// pointEvent describes a committed point on the wire. config is the
+// point's formatted assignments — wtql.Plan.Config, the map its table row
+// shares.
+func pointEvent(config map[string]string, done, total int, out core.PointOutcome) PointEvent {
 	ev := PointEvent{
 		Type: "point", Done: done, Total: total,
 		Index:    out.Index,
-		Config:   map[string]string{},
+		Config:   config,
 		Pruned:   out.Pruned,
 		Screened: out.Screened,
 		Cached:   out.FromCache,
 		AllMet:   out.AllMet,
-	}
-	for name, v := range out.Point.Assignments() {
-		ev.Config[name] = design.FormatValue(v)
 	}
 	if out.Result != nil {
 		ev.Metrics = out.Result.Metrics
@@ -332,13 +327,6 @@ func pointEvent(done, total int, out core.PointOutcome) PointEvent {
 		ev.Events = out.Result.EventsTotal
 	}
 	return ev
-}
-
-func rowsOrEmpty(rows []wtql.Row) []wtql.Row {
-	if rows == nil {
-		return []wtql.Row{}
-	}
-	return rows
 }
 
 // maxQueryBody bounds a POST /v1/query body. Oversized bodies are

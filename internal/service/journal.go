@@ -229,43 +229,121 @@ func jobSeq(id string) (int, bool) {
 // batch is one hand-off from a job to its committer: the framed records
 // one write() will carry, the stream lines they guard and the
 // journal_append spans that end when they are durable. Batches are
-// recycled through batchPool, each with an encoder that frames straight
-// into it, so a queued record costs no allocation of its own.
+// recycled through batchPool and records are framed straight into them,
+// so a queued record costs no allocation of its own.
 type batch struct {
 	frames  []byte
 	records int
 	lines   []logLine
 	spans   []*obs.SpanHandle
-	enc     *json.Encoder // writes into frames
 }
 
-var batchPool = sync.Pool{New: func() any {
-	b := new(batch)
-	b.enc = json.NewEncoder(b)
-	return b
-}}
-
-// Write appends encoder output to the batch's frame buffer.
-func (b *batch) Write(p []byte) (int, error) {
-	b.frames = append(b.frames, p...)
-	return len(p), nil
-}
+var batchPool = sync.Pool{New: func() any { return new(batch) }}
 
 // frame appends rec as one v1 frame: header, then exactly the bytes
 // json.Marshal(rec) yields.
 func (b *batch) frame(rec *journalRecord) error {
 	start := len(b.frames)
-	b.frames = append(b.frames, 0, 0, 0, 0, 0, 0, 0, 0)
-	if err := b.enc.Encode(rec); err != nil {
-		b.frames = b.frames[:start]
+	frames, err := appendRecord(append(b.frames, 0, 0, 0, 0, 0, 0, 0, 0), rec)
+	if err != nil {
+		b.frames = frames[:start]
 		return err
 	}
-	b.frames = b.frames[:len(b.frames)-1] // Encode's newline is not payload
+	b.frames = frames
 	payload := b.frames[start+8:]
 	binary.LittleEndian.PutUint32(b.frames[start:], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(b.frames[start+4:], crc32.ChecksumIEEE(payload))
 	b.records++
 	return nil
+}
+
+// appendRecord appends rec's JSON: what json.Marshal(rec) yields, field
+// for field (TestJournalRecordEncoding holds it to that). A Line that is
+// not valid JSON is an error, as it is for json.RawMessage.
+func appendRecord(b []byte, rec *journalRecord) ([]byte, error) {
+	b = append(b, `{"kind":`...)
+	b = appendString(b, rec.Kind)
+	if rec.V != 0 {
+		b = append(b, `,"v":`...)
+		b = strconv.AppendInt(b, int64(rec.V), 10)
+	}
+	if rec.Job != "" {
+		b = append(b, `,"job":`...)
+		b = appendString(b, rec.Job)
+	}
+	if rec.Query != "" {
+		b = append(b, `,"query":`...)
+		b = appendString(b, rec.Query)
+	}
+	if rec.Trials != 0 {
+		b = append(b, `,"trials":`...)
+		b = strconv.AppendInt(b, int64(rec.Trials), 10)
+	}
+	if !rec.Created.IsZero() {
+		created, err := rec.Created.MarshalJSON()
+		if err != nil {
+			return b, err
+		}
+		b = append(b, `,"created":`...)
+		b = append(b, created...)
+	}
+	if rec.Index != 0 {
+		b = append(b, `,"index":`...)
+		b = strconv.AppendInt(b, int64(rec.Index), 10)
+	}
+	if rec.Key != "" {
+		b = append(b, `,"key":`...)
+		b = appendString(b, rec.Key)
+	}
+	if len(rec.Line) > 0 {
+		if !json.Valid(rec.Line) {
+			return b, fmt.Errorf("service: journal record line is not valid JSON")
+		}
+		b = append(b, `,"line":`...)
+		b = appendCompact(b, rec.Line)
+	}
+	if rec.Status != "" {
+		b = append(b, `,"status":`...)
+		b = appendString(b, rec.Status)
+	}
+	if rec.Error != "" {
+		b = append(b, `,"error":`...)
+		b = appendString(b, rec.Error)
+	}
+	return append(b, '}'), nil
+}
+
+// appendCompact appends valid JSON src the way encoding/json embeds a
+// RawMessage: insignificant whitespace dropped, and <, >, &, U+2028 and
+// U+2029 escaped. An event line from eventEncoder is already in that
+// form and passes through unchanged.
+func appendCompact(b, src []byte) []byte {
+	inString, escaped := false, false
+	start := 0
+	for i, c := range src {
+		switch {
+		case c == '<' || c == '>' || c == '&':
+			b = append(b, src[start:i]...)
+			b = append(b, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xF])
+			start = i + 1
+		case c == 0xE2 && i+2 < len(src) && src[i+1] == 0x80 && src[i+2]&^1 == 0xA8:
+			b = append(b, src[start:i]...)
+			b = append(b, '\\', 'u', '2', '0', '2', hexDigits[src[i+2]&0xF])
+			start = i + 3
+		case !inString && (c == ' ' || c == '\t' || c == '\n' || c == '\r'):
+			b = append(b, src[start:i]...)
+			start = i + 1
+		}
+		switch {
+		case escaped:
+			escaped = false
+		case inString && c == '\\':
+			escaped = true
+		case c == '"':
+			inString = !inString
+		}
+	}
+	return append(b, src[start:]...)
 }
 
 // reset empties the batch for reuse, dropping its references.
@@ -296,12 +374,11 @@ type JobJournal struct {
 	// open collects what is queued; spare is the other half of the double
 	// buffer, nil while the committer has it in flight.
 	open, spare *batch
-	queued      uint64        // entries ever queued
-	released    uint64        // entries whose batch the committer has finished with
-	durable     uint64        // entries up to here reached the disk
-	err         error         // non-nil once the journal stopped writing; lines still flow
-	rec         journalRecord // enqueue's framing scratch
-	closing     bool          // no more entries; the committer drains and exits
+	queued      uint64 // entries ever queued
+	released    uint64 // entries whose batch the committer has finished with
+	durable     uint64 // entries up to here reached the disk
+	err         error  // non-nil once the journal stopped writing; lines still flow
+	closing     bool   // no more entries; the committer drains and exits
 	exited      bool
 
 	// The file belongs to the committer while a batch is in flight, and
@@ -327,12 +404,9 @@ func (jj *JobJournal) enqueue(rec journalRecord, line logLine, span *obs.SpanHan
 	}
 	b := jj.open
 	if rec.Kind != "" && jj.err == nil {
-		// Framed from jj.rec so the encoder's interface argument points
-		// into the journal, not at a fresh heap copy per record. An
-		// unframeable record (a line that is not JSON) stops the journal
-		// here, keeping the prefix on disk contiguous.
-		jj.rec = rec
-		jj.err = b.frame(&jj.rec)
+		// An unframeable record (a line that is not JSON) stops the
+		// journal here, keeping the prefix on disk contiguous.
+		jj.err = b.frame(&rec)
 	}
 	if line.data != nil {
 		b.lines = append(b.lines, line)

@@ -1,0 +1,109 @@
+package service
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"testing"
+)
+
+// The two queries whose durable runs at the parent commit (be31c54) are
+// under testdata/parent_be31c54: job-1 finished; job-2 was killed with
+// two of its four points committed and a third already in the disk cache.
+const (
+	parentFinished = `SIMULATE availability
+VARY cluster.nodes IN (5, 6), storage.replication IN (2, 3)
+WITH users = 20, object_mb = 10, trials = 2, horizon_hours = 200, node.ttf = 'exp(mean=500)'
+WHERE sla.availability >= 0.2`
+	parentCrashed = `SIMULATE availability
+VARY cluster.nodes IN (5, 6), storage.replication IN (2, 3)
+WITH users = 20, object_mb = 10, trials = 2, horizon_hours = 200, node.ttf = 'exp(mean=500)', seed = 9
+WHERE sla.availability >= 0.2 ORDER BY cost.total ASC`
+)
+
+// copyTree copies the regular files of src (one level of directories is
+// all the fixtures have) into dst.
+func copyTree(t *testing.T, src, dst string) {
+	t.Helper()
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestServesParentWrittenState: a daemon started over a journal directory
+// and a disk cache written by the parent commit carries on as the parent
+// would have. Every cache file is named by a CacheKey digest and every
+// journal record holds one, so this is the end-to-end form of "the key
+// did not change": the finished job replays the bytes the parent
+// streamed, the killed job resumes from its journaled prefix, finds its
+// third point in the parent's cache, simulates only the fourth and
+// renders the table an uninterrupted parent run rendered, and a repeat of
+// the finished query is served from the parent's cache files alone.
+func TestServesParentWrittenState(t *testing.T) {
+	noLeakedCommitters(t)
+	fixture := filepath.Join("testdata", "parent_be31c54")
+	journalDir, cacheDir := t.TempDir(), t.TempDir()
+	copyTree(t, filepath.Join(fixture, "journal"), journalDir)
+	copyTree(t, filepath.Join(fixture, "cache"), cacheDir)
+
+	srv, err := New(Config{PoolSize: 1, JournalDir: journalDir, CacheDir: cacheDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	resumed, warns, err := srv.Recover()
+	if err != nil || resumed != 1 {
+		t.Fatalf("Recover resumed %d jobs (%v, warnings %v), want job-2 alone", resumed, err, warns)
+	}
+
+	if info, ok := srv.Job("job-2"); !ok || info.Query != parentCrashed || !info.Resumed {
+		t.Fatalf("job-2 came back as %+v", info)
+	}
+
+	wantStream, err := os.ReadFile(filepath.Join(fixture, "job-1.stream"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	replay := append(bytes.Join(collectJob(t, srv, "job-1", 0), []byte("\n")), '\n')
+	if !bytes.Equal(replay, wantStream) {
+		t.Fatalf("job-1 replays differently from what the parent streamed:\n got %s\nwant %s", replay, wantStream)
+	}
+
+	wantTable, err := os.ReadFile(filepath.Join(fixture, "job-2.table"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := collectJob(t, srv, "job-2", 0)
+	if got := tableOf(t, lines); got != string(wantTable) {
+		t.Fatalf("resumed job-2 renders\n%s\nthe parent's uninterrupted run rendered\n%s", got, wantTable)
+	}
+	if len(lines) != 6 {
+		t.Fatalf("job-2 streamed %d lines, want job + 4 points + result", len(lines))
+	}
+	st := srv.Cache().Stats()
+	if st.DiskHits != 1 || st.Misses != 1 {
+		t.Fatalf("resuming job-2: %d disk hits and %d misses, want the parent's cached third point hit and only the fourth simulated", st.DiskHits, st.Misses)
+	}
+
+	id, err := srv.Submit(QueryRequest{Query: parentFinished})
+	if err != nil {
+		t.Fatal(err)
+	}
+	repeat := collectJob(t, srv, id, 0)
+	if got, want := tableOf(t, repeat), tableOf(t, bytes.Split(bytes.TrimSuffix(wantStream, []byte("\n")), []byte("\n"))); got != want {
+		t.Fatalf("repeat of the parent's finished query renders\n%s\nwant\n%s", got, want)
+	}
+	if st := srv.Cache().Stats(); st.DiskHits != 5 || st.Misses != 1 {
+		t.Fatalf("repeating the finished query: %d disk hits and %d misses in total, want all four points read from the parent's files", st.DiskHits, st.Misses)
+	}
+}

@@ -562,7 +562,7 @@ func (s *Server) Jobs() []JobInfo {
 // engine builds a fresh WTQL engine wired to the shared pool, cache and
 // archive. Each query gets its own engine (SET statements are
 // per-request), but all engines share the server-wide resources.
-func (s *Server) engine(progress func(done, total int, out core.PointOutcome)) *wtql.Engine {
+func (s *Server) engine() *wtql.Engine {
 	return &wtql.Engine{
 		Trials: s.cfg.Trials,
 		// One gate slot ~ one simulating design point: within a point,
@@ -573,30 +573,48 @@ func (s *Server) engine(progress func(done, total int, out core.PointOutcome)) *
 		Store:        s.store,
 		Cache:        s.cache,
 		Gate:         s.pool,
-		Progress:     progress,
 	}
 }
 
-// execute runs an admitted job's query to completion and records its
-// terminal state. points, when non-nil, restricts execution to those
-// global design-point indices — the sharded-fleet worker path.
+// execute runs an admitted job's query to completion on this server's
+// own engine and records its terminal state. points, when non-nil,
+// restricts execution to those global design-point indices — the
+// sharded-fleet worker path. onEvent, when non-nil, receives each
+// committed point as the event the stream carries for it.
 func (s *Server) execute(ctx context.Context, id, query string, trials int, points []int,
-	onPoint func(done, total int, out core.PointOutcome)) (*wtql.ResultSet, error) {
-	trace, root := s.jobTrace(id)
-	eng := s.engine(func(done, total int, out core.PointOutcome) {
-		s.progress(id, done, total, out.FromCache)
-		s.tel.observePoint(trace, root, out)
-		if onPoint != nil {
-			onPoint(done, total, out)
-		}
-	})
+	onEvent func(ev PointEvent, out core.PointOutcome)) (*wtql.ResultSet, error) {
+	rs, err := s.runLocal(ctx, id, query, trials, points, onEvent)
+	s.finish(id, err)
+	return rs, err
+}
+
+func (s *Server) runLocal(ctx context.Context, id, query string, trials int, points []int,
+	onEvent func(ev PointEvent, out core.PointOutcome)) (*wtql.ResultSet, error) {
+	q, err := wtql.Parse(query)
+	if err != nil {
+		return nil, err
+	}
+	eng := s.engine()
 	if trials > 0 {
 		eng.Trials = trials
 	}
+	if len(q.Set) > 0 {
+		return eng.RunContext(ctx, q)
+	}
+	plan, err := eng.Plan(q)
+	if err != nil {
+		return nil, err
+	}
+	trace, root := s.jobTrace(id)
 	eng.Subset = points
-	rs, err := eng.ExecuteContext(ctx, query)
-	s.finish(id, err)
-	return rs, err
+	eng.Progress = func(done, total int, out core.PointOutcome) {
+		s.progress(id, done, total, out.FromCache)
+		s.tel.observePoint(trace, root, out)
+		if onEvent != nil {
+			onEvent(pointEvent(plan.Config(out.Index), done, total, out), out)
+		}
+	}
+	return plan.Run(ctx)
 }
 
 // RunQuery executes one WTQL query as a registered job, invoking onPoint
@@ -621,6 +639,10 @@ func (s *Server) RunQuery(ctx context.Context, query string, trials int,
 			return id, rs, err
 		}
 	}
-	rs, err := s.execute(jctx, id, query, trials, nil, onPoint)
+	var onEvent func(ev PointEvent, out core.PointOutcome)
+	if onPoint != nil {
+		onEvent = func(ev PointEvent, out core.PointOutcome) { onPoint(ev.Done, ev.Total, out) }
+	}
+	rs, err := s.execute(jctx, id, query, trials, nil, onEvent)
 	return id, rs, err
 }

@@ -3,6 +3,7 @@ package storage
 import (
 	"fmt"
 	"slices"
+	"strconv"
 
 	"repro/internal/rng"
 )
@@ -89,11 +90,15 @@ func (s Scheme) MinRecoverable() int {
 	return s.K
 }
 
-func (s Scheme) String() string {
+func (s Scheme) String() string { return string(s.Append(nil)) }
+
+// Append appends the String form ("rep-3", "rs-6-3") to dst.
+func (s Scheme) Append(dst []byte) []byte {
 	if s.Kind == Replication {
-		return fmt.Sprintf("rep-%d", s.Replicas)
+		return strconv.AppendInt(append(dst, "rep-"...), int64(s.Replicas), 10)
 	}
-	return fmt.Sprintf("rs-%d-%d", s.K, s.M)
+	dst = strconv.AppendInt(append(dst, "rs-"...), int64(s.K), 10)
+	return strconv.AppendInt(append(dst, '-'), int64(s.M), 10)
 }
 
 // Object is one customer's data item.

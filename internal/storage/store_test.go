@@ -155,6 +155,14 @@ func TestSchemeSemantics(t *testing.T) {
 	if RSScheme(0, 2).Validate() == nil {
 		t.Error("rs k=0 accepted")
 	}
+	// The String form is a cache-key field; Append writes it in place.
+	for s, want := range map[Scheme]string{
+		rep3: "rep-3", rs: "rs-10-4", ReplicationScheme(-1): "rep--1", RSScheme(0, 12): "rs-0-12",
+	} {
+		if got := string(s.Append([]byte("scheme="))); got != "scheme="+want || s.String() != want {
+			t.Errorf("Append/String = %q/%q, want %q", got, s.String(), want)
+		}
+	}
 }
 
 func TestStoreQuorumAvailability(t *testing.T) {

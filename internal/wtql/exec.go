@@ -6,6 +6,7 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/cost"
@@ -320,7 +321,7 @@ func setSpec(dst *string, v any, name string) error {
 	if !ok {
 		return fmt.Errorf("wtql: %s wants a spec name string, got %v", name, v)
 	}
-	if _, err := hardware.DefaultCatalog().Get(s); err != nil {
+	if _, err := hardware.SharedCatalog().Get(s); err != nil {
 		return fmt.Errorf("wtql: %s: %w", name, err)
 	}
 	*dst = s
@@ -572,11 +573,7 @@ func (e *Engine) RunContext(ctx context.Context, q *Query) (*ResultSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	exploration, err := plan.newExplorer().RunContext(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return plan.Assemble(exploration.Outcomes)
+	return plan.Run(ctx)
 }
 
 // Plan is a SIMULATE query after semantic analysis: the design space,
@@ -591,13 +588,23 @@ type Plan struct {
 	Query *Query
 	Space *design.Space
 
-	eng     *Engine
-	base    core.Scenario
-	runner  core.Runner
-	slas    []sla.SLA
-	screen  *core.ScreenRule
-	prune   bool
-	workers int
+	eng    *Engine
+	base   core.Scenario
+	runner core.Runner
+	slas   []sla.SLA
+	prune  bool
+
+	// ex runs the plan, bound to the engine's Cache and Gate as they were
+	// at Plan time. Every PointKeys, Run and RunSubset goes through it, so
+	// they share one prepared point list: each point's scenario is built
+	// and its key hashed once per plan however many of them are called.
+	ex *core.Explorer
+
+	// configs holds each point's formatted assignments in point order,
+	// made on first use and read-only after: a point's stream event and
+	// its table row share the one map.
+	configsOnce sync.Once
+	configs     []map[string]string
 }
 
 // Trials is the resolved per-point trial count after the WITH overlay.
@@ -619,7 +626,29 @@ func (p *Plan) Points() []design.Point { return p.Space.Points() }
 
 // PointKeys returns each point's content address (core.CacheKey) in
 // point order — the fleet's shard key.
-func (p *Plan) PointKeys() ([]string, error) { return p.newExplorer().PointKeys() }
+func (p *Plan) PointKeys() ([]string, error) { return p.ex.PointKeys() }
+
+// Config returns the formatted assignments ("storage.replication" ->
+// "3") of the point at index in point order, or nil when index is out of
+// range. The map is shared by every caller and must not be modified.
+func (p *Plan) Config(index int) map[string]string {
+	p.configsOnce.Do(func() {
+		points := p.Space.Points()
+		p.configs = make([]map[string]string, len(points))
+		for i, pt := range points {
+			cfg := make(map[string]string, pt.Len())
+			for d := 0; d < pt.Len(); d++ {
+				name, v := pt.At(d)
+				cfg[name] = design.FormatValue(v)
+			}
+			p.configs[i] = cfg
+		}
+	})
+	if index < 0 || index >= len(p.configs) {
+		return nil
+	}
+	return p.configs[index]
+}
 
 // RunSubset executes only the given global point indices (strictly
 // ascending) on this plan's engine resources, invoking onOutcome per
@@ -629,13 +658,11 @@ func (p *Plan) PointKeys() ([]string, error) { return p.newExplorer().PointKeys(
 // it, the remaining indices run on the coordinator's own engine and
 // merge into the same table, byte for byte.
 func (p *Plan) RunSubset(ctx context.Context, subset []int, onOutcome func(out core.PointOutcome)) error {
-	ex := p.newExplorer()
-	ex.Subset = subset
-	ex.Progress = nil
+	var progress func(done, total int, out core.PointOutcome)
 	if onOutcome != nil {
-		ex.Progress = func(done, total int, out core.PointOutcome) { onOutcome(out) }
+		progress = func(done, total int, out core.PointOutcome) { onOutcome(out) }
 	}
-	_, err := ex.RunContext(ctx)
+	_, err := p.ex.RunPoints(ctx, subset, progress)
 	return err
 }
 
@@ -643,37 +670,25 @@ func (p *Plan) RunSubset(ctx context.Context, subset []int, onOutcome func(out c
 // and assembles the result set — the tail of Engine.RunContext, exposed
 // so a caller that needed the plan first (for PointKeys, say, or to
 // re-hydrate a journaled job from its recorded query text) does not
-// plan twice. The engine's Progress callback may be (re)assigned any
-// time before Run; it is read here, not at Plan time.
+// plan twice. The engine's Progress callback and Subset may be
+// (re)assigned any time before Run; they are read here, not at Plan time.
 func (p *Plan) Run(ctx context.Context) (*ResultSet, error) {
-	exploration, err := p.newExplorer().RunContext(ctx)
+	exploration, err := p.ex.RunPoints(ctx, p.eng.Subset, p.eng.Progress)
 	if err != nil {
 		return nil, err
 	}
 	return p.Assemble(exploration.Outcomes)
 }
 
-// newExplorer wires the plan to the engine's shared resources.
-func (p *Plan) newExplorer() *core.Explorer {
-	return &core.Explorer{
-		Space:    p.Space,
-		Build:    p.build,
-		Runner:   p.runner,
-		Prune:    p.prune,
-		Screen:   p.screen,
-		Workers:  p.workers,
-		Cache:    p.eng.Cache,
-		Gate:     p.eng.Gate,
-		Progress: p.eng.Progress,
-		Subset:   p.eng.Subset,
-	}
-}
-
 // build maps a design point to a runnable scenario plus the lifted SLAs.
 func (p *Plan) build(pt design.Point) (core.Scenario, []sla.SLA, error) {
 	sc := p.base
 	sc.Name = pt.Key()
-	for name, v := range pt.Assignments() {
+	// In the VARY clause's order, so two dimensions that set the same
+	// field (cluster.nodes and cluster.racks, say) resolve the same way
+	// for every point, every time.
+	for i := 0; i < pt.Len(); i++ {
+		name, v := pt.At(i)
 		if err := paramAppliers[name](&sc, any(v)); err != nil {
 			return core.Scenario{}, nil, err
 		}
@@ -813,9 +828,17 @@ func (e *Engine) Plan(q *Query) (*Plan, error) {
 			Trials: trials, TargetCI: targetCI, Workers: e.TrialWorkers,
 			CRN: crn, Antithetic: antithetic, FailureBias: failureBias,
 		},
-		slas:    slas,
-		prune:   prune,
-		workers: workers,
+		slas:  slas,
+		prune: prune,
+	}
+	plan.ex = &core.Explorer{
+		Space:   space,
+		Build:   plan.build,
+		Runner:  plan.runner,
+		Prune:   prune,
+		Workers: workers,
+		Cache:   e.Cache,
+		Gate:    e.Gate,
 	}
 	// Screening is sound for this query only when the WHERE filter is
 	// exactly the conjunction the screen can decide — availability
@@ -827,7 +850,7 @@ func (e *Engine) Plan(q *Query) (*Plan, error) {
 		if !screenMarginSet {
 			margin = core.DefaultScreenMargin
 		}
-		plan.screen = &core.ScreenRule{Margin: margin}
+		plan.ex.Screen = &core.ScreenRule{Margin: margin}
 	}
 	return plan, nil
 }
@@ -858,20 +881,23 @@ func (p *Plan) Assemble(outcomes []core.PointOutcome) (*ResultSet, error) {
 			}
 		}
 	}
+	cat := hardware.SharedCatalog()
 	for _, out := range outcomes {
+		config := p.Config(out.Index)
+		if config == nil {
+			return nil, fmt.Errorf("wtql: outcome index %d is outside the plan's %d points", out.Index, p.NumPoints())
+		}
 		row := Row{
-			Config:   map[string]string{},
-			Metrics:  map[string]float64{},
+			Config:   config,
 			Pruned:   out.Pruned,
 			Screened: out.Screened,
 		}
-		for name, v := range out.Point.Assignments() {
-			row.Config[name] = design.FormatValue(v)
-		}
 		if out.Pruned {
+			row.Metrics = map[string]float64{}
 			rs.Rows = append(rs.Rows, row)
 			continue
 		}
+		row.Metrics = make(map[string]float64, len(out.Result.Metrics)+5)
 		for k, v := range out.Result.Metrics {
 			row.Metrics[k] = v
 		}
@@ -879,13 +905,11 @@ func (p *Plan) Assemble(outcomes []core.PointOutcome) (*ResultSet, error) {
 		// except energy: with the power subsystem enabled, the simulated
 		// facility kWh replaces the nameplate estimate, making cost.total
 		// (and the $/9-of-availability frontier) energy-aware.
-		sc := base
-		for name, v := range out.Point.Assignments() {
-			if err := paramAppliers[name](&sc, any(v)); err != nil {
-				return nil, err
-			}
+		sc, err := p.ex.Scenario(out.Index)
+		if err != nil {
+			return nil, err
 		}
-		breakdown, err := cost.EstimateWithPower(hardware.DefaultCatalog(), sc.Cluster, sc.Power, book, sc.HorizonHours)
+		breakdown, err := cost.EstimateWithPower(cat, sc.Cluster, sc.Power, book, sc.HorizonHours)
 		if err != nil {
 			return nil, err
 		}

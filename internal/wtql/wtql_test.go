@@ -486,8 +486,8 @@ func TestPlanHonoursEngineWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if plan.workers != want {
-			t.Errorf("%s: plan runs %d point workers, want %d", src, plan.workers, want)
+		if plan.ex.Workers != want {
+			t.Errorf("%s: plan runs %d point workers, want %d", src, plan.ex.Workers, want)
 		}
 	}
 }
