@@ -53,8 +53,11 @@
 // journal on restart, resurrects incomplete jobs under their original
 // ids, and resumes only the undelivered points; clients reconnect with
 // GET /v1/jobs/{id}/stream?from=N and see the committed prefix replayed
-// byte-identically. -journal "" disables all of this: queries stream
-// inline and die with their client connection.
+// byte-identically. -journal "" turns crash durability off and nothing
+// else: a job then dies with the client connection that submitted it and
+// is forgotten when the process exits, but it runs through the same
+// pipeline, streams the same bytes, and its stream can still be followed
+// again (GET /v1/jobs/{id}/stream?from=N) while the daemon retains it.
 //
 // Fleet mode: a set of workers plus one coordinator form a sharded wind
 // tunnel. Every member gets the same -peers list (the worker URLs);
@@ -116,7 +119,7 @@ func main() {
 	streamIdle := flag.Duration("stream-idle", 0, "coordinator per-stream idle deadline before failover (0 = 2m)")
 	shardRetries := flag.Int("shard-retries", 0, "max workers a shard fails over across before coordinator-local execution (0 = 3)")
 	chaos := flag.String("chaos", "", "fault injection spec, e.g. seed=7,err=0.05,delay=0.1,delay-max=200ms,drop=0.05,reset=0.05,cut=3")
-	journal := flag.String("journal", "auto", `job journal directory for crash recovery ("auto" = wtjournal-<addr>; empty disables journaling)`)
+	journal := flag.String("journal", "auto", `job journal directory for crash recovery ("auto" = wtjournal-<addr>; empty = no journal: jobs are not crash-durable)`)
 	storeInterval := flag.Duration("store-interval", time.Minute, "checkpoint the -store archive this often (0 = only on shutdown)")
 	telemetry := flag.Bool("telemetry", true, "metrics registry + /metrics exposition + distributed tracing")
 	pprofAddr := flag.String("pprof", "", "mount net/http/pprof (and /metrics, /v1/stats) on this separate address (empty = off)")

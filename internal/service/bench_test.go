@@ -142,7 +142,7 @@ func BenchmarkJournalAppend(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for r := 1; r < records; r++ {
-					jj.queuePoint(index, key, line, nil)
+					jj.enqueue(pointRecord(index, key, line), logLine{'p', line}, nil)
 					index++
 				}
 				if err := jj.Point(index, key, line); err != nil {

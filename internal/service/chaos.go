@@ -191,7 +191,9 @@ func streamingPath(r *http.Request) bool {
 // chaosWriter truncates a response body after a configured number of
 // writes: a drop panics with errChaosDrop (recovered by Wrap, so the
 // chunked body ends cleanly mid-stream), a reset panics with
-// http.ErrAbortHandler (net/http aborts the connection).
+// http.ErrAbortHandler (net/http aborts the connection). What it let
+// through is flushed first, so "after N writes" means the client received
+// exactly N of them however the handler batches its own flushes.
 type chaosWriter struct {
 	http.ResponseWriter
 	writes int
@@ -201,6 +203,7 @@ type chaosWriter struct {
 
 func (c *chaosWriter) Write(p []byte) (int, error) {
 	if c.writes >= c.after {
+		c.Flush()
 		if c.reset {
 			panic(http.ErrAbortHandler)
 		}

@@ -9,61 +9,53 @@ import (
 	"strconv"
 
 	"repro/internal/core"
-	"repro/internal/design"
 	"repro/internal/obs"
 	"repro/internal/wtql"
 )
 
-// This file is the durable job layer: journaled jobs run detached from
-// their client connections, their event streams are kept in memory (and
-// on disk, in the write-ahead journal) for byte-identical replay, and a
-// restarted daemon resurrects incomplete jobs and resumes only their
-// undelivered points.
+// This file is the job pipeline. Every query — a client's, a fleet shard
+// on a worker, a coordinator's merge, a job resurrected from the journal
+// — is admitted by submit (or restoreJob), executed by run on the job's
+// own goroutine, and written line by line to the job's log through
+// commit; every reader of a job, the submitting HTTP client included,
+// follows that log.
 //
-// A journaled job never waits for the disk. submit, appendPoint and
-// runDetached queue each stream line behind its journal record and carry
-// on; the job's committer (journal.go) fsyncs whatever has accumulated
-// as one batch and only then appends the batch's lines, in order, to the
-// in-memory log that followers read — so the job computes its next
-// points while the previous ones sync.
-//
-// The write-ahead discipline is unchanged by the batching: a line's
-// journal record is fsync'd *before* the line becomes visible to any
-// stream follower. A client that has seen N point events can therefore
+// A job never waits for the disk. When a journal backs the log, commit
+// queues each line behind its journal record and carries on; the job's
+// committer (journal.go) fsyncs whatever has accumulated as one batch and
+// only then appends the batch's lines, in order, to the log. That is the
+// write-ahead discipline: a client that has seen N point events can
 // always resume with from=N after a crash — the daemon cannot have
 // forgotten an event it delivered. If the journal breaks mid-job (disk
-// full, file gone) the same committer keeps releasing lines in order,
+// full, file gone) the committer keeps releasing lines in order,
 // non-durably: the job finishes normally and recovery sees a clean
-// prefix.
+// prefix. Without a journal a line is visible the moment it is committed,
+// and lost with the process.
 
-var (
-	// ErrUnknownJob reports a Follow on an id the registry does not hold.
-	ErrUnknownJob = errors.New("service: no such job")
-	// ErrNoStream reports a Follow on a job that ran inline (journaling
-	// disabled or a fleet shard) and so kept no replayable stream.
-	ErrNoStream = errors.New("service: job has no recorded stream")
-)
+// ErrUnknownJob reports a Follow on an id the registry does not hold (or
+// no longer holds).
+var ErrUnknownJob = errors.New("service: no such job")
 
-// Submit admits a query as a detached durable job: it is journaled
-// (when the journal is enabled and this is not a fleet-shard request),
-// starts executing immediately on its own goroutine, and survives any
-// client disconnect. The returned id can be streamed — repeatedly,
-// concurrently, resumably — via Follow.
+// Submit admits a query as a job: it starts executing immediately on its
+// own goroutine, independent of any connection, journaled when the
+// journal is enabled and this is not a fleet-shard request. The returned
+// id can be streamed — repeatedly, concurrently, resumably — via Follow.
 func (s *Server) Submit(req QueryRequest) (string, error) {
-	return s.submit(req, traceCtx{})
+	j, err := s.submit(req, traceCtx{})
+	if err != nil {
+		return "", err
+	}
+	return j.info.ID, nil
 }
 
 // submit is Submit plus the trace position a remote coordinator
 // propagated (zero for client-originated jobs).
-func (s *Server) submit(req QueryRequest, tr traceCtx) (string, error) {
-	id, jctx, err := s.newJob(context.Background(), req.Query, true, tr)
+func (s *Server) submit(req QueryRequest, tr traceCtx) (*job, error) {
+	j, ctx, err := s.newJob(req.Query, tr)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	line := jobLine(id)
-	s.mu.Lock()
-	j := s.jobs[id]
-	s.mu.Unlock()
+	id := j.info.ID // immutable once registered
 	if s.journal != nil && req.Points == nil {
 		if jj, jerr := s.journal.Begin(id, req.Query, req.Trials, j.info.Created); jerr == nil {
 			s.attachJournal(j, jj)
@@ -73,165 +65,111 @@ func (s *Server) submit(req QueryRequest, tr traceCtx) (string, error) {
 	}
 	// The job line rides behind the begin record: the id is not announced
 	// before the journal can resurrect it.
-	if _, ok := j.jj.queueLine('j', line); !ok {
-		s.appendLine(j, logLine{'j', line})
-	}
-	go s.runDetached(jctx, id, req, nil)
-	return id, nil
+	s.commit(j, journalRecord{}, logLine{'j', jobLine(id)}, nil)
+	go s.run(ctx, j, req, nil)
+	return j, nil
 }
 
 // attachJournal makes jj the job's journal: every line queued on it is
-// appended to the job's stream log once its batch is durable.
+// appended to the job's log once its batch is durable.
 func (s *Server) attachJournal(j *job, jj *JobJournal) {
-	jj.releaseTo(func(lines []logLine) { s.appendLine(j, lines...) })
+	jj.releaseTo(func(lines []logLine) { j.log.append(lines...) })
 	s.mu.Lock()
 	j.jj = jj
 	s.mu.Unlock()
 }
 
-// Follow streams a durable job's NDJSON lines to emit: the committed
-// prefix is replayed byte-identically (skipping the first `from` point
-// events — the client's resume cursor), then the live tail until the
-// terminal line. It returns nil once the terminal line has been
-// delivered, emit's error if emit fails, or ctx.Err on cancellation.
-func (s *Server) Follow(ctx context.Context, id string, from int, emit func(line []byte) error) error {
-	if from < 0 {
-		from = 0
+// commit adds one line to a job's stream: queued behind rec on the job's
+// journal, to become visible once rec is durable, or appended to the log
+// directly when no (open) journal backs it. span, when non-nil, ends with
+// the fsync that covers rec.
+func (s *Server) commit(j *job, rec journalRecord, line logLine, span *obs.SpanHandle) {
+	if _, ok := j.jj.enqueue(rec, line, span); !ok {
+		j.log.append(line)
 	}
-	// Wake the cond wait below when the follower's context dies; the
-	// empty critical section orders the broadcast after Wait's re-lock.
-	stop := context.AfterFunc(ctx, func() {
-		s.mu.Lock()
-		//lint:ignore SA2001 pairing the broadcast with the waiters' lock
-		s.mu.Unlock()
-		s.cond.Broadcast()
-	})
-	defer stop()
+}
 
+// followable returns the job whose stream id names, or nil: unknown,
+// evicted, or abandoned by the only client that could have wanted it.
+func (s *Server) followable(id string) *job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	if !ok {
+	if j, ok := s.jobs[id]; ok && !j.abandoned {
+		return j
+	}
+	return nil
+}
+
+// Follow streams a job's NDJSON lines (without their newlines) to emit:
+// the committed prefix is replayed byte-identically (skipping the first
+// `from` point events — the client's resume cursor), then the live tail
+// until the terminal line. It returns nil once the terminal line has been
+// delivered, emit's error if emit fails, or ctx.Err on cancellation.
+func (s *Server) Follow(ctx context.Context, id string, from int, emit func(line []byte) error) error {
+	j := s.followable(id)
+	if j == nil {
 		return ErrUnknownJob
 	}
-	if !j.durable {
-		return ErrNoStream
-	}
-	idx, pts := 0, 0
-	for {
-		for idx < len(j.lines) {
-			ln := j.lines[idx]
-			idx++
-			if ln.kind == 'p' {
-				pts++
-				if pts <= from {
-					continue
-				}
-			}
-			// The re-lock is deferred so a panicking emit (net/http's
-			// ErrAbortHandler, chaos cuts) unwinds through the outer
-			// deferred Unlock with the mutex held, not double-unlocked.
-			err := func() error {
-				s.mu.Unlock()
-				defer s.mu.Lock()
-				return emit(ln.data)
-			}()
-			if err != nil {
-				return err
-			}
-		}
-		if j.logClosed {
-			return nil
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		s.cond.Wait()
-	}
+	return j.log.follow(ctx, from, func(line []byte) error { return emit(line[:len(line)-1]) }, func() {})
 }
 
-// appendLine appends lines to a job's in-memory stream log — making them
-// visible — and wakes every follower. For a journaled job only its
-// committer calls this, after the batch carrying the lines' records is
-// fsync'd. Element data is immutable once appended.
-func (s *Server) appendLine(j *job, lines ...logLine) {
+// abandon is called when a job's submitting client is done with it. A
+// job still running then has lost its client; with no journal nothing
+// would bring it back after a crash, so nothing keeps it running now: it
+// is cancelled and its stream withdrawn — the client that comes back is
+// told 404, as for any job the daemon no longer has, and re-submits the
+// query with its cursor.
+func (s *Server) abandon(j *job) {
 	s.mu.Lock()
-	j.lines = append(j.lines, lines...)
-	for _, ln := range lines {
-		switch ln.kind {
-		case 'p':
-			j.points++
-		case 't':
-			j.logClosed = true
-		}
+	defer s.mu.Unlock()
+	if j.jj == nil && j.info.State == JobRunning {
+		j.cancel()
+		j.abandoned = true
 	}
-	s.mu.Unlock()
-	s.cond.Broadcast()
-}
-
-// appendPoint queues one committed point: durable first, then visible.
-// The journal_append span runs from here to the fsync that covers the
-// record.
-func (s *Server) appendPoint(j *job, index int, key string, line []byte) {
-	if s.pointGate != nil {
-		s.pointGate(index)
-	}
-	var sp *obs.SpanHandle
-	if j.jj != nil {
-		sp = s.tel.startSpan(j.trace, j.root.ID(), "journal_append").
-			Attr("index", strconv.Itoa(index))
-	}
-	if _, ok := j.jj.queuePoint(index, key, line, sp); !ok {
-		s.appendLine(j, logLine{'p', line})
-	}
-}
-
-// keepLine copies an encoded event out of its encoder's buffer, without
-// the newline: stream logs and journal records hold bare lines.
-func keepLine(encoded []byte) []byte {
-	return bytes.Clone(encoded[:len(encoded)-1])
 }
 
 // jobLine is the first line of job id's stream.
 func jobLine(id string) []byte {
 	var enc eventEncoder
-	return keepLine(enc.encodeJob(JobEvent{Type: "job", ID: id}))
+	return enc.encodeJob(JobEvent{Type: "job", ID: id})
 }
 
-// resumeState carries a recovered job's journaled committed prefix into
-// its resumed execution.
-type resumeState struct {
-	points []RecoveredPoint
-}
-
-// runDetached executes a durable job to completion on its own
-// goroutine, appending every event line to the job's stream log (and
-// journal) and closing the log with the terminal line.
-func (s *Server) runDetached(ctx context.Context, id string, req QueryRequest, res *resumeState) {
-	s.mu.Lock()
-	j := s.jobs[id]
-	s.mu.Unlock()
-	if j == nil {
-		return
-	}
-	// Each event is encoded into the job's one encoder and copied out at
-	// its exact size: the copy is what the journal record, the stream log
-	// and every follower share. A point whose metrics cannot be encoded
-	// (NaN, ±Inf) is left out of the stream and the journal.
+// run executes a job to completion on its own goroutine: the query's
+// points are committed to the job's log as they finish, the job's
+// terminal state is recorded, and the terminal line closes the log.
+// resume, when non-empty, is the committed prefix a recovered job's
+// journal already holds.
+func (s *Server) run(ctx context.Context, j *job, req QueryRequest, resume []RecoveredPoint) {
+	// One encoder for the job's events, each copied out of its buffer at
+	// its exact size, newline included: the copy is what the journal
+	// record, the log and every follower share. A point whose metrics
+	// cannot be encoded (NaN, ±Inf) is left out of the stream and the
+	// journal.
 	enc := encoders.Get().(*eventEncoder)
 	defer encoders.Put(enc)
-	emit := func(ev PointEvent, key string, out core.PointOutcome) {
-		line, err := enc.encodePoint(&ev)
+	emit := func(ev PointEvent, key string) {
+		encoded, err := enc.encodePoint(&ev)
 		if err != nil {
 			return
 		}
-		s.appendPoint(j, ev.Index, key, keepLine(line))
+		if s.pointGate != nil {
+			s.pointGate(ev.Index)
+		}
+		line := bytes.Clone(encoded)
+		// The journal_append span runs from here to the fsync that covers
+		// the record.
+		var sp *obs.SpanHandle
+		if j.jj != nil {
+			sp = s.tel.startSpan(j.trace, j.root.ID(), "journal_append").
+				Attr("index", strconv.Itoa(ev.Index))
+		}
+		s.commit(j, pointRecord(ev.Index, key, line), logLine{'p', line}, sp)
 	}
-	rs, err := s.executeDurable(ctx, id, req, res, emit)
+	rs, err := s.answer(ctx, j, req, resume, emit)
+	info := s.finish(j, err)
 
-	info, _ := s.Job(id)
-	terminal, failure := enc.encodeTerminal(id, rs, info.Degraded, err)
-	line := keepLine(terminal)
+	encoded, failure := enc.encodeTerminal(info.ID, rs, info.Degraded, err)
+	line := bytes.Clone(encoded)
 	status, errMsg := "done", ""
 	if failure != nil {
 		status, errMsg = "failed", failure.Error()
@@ -242,130 +180,111 @@ func (s *Server) runDetached(ctx context.Context, id string, req QueryRequest, r
 	if s.pointGate != nil {
 		s.pointGate(info.Done)
 	}
-	if _, ok := j.jj.queueEnd(status, errMsg, line); !ok {
-		s.appendLine(j, logLine{'t', line})
-	}
+	s.commit(j, endRecord(status, errMsg, line), logLine{'t', line}, nil)
 }
 
-// executeDurable runs a durable job's query — SET statement, fleet
-// fan-out, or local sweep — optionally resuming past a journaled
-// committed prefix, and records the job's terminal state.
-func (s *Server) executeDurable(ctx context.Context, id string, req QueryRequest, res *resumeState,
-	emit func(ev PointEvent, key string, out core.PointOutcome)) (*wtql.ResultSet, error) {
+// answer is the query itself: parse, then a SET statement on a fresh
+// engine, or plan and sweep — fanned out across the fleet when this is a
+// coordinator and the sweep is shardable, on this server's own engine
+// otherwise (a worker's shard, req.Points, included). emit receives each
+// committed point's event with its cache key, except the first
+// len(resume), which the journal already holds.
+func (s *Server) answer(ctx context.Context, j *job, req QueryRequest, resume []RecoveredPoint,
+	emit func(ev PointEvent, key string)) (*wtql.ResultSet, error) {
+	if s.stage != nil {
+		s.stage("parse")
+	}
 	q, err := wtql.Parse(req.Query)
 	if err != nil {
-		s.finish(id, err)
 		return nil, err
 	}
-	if len(q.Set) > 0 {
-		eng := s.engine()
-		if req.Trials > 0 {
-			eng.Trials = req.Trials
-		}
-		rs, err := eng.RunContext(ctx, q)
-		s.finish(id, err)
-		return rs, err
-	}
-	trace, root := s.jobTrace(id)
-	var resume []RecoveredPoint
-	if res != nil {
-		resume = res.points
-	}
-	if s.fleet != nil {
-		rs, err, handled := s.executeFleet(ctx, id, req.Query, req.Trials, resume, emit)
-		if handled {
-			return rs, err
-		}
-	}
-
 	eng := s.engine()
 	if req.Trials > 0 {
 		eng.Trials = req.Trials
 	}
+	if len(q.Set) > 0 {
+		return eng.RunContext(ctx, q)
+	}
+	if s.stage != nil {
+		s.stage("plan")
+	}
+	// A coordinator plans with the engine each worker builds, so the cache
+	// keys it shards on are the keys the workers will compute.
+	var planSp *obs.SpanHandle
+	if s.fleet != nil {
+		planSp = s.tel.startSpan(j.trace, j.root.ID(), "plan")
+	}
 	plan, err := eng.Plan(q)
+	planSp.End()
 	if err != nil {
-		s.finish(id, err)
 		return nil, err
 	}
-	keys, err := plan.PointKeys()
+	prefix, err := journaledPrefix(plan, resume)
 	if err != nil {
-		s.finish(id, err)
 		return nil, err
 	}
-	total := plan.NumPoints()
-	prefix, err := journaledPrefix(plan.Points(), resume)
-	if err != nil {
-		s.finish(id, err)
-		return nil, err
+	// SET statements (above) and MONOTONE sweeps are not shardable: a
+	// dominance decision depends on the whole committed prefix.
+	if s.fleet != nil && !plan.Pruned() && req.Points == nil {
+		return s.runFleetPlan(ctx, j, req.Query, plan, prefix, emit)
+	}
+
+	// Only a journal record needs a point's cache key.
+	var keys []string
+	if j.jj != nil {
+		if keys, err = plan.PointKeys(); err != nil {
+			return nil, err
+		}
 	}
 	k := len(prefix)
-
-	switch {
-	case k == 0:
-		// Fresh run (or nothing committed before the crash): the whole
-		// sweep, with per-commit progress and event emission.
-		eng.Progress = func(done, total int, out core.PointOutcome) {
-			s.progress(id, done, total, out.FromCache)
-			s.tel.observePoint(trace, root, out)
-			emit(pointEvent(plan.Config(out.Index), done, total, out), keys[out.Index], out)
+	committed := func(done, total int, out core.PointOutcome) {
+		s.progress(j, done, total, out.FromCache)
+		s.tel.observePoint(j.trace, j.root.ID(), out)
+		if done <= k {
+			return
 		}
-		rs, err := plan.Run(ctx)
-		s.finish(id, err)
-		return rs, err
-
-	case plan.Pruned():
-		// MONOTONE sweeps: dominance decisions depend on the whole
-		// committed prefix, so re-run the full sweep — deterministic, and
-		// every previously-simulated point is a trial-cache hit — while
-		// suppressing re-emission (and re-journaling) of the first k
-		// events the journal already holds.
-		eng.Progress = func(done, total int, out core.PointOutcome) {
-			s.progress(id, done, total, out.FromCache)
-			s.tel.observePoint(trace, root, out)
-			if done <= k {
-				return
-			}
-			emit(pointEvent(plan.Config(out.Index), done, total, out), keys[out.Index], out)
+		key := ""
+		if keys != nil {
+			key = keys[out.Index]
 		}
-		rs, err := plan.Run(ctx)
-		s.finish(id, err)
-		return rs, err
-
-	default:
-		// Plain sweep: the journaled prefix is final. Execute only the
-		// undelivered tail and assemble the table over prefix + tail.
-		outcomes := prefix
-		if k < total {
-			rem := make([]int, 0, total-k)
-			for i := k; i < total; i++ {
-				rem = append(rem, i)
-			}
-			err = plan.RunSubset(ctx, rem, func(out core.PointOutcome) {
-				outcomes = append(outcomes, out)
-				n := len(outcomes)
-				s.progress(id, n, total, out.FromCache)
-				s.tel.observePoint(trace, root, out)
-				emit(pointEvent(plan.Config(out.Index), n, total, out), keys[out.Index], out)
-			})
-			if err != nil {
-				s.finish(id, err)
-				return nil, err
-			}
-		}
-		rs, err := plan.Assemble(outcomes)
-		s.finish(id, err)
-		return rs, err
+		emit(pointEvent(plan.Config(out.Index), done, total, out), key)
 	}
+	if k == 0 || plan.Pruned() {
+		// The whole sweep. Resuming a MONOTONE one re-runs it in full —
+		// dominance decisions depend on the whole committed prefix, it is
+		// deterministic, and every previously-simulated point is a
+		// trial-cache hit — without emitting again the k events the journal
+		// already holds.
+		eng.Subset, eng.Progress = req.Points, committed
+		return plan.Run(ctx)
+	}
+	// Resuming a plain sweep: the journaled prefix is final. Execute only
+	// the undelivered tail and assemble the table over prefix + tail.
+	total := plan.NumPoints()
+	outcomes := prefix
+	rem := make([]int, 0, total-k)
+	for i := k; i < total; i++ {
+		rem = append(rem, i)
+	}
+	err = plan.RunSubset(ctx, rem, func(out core.PointOutcome) {
+		outcomes = append(outcomes, out)
+		committed(len(outcomes), total, out)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return plan.Assemble(outcomes)
 }
 
 // journaledPrefix reconstructs the committed outcomes a journal's point
 // records describe. The outcomes are marked FromCache — they are served
 // from the journal, not re-simulated — which also keeps Assemble from
 // archiving the same simulation into the results store twice.
-func journaledPrefix(points []design.Point, resume []RecoveredPoint) ([]core.PointOutcome, error) {
+func journaledPrefix(plan *wtql.Plan, resume []RecoveredPoint) ([]core.PointOutcome, error) {
 	if len(resume) == 0 {
 		return nil, nil
 	}
+	points := plan.Points()
 	if len(resume) > len(points) {
 		return nil, fmt.Errorf("service: journal holds %d points but the plan has %d — query or catalog changed under the journal", len(resume), len(points))
 	}
@@ -409,20 +328,23 @@ func (s *Server) Recover() (resumed int, warnings []string, err error) {
 	return resumed, warnings, nil
 }
 
-// restoreJob registers one recovered job. Incomplete jobs resume
-// detached; completed ones are restored finished, streams replayable.
-// Reports whether the job resumed execution.
+// restoreJob registers one recovered job, its log holding what its
+// journal does. Incomplete jobs resume running; completed ones are
+// restored finished, streams replayable. Reports whether the job resumed
+// execution.
 func (s *Server) restoreJob(rec *RecoveredJob) bool {
 	ctx, cancel := context.WithCancel(context.Background())
 	j := &job{
-		info:    JobInfo{ID: rec.ID, Query: rec.Query, State: JobRunning, Created: rec.Created},
-		cancel:  cancel,
-		durable: true,
+		info:   JobInfo{ID: rec.ID, Query: rec.Query, State: JobRunning, Created: rec.Created},
+		cancel: cancel,
 	}
-	j.lines = append(j.lines, logLine{kind: 'j', data: jobLine(rec.ID)})
+	// Journal records hold bare lines; the log's carry their newline.
+	restore := func(kind byte, bare []byte) {
+		j.log.lines = append(j.log.lines, logLine{kind, append(bare[:len(bare):len(bare)], '\n')})
+	}
+	j.log.lines = append(j.log.lines, logLine{'j', jobLine(rec.ID)})
 	for _, p := range rec.Points {
-		j.lines = append(j.lines, logLine{kind: 'p', data: p.Line})
-		j.points++
+		restore('p', p.Line)
 	}
 	if n := len(rec.Points); n > 0 {
 		var last PointEvent
@@ -430,12 +352,14 @@ func (s *Server) restoreJob(rec *RecoveredJob) bool {
 			j.info.Done, j.info.Total = last.Done, last.Total
 		}
 	}
-	if rec.Status != "" {
+	resumed := rec.Status == ""
+	j.info.Resumed = resumed
+	if !resumed {
 		// Finished before the restart: keep it streamable, not runnable.
 		if len(rec.EndLine) > 0 {
-			j.lines = append(j.lines, logLine{kind: 't', data: rec.EndLine})
+			restore('t', rec.EndLine)
 		}
-		j.logClosed = true
+		j.log.closed = true
 		j.info.Finished = s.now()
 		j.info.Error = rec.Error
 		switch rec.Status {
@@ -446,16 +370,6 @@ func (s *Server) restoreJob(rec *RecoveredJob) bool {
 		default:
 			j.info.State = JobFailed
 		}
-	} else {
-		j.info.Resumed = true
-		// A resumed job starts a fresh trace: the pre-crash process's
-		// spans died with it.
-		if s.tel != nil && s.tel.tracer != nil {
-			j.trace = traceCtx{id: s.tel.tracer.NewTraceID()}
-			j.root = s.tel.startSpan(j.trace, "", "job").
-				Attr("job", rec.ID).Attr("resumed", "true")
-			j.info.TraceID = j.trace.id
-		}
 	}
 
 	s.mu.Lock()
@@ -464,20 +378,19 @@ func (s *Server) restoreJob(rec *RecoveredJob) bool {
 		cancel()
 		return false
 	}
-	s.jobs[rec.ID] = j
-	s.order = append(s.order, rec.ID)
-	s.evictFinishedLocked()
+	// A resumed job starts a fresh trace: the pre-crash process's spans
+	// died with it.
+	s.registerLocked(j, traceCtx{})
 	s.mu.Unlock()
-
-	if rec.Status != "" {
+	if !resumed {
 		cancel()
 		return false
 	}
+	j.root.Attr("resumed", "true")
 	if jj, err := s.journal.Reopen(rec.ID); err == nil {
 		s.attachJournal(j, jj)
 	}
-	req := QueryRequest{Query: rec.Query, Trials: rec.Trials}
-	go s.runDetached(ctx, rec.ID, req, &resumeState{points: rec.Points})
+	go s.run(ctx, j, QueryRequest{Query: rec.Query, Trials: rec.Trials}, rec.Points)
 	return true
 }
 
@@ -493,8 +406,8 @@ func (s *Server) crashForTest() {
 	s.CancelAll()
 }
 
-// journals snapshots every job's journal. Waiting on one must happen
-// outside s.mu: its committer takes s.mu to release lines.
+// journals snapshots every job's journal, for waiting on them outside
+// s.mu.
 func (s *Server) journals() []*JobJournal {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -184,16 +184,38 @@ func crashResumeGolden(t *testing.T, seen int, wantTable string) {
 	}
 }
 
+// resumeModes are the daemons a resume cursor must work on alike: a
+// journal makes a job outlive a crash, it is not what makes its stream
+// resumable.
+var resumeModes = []struct {
+	name  string
+	start func(t *testing.T) (*Server, *httptest.Server)
+}{
+	{"journal", func(t *testing.T) (*Server, *httptest.Server) {
+		return newTestServer(t, Config{PoolSize: 2, JournalDir: t.TempDir()})
+	}},
+	{"no journal", func(t *testing.T) (*Server, *httptest.Server) {
+		return newTestServer(t, Config{PoolSize: 2})
+	}},
+	{"coordinator without journal", func(t *testing.T) (*Server, *httptest.Server) {
+		coord, cts, _, _ := startFleet(t, 2, false)
+		return coord, cts
+	}},
+}
+
 // TestStreamResumeFromOffset: Follow(from=N) must deliver exactly the
 // suffix of Follow(from=0) with the first N point events removed,
 // byte-for-byte — the contract the wtql reconnect logic depends on.
 func TestStreamResumeFromOffset(t *testing.T) {
-	noLeakedCommitters(t)
-	srv, err := New(Config{PoolSize: 2, JournalDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
+	for _, mode := range resumeModes {
+		t.Run(mode.name, func(t *testing.T) {
+			srv, _ := mode.start(t)
+			streamResumeFromOffset(t, srv)
+		})
 	}
-	t.Cleanup(srv.Close)
+}
+
+func streamResumeFromOffset(t *testing.T, srv *Server) {
 	id, err := srv.Submit(QueryRequest{Query: smallQuery})
 	if err != nil {
 		t.Fatal(err)
@@ -225,8 +247,15 @@ func TestStreamResumeFromOffset(t *testing.T) {
 // /v1/jobs/{id}/stream?from=N replays the suffix and tails to the
 // terminal line; unknown jobs 404; a bad cursor 400s.
 func TestHTTPStreamEndpointResume(t *testing.T) {
-	noLeakedCommitters(t)
-	srv, ts := newTestServer(t, Config{PoolSize: 2, JournalDir: t.TempDir()})
+	for _, mode := range resumeModes {
+		t.Run(mode.name, func(t *testing.T) {
+			srv, ts := mode.start(t)
+			httpStreamEndpointResume(t, srv, ts)
+		})
+	}
+}
+
+func httpStreamEndpointResume(t *testing.T, srv *Server, ts *httptest.Server) {
 	id, err := srv.Submit(QueryRequest{Query: smallQuery})
 	if err != nil {
 		t.Fatal(err)
@@ -280,8 +309,15 @@ func TestHTTPStreamEndpointResume(t *testing.T) {
 // the undelivered points — done numbering stays global, the table is
 // complete.
 func TestQueryFromSuppression(t *testing.T) {
-	noLeakedCommitters(t)
-	_, ts := newTestServer(t, Config{PoolSize: 2, JournalDir: t.TempDir()})
+	for _, mode := range resumeModes {
+		t.Run(mode.name, func(t *testing.T) {
+			_, ts := mode.start(t)
+			queryFromSuppression(t, ts)
+		})
+	}
+}
+
+func queryFromSuppression(t *testing.T, ts *httptest.Server) {
 	want := lastEvent(t, postQuery(t, ts, smallQuery))
 
 	resp, err := http.Post(ts.URL+"/v1/query", "application/json",
@@ -318,9 +354,9 @@ func TestQueryFromSuppression(t *testing.T) {
 	}
 }
 
-// TestJournalDisabledMatchesLegacy: -journal "" must behave exactly as
-// before the durability layer existed — inline streaming, identical
-// event shapes, a 404 from the stream endpoint.
+// TestJournalDisabledMatchesLegacy: -journal "" changes what survives a
+// crash, not what a client sees — identical event shapes, the same
+// table, and a stream the daemon can replay while it lives.
 func TestJournalDisabledMatchesLegacy(t *testing.T) {
 	noLeakedCommitters(t)
 	srvOn, tsOn := newTestServer(t, Config{PoolSize: 2, JournalDir: t.TempDir()})
@@ -340,16 +376,31 @@ func TestJournalDisabledMatchesLegacy(t *testing.T) {
 		t.Fatalf("tables differ with journaling on/off")
 	}
 
-	// The disabled daemon keeps no stream to resume.
-	events := postQuery(t, tsOff, smallQuery)
-	id, _ := events[0]["id"].(string)
-	resp, err := http.Get(tsOff.URL + "/v1/jobs/" + id + "/stream")
+	// The disabled daemon replays what it streamed, byte for byte.
+	resp, err := http.Post(tsOff.URL+"/v1/query", "text/plain", strings.NewReader(smallQuery))
 	if err != nil {
 		t.Fatal(err)
 	}
+	posted, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("inline job stream returned %d, want 404", resp.StatusCode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first JobEvent
+	if err := json.Unmarshal(posted[:bytes.IndexByte(posted, '\n')+1], &first); err != nil || first.ID == "" {
+		t.Fatalf("no job line in %q: %v", posted, err)
+	}
+	resp, err = http.Get(tsOff.URL + "/v1/jobs/" + first.ID + "/stream?from=0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayed, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("replaying %s: status %d, %v", first.ID, resp.StatusCode, err)
+	}
+	if !bytes.Equal(replayed, posted) {
+		t.Fatalf("stream endpoint replays\n%s\nthe POST streamed\n%s", replayed, posted)
 	}
 }
 
@@ -442,9 +493,12 @@ func TestChaosCutResume(t *testing.T) {
 	var jobID, table string
 	points, attempts := 0, 1
 	for table == "" {
-		jid, pts, tbl := drainCutStream(t, resp)
+		jid, pts, tbl, lines := drainCutStream(t, resp)
 		if jid != "" {
 			jobID = jid
+		}
+		if attempts == 1 && lines != 3 {
+			t.Fatalf("cut=3 let %d lines through on the first attempt", lines)
 		}
 		points += pts
 		if tbl != "" {
@@ -481,7 +535,7 @@ func TestChaosCutResume(t *testing.T) {
 
 // drainCutStream reads one chaos-truncated connection to its (possibly
 // violent) end, returning what arrived.
-func drainCutStream(t *testing.T, resp *http.Response) (jobID string, points int, table string) {
+func drainCutStream(t *testing.T, resp *http.Response) (jobID string, points int, table string, lines int) {
 	t.Helper()
 	defer resp.Body.Close()
 	rd := bufio.NewReader(resp.Body)
@@ -494,6 +548,7 @@ func drainCutStream(t *testing.T, resp *http.Response) (jobID string, points int
 				Table string `json:"table"`
 			}
 			if json.Unmarshal(bytes.TrimSpace(line), &ev) == nil {
+				lines++
 				switch ev.Type {
 				case "job":
 					jobID = ev.ID
@@ -505,10 +560,7 @@ func drainCutStream(t *testing.T, resp *http.Response) (jobID string, points int
 			}
 		}
 		if err != nil {
-			if err == io.EOF && table != "" {
-				return jobID, points, table
-			}
-			return jobID, points, table
+			return jobID, points, table, lines
 		}
 	}
 }

@@ -144,56 +144,19 @@ type fleetMsg struct {
 	done  bool
 }
 
-// executeFleet runs one admitted job by sharding it across the fleet.
-// handled=false means the query is not shardable — a SET statement or a
-// MONOTONE (pruned) sweep, whose dominance decisions depend on the
-// whole committed prefix — and the caller must execute it locally; the
-// job stays registered either way. On handled=true the job's terminal
-// state has been recorded. resume, when non-empty, is a journaled
-// committed prefix (coordinator takeover / restart): those points are
-// not re-planned onto workers, only the remainder is. onEvent receives
-// each merged point with its cache key, so a durable coordinator can
-// journal the event it just committed.
-func (s *Server) executeFleet(ctx context.Context, id, query string, trials int, resume []RecoveredPoint,
-	onEvent func(ev PointEvent, key string, out core.PointOutcome)) (*wtql.ResultSet, error, bool) {
-	q, err := wtql.Parse(query)
-	if err != nil {
-		s.finish(id, err)
-		return nil, err, true
-	}
-	if len(q.Set) > 0 {
-		return nil, nil, false
-	}
-	// The coordinator plans with a default-constructed engine exactly as
-	// each worker does, so the cache keys it shards on are the keys the
-	// workers will compute; the resolved trial count is forwarded
-	// explicitly so a worker's own -trials default cannot skew them.
-	eng := s.engine()
-	if trials > 0 {
-		eng.Trials = trials
-	}
-	trace, root := s.jobTrace(id)
-	planSp := s.tel.startSpan(trace, root, "plan")
-	plan, err := eng.Plan(q)
-	planSp.End()
-	if err != nil {
-		s.finish(id, err)
-		return nil, err, true
-	}
-	if plan.Pruned() {
-		return nil, nil, false
-	}
-	rs, err := s.runFleetPlan(ctx, id, query, plan, resume, onEvent)
-	s.finish(id, err)
-	return rs, err, true
-}
-
 // runFleetPlan shards the planned sweep, streams the merged per-point
 // events in global point order, and assembles the final result set.
 // Worker failures trigger shard failover; exhausted retry budgets
-// degrade the remainder to coordinator-local execution.
-func (s *Server) runFleetPlan(ctx context.Context, id, query string, plan *wtql.Plan, resume []RecoveredPoint,
-	onEvent func(ev PointEvent, key string, out core.PointOutcome)) (*wtql.ResultSet, error) {
+// degrade the remainder to coordinator-local execution. prefix, when
+// non-empty, is what the journal already holds (coordinator takeover /
+// restart): those points are committed and streamed, so only the
+// remainder is planned onto shards and a resumed client picks up at
+// exactly the next undelivered index. onEvent receives each merged point
+// with its cache key, for its journal record. The plan's resolved trial
+// count is forwarded to the workers so that a worker's own -trials
+// default cannot skew the cache keys the shards were hashed on.
+func (s *Server) runFleetPlan(ctx context.Context, j *job, query string, plan *wtql.Plan, prefix []core.PointOutcome,
+	onEvent func(ev PointEvent, key string)) (*wtql.ResultSet, error) {
 	f := s.fleet
 	keys, err := plan.PointKeys()
 	if err != nil {
@@ -204,16 +167,7 @@ func (s *Server) runFleetPlan(ctx context.Context, id, query string, plan *wtql.
 	if total == 0 {
 		return plan.Assemble(nil)
 	}
-	// A journaled prefix (coordinator takeover) is already committed and
-	// already streamed: seed the merge state with it so only the
-	// remainder is planned onto shards, and resumed clients pick up at
-	// exactly the next undelivered index.
-	prefix, err := journaledPrefix(points, resume)
-	if err != nil {
-		return nil, err
-	}
-
-	trace, root := s.jobTrace(id)
+	trace, root := j.trace, j.root.ID()
 	mergeSp := s.tel.startSpan(trace, root, "merge").
 		Attr("points", strconv.Itoa(total))
 	defer mergeSp.End()
@@ -222,10 +176,7 @@ func (s *Server) runFleetPlan(ctx context.Context, id, query string, plan *wtql.
 	defer cancel()
 	ch := make(chan fleetMsg, 16)
 
-	var (
-		active   = 0
-		degraded = false
-	)
+	active := 0
 
 	// launchStream posts one shard to its worker after an optional
 	// backoff. The terminal done message is delivered unconditionally —
@@ -265,10 +216,7 @@ func (s *Server) runFleetPlan(ctx context.Context, id, query string, plan *wtql.
 			return
 		}
 		sort.Ints(indices) // Subset wants strictly ascending global indices
-		if !degraded {
-			degraded = true
-			s.markDegraded(id)
-		}
+		s.markDegraded(j)
 		sh := &shard{worker: localWorker, points: indices}
 		sh.span = s.tel.startSpan(trace, root, "shard").
 			Attr("worker", localWorker).
@@ -449,14 +397,11 @@ func (s *Server) runFleetPlan(ctx context.Context, id, query string, plan *wtql.
 					break
 				}
 				delete(pending, nextIdx)
-				out := eventOutcome(points[nextIdx], next)
-				outcomes[nextIdx] = out
+				outcomes[nextIdx] = eventOutcome(points[nextIdx], next)
 				committed++
 				next.Done, next.Total = committed, total
-				s.progress(id, committed, total, next.Cached)
-				if onEvent != nil {
-					onEvent(next, keys[next.Index], out)
-				}
+				s.progress(j, committed, total, next.Cached)
+				onEvent(next, keys[next.Index])
 				nextIdx++
 			}
 		}

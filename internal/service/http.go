@@ -21,19 +21,19 @@ type QueryRequest struct {
 	// count (a WITH trials = n clause in the query still wins).
 	Trials int `json:"trials,omitempty"`
 	// Points, when non-empty, restricts execution to these global
-	// design-point indices (strictly ascending) — the shard a fleet
-	// coordinator assigns this worker. Streamed point events carry the
-	// global index so the coordinator can merge shards back into full
-	// point order.
+	// design-point indices (strictly ascending, or the request is
+	// refused) — the shard a fleet coordinator assigns this worker.
+	// Streamed point events carry the global index so the coordinator
+	// can merge shards back into full point order.
 	Points []int `json:"points,omitempty"`
 	// From is the client's resume cursor on a re-submitted query: the
 	// number of point events it already received from a previous
 	// (crashed) server, which this server must not replay. The sweep
 	// still executes in full — completed points are trial-cache (or
 	// journal) hits — so the final table is byte-identical; only the
-	// stream starts at point From+1. This is the coordinator-takeover
-	// path: wtql fails over to the next -peers coordinator with
-	// from=<received>.
+	// stream starts at point From+1. Every daemon honours it: wtql
+	// re-submits with from=<received> to a restarted daemon that kept no
+	// journal, or to the next -peers coordinator after a takeover.
 	From int `json:"from,omitempty"`
 }
 
@@ -179,6 +179,10 @@ func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
 	}{mode, s.cfg.Self, members})
 }
 
+// handleQuery admits the posted query as a job and follows it, as any
+// later GET /v1/jobs/{id}/stream would: the handler writes nothing of its
+// own. req.From leaves out the point events a previous server already
+// delivered to this client.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	req, err := decodeQueryRequest(r)
 	if err != nil {
@@ -189,123 +193,70 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, status, ErrorEvent{Type: "error", Error: err.Error()})
 		return
 	}
-
-	// Durable mode: client-facing queries run detached from this
-	// connection — journaled, resumable, crash-recoverable — and the
-	// handler becomes a stream follower. Fleet-shard requests
-	// (req.Points != nil) stay on the inline path below: the
-	// coordinator owns client-facing durability, and a worker
-	// resurrecting shards of a job the coordinator also resurrects
-	// would double the work.
-	if s.journal != nil && req.Points == nil {
-		id, err := s.submit(req, parseTraceHeader(r))
-		if err != nil {
-			writeJSON(w, http.StatusServiceUnavailable, ErrorEvent{Type: "error", Error: err.Error()})
-			return
-		}
-		s.streamJob(w, r, id, req.From)
-		return
-	}
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
-	// One Write and one Flush per event: progress is live, and an abort
-	// (or a chaos cut) lands between events, never inside one. A point
-	// whose metrics cannot be encoded (NaN, ±Inf) is left out of the
-	// stream, as encoding/json's Encoder left it out.
-	enc := encoders.Get().(*eventEncoder)
-	defer encoders.Put(enc)
-	emit := func(line []byte, err error) {
-		if err == nil {
-			w.Write(line)
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-
-	id, jctx, err := s.newJob(r.Context(), req.Query, false, parseTraceHeader(r))
+	j, err := s.submit(req, parseTraceHeader(r))
 	if err != nil {
 		// Draining: refuse before anything streams.
 		writeJSON(w, http.StatusServiceUnavailable, ErrorEvent{Type: "error", Error: err.Error()})
 		return
 	}
-	emit(enc.encodeJob(JobEvent{Type: "job", ID: id}), nil)
-
-	// The stream writes below all happen on this handler goroutine: the
-	// engine's Progress callback is invoked from the sweep's commit path,
-	// which runs inside execute; the coordinator's merge loop likewise
-	// runs inside executeFleet.
-	var (
-		rs      *wtql.ResultSet
-		handled bool
-	)
-	if s.fleet != nil {
-		rs, err, handled = s.executeFleet(jctx, id, req.Query, req.Trials, nil,
-			func(ev PointEvent, _ string, _ core.PointOutcome) { emit(enc.encodePoint(&ev)) })
-	}
-	if !handled {
-		rs, err = s.execute(jctx, id, req.Query, req.Trials, req.Points,
-			func(ev PointEvent, _ core.PointOutcome) { emit(enc.encodePoint(&ev)) })
-	}
-	info, _ := s.Job(id)
-	line, _ := enc.encodeTerminal(id, rs, info.Degraded, err)
-	emit(line, nil)
+	defer s.abandon(j) // if this client leaves and no journal vouches for the job
+	s.streamJob(w, r, j, req.From)
 }
 
-// handleStream resumes (or re-follows) a durable job's NDJSON stream:
+// handleStream follows a job's NDJSON stream again:
 // GET /v1/jobs/{id}/stream?from=N replays the committed prefix from
 // point event N+1 byte-identically, then tails live until the terminal
-// line. from=0 (or omitted) replays the whole stream. Jobs that ran
-// inline (journaling disabled, or a fleet shard) have no recorded
-// stream and answer 404 — the client's cue to re-POST the query.
+// line. from=0 (or omitted) replays the whole stream. A job the daemon
+// does not hold — never admitted, evicted, abandoned by its client, or
+// lost with a previous process that kept no journal — answers 404: the
+// client's cue to re-POST the query with its cursor.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	from := 0
-	if v := r.URL.Query().Get("from"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			writeJSON(w, http.StatusBadRequest, ErrorEvent{Type: "error", Error: "bad from: want a non-negative integer"})
-			return
-		}
-		from = n
+	from, err := parseFrom(r.URL.Query().Get("from"))
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest, ErrorEvent{Type: "error", Error: err.Error()})
+		return
 	}
-	s.streamJob(w, r, r.PathValue("id"), from)
+	j := s.followable(r.PathValue("id"))
+	if j == nil {
+		writeJSON(w, http.StatusNotFound, ErrorEvent{Type: "error", Error: ErrUnknownJob.Error()})
+		return
+	}
+	s.streamJob(w, r, j, from)
 }
 
-// streamJob follows a durable job, writing each line + newline and
-// flushing — the same bytes the inline path writes.
-func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, id string, from int) {
+// parseFrom reads a stream cursor: a count of point events already
+// received. Empty means none.
+func parseFrom(v string) (int, error) {
+	if v == "" {
+		return 0, nil
+	}
+	n, err := strconv.Atoi(v)
+	if err != nil || n < 0 {
+		return 0, errors.New("bad from: want a non-negative integer")
+	}
+	return n, nil
+}
+
+// streamJob follows a job's log onto the response — the only code that
+// writes a stream. One Write per event line: an abort (or a chaos cut)
+// lands between events, never inside one, and the chaos cut counter
+// assumes one write == one delivered event. One Flush per batch of lines
+// the log had queued: progress stays live, and a reply whose lines were
+// all there costs one.
+func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, j *job, from int) {
 	if from > 0 {
 		s.tel.streamResumes.Inc()
 	}
-	flusher, _ := w.(http.Flusher)
-	wrote := false
-	enc := encoders.Get().(*eventEncoder) // for its buffer: the line being written
-	defer encoders.Put(enc)
-	err := s.Follow(r.Context(), id, from, func(line []byte) error {
-		if !wrote {
-			w.Header().Set("Content-Type", "application/x-ndjson")
-			wrote = true
-		}
-		// One Write per event line, as on the inline path: an abort
-		// between an event and its newline would strand a never-flushed
-		// partial line, and the chaos cut counter assumes one write == one
-		// delivered event.
-		enc.buf = append(append(enc.buf[:0], line...), '\n')
-		if _, err := w.Write(enc.buf); err != nil {
-			return err
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return nil
-	})
-	if err != nil && !wrote {
-		// Nothing streamed yet, so a proper status line is still possible.
-		if errors.Is(err, ErrUnknownJob) || errors.Is(err, ErrNoStream) {
-			writeJSON(w, http.StatusNotFound, ErrorEvent{Type: "error", Error: err.Error()})
-		}
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	flush := func() {}
+	if flusher, ok := w.(http.Flusher); ok {
+		flush = flusher.Flush
 	}
+	// The follower's error is the client's departure: nobody to tell.
+	_ = j.log.follow(r.Context(), from, func(line []byte) error {
+		_, err := w.Write(line)
+		return err
+	}, flush)
 }
 
 // pointEvent describes a committed point on the wire. config is the
@@ -358,8 +309,18 @@ func decodeQueryRequest(r *http.Request) (QueryRequest, error) {
 	} else {
 		req.Query = string(body)
 	}
-	if strings.TrimSpace(req.Query) == "" {
+	switch {
+	case strings.TrimSpace(req.Query) == "":
 		return QueryRequest{}, fmt.Errorf("service: empty query")
+	case req.Trials < 0:
+		return QueryRequest{}, fmt.Errorf("service: bad trials %d: want a positive count, or 0 for the default", req.Trials)
+	case req.From < 0:
+		return QueryRequest{}, fmt.Errorf("service: bad from %d: want a non-negative count of point events", req.From)
+	}
+	for i, p := range req.Points {
+		if p < 0 || (i > 0 && p <= req.Points[i-1]) {
+			return QueryRequest{}, fmt.Errorf("service: bad points %v: want strictly ascending non-negative indices", req.Points)
+		}
 	}
 	return req, nil
 }

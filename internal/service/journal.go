@@ -91,9 +91,10 @@ type journalRecord struct {
 	Trials  int       `json:"trials,omitempty"`
 	Created time.Time `json:"created,omitzero"`
 
-	// point fields. Line is the verbatim NDJSON event line (without the
-	// trailing newline) so replay is byte-identical; Key is the point's
-	// content address so resumed planning re-uses cached trials.
+	// point fields. Line is the verbatim NDJSON event line so replay is
+	// byte-identical (framed without its trailing newline: whitespace
+	// appendCompact drops); Key is the point's content address so resumed
+	// planning re-uses cached trials.
 	Index int             `json:"index,omitempty"`
 	Key   string          `json:"key,omitempty"`
 	Line  json.RawMessage `json:"line,omitempty"`
@@ -128,9 +129,6 @@ func OpenJournal(dir string) (*Journal, error) {
 	return &Journal{dir: dir}, nil
 }
 
-// Dir returns the journal directory.
-func (j *Journal) Dir() string { return j.dir }
-
 // instrument wires the journal's record counter and flush-latency
 // histogram (nil instruments leave it un-instrumented).
 func (j *Journal) instrument(appends *obs.Counter, fsync *obs.Histogram) {
@@ -154,7 +152,7 @@ func (j *Journal) Begin(jobID, query string, trials int, created time.Time) (*Jo
 	jj.enqueue(journalRecord{
 		Kind: "begin", V: journalVersion,
 		Job: jobID, Query: query, Trials: trials, Created: created.UTC(),
-	}, logLine{}, nil, false)
+	}, logLine{}, nil)
 	return jj, nil
 }
 
@@ -388,12 +386,14 @@ type JobJournal struct {
 	syncDir bool  // the directory entry still awaits its fsync
 }
 
-// enqueue frames rec (the zero record for a bare line) behind everything
-// already queued, parks line and span behind it, and wakes the
-// committer. last marks the job's final entry. It reports the entry's
-// sequence number, or false — nothing queued — on a nil journal (the job
-// is not journaled) or one already closed.
-func (jj *JobJournal) enqueue(rec journalRecord, line logLine, span *obs.SpanHandle, last bool) (uint64, bool) {
+// enqueue frames rec (the zero record for a line that has none of its
+// own: the job line) behind everything already queued, parks line — what
+// clients will see once rec is durable — and span — which ends then —
+// behind it, and wakes the committer. An end record is the job's final
+// entry: the committer flushes it, closes the file and exits. It reports
+// the entry's sequence number, or false — nothing queued — on a nil
+// journal (the job is not journaled) or one already closed.
+func (jj *JobJournal) enqueue(rec journalRecord, line logLine, span *obs.SpanHandle) (uint64, bool) {
 	if jj == nil {
 		return 0, false
 	}
@@ -415,7 +415,7 @@ func (jj *JobJournal) enqueue(rec journalRecord, line logLine, span *obs.SpanHan
 		b.spans = append(b.spans, span)
 	}
 	jj.queued++
-	jj.closing = last
+	jj.closing = rec.Kind == "end"
 	jj.cond.Broadcast()
 	return jj.queued, true
 }
@@ -552,36 +552,26 @@ func (jj *JobJournal) closeFile() {
 	}
 }
 
-// queueLine parks a stream line that has no record of its own (the job
-// line) behind the records already queued.
-func (jj *JobJournal) queueLine(kind byte, line []byte) (uint64, bool) {
-	return jj.enqueue(journalRecord{}, logLine{kind, line}, nil, false)
+// pointRecord is the record of one committed design point: its global
+// index, cache key and the exact NDJSON line clients will see.
+func pointRecord(index int, key string, line []byte) journalRecord {
+	return journalRecord{Kind: "point", Index: index, Key: key, Line: line}
 }
 
-// queuePoint queues one committed design point — its global index, cache
-// key and the exact NDJSON line clients will see — and returns; span
-// ends when the record is durable.
-func (jj *JobJournal) queuePoint(index int, key string, line []byte, span *obs.SpanHandle) (uint64, bool) {
-	return jj.enqueue(journalRecord{Kind: "point", Index: index, Key: key, Line: line},
-		logLine{'p', line}, span, false)
+// endRecord is a job's terminal record, carrying its terminal line.
+func endRecord(status, errMsg string, line []byte) journalRecord {
+	return journalRecord{Kind: "end", Status: status, Error: errMsg, Line: line}
 }
 
-// queueEnd queues the job's terminal record and line; the committer
-// flushes them, closes the file and exits.
-func (jj *JobJournal) queueEnd(status, errMsg string, line []byte) (uint64, bool) {
-	return jj.enqueue(journalRecord{Kind: "end", Status: status, Error: errMsg, Line: line},
-		logLine{'t', line}, nil, true)
-}
-
-// Point is queuePoint that waits: it returns once the record is on disk,
-// or with the reason it is not.
+// Point queues a point record and waits: it returns once the record is on
+// disk, or with the reason it is not.
 func (jj *JobJournal) Point(index int, key string, line []byte) error {
-	return jj.wait(jj.queuePoint(index, key, line, nil))
+	return jj.wait(jj.enqueue(pointRecord(index, key, line), logLine{'p', line}, nil))
 }
 
-// End is queueEnd that waits for the record and for the file to close.
+// End queues the end record and waits for it and for the file to close.
 func (jj *JobJournal) End(status, errMsg string, line []byte) error {
-	err := jj.wait(jj.queueEnd(status, errMsg, line))
+	err := jj.wait(jj.enqueue(endRecord(status, errMsg, line), logLine{'t', line}, nil))
 	jj.Close()
 	return err
 }

@@ -17,17 +17,19 @@ import (
 )
 
 // noLeakedCommitters fails t if, after its other cleanups (server and
-// listener shutdown) have run, a journal committer or a detached job is
-// still alive. Call it first in a test, so its cleanup runs last.
-func noLeakedCommitters(t *testing.T) {
+// listener shutdown) have run, any goroutine of the job pipeline — a run,
+// a journal committer, a log follower — is still alive. Call it first in
+// a test, so its cleanup runs last; newTestServer does.
+func noLeakedCommitters(t testing.TB) {
 	t.Helper()
 	t.Cleanup(func() {
 		deadline := time.Now().Add(5 * time.Second)
 		for {
 			buf := make([]byte, 1<<20)
 			buf = buf[:runtime.Stack(buf, true)]
-			if !bytes.Contains(buf, []byte("(*JobJournal).run")) &&
-				!bytes.Contains(buf, []byte("(*Server).runDetached")) {
+			if !bytes.Contains(buf, []byte("(*JobJournal).run(")) &&
+				!bytes.Contains(buf, []byte("(*Server).run(")) &&
+				!bytes.Contains(buf, []byte("(*jobLog).follow(")) {
 				return
 			}
 			if time.Now().After(deadline) {
@@ -347,15 +349,15 @@ func TestJournalGroupCommit(t *testing.T) {
 		}
 	}
 	jobLine, _ := json.Marshal(JobEvent{Type: "job", ID: "job-1"})
-	queued(jj.queueLine('j', jobLine))
+	queued(jj.enqueue(journalRecord{}, logLine{'j', jobLine}, nil))
 	want := []logLine{{'j', jobLine}}
 	for i := 0; i < 3; i++ {
 		line, _ := json.Marshal(PointEvent{Type: "point", Done: i + 1, Total: 3, Index: i})
-		queued(jj.queuePoint(i, "key", line, nil))
+		queued(jj.enqueue(pointRecord(i, "key", line), logLine{'p', line}, nil))
 		want = append(want, logLine{'p', line})
 	}
 	endLine, _ := json.Marshal(ResultEvent{Type: "result", ID: "job-1"})
-	queued(jj.queueEnd("done", "", endLine))
+	queued(jj.enqueue(endRecord("done", "", endLine), logLine{'t', endLine}, nil))
 	want = append(want, logLine{'t', endLine})
 
 	if st, err := os.Stat(j.path("job-1")); err != nil || st.Size() != 0 {
@@ -380,7 +382,7 @@ func TestJournalGroupCommit(t *testing.T) {
 	if s := fsyncs.Sum(); s <= 0 || s > 60 {
 		t.Fatalf("flush latency histogram sums to %v s over 2 flushes", s)
 	}
-	if _, ok := jj.enqueue(journalRecord{Kind: "point"}, logLine{}, nil, false); ok {
+	if _, ok := jj.enqueue(journalRecord{Kind: "point"}, logLine{}, nil); ok {
 		t.Fatal("closed journal accepted a record")
 	}
 
@@ -438,7 +440,7 @@ func TestJournalFormatMatchesParent(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range old.Points {
-		jj.queuePoint(p.Index, p.Key, p.Line, nil)
+		jj.enqueue(pointRecord(p.Index, p.Key, p.Line), logLine{'p', p.Line}, nil)
 	}
 	if err := jj.End(old.Status, old.Error, old.EndLine); err != nil {
 		t.Fatal(err)
@@ -476,10 +478,10 @@ func TestJournalTornBatch(t *testing.T) {
 	const points = 4
 	for i := 0; i < points; i++ {
 		line, _ := json.Marshal(PointEvent{Type: "point", Done: i + 1, Total: points, Index: i})
-		jj.queuePoint(i, "key", line, nil)
+		jj.enqueue(pointRecord(i, "key", line), logLine{'p', line}, nil)
 	}
 	endLine, _ := json.Marshal(ResultEvent{Type: "result", ID: "job-1"})
-	jj.queueEnd("done", "", endLine)
+	jj.enqueue(endRecord("done", "", endLine), logLine{'t', endLine}, nil)
 	close(hold)
 	jj.Close()
 	if n := len(entered); n != 1 {
@@ -540,7 +542,7 @@ func FuzzRecoverFile(f *testing.F) {
 	}
 	for i := 0; i < 3; i++ {
 		line, _ := json.Marshal(PointEvent{Type: "point", Done: i + 1, Total: 3, Index: i})
-		jj.queuePoint(i, "key", line, nil)
+		jj.enqueue(pointRecord(i, "key", line), logLine{'p', line}, nil)
 	}
 	endLine, _ := json.Marshal(ResultEvent{Type: "result", ID: "job-1"})
 	if err := jj.End("done", "", endLine); err != nil {

@@ -281,19 +281,6 @@ func (t *telemetry) observePoint(trace traceCtx, parent string, out core.PointOu
 	t.tracer.Add(sp)
 }
 
-// jobTrace returns a job's trace context and root span id.
-func (s *Server) jobTrace(id string) (trace traceCtx, root string) {
-	if s.tel == nil || s.tel.tracer == nil {
-		return traceCtx{}, ""
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if j := s.jobs[id]; j != nil {
-		return j.trace, j.root.ID()
-	}
-	return traceCtx{}, ""
-}
-
 // statusWriter captures the response status for per-route metrics while
 // passing Flush through — the NDJSON streaming contract.
 type statusWriter struct {

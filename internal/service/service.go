@@ -14,6 +14,14 @@
 //     scenario distributions, seed, trials, engine knobs) tuple already
 //     simulated — by any job, ever — is served from memory or disk,
 //     byte-identical to a fresh run.
+//
+// Every query takes one path (durable.go): submit admits it as a job, run
+// executes it on the job's own goroutine, each event line is committed to
+// the job's log, and every HTTP response — the submitting client's
+// included — follows that log. The journal (Config.JournalDir) is the
+// log's optional write-ahead backing: with it a job survives its client
+// and a crash; without it a job dies with the connection that submitted
+// it, and its stream can be replayed only for the life of the process.
 package service
 
 import (
@@ -24,7 +32,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/results"
 	"repro/internal/wtql"
@@ -67,33 +74,99 @@ type JobInfo struct {
 	Degraded bool `json:"degraded,omitempty"`
 }
 
-// logLine is one NDJSON line of a job's event stream, kept in memory so
-// late (or reconnecting) clients can replay the committed prefix
-// byte-identically and then tail live.
+// logLine is one NDJSON line of a job's event stream, newline included,
+// kept in memory so late (or reconnecting) clients can replay the
+// committed prefix byte-identically and then tail live.
 type logLine struct {
 	kind byte // 'j' job, 'p' point, 't' terminal (result or error)
 	data []byte
 }
 
+// jobLog is one job's event stream: the job line, one line per committed
+// point, the terminal line. It is append-only and a line is immutable
+// once appended, so a follower reads the lines it was handed without the
+// lock; an append wakes this job's followers and nobody else's.
+type jobLog struct {
+	mu     sync.Mutex
+	cond   sync.Cond // on mu: broadcast on every append
+	lines  []logLine
+	closed bool // the terminal line has landed
+}
+
+// append makes lines visible to the job's followers. For a journaled job
+// only its committer calls this, after the batch carrying the lines'
+// records is fsync'd. The terminal line is the last a job commits.
+func (l *jobLog) append(lines ...logLine) {
+	l.mu.Lock()
+	l.lines = append(l.lines, lines...)
+	if lines[len(lines)-1].kind == 't' {
+		l.closed = true
+	}
+	l.mu.Unlock()
+	l.cond.Broadcast()
+}
+
+// follow hands emit every line of the log from the start, leaving out
+// the first `from` point lines (a resuming client's cursor), until the
+// terminal line has been delivered (nil), emit fails (its error) or ctx
+// ends (ctx.Err). Each look takes everything queued under one lock hold;
+// flush runs when that batch has been emitted and nothing more was
+// queued, so a line is never held back waiting for the next one.
+func (l *jobLog) follow(ctx context.Context, from int, emit func(line []byte) error, flush func()) error {
+	// Wake the cond wait below when the follower's context dies; the
+	// empty critical section orders the broadcast after Wait's re-lock.
+	stop := context.AfterFunc(ctx, func() {
+		l.mu.Lock()
+		//lint:ignore SA2001 pairing the broadcast with the waiters' lock
+		l.mu.Unlock()
+		l.cond.Broadcast()
+	})
+	defer stop()
+
+	idx, pts := 0, 0
+	for {
+		l.mu.Lock()
+		for idx == len(l.lines) && !l.closed && ctx.Err() == nil {
+			l.cond.Wait()
+		}
+		batch, closed := l.lines[idx:], l.closed
+		l.mu.Unlock()
+		if len(batch) == 0 && !closed {
+			return ctx.Err()
+		}
+		idx += len(batch)
+		for _, ln := range batch {
+			if ln.kind == 'p' {
+				if pts++; pts <= from {
+					continue
+				}
+			}
+			if err := emit(ln.data); err != nil {
+				return err
+			}
+		}
+		flush()
+		if closed {
+			return nil
+		}
+	}
+}
+
 // job is the internal job record.
 type job struct {
-	info   JobInfo
+	info   JobInfo // guarded by Server.mu
 	cancel context.CancelFunc
+	log    jobLog
 
-	// Durable (journaled) jobs additionally carry their full event
-	// stream. lines grows append-only under Server.mu and each element
-	// is immutable once appended; points counts the 'p' lines (the
-	// stream-resume cursor unit). logClosed is set when the terminal
-	// line lands. jj is the job's journal (set once, under Server.mu):
-	// lines reach the log through its committer, after their records are
-	// fsync'd. It is nil when journaling is off — in which case lines
-	// stays empty and the job streams inline on its handler goroutine
-	// exactly as before journaling existed.
-	durable   bool
-	lines     []logLine
-	points    int
-	logClosed bool
+	// jj is the job's journal, set once (under Server.mu) before the job
+	// runs: lines reach the log through its committer, after their records
+	// are fsync'd. nil means nothing backs the log — journaling is off, the
+	// job is a fleet shard (the coordinator owns client-facing durability),
+	// or the journal file could not be created: lines are appended directly
+	// and the job is abandoned (under Server.mu) — cancelled, its stream
+	// withdrawn — if its submitting client leaves before it finishes.
 	jj        *JobJournal
+	abandoned bool
 
 	// trace/root are the job's distributed-trace identity: set once in
 	// newJob (before any worker goroutine exists) and read-only after,
@@ -171,15 +244,16 @@ type Config struct {
 	// windtunneld -alerts flag loads a rules file merged over the
 	// defaults via LoadAlertRules). nil means DefaultAlertRules.
 	AlertRules []AlertRule
-	// JournalDir, when non-empty, enables the durable job layer: every
+	// JournalDir, when non-empty, makes jobs crash-durable: every
 	// client-facing query is write-ahead journaled (query, one record per
 	// committed point with its cache key, terminal record — group
-	// committed, each fsync'd before its event is visible), runs
-	// detached from its client connection, and is resumable via
-	// GET /v1/jobs/{id}/stream?from=N. After a crash, Recover replays
-	// the directory and resumes incomplete jobs. Empty disables
-	// journaling entirely: queries stream inline and die with their
-	// client connection, byte-identical to the pre-journal daemon.
+	// committed, each fsync'd before its event is visible) and outlives
+	// its client connection; after a crash, Recover replays the directory
+	// and resumes incomplete jobs. Empty means no journal: the same
+	// pipeline and the same bytes on the wire, but a job is cancelled when
+	// its submitting client leaves and is forgotten when the process
+	// exits. Either way a retained job's stream can be followed again via
+	// GET /v1/jobs/{id}/stream?from=N.
 	JournalDir string
 }
 
@@ -201,15 +275,16 @@ type Server struct {
 	alerts  *alertEngine // rule evaluation over history
 	started time.Time
 	now     func() time.Time
-	// pointGate, when set (tests only), is called before each durable
-	// point is queued for commit, with its index, and before the terminal
-	// record, with the number of points committed — the hook crash tests
-	// use to freeze a job at an exact committed-point count before
-	// simulating kill -9.
+	// pointGate, when set (tests only), is called before each point is
+	// committed, with its index, and before the terminal line, with the
+	// number of points committed — the hook crash tests use to freeze a
+	// job at an exact committed-point count before simulating kill -9.
 	pointGate func(index int)
+	// stage, when set (tests only), is told as a job enters "parse" and
+	// "plan", so a test can count that each happens once per job.
+	stage func(name string)
 
 	mu       sync.Mutex
-	cond     *sync.Cond // broadcast on any job-log append; streamers wait on it
 	jobs     map[string]*job
 	order    []string // insertion order, for stable listings
 	nextID   int
@@ -234,7 +309,6 @@ func New(cfg Config) (*Server, error) {
 		now:     time.Now,
 		jobs:    make(map[string]*job),
 	}
-	s.cond = sync.NewCond(&s.mu)
 	worker := "local"
 	switch {
 	case cfg.Coordinator:
@@ -329,19 +403,14 @@ func (s *Server) Close() {
 	}
 }
 
-// Health exposes the fleet health monitor (nil without Peers).
-func (s *Server) Health() *Health { return s.health }
-
 // markDegraded flags a job as partially coordinator-served.
-func (s *Server) markDegraded(id string) {
+func (s *Server) markDegraded(j *job) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if j, ok := s.jobs[id]; ok {
-		if !j.info.Degraded {
-			s.tel.degradedJobs.Inc()
-		}
-		j.info.Degraded = true
+	if !j.info.Degraded {
+		s.tel.degradedJobs.Inc()
 	}
+	j.info.Degraded = true
 }
 
 // Cache exposes the trial cache (for stats and tests).
@@ -371,61 +440,55 @@ func (s *Server) CancelAll() {
 	}
 }
 
-// unsettled reports whether a job is still running or, durable, still
-// has its terminal line on the way to the disk. Caller holds s.mu.
+// unsettled reports whether a job's terminal line is still to come: it
+// is running, or its terminal record is on the way to the disk.
 func (j *job) unsettled() bool {
-	return j.info.State == JobRunning || (j.durable && !j.logClosed)
+	j.log.mu.Lock()
+	defer j.log.mu.Unlock()
+	return !j.log.closed
 }
 
-// WaitJobs blocks until every job has reached a terminal state — and,
-// for durable jobs, the terminal record has been flushed and its line
-// released — or ctx expires, reporting whether the registry drained.
-// Durable jobs run detached from their client connections, so
-// http.Server.Shutdown (which only waits for open connections) no
-// longer implies the work is done — the drain path must wait on the
-// jobs themselves.
+// WaitJobs blocks until every job's log has its terminal line — for a
+// journaled job, the terminal record flushed and its line released — or
+// ctx expires, reporting whether the registry drained. Journaled jobs
+// outlive their client connections, so http.Server.Shutdown (which only
+// waits for open connections) does not imply the work is done — the
+// drain path must wait on the jobs themselves.
 func (s *Server) WaitJobs(ctx context.Context) bool {
-	tick := time.NewTicker(20 * time.Millisecond)
-	defer tick.Stop()
-	for {
-		s.mu.Lock()
-		running := 0
-		for _, j := range s.jobs {
-			if j.unsettled() {
-				running++
-			}
-		}
-		s.mu.Unlock()
-		if running == 0 {
-			return true
-		}
-		select {
-		case <-ctx.Done():
+	s.mu.Lock()
+	jobs := make([]*job, 0, len(s.jobs))
+	for _, j := range s.jobs {
+		jobs = append(jobs, j)
+	}
+	s.mu.Unlock()
+	// Waiting for a job is following its log to the end.
+	for _, j := range jobs {
+		if j.log.follow(ctx, 0, func([]byte) error { return nil }, func() {}) != nil {
 			return false
-		case <-tick.C:
 		}
 	}
+	return true
 }
 
 // maxRetainedJobs bounds the job registry: finished jobs beyond this
 // count are evicted oldest-first, so a long-running daemon's memory
-// does not grow with total queries served. Running jobs — and durable
-// ones whose terminal record is still being flushed — are never evicted.
+// does not grow with total queries served — an evicted job's log goes
+// with it. Running jobs — and journaled ones whose terminal record is
+// still being flushed — are never evicted.
 const maxRetainedJobs = 1024
 
-// newJob registers a running job and returns its id plus a context the
-// sweep must run under. durable jobs keep a replayable stream log (see
-// durable.go); inline jobs stream on their handler goroutine and record
-// nothing. tr is the job's position in a distributed trace: zero for a
-// locally-originated job (a fresh trace id is minted), carrying a parent
-// span when a remote coordinator propagated one via X-WT-Trace.
-func (s *Server) newJob(parent context.Context, query string, durable bool, tr traceCtx) (string, context.Context, error) {
-	ctx, cancel := context.WithCancel(parent)
+// newJob registers a running job and returns it with the context its
+// sweep must run under. tr is the job's position in a distributed trace:
+// zero for a locally-originated job (a fresh trace id is minted),
+// carrying a parent span when a remote coordinator propagated one via
+// X-WT-Trace.
+func (s *Server) newJob(query string, tr traceCtx) (*job, context.Context, error) {
+	ctx, cancel := context.WithCancel(context.Background())
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
 		cancel()
-		return "", nil, fmt.Errorf("service: draining, not accepting new queries")
+		return nil, nil, fmt.Errorf("service: draining, not accepting new queries")
 	}
 	s.nextID++
 	id := "job-" + strconv.Itoa(s.nextID)
@@ -433,10 +496,16 @@ func (s *Server) newJob(parent context.Context, query string, durable bool, tr t
 		info: JobInfo{
 			ID: id, Query: query, State: JobRunning, Created: s.now(),
 		},
-		cancel:  cancel,
-		durable: durable,
+		cancel: cancel,
 	}
-	if s.tel != nil && s.tel.tracer != nil {
+	s.registerLocked(j, tr)
+	return j, ctx, nil
+}
+
+// registerLocked enters j in the registry at position tr of a trace: a
+// running job gets its trace id and root span. Caller holds s.mu.
+func (s *Server) registerLocked(j *job, tr traceCtx) {
+	if s.tel.tracer != nil && j.info.State == JobRunning {
 		rootName := "job"
 		if tr.id == "" {
 			tr.id = s.tel.tracer.NewTraceID()
@@ -446,13 +515,13 @@ func (s *Server) newJob(parent context.Context, query string, durable bool, tr t
 			rootName = "worker"
 		}
 		j.trace = tr
-		j.root = s.tel.startSpan(tr, tr.parent, rootName).Attr("job", id)
+		j.root = s.tel.startSpan(tr, tr.parent, rootName).Attr("job", j.info.ID)
 		j.info.TraceID = tr.id
 	}
-	s.jobs[id] = j
-	s.order = append(s.order, id)
+	j.log.cond.L = &j.log.mu
+	s.jobs[j.info.ID] = j
+	s.order = append(s.order, j.info.ID)
 	s.evictFinishedLocked()
-	return id, ctx, nil
 }
 
 // evictFinishedLocked trims the registry to maxRetainedJobs by dropping
@@ -478,29 +547,23 @@ func (s *Server) evictFinishedLocked() {
 }
 
 // progress updates a job's per-point counters. It is the single choke
-// point every commit path passes through — inline, durable and fleet
+// point every committed point passes through — local sweep and fleet
 // merge alike — which makes it the one true home of the committed-points
 // counter.
-func (s *Server) progress(id string, done, total int, fromCache bool) {
+func (s *Server) progress(j *job, done, total int, fromCache bool) {
 	s.tel.pointsCommitted.Inc()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if j, ok := s.jobs[id]; ok {
-		j.info.Done, j.info.Total = done, total
-		if fromCache {
-			j.info.CacheHits++
-		}
+	j.info.Done, j.info.Total = done, total
+	if fromCache {
+		j.info.CacheHits++
 	}
 }
 
-// finish records a job's terminal state.
-func (s *Server) finish(id string, err error) {
+// finish records a job's terminal state and returns the job as it ended.
+func (s *Server) finish(j *job, err error) JobInfo {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	if !ok {
-		return
-	}
 	j.cancel() // release the context either way
 	j.info.Finished = s.now()
 	switch {
@@ -517,6 +580,7 @@ func (s *Server) finish(id string, err error) {
 		s.tel.jobsFailed.Inc()
 	}
 	j.root.Attr("state", string(j.info.State)).End()
+	return j.info
 }
 
 // Cancel cancels a running job. It reports whether the id was known.
@@ -574,75 +638,4 @@ func (s *Server) engine() *wtql.Engine {
 		Cache:        s.cache,
 		Gate:         s.pool,
 	}
-}
-
-// execute runs an admitted job's query to completion on this server's
-// own engine and records its terminal state. points, when non-nil,
-// restricts execution to those global design-point indices — the
-// sharded-fleet worker path. onEvent, when non-nil, receives each
-// committed point as the event the stream carries for it.
-func (s *Server) execute(ctx context.Context, id, query string, trials int, points []int,
-	onEvent func(ev PointEvent, out core.PointOutcome)) (*wtql.ResultSet, error) {
-	rs, err := s.runLocal(ctx, id, query, trials, points, onEvent)
-	s.finish(id, err)
-	return rs, err
-}
-
-func (s *Server) runLocal(ctx context.Context, id, query string, trials int, points []int,
-	onEvent func(ev PointEvent, out core.PointOutcome)) (*wtql.ResultSet, error) {
-	q, err := wtql.Parse(query)
-	if err != nil {
-		return nil, err
-	}
-	eng := s.engine()
-	if trials > 0 {
-		eng.Trials = trials
-	}
-	if len(q.Set) > 0 {
-		return eng.RunContext(ctx, q)
-	}
-	plan, err := eng.Plan(q)
-	if err != nil {
-		return nil, err
-	}
-	trace, root := s.jobTrace(id)
-	eng.Subset = points
-	eng.Progress = func(done, total int, out core.PointOutcome) {
-		s.progress(id, done, total, out.FromCache)
-		s.tel.observePoint(trace, root, out)
-		if onEvent != nil {
-			onEvent(pointEvent(plan.Config(out.Index), done, total, out), out)
-		}
-	}
-	return plan.Run(ctx)
-}
-
-// RunQuery executes one WTQL query as a registered job, invoking onPoint
-// (when non-nil) per committed design point. It is the transport-neutral
-// core of the HTTP handler and the unit tests' entry point. In
-// coordinator mode shardable queries fan out across the fleet exactly
-// as the HTTP path does.
-func (s *Server) RunQuery(ctx context.Context, query string, trials int,
-	onPoint func(done, total int, out core.PointOutcome)) (string, *wtql.ResultSet, error) {
-	id, jctx, err := s.newJob(ctx, query, false, traceCtx{})
-	if err != nil {
-		return "", nil, err
-	}
-	if s.fleet != nil {
-		rs, err, handled := s.executeFleet(jctx, id, query, trials, nil,
-			func(ev PointEvent, _ string, out core.PointOutcome) {
-				if onPoint != nil {
-					onPoint(ev.Done, ev.Total, out)
-				}
-			})
-		if handled {
-			return id, rs, err
-		}
-	}
-	var onEvent func(ev PointEvent, out core.PointOutcome)
-	if onPoint != nil {
-		onEvent = func(ev PointEvent, out core.PointOutcome) { onPoint(ev.Done, ev.Total, out) }
-	}
-	rs, err := s.execute(jctx, id, query, trials, nil, onEvent)
-	return id, rs, err
 }

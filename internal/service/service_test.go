@@ -5,12 +5,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -25,6 +27,7 @@ WHERE sla.availability >= 0.2`
 
 func newTestServer(t testing.TB, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
+	noLeakedCommitters(t)
 	srv, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -132,7 +135,8 @@ func TestRepeatedSweepCacheHitGolden(t *testing.T) {
 }
 
 // TestEightConcurrentJobs serves 8 concurrent sweep jobs on a 4-slot
-// shared pool — the acceptance criterion's concurrency shape.
+// shared pool — the acceptance criterion's concurrency shape — with a
+// second follower attached to each job mid-run: both read the same bytes.
 func TestEightConcurrentJobs(t *testing.T) {
 	srv, ts := newTestServer(t, Config{PoolSize: 4, Store: results.NewStore()})
 
@@ -156,9 +160,31 @@ WHERE sla.availability >= 0.2`, i+1)
 				return
 			}
 			defer resp.Body.Close()
-			body, err := io.ReadAll(resp.Body)
+			rd := bufio.NewReader(resp.Body)
+			first, err := rd.ReadBytes('\n')
 			if err != nil {
 				errs <- err
+				return
+			}
+			var admitted JobEvent
+			if err := json.Unmarshal(first, &admitted); err != nil {
+				errs <- fmt.Errorf("job %d: bad job line: %v", i, err)
+				return
+			}
+			again, err := http.Get(ts.URL + "/v1/jobs/" + admitted.ID + "/stream")
+			if err != nil {
+				errs <- err
+				return
+			}
+			defer again.Body.Close()
+			rest, err := io.ReadAll(rd)
+			if err != nil {
+				errs <- err
+				return
+			}
+			body := append(first, rest...)
+			if second, err := io.ReadAll(again.Body); err != nil || !bytes.Equal(second, body) {
+				errs <- fmt.Errorf("job %d: second follower read (%v)\n%s\nthe submitter read\n%s", i, err, second, body)
 				return
 			}
 			lines := bytes.Split(bytes.TrimSpace(body), []byte("\n"))
@@ -374,30 +400,77 @@ func TestJobListingAndLookup(t *testing.T) {
 }
 
 // TestJobRegistryBounded checks the retention cap: a long-running
-// daemon must not accumulate finished jobs without bound, while running
-// jobs are never evicted.
+// daemon must not accumulate finished jobs — or their logs — without
+// bound, while running jobs are never evicted.
 func TestJobRegistryBounded(t *testing.T) {
-	srv, err := New(Config{PoolSize: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One long-lived "running" job that must survive every eviction.
-	runningID, _, err := srv.newJob(context.Background(), "running", false, traceCtx{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < maxRetainedJobs+200; i++ {
-		id, _, err := srv.newJob(context.Background(), "q", false, traceCtx{})
-		if err != nil {
-			t.Fatal(err)
+	srv, ts := newTestServer(t, Config{PoolSize: 1})
+	// One long-lived running job that must survive every eviction: the
+	// first to reach the gate is held there.
+	var held atomic.Bool
+	reached, release := make(chan struct{}), make(chan struct{})
+	srv.pointGate = func(int) {
+		if held.CompareAndSwap(false, true) {
+			close(reached)
+			<-release
 		}
-		srv.finish(id, nil)
 	}
+	defer close(release)
+	runningID, err := srv.Submit(QueryRequest{Query: smallQuery})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-reached
+
+	// retained is what the registry's logs hold, in lines and bytes.
+	retained := func() (lines, size int) {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		for _, j := range srv.jobs {
+			j.log.mu.Lock()
+			for _, ln := range j.log.lines {
+				lines, size = lines+1, size+len(ln.data)
+			}
+			j.log.mu.Unlock()
+		}
+		return lines, size
+	}
+	// Each of these fails to parse: a finished job with a two-line log.
+	flood := func(n int) (first string) {
+		for i := 0; i < n; i++ {
+			id, err := srv.Submit(QueryRequest{Query: "q"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if collectJob(t, srv, id, 0); first == "" {
+				first = id
+			}
+		}
+		return first
+	}
+	evicted := flood(maxRetainedJobs + 100)
+	lines, size := retained()
+	flood(100)
 	if n := len(srv.Jobs()); n > maxRetainedJobs {
 		t.Fatalf("registry holds %d jobs, cap is %d", n, maxRetainedJobs)
 	}
 	if info, ok := srv.Job(runningID); !ok || info.State != JobRunning {
 		t.Fatalf("running job was evicted: %+v ok=%v", info, ok)
+	}
+	// 100 more jobs past the cap retain no more than before (ids grow a
+	// digit now and then, hence the percent).
+	if l, s := retained(); l != lines || s > size+size/100 {
+		t.Fatalf("logs kept growing past the cap: %d lines / %d bytes, then %d / %d", lines, size, l, s)
+	}
+	if err := srv.Follow(context.Background(), evicted, 0, func([]byte) error { return nil }); !errors.Is(err, ErrUnknownJob) {
+		t.Fatalf("following evicted %s: %v, want ErrUnknownJob", evicted, err)
+	}
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + evicted + "/stream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("evicted job's stream returned %d, want 404", resp.StatusCode)
 	}
 }
 
@@ -453,12 +526,12 @@ func TestJobsNewestFirstWithinOneTick(t *testing.T) {
 
 	var ids []string
 	for i := 0; i < 5; i++ {
-		id, _, err := srv.newJob(context.Background(), "q", false, traceCtx{})
+		j, _, err := srv.newJob("q", traceCtx{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv.finish(id, nil)
-		ids = append(ids, id)
+		srv.finish(j, nil)
+		ids = append(ids, j.info.ID)
 	}
 	jobs := srv.Jobs()
 	if len(jobs) != len(ids) {
