@@ -15,9 +15,10 @@
 // NDJSON stream; a request counts as successful only when the stream
 // terminates with a result event, after up to -retries retried
 // attempts. A stream that dies mid-flight after the server accepted the
-// job is resumed via GET /v1/jobs/{id}/stream?from=<received> — a
-// reconnect-then-success still counts as exactly one successful
-// request, reported separately in the resumed-vs-fresh split. The
+// job is picked up again at the last event received (service.Client's
+// resume protocol, shared with wtql) — a reconnect-then-success still
+// counts as exactly one successful request, reported separately in the
+// resumed-vs-fresh split. The
 // report includes retry totals, an error breakdown and the slowest
 // request; the exit status is non-zero when any request ultimately
 // failed. The default query is a small replication sweep so every
@@ -26,13 +27,10 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"os/signal"
 	"sort"
@@ -41,6 +39,8 @@ import (
 	"sync/atomic"
 	"syscall"
 	"time"
+
+	"repro/internal/service"
 )
 
 // defaultQuery is a 4-point sweep, small enough that a cold run
@@ -59,28 +59,31 @@ func main() {
 	retries := flag.Int("retries", 2, "per-request retries before a request counts as failed")
 	flag.Parse()
 
-	if *requests <= 0 {
-		*requests = *clients
-	}
-	if *requests < *clients {
-		*clients = *requests
-	}
-
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	ctx, cancel := context.WithTimeout(ctx, *timeout)
 	defer cancel()
 
-	base := strings.TrimRight(*server, "/")
-	body, err := json.Marshal(map[string]any{"query": *query})
-	if err != nil {
-		fatal(err)
+	if !run(ctx, *server, *query, *clients, *requests, *retries, os.Stdout, os.Stderr) {
+		os.Exit(1)
 	}
+}
 
-	fmt.Fprintf(os.Stderr, "wtload: %d requests, %d concurrent clients -> %s\n",
-		*requests, *clients, base)
-	if v := serverVersion(base); v != "" {
-		fmt.Fprintf(os.Stderr, "wtload: server %s\n", v)
+// run drives the load and prints the report to stdout (banner lines to
+// stderr), reporting whether every request ultimately succeeded.
+func run(ctx context.Context, server, query string, clients, requests, retries int, stdout, stderr io.Writer) bool {
+	if requests <= 0 {
+		requests = clients
+	}
+	if requests < clients {
+		clients = requests
+	}
+	base := strings.TrimRight(server, "/")
+	var client service.Client
+
+	fmt.Fprintf(stderr, "wtload: %d requests, %d concurrent clients -> %s\n", requests, clients, base)
+	if v := serverVersion(ctx, client, base); v != "" {
+		fmt.Fprintf(stderr, "wtload: server %s\n", v)
 	}
 
 	var (
@@ -89,20 +92,19 @@ func main() {
 		okResumed   atomic.Int64 // successes that needed a mid-stream reconnect
 		failCount   atomic.Int64
 		retryCount  atomic.Int64
-		resumeCount atomic.Int64 // stream-resume attempts (not full re-submissions)
+		resumeCount atomic.Int64 // reconnects to a job already admitted (not full retries)
 		mu          sync.Mutex
 		latencies   []time.Duration
 		errCounts   = map[string]int64{}
 	)
-	client := &http.Client{}
 	start := time.Now()
 	var wg sync.WaitGroup
-	for c := 0; c < *clients; c++ {
+	for c := 0; c < clients; c++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
-				if next.Add(1) > int64(*requests) || ctx.Err() != nil {
+				if next.Add(1) > int64(requests) || ctx.Err() != nil {
 					return
 				}
 				// One request = up to 1+retries attempts; it ultimately
@@ -112,12 +114,12 @@ func main() {
 				t0 := time.Now()
 				var err error
 				var resumed bool
-				for attempt := 0; attempt <= *retries; attempt++ {
+				for attempt := 0; attempt <= retries; attempt++ {
 					if attempt > 0 {
 						retryCount.Add(1)
 					}
 					var resumes int
-					resumes, err = runOnce(ctx, client, base, body)
+					resumes, err = runOnce(ctx, client, base, query)
 					resumeCount.Add(int64(resumes))
 					if resumes > 0 {
 						resumed = true
@@ -150,16 +152,16 @@ func main() {
 	elapsed := time.Since(start)
 
 	ok, failed := okCount.Load(), failCount.Load()
-	fmt.Printf("requests:   %d ok, %d failed in %s\n", ok, failed, elapsed.Round(time.Millisecond))
-	fmt.Printf("resumed:    %d ok via reconnect, %d ok fresh (%d stream resumes)\n",
+	fmt.Fprintf(stdout, "requests:   %d ok, %d failed in %s\n", ok, failed, elapsed.Round(time.Millisecond))
+	fmt.Fprintf(stdout, "resumed:    %d ok via reconnect, %d ok fresh (%d stream resumes)\n",
 		okResumed.Load(), ok-okResumed.Load(), resumeCount.Load())
-	fmt.Printf("retries:    %d\n", retryCount.Load())
+	fmt.Fprintf(stdout, "retries:    %d\n", retryCount.Load())
 	if ok > 0 {
-		fmt.Printf("throughput: %.1f queries/s\n", float64(ok)/elapsed.Seconds())
+		fmt.Fprintf(stdout, "throughput: %.1f queries/s\n", float64(ok)/elapsed.Seconds())
 		sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-		fmt.Printf("latency:    p50 %s  p95 %s  p99 %s\n",
+		fmt.Fprintf(stdout, "latency:    p50 %s  p95 %s  p99 %s\n",
 			pct(latencies, 50), pct(latencies, 95), pct(latencies, 99))
-		fmt.Printf("slowest:    %s\n", latencies[len(latencies)-1].Round(time.Millisecond))
+		fmt.Fprintf(stdout, "slowest:    %s\n", latencies[len(latencies)-1].Round(time.Millisecond))
 	}
 	if len(errCounts) > 0 {
 		keys := make([]string, 0, len(errCounts))
@@ -168,13 +170,11 @@ func main() {
 		}
 		sort.Strings(keys)
 		for _, k := range keys {
-			fmt.Printf("error:      %dx %s\n", errCounts[k], k)
+			fmt.Fprintf(stdout, "error:      %dx %s\n", errCounts[k], k)
 		}
 	}
-	printCacheStats(base, client)
-	if failed > 0 {
-		os.Exit(1)
-	}
+	printCacheStats(ctx, stdout, client, base)
+	return failed == 0
 }
 
 // errKey buckets an error for the breakdown: the first line, truncated,
@@ -190,93 +190,22 @@ func errKey(err error) string {
 	return msg
 }
 
-// runOnce issues one query and drains its stream, requiring a terminal
-// result event. When the stream dies mid-flight after the server
-// accepted the job, the job's NDJSON stream is resumed in place (up to
-// maxResumes times) via GET /v1/jobs/{id}/stream?from=<received> — on a
-// journaling daemon the job keeps running detached, so the reconnect
-// picks up exactly where the dead connection stopped. The returned
-// count is how many resumes it took (0 = a clean single-connection
-// run); the request is one request either way.
-func runOnce(ctx context.Context, client *http.Client, base string, body []byte) (resumes int, err error) {
+// runOnce issues one query and reads its stream to the result event.
+// When the connection dies after the server admitted the job, the job is
+// picked up again at the cursor (up to maxResumes times): its stream is
+// resumed in place — on a journaling daemon the job runs on detached —
+// or, if the daemon no longer holds it, the query is sent again with the
+// cursor. The returned count is how many reconnects it took (0 = a clean
+// single-connection run); the request is one request either way.
+func runOnce(ctx context.Context, c service.Client, base, query string) (resumes int, err error) {
 	const maxResumes = 3
-	req, err := http.NewRequestWithContext(ctx, "POST", base+"/v1/query", bytes.NewReader(body))
-	if err != nil {
-		return 0, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := client.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		resp.Body.Close()
-		return 0, fmt.Errorf("HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(msg)))
-	}
-
-	var jobID string
-	points := 0
+	s := service.Session{Request: service.QueryRequest{Query: query}}
 	for {
-		jid, pts, done, err := drainStream(resp)
-		if jid != "" {
-			jobID = jid
-		}
-		points += pts
-		if done || err == nil {
+		_, err = c.Attempt(ctx, base, &s, func(*service.Event) error { return nil })
+		if err == nil || service.Permanent(err) || ctx.Err() != nil || s.Job == "" || resumes >= maxResumes {
 			return resumes, err
 		}
-		if ctx.Err() != nil || jobID == "" || resumes >= maxResumes {
-			return resumes, err
-		}
-		// Mid-stream death with a known job: resume its stream from the
-		// last event received instead of re-submitting the query.
 		resumes++
-		req, rerr := http.NewRequestWithContext(ctx, "GET",
-			fmt.Sprintf("%s/v1/jobs/%s/stream?from=%d", base, jobID, points), nil)
-		if rerr != nil {
-			return resumes, rerr
-		}
-		resp, rerr = client.Do(req)
-		if rerr != nil {
-			return resumes, rerr
-		}
-		if resp.StatusCode != http.StatusOK {
-			msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-			resp.Body.Close()
-			return resumes, fmt.Errorf("resume HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(msg)))
-		}
-	}
-}
-
-// drainStream consumes one NDJSON connection, closing it. done=true
-// means a terminal event arrived (result or server error) and err is
-// the final verdict; done=false with err != nil is a transport-level
-// death the caller may resume from.
-func drainStream(resp *http.Response) (jobID string, points int, done bool, err error) {
-	defer resp.Body.Close()
-	dec := json.NewDecoder(resp.Body)
-	for {
-		var ev struct {
-			Type  string `json:"type"`
-			ID    string `json:"id"`
-			Error string `json:"error"`
-		}
-		if derr := dec.Decode(&ev); derr == io.EOF {
-			return jobID, points, false, fmt.Errorf("stream ended without a result")
-		} else if derr != nil {
-			return jobID, points, false, derr
-		}
-		switch ev.Type {
-		case "job":
-			jobID = ev.ID
-		case "point":
-			points++
-		case "result":
-			return jobID, points, true, nil
-		case "error":
-			return jobID, points, true, fmt.Errorf("server: %s", ev.Error)
-		}
 	}
 }
 
@@ -292,53 +221,26 @@ func pct(sorted []time.Duration, p int) time.Duration {
 // printCacheStats fetches and prints the server's /v1/cache snapshot —
 // on a fleet coordinator this is the coordinator's own (empty) cache,
 // so point wtload at a worker to read per-worker hit and peering rates.
-func printCacheStats(base string, client *http.Client) {
-	resp, err := client.Get(base + "/v1/cache")
-	if err != nil {
+func printCacheStats(ctx context.Context, w io.Writer, c service.Client, base string) {
+	var st service.CacheResponse
+	if c.GetJSON(ctx, base+"/v1/cache", service.MaxReply, &st) != nil {
 		return
 	}
-	defer resp.Body.Close()
-	var st struct {
-		Entries  int     `json:"entries"`
-		Hits     uint64  `json:"hits"`
-		DiskHits uint64  `json:"disk_hits"`
-		PeerHits uint64  `json:"peer_hits"`
-		Misses   uint64  `json:"misses"`
-		HitRate  float64 `json:"hit_rate"`
-		PoolCap  int     `json:"pool_capacity"`
-	}
-	if json.NewDecoder(resp.Body).Decode(&st) != nil {
-		return
-	}
-	fmt.Printf("server cache: %d entries, %d hits (%d disk, %d peer), %d misses, %.1f%% hit rate, pool=%d\n",
+	fmt.Fprintf(w, "server cache: %d entries, %d hits (%d disk, %d peer), %d misses, %.1f%% hit rate, pool=%d\n",
 		st.Entries, st.Hits, st.DiskHits, st.PeerHits, st.Misses, 100*st.HitRate, st.PoolCap)
 }
 
 // serverVersion reads the daemon's build identity from /v1/healthz
 // ("" when the server predates the version field or is unreachable —
 // the load run proceeds either way).
-func serverVersion(base string) string {
-	resp, err := http.Get(base + "/v1/healthz")
-	if err != nil {
+func serverVersion(ctx context.Context, c service.Client, base string) string {
+	var hz service.HealthzResponse
+	if c.GetJSON(ctx, base+"/v1/healthz", service.MaxReply, &hz) != nil || hz.Version == "" {
 		return ""
 	}
-	defer resp.Body.Close()
-	var hz struct {
-		Version  string `json:"version"`
-		Go       string `json:"go"`
-		Revision string `json:"revision"`
-	}
-	if json.NewDecoder(resp.Body).Decode(&hz) != nil || hz.Version == "" {
-		return ""
-	}
-	v := "windtunneld " + hz.Version + " (" + hz.Go
+	v := "windtunneld " + hz.Version + " (" + hz.GoVersion
 	if hz.Revision != "" {
 		v += ", " + hz.Revision
 	}
 	return v + ")"
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "wtload:", err)
-	os.Exit(1)
 }

@@ -23,16 +23,12 @@
 package main
 
 import (
-	"bufio"
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"io/fs"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -40,6 +36,7 @@ import (
 	"time"
 
 	"repro/internal/results"
+	"repro/internal/service"
 	"repro/internal/wtql"
 )
 
@@ -145,69 +142,32 @@ func splitServers(s string) []string {
 	return out
 }
 
-// permanentError marks a failure no reconnect can fix (a bad query, a
-// server-reported job error) — retrying would just repeat it.
-type permanentError struct{ err error }
-
-func (e permanentError) Error() string { return e.err.Error() }
-func (e permanentError) Unwrap() error { return e.err }
-
-// remoteSession is one query's daemon-mode execution state across
-// however many connections it takes: which server owns the job, how
-// many point events arrived, and whether the table already printed.
-type remoteSession struct {
-	servers  []string
-	si       int // current server index
-	text     string
-	trials   int
-	progress bool
-
-	jobID  string
-	jobSrv int // index of the server that accepted jobID
-	points int // point events received so far (the resume cursor)
-	start  time.Time
-}
-
 // runRemote executes the query against a windtunneld daemon (or a
 // failover list of them), streaming progress to stderr and the final
 // table to stdout. A dropped connection is retried within the reconnect
-// window: the same server is asked to resume the job's stream from the
-// last received point; a server that no longer knows the job (or a
-// different server after failover) gets the query re-submitted with
-// from=<received>, so the client never sees a point event twice and the
-// table prints exactly once. trials == 0 leaves the daemon's default in
-// force.
+// window; service.Client.Attempt keeps the cursor, so the client never
+// sees a point event twice and the table prints exactly once. trials == 0
+// leaves the daemon's default in force.
 func runRemote(ctx context.Context, servers []string, text string, trials int, progress bool, reconnect time.Duration, trace bool) error {
-	s := &remoteSession{
-		servers: servers, text: text, trials: trials,
-		progress: progress, start: time.Now(),
-	}
+	var c service.Client
+	s := &service.Session{Request: service.QueryRequest{Query: text, Trials: trials}}
+	start := time.Now()
+	on := func(ev *service.Event) error { return printEvent(ev, progress, start) }
+
+	si := 0 // current server
 	deadline := time.Now().Add(reconnect)
 	backoff := 200 * time.Millisecond
 	for {
-		got, err := s.attempt(ctx)
+		got, err := c.Attempt(ctx, servers[si], s, on)
 		if err == nil {
-			if trace && s.jobID != "" {
-				base := strings.TrimRight(s.servers[s.jobSrv], "/")
-				tr, terr := fetchTrace(ctx, base, s.jobID)
-				switch {
-				case errors.Is(terr, errTraceEvicted):
-					// The table printed; the waterfall just aged out of the
-					// daemon's bounded trace ring. A notice, not a failure.
-					fmt.Fprintln(os.Stderr, "wtql: trace evicted: the daemon's trace buffer dropped this job's spans (raise its retention or fetch the trace sooner); the result table above is complete")
-				case terr != nil:
-					fmt.Fprintf(os.Stderr, "wtql: trace unavailable: %v\n", terr)
-				default:
-					renderTrace(os.Stderr, tr)
-				}
+			if trace && s.Job != "" {
+				printTrace(ctx, c, s)
 			}
 			return nil
 		}
-		var perm permanentError
-		if errors.As(err, &perm) {
-			return perm.err
-		}
-		if ctx.Err() != nil {
+		if service.Permanent(err) || ctx.Err() != nil {
+			// A bad query, a failed job, a caller who has given up:
+			// retrying would just repeat it.
 			return err
 		}
 		if got > 0 {
@@ -215,15 +175,15 @@ func runRemote(ctx context.Context, servers []string, text string, trials int, p
 			// there, so restart the reconnect window and the backoff.
 			deadline = time.Now().Add(reconnect)
 			backoff = 200 * time.Millisecond
-		} else if len(s.servers) > 1 {
+		} else if len(servers) > 1 {
 			// Nothing at all from this server: fail over to the next one.
-			s.si = (s.si + 1) % len(s.servers)
+			si = (si + 1) % len(servers)
 		}
 		if reconnect <= 0 || time.Now().After(deadline) {
 			return fmt.Errorf("stream lost and not recovered within %s: %w", reconnect, err)
 		}
 		fmt.Fprintf(os.Stderr, "wtql: connection lost (%v); retrying %s in %s\n",
-			err, s.servers[s.si], backoff.Round(time.Millisecond))
+			err, servers[si], backoff.Round(time.Millisecond))
 		select {
 		case <-time.After(backoff):
 		case <-ctx.Done():
@@ -235,177 +195,54 @@ func runRemote(ctx context.Context, servers []string, text string, trials int, p
 	}
 }
 
-// attempt makes one connection and consumes its stream, returning how
-// many NDJSON events arrived (0 means the server gave us nothing — the
-// caller's cue to fail over). nil error means the table printed.
-func (s *remoteSession) attempt(ctx context.Context) (events int, err error) {
-	base := strings.TrimRight(s.servers[s.si], "/")
-
-	// Prefer resuming the existing job's stream on the server that owns
-	// it: the committed prefix is skipped server-side via from=, and a
-	// daemon that restarted still has the job (replayed from its
-	// journal) under the same id.
-	if s.jobID != "" && s.si == s.jobSrv {
-		req, rerr := http.NewRequestWithContext(ctx, "GET",
-			fmt.Sprintf("%s/v1/jobs/%s/stream?from=%d", base, s.jobID, s.points), nil)
-		if rerr != nil {
-			return 0, rerr
-		}
-		resp, rerr := http.DefaultClient.Do(req)
-		switch {
-		case rerr != nil:
-			return 0, rerr
-		case resp.StatusCode == http.StatusOK:
-			defer resp.Body.Close()
-			return s.consume(resp)
-		case resp.StatusCode == http.StatusNotFound:
-			// Job unknown here (journaling off, or evicted): fall through
-			// to a fresh submission with the resume cursor.
-			resp.Body.Close()
-		default:
-			err := httpError(resp)
-			resp.Body.Close()
-			return 0, err
-		}
-	}
-
-	payload := map[string]any{"query": s.text}
-	if s.trials > 0 {
-		payload["trials"] = s.trials
-	}
-	if s.points > 0 {
-		// Re-submission after partial delivery: ask the server to skip
-		// the points we already have. The sweep still completes in full
-		// server-side (cache hits), so the table is unchanged.
-		payload["from"] = s.points
-	}
-	body, err := json.Marshal(payload)
-	if err != nil {
-		return 0, err
-	}
-	req, err := http.NewRequestWithContext(ctx, "POST", base+"/v1/query", bytes.NewReader(body))
-	if err != nil {
-		return 0, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		err := httpError(resp)
-		if resp.StatusCode == http.StatusBadRequest || resp.StatusCode == http.StatusRequestEntityTooLarge {
-			// The query itself is refused; no server will take it.
-			return 0, permanentError{err}
-		}
-		return 0, err // 503 draining, 5xx: worth another server or another try
-	}
-	s.jobSrv = s.si
-	return s.consume(resp)
-}
-
-// httpError renders a non-200 response. The daemon's refusals (400/503)
-// are single JSON error objects; anything else (wrong port, proxy error
-// page) is reported by status rather than fed to the NDJSON parser.
-func httpError(resp *http.Response) error {
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-	var ev struct {
-		Error string `json:"error"`
-	}
-	if json.Unmarshal(bytes.TrimSpace(body), &ev) == nil && ev.Error != "" {
-		return fmt.Errorf("server (HTTP %d): %s", resp.StatusCode, ev.Error)
-	}
-	return fmt.Errorf("server returned HTTP %d: %s", resp.StatusCode,
-		strings.TrimSpace(string(body)))
-}
-
-// consume parses one connection's NDJSON stream, updating the session's
-// resume cursor per event. nil error means the result event arrived and
-// the table printed.
-func (s *remoteSession) consume(resp *http.Response) (events int, err error) {
-	// ReadBytes instead of a Scanner: the result event is one line
-	// carrying every row plus the rendered table, and a fixed token cap
-	// would make large sweeps fail client-side after the server already
-	// did all the work.
-	rd := bufio.NewReader(resp.Body)
-	sawResult := false
-	for {
-		line, readErr := rd.ReadBytes('\n')
-		if readErr != nil && readErr != io.EOF {
-			return events, readErr
-		}
-		if len(bytes.TrimSpace(line)) == 0 {
-			if readErr == io.EOF {
-				break
+// printEvent renders one stream event: progress on stderr, the result's
+// table on stdout.
+func printEvent(ev *service.Event, progress bool, start time.Time) error {
+	switch ev.Type {
+	case "job":
+		if progress {
+			j, err := ev.Job()
+			if err != nil {
+				return err
 			}
-			continue
+			fmt.Fprintf(os.Stderr, "job %s accepted\n", j.ID)
 		}
-		var ev struct {
-			Type      string             `json:"type"`
-			ID        string             `json:"id"`
-			Error     string             `json:"error"`
-			Done      int                `json:"done"`
-			Total     int                `json:"total"`
-			Cached    bool               `json:"cached"`
-			Worker    string             `json:"worker"`
-			Config    map[string]string  `json:"config"`
-			Metrics   map[string]float64 `json:"metrics"`
-			Table     string             `json:"table"`
-			CacheHits int                `json:"cache_hits"`
-			Executed  int                `json:"executed"`
-			Degraded  bool               `json:"degraded"`
+	case "point":
+		if progress {
+			p, err := ev.Point()
+			if err != nil {
+				return err
+			}
+			note := ""
+			if p.Cached {
+				note = " (cached)"
+			}
+			if p.Worker != "" {
+				// Coordinator-merged streams name the worker that served
+				// each point.
+				note += " @" + p.Worker
+			}
+			fmt.Fprintf(os.Stderr, "[%d/%d] %v%s\n", p.Done, p.Total, p.Config, note)
 		}
-		if err := json.Unmarshal(line, &ev); err != nil {
-			return events, fmt.Errorf("bad stream line %q: %w", line, err)
+	case "result":
+		r, err := ev.Result()
+		if err != nil {
+			return err
 		}
-		events++
-		switch ev.Type {
-		case "job":
-			s.jobID = ev.ID
-			s.jobSrv = s.si
-			if s.progress {
-				fmt.Fprintf(os.Stderr, "job %s accepted\n", ev.ID)
-			}
-		case "point":
-			s.points++
-			if s.progress {
-				note := ""
-				if ev.Cached {
-					note = " (cached)"
-				}
-				if ev.Worker != "" {
-					// Coordinator-merged streams name the worker that
-					// served each point.
-					note += " @" + ev.Worker
-				}
-				fmt.Fprintf(os.Stderr, "[%d/%d] %v%s\n", ev.Done, ev.Total, ev.Config, note)
-			}
-		case "result":
-			sawResult = true
-			fmt.Print(ev.Table)
-			if ev.Degraded {
-				// The table is still exact — degraded means the fleet did
-				// not serve part of the sweep, the coordinator did. Warn on
-				// stderr so scripted runs (and CI) can grep for it without
-				// disturbing the table bytes on stdout.
-				fmt.Fprintln(os.Stderr, "wtql: warning: job ran degraded (coordinator executed part of the sweep locally)")
-			}
-			if s.progress {
-				fmt.Fprintf(os.Stderr, "%d executed, %d cache hits, %s elapsed\n",
-					ev.Executed, ev.CacheHits, time.Since(s.start).Round(time.Millisecond))
-			}
-		case "error":
-			return events, permanentError{fmt.Errorf("server: %s", ev.Error)}
+		fmt.Print(r.Table)
+		if r.Degraded {
+			// The table is still exact — degraded means the fleet did
+			// not serve part of the sweep, the coordinator did. Warn on
+			// stderr so scripted runs (and CI) can grep for it without
+			// disturbing the table bytes on stdout.
+			fmt.Fprintln(os.Stderr, "wtql: warning: job ran degraded (coordinator executed part of the sweep locally)")
 		}
-		if readErr == io.EOF {
-			break
+		if progress {
+			fmt.Fprintf(os.Stderr, "%d executed, %d cache hits, %s elapsed\n",
+				r.Executed, r.CacheHits, time.Since(start).Round(time.Millisecond))
 		}
 	}
-	if !sawResult {
-		return events, fmt.Errorf("stream ended without a result")
-	}
-	return events, nil
+	return nil
 }
 
 func fatal(err error) {

@@ -2,13 +2,17 @@ package main
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"sort"
 	"strings"
 	"time"
+
+	"repro/internal/obs"
+	"repro/internal/service"
 )
 
 // This file renders wtql's -trace waterfall: after a daemon-mode query
@@ -18,56 +22,23 @@ import (
 // Everything prints to stderr so the table bytes on stdout stay
 // byte-identical with and without -trace.
 
-// traceSpan mirrors the service's span JSON.
-type traceSpan struct {
-	SpanID   string            `json:"span_id"`
-	Parent   string            `json:"parent_id"`
-	Name     string            `json:"name"`
-	Worker   string            `json:"worker"`
-	Start    time.Time         `json:"start"`
-	Duration time.Duration     `json:"duration_ns"`
-	Attrs    map[string]string `json:"attrs"`
-}
-
-type traceResponse struct {
-	Job     string      `json:"job"`
-	TraceID string      `json:"trace_id"`
-	Dropped uint64      `json:"dropped_spans"`
-	Spans   []traceSpan `json:"spans"`
-}
-
-// errTraceEvicted marks the daemon's answer when the job finished but
-// its spans aged out of the bounded trace ring before we asked — a
-// successful run whose waterfall is simply gone, not a failure.
-var errTraceEvicted = fmt.Errorf("trace evicted")
-
-// fetchTrace retrieves a job's merged trace tree from the server that
-// ran it. A 404 whose body says the trace was evicted maps to
-// errTraceEvicted so the caller can degrade with a clear notice instead
-// of a generic HTTP error.
-func fetchTrace(ctx context.Context, base, jobID string) (*traceResponse, error) {
-	req, err := http.NewRequestWithContext(ctx, "GET",
-		fmt.Sprintf("%s/v1/jobs/%s/trace", base, jobID), nil)
-	if err != nil {
-		return nil, err
+// printTrace fetches the finished job's merged trace tree from the server
+// that ran it and draws it. Failing to is a notice, never the run's
+// failure: the table has printed.
+func printTrace(ctx context.Context, c service.Client, s *service.Session) {
+	var tr service.TraceResponse
+	err := c.GetJSON(ctx, strings.TrimRight(s.Owner, "/")+"/v1/jobs/"+s.Job+"/trace", service.MaxReply, &tr)
+	var se *service.StatusError
+	switch {
+	case errors.As(err, &se) && se.Status == http.StatusNotFound && se.Message == "trace evicted":
+		// The job finished but its spans aged out of the daemon's bounded
+		// trace ring before we asked: the waterfall is simply gone.
+		fmt.Fprintln(os.Stderr, "wtql: trace evicted: the daemon's trace buffer dropped this job's spans (raise its retention or fetch the trace sooner); the result table above is complete")
+	case err != nil:
+		fmt.Fprintf(os.Stderr, "wtql: trace unavailable: %v\n", err)
+	default:
+		renderTrace(os.Stderr, &tr)
 	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		herr := httpError(resp)
-		if resp.StatusCode == http.StatusNotFound && strings.Contains(herr.Error(), "trace evicted") {
-			return nil, errTraceEvicted
-		}
-		return nil, herr
-	}
-	var tr traceResponse
-	if err := json.NewDecoder(resp.Body).Decode(&tr); err != nil {
-		return nil, err
-	}
-	return &tr, nil
 }
 
 // maxWaterfallRows bounds the waterfall print: a big sweep has one span
@@ -77,7 +48,7 @@ const maxWaterfallRows = 48
 
 // renderTrace draws the waterfall plus the slowest-spans and per-worker
 // summaries.
-func renderTrace(w io.Writer, tr *traceResponse) {
+func renderTrace(w io.Writer, tr *service.TraceResponse) {
 	if len(tr.Spans) == 0 {
 		fmt.Fprintf(w, "trace %s: no spans recorded\n", tr.TraceID)
 		return
@@ -110,8 +81,8 @@ func renderTrace(w io.Writer, tr *traceResponse) {
 	for _, sp := range tr.Spans {
 		byID[sp.SpanID] = true
 	}
-	children := make(map[string][]traceSpan)
-	var roots []traceSpan
+	children := make(map[string][]obs.Span)
+	var roots []obs.Span
 	for _, sp := range tr.Spans {
 		if sp.Parent != "" && byID[sp.Parent] {
 			children[sp.Parent] = append(children[sp.Parent], sp)
@@ -119,7 +90,7 @@ func renderTrace(w io.Writer, tr *traceResponse) {
 			roots = append(roots, sp)
 		}
 	}
-	byStart := func(spans []traceSpan) {
+	byStart := func(spans []obs.Span) {
 		sort.SliceStable(spans, func(i, j int) bool {
 			if !spans[i].Start.Equal(spans[j].Start) {
 				return spans[i].Start.Before(spans[j].Start)
@@ -133,8 +104,8 @@ func renderTrace(w io.Writer, tr *traceResponse) {
 	}
 
 	rows := 0
-	var draw func(sp traceSpan, depth int)
-	draw = func(sp traceSpan, depth int) {
+	var draw func(sp obs.Span, depth int)
+	draw = func(sp obs.Span, depth int) {
 		if rows < maxWaterfallRows {
 			label := strings.Repeat("  ", depth) + sp.Name
 			if wk := sp.Worker; wk != "" {
@@ -163,7 +134,7 @@ func renderTrace(w io.Writer, tr *traceResponse) {
 	}
 
 	// Slowest spans: where the wall-clock actually went.
-	slow := make([]traceSpan, len(tr.Spans))
+	slow := make([]obs.Span, len(tr.Spans))
 	copy(slow, tr.Spans)
 	sort.SliceStable(slow, func(i, j int) bool { return slow[i].Duration > slow[j].Duration })
 	n := len(slow)
@@ -217,7 +188,7 @@ func renderTrace(w io.Writer, tr *traceResponse) {
 }
 
 // bar draws a span's position within the trace window on a fixed scale.
-func bar(sp traceSpan, t0 time.Time, window time.Duration) string {
+func bar(sp obs.Span, t0 time.Time, window time.Duration) string {
 	const width = 30
 	lead := int(float64(sp.Start.Sub(t0)) / float64(window) * width)
 	span := int(float64(sp.Duration) / float64(window) * width)

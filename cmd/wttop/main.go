@@ -19,7 +19,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -31,6 +30,9 @@ import (
 	"strings"
 	"syscall"
 	"time"
+
+	"repro/internal/obs"
+	"repro/internal/service"
 )
 
 func main() {
@@ -40,16 +42,14 @@ func main() {
 	once := flag.Bool("once", false, "render one plain snapshot and exit (no ANSI)")
 	flag.Parse()
 
-	c := &client{
-		base: strings.TrimRight(*server, "/"),
-		hc:   &http.Client{Timeout: 5 * time.Second},
-	}
+	c := service.Client{HTTP: &http.Client{Timeout: 5 * time.Second}}
+	base := strings.TrimRight(*server, "/")
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	if *once {
-		snap := c.fetch(ctx, *window)
+		snap := fetch(ctx, c, base, *window)
 		render(os.Stdout, snap)
 		if snap.err != nil {
 			fmt.Fprintln(os.Stderr, "wttop:", snap.err)
@@ -65,7 +65,7 @@ func main() {
 	ticker := time.NewTicker(*interval)
 	defer ticker.Stop()
 	for {
-		snap := c.fetch(ctx, *window)
+		snap := fetch(ctx, c, base, *window)
 		var b strings.Builder
 		b.WriteString("\x1b[H\x1b[2J")
 		render(&b, snap)
@@ -78,63 +78,6 @@ func main() {
 	}
 }
 
-// The types below mirror the daemon's JSON, decoded with the subset of
-// fields the dashboard draws.
-
-type fleetResponse struct {
-	Mode    string   `json:"mode"`
-	Self    string   `json:"self"`
-	Members []member `json:"members"`
-}
-
-type member struct {
-	URL       string `json:"url"`
-	State     string `json:"state"`
-	Draining  bool   `json:"draining"`
-	Failures  int    `json:"consecutive_failures"`
-	LastError string `json:"last_error"`
-}
-
-type alertsResponse struct {
-	Firing  int     `json:"firing"`
-	Pending int     `json:"pending"`
-	Alerts  []alert `json:"alerts"`
-}
-
-type alert struct {
-	Rule     string    `json:"rule"`
-	Severity string    `json:"severity"`
-	Labels   string    `json:"labels"`
-	State    string    `json:"state"`
-	Value    float64   `json:"value"`
-	Since    time.Time `json:"since"`
-}
-
-type job struct {
-	ID        string    `json:"id"`
-	Query     string    `json:"query"`
-	State     string    `json:"state"`
-	Created   time.Time `json:"created"`
-	Done      int       `json:"done"`
-	Total     int       `json:"total"`
-	CacheHits int       `json:"cache_hits"`
-	Degraded  bool      `json:"degraded"`
-}
-
-type histPoint struct {
-	T time.Time `json:"t"`
-	V float64   `json:"v"`
-}
-
-type histSeries struct {
-	Labels string      `json:"labels"`
-	Points []histPoint `json:"points"`
-}
-
-type historyResponse struct {
-	Series []histSeries `json:"series"`
-}
-
 // snapshot is one fetched frame; partial failures leave sections nil
 // and the first error recorded, so the dashboard degrades instead of
 // blanking when one endpoint hiccups.
@@ -143,88 +86,53 @@ type snapshot struct {
 	server string
 	window time.Duration
 
-	fleet   *fleetResponse
-	alerts  *alertsResponse
-	jobs    []job
+	fleet   *service.FleetResponse
+	alerts  *service.AlertsResponse
+	jobs    []service.JobInfo
 	queue   []float64 // merged wt_pool_queue_depth over the window
 	pointsS []float64 // fleet points/sec derived from wt_points_committed_total
 	hitPct  []float64 // cache hit % per history step
 	err     error
 }
 
-type client struct {
-	base string
-	hc   *http.Client
-}
-
-func (c *client) getJSON(ctx context.Context, path string, into any) error {
-	req, err := http.NewRequestWithContext(ctx, "GET", c.base+path, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return fmt.Errorf("GET %s: HTTP %d", path, resp.StatusCode)
-	}
-	return json.NewDecoder(resp.Body).Decode(into)
-}
-
-func (c *client) history(ctx context.Context, name string, window time.Duration) ([]histSeries, error) {
-	var hr historyResponse
-	path := "/v1/metrics/history?name=" + url.QueryEscape(name) +
-		"&window=" + url.QueryEscape(window.String())
-	if err := c.getJSON(ctx, path, &hr); err != nil {
-		return nil, err
-	}
-	return hr.Series, nil
-}
-
-func (c *client) fetch(ctx context.Context, window time.Duration) snapshot {
-	snap := snapshot{at: time.Now(), server: c.base, window: window}
-	keep := func(err error) {
+// fetch reads one frame's worth of the observability API at base.
+func fetch(ctx context.Context, c service.Client, base string, window time.Duration) snapshot {
+	snap := snapshot{at: time.Now(), server: base, window: window}
+	get := func(path string, into any) bool {
+		err := c.GetJSON(ctx, base+path, service.MaxReply, into)
 		if err != nil && snap.err == nil {
 			snap.err = err
 		}
+		return err == nil
+	}
+	history := func(name string) ([]obs.SeriesRange, bool) {
+		var hr service.HistoryResponse
+		ok := get("/v1/metrics/history?name="+url.QueryEscape(name)+"&window="+url.QueryEscape(window.String()), &hr)
+		return hr.Series, ok
 	}
 
-	var fleet fleetResponse
-	if err := c.getJSON(ctx, "/v1/fleet", &fleet); err != nil {
-		keep(err)
-	} else {
+	var fleet service.FleetResponse
+	if get("/v1/fleet", &fleet) {
 		snap.fleet = &fleet
 	}
-	var alerts alertsResponse
-	if err := c.getJSON(ctx, "/v1/alerts", &alerts); err != nil {
-		keep(err)
-	} else {
+	var alerts service.AlertsResponse
+	if get("/v1/alerts", &alerts) {
 		snap.alerts = &alerts
 	}
-	keep(c.getJSON(ctx, "/v1/jobs", &snap.jobs))
+	get("/v1/jobs", &snap.jobs)
 
-	if qs, err := c.history(ctx, "wt_pool_queue_depth", window); err != nil {
-		keep(err)
-	} else {
+	if qs, ok := history("wt_pool_queue_depth"); ok {
 		snap.queue = mergeGauge(qs)
 	}
-	if ps, err := c.history(ctx, "wt_points_committed_total", window); err != nil {
-		keep(err)
-	} else {
+	if ps, ok := history("wt_points_committed_total"); ok {
 		snap.pointsS = mergeRate(ps)
 	}
-	hits, err1 := c.history(ctx, "wt_cache_hits_total", window)
-	disk, err2 := c.history(ctx, "wt_cache_disk_hits_total", window)
-	miss, err3 := c.history(ctx, "wt_cache_misses_total", window)
-	if err1 == nil && err2 == nil && err3 == nil {
-		snap.hitPct = hitRatio(append(mergeRateSeries(hits), mergeRateSeries(disk)...), mergeRateSeries(miss))
-	} else {
-		keep(err1)
-		keep(err2)
-		keep(err3)
+	// wt_cache_hits_total counts a hit in any tier (the disk and peer
+	// counters are subsets of it), so hits over hits + misses is the ratio.
+	hits, ok1 := history("wt_cache_hits_total")
+	miss, ok2 := history("wt_cache_misses_total")
+	if ok1 && ok2 {
+		snap.hitPct = hitRatio(mergeRateSeries(hits), mergeRateSeries(miss))
 	}
 	return snap
 }
@@ -232,7 +140,7 @@ func (c *client) fetch(ctx context.Context, window time.Duration) snapshot {
 // mergeGauge sums a metric's series point-by-point, aligning from the
 // newest sample backwards — instances sample on the same cadence, so
 // index alignment from the tail is a faithful fleet total.
-func mergeGauge(series []histSeries) []float64 {
+func mergeGauge(series []obs.SeriesRange) []float64 {
 	depth := 0
 	for _, s := range series {
 		if len(s.Points) > depth {
@@ -251,7 +159,7 @@ func mergeGauge(series []histSeries) []float64 {
 
 // perSecond turns one counter series into per-second rates between
 // consecutive samples; a counter reset contributes the post-reset value.
-func perSecond(points []histPoint) []float64 {
+func perSecond(points []obs.HistPoint) []float64 {
 	if len(points) < 2 {
 		return nil
 	}
@@ -272,7 +180,7 @@ func perSecond(points []histPoint) []float64 {
 
 // mergeRateSeries converts every series to per-second rates, keeping
 // them separate (for ratio math); mergeRate also sums across series.
-func mergeRateSeries(series []histSeries) [][]float64 {
+func mergeRateSeries(series []obs.SeriesRange) [][]float64 {
 	out := make([][]float64, 0, len(series))
 	for _, s := range series {
 		if r := perSecond(s.Points); r != nil {
@@ -282,7 +190,7 @@ func mergeRateSeries(series []histSeries) [][]float64 {
 	return out
 }
 
-func mergeRate(series []histSeries) []float64 {
+func mergeRate(series []obs.SeriesRange) []float64 {
 	return sumAligned(mergeRateSeries(series))
 }
 
@@ -395,7 +303,7 @@ func render(w io.Writer, snap snapshot) {
 	renderAlerts(w, snap.alerts)
 }
 
-func renderFleet(w io.Writer, fleet *fleetResponse) {
+func renderFleet(w io.Writer, fleet *service.FleetResponse) {
 	if fleet == nil {
 		fmt.Fprintln(w, "FLEET unavailable")
 		fmt.Fprintln(w)
@@ -404,7 +312,7 @@ func renderFleet(w io.Writer, fleet *fleetResponse) {
 	members := fleet.Members
 	if len(members) == 0 && fleet.Self != "" {
 		// A single-node daemon monitors no one; show it as itself.
-		members = []member{{URL: fleet.Self, State: "up"}}
+		members = []service.MemberHealth{{URL: fleet.Self, State: service.StateUp}}
 	}
 	fmt.Fprintf(w, "FLEET  %d members\n", len(members))
 	fmt.Fprintf(w, "  %-36s %-8s %s\n", "MEMBER", "STATE", "NOTE")
@@ -437,7 +345,7 @@ func renderSparks(w io.Writer, snap snapshot) {
 	fmt.Fprintln(w)
 }
 
-func renderJobs(w io.Writer, jobs []job) {
+func renderJobs(w io.Writer, jobs []service.JobInfo) {
 	active := 0
 	for _, j := range jobs {
 		if j.State == "running" || j.State == "queued" {
@@ -472,7 +380,7 @@ func renderJobs(w io.Writer, jobs []job) {
 	fmt.Fprintln(w)
 }
 
-func renderAlerts(w io.Writer, alerts *alertsResponse) {
+func renderAlerts(w io.Writer, alerts *service.AlertsResponse) {
 	if alerts == nil {
 		fmt.Fprintln(w, "ALERTS unavailable")
 		return
@@ -484,7 +392,7 @@ func renderAlerts(w io.Writer, alerts *alertsResponse) {
 		}
 		age := time.Since(a.Since).Round(time.Second)
 		fmt.Fprintf(w, "  %-8s %-24s %-8s %s  value=%.3g  for %s\n",
-			strings.ToUpper(a.State), a.Rule, a.Severity, a.Labels, a.Value, age)
+			strings.ToUpper(string(a.State)), a.Rule, a.Severity, a.Labels, a.Value, age)
 	}
 }
 

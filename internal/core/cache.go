@@ -68,12 +68,13 @@ type Gate interface {
 // quantiles (see appendDistKey), so parameters differing below String()'s
 // 6-significant-digit rounding still produce distinct keys.
 //
-// The digest is results.Fingerprint's of the same fields — persisted disk
-// caches, journal records and fleet ring ownership all hold these keys,
-// so it must never change. Fingerprint sorts a map; this writes the
-// fields in that sorted order straight into one buffer and hashes once.
-// A new field goes in at its sorted position (TestCacheKeyMatchesFingerprint
-// compares against the map form).
+// The digest is SHA-256 over the fields sorted by name, each name and
+// value length-prefixed — persisted disk caches, journal records and
+// fleet ring ownership all hold these keys, so it must never change. The
+// fields are written in that sorted order straight into one buffer and
+// hashed once. A new field goes in at its sorted position
+// (TestCacheKeyMatchesFingerprint compares against the sort-a-map form
+// this replaced, kept in cachekey_test.go as the oracle).
 func CacheKey(sc Scenario, r Runner) string {
 	return cacheKey(&sc, &r, nil)
 }
@@ -155,7 +156,7 @@ var keyBufs = sync.Pool{New: func() any {
 	return &buf
 }}
 
-// keyWriter appends fields in results.Fingerprint's canonical encoding:
+// keyWriter appends fields in the key's canonical encoding:
 // name and value each prefixed with their length as 8 little-endian
 // bytes. The value's length is filled in once the value has been
 // appended, so no field needs a string of its own.

@@ -2,8 +2,12 @@ package core
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"math/rand"
+	"sort"
 	"strconv"
 	"sync/atomic"
 	"testing"
@@ -11,14 +15,97 @@ import (
 	"repro/internal/design"
 	"repro/internal/dist"
 	"repro/internal/repair"
-	"repro/internal/results"
 	"repro/internal/sla"
 	"repro/internal/storage"
 )
 
+// fingerprint is the content address of a key/value description of a
+// configuration, as results.Fingerprint computed it until nothing but this
+// file called it: entries sorted by key, each key and value
+// length-prefixed, SHA-256 over the lot — independent of map insertion
+// order and immune to concatenation ambiguity ("ab"+"c" vs "a"+"bc").
+// CacheKey writes this very encoding without building the map; this is the
+// oracle it is held to, so the encoding here must never change.
+func fingerprint(kv map[string]string) string {
+	keys := make([]string, 0, len(kv))
+	for k := range kv {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	var buf []byte
+	for _, k := range keys {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(k)))
+		buf = append(buf, k...)
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(kv[k])))
+		buf = append(buf, kv[k]...)
+	}
+	sum := sha256.Sum256(buf)
+	return hex.EncodeToString(sum[:])
+}
+
+// TestFingerprintInsertionOrder checks the canonical encoding: maps built
+// in different insertion orders fingerprint identically.
+func TestFingerprintInsertionOrder(t *testing.T) {
+	keys := []string{"cluster.racks", "users", "seed", "node.ttf", "runner.trials"}
+	vals := []string{"3", "1000", "1", "weibull(shape=0.7, scale=12000)", "20"}
+
+	forward := make(map[string]string)
+	for i, k := range keys {
+		forward[k] = vals[i]
+	}
+	backward := make(map[string]string)
+	for i := len(keys) - 1; i >= 0; i-- {
+		backward[keys[i]] = vals[i]
+	}
+	if a, b := fingerprint(forward), fingerprint(backward); a != b {
+		t.Fatalf("fingerprint depends on insertion order: %s vs %s", a, b)
+	}
+}
+
+// TestFingerprintDistinguishes checks that the length-prefixed encoding
+// cannot confuse adjacent fields or near-miss configs.
+func TestFingerprintDistinguishes(t *testing.T) {
+	cases := []map[string]string{
+		{"a": "bc"},
+		{"ab": "c"},
+		{"a": "b", "c": ""},
+		{"a": "", "c": "b"},
+		{"a": "b"},
+		{"a": "b", "c": "d"},
+		{"cluster.nodes": "30", "rep": "3"},
+		{"cluster.nodes": "303", "rep": ""},
+		{"cluster.nodes": "3", "rep": "03"},
+	}
+	seen := make(map[string]int)
+	for i, kv := range cases {
+		fp := fingerprint(kv)
+		if j, dup := seen[fp]; dup {
+			t.Fatalf("configs %d and %d collide: %v vs %v", i, j, cases[i], cases[j])
+		}
+		seen[fp] = i
+	}
+}
+
+// TestFingerprintStable pins the oracle's encoding: every persisted cache
+// entry is filed under a digest it (then CacheKey) produced.
+func TestFingerprintStable(t *testing.T) {
+	// A literal taken from be31c54, the commit before results.Fingerprint
+	// stopped copying each field into the hash.
+	const pinned = "a91e630d207b257efa4fa5ecc51c896351925bfe1377c157887c4eda5660357d"
+	if got := fingerprint(map[string]string{
+		"k": "v", "cluster.racks": "3", "node.ttf": "weibull(shape=0.7, scale=12000)",
+		"": "empty key", "empty value": "",
+	}); got != pinned {
+		t.Fatalf("fingerprint changed: %s, pinned %s", got, pinned)
+	}
+	if got, want := fingerprint(nil), "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"; got != want {
+		t.Fatalf("fingerprint of no fields = %s, want SHA-256 of nothing %s", got, want)
+	}
+}
+
 // fingerprintKey is CacheKey as it was written until PR 15: every field
-// rendered to a string, collected in a map, and handed to
-// results.Fingerprint to sort and hash. Persisted disk caches, journal
+// rendered to a string, collected in a map, and handed to fingerprint
+// (then results.Fingerprint) to sort and hash. Persisted disk caches, journal
 // point records and fleet ring ownership hold digests this function
 // produced, so it stays here as the reference CacheKey must equal.
 func fingerprintKey(sc Scenario, r Runner) string {
@@ -39,7 +126,7 @@ func fingerprintKey(sc Scenario, r Runner) string {
 	if a := r.Abort; a != nil {
 		abortKey = f(a.MinAvailability) + "/" + strconv.FormatUint(a.CheckEvery, 10)
 	}
-	return results.Fingerprint(map[string]string{
+	return fingerprint(map[string]string{
 		"cluster.racks":              strconv.Itoa(sc.Cluster.Racks),
 		"cluster.nodes_per_rack":     strconv.Itoa(sc.Cluster.NodesPerRack),
 		"cluster.disk_spec":          sc.Cluster.DiskSpec,
@@ -203,7 +290,7 @@ func randomDist(rng *rand.Rand) dist.Dist {
 }
 
 // TestCacheKeyMatchesFingerprint holds the streaming CacheKey to the map
-// + results.Fingerprint form it replaced, digest for digest: on the
+// + fingerprint form it replaced, digest for digest: on the
 // default scenario, with each covered field changed alone (so every field
 // is varied at least once, from both of a bool's values, with nil and
 // non-nil distributions, Abort set and unset, Serial and Parallel repair),

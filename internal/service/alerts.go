@@ -125,8 +125,10 @@ func DefaultAlertRules() []AlertRule {
 			Description: "The trial cache is missing almost everything — repeated sweeps should mostly hit.",
 			Severity:    "warning",
 			Kind:        "ratio",
-			Numerator:   []string{"wt_cache_hits_total", "wt_cache_disk_hits_total", "wt_cache_peer_hits_total"},
-			Denominator: []string{"wt_cache_hits_total", "wt_cache_disk_hits_total", "wt_cache_peer_hits_total", "wt_cache_misses_total"},
+			// wt_cache_hits_total already counts a hit in any tier; the disk
+			// and peer counters are subsets of it.
+			Numerator:   []string{"wt_cache_hits_total"},
+			Denominator: []string{"wt_cache_hits_total", "wt_cache_misses_total"},
 			Op:          "<", Value: 0.1,
 			Window: RuleDuration(60 * time.Second), MinCount: 20,
 		},

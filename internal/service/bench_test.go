@@ -94,7 +94,7 @@ func BenchmarkFleetQueryThroughput(b *testing.B) {
 // BenchmarkFleet100ConcurrentClients is the load-harness shape as a
 // tracked benchmark: at least 100 concurrent closed-loop clients
 // hammering a 2-worker fleet's coordinator with a cache-warm sweep.
-// queries/s lands in BENCH_PR.json via the custom metric.
+// queries/s is reported as a custom metric.
 func BenchmarkFleet100ConcurrentClients(b *testing.B) {
 	_, cts, _, _ := startFleet(b, 2, false)
 	body := mustJSON(b, QueryRequest{Query: benchQuery})

@@ -4,8 +4,8 @@ import (
 	"container/list"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -53,7 +53,7 @@ type Cache struct {
 	// from fetch targets so an owner's genuine miss never loops back.
 	peers      *Ring
 	self       string
-	peerClient *http.Client
+	peerClient Client
 	// health, when non-nil, short-circuits fetches to peers the monitor
 	// has marked down: a dead peer costs a map lookup per key, not a
 	// connect timeout.
@@ -116,7 +116,7 @@ func (c *Cache) EnablePeering(peers []string, self string, client *http.Client) 
 	c.mu.Lock()
 	c.peers = NewRing(peers)
 	c.self = self
-	c.peerClient = client
+	c.peerClient = Client{HTTP: client}
 	c.mu.Unlock()
 }
 
@@ -227,31 +227,22 @@ func (c *Cache) fetchPeer(ctx context.Context, key string) (*core.RunResult, boo
 	// attempt returns the decoded entry, the HTTP status (0 on transport
 	// error) and whether the fetch succeeded.
 	attempt := func() (*core.RunResult, int, bool) {
-		req, err := http.NewRequestWithContext(ctx, "GET", owner+"/v1/cache/"+key, nil)
-		if err != nil {
-			return nil, 0, false
-		}
-		resp, err := client.Do(req)
-		if err != nil {
+		data, err := client.Get(ctx, owner+"/v1/cache/"+key, maxCacheEntryBytes)
+		var se *StatusError
+		switch {
+		case errors.As(err, &se):
+			return nil, se.Status, false
+		case err != nil:
 			if health != nil && ctx.Err() == nil {
 				health.ReportFailure(owner, err)
 			}
 			return nil, 0, false
 		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			io.Copy(io.Discard, resp.Body)
-			return nil, resp.StatusCode, false
-		}
-		data, err := io.ReadAll(io.LimitReader(resp.Body, maxCacheEntryBytes))
-		if err != nil {
-			return nil, 0, false
-		}
 		var rec diskRecord
 		if err := json.Unmarshal(data, &rec); err != nil {
-			return nil, resp.StatusCode, false
+			return nil, http.StatusOK, false
 		}
-		return rec.result(), resp.StatusCode, true
+		return rec.result(), http.StatusOK, true
 	}
 
 	res, code, ok := attempt()

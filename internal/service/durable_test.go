@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -320,31 +321,23 @@ func TestQueryFromSuppression(t *testing.T) {
 func queryFromSuppression(t *testing.T, ts *httptest.Server) {
 	want := lastEvent(t, postQuery(t, ts, smallQuery))
 
-	resp, err := http.Post(ts.URL+"/v1/query", "application/json",
-		bytes.NewReader(mustJSON(t, QueryRequest{Query: smallQuery, From: 2})))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	var points []int
 	var table string
-	for sc.Scan() {
-		var ev struct {
-			Type  string `json:"type"`
-			Done  int    `json:"done"`
-			Table string `json:"table"`
-		}
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			t.Fatal(err)
-		}
+	err := Client{}.Query(context.Background(), ts.URL, QueryRequest{Query: smallQuery, From: 2}, func(ev *Event) error {
 		switch ev.Type {
 		case "point":
-			points = append(points, ev.Done)
+			p, err := ev.Point()
+			points = append(points, p.Done)
+			return err
 		case "result":
-			table = ev.Table
+			r, err := ev.Result()
+			table = r.Table
+			return err
 		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	if len(points) != 2 || points[0] != 3 || points[1] != 4 {
 		t.Fatalf("from=2 streamed done=%v, want [3 4]", points)
@@ -485,83 +478,43 @@ func TestChaosCutResume(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 
-	resp, err := http.Post(ts.URL+"/v1/query", "application/json",
-		bytes.NewReader(mustJSON(t, QueryRequest{Query: smallQuery})))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var jobID, table string
-	points, attempts := 0, 1
+	var table string
+	attempts := 0
+	s := Session{Request: QueryRequest{Query: smallQuery}}
 	for table == "" {
-		jid, pts, tbl, lines := drainCutStream(t, resp)
-		if jid != "" {
-			jobID = jid
+		if attempts++; attempts > 20 {
+			t.Fatalf("no result after %d attempts (%d points)", attempts, s.Points)
 		}
+		lines, err := Client{}.Attempt(context.Background(), ts.URL, &s, func(ev *Event) error {
+			if ev.Type != "result" {
+				return nil
+			}
+			r, err := ev.Result()
+			table = r.Table
+			return err
+		})
 		if attempts == 1 && lines != 3 {
 			t.Fatalf("cut=3 let %d lines through on the first attempt", lines)
 		}
-		points += pts
-		if tbl != "" {
-			table = tbl
-			break
-		}
-		if attempts++; attempts > 20 {
-			t.Fatalf("no result after %d attempts (%d points)", attempts, points)
-		}
-		if jobID == "" {
+		if s.Job == "" {
 			t.Fatal("stream died before the job event")
 		}
-		resp, err = http.Get(fmt.Sprintf("%s/v1/jobs/%s/stream?from=%d", ts.URL, jobID, points))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("resume attempt returned %d", resp.StatusCode)
+		var refused *StatusError
+		if errors.As(err, &refused) {
+			t.Fatalf("resume attempt returned %v", err)
 		}
 	}
 	if attempts < 2 {
 		t.Fatalf("chaos cut never fired (attempts=%d) — the test proved nothing", attempts)
 	}
-	if points != 4 {
-		t.Fatalf("received %d point events across %d attempts, want exactly 4 (no duplicates, no loss)", points, attempts)
+	if s.Points != 4 {
+		t.Fatalf("received %d point events across %d attempts, want exactly 4 (no duplicates, no loss)", s.Points, attempts)
 	}
 	if table != want["table"] {
 		t.Fatalf("resumed table differs from clean run:\n--- want ---\n%v--- got ---\n%v", want["table"], table)
 	}
 	if cuts := srv.chaos.Stats().Cuts; cuts == 0 {
 		t.Fatalf("injector recorded no cuts")
-	}
-}
-
-// drainCutStream reads one chaos-truncated connection to its (possibly
-// violent) end, returning what arrived.
-func drainCutStream(t *testing.T, resp *http.Response) (jobID string, points int, table string, lines int) {
-	t.Helper()
-	defer resp.Body.Close()
-	rd := bufio.NewReader(resp.Body)
-	for {
-		line, err := rd.ReadBytes('\n')
-		if len(bytes.TrimSpace(line)) > 0 {
-			var ev struct {
-				Type  string `json:"type"`
-				ID    string `json:"id"`
-				Table string `json:"table"`
-			}
-			if json.Unmarshal(bytes.TrimSpace(line), &ev) == nil {
-				lines++
-				switch ev.Type {
-				case "job":
-					jobID = ev.ID
-				case "point":
-					points++
-				case "result":
-					table = ev.Table
-				}
-			}
-		}
-		if err != nil {
-			return jobID, points, table, lines
-		}
 	}
 }
 

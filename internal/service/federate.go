@@ -1,8 +1,7 @@
 package service
 
 import (
-	"fmt"
-	"io"
+	"context"
 	"net/http"
 	"strings"
 	"sync"
@@ -29,7 +28,7 @@ import (
 type federator struct {
 	peers    []string
 	hist     *obs.History
-	client   *http.Client
+	client   Client
 	interval time.Duration
 
 	mu      sync.Mutex
@@ -55,7 +54,7 @@ func startFederator(hist *obs.History, peers []string, interval time.Duration) *
 	f := &federator{
 		peers:    peers,
 		hist:     hist,
-		client:   &http.Client{Timeout: 2 * time.Second},
+		client:   Client{HTTP: &http.Client{Timeout: 2 * time.Second}},
 		interval: interval,
 		down:     make(map[string]string, len(peers)),
 		stop:     make(chan struct{}),
@@ -172,16 +171,7 @@ func (f *federator) round() {
 
 // scrape fetches and parses one member's exposition.
 func (f *federator) scrape(peer string) ([]obs.FamilySnapshot, error) {
-	resp, err := f.client.Get(strings.TrimRight(peer, "/") + "/metrics")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return nil, fmt.Errorf("metrics returned HTTP %d", resp.StatusCode)
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxScrapeBody))
+	body, err := f.client.Get(context.Background(), strings.TrimRight(peer, "/")+"/metrics", maxScrapeBody)
 	if err != nil {
 		return nil, err
 	}

@@ -1,11 +1,9 @@
 package service
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net"
 	"net/http"
@@ -23,7 +21,7 @@ import (
 
 // fleet is the coordinator's side of the sharded wind tunnel: the same
 // consistent-hash ring the workers peer over, the health monitor that
-// tracks which members are worth talking to, and the HTTP client the
+// tracks which members are worth talking to, and the Client the
 // coordinator fans queries out with. A sweep's design points are hashed
 // on core.CacheKey, so a point always lands on the worker that already
 // holds its cached trials; the workers' NDJSON streams are merged back
@@ -42,7 +40,7 @@ import (
 // job, surfaced as `degraded` in the job's NDJSON events.
 type fleet struct {
 	ring   *Ring
-	client *http.Client
+	client Client
 	health *Health
 
 	// maxShardRetries bounds how many workers a shard chain may fail
@@ -81,7 +79,7 @@ func newFleet(workers []string, health *Health, idleTimeout time.Duration, maxSh
 		// legitimately streams for as long as its slowest simulation.
 		// Liveness *during* the stream is the idle deadline's job, and
 		// cancellation rides the request context.
-		client: &http.Client{Transport: &http.Transport{
+		client: Client{HTTP: &http.Client{Transport: &http.Transport{
 			DialContext: (&net.Dialer{
 				Timeout:   5 * time.Second,
 				KeepAlive: 30 * time.Second,
@@ -89,7 +87,7 @@ func newFleet(workers []string, health *Health, idleTimeout time.Duration, maxSh
 			TLSHandshakeTimeout:   5 * time.Second,
 			ResponseHeaderTimeout: 15 * time.Second,
 			MaxIdleConnsPerHost:   16,
-		}},
+		}}},
 		health:          health,
 		maxShardRetries: maxShardRetries,
 		backoffBase:     defaultBackoffBase,
@@ -292,19 +290,25 @@ func (s *Server) runFleetPlan(ctx context.Context, j *job, query string, plan *w
 				continue
 			}
 			m.shard.span.Attr("status", "error").Attr("error", m.err.Error()).End()
-			if w != localWorker {
-				s.tel.workerFailures.Inc()
-			}
 			if w == localWorker {
 				// Local execution is the last resort; its failure is the
 				// job's failure.
 				fail(fmt.Errorf("service: degraded local execution: %w", m.err))
 				continue
 			}
-			f.health.ReportFailure(w, m.err)
 			if firstErr != nil || ctx.Err() != nil {
-				continue // already failing or cancelled: just drain
+				continue // torn down from this side: it says nothing about the worker
 			}
+			if own := ownFailure(m.err); own != nil {
+				// The worker ran (or refused) the shard and answered with the
+				// query's own error. It did its work, and any other worker —
+				// or this coordinator — would answer the same: fail the job
+				// in the worker's words, without failover.
+				fail(own)
+				continue
+			}
+			s.tel.workerFailures.Inc()
+			f.health.ReportFailure(w, m.err)
 			// Failover: re-plan only this shard's undelivered indices.
 			// Points already streamed (committed or pending in the
 			// reorder buffer) are complete, deterministic outcomes — a
@@ -427,109 +431,62 @@ func (s *Server) runFleetPlan(ctx context.Context, j *job, query string, plan *w
 // the shard and then hung (no events, connection alive) is treated as
 // failed so the merge can re-plan, instead of stalling the job forever.
 func (f *fleet) stream(ctx context.Context, sh *shard, query string, trials int, ch chan<- fleetMsg) {
-	fail := func(err error) {
-		ch <- fleetMsg{shard: sh, err: err, done: true}
-	}
-	body, err := json.Marshal(QueryRequest{Query: query, Trials: trials, Points: sh.points})
-	if err != nil {
-		fail(err)
-		return
-	}
-
 	sctx, scancel := context.WithCancel(ctx)
 	defer scancel()
 	var stalled atomic.Bool
-	var idle *time.Timer
-	if f.idleTimeout > 0 {
-		idle = time.AfterFunc(f.idleTimeout, func() {
-			stalled.Store(true)
-			scancel()
-		})
-		defer idle.Stop()
-	}
-	// wrapErr distinguishes a tripped idle deadline from a plain
-	// cancellation or transport error, so the failover path (and the
-	// operator reading the logs) sees the stall for what it was.
-	wrapErr := func(err error) error {
-		if stalled.Load() {
-			return fmt.Errorf("stream idle past %s: %w", f.idleTimeout, err)
-		}
-		return err
-	}
+	idle := time.AfterFunc(f.idleTimeout, func() {
+		stalled.Store(true)
+		scancel()
+	})
+	defer idle.Stop()
 
-	req, err := http.NewRequestWithContext(sctx, "POST",
-		strings.TrimRight(sh.worker, "/")+"/v1/query", bytes.NewReader(body))
-	if err != nil {
-		fail(err)
-		return
+	c := f.client
+	c.Trace = sh.traceHdr
+	err := c.Query(sctx, sh.worker, QueryRequest{Query: query, Trials: trials, Points: sh.points}, func(ev *Event) error {
+		idle.Reset(f.idleTimeout)
+		if ev.Type != "point" {
+			return nil
+		}
+		pe, err := ev.Point()
+		if err != nil {
+			return err
+		}
+		select {
+		case ch <- fleetMsg{shard: sh, ev: &pe}:
+			return nil
+		case <-sctx.Done():
+			return sctx.Err()
+		}
+	})
+	if err != nil && stalled.Load() {
+		// Tell a tripped idle deadline from a plain cancellation or
+		// transport error, so the failover path (and the operator reading
+		// the logs) sees the stall for what it was.
+		err = fmt.Errorf("stream idle past %s: %w", f.idleTimeout, err)
 	}
-	req.Header.Set("Content-Type", "application/json")
-	if sh.traceHdr != "" {
-		req.Header.Set(traceHeader, sh.traceHdr)
-	}
-	resp, err := f.client.Do(req)
-	if err != nil {
-		fail(wrapErr(err))
-		return
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		fail(fmt.Errorf("HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(msg))))
-		return
-	}
+	ch <- fleetMsg{shard: sh, err: err, done: true}
+}
 
-	// One decoder over the NDJSON stream: json.Decoder handles
-	// arbitrarily large result lines without a scanner's token cap. Each
-	// line's type is peeked before the full decode — the event shapes
-	// share field names with different types (a result's "pruned" is a
-	// count, a point's is a bool).
-	dec := json.NewDecoder(resp.Body)
-	sawResult := false
-	for {
-		var raw json.RawMessage
-		if err := dec.Decode(&raw); err == io.EOF {
-			break
-		} else if err != nil {
-			fail(wrapErr(err))
-			return
-		}
-		if idle != nil {
-			idle.Reset(f.idleTimeout)
-		}
-		var head struct {
-			Type  string `json:"type"`
-			Error string `json:"error"`
-		}
-		if err := json.Unmarshal(raw, &head); err != nil {
-			fail(err)
-			return
-		}
-		switch head.Type {
-		case "point":
-			var pe PointEvent
-			if err := json.Unmarshal(raw, &pe); err != nil {
-				fail(err)
-				return
-			}
-			select {
-			case ch <- fleetMsg{shard: sh, ev: &pe}:
-			case <-sctx.Done():
-				fail(wrapErr(sctx.Err()))
-				return
-			}
-		case "error":
-			fail(fmt.Errorf("%s", head.Error))
-			return
-		case "result":
-			sawResult = true
-		}
+// ownFailure returns a shard stream's error in the worker's own words
+// when it is the query's failure (Permanent), not the worker's; nil
+// otherwise. A job the worker cancelled — its drain window ran out, an
+// operator's DELETE — is the worker's doing: the coordinator's own
+// cancellations are drained before they get here. The wire has only the
+// error's text for that, which ends (Server.finish) in the context's.
+func ownFailure(err error) error {
+	if !Permanent(err) {
+		return nil
 	}
-	if !sawResult {
-		fail(fmt.Errorf("stream ended without a result"))
-		return
+	var se *StatusError
+	if errors.As(err, &se) {
+		return errors.New(se.Message)
 	}
-	ch <- fleetMsg{shard: sh, done: true}
+	var je *JobError
+	errors.As(err, &je)
+	if strings.HasSuffix(je.Message, context.Canceled.Error()) || strings.HasSuffix(je.Message, context.DeadlineExceeded.Error()) {
+		return nil
+	}
+	return errors.New(je.Message)
 }
 
 // eventOutcome reconstructs a committed point outcome from a worker's

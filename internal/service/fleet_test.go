@@ -447,3 +447,104 @@ func decodeStream(t testing.TB, resp *http.Response) (events []map[string]any) {
 	}
 	return events
 }
+
+// poisonQuery plans fine on a coordinator and fails Scenario.Validate on
+// whichever worker gets it: the query's fault, not the fleet's.
+const poisonQuery = `SIMULATE availability
+VARY cluster.nodes IN (5, 6, 7, 8)
+WITH users = 20, object_mb = 10, trials = 2, horizon_hours = 200, storage.placement = 'nope'`
+
+// TestFleetJobErrorIsNotWorkerFailure: a worker that answers a shard with
+// the job's own error — an error event, or a refusal of the request as
+// malformed — has done its work. The job fails at once in the worker's
+// words — no failover, no degraded run on the coordinator — and the fleet
+// is as healthy for the next query as it was for this one.
+func TestFleetJobErrorIsNotWorkerFailure(t *testing.T) {
+	t.Run("error event", func(t *testing.T) {
+		coord, cts, _, urls := startFleet(t, 2, false)
+		fleetJobError(t, coord, cts, urls, poisonQuery, `unknown placement policy "nope"`)
+	})
+	t.Run("400", func(t *testing.T) {
+		// Workers that refuse any shard of refusedQuery, as a newer or older
+		// build that reads the request differently might.
+		refusedQuery := strings.Replace(smallQuery, "trials = 2", "trials = 2, seed = 4242", 1)
+		urls := make([]string, 2)
+		for i := range urls {
+			srv, _ := newTestServer(t, Config{PoolSize: 2})
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				body, _ := io.ReadAll(r.Body)
+				if r.URL.Path == "/v1/query" && bytes.Contains(body, []byte("seed = 4242")) {
+					writeJSON(w, http.StatusBadRequest, ErrorEvent{Type: "error", Error: "service: bad request JSON: unknown field"})
+					return
+				}
+				r.Body = io.NopCloser(bytes.NewReader(body))
+				srv.Handler().ServeHTTP(w, r)
+			}))
+			t.Cleanup(ts.Close)
+			urls[i] = ts.URL
+		}
+		coord, cts := newTestServer(t, Config{Coordinator: true, Peers: urls})
+		fleetJobError(t, coord, cts, urls, refusedQuery, "service: bad request JSON: unknown field")
+	})
+}
+
+func fleetJobError(t *testing.T, coord *Server, cts *httptest.Server, urls []string, query, wantErr string) {
+	final := lastEvent(t, postQuery(t, cts, query))
+	msg, _ := final["error"].(string)
+	if final["type"] != "error" || !strings.HasSuffix(msg, wantErr) {
+		t.Fatalf("query ended with %v, want the worker's error %q", final, wantErr)
+	}
+	if strings.Contains(msg, "degraded local execution") {
+		t.Errorf("the job's error reads as a fleet failure: %q", msg)
+	}
+	tel := coord.tel
+	t.Logf("shards launched %d, retries %d, worker failures %d, degraded jobs %d",
+		tel.shardsLaunched.Value(), tel.shardRetries.Value(), tel.workerFailures.Value(), tel.degradedJobs.Value())
+	if n := tel.shardsLaunched.Value(); n > uint64(len(urls)) {
+		t.Errorf("%d shard streams launched for a query no worker can run, want at most one per worker", n)
+	}
+	if r, f, d := tel.shardRetries.Value(), tel.workerFailures.Value(), tel.degradedJobs.Value(); r != 0 || f != 0 || d != 0 {
+		t.Errorf("%d shard retries, %d worker failures, %d degraded jobs; want none", r, f, d)
+	}
+	var fleet FleetResponse
+	mustGetJSON(t, cts.URL+"/v1/fleet", &fleet)
+	for _, m := range fleet.Members {
+		if m.State != StateUp || m.Failures != 0 {
+			t.Errorf("member %s is %s after %d failures (%s), want up", m.URL, m.State, m.Failures, m.LastError)
+		}
+	}
+
+	// The next valid query is served by the workers, not the coordinator.
+	events := postQuery(t, cts, smallQuery)
+	if final := lastEvent(t, events); final["type"] != "result" || final["degraded"] != false {
+		t.Errorf("query after the poison one ended with type=%v degraded=%v", final["type"], final["degraded"])
+	}
+	for _, ev := range events {
+		if w, _ := ev["worker"].(string); ev["type"] == "point" && w != urls[0] && w != urls[1] {
+			t.Errorf("point served by %q, want one of the workers", w)
+		}
+	}
+}
+
+// TestFleetWorkerCancelledShardFailsOver: a shard its worker cancelled —
+// its drain window ran out, an operator's DELETE — ends in an error event
+// too, but the coordinator did not ask for it and the query is not at
+// fault: it fails over like any other lost stream.
+func TestFleetWorkerCancelledShardFailsOver(t *testing.T) {
+	_, single := newTestServer(t, Config{PoolSize: 2})
+	want := lastEvent(t, postQuery(t, single, bigQuery))
+
+	coord, cts, workers, _ := startFleet(t, 2, false)
+	// The first worker to commit a point cancels everything it runs, once.
+	var once sync.Once
+	for _, w := range workers {
+		w.pointGate = func(int) { once.Do(w.CancelAll) }
+	}
+	final := lastEvent(t, postQuery(t, cts, bigQuery))
+	if final["type"] != "result" || final["table"] != want["table"] || final["degraded"] != false {
+		t.Fatalf("sweep with a worker-cancelled shard ended with type=%v degraded=%v error=%v", final["type"], final["degraded"], final["error"])
+	}
+	if f, r := coord.tel.workerFailures.Value(), coord.tel.shardRetries.Value(); f == 0 || r == 0 {
+		t.Fatalf("%d worker failures, %d shard retries: the cancelled shard was never failed over", f, r)
+	}
+}

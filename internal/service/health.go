@@ -1,9 +1,8 @@
 package service
 
 import (
-	"encoding/json"
+	"context"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"sync"
@@ -95,7 +94,7 @@ type memberHealth struct {
 // exposed at GET /v1/fleet.
 type Health struct {
 	cfg    HealthConfig
-	client *http.Client
+	client Client
 
 	mu      sync.Mutex
 	members map[string]*memberHealth
@@ -112,10 +111,8 @@ type Health struct {
 func NewHealth(members []string, cfg HealthConfig) *Health {
 	cfg = cfg.withDefaults()
 	h := &Health{
-		cfg: cfg,
-		client: &http.Client{
-			Timeout: cfg.ProbeTimeout,
-		},
+		cfg:     cfg,
+		client:  Client{HTTP: &http.Client{Timeout: cfg.ProbeTimeout}},
 		members: make(map[string]*memberHealth, len(members)),
 		now:     time.Now,
 		stop:    make(chan struct{}),
@@ -186,28 +183,17 @@ func (h *Health) Probe() {
 // draining. Any transport error, non-200, or unparseable body is a
 // probe failure.
 func (h *Health) probeOne(u string) (draining bool, err error) {
-	resp, err := h.client.Get(u + "/v1/healthz")
-	if err != nil {
+	var hz HealthzResponse
+	if err := h.client.GetJSON(context.Background(), u+"/v1/healthz", 4096, &hz); err != nil {
 		return false, err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return false, fmt.Errorf("healthz returned HTTP %d", resp.StatusCode)
-	}
-	var body struct {
-		Status string `json:"status"`
-	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 4096)).Decode(&body); err != nil {
-		return false, fmt.Errorf("healthz body: %w", err)
-	}
-	switch body.Status {
+	switch hz.Status {
 	case "ok":
 		return false, nil
 	case "draining":
 		return true, nil
 	default:
-		return false, fmt.Errorf("healthz status %q", body.Status)
+		return false, fmt.Errorf("healthz status %q", hz.Status)
 	}
 }
 

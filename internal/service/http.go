@@ -43,6 +43,9 @@ type QueryRequest struct {
 //	{"type":"point", ...PointEvent} one per committed design point
 //	{"type":"result", ...ResultEvent} last line on success
 //	{"type":"error","error":"..."}  last line on failure
+//
+// encode.go writes them; Client (client.go) is the one reader, for the
+// commands and the coordinator alike.
 type JobEvent struct {
 	Type string `json:"type"`
 	ID   string `json:"id"`
@@ -101,6 +104,28 @@ type ErrorEvent struct {
 	Error string `json:"error"`
 }
 
+// HealthzResponse is the GET /v1/healthz payload.
+type HealthzResponse struct {
+	Status       string `json:"status"` // "ok" or "draining"
+	AlertsFiring int    `json:"alerts_firing"`
+	buildIdentity
+}
+
+// FleetResponse is the GET /v1/fleet payload.
+type FleetResponse struct {
+	Mode    string         `json:"mode"` // "single", "worker" or "coordinator"
+	Self    string         `json:"self,omitempty"`
+	Members []MemberHealth `json:"members"`
+}
+
+// CacheResponse is the GET /v1/cache payload.
+type CacheResponse struct {
+	Stats
+	HitRate float64 `json:"hit_rate"`
+	PoolCap int     `json:"pool_capacity"`
+	PoolUse int     `json:"pool_in_use"`
+}
+
 // Handler returns the daemon's HTTP interface. Serving routes are
 // registered through route() for per-route metrics; the observability
 // endpoints themselves (/v1/healthz, /v1/stats, /metrics, the
@@ -149,11 +174,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if draining {
 		status = "draining"
 	}
-	writeJSON(w, http.StatusOK, struct {
-		Status       string `json:"status"`
-		AlertsFiring int    `json:"alerts_firing"`
-		buildIdentity
-	}{status, s.alerts.FiringCount(), s.buildIdentity()})
+	writeJSON(w, http.StatusOK, HealthzResponse{status, s.alerts.FiringCount(), s.buildIdentity()})
 }
 
 // handleFleet exposes fleet membership and per-member health state.
@@ -172,11 +193,7 @@ func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
 	if members == nil {
 		members = []MemberHealth{}
 	}
-	writeJSON(w, http.StatusOK, struct {
-		Mode    string         `json:"mode"`
-		Self    string         `json:"self,omitempty"`
-		Members []MemberHealth `json:"members"`
-	}{mode, s.cfg.Self, members})
+	writeJSON(w, http.StatusOK, FleetResponse{mode, s.cfg.Self, members})
 }
 
 // handleQuery admits the posted query as a job and follows it, as any
@@ -349,12 +366,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleCache(w http.ResponseWriter, r *http.Request) {
 	st := s.cache.Stats()
-	writeJSON(w, http.StatusOK, struct {
-		Stats
-		HitRate float64 `json:"hit_rate"`
-		PoolCap int     `json:"pool_capacity"`
-		PoolUse int     `json:"pool_in_use"`
-	}{st, st.HitRate(), s.pool.Cap(), s.pool.InUse()})
+	writeJSON(w, http.StatusOK, CacheResponse{st, st.HitRate(), s.pool.Cap(), s.pool.InUse()})
 }
 
 // handleCacheEntry serves one cached trial result by key — the peering

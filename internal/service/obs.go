@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
 	"net/http/pprof"
 	"runtime"
@@ -175,7 +174,7 @@ func (t *telemetry) bind(s *Server) {
 	}
 	r.GaugeFunc("wt_cache_entries", "Trial cache memory-tier entries.",
 		cs(func(st Stats) float64 { return float64(st.Entries) }))
-	r.CounterFunc("wt_cache_hits_total", "Trial cache memory-tier hits.",
+	r.CounterFunc("wt_cache_hits_total", "Trial cache hits in any tier (the disk- and peer-tier counters are subsets).",
 		cs(func(st Stats) float64 { return float64(st.Hits) }))
 	r.CounterFunc("wt_cache_disk_hits_total", "Trial cache disk-tier hits.",
 		cs(func(st Stats) float64 { return float64(st.DiskHits) }))
@@ -572,20 +571,9 @@ func (s *Server) mergePeerSpans(ctx context.Context, traceID string, spans []obs
 	ctx, cancel := context.WithTimeout(ctx, 3*time.Second)
 	defer cancel()
 	for _, peer := range s.cfg.Peers {
-		req, err := http.NewRequestWithContext(ctx, "GET",
-			strings.TrimRight(peer, "/")+"/v1/trace/"+traceID, nil)
-		if err != nil {
-			continue
-		}
-		resp, err := s.fleet.client.Do(req)
-		if err != nil {
-			continue
-		}
 		var tr TraceResponse
-		err = json.NewDecoder(resp.Body).Decode(&tr)
-		resp.Body.Close()
-		if err != nil || resp.StatusCode != http.StatusOK {
-			continue
+		if s.fleet.client.GetJSON(ctx, strings.TrimRight(peer, "/")+"/v1/trace/"+traceID, MaxReply, &tr) != nil {
+			continue // best effort: this worker contributes nothing
 		}
 		for _, sp := range tr.Spans {
 			if !seen[sp.SpanID] {

@@ -22,6 +22,10 @@
 // log's optional write-ahead backing: with it a job survives its client
 // and a crash; without it a job dies with the connection that submitted
 // it, and its stream can be replayed only for the life of the process.
+//
+// What the daemon writes has one reader, Client (client.go): the
+// commands and a coordinator talking to its workers decode replies and
+// streams into the types the handlers encode.
 package service
 
 import (
