@@ -7,243 +7,98 @@
 //	windtunnel                        # default scenario
 //	windtunnel -scenario dc.json -trials 20 -min-availability 0.999
 //
-// Scenario JSON schema (all fields optional; defaults in parentheses):
+// A scenario file is one flat JSON object whose keys are WTQL's parameter
+// names (README, "Parameters"), applied in file order to the default
+// scenario exactly as a query's WITH list would be — so a file and the
+// query that says the same thing run the same simulation:
 //
 //	{
-//	  "racks": 3, "nodes_per_rack": 10,
-//	  "disk_spec": "hdd-7200", "disks_per_node": 4,
-//	  "nic_spec": "nic-10g", "cpu_spec": "cpu-8c", "mem_spec": "mem-64g",
-//	  "switch_spec": "switch-48p-10g",
-//	  "node_mttf_hours": 12000, "node_repair_hours": 12,
-//	  "node_ttf": "weibull(shape=0.7, scale=8760)",
-//	  "node_repair": "lognormal(mean=12, cv=1.2)",
-//	  "detection": "det(2)",
-//	  "users": 1000, "object_mb": 200,
-//	  "replication": 3, "rs_k": 0, "rs_m": 0,
-//	  "placement": "random",
-//	  "repair_mode": "parallel", "repair_concurrency": 8,
-//	  "detection_hours": 0,
-//	  "horizon_hours": 8766, "seed": 1,
-//	  "power": {
-//	    "pdus": 2, "pdu_spec": "pdu-basic", "ups_spec": "ups-240kva",
-//	    "utility_ttf": "exp(mean=2000)", "utility_repair": "lognormal(mean=4, cv=1)",
-//	    "ups_minutes": 15, "generator_start_prob": 0.95, "generator_start_hours": 0.2,
-//	    "utilization": 0.3, "idle_fraction": 0.45, "pue": 1.5,
-//	    "carbon_intensity": 0.4,
-//	    "cap": 0.2, "cap_start_hours": 0, "cap_duration_hours": 0
-//	  }
+//	  "cluster.racks": 3, "cluster.nodes_per_rack": 10,
+//	  "disk.spec": "hdd-7200", "disk.per_node": 4, "net.nic": "nic-10g",
+//	  "storage.scheme": "rs-6-3", "storage.placement": "rackaware",
+//	  "node.ttf": "weibull(shape=0.7, scale=8760)",
+//	  "node.repair": "lognormal(mean=12, cv=1.2)",
+//	  "repair.detection_hours": 2,
+//	  "users": 1000, "object_mb": 200, "horizon_hours": 8766, "seed": 1,
+//	  "power.pdus": 2, "power.ups_minutes": 15, "power.cap": 0.2
 //	}
 //
-// A "power" block enables the power subsystem (set "enabled": false to
-// keep a block around without it); -power prints the power & energy
-// report with the energy-aware cost breakdown.
+// Any power.* key enables the power subsystem ("power.enabled": false
+// after them keeps the settings without it); -power prints the power &
+// energy report with the energy-aware cost breakdown. The file is read
+// strictly: an unknown or repeated key, a value of the wrong type or out
+// of range, a nested value, anything after the object, or a scenario that
+// does not validate is an error, reported before anything runs.
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"sort"
 	"syscall"
 
 	"repro/internal/cost"
-	"repro/internal/dist"
 	"repro/internal/hardware"
 	"repro/internal/power"
-	"repro/internal/repair"
 	"repro/internal/sla"
-	"repro/internal/storage"
+	"repro/internal/wtql"
 
 	windtunnel "repro"
 )
 
-// scenarioSpec is the JSON-friendly scenario description.
-type scenarioSpec struct {
-	Racks             int        `json:"racks"`
-	NodesPerRack      int        `json:"nodes_per_rack"`
-	DiskSpec          string     `json:"disk_spec"`
-	DisksPerNode      int        `json:"disks_per_node"`
-	NICSpec           string     `json:"nic_spec"`
-	CPUSpec           string     `json:"cpu_spec"`
-	MemSpec           string     `json:"mem_spec"`
-	SwitchSpec        string     `json:"switch_spec"`
-	NodeMTTFHours     float64    `json:"node_mttf_hours"`
-	NodeRepairHours   float64    `json:"node_repair_hours"`
-	NodeTTF           dist.Spec  `json:"node_ttf"`
-	NodeRepair        dist.Spec  `json:"node_repair"`
-	Detection         dist.Spec  `json:"detection"`
-	Users             int        `json:"users"`
-	ObjectMB          float64    `json:"object_mb"`
-	Replication       int        `json:"replication"`
-	RSK               int        `json:"rs_k"`
-	RSM               int        `json:"rs_m"`
-	Placement         string     `json:"placement"`
-	RepairMode        string     `json:"repair_mode"`
-	RepairConcurrency int        `json:"repair_concurrency"`
-	DetectionHours    float64    `json:"detection_hours"`
-	HorizonHours      float64    `json:"horizon_hours"`
-	Seed              uint64     `json:"seed"`
-	Power             *powerSpec `json:"power"`
-}
+// maxScenarioFile bounds a scenario file; every parameter there is, set
+// once, comes to about 2 KB.
+const maxScenarioFile = 1 << 20
 
-// powerSpec is the JSON-friendly power.Config. A present block enables
-// the subsystem unless "enabled": false is given explicitly.
-type powerSpec struct {
-	Enabled             *bool     `json:"enabled"`
-	PDUs                int       `json:"pdus"`
-	PDUSpec             string    `json:"pdu_spec"`
-	UPSSpec             string    `json:"ups_spec"`
-	UtilityTTF          dist.Spec `json:"utility_ttf"`
-	UtilityRepair       dist.Spec `json:"utility_repair"`
-	UPSMinutes          float64   `json:"ups_minutes"`
-	GeneratorStartProb  float64   `json:"generator_start_prob"`
-	GeneratorStartHours float64   `json:"generator_start_hours"`
-	IdleFraction        float64   `json:"idle_fraction"`
-	Utilization         float64   `json:"utilization"`
-	PUE                 float64   `json:"pue"`
-	CarbonIntensity     float64   `json:"carbon_intensity"`
-	Cap                 float64   `json:"cap"`
-	CapStartHours       float64   `json:"cap_start_hours"`
-	CapDurationHours    float64   `json:"cap_duration_hours"`
-}
-
-// apply converts the JSON block into a power.Config.
-func (ps *powerSpec) apply() power.Config {
-	cfg := power.Config{
-		Enabled:             ps.Enabled == nil || *ps.Enabled,
-		PDUs:                ps.PDUs,
-		PDUSpec:             ps.PDUSpec,
-		UPSSpec:             ps.UPSSpec,
-		UtilityTTF:          ps.UtilityTTF.Dist,
-		UtilityRepair:       ps.UtilityRepair.Dist,
-		UPSMinutes:          ps.UPSMinutes,
-		GeneratorStartProb:  ps.GeneratorStartProb,
-		GeneratorStartHours: ps.GeneratorStartHours,
-		IdleFraction:        ps.IdleFraction,
-		Utilization:         ps.Utilization,
-		PUE:                 ps.PUE,
-		CarbonKgPerKWh:      ps.CarbonIntensity,
-		CapFraction:         ps.Cap,
-		CapStartHours:       ps.CapStartHours,
-		CapDurationHours:    ps.CapDurationHours,
-	}
-	return cfg
-}
-
-// apply overlays the non-zero spec fields onto the default scenario.
-func (sp scenarioSpec) apply() (windtunnel.Scenario, error) {
+// readScenario builds the scenario a -scenario file describes.
+func readScenario(r io.Reader) (windtunnel.Scenario, error) {
 	sc := windtunnel.DefaultScenario()
-	if sp.Racks > 0 {
-		sc.Cluster.Racks = sp.Racks
-	}
-	if sp.NodesPerRack > 0 {
-		sc.Cluster.NodesPerRack = sp.NodesPerRack
-	}
-	if sp.DiskSpec != "" {
-		sc.Cluster.DiskSpec = sp.DiskSpec
-	}
-	if sp.DisksPerNode > 0 {
-		sc.Cluster.DisksPerNode = sp.DisksPerNode
-	}
-	if sp.NICSpec != "" {
-		sc.Cluster.NICSpec = sp.NICSpec
-	}
-	if sp.CPUSpec != "" {
-		sc.Cluster.CPUSpec = sp.CPUSpec
-	}
-	if sp.MemSpec != "" {
-		sc.Cluster.MemSpec = sp.MemSpec
-	}
-	if sp.SwitchSpec != "" {
-		sc.Cluster.SwitchSpec = sp.SwitchSpec
-	}
-	if sp.NodeMTTFHours > 0 {
-		d, err := dist.NewWeibull(0.7, sp.NodeMTTFHours/weibullMeanFactor(0.7))
-		if err != nil {
-			return sc, err
-		}
-		sc.Cluster.NodeTTF = d
-	}
-	if sp.NodeRepairHours > 0 {
-		d, err := dist.LogNormalFromMoments(sp.NodeRepairHours, 1.2)
-		if err != nil {
-			return sc, err
-		}
-		sc.Cluster.NodeRepair = d
-	}
-	// Full distribution specs win over the *_hours conveniences, so a
-	// scenario can declare any failure model the dist grammar expresses.
-	// (Parsing already happened during json.Unmarshal via dist.Spec.)
-	if sp.NodeTTF.Dist != nil {
-		sc.Cluster.NodeTTF = sp.NodeTTF.Dist
-	}
-	if sp.NodeRepair.Dist != nil {
-		sc.Cluster.NodeRepair = sp.NodeRepair.Dist
-	}
-	if sp.Users > 0 {
-		sc.Users = sp.Users
-	}
-	if sp.ObjectMB > 0 {
-		sc.ObjectSizeMB = sp.ObjectMB
-	}
-	switch {
-	case sp.RSK > 0:
-		sc.Scheme = storage.RSScheme(sp.RSK, sp.RSM)
-	case sp.Replication > 0:
-		sc.Scheme = storage.ReplicationScheme(sp.Replication)
-	}
-	if sp.Placement != "" {
-		sc.Placement = sp.Placement
-	}
-	switch sp.RepairMode {
-	case "":
-	case "serial":
-		sc.Repair.Mode = repair.Serial
-	case "parallel":
-		sc.Repair.Mode = repair.Parallel
-	default:
-		return sc, fmt.Errorf("unknown repair_mode %q", sp.RepairMode)
-	}
-	if sp.RepairConcurrency > 0 {
-		sc.Repair.MaxConcurrent = sp.RepairConcurrency
-	}
-	if sp.DetectionHours > 0 {
-		d, err := dist.NewDeterministic(sp.DetectionHours)
-		if err != nil {
-			return sc, err
-		}
-		sc.Repair.Detection = d
-	}
-	// As with node_ttf/node_repair, the full detection spec wins over
-	// detection_hours.
-	if sp.Detection.Dist != nil {
-		sc.Repair.Detection = sp.Detection.Dist
-	}
-	if sp.HorizonHours > 0 {
-		sc.HorizonHours = sp.HorizonHours
-	}
-	if sp.Seed != 0 {
-		sc.Seed = sp.Seed
-	}
-	if sp.Power != nil {
-		sc.Power = sp.Power.apply()
-	}
-	return sc, nil
-}
-
-// weibullMeanFactor returns Gamma(1 + 1/shape) so that
-// scale = mean / factor gives a Weibull with the requested mean.
-func weibullMeanFactor(shape float64) float64 {
-	// Gamma(1+1/0.7) = Gamma(2.428...) computed via the dist package's
-	// Weibull mean with unit scale.
-	w, err := dist.NewWeibull(shape, 1)
+	data, err := io.ReadAll(io.LimitReader(r, maxScenarioFile+1))
 	if err != nil {
-		panic(err)
+		return sc, err
 	}
-	return w.Mean()
+	if len(data) > maxScenarioFile {
+		return sc, fmt.Errorf("larger than %d bytes", maxScenarioFile)
+	}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		return sc, fmt.Errorf("want one JSON object, {\"parameter\": value, ...}")
+	}
+	seen := map[string]bool{}
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			return sc, fmt.Errorf("at byte %d: %w", dec.InputOffset(), err)
+		}
+		key := tok.(string) // what follows '{' or ',' in an object, or Token fails
+		if seen[key] {
+			return sc, fmt.Errorf("%q is set twice", key)
+		}
+		seen[key] = true
+		switch v, err := dec.Token(); {
+		case err != nil:
+			return sc, fmt.Errorf("%q, at byte %d: %w", key, dec.InputOffset(), err)
+		case v == json.Delim('{') || v == json.Delim('['):
+			return sc, fmt.Errorf("%q holds a nested value: a scenario file is flat, one WTQL name per key (\"power.cap\": 0.2, not \"power\": {\"cap\": 0.2})", key)
+		default: // a float64, string or bool — what a WITH value is — or null, which no parameter takes
+			if err := wtql.SetParam(&sc, key, v); err != nil {
+				return sc, err
+			}
+		}
+	}
+	if _, err := dec.Token(); err != nil { // the closing brace
+		return sc, fmt.Errorf("at byte %d: %w", dec.InputOffset(), err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return sc, fmt.Errorf("trailing data after the object, at byte %d", dec.InputOffset())
+	}
+	return sc, sc.Validate()
 }
 
 func main() {
@@ -266,19 +121,17 @@ func main() {
 		defer cancel()
 	}
 
-	spec := scenarioSpec{}
+	sc := windtunnel.DefaultScenario()
 	if *scenarioPath != "" {
-		data, err := os.ReadFile(*scenarioPath)
+		f, err := os.Open(*scenarioPath)
 		if err != nil {
 			fatal(err)
 		}
-		if err := json.Unmarshal(data, &spec); err != nil {
-			fatal(fmt.Errorf("parsing %s: %w", *scenarioPath, err))
+		sc, err = readScenario(f)
+		f.Close()
+		if err != nil {
+			fatal(fmt.Errorf("%s: %w", *scenarioPath, err))
 		}
-	}
-	sc, err := spec.apply()
-	if err != nil {
-		fatal(err)
 	}
 
 	var slas []windtunnel.SLA
@@ -298,7 +151,7 @@ func main() {
 	}
 	if *maxPeakKW > 0 {
 		if !sc.Power.Enabled {
-			fatal(fmt.Errorf("-max-peak-kw needs a power-enabled scenario (add a \"power\" block)"))
+			fatal(fmt.Errorf("-max-peak-kw needs a power-enabled scenario (set a power.* parameter)"))
 		}
 		s, err := sla.NewPowerBudget(*maxPeakKW)
 		if err != nil {
@@ -352,7 +205,7 @@ func main() {
 
 	if *powerReport {
 		if !sc.Power.Enabled {
-			fmt.Println("\npower: subsystem disabled (add a \"power\" block to the scenario JSON)")
+			fmt.Println("\npower: subsystem disabled (set a power.* parameter in the scenario file)")
 		} else {
 			fmt.Println("\npower & energy report:")
 			for _, row := range []struct{ label, metric, unit string }{

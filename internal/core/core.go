@@ -46,10 +46,39 @@ type Scenario struct {
 	Seed         uint64
 }
 
+// Ceilings on what one scenario, and one run of it, may ask for. A trial
+// allocates in proportion to each of these before it simulates anything,
+// and a scenario can arrive in a query from anyone who can reach a
+// daemon, so each is refused above a fixed size — here, before any world
+// is built — instead of being asked of the allocator, whose refusal
+// nothing recovers from. They are constants, not options: every one is
+// more than ten times what any test, benchmark or experiment in this
+// repository uses (EXPERIMENTS.md E25 lists the largest use of each).
+const (
+	MaxNodes        = 1_000_000   // racks x nodes per rack
+	MaxDisksPerNode = 1024        // Cluster.DisksPerNode
+	MaxDisks        = 10_000_000  // nodes x disks per node
+	MaxUsers        = 10_000_000  // Scenario.Users, one object each
+	MaxShards       = 100_000_000 // users x the scheme's width
+	MaxTrials       = 10_000_000  // Runner.Trials
+	MaxTenantTrials = 100_000_000 // trials x users: RunResult.TenantAvailability
+)
+
 // Validate checks the scenario.
 func (sc Scenario) Validate() error {
 	if err := sc.Cluster.Validate(); err != nil {
 		return err
+	}
+	c := sc.Cluster // at least one rack, node per rack and disk per node
+	switch {
+	case c.Racks > MaxNodes/c.NodesPerRack:
+		return fmt.Errorf("core: %d racks x %d nodes per rack is over the ceiling of %d nodes", c.Racks, c.NodesPerRack, MaxNodes)
+	case c.DisksPerNode > MaxDisksPerNode:
+		return fmt.Errorf("core: %d disks per node is over the ceiling of %d", c.DisksPerNode, MaxDisksPerNode)
+	case c.DisksPerNode > MaxDisks/(c.Racks*c.NodesPerRack):
+		return fmt.Errorf("core: %d nodes x %d disks per node is over the ceiling of %d disks", c.Racks*c.NodesPerRack, c.DisksPerNode, MaxDisks)
+	case sc.Users > MaxUsers:
+		return fmt.Errorf("core: %d users is over the ceiling of %d", sc.Users, MaxUsers)
 	}
 	if sc.Users < 1 {
 		return fmt.Errorf("core: scenario needs >= 1 user, got %d", sc.Users)
@@ -59,6 +88,9 @@ func (sc Scenario) Validate() error {
 	}
 	if err := sc.Scheme.Validate(); err != nil {
 		return err
+	}
+	if w := sc.Scheme.Width(); w > MaxShards/sc.Users {
+		return fmt.Errorf("core: %d users x %d shards (%v) is over the ceiling of %d", sc.Users, w, sc.Scheme, MaxShards)
 	}
 	if _, err := storage.PolicyByName(sc.Placement); err != nil {
 		return err

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/design"
@@ -155,6 +156,55 @@ func TestRunnerValidation(t *testing.T) {
 	bad.Users = -1
 	if _, err := (Runner{Trials: 1}).Run(bad); err == nil {
 		t.Error("invalid scenario accepted")
+	}
+}
+
+// TestCeilings: a scenario or a run sized above a ceiling is refused by
+// name — by Validate, or by the Runner before it builds a world — and one
+// sized exactly at it is not. Each factor alone is checked, and the
+// products no single factor bounds.
+func TestCeilings(t *testing.T) {
+	at := func(edit func(*Scenario)) Scenario {
+		sc := quickScenario()
+		edit(&sc)
+		return sc
+	}
+	for want, sc := range map[string]Scenario{
+		"1001 racks x 1000 nodes per rack is over the ceiling of 1000000 nodes": at(func(sc *Scenario) { sc.Cluster.Racks, sc.Cluster.NodesPerRack = 1001, 1000 }),
+		"1025 disks per node is over the ceiling of 1024":                       at(func(sc *Scenario) { sc.Cluster.DisksPerNode = 1025 }),
+		"10001 nodes x 1000 disks per node is over the ceiling of 10000000": at(func(sc *Scenario) {
+			sc.Cluster.Racks, sc.Cluster.NodesPerRack, sc.Cluster.DisksPerNode = 1, 10001, 1000
+		}),
+		"10000001 users is over the ceiling of 10000000":                       at(func(sc *Scenario) { sc.Users = MaxUsers + 1 }),
+		"10000000 users x 11 shards (rs-8-3) is over the ceiling of 100000000": at(func(sc *Scenario) { sc.Users, sc.Scheme = MaxUsers, storage.RSScheme(8, 3) }),
+	} {
+		if err := sc.Validate(); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Validate() = %v, want %q", err, want)
+		}
+	}
+	for _, sc := range []Scenario{
+		at(func(sc *Scenario) {
+			sc.Cluster.Racks, sc.Cluster.NodesPerRack, sc.Cluster.DisksPerNode = 1000, 1000, 10
+		}),
+		at(func(sc *Scenario) { sc.Cluster.DisksPerNode = MaxDisksPerNode }),
+		at(func(sc *Scenario) { sc.Users, sc.Scheme = MaxUsers, storage.ReplicationScheme(10) }),
+	} {
+		if err := sc.Validate(); err != nil {
+			t.Errorf("at the ceiling: %v", err)
+		}
+	}
+	for want, run := range map[string]struct {
+		trials, users int
+	}{
+		"10000001 trials is over the ceiling of 10000000":                              {MaxTrials + 1, 1},
+		"2000000000 trials is over the ceiling of 10000000":                            {2000000000, 100},
+		"1000001 trials x 100 users is over the ceiling of 100000000 tenant-trials":    {1000001, 100},
+		"10000000 trials x 10000000 users is over the ceiling of 100000000 tenant-tri": {MaxTrials, MaxUsers},
+	} {
+		sc := at(func(sc *Scenario) { sc.Users = run.users })
+		if _, err := (Runner{Trials: run.trials}).Run(sc); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Run with %d trials, %d users = %v, want %q", run.trials, run.users, err, want)
+		}
 	}
 }
 

@@ -249,6 +249,12 @@ func (r Runner) simulate(ctx context.Context, sc Scenario) (*RunResult, error) {
 	if r.Trials < 1 {
 		return nil, fmt.Errorf("core: Runner.Trials must be >= 1, got %d", r.Trials)
 	}
+	if r.Trials > MaxTrials {
+		return nil, fmt.Errorf("core: %d trials is over the ceiling of %d", r.Trials, MaxTrials)
+	}
+	if r.Trials > MaxTenantTrials/sc.Users {
+		return nil, fmt.Errorf("core: %d trials x %d users is over the ceiling of %d tenant-trials", r.Trials, sc.Users, MaxTenantTrials)
+	}
 	if r.FailureBias < 0 {
 		return nil, fmt.Errorf("core: Runner.FailureBias must be >= 0, got %v", r.FailureBias)
 	}

@@ -41,8 +41,13 @@ func newTestServer(t testing.TB, cfg Config) (*Server, *httptest.Server) {
 // postQuery posts a query and decodes the NDJSON stream.
 func postQuery(t testing.TB, ts *httptest.Server, query string) (events []map[string]any) {
 	t.Helper()
-	resp, err := http.Post(ts.URL+"/v1/query", "application/json",
-		bytes.NewReader(mustJSON(t, QueryRequest{Query: query})))
+	return postRequest(t, ts, QueryRequest{Query: query})
+}
+
+// postRequest is postQuery for a whole request body.
+func postRequest(t testing.TB, ts *httptest.Server, req QueryRequest) (events []map[string]any) {
+	t.Helper()
+	resp, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(mustJSON(t, req)))
 	if err != nil {
 		t.Fatal(err)
 	}

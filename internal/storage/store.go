@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
+	"strings"
 
 	"repro/internal/rng"
 )
@@ -99,6 +100,29 @@ func (s Scheme) Append(dst []byte) []byte {
 	}
 	dst = strconv.AppendInt(append(dst, "rs-"...), int64(s.K), 10)
 	return strconv.AppendInt(append(dst, '-'), int64(s.M), 10)
+}
+
+// ParseScheme reads the String form back: "rep-3" or "rs-6-3". The
+// scheme it returns is valid, has that String, and no count in it is
+// beyond an int32, so its Width cannot overflow.
+func ParseScheme(s string) (Scheme, error) {
+	// A count that does not parse leaves a zero or a clamped value behind:
+	// the scheme then fails Validate, or prints as something other than s.
+	count := func(digits string) int {
+		n, _ := strconv.ParseInt(digits, 10, 32)
+		return int(n)
+	}
+	var sch Scheme
+	if n, ok := strings.CutPrefix(s, "rep-"); ok {
+		sch.Replicas = count(n)
+	} else if km, ok := strings.CutPrefix(s, "rs-"); ok {
+		k, m, _ := strings.Cut(km, "-")
+		sch = RSScheme(count(k), count(m))
+	}
+	if sch.Validate() != nil || sch.String() != s {
+		return Scheme{}, fmt.Errorf("storage: scheme %q is not 'rep-N' or 'rs-K-M' (N, K >= 1; M >= 0)", s)
+	}
+	return sch, nil
 }
 
 // Object is one customer's data item.

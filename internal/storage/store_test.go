@@ -2,6 +2,8 @@ package storage
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -161,6 +163,30 @@ func TestSchemeSemantics(t *testing.T) {
 	} {
 		if got := string(s.Append([]byte("scheme="))); got != "scheme="+want || s.String() != want {
 			t.Errorf("Append/String = %q/%q, want %q", got, s.String(), want)
+		}
+	}
+}
+
+// TestParseScheme: ParseScheme reads back exactly what String writes, and
+// nothing else — not a scheme that would not validate, not a second
+// spelling of one that would, not a count too large to add up.
+func TestParseScheme(t *testing.T) {
+	for _, want := range []Scheme{
+		ReplicationScheme(1), ReplicationScheme(3), RSScheme(6, 3), RSScheme(10, 4), RSScheme(4, 0), RSScheme(2147483647, 2147483647),
+	} {
+		got, err := ParseScheme(want.String())
+		if err != nil || got != want {
+			t.Errorf("ParseScheme(%q) = %v, %v", want.String(), got, err)
+		}
+	}
+	for _, bad := range []string{
+		"rs-0-3", "rep-0", "rs-6", "raid5", "", "rep-", "rs-", "rs--", "rep--1", "rs-6--3", "rs-6-3-1", "rep-3 ", " rep-3",
+		"rep-03", "rep-+3", "REP-3", "rs-6-3.0", "rep-2147483648", "rs-1-99999999999999999999",
+	} {
+		if got, err := ParseScheme(bad); err == nil {
+			t.Errorf("ParseScheme(%q) = %v, want an error", bad, got)
+		} else if !strings.Contains(err.Error(), strconv.Quote(bad)) {
+			t.Errorf("ParseScheme(%q): %v does not quote what it was given", bad, err)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package wtql
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -11,332 +10,11 @@ import (
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/design"
-	"repro/internal/dist"
 	"repro/internal/hardware"
 	"repro/internal/power"
-	"repro/internal/repair"
 	"repro/internal/results"
 	"repro/internal/sla"
-	"repro/internal/storage"
 )
-
-// Parameter registry: every settable name, its applier onto a Scenario,
-// and whether it participates in VARY. This is the semantic-analysis
-// layer — unknown parameters are rejected before any simulation runs.
-
-type applier func(sc *core.Scenario, v any) error
-
-var paramAppliers = map[string]applier{
-	"cluster.racks": func(sc *core.Scenario, v any) error {
-		return setInt(&sc.Cluster.Racks, v, "cluster.racks")
-	},
-	"cluster.nodes_per_rack": func(sc *core.Scenario, v any) error {
-		return setInt(&sc.Cluster.NodesPerRack, v, "cluster.nodes_per_rack")
-	},
-	// cluster.nodes is the Figure-1 convenience: a flat cluster of N
-	// nodes (one logical rack).
-	"cluster.nodes": func(sc *core.Scenario, v any) error {
-		sc.Cluster.Racks = 1
-		return setInt(&sc.Cluster.NodesPerRack, v, "cluster.nodes")
-	},
-	"disk.spec": func(sc *core.Scenario, v any) error {
-		return setSpec(&sc.Cluster.DiskSpec, v, "disk.spec")
-	},
-	"disk.per_node": func(sc *core.Scenario, v any) error {
-		return setInt(&sc.Cluster.DisksPerNode, v, "disk.per_node")
-	},
-	"net.nic": func(sc *core.Scenario, v any) error {
-		return setSpec(&sc.Cluster.NICSpec, v, "net.nic")
-	},
-	"cpu.spec": func(sc *core.Scenario, v any) error {
-		return setSpec(&sc.Cluster.CPUSpec, v, "cpu.spec")
-	},
-	"mem.spec": func(sc *core.Scenario, v any) error {
-		return setSpec(&sc.Cluster.MemSpec, v, "mem.spec")
-	},
-	"storage.replication": func(sc *core.Scenario, v any) error {
-		var n int
-		if err := setInt(&n, v, "storage.replication"); err != nil {
-			return err
-		}
-		sc.Scheme = storage.ReplicationScheme(n)
-		return nil
-	},
-	"storage.placement": func(sc *core.Scenario, v any) error {
-		s, ok := v.(string)
-		if !ok {
-			return fmt.Errorf("wtql: storage.placement wants a string, got %v", v)
-		}
-		sc.Placement = s
-		return nil
-	},
-	"repair.mode": func(sc *core.Scenario, v any) error {
-		s, ok := v.(string)
-		if !ok {
-			return fmt.Errorf("wtql: repair.mode wants 'serial' or 'parallel', got %v", v)
-		}
-		switch s {
-		case "serial":
-			sc.Repair.Mode = repair.Serial
-		case "parallel":
-			sc.Repair.Mode = repair.Parallel
-			if sc.Repair.MaxConcurrent < 1 {
-				sc.Repair.MaxConcurrent = 8
-			}
-		default:
-			return fmt.Errorf("wtql: unknown repair.mode %q", s)
-		}
-		return nil
-	},
-	"repair.concurrency": func(sc *core.Scenario, v any) error {
-		return setInt(&sc.Repair.MaxConcurrent, v, "repair.concurrency")
-	},
-	"repair.detection_hours": func(sc *core.Scenario, v any) error {
-		f, ok := toFloat(v)
-		if !ok || f < 0 {
-			return fmt.Errorf("wtql: repair.detection_hours wants a non-negative number, got %v", v)
-		}
-		if f == 0 {
-			sc.Repair.Detection = nil
-			return nil
-		}
-		d, err := dist.NewDeterministic(f)
-		if err != nil {
-			return err
-		}
-		sc.Repair.Detection = d
-		return nil
-	},
-	// node.ttf / node.repair / repair.detection accept full dist spec
-	// strings — "weibull(shape=0.7, scale=8760)", "mix(...)", etc. — so
-	// queries can sweep arbitrary failure models, not just means.
-	"node.ttf": func(sc *core.Scenario, v any) error {
-		return setDist(&sc.Cluster.NodeTTF, v, "node.ttf")
-	},
-	"node.repair": func(sc *core.Scenario, v any) error {
-		return setDist(&sc.Cluster.NodeRepair, v, "node.repair")
-	},
-	"repair.detection": func(sc *core.Scenario, v any) error {
-		return setDist(&sc.Repair.Detection, v, "repair.detection")
-	},
-	"node.mttf_hours": func(sc *core.Scenario, v any) error {
-		f, ok := toFloat(v)
-		if !ok || f <= 0 {
-			return fmt.Errorf("wtql: node.mttf_hours wants a positive number, got %v", v)
-		}
-		d, err := dist.ExpMean(f)
-		if err != nil {
-			return err
-		}
-		sc.Cluster.NodeTTF = d
-		if sc.Cluster.NodeRepair == nil {
-			r, err := dist.LogNormalFromMoments(12, 1.2)
-			if err != nil {
-				return err
-			}
-			sc.Cluster.NodeRepair = r
-		}
-		return nil
-	},
-	"node.repair_hours": func(sc *core.Scenario, v any) error {
-		f, ok := toFloat(v)
-		if !ok || f <= 0 {
-			return fmt.Errorf("wtql: node.repair_hours wants a positive number, got %v", v)
-		}
-		d, err := dist.NewDeterministic(f)
-		if err != nil {
-			return err
-		}
-		sc.Cluster.NodeRepair = d
-		if sc.Cluster.NodeTTF == nil {
-			t, err := dist.ExpMean(10000)
-			if err != nil {
-				return err
-			}
-			sc.Cluster.NodeTTF = t
-		}
-		return nil
-	},
-	// power.* parameters configure the power subsystem (internal/power).
-	// Setting any of them (except an explicit power.enabled = FALSE)
-	// enables it, so `VARY power.cap IN (0, 0.1, 0.2)` works without
-	// ceremony. All of them are output-determining cache-key inputs.
-	"power.enabled": func(sc *core.Scenario, v any) error {
-		b, ok := v.(bool)
-		if !ok {
-			return fmt.Errorf("wtql: power.enabled wants TRUE or FALSE, got %v", v)
-		}
-		sc.Power.Enabled = b
-		return nil
-	},
-	"power.pdus": func(sc *core.Scenario, v any) error {
-		sc.Power.Enabled = true
-		return setInt(&sc.Power.PDUs, v, "power.pdus")
-	},
-	"power.pdu_spec": func(sc *core.Scenario, v any) error {
-		sc.Power.Enabled = true
-		return setSpec(&sc.Power.PDUSpec, v, "power.pdu_spec")
-	},
-	"power.ups_spec": func(sc *core.Scenario, v any) error {
-		sc.Power.Enabled = true
-		return setSpec(&sc.Power.UPSSpec, v, "power.ups_spec")
-	},
-	"power.utility_ttf": func(sc *core.Scenario, v any) error {
-		sc.Power.Enabled = true
-		return setDist(&sc.Power.UtilityTTF, v, "power.utility_ttf")
-	},
-	"power.utility_repair": func(sc *core.Scenario, v any) error {
-		sc.Power.Enabled = true
-		return setDist(&sc.Power.UtilityRepair, v, "power.utility_repair")
-	},
-	"power.ups_minutes": func(sc *core.Scenario, v any) error {
-		sc.Power.Enabled = true
-		return setNonNegFloat(&sc.Power.UPSMinutes, v, "power.ups_minutes")
-	},
-	"power.generator_start_prob": func(sc *core.Scenario, v any) error {
-		sc.Power.Enabled = true
-		return setFraction(&sc.Power.GeneratorStartProb, v, "power.generator_start_prob", true)
-	},
-	"power.generator_start_hours": func(sc *core.Scenario, v any) error {
-		sc.Power.Enabled = true
-		return setNonNegFloat(&sc.Power.GeneratorStartHours, v, "power.generator_start_hours")
-	},
-	"power.idle_fraction": func(sc *core.Scenario, v any) error {
-		sc.Power.Enabled = true
-		return setFraction(&sc.Power.IdleFraction, v, "power.idle_fraction", true)
-	},
-	"power.utilization": func(sc *core.Scenario, v any) error {
-		sc.Power.Enabled = true
-		return setFraction(&sc.Power.Utilization, v, "power.utilization", true)
-	},
-	"power.pue": func(sc *core.Scenario, v any) error {
-		sc.Power.Enabled = true
-		f, ok := toFloat(v)
-		if !ok || f < 1 {
-			return fmt.Errorf("wtql: power.pue wants a number >= 1, got %v", v)
-		}
-		sc.Power.PUE = f
-		return nil
-	},
-	"power.carbon_intensity": func(sc *core.Scenario, v any) error {
-		sc.Power.Enabled = true
-		return setNonNegFloat(&sc.Power.CarbonKgPerKWh, v, "power.carbon_intensity")
-	},
-	"power.cap": func(sc *core.Scenario, v any) error {
-		sc.Power.Enabled = true
-		return setFraction(&sc.Power.CapFraction, v, "power.cap", false)
-	},
-	"power.cap_start_hours": func(sc *core.Scenario, v any) error {
-		sc.Power.Enabled = true
-		return setNonNegFloat(&sc.Power.CapStartHours, v, "power.cap_start_hours")
-	},
-	"power.cap_duration_hours": func(sc *core.Scenario, v any) error {
-		sc.Power.Enabled = true
-		return setNonNegFloat(&sc.Power.CapDurationHours, v, "power.cap_duration_hours")
-	},
-	"users": func(sc *core.Scenario, v any) error {
-		return setInt(&sc.Users, v, "users")
-	},
-	"object_mb": func(sc *core.Scenario, v any) error {
-		f, ok := toFloat(v)
-		if !ok || f < 0 {
-			return fmt.Errorf("wtql: object_mb wants a non-negative number, got %v", v)
-		}
-		sc.ObjectSizeMB = f
-		return nil
-	},
-	"horizon_hours": func(sc *core.Scenario, v any) error {
-		f, ok := toFloat(v)
-		if !ok || f <= 0 {
-			return fmt.Errorf("wtql: horizon_hours wants a positive number, got %v", v)
-		}
-		sc.HorizonHours = f
-		return nil
-	},
-	"seed": func(sc *core.Scenario, v any) error {
-		f, ok := toFloat(v)
-		if !ok || f < 0 {
-			return fmt.Errorf("wtql: seed wants a non-negative number, got %v", v)
-		}
-		sc.Seed = uint64(f)
-		return nil
-	},
-}
-
-// execution-only parameters (not part of the scenario).
-var execParams = map[string]bool{
-	"trials": true, "workers": true, "target_ci": true,
-	"antithetic": true, "crn": true, "failure_bias": true,
-	"screen": true, "screen_margin": true,
-}
-
-func setInt(dst *int, v any, name string) error {
-	f, ok := toFloat(v)
-	if !ok || f != math.Trunc(f) || f < 0 {
-		return fmt.Errorf("wtql: %s wants a non-negative integer, got %v", name, v)
-	}
-	*dst = int(f)
-	return nil
-}
-
-func setDist(dst *dist.Dist, v any, name string) error {
-	s, ok := v.(string)
-	if !ok {
-		return fmt.Errorf("wtql: %s wants a distribution spec string, got %v", name, v)
-	}
-	d, err := dist.Parse(s)
-	if err != nil {
-		return fmt.Errorf("wtql: %s: %w", name, err)
-	}
-	*dst = d
-	return nil
-}
-
-func setNonNegFloat(dst *float64, v any, name string) error {
-	f, ok := toFloat(v)
-	if !ok || f < 0 {
-		return fmt.Errorf("wtql: %s wants a non-negative number, got %v", name, v)
-	}
-	*dst = f
-	return nil
-}
-
-// setFraction parses a value in [0, 1]; closed=false excludes 1 (the
-// power-cap fraction must leave some service rate).
-func setFraction(dst *float64, v any, name string, closed bool) error {
-	f, ok := toFloat(v)
-	if !ok || f < 0 || f > 1 || (!closed && f == 1) {
-		hi := "1"
-		if !closed {
-			hi = "1 (exclusive)"
-		}
-		return fmt.Errorf("wtql: %s wants a number in [0, %s], got %v", name, hi, v)
-	}
-	*dst = f
-	return nil
-}
-
-func setSpec(dst *string, v any, name string) error {
-	s, ok := v.(string)
-	if !ok {
-		return fmt.Errorf("wtql: %s wants a spec name string, got %v", name, v)
-	}
-	if _, err := hardware.SharedCatalog().Get(s); err != nil {
-		return fmt.Errorf("wtql: %s: %w", name, err)
-	}
-	*dst = s
-	return nil
-}
-
-func toFloat(v any) (float64, bool) {
-	switch x := v.(type) {
-	case float64:
-		return x, true
-	case int:
-		return float64(x), true
-	}
-	return 0, false
-}
 
 // Row is one configuration's outcome. The JSON field names are part of
 // the windtunneld wire format.
@@ -689,12 +367,19 @@ func (p *Plan) build(pt design.Point) (core.Scenario, []sla.SLA, error) {
 	// for every point, every time.
 	for i := 0; i < pt.Len(); i++ {
 		name, v := pt.At(i)
-		if err := paramAppliers[name](&sc, any(v)); err != nil {
+		if err := params[name].assign(&sc, nil, v); err != nil {
 			return core.Scenario{}, nil, err
 		}
 	}
 	return sc, p.slas, nil
 }
+
+// maxPoints is the largest design space a query may span. A plan holds
+// every point, with its scenario and its key, at once, so five short VARY
+// lists multiplied together must not be what sizes a daemon's heap. Like
+// core's ceilings it is a constant, far above any sweep in the repository
+// (the largest, bench's sweep_repair, has 24 points).
+const maxPoints = 100_000
 
 // Plan resolves a parsed SIMULATE query into an executable Plan without
 // running anything: defaults and WITH overrides, the design space, the
@@ -706,37 +391,21 @@ func (e *Engine) Plan(q *Query) (*Plan, error) {
 	if q.Metric != "availability" {
 		return nil, fmt.Errorf("wtql: unsupported SIMULATE target %q (only 'availability')", q.Metric)
 	}
-	trials := e.Trials
-	if trials < 1 {
-		trials = 5
+	st := settings{
+		trials: e.Trials, workers: e.Workers, screen: e.Screen, screenMargin: core.DefaultScreenMargin,
+		crn: e.CRN, antithetic: e.Antithetic, failureBias: e.FailureBias,
 	}
-	workers := e.Workers
-	targetCI := 0.0
-	screen := e.Screen
-	screenMargin := e.ScreenMargin
-	screenMarginSet := e.ScreenMarginSet
-	crn := e.CRN
-	antithetic := e.Antithetic
-	failureBias := e.FailureBias
-
-	boolArg := func(dst *bool, v any, name string) error {
-		b, ok := v.(bool)
-		if !ok {
-			return fmt.Errorf("wtql: %s wants TRUE or FALSE, got %v", name, v)
-		}
-		*dst = b
-		return nil
+	if st.trials < 1 {
+		st.trials = 5
 	}
-	floatArg := func(dst *float64, v any, name string) error {
-		f, ok := toFloat(v)
-		if !ok || f < 0 {
-			return fmt.Errorf("wtql: %s wants a non-negative number, got %v", name, v)
-		}
-		*dst = f
-		return nil
+	if e.ScreenMarginSet {
+		st.screenMargin = e.ScreenMargin
 	}
 
-	base := core.DefaultScenario()
+	// The assignments write into the plan's own base scenario: the plan is
+	// on the heap either way, and a scenario beside it would be too.
+	plan := &Plan{Query: q, eng: e, base: core.DefaultScenario()}
+	base := &plan.base
 	// Session-level power settings apply to the base scenario before the
 	// per-query WITH overlay (WITH wins).
 	if e.PowerCapSet && e.PowerCap > 0 {
@@ -747,34 +416,11 @@ func (e *Engine) Plan(q *Query) (*Plan, error) {
 		base.Power.CarbonKgPerKWh = e.CarbonIntensity
 	}
 	for _, a := range q.With {
-		var err error
-		switch a.Param {
-		case "trials":
-			err = setInt(&trials, a.Value, "trials")
-		case "workers":
-			err = setInt(&workers, a.Value, "workers")
-		case "target_ci":
-			err = floatArg(&targetCI, a.Value, "target_ci")
-		case "screen":
-			err = boolArg(&screen, a.Value, "screen")
-		case "screen_margin":
-			if err = floatArg(&screenMargin, a.Value, "screen_margin"); err == nil {
-				screenMarginSet = true
-			}
-		case "crn":
-			err = boolArg(&crn, a.Value, "crn")
-		case "antithetic":
-			err = boolArg(&antithetic, a.Value, "antithetic")
-		case "failure_bias":
-			err = floatArg(&failureBias, a.Value, "failure_bias")
-		default:
-			apply, ok := paramAppliers[a.Param]
-			if !ok {
-				return nil, fmt.Errorf("wtql: unknown parameter %q in WITH", a.Param)
-			}
-			err = apply(&base, a.Value)
+		p, ok := params[a.Param]
+		if !ok {
+			return nil, fmt.Errorf("wtql: unknown parameter %q in WITH", a.Param)
 		}
-		if err != nil {
+		if err := p.assign(base, &st, a.Value); err != nil {
 			return nil, err
 		}
 	}
@@ -785,12 +431,16 @@ func (e *Engine) Plan(q *Query) (*Plan, error) {
 	}
 	dims := make([]design.Dimension, 0, len(q.Vary))
 	prune := false
+	points := 1
 	for _, vc := range q.Vary {
-		if execParams[vc.Param] {
-			return nil, fmt.Errorf("wtql: %q cannot be varied", vc.Param)
+		if points *= len(vc.Values); points > maxPoints {
+			return nil, fmt.Errorf("wtql: the VARY clauses span more than the ceiling of %d design points", maxPoints)
 		}
-		if _, ok := paramAppliers[vc.Param]; !ok {
+		switch p, ok := params[vc.Param]; {
+		case !ok:
 			return nil, fmt.Errorf("wtql: unknown parameter %q in VARY", vc.Param)
+		case p.setting != nil:
+			return nil, fmt.Errorf("wtql: %q cannot be varied", vc.Param)
 		}
 		values := make([]design.Value, len(vc.Values))
 		for i, v := range vc.Values {
@@ -819,24 +469,17 @@ func (e *Engine) Plan(q *Query) (*Plan, error) {
 		}
 	}
 
-	plan := &Plan{
-		Query: q,
-		Space: space,
-		eng:   e,
-		base:  base,
-		runner: core.Runner{
-			Trials: trials, TargetCI: targetCI, Workers: e.TrialWorkers,
-			CRN: crn, Antithetic: antithetic, FailureBias: failureBias,
-		},
-		slas:  slas,
-		prune: prune,
+	plan.Space, plan.slas, plan.prune = space, slas, prune
+	plan.runner = core.Runner{
+		Trials: st.trials, TargetCI: st.targetCI, Workers: e.TrialWorkers,
+		CRN: st.crn, Antithetic: st.antithetic, FailureBias: st.failureBias,
 	}
 	plan.ex = &core.Explorer{
 		Space:   space,
 		Build:   plan.build,
 		Runner:  plan.runner,
 		Prune:   prune,
-		Workers: workers,
+		Workers: st.workers,
 		Cache:   e.Cache,
 		Gate:    e.Gate,
 	}
@@ -845,12 +488,8 @@ func (e *Engine) Plan(q *Query) (*Plan, error) {
 	// lower bounds plus (only when the power subsystem is on, so the
 	// budgets are actually lifted into SLAs) peak_kw budgets; other
 	// filters fall back to full simulation (nothing is skipped).
-	if screen && q.Where != nil && screenableWhere(q.Where, base.Power.Enabled) {
-		margin := screenMargin
-		if !screenMarginSet {
-			margin = core.DefaultScreenMargin
-		}
-		plan.ex.Screen = &core.ScreenRule{Margin: margin}
+	if st.screen && q.Where != nil && screenableWhere(q.Where, base.Power.Enabled) {
+		plan.ex.Screen = &core.ScreenRule{Margin: st.screenMargin}
 	}
 	return plan, nil
 }

@@ -20,8 +20,14 @@
 //	not    := NOT not | "(" expr ")" | dotted cmp operand
 //	cmp    := "=" | "!=" | "<" | "<=" | ">" | ">="
 //
+// The names VARY and WITH take — what each sets, the kind of value it
+// wants, and how large it may be — are the rows of the parameter table in
+// params.go; README's "Parameters" section is that table written out.
+//
 // SET mutates engine session settings (SET values additionally accept
-// bare words, so `SET explore.screen = on` works):
+// bare words, so `SET explore.screen = on` works). A setting lasts as long
+// as the Engine that ran the SET; cmd/wtql and the daemon use one Engine
+// per statement, so there a SET reaches no later statement:
 //
 //	SET explore.screen = on;           -- analytic screening (§2.2)
 //	SET explore.screen_margin = 1.0;   -- screening safety factor

@@ -69,10 +69,16 @@ func Parse(input string) (*Query, error) {
 }
 
 type parser struct {
-	toks []token
-	pos  int
-	src  string // original query text, for line:column error positions
+	toks  []token
+	pos   int
+	src   string // original query text, for line:column error positions
+	depth int    // NOTs and parentheses open around the current WHERE term
 }
+
+// maxNesting bounds how deep a WHERE may nest. The parser and everything
+// that walks its tree recurse once per level, and a query is outside
+// input: a megabyte of "(" must be an error, not a gigabyte of stack.
+const maxNesting = 200
 
 // at renders a token offset as line:column.
 func (p *parser) at(off int) string { return posAt(p.src, off) }
@@ -322,6 +328,10 @@ func (p *parser) parseAnd() (Expr, error) {
 }
 
 func (p *parser) parseNot() (Expr, error) {
+	if p.depth++; p.depth > maxNesting {
+		return nil, fmt.Errorf("wtql: WHERE nests deeper than %d at %s", maxNesting, p.at(p.cur().pos))
+	}
+	defer func() { p.depth-- }()
 	if p.acceptKeyword("NOT") {
 		x, err := p.parseNot()
 		if err != nil {
