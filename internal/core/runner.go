@@ -282,7 +282,7 @@ func (r Runner) simulate(ctx context.Context, sc Scenario) (*RunResult, error) {
 	var next atomic.Int64
 	stop := make(chan struct{}) // closed to halt workers after early stop
 	results := make(chan indexedOutcome, workers)
-	cat := hardware.DefaultCatalog() // read-only from here on, shared by every worker's world
+	cat := hardware.SharedCatalog() // read-only, shared by every worker's world
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)

@@ -22,6 +22,22 @@ import (
 // reused world and a world built fresh for the trial give bit-identical
 // outcomes (TestReusedWorldMatchesFresh; bench/'s replay, which builds
 // fresh, checks the same from outside).
+//
+// A trial also pays for its objects only when something looks at one. run
+// tells the store its population (storage.Store.Defer) and the placing
+// happens at the first read: the repair manager's, at the first node
+// transition of any kind — a node death, a ToR, PDU or utility outage —
+// or an abort check after one. A trial in which no node changes state
+// never places, and reports every tenant at availability 1 from the
+// world's constant slice. This is sound only because placement draws from
+// the place stream, which nothing else reads: when its draws are taken
+// cannot change what they are, nor any draw of the simulation. A
+// placement stream shared with the simulator would make the deferred
+// trial a different trial. The world's first population is placed at
+// once, so a scenario that cannot be placed fails its first trial rather
+// than its first failure; a placement that fails later is that trial's
+// error (TestDeferredPopulationMatchesEager holds all of it against the
+// eager AddObjects).
 type trialWorld struct {
 	runner Runner
 	sc     Scenario          // this worker's copy; Cluster.NodeTTF is biased under FailureBias
@@ -34,6 +50,8 @@ type trialWorld struct {
 	mgr    *repair.Manager
 	biased *dist.HazardBiased // nil unless FailureBias is active
 	abort  func() bool        // nil unless the runner has an AbortRule
+	ones   []float64          // sc.Users ones: the tenants of an untouched trial, read-only
+	placed bool               // the first population went in eagerly
 }
 
 // build allocates the world. Nothing here depends on the trial index:
@@ -72,6 +90,10 @@ func (w *trialWorld) build() error {
 		return err
 	}
 	w.sc, w.sim, w.cl, w.store, w.mgr, w.biased = sc, s, cl, st, mgr, biased
+	w.ones = make([]float64, sc.Users)
+	for i := range w.ones {
+		w.ones[i] = 1
+	}
 	if r.Abort != nil {
 		minAvail := r.Abort.MinAvailability
 		w.abort = func() bool {
@@ -111,7 +133,12 @@ func (w *trialWorld) run(trial uint64) trialOutcome {
 	}
 	cl.Reset()
 	w.store.Reset()
-	if err := w.store.AddObjects(sc.Users, sc.ObjectSizeMB, sc.Scheme, &w.place); err != nil {
+	err := w.store.Defer(sc.Users, sc.ObjectSizeMB, sc.Scheme, &w.place)
+	if err == nil && !w.placed {
+		err = w.store.Place()
+		w.placed = err == nil
+	}
+	if err != nil {
 		return trialOutcome{err: err}
 	}
 	mgr.Reset()
@@ -136,10 +163,13 @@ func (w *trialWorld) run(trial uint64) trialOutcome {
 
 	s.RunUntil(sc.HorizonHours)
 
+	if err := w.store.Err(); err != nil {
+		return trialOutcome{err: err}
+	}
 	out := trialOutcome{
 		availability: 1 - mgr.AnyUnavailableFraction(),
 		zeroCopy:     mgr.ZeroCopyFraction(),
-		tenantAvail:  mgr.TenantAvailabilities(),
+		tenantAvail:  w.ones,
 		meanUnavail:  mgr.MeanUnavailableObjects(),
 		lost:         mgr.LostObjects(),
 		repairs:      mgr.Completed(),
@@ -148,6 +178,11 @@ func (w *trialWorld) run(trial uint64) trialOutcome {
 		events:       s.Executed(),
 		weight:       1,
 		aborted:      s.Aborted(),
+	}
+	if mgr.Tracked() > 0 {
+		// Something looked at the objects: the tenants get a slice of their
+		// own. Otherwise no node changed state and w.ones is the answer.
+		out.tenantAvail = mgr.TenantAvailabilities()
 	}
 	if w.biased != nil {
 		out.weight = w.biased.Weight()

@@ -22,6 +22,7 @@ type Flow struct {
 	done      func(f *Flow)
 	failed    func(f *Flow, err error)
 	finish    func() // the one completion callback every flow/done event runs
+	activate  func() // the flow/activate event's callback; built with finish, once per Flow
 	event     *sim.Event
 	eventRate float64 // rate the pending flow/done event was scheduled at
 }
@@ -43,6 +44,13 @@ type FlowSim struct {
 	topo   *Topology
 	flows  []*Flow // in flight (latency phase and active), in start order
 	nextID int
+	// issued holds the Flows Start has handed out since the last Reset (the
+	// first maxRecycled of them: a run of millions of flows leaves the rest
+	// to the collector, as it always did), spare the ones Reset took back:
+	// Start reuses a spare — the struct, its two closures, its route's
+	// storage — before it allocates. A flow is never reused within a run,
+	// where a done or failed callback's caller may still hold it.
+	issued, spare []*Flow
 
 	// Progressive-filling scratch, indexed by Link.ID and reused by every
 	// recompute so the steady state allocates nothing.
@@ -58,6 +66,10 @@ type FlowSim struct {
 	bytes     float64 // MB delivered
 }
 
+// maxRecycled bounds what a FlowSim keeps alive for reuse, at ~300 bytes a
+// flow.
+const maxRecycled = 4096
+
 // NewFlowSim couples a simulator and a topology.
 func NewFlowSim(s *sim.Simulator, t *Topology) *FlowSim {
 	return &FlowSim{sim: s, topo: t}
@@ -67,10 +79,13 @@ func NewFlowSim(s *sim.Simulator, t *Topology) *FlowSim {
 // flight is dropped without a callback, IDs start over, the metrics are
 // zero. The simulator that carried the flows' events is expected to have
 // been reset as well, and the topology too; every *Flow from before is
-// dead.
+// dead, and will be handed out again by a later Start.
 func (fs *FlowSim) Reset() {
 	clear(fs.flows)
 	fs.flows = fs.flows[:0]
+	fs.spare = append(fs.spare, fs.issued...)
+	clear(fs.issued)
+	fs.issued = fs.issued[:0]
 	fs.nextID = 0
 	fs.started, fs.completed, fs.aborted, fs.bytes = 0, 0, 0, 0
 }
@@ -106,16 +121,33 @@ func (fs *FlowSim) Start(src, dst NodeID, sizeMB float64, done func(*Flow), fail
 	if sizeMB <= 0 || math.IsNaN(sizeMB) {
 		return nil, fmt.Errorf("netsim: flow size must be > 0, got %v", sizeMB)
 	}
-	route, err := fs.topo.Route(src, dst)
+	var f *Flow
+	if n := len(fs.spare); n > 0 {
+		f, fs.spare = fs.spare[n-1], fs.spare[:n-1]
+	} else {
+		f = &Flow{}
+		f.finish = func() { fs.finish(f) }
+		f.activate = func() {
+			f.event = nil // this event; recompute schedules the completion
+			f.active = true
+			f.lastSet = fs.sim.Now()
+			fs.recompute()
+		}
+	}
+	route, err := fs.topo.routeInto(f.route, src, dst)
 	if err != nil {
+		fs.spare = append(fs.spare, f)
 		return nil, err
 	}
-	f := &Flow{
+	*f = Flow{
 		ID: fs.nextID, Src: src, Dst: dst,
 		size: sizeMB, remaining: sizeMB, route: route,
 		started: fs.sim.Now(), done: done, failed: failed,
+		finish: f.finish, activate: f.activate,
 	}
-	f.finish = func() { fs.finish(f) }
+	if len(fs.issued) < maxRecycled {
+		fs.issued = append(fs.issued, f)
+	}
 	fs.nextID++
 	fs.flows = append(fs.flows, f)
 	fs.started++
@@ -126,12 +158,7 @@ func (fs *FlowSim) Start(src, dst NodeID, sizeMB float64, done func(*Flow), fail
 		f.event = fs.sim.Schedule(lat, "flow/local-done", f.finish)
 		return f, nil
 	}
-	f.event = fs.sim.Schedule(lat, "flow/activate", func() {
-		f.event = nil // this event; recompute schedules the completion
-		f.active = true
-		f.lastSet = fs.sim.Now()
-		fs.recompute()
-	})
+	f.event = fs.sim.Schedule(lat, "flow/activate", f.activate)
 	return f, nil
 }
 

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/sim"
@@ -484,5 +485,63 @@ func TestResetMatchesFreshNetwork(t *testing.T) {
 	}
 	if id := fs.Flows(); len(id) > 0 && id[0].ID >= len(net.Hosts) {
 		t.Errorf("flow IDs did not start over: %d", id[0].ID)
+	}
+}
+
+// TestWarmFlowAllocatesNothing pins what FlowSim.Reset recycles: once a
+// flow simulator has carried a run, the same run after a Reset allocates
+// nothing — not the Flows, not their callbacks' closures, not their routes
+// — and still no Flow is handed out twice between two Resets, where the
+// caller of a finished flow's done may be holding it: each completion
+// here starts the next transfer.
+func TestWarmFlowAllocatesNothing(t *testing.T) {
+	net, err := TwoTier(TwoTierConfig{Racks: 2, HostsPerRack: 3, HostLinkCap: 100, UplinkCap: 150, LinkLatency: 0.01})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := sim.New(1)
+	fs := NewFlowSim(s, net.Topo)
+	const flows = 40
+	handed := make([]*Flow, 0, flows)
+	var start func(*Flow)
+	start = func(*Flow) {
+		if len(handed) == flows {
+			return
+		}
+		i := len(handed)
+		src, dst := net.Hosts[i%len(net.Hosts)], net.Hosts[(i*5+i/7)%len(net.Hosts)] // some local, some cross-rack
+		f, err := fs.Start(src, dst, float64(1+i%4), start, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		handed = append(handed, f)
+	}
+	run := func() {
+		s.Reset(1)
+		net.Topo.Reset()
+		fs.Reset()
+		handed = handed[:0]
+		for i := 0; i < 4; i++ {
+			start(nil)
+		}
+		s.RunUntil(10)
+	}
+	run()
+	if fs.Completed() != flows {
+		t.Fatalf("%d of %d flows completed", fs.Completed(), flows)
+	}
+	first := slices.Clone(handed)
+	if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
+		t.Errorf("a run on a warm flow simulator allocates %.0f times, want 0", allocs)
+	}
+	seen := map[*Flow]bool{}
+	for _, f := range handed {
+		if seen[f] {
+			t.Fatalf("flow %d was handed out twice within one run", f.ID)
+		}
+		seen[f] = true
+		if !slices.Contains(first, f) {
+			t.Errorf("flow %d is not one of the first run's: Reset recycled nothing", f.ID)
+		}
 	}
 }

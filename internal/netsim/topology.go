@@ -167,6 +167,12 @@ func (t *Topology) Version() uint64 { return t.version }
 // operational links, or an error if dst is unreachable. src == dst yields
 // an empty route.
 func (t *Topology) Route(src, dst NodeID) ([]*Link, error) {
+	return t.routeInto(nil, src, dst)
+}
+
+// routeInto is Route with the path written into buf's storage when that
+// is large enough.
+func (t *Topology) routeInto(buf []*Link, src, dst NodeID) ([]*Link, error) {
 	if err := t.checkNode(src); err != nil {
 		return nil, err
 	}
@@ -174,7 +180,7 @@ func (t *Topology) Route(src, dst NodeID) ([]*Link, error) {
 		return nil, err
 	}
 	if src == dst {
-		return nil, nil
+		return buf[:0], nil
 	}
 	// Breadth-first search over scratch the topology keeps between calls;
 	// a node is visited when its stamp equals this search's number.
@@ -205,7 +211,11 @@ func (t *Topology) Route(src, dst NodeID) ([]*Link, error) {
 			for cur := dst; cur != src; cur = t.prev[cur].other(cur) {
 				hops++
 			}
-			path := make([]*Link, hops)
+			path := buf[:0]
+			if cap(buf) < hops {
+				path = make([]*Link, hops)
+			}
+			path = path[:hops]
 			for cur := dst; cur != src; cur = t.prev[cur].other(cur) {
 				hops--
 				path[hops] = t.prev[cur]

@@ -17,6 +17,15 @@
 // to the state NewManager left it in — equal to a freshly built manager —
 // and Start registers it on the cluster again. NewManager is "allocate,
 // then Reset".
+//
+// It also never forces a store whose population is deferred
+// (storage.Store.Defer). An object the manager has not looked at yet has
+// every shard on an available node for as long as no node is unavailable,
+// so it moves no metric; the manager takes the store's objects in at the
+// first node transition of any kind — a death, a ToR, PDU or utility
+// outage — before it acts on it, or at the first metric read while some
+// node is already unavailable. A run in which no node changes state reads
+// the store's Len and nothing else.
 package repair
 
 import (
@@ -104,7 +113,9 @@ type Manager struct {
 	// availability as of its last transition callback; live[i] counts
 	// object i's shards on available nodes; unavailable and zeroCopy count
 	// the objects below their scheme's MinAvailable and MinRecoverable.
+	// downNodes counts the true entries of nodeDown.
 	nodeDown    []bool
+	downNodes   int
 	live        []int
 	unavailable int
 	zeroCopy    int
@@ -157,9 +168,9 @@ func NewManager(s *sim.Simulator, cl *cluster.Cluster, st *storage.Store, cfg Co
 // nothing queued or in flight, no object lost, every metric zero, the
 // signals restarted at the simulator's Now, node availability read again
 // from the cluster, and no object tracked — the store's population is
-// taken in again at the next event. Reset the simulator, the cluster and
-// the store first, then call Start again: the cluster's Reset dropped the
-// manager's callbacks.
+// taken in again at the next node transition (see track). Reset the
+// simulator, the cluster and the store first, then call Start again: the
+// cluster's Reset dropped the manager's callbacks.
 //
 // A reset manager is equal to a freshly built one; the *stats.Sample
 // from RepairTimes is emptied with it.
@@ -175,8 +186,12 @@ func (m *Manager) Reset() {
 	m.unavailTW.Set(now, 0)
 	m.anyTW.Set(now, 0)
 	m.zeroTW.Set(now, 0)
+	m.downNodes = 0
 	for id := range m.nodeDown {
 		m.nodeDown[id] = !m.clst.Available(id)
+		if m.nodeDown[id] {
+			m.downNodes++
+		}
 	}
 	m.live, m.downTime, m.downSince = m.live[:0], m.downTime[:0], m.downSince[:0]
 	m.unavailable, m.zeroCopy = 0, 0
@@ -389,6 +404,7 @@ func (m *Manager) nodeChanged(id int) {
 		if down {
 			delta = -1
 		}
+		m.downNodes -= delta
 		for _, obj := range m.store.ObjectsOn(id) {
 			m.adjust(obj, delta)
 		}
@@ -398,7 +414,8 @@ func (m *Manager) nodeChanged(id int) {
 
 // track starts accounting for objects added to the store since the last
 // call (all of them, the first time): an object is available from the
-// moment it is first seen unless its nodes say otherwise.
+// moment it is first seen unless its nodes say otherwise. It reads the
+// store's objects, which places a deferred population.
 func (m *Manager) track() {
 	for _, obj := range m.store.Objects()[len(m.live):] {
 		m.live = append(m.live, len(obj.Locations))
@@ -439,9 +456,14 @@ func (m *Manager) adjust(obj *storage.Object, delta int) {
 }
 
 // publish brings the three time-weighted signals up to now from the
-// running counts, first taking in any object the store has gained.
+// running counts, first taking in any object the store has gained — unless
+// nothing is tracked and every node is available: an untracked object
+// then has all its shards live and moves no count, and nodeChanged and
+// finishRepair track before anything can change that.
 func (m *Manager) publish() {
-	m.track()
+	if m.downNodes > 0 || len(m.live) > 0 {
+		m.track()
+	}
 	now := m.sim.Now()
 	m.unavailTW.Set(now, float64(m.unavailable))
 	m.anyTW.Set(now, indicator(m.unavailable > 0))
@@ -500,7 +522,14 @@ func (m *Manager) ZeroCopyFraction() float64 {
 func (m *Manager) TenantAvailabilities() []float64 {
 	m.publish()
 	horizon := m.sim.Now()
-	out := make([]float64, len(m.downTime))
+	out := make([]float64, m.store.Len())
+	if m.Tracked() == 0 {
+		// Nothing was ever unavailable (publish would have tracked it).
+		for i := range out {
+			out[i] = 1
+		}
+		return out
+	}
 	for i, obj := range m.store.Objects() {
 		if horizon <= 0 {
 			out[i] = 1
@@ -514,6 +543,11 @@ func (m *Manager) TenantAvailabilities() []float64 {
 	}
 	return out
 }
+
+// Tracked returns how many of the store's objects the manager has taken
+// in since Reset. Zero means no node has changed state and none was
+// unavailable at a metric read: every tenant's availability is exactly 1.
+func (m *Manager) Tracked() int { return len(m.live) }
 
 // QueueLength returns the number of repairs waiting for a slot.
 func (m *Manager) QueueLength() int { return len(m.queue) }

@@ -223,6 +223,11 @@ func NewCopySet(groupSize, scatter int) (*CopySet, error) {
 
 func (c *CopySet) Name() string { return "copyset" }
 
+// Reset forgets the groups, which were drawn from an earlier population's
+// stream: the next placement draws its own, as a new policy's first does.
+// Store.Reset calls it.
+func (c *CopySet) Reset() { c.sets = nil }
+
 func (c *CopySet) Place(dst []int, objectID int, view *View, r *rng.Source) error {
 	if err := checkCount(len(dst), view); err != nil {
 		return err

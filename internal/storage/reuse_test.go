@@ -103,13 +103,38 @@ func populate(t *testing.T, view View, policy Policy, users int, scheme Scheme, 
 	return st
 }
 
+// sameObjects fails the test unless got holds want's objects, field for
+// field and location for location, in the same order.
+func sameObjects(t *testing.T, what string, got, want []*Object) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d objects, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if g, w := got[i], want[i]; g.ID != w.ID || g.SizeMB != w.SizeMB || g.Scheme != w.Scheme || !slices.Equal(g.Locations, w.Locations) {
+			t.Fatalf("%s: entry %d is %+v, want %+v", what, i, *g, *w)
+		}
+	}
+}
+
 // TestResetStoreMatchesFresh: a store that was populated, indexed,
 // relocated in and reset is, after the next AddObjects, the store a
 // fresh build with that stream would be — objects, placements, index.
+// The copyset policy keeps its groups between placements; the fresh store
+// gets a policy of its own, so groups that survived the Reset would show.
 func TestResetStoreMatchesFresh(t *testing.T) {
 	view := rackView(3, 8)
-	for _, policy := range []Policy{Random{}, RoundRobin{}, RackAware{}} {
+	stateless := func(p Policy) func(int) Policy { return func(int) Policy { return p } }
+	copyset := func(width int) Policy {
+		cs, err := NewCopySet(width, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cs
+	}
+	for _, newPolicy := range []func(width int) Policy{stateless(Random{}), stateless(RoundRobin{}), stateless(RackAware{}), copyset} {
 		for _, scheme := range []Scheme{ReplicationScheme(3), RSScheme(6, 3)} {
+			policy := newPolicy(scheme.Width())
 			reused := populate(t, view, policy, 300, scheme, 1)
 			// Dirty it: an index, relocations that grow index lists, a
 			// second batch of objects.
@@ -120,7 +145,11 @@ func TestResetStoreMatchesFresh(t *testing.T) {
 					}
 				}
 			}
-			if err := reused.AddObjects(50, 1, ReplicationScheme(2), rng.New(2)); err != nil {
+			second := ReplicationScheme(2)
+			if policy.Name() == "copyset" {
+				second = scheme // a copyset places one width only
+			}
+			if err := reused.AddObjects(50, 1, second, rng.New(2)); err != nil {
 				t.Fatal(err)
 			}
 			// Fewer objects, more objects, a wider scheme than before.
@@ -133,26 +162,14 @@ func TestResetStoreMatchesFresh(t *testing.T) {
 				if err := reused.AddObjects(users, 64, scheme, rng.New(seed)); err != nil {
 					t.Fatal(err)
 				}
-				fresh := populate(t, view, policy, users, scheme, seed)
+				fresh := populate(t, view, newPolicy(scheme.Width()), users, scheme, seed)
+				what := fmt.Sprintf("%s %v after Reset vs fresh", policy.Name(), scheme)
 				if reused.Len() != fresh.Len() {
-					t.Fatalf("%s %v: %d objects, fresh %d", policy.Name(), scheme, reused.Len(), fresh.Len())
+					t.Fatalf("%s: Len %d, fresh %d", what, reused.Len(), fresh.Len())
 				}
-				for id, want := range fresh.Objects() {
-					got := reused.Objects()[id]
-					if got.ID != want.ID || got.SizeMB != want.SizeMB || got.Scheme != want.Scheme || !slices.Equal(got.Locations, want.Locations) {
-						t.Fatalf("%s %v: object %d is %+v, fresh %+v", policy.Name(), scheme, id, *got, *want)
-					}
-				}
+				sameObjects(t, what, reused.Objects(), fresh.Objects())
 				for n := 0; n < view.Nodes; n++ {
-					ids := func(objs []*Object) (out []int) {
-						for _, o := range objs {
-							out = append(out, o.ID)
-						}
-						return out
-					}
-					if got, want := ids(reused.ObjectsOn(n)), ids(fresh.ObjectsOn(n)); !slices.Equal(got, want) {
-						t.Fatalf("%s %v: node %d indexes %v, fresh %v", policy.Name(), scheme, n, got, want)
-					}
+					sameObjects(t, fmt.Sprintf("%s, index of node %d", what, n), reused.ObjectsOn(n), fresh.ObjectsOn(n))
 				}
 			}
 		}
@@ -191,5 +208,127 @@ func TestReplacingAllocatesNothing(t *testing.T) {
 					policy.Name(), c.scheme, c.view.Nodes, allocs)
 			}
 		}
+	}
+}
+
+// TestDeferredStoreMatchesEager: a population the store was told of with
+// Defer is, once anything reads an object, the population AddObjects
+// places — object for object, index entry for index entry — whichever
+// read comes first; until then nothing is placed and nothing drawn, Len
+// answers from the request, and a Reset drops it.
+func TestDeferredStoreMatchesEager(t *testing.T) {
+	view := rackView(3, 8)
+	up := func(int) bool { return false }
+	reads := map[string]func(*Store){
+		"Objects":          func(st *Store) { st.Objects() },
+		"ObjectsOn":        func(st *Store) { st.ObjectsOn(5) },
+		"UnavailableCount": func(st *Store) { st.UnavailableCount(up) },
+		"AnyUnavailable":   func(st *Store) { st.AnyUnavailable(up) },
+		"LostCount":        func(st *Store) { st.LostCount(up) },
+		"TotalStoredMB":    func(st *Store) { st.TotalStoredMB() },
+		"Place":            func(st *Store) { _ = st.Place() },
+		"Defer": func(st *Store) {
+			if err := st.Defer(10, 1, ReplicationScheme(2), rng.New(3)); err != nil {
+				t.Fatal(err)
+			}
+		},
+	}
+	for _, policy := range []Policy{Random{}, RoundRobin{}, RackAware{}} {
+		for name, read := range reads {
+			t.Run(policy.Name()+"/"+name, func(t *testing.T) {
+				scheme := RSScheme(4, 2)
+				eager := populate(t, view, policy, 200, scheme, 9)
+				st, err := NewStore(view, policy)
+				if err != nil {
+					t.Fatal(err)
+				}
+				r, untouched := rng.New(9), rng.New(9)
+				if err := st.Defer(200, 64, scheme, r); err != nil {
+					t.Fatal(err)
+				}
+				if st.Len() != 200 || len(st.objects) != 0 || st.owned != 0 {
+					t.Fatalf("after Defer: Len %d, %d objects placed, %d allocated", st.Len(), len(st.objects), st.owned)
+				}
+				if *r != *untouched {
+					t.Fatal("Defer, or Len, drew from the placement stream")
+				}
+				read(st)
+				if len(st.objects) != 200 || st.Err() != nil {
+					t.Fatalf("%s placed %d objects, error %v", name, len(st.objects), st.Err())
+				}
+				if name == "Defer" { // the second request stays deferred; it is not part of the comparison
+					st.pending = population{}
+				}
+				sameObjects(t, "deferred vs eager", st.Objects(), eager.Objects())
+				for n := 0; n < view.Nodes; n++ {
+					sameObjects(t, fmt.Sprintf("deferred vs eager, index of node %d", n), st.ObjectsOn(n), eager.ObjectsOn(n))
+				}
+
+				// Reset before the first read: the request is gone, nothing
+				// was drawn, and the store is a fresh one again.
+				st.Reset()
+				r.Reseed(21)
+				untouched.Reseed(21)
+				if err := st.Defer(500, 64, scheme, r); err != nil {
+					t.Fatal(err)
+				}
+				st.Reset()
+				if st.Len() != 0 || len(st.Objects()) != 0 || *r != *untouched {
+					t.Fatalf("Reset kept a deferred population: Len %d, %d objects", st.Len(), len(st.Objects()))
+				}
+				if err := st.AddObjects(200, 64, scheme, rng.New(9)); err != nil {
+					t.Fatal(err)
+				}
+				sameObjects(t, "eager after a dropped request", st.Objects(), eager.Objects())
+			})
+		}
+	}
+}
+
+// TestDeferredPlacementFailureIsKept: what Defer can check it refuses at
+// once, with AddObjects' words; a policy that fails while a read places
+// leaves the store short and says why through Err until the next Reset.
+func TestDeferredPlacementFailureIsKept(t *testing.T) {
+	st, err := NewStore(View{Nodes: 5}, Random{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for want, deferBad := range map[string]func() error{
+		"storage: AddObjects count must be >= 1, got 0":    func() error { return st.Defer(0, 1, ReplicationScheme(3), rng.New(1)) },
+		"storage: object size must be >= 0, got -1":        func() error { return st.Defer(1, -1, ReplicationScheme(3), rng.New(1)) },
+		"storage: replication needs >= 1 replica, got 0":   func() error { return st.Defer(1, 1, ReplicationScheme(0), rng.New(1)) },
+		"storage: scheme rs-6-3 needs 9 nodes, view has 5": func() error { return st.Defer(1, 1, RSScheme(6, 3), rng.New(1)) },
+	} {
+		if err := deferBad(); err == nil || err.Error() != want {
+			t.Errorf("Defer: error %v, want %q", err, want)
+		}
+	}
+	if st.Len() != 0 {
+		t.Fatalf("a refused Defer left %d objects requested", st.Len())
+	}
+
+	cs, err := NewCopySet(3, 1) // places groups of 3 only
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err = NewStore(View{Nodes: 9}, cs); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.AddObjects(4, 1, ReplicationScheme(3), rng.New(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Defer(6, 1, ReplicationScheme(2), rng.New(1)); err != nil {
+		t.Fatal(err)
+	}
+	if st.Len() != 10 || st.Err() != nil {
+		t.Fatalf("before the read: Len %d, Err %v", st.Len(), st.Err())
+	}
+	const want = "storage: placing object 4: storage: copyset built for group size 3, asked for 2"
+	if n := len(st.Objects()); n != 4 || st.Len() != 4 || st.Err() == nil || st.Err().Error() != want {
+		t.Fatalf("after the read: %d objects, Len %d, Err %v; want 4, 4, %q", n, st.Len(), st.Err(), want)
+	}
+	st.Reset()
+	if st.Err() != nil {
+		t.Fatalf("Reset kept the placement error: %v", st.Err())
 	}
 }

@@ -137,12 +137,28 @@ type Object struct {
 // durability questions against a node-state predicate.
 //
 // A store can be reused for any number of simulations: Reset empties it
-// and the next AddObjects places into the Objects and Locations the
+// and the next population places into the Objects and Locations the
 // store already owns.
+//
+// Population can be deferred. Defer checks and records a population;
+// the placing itself runs at the first read of an object — Objects,
+// ObjectsOn, the counting predicates, TotalStoredMB — or at Place, and a
+// simulation in which nothing ever looks at an object never pays for it.
+// Len answers from the recorded count without placing. Deferring only
+// moves WHEN the placement draws are taken from the stream, so it gives
+// the eager store, object for object, if and only if nothing else draws
+// from that stream in between: hand Defer a stream the placement has to
+// itself. AddObjects, for callers whose stream is shared with other
+// draws, is Defer followed by Place at once.
 type Store struct {
 	view    View
 	policy  Policy
 	objects []*Object
+	// pending is the population Defer recorded and nothing has placed yet
+	// (count 0: none); err is what placing one failed with when a read
+	// forced it, kept for Err until the next Reset.
+	pending population
+	err     error
 	// owned counts the Objects this store has allocated: the first owned
 	// entries of st.objects' backing array (past len after a Reset) each
 	// point at one.
@@ -170,14 +186,21 @@ func NewStore(view View, policy Policy) (*Store, error) {
 }
 
 // Reset empties the store, in place, to the state NewStore left it in,
-// keeping what it has allocated for the next population.
+// keeping what it has allocated for the next population. A deferred
+// population that nothing has read yet is dropped unplaced, a placement
+// error is forgotten, and a policy that keeps state between placements
+// (CopySet's groups) is returned to its just-built state with it.
 //
 // A reset store is equal to a freshly built one, and every handle from
 // before is dead: each *Object will be handed out again, with a new
-// placement, by the next AddObjects, and so will the ObjectsOn slices.
+// placement, by the next population, and so will the ObjectsOn slices.
 func (st *Store) Reset() {
 	st.objects = st.objects[:0]
 	st.indexed = false
+	st.pending, st.err = population{}, nil
+	if p, ok := st.policy.(interface{ Reset() }); ok {
+		p.Reset()
+	}
 }
 
 // Policy returns the placement policy.
@@ -186,10 +209,30 @@ func (st *Store) Policy() Policy { return st.policy }
 // View returns the placement view.
 func (st *Store) View() View { return st.view }
 
+// population is one Defer call's arguments, already checked.
+type population struct {
+	count  int
+	sizeMB float64
+	scheme Scheme
+	r      *rng.Source
+}
+
 // AddObjects creates and places count objects of sizeMB each under scheme,
 // drawing placement randomness from r. Object ids continue from the
 // current population (supporting the 10,000-user setup of Figure 1).
 func (st *Store) AddObjects(count int, sizeMB float64, scheme Scheme, r *rng.Source) error {
+	if err := st.Defer(count, sizeMB, scheme, r); err != nil {
+		return err
+	}
+	return st.Place()
+}
+
+// Defer is AddObjects with the placing put off until the first read of an
+// object (see Store): the arguments are checked now, against the same
+// rules, and r is drawn from later — it must stay valid, and untouched by
+// anyone else, until then or until Reset. A population deferred earlier
+// is placed first, so ids stay in call order.
+func (st *Store) Defer(count int, sizeMB float64, scheme Scheme, r *rng.Source) error {
 	if count < 1 {
 		return fmt.Errorf("storage: AddObjects count must be >= 1, got %d", count)
 	}
@@ -199,11 +242,26 @@ func (st *Store) AddObjects(count int, sizeMB float64, scheme Scheme, r *rng.Sou
 	if err := scheme.Validate(); err != nil {
 		return err
 	}
-	width := scheme.Width()
-	if width > st.view.Nodes {
+	if width := scheme.Width(); width > st.view.Nodes {
 		return fmt.Errorf("storage: scheme %v needs %d nodes, view has %d",
 			scheme, width, st.view.Nodes)
 	}
+	if err := st.Place(); err != nil {
+		return err
+	}
+	st.pending = population{count, sizeMB, scheme, r}
+	return nil
+}
+
+// Place places the deferred population now, if there is one. A failed
+// placement keeps the objects placed before the failing one.
+func (st *Store) Place() error {
+	if st.pending.count == 0 {
+		return nil
+	}
+	p := st.pending
+	st.pending = population{}
+	count, width := p.count, p.scheme.Width()
 	base := len(st.objects)
 	// Objects a Reset left behind are reused; the rest come in one block.
 	st.objects = st.objects[:min(base+count, st.owned)]
@@ -223,8 +281,8 @@ func (st *Store) AddObjects(count int, sizeMB float64, scheme Scheme, r *rng.Sou
 			}
 			obj.Locations, locBlock = locBlock[:width:width], locBlock[width:]
 		}
-		*obj = Object{ID: id, SizeMB: sizeMB, Scheme: scheme, Locations: obj.Locations[:width]}
-		err := st.policy.Place(obj.Locations, id, &st.view, r)
+		*obj = Object{ID: id, SizeMB: p.sizeMB, Scheme: p.scheme, Locations: obj.Locations[:width]}
+		err := st.policy.Place(obj.Locations, id, &st.view, p.r)
 		if err != nil {
 			err = fmt.Errorf("storage: placing object %d: %w", id, err)
 		} else if err = st.view.distinct(obj.Locations); err != nil {
@@ -243,11 +301,26 @@ func (st *Store) AddObjects(count int, sizeMB float64, scheme Scheme, r *rng.Sou
 	return nil
 }
 
-// Objects returns all objects.
-func (st *Store) Objects() []*Object { return st.objects }
+// Err returns the error that a placement forced by a read has failed
+// with since the last Reset — a store that reads as short, not as the
+// population it was told of. It places nothing.
+func (st *Store) Err() error { return st.err }
 
-// Len returns the object count.
-func (st *Store) Len() int { return len(st.objects) }
+// placed returns the objects, placing a deferred population first: every
+// read of st.objects outside Place goes through it.
+func (st *Store) placed() []*Object {
+	// A read has nowhere to return a failure: Err reports the first.
+	if err := st.Place(); err != nil && st.err == nil {
+		st.err = err
+	}
+	return st.objects
+}
+
+// Objects returns all objects.
+func (st *Store) Objects() []*Object { return st.placed() }
+
+// Len returns the object count, a deferred population's included.
+func (st *Store) Len() int { return len(st.objects) + st.pending.count }
 
 // Available reports whether obj is readable given down(node) telling which
 // nodes are unreachable.
@@ -264,7 +337,7 @@ func (st *Store) Available(obj *Object, down func(int) bool) bool {
 // UnavailableCount returns how many objects are unreadable under down.
 func (st *Store) UnavailableCount(down func(int) bool) int {
 	count := 0
-	for _, o := range st.objects {
+	for _, o := range st.placed() {
 		if !st.Available(o, down) {
 			count++
 		}
@@ -276,7 +349,7 @@ func (st *Store) UnavailableCount(down func(int) bool) int {
 // down — the Figure-1 event ("at least one customer's data becomes
 // unavailable").
 func (st *Store) AnyUnavailable(down func(int) bool) bool {
-	for _, o := range st.objects {
+	for _, o := range st.placed() {
 		if !st.Available(o, down) {
 			return true
 		}
@@ -291,7 +364,7 @@ func (st *Store) AnyUnavailable(down func(int) bool) bool {
 // nodes return.
 func (st *Store) LostCount(down func(int) bool) int {
 	count := 0
-	for _, o := range st.objects {
+	for _, o := range st.placed() {
 		if st.Lost(o, down) {
 			count++
 		}
@@ -314,7 +387,7 @@ func (st *Store) Lost(obj *Object, down func(int) bool) bool {
 // TotalStoredMB returns the physical bytes stored (logical × overhead).
 func (st *Store) TotalStoredMB() float64 {
 	total := 0.0
-	for _, o := range st.objects {
+	for _, o := range st.placed() {
 		total += o.SizeMB * o.Scheme.Overhead()
 	}
 	return total
@@ -324,6 +397,7 @@ func (st *Store) TotalStoredMB() float64 {
 // ascending ID order. The slice is the store's own index: it must not be
 // modified and is valid only until the next Relocate or AddObjects.
 func (st *Store) ObjectsOn(n int) []*Object {
+	st.placed()
 	if !st.indexed {
 		st.buildIndex()
 	}
