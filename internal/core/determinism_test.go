@@ -21,7 +21,26 @@ import (
 // (or of the order flows are visited in) on map iteration order shows
 // here from about the ninth digit of the repair times on; which trials
 // it hits varies, hence eight of them.
+//
+// The runs are also held against what commit e104ada executed — events
+// and the repair makespan's bits, per trial — so that a change to how the
+// calendar stores or moves events, how the manager keeps its transfers or
+// how the store keeps its index shows as a change to which event fired
+// when, not only as two runs of the new code agreeing with each other.
 func TestRepairStormBitReproducible(t *testing.T) {
+	recorded := [8]struct {
+		executed uint64
+		makespan uint64 // math.Float64bits
+	}{
+		{620, 0x3f19b5a3c4000000},
+		{421, 0x3f1a190f6b800000},
+		{1396, 0x3f1f6bc8d1000000},
+		{583, 0x3f2392cb90c00000},
+		{431, 0x3f1a91d678000000},
+		{1094, 0x3f20d5ae79000000},
+		{915, 0x3f1dd37f56800000},
+		{522, 0x3f183bd776000000},
+	}
 	type outcome struct {
 		makespan, meanRepair, availability float64
 		repairs                            int64
@@ -65,6 +84,10 @@ func TestRepairStormBitReproducible(t *testing.T) {
 		a := run(trial)
 		if a.repairs >= 100 {
 			storms++
+		}
+		if want := recorded[trial]; a.executed != want.executed || math.Float64bits(a.makespan) != want.makespan {
+			t.Errorf("trial %d: executed %d events, repair makespan %#x; recorded at e104ada: %d and %#x",
+				trial, a.executed, math.Float64bits(a.makespan), want.executed, want.makespan)
 		}
 		for again := 0; again < 2; again++ {
 			b := run(trial)

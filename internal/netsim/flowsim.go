@@ -297,7 +297,15 @@ func (fs *FlowSim) recompute() {
 			}
 			f.rate = share
 			for _, l := range f.route {
-				fs.residual[l.ID] = math.Max(0, fs.residual[l.ID]-share)
+				// max(0, residual-share) by compare: the same value as
+				// math.Max, which differs only for NaN and -0, and residual
+				// is neither — it starts at a positive capacity and only has
+				// finite shares subtracted, clamped here.
+				r := fs.residual[l.ID] - share
+				if r < 0 {
+					r = 0
+				}
+				fs.residual[l.ID] = r
 				fs.crossing[l.ID]--
 			}
 		}
@@ -309,23 +317,24 @@ func (fs *FlowSim) recompute() {
 	fs.touched, fs.unfrozen = touched, unfrozen
 
 	// A pending completion scheduled at the rate the flow still has is
-	// still right; only flows whose rate moved are rescheduled.
+	// still right; a flow whose rate moved has its completion moved in the
+	// calendar (one sift), in flow order, so the moved events keep the
+	// relative sequence order fresh ones would get.
 	for _, f := range fs.flows {
-		if !f.active {
+		if !f.active || (f.event != nil && f.rate == f.eventRate) {
 			continue
 		}
-		if f.event != nil {
-			if f.rate == f.eventRate {
-				continue
-			}
+		switch {
+		case f.rate <= 0 || math.IsInf(f.rate, 1):
 			fs.sim.Cancel(f.event)
 			f.event = nil
+		case f.event != nil:
+			f.eventRate = f.rate
+			f.event = fs.sim.Reschedule(f.event, f.remaining/f.rate)
+		default:
+			f.eventRate = f.rate
+			f.event = fs.sim.Schedule(f.remaining/f.rate, "flow/done", f.finish)
 		}
-		if f.rate <= 0 || math.IsInf(f.rate, 1) {
-			continue
-		}
-		f.eventRate = f.rate
-		f.event = fs.sim.Schedule(f.remaining/f.rate, "flow/done", f.finish)
 	}
 }
 

@@ -146,6 +146,62 @@ func TestRecomputeSteadyStateAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestRecomputeStallsAndResumesFlow takes recompute through its three
+// arms under OnLinkChange: a link throttled to nothing leaves its flow at
+// rate 0 and takes its completion off the calendar (not aborted: the link
+// is up), the bystander whose rate did not move keeps the very event it
+// had, and when the capacity returns the stalled flow is scheduled again
+// from the progress it had banked.
+func TestRecomputeStallsAndResumesFlow(t *testing.T) {
+	topo, hosts, err := SingleSwitch(4, 100, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := sim.New(1)
+	fs := NewFlowSim(s, topo)
+	doneAt := map[*Flow]sim.Time{}
+	done := func(f *Flow) { doneAt[f] = s.Now() }
+	stalled, err := fs.Start(hosts[0], hosts[1], 1000, done, func(*Flow, error) { t.Error("the stalled flow was aborted") })
+	if err != nil {
+		t.Fatal(err)
+	}
+	bystander, err := fs.Start(hosts[2], hosts[3], 1000, done, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	access := stalled.Route()[0]
+	var kept *sim.Event
+	s.Schedule(4, "throttle", func() {
+		kept = bystander.event
+		access.Capacity = 0
+		fs.OnLinkChange()
+		if stalled.Rate() != 0 || stalled.event != nil || stalled.Remaining() != 600 {
+			t.Errorf("stalled flow: rate %v, event pending %v, remaining %v; want 0, false, 600",
+				stalled.Rate(), stalled.event != nil, stalled.Remaining())
+		}
+		if bystander.event != kept || bystander.Rate() != 100 {
+			t.Errorf("bystander at rate %v had its completion touched", bystander.Rate())
+		}
+		if s.Pending() != 2 { // the bystander's completion and the restore below
+			t.Errorf("%d events pending during the stall, want 2", s.Pending())
+		}
+	})
+	s.Schedule(9, "restore", func() {
+		access.Capacity = 100
+		fs.OnLinkChange()
+		if stalled.Rate() != 100 || stalled.event == nil {
+			t.Errorf("restored flow: rate %v, event pending %v", stalled.Rate(), stalled.event != nil)
+		}
+	})
+	s.Run()
+	if doneAt[bystander] != 10 || doneAt[stalled] != 15 {
+		t.Fatalf("bystander done at %v, stalled flow at %v; want 10 and 15", doneAt[bystander], doneAt[stalled])
+	}
+	if fs.Aborted() != 0 || fs.Completed() != 2 {
+		t.Fatalf("%d aborted, %d completed; want 0 and 2", fs.Aborted(), fs.Completed())
+	}
+}
+
 // TestFailedCallbackStartsReplacementFlow drives the repair manager's
 // requeue pattern through a link failure: the failed callback of each
 // aborted flow starts a replacement while OnLinkChange is still walking

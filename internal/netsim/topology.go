@@ -18,10 +18,14 @@
 // the FlowSim owns and reuses (no per-call maps, zero allocations in the
 // steady state), flows are visited in start order and bottleneck ties go
 // to the lowest link ID, so a seed reproduces its completion times bit
-// for bit, and a flow's completion event is rescheduled only when its
-// rate actually moved. Topology.Route searches over scratch of its own
-// and allocates only the path it returns. Neither type is safe for
-// concurrent use; a simulation owns one of each.
+// for bit, and a flow's completion event is touched only when its rate
+// actually moved — and then it is moved: sim.Reschedule rewrites the
+// pending event's time in the calendar, one sift, where there used to be a
+// cancelled entry left to pop later and a fresh one pushed. A storm moves
+// two or three completions per recomputation, so more than half of what
+// the calendar was handed used to be cancelled. Topology.Route searches
+// over scratch of its own and allocates only the path it returns. Neither
+// type is safe for concurrent use; a simulation owns one of each.
 package netsim
 
 import (

@@ -18,6 +18,14 @@
 // and Start registers it on the cluster again. NewManager is "allocate,
 // then Reset".
 //
+// What a repair needs while it is in flight comes from the manager, so a
+// repair on a manager that has run before costs its transfer and no
+// allocation: one transfer record per busy slot, with the two callbacks
+// the flow is started with, returned when either fires; one detection
+// record per node death, whose single callback every repair/detect event
+// of that death runs, returned when the last has fired; and a queue that
+// pops by moving an index. Reset takes every record back, whoever held it.
+//
 // It also never forces a store whose population is deferred
 // (storage.Store.Defer). An object the manager has not looked at yet has
 // every shard on an available node for as long as no node is unavailable,
@@ -86,6 +94,55 @@ type task struct {
 	created sim.Time
 }
 
+// transfer is one in-flight re-replication: what finishRepair needs when
+// the flow completes, and the two callbacks handed to Flow.Start, built
+// once per record. Nobody outside the manager holds one, so a record goes
+// back to the pool the moment either callback fires (or Start refuses the
+// flow) and the next repair of the same trial takes it again.
+type transfer struct {
+	task
+	dst    int
+	size   float64
+	done   func(*netsim.Flow)
+	failed func(*netsim.Flow, error)
+}
+
+// detection is one node death's pending repair/detect events: the shards
+// to re-replicate, in the order their events were scheduled, and the one
+// callback all of those events run. The events share a time and have
+// ascending sequence numbers, so the k-th to fire is the k-th scheduled
+// and takes the k-th object. The record goes back to the pool when the
+// last has fired.
+type detection struct {
+	node int
+	objs []*storage.Object
+	next int
+	fire func()
+}
+
+// pool hands out the manager's records and takes them back, one at a time
+// (put) or all at once (reset, whoever still holds them): it grows to the
+// most that were ever out together and allocates nothing after that.
+type pool[T any] struct {
+	all, idle []*T
+}
+
+// get returns an idle record, or a new zero one.
+func (p *pool[T]) get() *T {
+	if n := len(p.idle); n > 0 {
+		x := p.idle[n-1]
+		p.idle = p.idle[:n-1]
+		return x
+	}
+	x := new(T)
+	p.all = append(p.all, x)
+	return x
+}
+
+func (p *pool[T]) put(x *T) { p.idle = append(p.idle, x) }
+
+func (p *pool[T]) reset() { p.idle = append(p.idle[:0], p.all...) }
+
 // Manager watches the cluster and repairs lost redundancy.
 type Manager struct {
 	cfg   Config
@@ -93,9 +150,16 @@ type Manager struct {
 	clst  *cluster.Cluster
 	store *storage.Store
 
+	// queue[head:] are the tasks waiting for a slot, oldest first.
 	queue  []task
+	head   int
 	active int
 	lost   map[int]bool // object id -> permanently lost
+
+	// Records for what is in flight, so that a repair on a manager that
+	// has run before allocates nothing.
+	transfers  pool[transfer]
+	detections pool[detection]
 
 	// Metrics.
 	completed    int64
@@ -175,8 +239,9 @@ func NewManager(s *sim.Simulator, cl *cluster.Cluster, st *storage.Store, cfg Co
 // A reset manager is equal to a freshly built one; the *stats.Sample
 // from RepairTimes is emptied with it.
 func (m *Manager) Reset() {
-	clear(m.queue)
-	m.queue = m.queue[:0]
+	m.queue, m.head = m.queue[:0], 0
+	m.transfers.reset()
+	m.detections.reset()
 	m.active = 0
 	clear(m.lost)
 	m.completed, m.bytesMoved, m.lastRepairAt, m.lostCount = 0, 0, 0, 0
@@ -226,8 +291,9 @@ func (m *Manager) onNodeDown(nodeID int) {
 	if m.cfg.Detection != nil {
 		delay = m.cfg.Detection.Sample(m.sim.Stream("repair-detect"))
 	}
+	d := m.takeDetection()
+	d.node, d.objs, d.next = nodeID, d.objs[:0], 0
 	for _, obj := range objs {
-		obj := obj
 		if m.lost[obj.ID] {
 			continue
 		}
@@ -236,11 +302,45 @@ func (m *Manager) onNodeDown(nodeID int) {
 			m.lostCount++
 			continue
 		}
-		m.sim.Schedule(delay, "repair/detect", func() {
-			m.queue = append(m.queue, task{obj: obj, from: nodeID, created: m.sim.Now()})
-			m.pump()
-		})
+		d.objs = append(d.objs, obj)
+		m.sim.Schedule(delay, "repair/detect", d.fire)
 	}
+	if len(d.objs) == 0 {
+		m.detections.put(d)
+	}
+}
+
+// takeDetection returns a detection record from the pool, its callback
+// built the first time the record is handed out.
+func (m *Manager) takeDetection() *detection {
+	d := m.detections.get()
+	if d.fire != nil {
+		return d
+	}
+	d.fire = func() {
+		t := task{obj: d.objs[d.next], from: d.node, created: m.sim.Now()}
+		if d.next++; d.next == len(d.objs) {
+			m.detections.put(d)
+		}
+		m.enqueue(t)
+		m.pump()
+	}
+	return d
+}
+
+// enqueue appends t to the queue. pump pops by advancing head, so the
+// dead prefix is reclaimed here: at once when the queue has drained, and
+// by sliding the live tasks down when they are the smaller half of a full
+// slice — tasks that find no target are re-queued at every pump and would
+// otherwise walk the slice through memory forever.
+func (m *Manager) enqueue(t task) {
+	switch {
+	case m.head == len(m.queue):
+		m.queue, m.head = m.queue[:0], 0
+	case len(m.queue) == cap(m.queue) && m.head > len(m.queue)/2:
+		m.queue, m.head = m.queue[:copy(m.queue, m.queue[m.head:])], 0
+	}
+	m.queue = append(m.queue, t)
 }
 
 // pump starts transfers while slots are free. Each task currently queued
@@ -249,11 +349,9 @@ func (m *Manager) onNodeDown(nodeID int) {
 // same pump would spin forever — they wait for the next cluster event
 // (node up/down, transfer completion) instead.
 func (m *Manager) pump() {
-	attempts := len(m.queue)
-	for m.active < m.cfg.slots() && attempts > 0 && len(m.queue) > 0 {
-		attempts--
-		t := m.queue[0]
-		m.queue = m.queue[1:]
+	for attempts := m.QueueLength(); attempts > 0 && m.active < m.cfg.slots(); attempts-- {
+		t := m.queue[m.head]
+		m.head++
 		m.startRepair(t)
 	}
 }
@@ -285,13 +383,13 @@ func (m *Manager) startRepair(t task) bool {
 	if src < 0 {
 		// Survivors exist but none is reachable right now (a correlated
 		// domain outage): requeue for the next cluster event.
-		m.queue = append(m.queue, t)
+		m.enqueue(t)
 		return false
 	}
 	dst := m.pickTarget(t.obj)
 	if dst < 0 {
 		// No eligible target now; requeue for the next pump.
-		m.queue = append(m.queue, t)
+		m.enqueue(t)
 		return false
 	}
 	srcHost := m.clst.Nodes()[src].Host
@@ -302,27 +400,42 @@ func (m *Manager) startRepair(t task) bool {
 	// decode-at-target flow: the K-fold read amplification relative to
 	// the shard size is preserved in bytes moved while keeping the flow
 	// graph simple.
-	size := t.obj.SizeMB
+	x := m.takeTransfer()
+	x.task, x.dst, x.size = t, dst, t.obj.SizeMB
 	m.active++
-	_, err := m.clst.Flow.Start(srcHost, dstHost, size,
-		func(*netsim.Flow) {
-			m.active--
-			m.finishRepair(t, dst, size)
-			m.pump()
-		},
-		func(_ *netsim.Flow, _ error) {
-			// Transfer killed by another failure: retry from scratch.
-			m.active--
-			m.queue = append(m.queue, t)
-			m.pump()
-		})
-	if err != nil {
+	if _, err := m.clst.Flow.Start(srcHost, dstHost, x.size, x.done, x.failed); err != nil {
+		m.transfers.put(x)
 		m.active--
 		// Network partition: requeue and hope for topology recovery.
-		m.queue = append(m.queue, t)
+		m.enqueue(t)
 		return false
 	}
 	return true
+}
+
+// takeTransfer returns a transfer record from the pool, its callbacks
+// built the first time the record is handed out.
+func (m *Manager) takeTransfer() *transfer {
+	x := m.transfers.get()
+	if x.done != nil {
+		return x
+	}
+	x.done = func(*netsim.Flow) {
+		t, dst, size := x.task, x.dst, x.size
+		m.transfers.put(x) // before the pump, which may start the next transfer
+		m.active--
+		m.finishRepair(t, dst, size)
+		m.pump()
+	}
+	x.failed = func(*netsim.Flow, error) {
+		// Transfer killed by another failure: retry from scratch.
+		t := x.task
+		m.transfers.put(x)
+		m.active--
+		m.enqueue(t)
+		m.pump()
+	}
+	return x
 }
 
 // finishRepair commits a completed transfer.
@@ -550,7 +663,7 @@ func (m *Manager) TenantAvailabilities() []float64 {
 func (m *Manager) Tracked() int { return len(m.live) }
 
 // QueueLength returns the number of repairs waiting for a slot.
-func (m *Manager) QueueLength() int { return len(m.queue) }
+func (m *Manager) QueueLength() int { return len(m.queue) - m.head }
 
 // ActiveRepairs returns the number of in-flight transfers.
 func (m *Manager) ActiveRepairs() int { return m.active }

@@ -68,3 +68,91 @@ func TestResetMatchesNewManager(t *testing.T) {
 		}
 	}
 }
+
+// TestWarmRepairAllocatesNothing: on a world that has run a storm trial
+// and been reset, the same trial again — well over a hundred repairs, every
+// slot busy, tasks queued behind them — allocates next to nothing: the
+// transfers, their callbacks, the detections and the queue come from what
+// the first trial left in the manager, the calendar moves and removes
+// events in place, and the store's node lists have room for what arrives.
+// The budget is for the trial as a whole, everything but the tenants'
+// slice; before the records were pooled a trial made more than three
+// allocations per repair.
+func TestWarmRepairAllocatesNothing(t *testing.T) {
+	const budget = 8
+	cfg := Config{Mode: Parallel, MaxConcurrent: 4, Detection: dist.Must(dist.ExpMean(0.5))}
+	s, cl, st, m := env(t, cfg, dist.Must(dist.ExpMean(400)), dist.Must(dist.ExpMean(20)))
+	var place rng.Source
+	trial := func() {
+		s.Reset(42)
+		cl.Reset()
+		st.Reset()
+		place.Reseed(7)
+		if err := st.AddObjects(120, 4e5, storage.ReplicationScheme(3), &place); err != nil {
+			t.Fatal(err)
+		}
+		m.Reset()
+		m.Start()
+		cl.StartFailures()
+		s.RunUntil(600)
+	}
+	trial()
+	repairs := m.Completed()
+	if repairs < 100 {
+		t.Fatalf("the trial completed %d repairs: not a storm", repairs)
+	}
+	allocs := testing.AllocsPerRun(3, trial)
+	if m.Completed() != repairs {
+		t.Fatalf("the repeated trial completed %d repairs, the first %d", m.Completed(), repairs)
+	}
+	if allocs > budget {
+		t.Errorf("a warm trial of %d repairs allocates %.0f times, budget %d", repairs, allocs, budget)
+	}
+	// The pools hold what was in flight at once, not what was repaired.
+	m.Reset()
+	if n := len(m.transfers.all); n != cfg.MaxConcurrent || len(m.transfers.idle) != n {
+		t.Errorf("transfer pool after Reset: %d records, %d idle; want %d and %d (the slots)", n, len(m.transfers.idle), cfg.MaxConcurrent, cfg.MaxConcurrent)
+	}
+	if n := len(m.detections.all); n > cl.Size() || len(m.detections.idle) != n {
+		t.Errorf("detection pool after Reset: %d records, %d idle; want at most one per node, all idle", n, len(m.detections.idle))
+	}
+	t.Logf("%d repairs, %.0f allocations a warm trial, %d transfer and %d detection records", repairs, allocs, len(m.transfers.all), len(m.detections.all))
+}
+
+// TestQueueReclaimsItsHead: the queue pops by advancing an index, so what
+// is behind the index has to be handed back by enqueue — also when the
+// queue never drains, as with tasks that find no target and are re-queued
+// at every pump. FIFO order holds throughout and the slice stays at the
+// size of what is waiting.
+func TestQueueReclaimsItsHead(t *testing.T) {
+	_, _, _, m := env(t, Config{Mode: Serial}, nil, nil)
+	const waiting = 37
+	next := 0
+	push := func() {
+		m.enqueue(task{from: next})
+		next++
+	}
+	for i := 0; i < waiting; i++ {
+		push()
+	}
+	for i := 0; i < 100_000; i++ {
+		if got := m.queue[m.head].from; got != i {
+			t.Fatalf("pop %d returned task %d", i, got)
+		}
+		m.head++
+		push()
+		if m.QueueLength() != waiting {
+			t.Fatalf("after %d pops and pushes %d tasks wait, want %d", i+1, m.QueueLength(), waiting)
+		}
+	}
+	if cap(m.queue) > 4*waiting {
+		t.Fatalf("queue of %d tasks grew to capacity %d", waiting, cap(m.queue))
+	}
+	for m.QueueLength() > 0 {
+		m.head++
+	}
+	push()
+	if m.head != 0 || len(m.queue) != 1 {
+		t.Fatalf("a push on a drained queue left head %d, len %d; want 0 and 1", m.head, len(m.queue))
+	}
+}

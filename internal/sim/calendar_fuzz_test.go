@@ -1,0 +1,218 @@
+package sim
+
+import (
+	"bytes"
+	"slices"
+	"testing"
+)
+
+// refEvent is one pending event of the reference calendar.
+type refEvent struct {
+	time Time
+	seq  uint64
+	id   int
+}
+
+// calendarRun drives a Simulator and a naive reference — a slice searched
+// for its (time, seq) minimum — with one program, two bytes an operation.
+// The simulator is in control: every callback pops the reference's minimum
+// and must be that event, at that time; after every operation the clock,
+// Executed, Pending and each pending handle's Time agree. Only the public
+// surface is used, and only live handles, so the same program means the
+// same thing to any calendar that keeps the (time, seq) order.
+type calendarRun struct {
+	t    *testing.T
+	s    *Simulator
+	prog []byte
+	pc   int
+
+	now      Time
+	seq      uint64
+	executed uint64
+	pending  []refEvent
+	handles  map[int]*Event // pending id -> its handle
+	nextID   int
+	// The event whose callback is running, if one is. It may be cancelled
+	// (a no-op) and rescheduled (a fresh event, same callback).
+	inCallback   bool
+	firing       int
+	firingHandle *Event
+}
+
+// calendarDelays has repeats and zeros so that ties are the common case.
+var calendarDelays = [8]Time{0, 0, 1, 1, 2, 0.5, 3, 7}
+
+func (c *calendarRun) schedule(delay Time, nested int) {
+	id := c.nextID
+	c.nextID++
+	c.pending = append(c.pending, refEvent{c.now + delay, c.seq, id})
+	c.seq++
+	c.handles[id] = c.s.Schedule(delay, "fuzz", func() { c.fire(id, nested) })
+}
+
+// fire is every event's callback: the reference's minimum must be this
+// event; then the next `nested` operations run from inside the callback.
+func (c *calendarRun) fire(id, nested int) {
+	if len(c.pending) == 0 {
+		c.t.Fatalf("event %d fired at %v; the reference calendar is empty", id, c.s.Now())
+	}
+	at := 0
+	for i, e := range c.pending {
+		if m := c.pending[at]; e.time < m.time || (e.time == m.time && e.seq < m.seq) {
+			at = i
+		}
+	}
+	min := c.pending[at]
+	c.pending = slices.Delete(c.pending, at, at+1)
+	if min.id != id || min.time != c.s.Now() {
+		c.t.Fatalf("event %d fired at %v; the reference says event %d at %v", id, c.s.Now(), min.id, min.time)
+	}
+	c.now = min.time
+	c.executed++
+	c.inCallback, c.firing, c.firingHandle = true, id, c.handles[id]
+	delete(c.handles, id)
+	c.agree("at the start of a callback")
+	for ; nested > 0; nested-- {
+		c.op()
+	}
+	c.inCallback = false
+}
+
+// target picks a live event: one of the pending, or the firing one.
+func (c *calendarRun) target(arg int) (id int, pending, ok bool) {
+	ids := make([]int, 0, len(c.handles)+1)
+	for id := range c.handles {
+		ids = append(ids, id)
+	}
+	if _, again := c.handles[c.firing]; c.inCallback && !again {
+		ids = append(ids, c.firing)
+	}
+	if len(ids) == 0 {
+		return 0, false, false
+	}
+	slices.Sort(ids)
+	id = ids[arg%len(ids)]
+	_, pending = c.handles[id]
+	return id, pending, true
+}
+
+func (c *calendarRun) refIndex(id int) int {
+	return slices.IndexFunc(c.pending, func(e refEvent) bool { return e.id == id })
+}
+
+// op decodes and runs one operation on both calendars.
+func (c *calendarRun) op() {
+	if c.pc+2 > len(c.prog) {
+		return
+	}
+	code, arg := c.prog[c.pc]%5, int(c.prog[c.pc+1])
+	c.pc += 2
+	delay := calendarDelays[arg&7]
+	if c.inCallback && code >= 3 {
+		code = 0 // no Step or RunUntil from inside a callback
+	}
+	switch code {
+	case 1: // cancel
+		id, pending, ok := c.target(arg >> 3)
+		if !ok {
+			break
+		}
+		if !pending {
+			c.s.Cancel(c.firingHandle) // a no-op
+			break
+		}
+		c.s.Cancel(c.handles[id])
+		delete(c.handles, id)
+		at := c.refIndex(id)
+		c.pending = slices.Delete(c.pending, at, at+1)
+	case 2: // reschedule
+		id, pending, ok := c.target(arg >> 3)
+		if !ok {
+			break
+		}
+		if pending {
+			c.handles[id] = c.s.Reschedule(c.handles[id], delay)
+			c.pending[c.refIndex(id)] = refEvent{c.now + delay, c.seq, id}
+		} else {
+			c.handles[id] = c.s.Reschedule(c.firingHandle, delay)
+			c.pending = append(c.pending, refEvent{c.now + delay, c.seq, id})
+		}
+		c.seq++
+	case 3: // step
+		want := len(c.pending) > 0
+		if got := c.s.Step(); got != want {
+			c.t.Fatalf("Step returned %v with %d events in the reference", got, len(c.pending))
+		}
+	case 4: // run until
+		horizon := c.now + delay
+		c.s.RunUntil(horizon)
+		for _, e := range c.pending {
+			if e.time <= horizon {
+				c.t.Fatalf("RunUntil(%v) left event %d at %v behind", horizon, e.id, e.time)
+			}
+		}
+		c.now = horizon
+	default:
+		c.schedule(delay, (arg>>3)&3)
+	}
+	c.agree("after an operation")
+}
+
+func (c *calendarRun) agree(when string) {
+	s := c.s
+	if s.Now() != c.now || s.Executed() != c.executed || s.Pending() != len(c.pending) {
+		c.t.Fatalf("%s (pc %d): now %v executed %d pending %d; the reference has now %v executed %d pending %d",
+			when, c.pc, s.Now(), s.Executed(), s.Pending(), c.now, c.executed, len(c.pending))
+	}
+	for _, e := range c.pending {
+		if got := c.handles[e.id].Time(); got != e.time {
+			c.t.Fatalf("%s (pc %d): event %d's handle reads time %v, the reference %v", when, c.pc, e.id, got, e.time)
+		}
+	}
+}
+
+func runCalendarProgram(t *testing.T, prog []byte) {
+	if len(prog) > 4096 {
+		prog = prog[:4096]
+	}
+	c := &calendarRun{t: t, s: New(1), prog: prog, handles: map[int]*Event{}}
+	for c.pc+2 <= len(c.prog) {
+		c.op()
+	}
+	// Drain: callbacks with operations left to run have no program left.
+	c.s.Run()
+	if len(c.pending) != 0 || c.s.Pending() != 0 || c.s.Executed() != c.executed {
+		t.Fatalf("after the drain: %d pending (reference %d), executed %d (reference %d)",
+			c.s.Pending(), len(c.pending), c.s.Executed(), c.executed)
+	}
+}
+
+// calendarSeeds are the shapes the models put on the calendar.
+func calendarSeeds() [][]byte {
+	// A repair storm: a few flow completions, each moved many times between
+	// the steps that fire one of them, whose callback schedules a successor
+	// and moves two more.
+	var storm []byte
+	for i := 0; i < 8; i++ {
+		storm = append(storm, 0, byte(2+i%6|2<<3))
+	}
+	for i := 0; i < 60; i++ {
+		storm = append(storm, 2, byte(i*8+i%7), 2, byte(i*24+(i+3)%8), 2, byte(i*40+2), 3, 0,
+			0, byte(4|1<<3), 2, byte(i*16+5))
+	}
+	// Ties: everything at one time, cancelled and moved from inside callbacks.
+	ties := bytes.Repeat([]byte{0, 3 << 3, 0, 1 | 2<<3, 1, 8, 2, 16, 3, 0}, 40)
+	// Horizons: RunUntil over a calendar that refills from its callbacks.
+	horizons := bytes.Repeat([]byte{0, 2 | 3<<3, 0, 5 | 1<<3, 4, 2, 1, 0, 2, 9, 4, 0}, 30)
+	return [][]byte{storm, ties, horizons, {}, {3, 0}, {2, 0, 1, 0, 4, 7}}
+}
+
+// FuzzCalendar holds the calendar against the naive reference: whatever
+// is scheduled, cancelled, moved and stepped, from outside or from inside
+// callbacks, the events fire in (time, seq) order.
+func FuzzCalendar(f *testing.F) {
+	for _, seed := range calendarSeeds() {
+		f.Add(seed)
+	}
+	f.Fuzz(runCalendarProgram)
+}

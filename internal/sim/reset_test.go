@@ -28,7 +28,7 @@ func churn(s *Simulator, horizon Time, abortAfter uint64) string {
 }
 
 // TestResetMatchesNew: a simulator that has run — and was left with
-// events pending, a tombstone in the heap, streams advanced, a tracer and
+// events pending, one cancelled, streams advanced, a tracer and
 // an abort check installed, stopped by an abort — replays, after Reset,
 // exactly what a new simulator does; in plain mode, in keyed mode, and
 // across a switch between the two.

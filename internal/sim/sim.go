@@ -17,11 +17,24 @@
 // through a free list, so steady-state Schedule+Step performs zero heap
 // allocations; the priority queue is an inlined 4-ary min-heap of small
 // value entries keyed by (time, seq) — no interface boxing, FIFO
-// tie-breaking preserved; Cancel is lazy (a tombstone skipped at pop)
-// instead of a structural heap removal. Because (time, seq) is a total
-// order, the execution order is exactly that of the previous binary-heap
-// implementation: engine refactors change how events are stored, never
-// which event fires next.
+// tie-breaking preserved. The heap is indexed: pos records, per arena
+// slot, where that slot's entry sits, and the sift loops keep it current,
+// so Cancel removes the entry and frees the slot at once and Reschedule
+// rewrites a pending event's key — the new time and a fresh sequence
+// number, exactly what Schedule would have given it — and sifts the entry
+// from where it is. The heap holds pending events and nothing else:
+// Pending is its length, and a model that moves a few events many times
+// (a repair storm's flow completions) pays one sift per move, not a dead
+// entry to pop later. Because (time, seq) is a total order, the execution
+// order is that of any calendar keyed on it (FuzzCalendar runs one that
+// is a slice searched for its minimum alongside): engine refactors change
+// how events are stored, never which event fires next.
+//
+// The price is the handle contract: an *Event is dead once its event has
+// fired or been cancelled, because its slot may be handed out again by
+// the very next Schedule. Cancelling a dead handle is a no-op only until
+// then; after that it cancels a stranger. Holders drop (nil) a handle
+// when they cancel it and when its callback runs.
 //
 // # Reuse
 //
@@ -47,29 +60,26 @@ type Time = float64
 
 // Event slot lifecycle states.
 const (
-	evFree      uint8 = iota // on the free list, contents cleared
-	evPending                // scheduled, waiting in the heap
-	evTombstone              // cancelled, awaiting lazy removal at pop
-	evFiring                 // callback currently executing
+	evFree    uint8 = iota // on the free list, contents cleared
+	evPending              // scheduled, in the heap
+	evFiring               // callback currently executing
 )
 
 // Event is a scheduled callback. It is returned by Schedule/At so callers
-// can Cancel it.
+// can Cancel or Reschedule it.
 //
-// Events are recycled: once an event has fired, its *Event may be reused
-// by a later Schedule. Holding a pointer past the event's firing and
-// cancelling it later is therefore invalid (it could cancel an unrelated
-// recycled event); cancel pending events, and drop references once an
-// event has fired. Cancelling a pending event any number of times, or
-// cancelling from within any callback (including the event's own), is
-// safe.
+// Events are recycled: once an event has fired or been cancelled, its
+// *Event may be handed out again by a later Schedule. Using a handle
+// after that is invalid (it could cancel an unrelated recycled event):
+// drop the reference when the event fires and when it is cancelled.
+// Cancelling from within any callback (including the event's own, which
+// is a no-op) is safe.
 type Event struct {
-	time    Time
-	seq     uint64
-	name    string
-	fn      func()
-	created Time
-	state   uint8
+	time  Time
+	name  string
+	fn    func()
+	idx   int32 // this slot's arena index; set once, when the slot is first handed out
+	state uint8
 }
 
 // Time returns the scheduled firing time.
@@ -110,13 +120,17 @@ type Tracer func(t Time, name string)
 // (§4.2's intra-run parallelism is planned via the interaction graph in
 // internal/core, which schedules independent runs concurrently).
 type Simulator struct {
-	now  Time
+	now Time
+	// heap holds exactly the pending events; pos[idx] is the heap position
+	// of arena slot idx's entry (meaningful only while that slot is
+	// pending), kept flat so a sift step writes one int32 and never touches
+	// the arena.
 	heap []heapEntry
+	pos  []int32
 
 	arena     []*[chunkSize]Event
 	free      []int32
 	allocated int32
-	live      int // pending (non-tombstoned) events
 
 	seq      uint64
 	executed uint64
@@ -201,13 +215,13 @@ func (s *Simulator) ResetKeyed(seed, trial uint64, antithetic bool) {
 // reset is the one initialisation routine behind New, NewKeyed, Reset
 // and ResetKeyed.
 func (s *Simulator) reset(seed uint64) {
-	// Every slot is either free or referenced from the heap (pending or
-	// tombstoned), so freeing the heap's slots empties the calendar.
+	// Every slot is either free or pending in the heap, so freeing the
+	// heap's slots empties the calendar.
 	for _, entry := range s.heap {
-		s.freeSlot(entry.idx, s.slot(entry.idx))
+		s.freeSlot(s.slot(entry.idx))
 	}
 	s.heap = s.heap[:0]
-	s.now, s.live, s.seq, s.executed = 0, 0, 0, 0
+	s.now, s.seq, s.executed = 0, 0, 0
 	s.stopped, s.aborted = false, false
 	s.root.Reseed(seed)
 	s.epoch++
@@ -228,9 +242,8 @@ func (s *Simulator) Now() Time { return s.now }
 // Executed returns the number of events executed so far.
 func (s *Simulator) Executed() uint64 { return s.executed }
 
-// Pending returns the number of events still scheduled (cancelled events
-// are excluded even while their tombstones await lazy removal).
-func (s *Simulator) Pending() int { return s.live }
+// Pending returns the number of events still scheduled.
+func (s *Simulator) Pending() int { return len(s.heap) }
 
 // Aborted reports whether the last run was stopped by the abort check.
 func (s *Simulator) Aborted() bool { return s.aborted }
@@ -309,53 +322,54 @@ func (s *Simulator) slot(idx int32) *Event {
 }
 
 // alloc returns a fresh or recycled event slot.
-func (s *Simulator) alloc() (int32, *Event) {
+func (s *Simulator) alloc() *Event {
 	if n := len(s.free); n > 0 {
 		idx := s.free[n-1]
 		s.free = s.free[:n-1]
-		return idx, s.slot(idx)
+		return s.slot(idx)
 	}
 	if int(s.allocated) == len(s.arena)*chunkSize {
 		s.arena = append(s.arena, new([chunkSize]Event))
+		s.pos = append(s.pos, make([]int32, chunkSize)...)
 	}
-	idx := s.allocated
+	e := s.slot(s.allocated)
+	e.idx = s.allocated
 	s.allocated++
-	return idx, s.slot(idx)
+	return e
 }
 
-// freeSlot recycles a popped slot, dropping its references so the closure
-// and name become collectable immediately.
-func (s *Simulator) freeSlot(idx int32, e *Event) {
+// freeSlot recycles a slot that has left the heap, dropping its references
+// so the closure and name become collectable immediately.
+func (s *Simulator) freeSlot(e *Event) {
 	e.state = evFree
 	e.fn = nil
 	e.name = ""
-	s.free = append(s.free, idx)
+	s.free = append(s.free, e.idx)
 }
 
-// heapPush inserts entry, restoring the 4-ary heap order.
-func (s *Simulator) heapPush(entry heapEntry) {
-	h := append(s.heap, entry)
-	i := len(h) - 1
+// siftUp puts entry at heap position i or above it, moving larger
+// ancestors down into the hole. It is the only writer of a heap position
+// besides siftDown, and both record every entry they place in pos.
+func (s *Simulator) siftUp(i int, entry heapEntry) {
+	h, pos := s.heap, s.pos
 	for i > 0 {
 		p := (i - 1) >> 2
-		if !entryLess(h[i], h[p]) {
+		if !entryLess(entry, h[p]) {
 			break
 		}
-		h[i], h[p] = h[p], h[i]
+		h[i] = h[p]
+		pos[h[i].idx] = int32(i)
 		i = p
 	}
-	s.heap = h
+	h[i] = entry
+	pos[entry.idx] = int32(i)
 }
 
-// heapPop removes and returns the minimum entry.
-func (s *Simulator) heapPop() heapEntry {
-	h := s.heap
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h = h[:n]
-	s.heap = h
-	i := 0
+// siftDown puts entry at heap position i or below it, moving the smallest
+// child up into the hole while that child is smaller than entry.
+func (s *Simulator) siftDown(i int, entry heapEntry) {
+	h, pos := s.heap, s.pos
+	n := len(h)
 	for {
 		c := i<<2 + 1
 		if c >= n {
@@ -371,35 +385,50 @@ func (s *Simulator) heapPop() heapEntry {
 				best = j
 			}
 		}
-		if !entryLess(h[best], h[i]) {
+		if !entryLess(h[best], entry) {
 			break
 		}
-		h[i], h[best] = h[best], h[i]
+		h[i] = h[best]
+		pos[h[i].idx] = int32(i)
 		i = best
 	}
-	return top
+	h[i] = entry
+	pos[entry.idx] = int32(i)
 }
 
-// pruneTop pops and recycles tombstoned entries until the heap is empty
-// or a live event is at the top (lazy cancellation).
-func (s *Simulator) pruneTop() {
-	for len(s.heap) > 0 {
-		idx := s.heap[0].idx
-		e := s.slot(idx)
-		if e.state != evTombstone {
-			return
-		}
-		s.heapPop()
-		s.freeSlot(idx, e)
+// place puts entry at heap position i — a hole, or an entry being
+// replaced — and restores the heap order in whichever direction it is
+// broken.
+func (s *Simulator) place(i int, entry heapEntry) {
+	if i > 0 && entryLess(entry, s.heap[(i-1)>>2]) {
+		s.siftUp(i, entry)
+	} else {
+		s.siftDown(i, entry)
+	}
+}
+
+// removeAt takes the entry at heap position i out of the heap: the last
+// entry fills the hole.
+func (s *Simulator) removeAt(i int) {
+	n := len(s.heap) - 1
+	last := s.heap[n]
+	s.heap = s.heap[:n]
+	if i < n {
+		s.place(i, last)
 	}
 }
 
 // Schedule enqueues fn to run after delay (>= 0) and returns the event.
 func (s *Simulator) Schedule(delay Time, name string, fn func()) *Event {
+	return s.At(s.after(delay, name), name, fn)
+}
+
+// after returns the time delay from now, refusing a delay no event may have.
+func (s *Simulator) after(delay Time, name string) Time {
 	if delay < 0 || math.IsNaN(delay) {
 		panic(fmt.Sprintf("sim: negative or NaN delay %v for event %q at t=%v", delay, name, s.now))
 	}
-	return s.At(s.now+delay, name, fn)
+	return s.now + delay
 }
 
 // At enqueues fn to run at absolute time t (>= Now) and returns the event.
@@ -410,36 +439,42 @@ func (s *Simulator) At(t Time, name string, fn func()) *Event {
 	if fn == nil {
 		panic(fmt.Sprintf("sim: nil callback for event %q", name))
 	}
-	idx, e := s.alloc()
+	e := s.alloc()
 	e.time = t
-	e.seq = s.seq
 	e.name = name
 	e.fn = fn
-	e.created = s.now
 	e.state = evPending
-	s.heapPush(heapEntry{time: t, seq: s.seq, idx: idx})
+	s.heap = append(s.heap, heapEntry{})
+	s.siftUp(len(s.heap)-1, heapEntry{time: t, seq: s.seq, idx: e.idx})
 	s.seq++
-	s.live++
 	return e
 }
 
-// Cancel removes a scheduled event. Cancelling an already-cancelled or
-// currently-firing event is a no-op. The removal is lazy: the slot is
-// tombstoned here and recycled when it reaches the top of the heap.
+// Cancel removes a scheduled event from the calendar and frees its slot at
+// once: e is dead afterwards (see Event). Cancelling nil or the currently
+// firing event is a no-op.
 func (s *Simulator) Cancel(e *Event) {
 	if e == nil || e.state != evPending {
 		return
 	}
-	e.state = evTombstone
-	s.live--
+	s.removeAt(int(s.pos[e.idx]))
+	s.freeSlot(e)
 }
 
-// Reschedule cancels e and schedules a fresh event with the same name and
-// callback after delay, returning the new event. e must be pending or
-// currently firing.
+// Reschedule moves e, with its name and callback, to fire after delay. A
+// pending event is moved in place and e itself is returned: it takes the
+// time and the fresh sequence number — so the FIFO position among events
+// at that time — that cancelling it and scheduling a new one would give.
+// From inside e's own callback there is nothing to move, and a fresh event
+// is scheduled and returned. e must be pending or currently firing.
 func (s *Simulator) Reschedule(e *Event, delay Time) *Event {
-	s.Cancel(e)
-	return s.Schedule(delay, e.name, e.fn)
+	if e.state != evPending {
+		return s.Schedule(delay, e.name, e.fn)
+	}
+	e.time = s.after(delay, e.name)
+	s.place(int(s.pos[e.idx]), heapEntry{time: e.time, seq: s.seq, idx: e.idx})
+	s.seq++
+	return e
 }
 
 // Step executes the next event. It returns false when the calendar is
@@ -448,18 +483,17 @@ func (s *Simulator) Step() bool {
 	if s.stopped {
 		return false
 	}
-	s.pruneTop()
 	if len(s.heap) == 0 {
 		return false
 	}
-	entry := s.heapPop()
+	entry := s.heap[0]
+	s.removeAt(0)
 	e := s.slot(entry.idx)
 	if e.time < s.now {
 		panic(fmt.Sprintf("sim: time went backwards: event %q at %v < now %v", e.name, e.time, s.now))
 	}
 	s.now = e.time
 	s.executed++
-	s.live--
 	e.state = evFiring
 	if s.tracer != nil {
 		s.tracer(s.now, e.name)
@@ -468,7 +502,7 @@ func (s *Simulator) Step() bool {
 	// Recycle only after the callback returns: the callback may observe
 	// (and no-op-Cancel) its own still-firing event, and new events it
 	// schedules must not be handed this slot while it runs.
-	s.freeSlot(entry.idx, e)
+	s.freeSlot(e)
 	if s.abortCheck != nil && s.executed%s.abortEvery == 0 && s.abortCheck() {
 		s.aborted = true
 		s.stopped = true
@@ -488,14 +522,7 @@ func (s *Simulator) RunUntil(horizon Time) {
 	if horizon < s.now {
 		panic(fmt.Sprintf("sim: RunUntil(%v) before now %v", horizon, s.now))
 	}
-	for !s.stopped {
-		s.pruneTop()
-		if len(s.heap) == 0 || s.heap[0].time > horizon {
-			break
-		}
-		if !s.Step() {
-			break
-		}
+	for len(s.heap) > 0 && s.heap[0].time <= horizon && s.Step() {
 	}
 	if !s.stopped && s.now < horizon {
 		s.now = horizon
@@ -532,8 +559,8 @@ func (s *Simulator) Every(t0 Time, period Time, name string, fn func(Time)) (sto
 	schedule(t0)
 	return func() {
 		stopped = true
-		// Clear the handle so a second stop() is a no-op even after the
-		// cancelled slot has been recycled by a later Schedule.
+		// Clear the handle so a second stop() is a no-op: the cancelled
+		// slot may be recycled by the very next Schedule.
 		s.Cancel(current)
 		current = nil
 	}

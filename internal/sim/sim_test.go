@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -46,12 +47,18 @@ func TestCancel(t *testing.T) {
 	ran := false
 	e := s.Schedule(1, "x", func() { ran = true })
 	s.Cancel(e)
+	if s.Pending() != 0 {
+		t.Fatalf("pending %d right after Cancel, want 0: the entry leaves the calendar at once", s.Pending())
+	}
+	// The handle is dead now. Cancelling it again is a no-op for as long as
+	// nothing has been scheduled since (after that the slot may be someone
+	// else's); so is cancelling nil.
+	s.Cancel(e)
+	s.Cancel(nil)
 	s.Run()
 	if ran {
 		t.Fatal("cancelled event ran")
 	}
-	// Double cancel is a no-op.
-	s.Cancel(e)
 	if s.Executed() != 0 {
 		t.Fatalf("executed %d, want 0", s.Executed())
 	}
@@ -60,12 +67,107 @@ func TestCancel(t *testing.T) {
 func TestCancelFromWithinEvent(t *testing.T) {
 	s := New(1)
 	ran := false
-	var target *Event
-	s.Schedule(1, "canceller", func() { s.Cancel(target) })
+	var target, self *Event
+	self = s.Schedule(1, "canceller", func() {
+		s.Cancel(self) // the firing event: a no-op, its slot is freed when it returns
+		s.Cancel(target)
+		if s.Pending() != 0 {
+			t.Errorf("pending %d inside the canceller, want 0", s.Pending())
+		}
+	})
 	target = s.Schedule(2, "target", func() { ran = true })
 	s.Run()
 	if ran {
 		t.Fatal("event cancelled mid-run still ran")
+	}
+	if s.Executed() != 1 || s.Now() != 1 {
+		t.Fatalf("executed %d events up to t=%v, want 1 up to t=1", s.Executed(), s.Now())
+	}
+}
+
+// TestCancelFreesSlotAtOnce: the calendar holds pending events and nothing
+// else. Pending is the heap's length after every operation, and a model
+// that schedules and cancels forever keeps reusing one slot.
+func TestCancelFreesSlotAtOnce(t *testing.T) {
+	s := New(1)
+	check := func(when string, want int) {
+		t.Helper()
+		if s.Pending() != want || len(s.heap) != want {
+			t.Fatalf("%s: Pending %d, heap holds %d, want %d", when, s.Pending(), len(s.heap), want)
+		}
+	}
+	fn := func() {}
+	var keep []*Event
+	for i := 0; i < 5; i++ {
+		keep = append(keep, s.Schedule(Time(10+i), "keep", fn))
+		check("after Schedule", i+1)
+	}
+	for i := 0; i < 10000; i++ {
+		e := s.Schedule(Time(i%7), "churn", fn)
+		check("after churn Schedule", 6)
+		s.Cancel(e)
+		check("after churn Cancel", 5)
+	}
+	if s.allocated != 6 {
+		t.Fatalf("schedule-cancel churn grew the arena to %d slots, want 6", s.allocated)
+	}
+	s.Cancel(keep[0]) // the heap's top
+	check("after cancelling the top", 4)
+	keep[3] = s.Reschedule(keep[3], 1)
+	check("after Reschedule", 4)
+	s.Step()
+	check("after Step", 3)
+	if s.Now() != 1 {
+		t.Fatalf("the rescheduled event should have fired first, at t=1; now %v", s.Now())
+	}
+	s.Run()
+	check("after Run", 0)
+	if len(s.free) != int(s.allocated) {
+		t.Fatalf("%d of %d slots free on an empty calendar", len(s.free), s.allocated)
+	}
+}
+
+// TestRescheduleKeepsHandle: a pending event is moved, not replaced — same
+// *Event, new Time, one firing — and lands among same-time events where a
+// freshly scheduled one would: after those already there, before later
+// ones.
+func TestRescheduleKeepsHandle(t *testing.T) {
+	s := New(1)
+	var order []string
+	log := func(name string) func() { return func() { order = append(order, name) } }
+	x := s.Schedule(1, "x", log("x"))
+	s.Schedule(5, "a", log("a"))
+	s.Schedule(5, "b", log("b"))
+	if got := s.Reschedule(x, 5); got != x {
+		t.Fatal("Reschedule of a pending event returned a different *Event")
+	}
+	if x.Time() != 5 || x.Name() != "x" {
+		t.Fatalf("moved event reads %q at %v, want x at 5", x.Name(), x.Time())
+	}
+	s.Schedule(5, "c", log("c"))
+	y := s.Schedule(9, "y", log("y"))
+	if got := s.Reschedule(y, 2); got != y || y.Time() != 2 { // earlier: sifts up
+		t.Fatalf("moving y earlier gave time %v (same handle: %v), want 2", y.Time(), got == y)
+	}
+	if s.Pending() != 5 {
+		t.Fatalf("pending %d, want 5", s.Pending())
+	}
+	// From inside its own callback there is nothing to move: a fresh event.
+	var z *Event
+	z = s.Schedule(6, "z", func() { // fires at 6 and, rescheduled once, at 7
+		order = append(order, "z")
+		if s.Now() == 6 {
+			if again := s.Reschedule(z, 1); again == z {
+				t.Error("Reschedule of the firing event returned the firing slot")
+			}
+		}
+	})
+	s.Run()
+	if got, want := fmt.Sprint(order), "[y a b x c z z]"; got != want {
+		t.Fatalf("fired %s, want %s", got, want)
+	}
+	if s.Executed() != 7 || s.Now() != 7 {
+		t.Fatalf("executed %d up to t=%v, want 7 up to t=7", s.Executed(), s.Now())
 	}
 }
 
@@ -239,13 +341,16 @@ func TestEvery(t *testing.T) {
 }
 
 func TestEveryDoubleStop(t *testing.T) {
-	// A second stop() must stay a no-op even after the cancelled slot has
-	// been recycled into an unrelated pending event.
+	// A second stop() must stay a no-op: the first one freed the ticker's
+	// slot, and the bystander scheduled next is handed exactly that slot.
 	s := New(1)
 	stop := s.Every(1, 1, "tick", func(Time) {})
 	stop()
 	ran := false
-	s.Schedule(2, "bystander", func() { ran = true }) // likely recycles the slot
+	s.Schedule(2, "bystander", func() { ran = true })
+	if s.allocated != 1 {
+		t.Fatalf("the bystander did not recycle the ticker's slot (%d slots allocated)", s.allocated)
+	}
 	stop()
 	s.Run()
 	if !ran {
@@ -311,17 +416,21 @@ func TestScheduleStepZeroAlloc(t *testing.T) {
 }
 
 func TestCancelHeavySteadyStateZeroAlloc(t *testing.T) {
-	// Cancel+Reschedule churn must also stay allocation-free once the
-	// arena has grown: tombstones are recycled when their heap slot pops,
-	// not leaked. The victim is always rescheduled while still pending
-	// (its old tombstone drains just before each tick fires).
+	// Cancel and Reschedule churn is allocation-free and leaves nothing
+	// behind: the victim is moved in place while still pending, the decoy
+	// is cancelled and its slot reused at once, so the arena stays at the
+	// three slots the model has live at its peak.
 	s := New(1)
 	var tick func()
 	tick = func() { s.Schedule(1, "tick", tick) }
 	s.Schedule(0, "tick", tick)
-	victim := s.Schedule(1.5, "victim", func() {})
+	fn := func() {}
+	victim := s.Schedule(1.5, "victim", fn)
 	cycle := func() {
-		victim = s.Reschedule(victim, 1.5)
+		if moved := s.Reschedule(victim, 1.5); moved != victim {
+			t.Fatal("Reschedule of a pending event returned a different *Event")
+		}
+		s.Cancel(s.Schedule(0.5, "decoy", fn))
 		if !s.Step() {
 			t.Fatal("calendar drained")
 		}
@@ -331,7 +440,10 @@ func TestCancelHeavySteadyStateZeroAlloc(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(5000, cycle)
 	if allocs != 0 {
-		t.Fatalf("steady-state Reschedule+Step allocates %.1f allocs/event, want 0", allocs)
+		t.Fatalf("steady-state Reschedule+Cancel+Step allocates %.1f allocs/event, want 0", allocs)
+	}
+	if s.allocated != 3 || s.Pending() != 2 {
+		t.Fatalf("churn left %d slots allocated and %d events pending, want 3 and 2", s.allocated, s.Pending())
 	}
 }
 

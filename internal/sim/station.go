@@ -11,10 +11,11 @@ import (
 // interference (§3) couple into request latency: halving the speed doubles
 // the remaining service requirement of every in-flight job.
 type Station struct {
-	sim     *Simulator
-	name    string
-	servers int
-	speed   float64
+	sim          *Simulator
+	name         string
+	completeName string // name + "/complete", the label of every completion event
+	servers      int
+	speed        float64
 
 	waiting []*Job
 	active  map[*Job]struct{}
@@ -33,7 +34,8 @@ type Job struct {
 	arrival   Time
 	start     Time // service start time (valid once started)
 	done      func(waited, total float64)
-	event     *Event
+	complete  func() // the completion event's callback, built once per job
+	event     *Event // pending completion; nil while waiting, frozen or done
 	station   *Station
 	remaining float64
 	lastSet   Time
@@ -46,7 +48,7 @@ func NewStation(s *Simulator, name string, servers int) (*Station, error) {
 		return nil, fmt.Errorf("sim: station %q needs >= 1 server, got %d", name, servers)
 	}
 	return &Station{
-		sim: s, name: name, servers: servers, speed: 1,
+		sim: s, name: name, completeName: name + "/complete", servers: servers, speed: 1,
 		active: make(map[*Job]struct{}),
 		lastT:  s.Now(),
 	}, nil
@@ -70,6 +72,7 @@ func (st *Station) Submit(work float64, done func(waited, total float64)) *Job {
 	}
 	st.integrate()
 	j := &Job{work: work, arrival: st.sim.Now(), done: done, station: st}
+	j.complete = func() { st.complete(j) }
 	st.arrivals++
 	if len(st.active) < st.servers && st.speed > 0 {
 		st.startService(j)
@@ -88,23 +91,24 @@ func (st *Station) startService(j *Job) {
 	st.scheduleCompletion(j)
 }
 
-// scheduleCompletion (re)schedules j's completion at the current speed.
+// scheduleCompletion (re)schedules j's completion at the current speed: a
+// pending completion is moved in the calendar, not cancelled and rebuilt.
 func (st *Station) scheduleCompletion(j *Job) {
-	if j.event != nil {
+	switch {
+	case st.speed <= 0:
+		// Frozen; will be scheduled again when speed returns.
 		st.sim.Cancel(j.event)
 		j.event = nil
+	case j.event != nil:
+		j.event = st.sim.Reschedule(j.event, j.remaining/st.speed)
+	default:
+		j.event = st.sim.Schedule(j.remaining/st.speed, st.completeName, j.complete)
 	}
-	if st.speed <= 0 {
-		return // frozen; will be rescheduled when speed returns
-	}
-	delay := j.remaining / st.speed
-	j.event = st.sim.Schedule(delay, st.name+"/complete", func() {
-		st.complete(j)
-	})
 }
 
 // complete finishes j and promotes the next waiting job.
 func (st *Station) complete(j *Job) {
+	j.event = nil // this event: the handle is dead once it fires
 	st.integrate()
 	delete(st.active, j)
 	st.completions++

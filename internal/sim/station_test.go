@@ -83,6 +83,42 @@ func TestStationSpeedChangePreservesProgress(t *testing.T) {
 	}
 }
 
+// TestStationSpeedChangeAllocatesNothing: a speed change moves the
+// completions of the jobs in service in the calendar; it builds no name
+// and no callback (a freeze cancels them, the thaw schedules the job's one
+// callback again), and the jobs still finish when they should.
+func TestStationSpeedChangeAllocatesNothing(t *testing.T) {
+	s := New(1)
+	st, err := NewStation(s, "nic", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	finished := 0
+	for i := 0; i < 3; i++ {
+		st.Submit(100, func(_, _ float64) { finished++ })
+	}
+	speeds := []float64{0.5, 1, 0, 2, 1}
+	i := 0
+	change := func() {
+		st.SetSpeed(speeds[i%len(speeds)])
+		i++
+	}
+	for range speeds {
+		change() // back at speed 1, the arena and heap warm
+	}
+	if allocs := testing.AllocsPerRun(100, change); allocs != 0 {
+		t.Fatalf("a speed change with %d jobs in service allocates %.1f times, want 0", st.InService(), allocs)
+	}
+	st.SetSpeed(1)
+	if s.Pending() != 3 || s.allocated != 3 {
+		t.Fatalf("%d events pending in %d slots, want the 3 completions in 3", s.Pending(), s.allocated)
+	}
+	s.Run()
+	if finished != 3 || s.Now() != 100 { // no simulated time passed under the changes
+		t.Fatalf("%d jobs finished by t=%v, want 3 by t=100", finished, s.Now())
+	}
+}
+
 func TestStationFreezeAndThaw(t *testing.T) {
 	s := New(1)
 	st, err := NewStation(s, "nic", 1)

@@ -13,6 +13,13 @@
 // owns. Every handle from before the Reset (*Object, ObjectsOn slices) is
 // dead. Policies place into storage the caller owns and keep their
 // scratch in the View, so re-placing a population allocates nothing.
+//
+// The store's node index (ObjectsOn) is written far more often than it is
+// read — every finished repair relocates a shard, a node's list is read
+// when that node changes state — so Relocate only appends the object to
+// its new node's list and marks the two nodes; a marked node's list is
+// filtered, sorted by ID and de-duplicated at the next ObjectsOn of that
+// node, and of no other.
 package storage
 
 import "encoding/binary"

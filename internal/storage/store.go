@@ -163,12 +163,18 @@ type Store struct {
 	// entries of st.objects' backing array (past len after a Reset) each
 	// point at one.
 	owned int
-	// byNode[n] lists the objects with a shard on node n in ascending ID
-	// order. Built by the first ObjectsOn (indexed says whether it has
-	// been), kept current by AddObjects and Relocate. index is the one
-	// backing array the build carves the lists from and perNode its
+	// byNode[n] lists the objects with a shard on node n, in ascending ID
+	// order unless stale[n]. Built by the first ObjectsOn (indexed says
+	// whether it has been); AddObjects appends to it; Relocate appends the
+	// object to its new node's list, leaves it on the old one's and marks
+	// both stale, and the next ObjectsOn of a stale node puts that one list
+	// right (tidy). The lists are read at node transitions, a handful a
+	// trial, and written at every finished repair, hundreds: the write is
+	// O(1) and the read pays for the writes to its own node only. index is
+	// the one backing array the build carves the lists from and perNode its
 	// counting scratch; both are kept between builds.
 	byNode  [][]*Object
+	stale   []bool
 	index   []*Object
 	perNode []int
 	indexed bool
@@ -401,18 +407,43 @@ func (st *Store) ObjectsOn(n int) []*Object {
 	if !st.indexed {
 		st.buildIndex()
 	}
+	if st.stale[n] {
+		st.tidy(n)
+	}
 	return st.byNode[n]
 }
 
+// tidy puts node n's list right after the Relocates that touched it: the
+// objects that moved away are dropped, the arrivals sorted in, and an
+// object that left and came back is listed once. It costs O(list · log
+// list) of that node's list, whatever the store holds elsewhere.
+func (st *Store) tidy(n int) {
+	list := st.byNode[n][:0]
+	for _, o := range st.byNode[n] {
+		if slices.Contains(o.Locations, n) {
+			list = append(list, o)
+		}
+	}
+	slices.SortFunc(list, func(a, b *Object) int { return a.ID - b.ID })
+	st.byNode[n] = slices.Compact(list)
+	st.stale[n] = false
+}
+
 // buildIndex fills byNode from the current placements. Every node's list
-// is carved out of one backing array, with no room to spare: a list that
-// Relocate or AddObjects grows moves to storage of its own.
+// is carved out of one backing array with the same room to grow by before
+// an append has to move it to storage of its own: the shards a repair
+// storm relocates onto one node between two reads of it are a fraction of
+// what a node holds. The room depends on the population's shape only, not
+// on how the shards fall, so a store re-populated with the same shape
+// never allocates here.
 func (st *Store) buildIndex() {
 	st.indexed = true
 	if st.byNode == nil {
 		st.byNode = make([][]*Object, st.view.Nodes)
+		st.stale = make([]bool, st.view.Nodes)
 		st.perNode = make([]int, st.view.Nodes)
 	}
+	clear(st.stale)
 	clear(st.perNode)
 	shards := 0
 	for _, o := range st.objects {
@@ -421,13 +452,15 @@ func (st *Store) buildIndex() {
 		}
 		shards += len(o.Locations)
 	}
-	if cap(st.index) < shards {
-		st.index = make([]*Object, shards)
+	room := shards/(2*len(st.perNode)) + 8
+	if need := shards + room*len(st.perNode); cap(st.index) < need {
+		st.index = make([]*Object, need)
 	}
 	backing := st.index[:0]
 	for node, c := range st.perNode {
-		st.byNode[node] = backing[len(backing) : len(backing) : len(backing)+c]
-		backing = backing[:len(backing)+c]
+		end := len(backing) + c + room
+		st.byNode[node] = backing[len(backing):len(backing):end]
+		backing = backing[:end]
 	}
 	for _, o := range st.objects {
 		for _, loc := range o.Locations {
@@ -437,8 +470,9 @@ func (st *Store) buildIndex() {
 }
 
 // Relocate moves obj's shard from node `from` to node `to` (repair
-// completion). It returns an error if from is not a location or to
-// already holds a shard.
+// completion), in O(1) beyond the scan of obj's own Locations: the node
+// index is put right by the next ObjectsOn of either node. It returns an
+// error if from is not a location or to already holds a shard.
 func (st *Store) Relocate(obj *Object, from, to int) error {
 	if to < 0 || to >= st.view.Nodes {
 		return fmt.Errorf("storage: relocate target %d out of range", to)
@@ -457,12 +491,8 @@ func (st *Store) Relocate(obj *Object, from, to int) error {
 	}
 	obj.Locations[fromIdx] = to
 	if st.indexed {
-		byID := func(o *Object, id int) int { return o.ID - id }
-		if i, ok := slices.BinarySearchFunc(st.byNode[from], obj.ID, byID); ok {
-			st.byNode[from] = slices.Delete(st.byNode[from], i, i+1)
-		}
-		i, _ := slices.BinarySearchFunc(st.byNode[to], obj.ID, byID)
-		st.byNode[to] = slices.Insert(st.byNode[to], i, obj)
+		st.byNode[to] = append(st.byNode[to], obj)
+		st.stale[from], st.stale[to] = true, true
 	}
 	return nil
 }

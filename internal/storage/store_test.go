@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -358,6 +359,75 @@ func TestObjectsOnIndexTracksStore(t *testing.T) {
 	check("after second AddObjects")
 	if allocs := testing.AllocsPerRun(100, func() { _ = st.ObjectsOn(3) }); allocs != 0 {
 		t.Fatalf("ObjectsOn allocated %v times per call, want 0", allocs)
+	}
+}
+
+// TestRelocateIndexMatchesScan: however many relocations pile up on a node
+// between two reads of it — shards arriving, leaving, leaving and coming
+// back, the source read before its shard moves and after — a read of the
+// node gives what a scan of every object's Locations gives: ascending IDs,
+// each once. Most nodes go unread through most relocations, so their lists
+// are put right from many writes at once.
+func TestRelocateIndexMatchesScan(t *testing.T) {
+	const nodes = 12
+	for seed := uint64(1); seed <= 5; seed++ {
+		r := rng.New(seed)
+		st, err := NewStore(flatView(nodes), Random{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.AddObjects(80, 1, ReplicationScheme(3), r); err != nil {
+			t.Fatal(err)
+		}
+		read := func(when string, n int) {
+			t.Helper()
+			var want []int
+			for _, o := range st.Objects() {
+				if slices.Contains(o.Locations, n) {
+					want = append(want, o.ID)
+				}
+			}
+			var got []int
+			for _, o := range st.ObjectsOn(n) {
+				got = append(got, o.ID)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("seed %d, %s: node %d lists %v, a scan finds %v", seed, when, n, got, want)
+			}
+		}
+		read("first lookup", 0)
+		for step := 0; step < 600; step++ {
+			obj := st.Objects()[r.Intn(st.Len())]
+			from := obj.Locations[r.Intn(len(obj.Locations))]
+			to := r.Intn(nodes)
+			if step%3 == 0 {
+				read("source before the move", from)
+			}
+			if err := st.Relocate(obj, from, to); err != nil {
+				continue // target already holds a shard
+			}
+			switch step % 5 {
+			case 0:
+				read("source after the move", from)
+			case 1:
+				read("target after the move", to)
+			case 2: // away and back, unread in between
+				if err := st.Relocate(obj, to, from); err != nil {
+					t.Fatal(err)
+				}
+				if step%2 == 0 {
+					read("node the shard came back to", from)
+				}
+			case 3:
+				read("bystander", r.Intn(nodes))
+			}
+		}
+		if err := st.AddObjects(10, 1, ReplicationScheme(2), r); err != nil {
+			t.Fatal(err)
+		}
+		for n := 0; n < nodes; n++ {
+			read("after a second AddObjects", n)
+		}
 	}
 }
 
