@@ -1,6 +1,6 @@
 // Command figures regenerates every table and figure of the reproduction:
 // the paper's Figure 1 plus the experiments E1–E9 derived from its in-text
-// claims (see DESIGN.md §5 and EXPERIMENTS.md).
+// claims (see EXPERIMENTS.md).
 //
 // Usage:
 //

@@ -83,8 +83,7 @@
 //
 // On SIGINT/SIGTERM the daemon drains gracefully: new queries are
 // refused with 503, in-flight jobs stream to completion within the
-// -drain window, then remaining jobs are cancelled and the result
-// archive (when -store is set) is saved.
+// -drain window, then remaining jobs are cancelled.
 package main
 
 import (
@@ -92,7 +91,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io/fs"
 	"log"
 	"net/http"
 	"os"
@@ -101,7 +99,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/results"
 	"repro/internal/service"
 )
 
@@ -111,7 +108,6 @@ func main() {
 	trials := flag.Int("trials", 5, "default trials per configuration (WITH trials overrides)")
 	cacheEntries := flag.Int("cache-entries", service.DefaultCacheEntries, "trial cache memory-tier capacity (results)")
 	cacheDir := flag.String("cache-dir", "", "trial cache disk tier directory (empty = memory only)")
-	storePath := flag.String("store", "", "JSON result archive shared by all jobs (§4.4)")
 	drain := flag.Duration("drain", 30*time.Second, "graceful shutdown window for in-flight jobs")
 	peers := flag.String("peers", "", "comma-separated fleet worker URLs (same list on every member)")
 	self := flag.String("self", "", "this worker's own URL within -peers (enables cache peering)")
@@ -120,7 +116,6 @@ func main() {
 	shardRetries := flag.Int("shard-retries", 0, "max workers a shard fails over across before coordinator-local execution (0 = 3)")
 	chaos := flag.String("chaos", "", "fault injection spec, e.g. seed=7,err=0.05,delay=0.1,delay-max=200ms,drop=0.05,reset=0.05,cut=3")
 	journal := flag.String("journal", "auto", `job journal directory for crash recovery ("auto" = wtjournal-<addr>; empty = no journal: jobs are not crash-durable)`)
-	storeInterval := flag.Duration("store-interval", time.Minute, "checkpoint the -store archive this often (0 = only on shutdown)")
 	telemetry := flag.Bool("telemetry", true, "metrics registry + /metrics exposition + distributed tracing")
 	pprofAddr := flag.String("pprof", "", "mount net/http/pprof (and /metrics, /v1/stats) on this separate address (empty = off)")
 	historyInterval := flag.Duration("history-interval", 0, "telemetry history sampling / fleet scrape / alert evaluation period (0 = 2s)")
@@ -166,15 +161,6 @@ func main() {
 		cfg.Chaos = service.NewFaultInjector(fcfg)
 		log.Printf("windtunneld running with CHAOS INJECTION enabled: %s", *chaos)
 	}
-	if *storePath != "" {
-		store, err := results.Load(*storePath)
-		if errors.Is(err, fs.ErrNotExist) {
-			store = results.NewStore()
-		} else if err != nil {
-			fatal(err)
-		}
-		cfg.Store = store
-	}
 	svc, err := service.New(cfg)
 	if err != nil {
 		fatal(err)
@@ -196,36 +182,6 @@ func main() {
 		if resumed > 0 {
 			log.Printf("windtunneld: resumed %d interrupted job(s) from journal %s", resumed, journalDir)
 		}
-	}
-
-	// Periodic archive checkpoint: a crash loses at most one interval of
-	// archived runs instead of everything since startup (Save is atomic
-	// temp+fsync+rename). Skipped when the archive hasn't grown.
-	stopCheckpoint := make(chan struct{})
-	checkpointDone := make(chan struct{})
-	if *storePath != "" && cfg.Store != nil && *storeInterval > 0 {
-		go func() {
-			defer close(checkpointDone)
-			tick := time.NewTicker(*storeInterval)
-			defer tick.Stop()
-			last := cfg.Store.Len()
-			for {
-				select {
-				case <-stopCheckpoint:
-					return
-				case <-tick.C:
-					if n := cfg.Store.Len(); n != last {
-						if err := cfg.Store.Save(*storePath); err != nil {
-							log.Printf("windtunneld: archive checkpoint: %v", err)
-							continue
-						}
-						last = n
-					}
-				}
-			}
-		}()
-	} else {
-		close(checkpointDone)
 	}
 
 	if *pprofAddr != "" {
@@ -282,14 +238,6 @@ func main() {
 		waitCtx, wcancel := context.WithTimeout(context.Background(), 5*time.Second)
 		svc.WaitJobs(waitCtx)
 		wcancel()
-	}
-	close(stopCheckpoint)
-	<-checkpointDone
-	if *storePath != "" && cfg.Store != nil {
-		if err := cfg.Store.Save(*storePath); err != nil {
-			fatal(err)
-		}
-		log.Printf("archived %d runs in %s", cfg.Store.Len(), *storePath)
 	}
 	st := svc.Cache().Stats()
 	log.Printf("windtunneld stopped (cache: %d entries, %.1f%% hit rate, %d evictions)",

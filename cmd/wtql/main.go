@@ -1,4 +1,4 @@
-// Command wtql executes Wind Tunnel Query Language statements — the
+// Command wtql executes Wind Tunnel Query Language queries — the
 // declarative what-if interface of §4.1 of the paper — either locally or
 // against a running windtunneld daemon.
 //
@@ -24,18 +24,15 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"io/fs"
 	"os"
 	"os/signal"
 	"strings"
 	"syscall"
 	"time"
 
-	"repro/internal/results"
 	"repro/internal/service"
 	"repro/internal/wtql"
 )
@@ -45,7 +42,6 @@ func main() {
 	file := flag.String("f", "", "file containing the query")
 	trials := flag.Int("trials", 5, "default trials per configuration")
 	workers := flag.Int("workers", 0, "point-level parallelism (0 = GOMAXPROCS)")
-	storePath := flag.String("store", "", "JSON result archive to append executed configurations to (§4.4)")
 	server := flag.String("server", "", "windtunneld base URL(s), comma-separated failover list (empty = execute locally)")
 	timeout := flag.Duration("timeout", 0, "abort the query after this duration (0 = no limit)")
 	progress := flag.Bool("progress", false, "print per-point progress to stderr (daemon mode)")
@@ -91,8 +87,8 @@ func main() {
 			switch f.Name {
 			case "trials":
 				remoteTrials = *trials
-			case "store", "workers":
-				fatal(fmt.Errorf("-%s has no effect with -server: the daemon owns its archive and worker pool", f.Name))
+			case "workers":
+				fatal(fmt.Errorf("-workers has no effect with -server: the daemon owns its worker pool"))
 			}
 		})
 		servers := splitServers(*server)
@@ -108,27 +104,11 @@ func main() {
 		fatal(fmt.Errorf("-trace has no effect without -server: tracing lives in the daemon"))
 	}
 
-	engine := &wtql.Engine{Trials: *trials, Workers: *workers}
-	if *storePath != "" {
-		store, err := results.Load(*storePath)
-		if errors.Is(err, fs.ErrNotExist) {
-			store = results.NewStore()
-		} else if err != nil {
-			fatal(err)
-		}
-		engine.Store = store
-	}
-	rs, err := engine.ExecuteContext(ctx, text)
+	rs, err := (&wtql.Engine{Trials: *trials, Workers: *workers}).ExecuteContext(ctx, text)
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Print(rs.Render())
-	if engine.Store != nil {
-		if err := engine.Store.Save(*storePath); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "archived %d total runs in %s\n", engine.Store.Len(), *storePath)
-	}
 }
 
 // splitServers parses the comma-separated -server list.

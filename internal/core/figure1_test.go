@@ -117,95 +117,6 @@ func TestFigure1Validation(t *testing.T) {
 	}
 }
 
-func TestInteractionGraphConflicts(t *testing.T) {
-	g := NewInteractionGraph()
-	must := func(err error) {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	must(g.Add(ModelDecl{Name: "transfer", Reads: []string{"net"}, Writes: []string{"machine-1"}}))
-	must(g.Add(ModelDecl{Name: "workload-1", Reads: []string{"machine-1"}, Writes: []string{"machine-1"}}))
-	must(g.Add(ModelDecl{Name: "disk-failure", Writes: []string{"disk-9"}}))
-	must(g.Add(ModelDecl{Name: "switch-failure", Writes: []string{"switch-0"}}))
-
-	// The paper's examples: transfer and workload on the same machine
-	// interact; disk failure and switch failure do not.
-	c, err := g.Conflicts("transfer", "workload-1")
-	if err != nil || !c {
-		t.Errorf("transfer/workload should conflict (err %v)", err)
-	}
-	c, err = g.Conflicts("disk-failure", "switch-failure")
-	if err != nil || c {
-		t.Errorf("disk/switch failure models should be independent (err %v)", err)
-	}
-	if _, err := g.Conflicts("transfer", "nope"); err == nil {
-		t.Error("unknown model accepted")
-	}
-	if err := g.Add(ModelDecl{Name: "transfer"}); err == nil {
-		t.Error("duplicate model accepted")
-	}
-	if err := g.Add(ModelDecl{}); err == nil {
-		t.Error("empty name accepted")
-	}
-}
-
-func TestInteractionGraphIslands(t *testing.T) {
-	g := NewInteractionGraph()
-	for _, m := range []ModelDecl{
-		{Name: "a", Writes: []string{"r1"}},
-		{Name: "b", Reads: []string{"r1"}},
-		{Name: "c", Writes: []string{"r2"}},
-		{Name: "d", Reads: []string{"r2"}, Writes: []string{"r3"}},
-		{Name: "e", Writes: []string{"r4"}},
-	} {
-		if err := g.Add(m); err != nil {
-			t.Fatal(err)
-		}
-	}
-	islands := g.Islands()
-	// {a,b}, {c,d}, {e}.
-	if len(islands) != 3 {
-		t.Fatalf("islands = %v, want 3 groups", islands)
-	}
-	if len(islands[0]) != 2 || islands[0][0] != "a" || islands[0][1] != "b" {
-		t.Errorf("first island = %v, want [a b]", islands[0])
-	}
-	if len(islands[2]) != 1 || islands[2][0] != "e" {
-		t.Errorf("last island = %v, want [e]", islands[2])
-	}
-}
-
-func TestInteractionGraphParallelBatches(t *testing.T) {
-	g := ScenarioInteractionGraph(4)
-	batches := g.ParallelBatches()
-	if len(batches) == 0 {
-		t.Fatal("no batches")
-	}
-	// First batch must contain all 4 disk-failure models AND the switch
-	// model (mutually independent).
-	if len(batches[0]) != 5 {
-		t.Fatalf("first batch = %v, want 4 disk models + switch", batches[0])
-	}
-	// Every model appears exactly once overall.
-	seen := map[string]int{}
-	for _, b := range batches {
-		for _, m := range b {
-			seen[m]++
-		}
-	}
-	for _, m := range g.Models() {
-		if seen[m] != 1 {
-			t.Errorf("model %s scheduled %d times", m, seen[m])
-		}
-	}
-	// Repair conflicts with everything, so it must be in its own batch.
-	last := batches[len(batches)-1]
-	if len(last) != 1 || last[0] != "repair" {
-		t.Errorf("repair not isolated: %v", batches)
-	}
-}
-
 func TestFigure1ExactAgreesWithMCUnderBothPolicies(t *testing.T) {
 	// Cross-check MC estimates against each other at a shared point where
 	// both have exact values: the probabilities must both be in [0,1] and

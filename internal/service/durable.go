@@ -183,12 +183,11 @@ func (s *Server) run(ctx context.Context, j *job, req QueryRequest, resume []Rec
 	s.commit(j, endRecord(status, errMsg, line), logLine{'t', line}, nil)
 }
 
-// answer is the query itself: parse, then a SET statement on a fresh
-// engine, or plan and sweep — fanned out across the fleet when this is a
-// coordinator and the sweep is shardable, on this server's own engine
-// otherwise (a worker's shard, req.Points, included). emit receives each
-// committed point's event with its cache key, except the first
-// len(resume), which the journal already holds.
+// answer is the query itself: parse, plan and sweep — fanned out across
+// the fleet when this is a coordinator and the sweep is shardable, on this
+// server's own engine otherwise (a worker's shard, req.Points, included).
+// emit receives each committed point's event with its cache key, except
+// the first len(resume), which the journal already holds.
 func (s *Server) answer(ctx context.Context, j *job, req QueryRequest, resume []RecoveredPoint,
 	emit func(ev PointEvent, key string)) (*wtql.ResultSet, error) {
 	if s.stage != nil {
@@ -201,9 +200,6 @@ func (s *Server) answer(ctx context.Context, j *job, req QueryRequest, resume []
 	eng := s.engine()
 	if req.Trials > 0 {
 		eng.Trials = req.Trials
-	}
-	if len(q.Set) > 0 {
-		return eng.RunContext(ctx, q)
 	}
 	if s.stage != nil {
 		s.stage("plan")
@@ -223,8 +219,8 @@ func (s *Server) answer(ctx context.Context, j *job, req QueryRequest, resume []
 	if err != nil {
 		return nil, err
 	}
-	// SET statements (above) and MONOTONE sweeps are not shardable: a
-	// dominance decision depends on the whole committed prefix.
+	// MONOTONE sweeps are not shardable: a dominance decision depends on
+	// the whole committed prefix.
 	if s.fleet != nil && !plan.Pruned() && req.Points == nil {
 		return s.runFleetPlan(ctx, j, req.Query, plan, prefix, emit)
 	}
@@ -278,8 +274,8 @@ func (s *Server) answer(ctx context.Context, j *job, req QueryRequest, resume []
 
 // journaledPrefix reconstructs the committed outcomes a journal's point
 // records describe. The outcomes are marked FromCache — they are served
-// from the journal, not re-simulated — which also keeps Assemble from
-// archiving the same simulation into the results store twice.
+// from the journal, not re-simulated — so the result's cache_hits counts
+// them.
 func journaledPrefix(plan *wtql.Plan, resume []RecoveredPoint) ([]core.PointOutcome, error) {
 	if len(resume) == 0 {
 		return nil, nil

@@ -148,10 +148,6 @@ func (e *eventEncoder) encodeResult(ev *ResultEvent) ([]byte, error) {
 	b = strconv.AppendInt(b, int64(ev.Screened), 10)
 	b = append(b, `,"cache_hits":`...)
 	b = strconv.AppendInt(b, int64(ev.CacheHits), 10)
-	if len(ev.Settings) > 0 {
-		b = append(b, `,"settings":`...)
-		b = e.appendStringMap(b, ev.Settings)
-	}
 	b = append(b, `,"table":`...)
 	b = appendString(b, ev.Table)
 	b = append(b, `,"degraded":`...)
@@ -177,7 +173,6 @@ func (e *eventEncoder) encodeTerminal(id string, rs *wtql.ResultSet, degraded bo
 			Rows:     rows,
 			Executed: rs.Executed, Pruned: rs.Pruned, Screened: rs.Screened,
 			CacheHits: rs.CacheHits,
-			Settings:  rs.Settings,
 			Table:     rs.Render(),
 			Degraded:  degraded,
 		})

@@ -93,7 +93,7 @@ func TestEventEncoding(t *testing.T) {
 		sameAsEncodingJSON(t, &enc, ErrorEvent{Type: "error", Error: s})
 		sameAsEncodingJSON(t, &enc, PointEvent{Type: s, Config: map[string]string{s: s, "k": s}, Metrics: map[string]float64{s: 1, "z": 2}, Worker: s})
 		sameAsEncodingJSON(t, &enc, ResultEvent{
-			Type: s, ID: s, Columns: []string{s, "c"}, Settings: map[string]string{s: s}, Table: s,
+			Type: s, ID: s, Columns: []string{s, "c"}, Table: s,
 			Rows: []wtql.Row{{Config: map[string]string{s: s}, Metrics: map[string]float64{s: 0.5}}},
 		})
 	}
@@ -131,8 +131,8 @@ func TestEventEncoding(t *testing.T) {
 		sameAsEncodingJSON(t, &enc, ev)
 	}
 
-	// ResultEvent: columns, rows and settings nil / empty / set, a row's
-	// maps nil / empty / set, its three flags in every combination.
+	// ResultEvent: columns and rows nil / empty / set, a row's maps nil /
+	// empty / set, its three flags in every combination.
 	var rows []wtql.Row
 	for mask := 0; mask < 1<<3; mask++ {
 		rows = append(rows, wtql.Row{Config: configs[mask%3], Metrics: metrics[(mask+1)%3],
@@ -140,11 +140,9 @@ func TestEventEncoding(t *testing.T) {
 	}
 	for _, columns := range [][]string{nil, {}, {"storage.replication", "availability", "cost.total"}} {
 		for _, rs := range [][]wtql.Row{nil, {}, rows[:1], rows} {
-			for _, settings := range configs {
-				sameAsEncodingJSON(t, &enc, ResultEvent{Type: "result", ID: "job-12", Columns: columns, Rows: rs,
-					Executed: 8, Pruned: 1, Screened: 2, CacheHits: 3, Settings: settings,
-					Table: "a  b\n-  -\n1  <2>\n(1 rows)\n", Degraded: len(rs)%2 == 1})
-			}
+			sameAsEncodingJSON(t, &enc, ResultEvent{Type: "result", ID: "job-12", Columns: columns, Rows: rs,
+				Executed: 8, Pruned: 1, Screened: 2, CacheHits: 3,
+				Table: "a  b\n-  -\n1  <2>\n(1 rows)\n", Degraded: len(rs)%2 == 1})
 		}
 	}
 }
@@ -249,6 +247,8 @@ func FuzzEventEncoding(f *testing.F) {
 		f.Add(line, hostileStrings[i%len(hostileStrings)], math.Float64bits(hostileFloats[i%len(hostileFloats)]))
 	}
 	f.Add([]byte(`{"type":"point","config":null,"metrics":{"a":1e-7,"b":1e21},"worker":"w"}`), "\xff<\u2028", math.Float64bits(math.NaN()))
+	// A result line from before SET was retired: it decodes with "settings"
+	// dropped.
 	f.Add([]byte(`{"type":"result","columns":null,"rows":[{"config":null,"metrics":null,"passed":true}],"settings":{"a":"b"}}`), "", uint64(1))
 	f.Add([]byte(`{"type":"error","error":"core: running point x: context canceled"}`), "&", uint64(0))
 	f.Fuzz(func(t *testing.T, line []byte, s string, bits uint64) {

@@ -305,6 +305,27 @@ func TestHealthTreatsDrainingAsSuspect(t *testing.T) {
 	}
 }
 
+// TestPassiveSuccessKeepsDraining: a draining worker finishing an
+// in-flight shard reports a passive success, which says nothing about
+// draining. Until PR 25 it cleared Draining and made the worker up —
+// assignable until the next probe, so the next job's shard to it drew a
+// 503 that counted as a worker failure and a re-plan.
+func TestPassiveSuccessKeepsDraining(t *testing.T) {
+	draining := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte(`{"status":"draining"}`))
+	}))
+	defer draining.Close()
+	h := NewHealth([]string{draining.URL}, HealthConfig{})
+	h.Probe()
+	h.ReportSuccess(draining.URL)
+	if h.Assignable(draining.URL) {
+		t.Fatal("a passive success made a draining worker assignable")
+	}
+	if st := h.State(draining.URL); st != StateSuspect {
+		t.Fatalf("draining worker is %v after a passive success, want suspect", st)
+	}
+}
+
 // TestCachePeerDownSkipsFast is the issue's <10ms-per-key assertion: a
 // peer the health monitor holds down must be skipped before any dial,
 // so a dead peer costs microseconds per key instead of the peer

@@ -32,8 +32,7 @@ type federator struct {
 	interval time.Duration
 
 	mu      sync.Mutex
-	down    map[string]string // peer URL -> last scrape error, "" when up
-	partial bool              // any scrape failed in the last completed round
+	partial bool // any scrape failed in the last completed round
 
 	stopOnce sync.Once
 	stop     chan struct{}
@@ -56,7 +55,6 @@ func startFederator(hist *obs.History, peers []string, interval time.Duration) *
 		hist:     hist,
 		client:   Client{HTTP: &http.Client{Timeout: 2 * time.Second}},
 		interval: interval,
-		down:     make(map[string]string, len(peers)),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
@@ -98,22 +96,6 @@ func (f *federator) Partial() bool {
 	return f.partial
 }
 
-// Down returns the members whose last scrape failed, with the error.
-func (f *federator) Down() map[string]string {
-	if f == nil {
-		return nil
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make(map[string]string)
-	for u, e := range f.down {
-		if e != "" {
-			out[u] = e
-		}
-	}
-	return out
-}
-
 // round scrapes every member once, concurrently, then ingests the
 // synthesized member-up gauge for the round. A failed scrape ingests
 // nothing for that member — its last good samples age out of the rings
@@ -144,20 +126,17 @@ func (f *federator) round() {
 		Type: "gauge",
 	}
 	anyDown := false
-	f.mu.Lock()
 	for _, res := range results {
 		v := 1.0
 		if res.err != nil {
 			v, anyDown = 0, true
-			f.down[res.peer] = res.err.Error()
-		} else {
-			f.down[res.peer] = ""
 		}
 		up.Samples = append(up.Samples, obs.SeriesSample{
 			Labels: [][2]string{{"instance", res.peer}},
 			Value:  v,
 		})
 	}
+	f.mu.Lock()
 	f.partial = anyDown
 	f.mu.Unlock()
 

@@ -170,10 +170,10 @@ func (h *Health) Probe() {
 			defer wg.Done()
 			draining, err := h.probeOne(u)
 			if err != nil {
-				h.observe(u, true, false, err.Error())
+				h.observe(u, true, nil, err.Error())
 				return
 			}
-			h.observe(u, false, draining, "")
+			h.observe(u, false, &draining, "")
 		}(u)
 	}
 	wg.Wait()
@@ -205,19 +205,23 @@ func (h *Health) ReportFailure(u string, err error) {
 	if err != nil {
 		msg = err.Error()
 	}
-	h.observe(u, true, false, msg)
+	h.observe(u, true, nil, msg)
 }
 
 // ReportSuccess records a passive success observation: real traffic is
 // the best probe, so a completed stream or served peer fetch recovers a
-// suspect member without waiting for the probe loop.
+// suspect member without waiting for the probe loop. It cannot tell
+// whether the member is draining — a draining worker still finishes its
+// in-flight shards — so a draining member stays suspect.
 func (h *Health) ReportSuccess(u string) {
-	h.observe(u, false, false, "")
+	h.observe(u, false, nil, "")
 }
 
 // observe folds one observation (probe or passive) into the member's
-// state machine.
-func (h *Health) observe(u string, failed, draining bool, errMsg string) {
+// state machine. draining is what a successful probe's healthz said; nil
+// for a passive observation, which leaves Draining as the last probe saw
+// it.
+func (h *Health) observe(u string, failed bool, draining *bool, errMsg string) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	m, ok := h.members[u]
@@ -241,8 +245,10 @@ func (h *Health) observe(u string, failed, draining bool, errMsg string) {
 	m.LastOK = now
 	m.LastError = ""
 	m.Failures = 0
-	m.Draining = draining
-	if draining {
+	if draining != nil {
+		m.Draining = *draining
+	}
+	if m.Draining {
 		// A draining member answers but is leaving: suspect, so planners
 		// stop assigning it new shards without treating it as failed.
 		m.successes = 0

@@ -81,16 +81,15 @@ type PointEvent struct {
 // text table the CLI renders, so a client can print byte-identical
 // output to a local run.
 type ResultEvent struct {
-	Type      string            `json:"type"`
-	ID        string            `json:"id"`
-	Columns   []string          `json:"columns"`
-	Rows      []wtql.Row        `json:"rows"`
-	Executed  int               `json:"executed"`
-	Pruned    int               `json:"pruned"`
-	Screened  int               `json:"screened"`
-	CacheHits int               `json:"cache_hits"`
-	Settings  map[string]string `json:"settings,omitempty"`
-	Table     string            `json:"table"`
+	Type      string     `json:"type"`
+	ID        string     `json:"id"`
+	Columns   []string   `json:"columns"`
+	Rows      []wtql.Row `json:"rows"`
+	Executed  int        `json:"executed"`
+	Pruned    int        `json:"pruned"`
+	Screened  int        `json:"screened"`
+	CacheHits int        `json:"cache_hits"`
+	Table     string     `json:"table"`
 	// Degraded reports whether any part of the sweep ran
 	// coordinator-local after shard failover was exhausted. Always
 	// serialized (not omitempty) so clients and smoke tests can assert

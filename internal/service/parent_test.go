@@ -2,9 +2,13 @@ package service
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
+
+	"repro/internal/wtql"
 )
 
 // The two queries whose durable runs at the parent commit (be31c54) are
@@ -105,5 +109,56 @@ func TestServesParentWrittenState(t *testing.T) {
 	}
 	if st := srv.Cache().Stats(); st.DiskHits != 5 || st.Misses != 1 {
 		t.Fatalf("repeating the finished query: %d disk hits and %d misses in total, want all four points read from the parent's files", st.DiskHits, st.Misses)
+	}
+}
+
+// TestSetIsNotAStatement: SET and its second vocabulary are gone, not
+// deprecated. It fails to parse as any non-query does, at 1:1, and a
+// daemon ends its job in an error event. In a journal the parent wrote, a
+// finished SET job replays the bytes it streamed then (the line the
+// parent's daemon wrote for this statement, settings and all); an
+// unfinished one cannot be planned again and ends in the same error.
+func TestSetIsNotAStatement(t *testing.T) {
+	const set, refusal = "SET runner.crn = on", `wtql: expected SIMULATE at 1:1, got "SET"`
+	if _, err := wtql.Parse(set); err == nil || err.Error() != refusal {
+		t.Fatalf("Parse(%q) = %v", set, err)
+	}
+	_, ts := newTestServer(t, Config{PoolSize: 1})
+	if final := lastEvent(t, postQuery(t, ts, set)); final["type"] != "error" || final["error"] != refusal {
+		t.Fatalf("a SET job ended with %v", final)
+	}
+
+	dir := t.TempDir()
+	j, err := OpenJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parentStream := [][]byte{[]byte(`{"type":"job","id":"job-1"}`),
+		[]byte(`{"type":"result","id":"job-1","columns":["setting","value"],"rows":[],"executed":0,"pruned":0,"screened":0,"cache_hits":0,"settings":{"runner.crn":"true"},"table":"setting                       value\n----------------------------  --------\nrunner.crn                    true\n","degraded":false}`)}
+	created := time.Unix(1700000000, 0)
+	finished, err := j.Begin("job-1", set, 0, created)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := finished.End("done", "", parentStream[1]); err != nil {
+		t.Fatal(err)
+	}
+	unfinished, err := j.Begin("job-2", set, 0, created)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unfinished.Close() // killed before it answered
+
+	srv, _ := newTestServer(t, Config{PoolSize: 1, JournalDir: dir})
+	if resumed, warns, err := srv.Recover(); err != nil || resumed != 1 {
+		t.Fatalf("Recover resumed %d jobs (%v, warnings %v), want job-2 alone", resumed, err, warns)
+	}
+	if got := collectJob(t, srv, "job-1", 0); !bytes.Equal(bytes.Join(got, []byte("\n")), bytes.Join(parentStream, []byte("\n"))) {
+		t.Fatalf("finished SET job replays\n%s\nwant\n%s", bytes.Join(got, []byte("\n")), bytes.Join(parentStream, []byte("\n")))
+	}
+	lines := collectJob(t, srv, "job-2", 0)
+	var end ErrorEvent
+	if err := json.Unmarshal(lines[len(lines)-1], &end); err != nil || end.Type != "error" || end.Error != refusal {
+		t.Fatalf("unfinished SET job ended with %s", lines[len(lines)-1])
 	}
 }

@@ -194,7 +194,7 @@ func TestParseAndPlanOncePerJob(t *testing.T) {
 		{"sharded", smallQuery},
 		{"monotone", `SIMULATE availability VARY storage.replication IN (1, 2, 3) MONOTONE
 WITH users = 20, object_mb = 10, trials = 2, horizon_hours = 200 WHERE sla.availability >= 0.2`},
-		{"set", "SET runner.crn = on"},
+		{"set", "SET runner.crn = on"}, // not a statement: a parse error
 		{"parse error", "SIMULATE"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -208,16 +208,11 @@ WITH users = 20, object_mb = 10, trials = 2, horizon_hours = 200 WHERE sla.avail
 			}
 			final := lastEvent(t, postQuery(t, cts, c.query))
 			plans := 1
-			switch c.name {
-			case "set":
-				plans = 0
-			case "parse error":
-				plans = 0
-				if final["type"] != "error" {
-					t.Fatalf("ended with %v", final)
-				}
+			want := "result"
+			if c.name == "set" || c.name == "parse error" {
+				plans, want = 0, "error"
 			}
-			if c.name != "parse error" && final["type"] != "result" {
+			if final["type"] != want {
 				t.Fatalf("ended with %v", final)
 			}
 			mu.Lock()

@@ -37,7 +37,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/results"
 	"repro/internal/wtql"
 )
 
@@ -192,9 +191,6 @@ type Config struct {
 	CacheEntries int
 	// CacheDir, when non-empty, enables the cache's disk tier.
 	CacheDir string
-	// Store, when non-nil, archives every executed configuration
-	// (shared across jobs; results.Store is concurrency-safe).
-	Store *results.Store
 	// Peers is the fleet member list (worker URLs). Every fleet member —
 	// workers and coordinator — is configured with the same list, so the
 	// whole fleet agrees on the consistent-hash owner of every cache
@@ -209,10 +205,9 @@ type Config struct {
 	// POST /v1/query shards the sweep's design points across Peers by
 	// consistent-hashing each point's core.CacheKey, streams the merged
 	// per-point events in global point order, and assembles the same
-	// table a single daemon would have produced, byte for byte. SET
-	// statements and MONOTONE (pruned) sweeps fall back to local
-	// execution — pruning decisions depend on the whole committed
-	// prefix, so they are not shardable.
+	// table a single daemon would have produced, byte for byte. MONOTONE
+	// (pruned) sweeps fall back to local execution — pruning decisions
+	// depend on the whole committed prefix, so they are not shardable.
 	Coordinator bool
 	// Health tunes the fleet health monitor (zero value = defaults).
 	// Used whenever Peers is non-empty: coordinators consult it for
@@ -267,7 +262,6 @@ type Server struct {
 	cfg     Config
 	pool    *Pool
 	cache   *Cache
-	store   *results.Store
 	fleet   *fleet   // non-nil in coordinator mode
 	health  *Health  // non-nil whenever Peers is configured
 	journal *Journal // non-nil when Config.JournalDir is set
@@ -308,7 +302,6 @@ func New(cfg Config) (*Server, error) {
 		cfg:     cfg,
 		pool:    NewPool(cfg.PoolSize),
 		cache:   cache,
-		store:   cfg.Store,
 		started: time.Now(),
 		now:     time.Now,
 		jobs:    make(map[string]*job),
@@ -627,9 +620,9 @@ func (s *Server) Jobs() []JobInfo {
 	return out
 }
 
-// engine builds a fresh WTQL engine wired to the shared pool, cache and
-// archive. Each query gets its own engine (SET statements are
-// per-request), but all engines share the server-wide resources.
+// engine builds a fresh WTQL engine wired to the shared pool and cache.
+// Each query gets its own engine (a job sets its Progress and Subset), but
+// all engines share the server-wide resources.
 func (s *Server) engine() *wtql.Engine {
 	return &wtql.Engine{
 		Trials: s.cfg.Trials,
@@ -638,7 +631,6 @@ func (s *Server) engine() *wtql.Engine {
 		// knob and the daemon never oversubscribes the host.
 		TrialWorkers: 1,
 		Workers:      s.pool.Cap(),
-		Store:        s.store,
 		Cache:        s.cache,
 		Gate:         s.pool,
 	}

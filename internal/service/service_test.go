@@ -15,8 +15,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"repro/internal/results"
 )
 
 // smallQuery is a fast 4-point sweep used across the tests.
@@ -143,7 +141,7 @@ func TestRepeatedSweepCacheHitGolden(t *testing.T) {
 // shared pool — the acceptance criterion's concurrency shape — with a
 // second follower attached to each job mid-run: both read the same bytes.
 func TestEightConcurrentJobs(t *testing.T) {
-	srv, ts := newTestServer(t, Config{PoolSize: 4, Store: results.NewStore()})
+	srv, ts := newTestServer(t, Config{PoolSize: 4})
 
 	const jobs = 8
 	var wg sync.WaitGroup

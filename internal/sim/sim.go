@@ -116,9 +116,9 @@ func entryLess(a, b heapEntry) bool {
 type Tracer func(t Time, name string)
 
 // Simulator is a sequential discrete-event simulator. It is not safe for
-// concurrent use; the wind tunnel parallelizes across runs, not within one
-// (§4.2's intra-run parallelism is planned via the interaction graph in
-// internal/core, which schedules independent runs concurrently).
+// concurrent use; the wind tunnel parallelizes across trials and design
+// points, not within one run (§4.2's model-island parallelism is not
+// implemented).
 type Simulator struct {
 	now Time
 	// heap holds exactly the pending events; pos[idx] is the heap position

@@ -54,8 +54,8 @@ func (tw *TimeWeighted) Average() float64 {
 func (tw *TimeWeighted) Duration() float64 { return tw.duration }
 
 // Histogram counts observations into equal-width bins over [Lo, Hi), with
-// overflow/underflow bins at the ends. Used for result-store summaries
-// (§4.4) and for expressing SLAs as distributions (§4.1).
+// overflow/underflow bins at the ends, for expressing SLAs as
+// distributions (§4.1).
 type Histogram struct {
 	Lo, Hi  float64
 	counts  []int64

@@ -7,7 +7,7 @@
 // Real cluster logs (Schroeder & Gibson's datasets) are not distributable,
 // so the package also contains a synthetic log generator that draws from
 // configurable ground-truth distributions — the fitting/validation code
-// path is identical for real logs (see DESIGN.md substitution table).
+// path is identical for real logs.
 package trace
 
 import (

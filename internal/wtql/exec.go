@@ -12,7 +12,6 @@ import (
 	"repro/internal/design"
 	"repro/internal/hardware"
 	"repro/internal/power"
-	"repro/internal/results"
 	"repro/internal/sla"
 )
 
@@ -30,7 +29,6 @@ type Row struct {
 
 // ResultSet is a query's output.
 type ResultSet struct {
-	Query    *Query
 	Columns  []string
 	Rows     []Row
 	Executed int
@@ -40,14 +38,12 @@ type ResultSet struct {
 	// cache. It is diagnostic only and deliberately absent from Render,
 	// so a warm sweep's output is byte-identical to a cold one.
 	CacheHits int
-	// Settings holds the session settings applied by a SET statement.
-	Settings map[string]string
 }
 
-// Engine executes WTQL queries against the wind tunnel core. The
-// variance-reduction and screening fields are session settings, mutable
-// via `SET` statements (see the package grammar) and overridable
-// per-query in WITH.
+// Engine executes WTQL queries against the wind tunnel core. Its fields
+// are two defaults and the resources a query runs on; everything else a
+// query asks — screening and variance reduction included — is said in its
+// own WITH clause, so no statement changes what the next one means.
 type Engine struct {
 	// Trials is the default per-point trial count (overridable per-query
 	// via WITH trials = n).
@@ -61,40 +57,6 @@ type Engine struct {
 	// point-level pool is the only parallelism knob; results are
 	// Workers-independent either way.
 	TrialWorkers int
-	// Store, when non-nil, archives every executed configuration (§4.4:
-	// simulation output data is kept for later exploration and
-	// similar-configuration queries).
-	Store *results.Store
-	// Screen enables the §2.2 analytic screening pass (`SET
-	// explore.screen = on`). Screening is applied only when the query's
-	// WHERE clause consists solely of sla.availability conjuncts, so the
-	// analytic decision is sound for the whole filter.
-	Screen bool
-	// ScreenMargin is the screening safety factor; it applies only when
-	// ScreenMarginSet is true, and zero then means exact-threshold
-	// screening. When unset, core.DefaultScreenMargin is used.
-	ScreenMargin    float64
-	ScreenMarginSet bool
-	// CRN enables common-random-numbers stream keying (`SET runner.crn
-	// = on`).
-	CRN bool
-	// Antithetic enables antithetic trial pairing (`SET
-	// runner.antithetic = on`).
-	Antithetic bool
-	// FailureBias > 1 enables failure-biased importance sampling (`SET
-	// runner.failure_bias = b`).
-	FailureBias float64
-	// PowerCap, when set (`SET power.cap = 0.2`), enables the power
-	// subsystem with that cap fraction on every query's base scenario;
-	// WITH power.cap overrides per query. Zero disables the session cap.
-	PowerCap    float64
-	PowerCapSet bool
-	// CarbonIntensity, when set (`SET power.carbon_intensity = 0.4`),
-	// overrides the grid carbon intensity (kg CO2 per kWh) of every
-	// query's base scenario. It only affects output when the power
-	// subsystem is enabled.
-	CarbonIntensity    float64
-	CarbonIntensitySet bool
 	// Cache, when non-nil, memoizes completed trial statistics by
 	// content address so overlapping sweeps — across queries and, with a
 	// disk-backed cache, across sessions — reuse results instead of
@@ -116,16 +78,6 @@ type Engine struct {
 	Subset []int
 }
 
-// Similar returns the k archived configurations nearest to config,
-// answering §4.4's "have I already explored a scenario similar to this
-// one?". It requires a Store.
-func (e *Engine) Similar(config map[string]string, k int) ([]results.Neighbor, error) {
-	if e.Store == nil {
-		return nil, fmt.Errorf("wtql: engine has no result store attached")
-	}
-	return e.Store.NearestK(config, k), nil
-}
-
 // Execute parses and runs a query.
 func (e *Engine) Execute(queryText string) (*ResultSet, error) {
 	return e.ExecuteContext(context.Background(), queryText)
@@ -141,102 +93,6 @@ func (e *Engine) ExecuteContext(ctx context.Context, queryText string) (*ResultS
 	return e.RunContext(ctx, q)
 }
 
-// applySetting mutates one engine session setting and returns the
-// post-mutation value rendered for display.
-func (e *Engine) applySetting(a Assign) (string, error) {
-	onOff := func(dst *bool) error {
-		switch v := a.Value.(type) {
-		case bool:
-			*dst = v
-			return nil
-		case string:
-			switch strings.ToLower(v) {
-			case "on", "true", "1":
-				*dst = true
-				return nil
-			case "off", "false", "0":
-				*dst = false
-				return nil
-			}
-		}
-		return fmt.Errorf("wtql: %s wants on/off, got %v", a.Param, a.Value)
-	}
-	num := func(dst *float64, min float64) error {
-		f, ok := toFloat(a.Value)
-		if !ok || f < min {
-			return fmt.Errorf("wtql: %s wants a number >= %g, got %v", a.Param, min, a.Value)
-		}
-		*dst = f
-		return nil
-	}
-	switch a.Param {
-	case "explore.screen":
-		if err := onOff(&e.Screen); err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("%t", e.Screen), nil
-	case "explore.screen_margin":
-		if err := num(&e.ScreenMargin, 0); err != nil {
-			return "", err
-		}
-		e.ScreenMarginSet = true
-		return fmt.Sprintf("%g", e.ScreenMargin), nil
-	case "runner.crn":
-		if err := onOff(&e.CRN); err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("%t", e.CRN), nil
-	case "runner.antithetic":
-		if err := onOff(&e.Antithetic); err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("%t", e.Antithetic), nil
-	case "runner.failure_bias":
-		if err := num(&e.FailureBias, 0); err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("%g", e.FailureBias), nil
-	case "power.cap":
-		f, ok := toFloat(a.Value)
-		if !ok || f < 0 || f >= 1 {
-			return "", fmt.Errorf("wtql: power.cap wants a number in [0, 1), got %v", a.Value)
-		}
-		e.PowerCap = f
-		e.PowerCapSet = true
-		return fmt.Sprintf("%g", e.PowerCap), nil
-	case "power.carbon_intensity":
-		if err := num(&e.CarbonIntensity, 0); err != nil {
-			return "", err
-		}
-		e.CarbonIntensitySet = true
-		return fmt.Sprintf("%g", e.CarbonIntensity), nil
-	default:
-		return "", fmt.Errorf("wtql: unknown setting %q in SET", a.Param)
-	}
-}
-
-// runSet applies a SET statement and reports the resulting settings.
-// Application is atomic: every assignment is validated against a
-// scratch copy first, so a mid-list error leaves the engine untouched.
-func (e *Engine) runSet(q *Query) (*ResultSet, error) {
-	scratch := *e
-	for _, a := range q.Set {
-		if _, err := scratch.applySetting(a); err != nil {
-			return nil, err
-		}
-	}
-	rs := &ResultSet{Query: q, Columns: []string{"setting", "value"},
-		Settings: make(map[string]string, len(q.Set))}
-	for _, a := range q.Set {
-		now, err := e.applySetting(a)
-		if err != nil {
-			return nil, err // unreachable: validated above
-		}
-		rs.Settings[a.Param] = now
-	}
-	return rs, nil
-}
-
 // Run executes a parsed query.
 func (e *Engine) Run(q *Query) (*ResultSet, error) {
 	return e.RunContext(context.Background(), q)
@@ -244,9 +100,6 @@ func (e *Engine) Run(q *Query) (*ResultSet, error) {
 
 // RunContext executes a parsed query under ctx.
 func (e *Engine) RunContext(ctx context.Context, q *Query) (*ResultSet, error) {
-	if len(q.Set) > 0 {
-		return e.runSet(q)
-	}
 	plan, err := e.Plan(q)
 	if err != nil {
 		return nil, err
@@ -385,36 +238,18 @@ const maxPoints = 100_000
 // running anything: defaults and WITH overrides, the design space, the
 // lifted SLAs and the screening decision.
 func (e *Engine) Plan(q *Query) (*Plan, error) {
-	if len(q.Set) > 0 {
-		return nil, fmt.Errorf("wtql: SET statements have no execution plan")
-	}
 	if q.Metric != "availability" {
 		return nil, fmt.Errorf("wtql: unsupported SIMULATE target %q (only 'availability')", q.Metric)
 	}
-	st := settings{
-		trials: e.Trials, workers: e.Workers, screen: e.Screen, screenMargin: core.DefaultScreenMargin,
-		crn: e.CRN, antithetic: e.Antithetic, failureBias: e.FailureBias,
-	}
+	st := settings{trials: e.Trials, workers: e.Workers, screenMargin: core.DefaultScreenMargin}
 	if st.trials < 1 {
 		st.trials = 5
-	}
-	if e.ScreenMarginSet {
-		st.screenMargin = e.ScreenMargin
 	}
 
 	// The assignments write into the plan's own base scenario: the plan is
 	// on the heap either way, and a scenario beside it would be too.
 	plan := &Plan{Query: q, eng: e, base: core.DefaultScenario()}
 	base := &plan.base
-	// Session-level power settings apply to the base scenario before the
-	// per-query WITH overlay (WITH wins).
-	if e.PowerCapSet && e.PowerCap > 0 {
-		base.Power.Enabled = true
-		base.Power.CapFraction = e.PowerCap
-	}
-	if e.CarbonIntensitySet {
-		base.Power.CarbonKgPerKWh = e.CarbonIntensity
-	}
 	for _, a := range q.With {
 		p, ok := params[a.Param]
 		if !ok {
@@ -503,10 +338,8 @@ func (e *Engine) Plan(q *Query) (*Plan, error) {
 // assemble into byte-identical tables.
 func (p *Plan) Assemble(outcomes []core.PointOutcome) (*ResultSet, error) {
 	q := p.Query
-	e := p.eng
-	base := p.base
 	book := cost.DefaultPriceBook()
-	rs := &ResultSet{Query: q}
+	rs := &ResultSet{}
 	for _, out := range outcomes {
 		switch {
 		case out.Pruned:
@@ -567,39 +400,20 @@ func (p *Plan) Assemble(outcomes []core.PointOutcome) (*ResultSet, error) {
 		// replication trade-off reduces.
 		row.Metrics["storage.overhead"] = sc.Scheme.Overhead()
 
-		passed := true
+		row.Passed = true
 		if out.Screened {
 			// A screened row was decided by the analytic bounds against
 			// the lifted SLAs — exactly the WHERE filter (screening is
 			// only enabled when every WHERE conjunct is lifted:
 			// availability always, peak_kw only with power enabled) —
 			// so the decision IS the filter answer.
-			passed = out.AllMet
+			row.Passed = out.AllMet
 		} else if q.Where != nil {
-			passed, err = evalExpr(q.Where, row)
-			if err != nil {
+			if row.Passed, err = evalExpr(q.Where, row); err != nil {
 				return nil, err
 			}
 		}
-		row.Passed = passed
 		rs.Rows = append(rs.Rows, row)
-
-		// Cache-served rows are re-executions of an already-archived
-		// simulation: skipping them keeps the §4.4 archive one record
-		// per simulation actually run, instead of growing linearly with
-		// every repeat of a popular query.
-		if e.Store != nil && !out.FromCache {
-			if _, err := e.Store.Add(results.Record{
-				Scenario: q.Metric,
-				Config:   row.Config,
-				Metrics:  row.Metrics,
-				Seed:     base.Seed,
-				Trials:   out.Result.Trials, // 0 for screened rows
-				AllMet:   passed,
-			}); err != nil {
-				return nil, err
-			}
-		}
 	}
 
 	// ORDER BY and LIMIT apply to passing, executed rows first; pruned
@@ -819,14 +633,6 @@ func columnsFor(q *Query, rows []Row) []string {
 // Render formats the result set as an aligned text table.
 func (rs *ResultSet) Render() string {
 	var b strings.Builder
-	if rs.Settings != nil {
-		fmt.Fprintf(&b, "%-28s  %s\n", "setting", "value")
-		fmt.Fprintf(&b, "%s  %s\n", strings.Repeat("-", 28), strings.Repeat("-", 8))
-		for _, a := range rs.Query.Set {
-			fmt.Fprintf(&b, "%-28s  %s\n", a.Param, rs.Settings[a.Param])
-		}
-		return b.String()
-	}
 	widths := make([]int, len(rs.Columns))
 	for i, c := range rs.Columns {
 		widths[i] = len(c)

@@ -6,14 +6,12 @@
 //
 // Grammar (keywords case-insensitive):
 //
-//	stmt   := query | set
 //	query  := SIMULATE ident
 //	          [ VARY vary ("," vary)* ]
 //	          [ WITH assign ("," assign)* ]
 //	          [ WHERE expr ]
 //	          [ ORDER BY ident [ASC|DESC] ]
 //	          [ LIMIT int ] [ ";" ]
-//	set    := SET assign ("," assign)* [ ";" ]
 //	vary   := dotted IN "(" value ("," value)* ")" [ MONOTONE ]
 //	assign := dotted "=" value
 //	expr   := or ; or := and (OR and)* ; and := not (AND not)*
@@ -23,17 +21,9 @@
 // The names VARY and WITH take — what each sets, the kind of value it
 // wants, and how large it may be — are the rows of the parameter table in
 // params.go; README's "Parameters" section is that table written out.
-//
-// SET mutates engine session settings (SET values additionally accept
-// bare words, so `SET explore.screen = on` works). A setting lasts as long
-// as the Engine that ran the SET; cmd/wtql and the daemon use one Engine
-// per statement, so there a SET reaches no later statement:
-//
-//	SET explore.screen = on;           -- analytic screening (§2.2)
-//	SET explore.screen_margin = 1.0;   -- screening safety factor
-//	SET runner.crn = on;               -- common random numbers (§4.2)
-//	SET runner.antithetic = on;        -- antithetic trial pairing
-//	SET runner.failure_bias = 3;       -- failure-biased importance sampling
+// How a query runs — trials, screening, variance reduction — is said in
+// its WITH clause too, by the table's execution settings: a query is the
+// only statement, and it carries everything it means.
 //
 // Example:
 //
@@ -72,7 +62,7 @@ var keywords = map[string]bool{
 	"SIMULATE": true, "VARY": true, "IN": true, "WITH": true,
 	"WHERE": true, "ORDER": true, "BY": true, "LIMIT": true,
 	"AND": true, "OR": true, "NOT": true, "ASC": true, "DESC": true,
-	"MONOTONE": true, "TRUE": true, "FALSE": true, "SET": true,
+	"MONOTONE": true, "TRUE": true, "FALSE": true,
 }
 
 // token is one lexical unit.

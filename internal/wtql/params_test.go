@@ -349,12 +349,7 @@ func FuzzParse(f *testing.F) {
 		if err != nil {
 			return
 		}
-		e := &Engine{}
-		if len(q.Set) > 0 {
-			e.Run(q) // applies settings; simulates nothing
-			return
-		}
-		plan, err := e.Plan(q)
+		plan, err := (&Engine{}).Plan(q)
 		if err != nil {
 			return
 		}

@@ -10,15 +10,15 @@ import (
 	"testing"
 )
 
-// planOutcome is everything planning decides about a query, in one line:
-// its points' cache keys and scenarios (digested), the runner and explorer
-// settings the WITH overlay resolved to — or the error, verbatim.
-func planOutcome(query string) string {
+// planOutcome is everything e's planning decides about a query, in one
+// line: its points' cache keys and scenarios (digested), the runner and
+// explorer settings the WITH overlay resolved to — or the error, verbatim.
+func planOutcome(e *Engine, query string) string {
 	q, err := Parse(query)
 	if err != nil {
 		return "error: " + err.Error()
 	}
-	plan, err := (&Engine{}).Plan(q)
+	plan, err := e.Plan(q)
 	if err != nil {
 		return "error: " + err.Error()
 	}
@@ -56,7 +56,7 @@ func planOutcome(query string) string {
 func TestPlansMeanWhatTheyMeant(t *testing.T) {
 	pinned := pinnedPlans(t)
 	for _, p := range pinned {
-		if got := planOutcome(p[0]); got != p[1] {
+		if got := planOutcome(&Engine{}, p[0]); got != p[1] {
 			t.Errorf("%s\n   now: %s\nparent: %s", p[0], got, p[1])
 		}
 	}
@@ -66,23 +66,93 @@ func TestPlansMeanWhatTheyMeant(t *testing.T) {
 }
 
 // pinnedPlans reads testdata/plans_7ca0849.ndjson: [query, outcome] pairs.
-func pinnedPlans(tb testing.TB) (pinned [][2]string) {
+func pinnedPlans(tb testing.TB) [][2]string {
+	return readLines[[2]string](tb, "testdata/plans_7ca0849.ndjson")
+}
+
+// readLines decodes an NDJSON file, one T a line.
+func readLines[T any](tb testing.TB, path string) (out []T) {
 	tb.Helper()
-	f, err := os.Open("testdata/plans_7ca0849.ndjson")
+	f, err := os.Open(path)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	defer f.Close()
 	lines := bufio.NewScanner(f)
 	for lines.Scan() {
-		var p [2]string
-		if err := json.Unmarshal(lines.Bytes(), &p); err != nil {
+		var v T
+		if err := json.Unmarshal(lines.Bytes(), &v); err != nil {
 			tb.Fatal(err)
 		}
-		pinned = append(pinned, p)
+		out = append(out, v)
 	}
 	if err := lines.Err(); err != nil {
 		tb.Fatal(err)
 	}
-	return pinned
+	return out
+}
+
+// withForm is README's "SET → WITH" table: for every SET statement in
+// testdata/set_84db149.ndjson, the WITH assignments that say the same. Two
+// are not a rename: a session cap of 0 was no cap, and a carbon intensity
+// without a cap left power off — assigning any power.* switches it on, so
+// power.enabled = FALSE must come last.
+var withForm = map[string]string{
+	"SET explore.screen = on":                            "screen = TRUE",
+	"SET explore.screen = off":                           "screen = FALSE",
+	"SET explore.screen = TRUE":                          "screen = TRUE",
+	"SET explore.screen = 'false'":                       "screen = FALSE",
+	"SET explore.screen_margin = 0":                      "screen_margin = 0",
+	"SET explore.screen_margin = 1.5":                    "screen_margin = 1.5",
+	"SET explore.screen = on, explore.screen_margin = 0": "screen = TRUE, screen_margin = 0",
+	"SET explore.screen = on, explore.screen_margin = 2": "screen = TRUE, screen_margin = 2",
+	"SET runner.crn = on":                                "crn = TRUE",
+	"SET runner.crn = off":                               "crn = FALSE",
+	"SET runner.crn = TRUE":                              "crn = TRUE",
+	"SET runner.antithetic = on":                         "antithetic = TRUE",
+	"SET runner.antithetic = off":                        "antithetic = FALSE",
+	"SET runner.failure_bias = 3":                        "failure_bias = 3",
+	"SET runner.failure_bias = 1.5":                      "failure_bias = 1.5",
+	"SET runner.failure_bias = 0":                        "failure_bias = 0",
+	"SET power.cap = 0":                                  "",
+	"SET power.cap = 0.3":                                "power.cap = 0.3",
+	"SET power.cap = 0.3, power.cap = 0":                 "",
+	"SET power.carbon_intensity = 0.2":                   "power.carbon_intensity = 0.2, power.enabled = FALSE",
+	"SET power.carbon_intensity = 0":                     "power.carbon_intensity = 0, power.enabled = FALSE",
+	"SET power.cap = 0.3, power.carbon_intensity = 0.2":  "power.cap = 0.3, power.carbon_intensity = 0.2",
+	"SET power.cap = 0, power.carbon_intensity = 0.5":    "power.carbon_intensity = 0.5, power.enabled = FALSE",
+	"SET runner.crn = on, runner.antithetic = on":        "crn = TRUE, antithetic = TRUE",
+	"SET explore.screen = on, runner.crn = on, runner.antithetic = on, runner.failure_bias = 2, power.cap = 0.2":                                                          "screen = TRUE, crn = TRUE, antithetic = TRUE, failure_bias = 2, power.cap = 0.2",
+	"SET explore.screen = on, explore.screen_margin = 0, runner.crn = on, runner.antithetic = on, runner.failure_bias = 3, power.cap = 0.3, power.carbon_intensity = 0.2": "screen = TRUE, screen_margin = 0, crn = TRUE, antithetic = TRUE, failure_bias = 3, power.cap = 0.3, power.carbon_intensity = 0.2",
+}
+
+// TestSetHasAWITHForm: nothing SET could say was lost with it.
+// testdata/set_84db149.ndjson holds [set, query, outcome] lines computed at
+// 84db149, the last commit with SET: for 26 SET statements covering its
+// seven settings, and 15 queries, planOutcome(e, query) on an e := &Engine{}
+// that had run e.Execute(set) first. Regenerate it only from a checkout of
+// that commit, never from HEAD. Each SET's WITH form, put first in the
+// query's own WITH clause (so the query's assignments still win, as they
+// did over a session setting), plans identically on a fresh engine.
+func TestSetHasAWITHForm(t *testing.T) {
+	pinned := readLines[[3]string](t, "testdata/set_84db149.ndjson")
+	for _, p := range pinned {
+		set, query, want := p[0], p[1], p[2]
+		form, ok := withForm[set]
+		if !ok {
+			t.Fatalf("%q has no WITH form", set)
+		}
+		if form != "" {
+			if !strings.Contains(query, " WITH ") {
+				t.Fatalf("%q has no WITH clause to put %q in", query, form)
+			}
+			query = strings.Replace(query, " WITH ", " WITH "+form+", ", 1)
+		}
+		if got := planOutcome(&Engine{}, query); got != want {
+			t.Errorf("%s\nthen %s\n   WITH form: %s\nparent SET: %s", set, p[1], got, want)
+		}
+	}
+	if len(pinned) < len(withForm)*15 {
+		t.Fatalf("only %d pinned SET states read", len(pinned))
+	}
 }

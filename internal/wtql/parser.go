@@ -5,8 +5,7 @@ import (
 	"strconv"
 )
 
-// Query is the parsed AST of a WTQL statement. A SET statement parses
-// into a Query with Set filled and Metric empty.
+// Query is the parsed AST of a WTQL query.
 type Query struct {
 	Metric  string // SIMULATE target, e.g. "availability"
 	Vary    []VaryClause
@@ -14,8 +13,7 @@ type Query struct {
 	Where   Expr // nil when absent
 	OrderBy string
 	Desc    bool
-	Limit   int      // 0 = unlimited
-	Set     []Assign // SET statement assignments (engine settings)
+	Limit   int // 0 = unlimited
 }
 
 // VaryClause is one swept dimension.
@@ -103,9 +101,6 @@ func (p *parser) acceptKeyword(kw string) bool {
 }
 
 func (p *parser) parseQuery() (*Query, error) {
-	if p.cur().kind == tokKeyword && p.cur().text == "SET" {
-		return p.parseSet()
-	}
 	if err := p.expectKeyword("SIMULATE"); err != nil {
 		return nil, err
 	}
@@ -173,48 +168,6 @@ func (p *parser) parseQuery() (*Query, error) {
 			return nil, fmt.Errorf("wtql: LIMIT must be a positive integer, got %q", t.text)
 		}
 		q.Limit = n
-	}
-	if p.cur().kind == tokSemicolon {
-		p.pos++
-	}
-	if p.cur().kind != tokEOF {
-		return nil, fmt.Errorf("wtql: unexpected trailing input %q at %s", p.cur().text, p.at(p.cur().pos))
-	}
-	return q, nil
-}
-
-// parseSet parses `SET assign ("," assign)* [";"]`. Setting values
-// additionally accept bare identifiers as strings so toggles read
-// naturally: `SET explore.screen = on`.
-func (p *parser) parseSet() (*Query, error) {
-	if err := p.expectKeyword("SET"); err != nil {
-		return nil, err
-	}
-	q := &Query{}
-	for {
-		t := p.next()
-		if t.kind != tokIdent {
-			return nil, fmt.Errorf("wtql: expected setting name in SET at %s", p.at(t.pos))
-		}
-		a := Assign{Param: t.text}
-		op := p.next()
-		if op.kind != tokOp || op.text != "=" {
-			return nil, fmt.Errorf("wtql: expected '=' after %s at %s", a.Param, p.at(op.pos))
-		}
-		if p.cur().kind == tokIdent {
-			a.Value = p.next().text
-		} else {
-			v, err := p.parseValue()
-			if err != nil {
-				return nil, err
-			}
-			a.Value = v
-		}
-		q.Set = append(q.Set, a)
-		if p.cur().kind != tokComma {
-			break
-		}
-		p.pos++
 	}
 	if p.cur().kind == tokSemicolon {
 		p.pos++

@@ -44,25 +44,27 @@ func TestParseErrorsReportLineColumn(t *testing.T) {
 				"VARY storage.placement IN ('random",
 			want: "at 2:28",
 		},
-		// SET power.* statements: parse errors must carry line:column
+		// WITH power.* assignments: parse errors must carry line:column
 		// too — clients of windtunneld see these as JSON error strings.
 		{
-			name:  "SET power.cap missing '='",
-			query: "SET power.cap 0.2",
-			want:  "at 1:15",
+			name:  "WITH power.cap missing '='",
+			query: "SIMULATE availability VARY cluster.nodes IN (5) WITH power.cap 0.2",
+			want:  "at 1:64",
 		},
 		{
-			name: "SET power.cap missing value on line 2",
-			query: "SET power.carbon_intensity = 0.4,\n" +
-				"    power.cap =",
-			want: "at 2:16", // EOF position after '='
+			name: "WITH power.cap missing value on line 3",
+			query: "SIMULATE availability VARY cluster.nodes IN (5)\n" +
+				"WITH power.carbon_intensity = 0.4,\n" +
+				"     power.cap =",
+			want: "at 3:17", // EOF position after '='
 		},
 		{
-			name: "SET power.carbon_intensity bad token on line 3",
-			query: "SET power.cap = 0.2,\n" +
-				"    power.carbon_intensity\n" +
-				"    # 0.4",
-			want: "at 3:5",
+			name: "WITH power.carbon_intensity bad token on line 4",
+			query: "SIMULATE availability VARY cluster.nodes IN (5)\n" +
+				"WITH power.cap = 0.2,\n" +
+				"     power.carbon_intensity\n" +
+				"     # 0.4",
+			want: "at 4:6",
 		},
 	}
 	for _, tc := range cases {

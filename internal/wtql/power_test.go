@@ -82,65 +82,26 @@ func TestDefaultQueryHasNoPowerColumns(t *testing.T) {
 	}
 }
 
-// TestSetPowerKnobs exercises the session-level SET path: the cap knob
-// enables the subsystem for subsequent queries, WITH overrides it, and
-// bad values are rejected atomically.
-func TestSetPowerKnobs(t *testing.T) {
-	e := &Engine{Trials: 1}
-	rs, err := e.Execute(`SET power.cap = 0.3, power.carbon_intensity = 0.2`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs.Settings["power.cap"] != "0.3" || rs.Settings["power.carbon_intensity"] != "0.2" {
-		t.Fatalf("settings not applied: %v", rs.Settings)
-	}
-	if !e.PowerCapSet || e.PowerCap != 0.3 || !e.CarbonIntensitySet {
-		t.Fatalf("engine state: %+v", e)
-	}
-
-	out, err := e.Execute(`
+// TestCarbonIntensityReachesTheMeter: a WITH power.cap switches the
+// power subsystem on and power.carbon_intensity prices every simulated kWh.
+func TestCarbonIntensityReachesTheMeter(t *testing.T) {
+	rs, err := (&Engine{Trials: 1}).Execute(`
 		SIMULATE availability
 		VARY storage.replication IN (2)
-		WITH users = 20, horizon_hours = 200, cluster.nodes = 5`)
+		WITH users = 20, horizon_hours = 200, cluster.nodes = 5,
+		     power.cap = 0.3, power.carbon_intensity = 0.2`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out.Rows) != 1 {
-		t.Fatalf("rows = %d", len(out.Rows))
+	if len(rs.Rows) != 1 {
+		t.Fatalf("rows = %d", len(rs.Rows))
 	}
-	if _, ok := out.Rows[0].Metrics["energy_kwh"]; !ok {
-		t.Fatal("SET power.cap did not enable the power subsystem")
+	row := rs.Rows[0]
+	if _, ok := row.Metrics["energy_kwh"]; !ok {
+		t.Fatal("power.cap did not enable the power subsystem")
 	}
-	// Carbon intensity must flow through: carbon = energy * 0.2.
-	row := out.Rows[0]
 	if got, want := row.Metrics["carbon_kg"], row.Metrics["energy_kwh"]*0.2; got != want {
 		t.Errorf("carbon = %v, want %v", got, want)
-	}
-
-	// Bad values are rejected and the engine stays untouched.
-	if _, err := e.Execute(`SET power.cap = 1.5`); err == nil {
-		t.Error("power.cap = 1.5 accepted")
-	}
-	if _, err := e.Execute(`SET power.carbon_intensity = -1`); err == nil {
-		t.Error("negative carbon intensity accepted")
-	}
-	if e.PowerCap != 0.3 {
-		t.Error("failed SET mutated the engine")
-	}
-
-	// SET power.cap = 0 turns the session cap back off.
-	if _, err := e.Execute(`SET power.cap = 0`); err != nil {
-		t.Fatal(err)
-	}
-	out, err = e.Execute(`
-		SIMULATE availability
-		VARY storage.replication IN (2)
-		WITH users = 20, horizon_hours = 200, cluster.nodes = 5`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := out.Rows[0].Metrics["energy_kwh"]; ok {
-		t.Fatal("power subsystem still on after SET power.cap = 0")
 	}
 }
 
@@ -149,6 +110,8 @@ func TestPowerParamValidation(t *testing.T) {
 	for _, q := range []string{
 		`SIMULATE availability VARY cluster.nodes IN (5) WITH power.cap = 1`,
 		`SIMULATE availability VARY cluster.nodes IN (5) WITH power.cap = -0.1`,
+		`SIMULATE availability VARY cluster.nodes IN (5) WITH power.cap = 1.5`,
+		`SIMULATE availability VARY cluster.nodes IN (5) WITH power.carbon_intensity = -1`,
 		`SIMULATE availability VARY cluster.nodes IN (5) WITH power.pue = 0.5`,
 		`SIMULATE availability VARY cluster.nodes IN (5) WITH power.utilization = 2`,
 		`SIMULATE availability VARY cluster.nodes IN (5) WITH power.ups_minutes = -1`,
@@ -186,11 +149,11 @@ func TestPowerBudgetWhere(t *testing.T) {
 // TestPowerFeasibilityScreenInQuery: with screening on, a power budget
 // far below the idle floor is decided without simulation.
 func TestPowerFeasibilityScreenInQuery(t *testing.T) {
-	e := &Engine{Trials: 1, Screen: true}
+	e := &Engine{Trials: 1}
 	rs, err := e.Execute(`
 		SIMULATE availability
 		VARY cluster.nodes IN (40)
-		WITH users = 20, horizon_hours = 200, power.enabled = TRUE
+		WITH users = 20, horizon_hours = 200, screen = TRUE, power.enabled = TRUE
 		WHERE peak_kw <= 0.01`)
 	if err != nil {
 		t.Fatal(err)
@@ -208,11 +171,11 @@ func TestPowerFeasibilityScreenInQuery(t *testing.T) {
 // conjunct must not be silently skipped by a screened pass — the point
 // simulates and the post-filter reports the missing metric loudly.
 func TestPeakKWWhereNotScreenedWithoutPower(t *testing.T) {
-	e := &Engine{Trials: 1, Screen: true}
+	e := &Engine{Trials: 1}
 	_, err := e.Execute(`
 		SIMULATE availability
 		VARY cluster.nodes IN (5)
-		WITH users = 20, horizon_hours = 200
+		WITH users = 20, horizon_hours = 200, screen = TRUE
 		WHERE sla.availability >= 0.000001 AND peak_kw <= 100`)
 	if err == nil {
 		t.Fatal("peak_kw WHERE on a power-disabled query silently passed")

@@ -330,47 +330,8 @@ func TestEngineDistSpecParams(t *testing.T) {
 	}
 }
 
-func TestSetStatement(t *testing.T) {
-	e := &Engine{}
-	rs, err := e.Execute(`SET explore.screen = on, explore.screen_margin = 1.5;`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !e.Screen || e.ScreenMargin != 1.5 {
-		t.Fatalf("SET did not apply: screen=%v margin=%v", e.Screen, e.ScreenMargin)
-	}
-	if rs.Settings["explore.screen"] != "true" || rs.Settings["explore.screen_margin"] != "1.5" {
-		t.Fatalf("settings echo wrong: %v", rs.Settings)
-	}
-	if out := rs.Render(); !strings.Contains(out, "explore.screen") {
-		t.Errorf("SET render missing setting:\n%s", out)
-	}
-	if _, err := e.Execute(`SET runner.antithetic = TRUE`); err != nil || !e.Antithetic {
-		t.Fatalf("runner.antithetic SET failed: %v", err)
-	}
-	if _, err := e.Execute(`SET runner.crn = off`); err != nil || e.CRN {
-		t.Fatalf("runner.crn SET failed: %v", err)
-	}
-	if _, err := e.Execute(`SET runner.failure_bias = 3`); err != nil || e.FailureBias != 3 {
-		t.Fatalf("runner.failure_bias SET failed: %v", err)
-	}
-	for _, bad := range []string{
-		"SET bogus.setting = on",
-		"SET explore.screen = 7up",
-		"SET explore.screen_margin = -1",
-		"SET runner.failure_bias = 'lots'",
-	} {
-		if _, err := e.Execute(bad); err == nil {
-			t.Errorf("Execute(%q) accepted", bad)
-		}
-	}
-}
-
 func TestEngineScreening(t *testing.T) {
 	e := &Engine{}
-	if _, err := e.Execute(`SET explore.screen = on`); err != nil {
-		t.Fatal(err)
-	}
 	// Replication 7 and 9 clear availability 0.9 analytically (the
 	// default scenario's failure model); 1 and 3 must simulate.
 	rs, err := e.Execute(`
@@ -379,7 +340,7 @@ func TestEngineScreening(t *testing.T) {
 		WITH users = 100, trials = 2, horizon_hours = 2000, object_mb = 5,
 		     cluster.racks = 2, cluster.nodes_per_rack = 5,
 		     node.mttf_hours = 500, node.repair_hours = 12,
-		     repair.detection_hours = 6
+		     repair.detection_hours = 6, screen = TRUE
 		WHERE sla.availability >= 0.9`)
 	if err != nil {
 		t.Fatal(err)
@@ -413,7 +374,7 @@ func TestEngineScreening(t *testing.T) {
 		SIMULATE availability
 		VARY storage.replication IN (3, 7)
 		WITH users = 20, trials = 1, horizon_hours = 500, object_mb = 5,
-		     cluster.racks = 1, cluster.nodes_per_rack = 8
+		     cluster.racks = 1, cluster.nodes_per_rack = 8, screen = TRUE
 		WHERE sla.availability >= 0.9 AND cost.total <= 10000000`)
 	if err != nil {
 		t.Fatal(err)
@@ -449,23 +410,19 @@ func TestEngineVarianceReductionParams(t *testing.T) {
 	}
 }
 
-func TestSetStatementAtomic(t *testing.T) {
-	e := &Engine{}
-	if _, err := e.Execute(`SET runner.antithetic = on, runner.failure_bias = -1`); err == nil {
-		t.Fatal("invalid SET accepted")
-	}
-	if e.Antithetic {
-		t.Error("failed SET statement partially applied (runner.antithetic mutated)")
-	}
-}
-
+// TestScreenMarginZeroIsExact: screen_margin = 0 is an explicit margin,
+// exact-threshold screening, not "unset" and the default margin.
 func TestScreenMarginZeroIsExact(t *testing.T) {
-	e := &Engine{}
-	if _, err := e.Execute(`SET explore.screen_margin = 0`); err != nil {
+	q, err := Parse("SIMULATE availability VARY storage.replication IN (2) WITH screen = TRUE, screen_margin = 0 WHERE sla.availability >= 0.9")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !e.ScreenMarginSet || e.ScreenMargin != 0 {
-		t.Fatalf("margin 0 not recorded as explicit: set=%v margin=%v", e.ScreenMarginSet, e.ScreenMargin)
+	plan, err := (&Engine{}).Plan(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.ex.Screen == nil || plan.ex.Screen.Margin != 0 {
+		t.Fatalf("margin 0 not planned as explicit: %+v", plan.ex.Screen)
 	}
 }
 

@@ -7,7 +7,7 @@
 // discrete-event simulation of both the hardware (disks, NICs, switches,
 // with realistic Weibull/LogNormal failure models) and the software
 // (replication, placement, quorum protocols, repair strategies) — see
-// DESIGN.md for the full system inventory.
+// README.md's module layout for the full system inventory.
 //
 // # Quick start
 //
