@@ -61,7 +61,7 @@ const (
 	MaxUsers        = 10_000_000  // Scenario.Users, one object each
 	MaxShards       = 100_000_000 // users x the scheme's width
 	MaxTrials       = 10_000_000  // Runner.Trials
-	MaxTenantTrials = 100_000_000 // trials x users: RunResult.TenantAvailability
+	MaxTenantTrials = 100_000_000 // trials x users: RunResult.Tenants when every tenant-trial is below 1
 )
 
 // Validate checks the scenario.
@@ -168,9 +168,11 @@ type RunResult struct {
 	Verdicts []sla.Verdict
 	AllMet   bool
 
-	// TenantAvailability holds one availability value per tenant per
-	// trial (pooled), supporting §4.1 SLAs expressed as distributions.
-	TenantAvailability []float64
+	// Tenants pools every tenant's availability in every trial, supporting
+	// §4.1 SLAs expressed as distributions: a count of the tenant-trials at
+	// exactly 1 and the others in ascending order, so a run holds a float
+	// only for a tenant-trial that saw an outage.
+	Tenants sla.TenantPool
 
 	EventsTotal   uint64
 	AbortedTrials int
@@ -178,20 +180,19 @@ type RunResult struct {
 
 // TenantAvailabilitySLA returns an SLA of the distributional form §4.1
 // calls for: at least `fraction` of tenants must see availability >=
-// `threshold`. It evaluates against the TenantAvailability pool of a
-// RunResult.
+// `threshold`. It evaluates against the Tenants pool of a RunResult.
 func TenantAvailabilitySLA(fraction, threshold float64) sla.SLA {
 	return sla.TenantDistribution{
 		Description: fmt.Sprintf("%.0f%% of tenants at availability >= %v", fraction*100, threshold),
-		Values: func(r sla.Result) ([]float64, error) {
+		Pool: func(r sla.Result) (sla.TenantPool, error) {
 			rr, ok := r.(*RunResult)
 			if !ok {
-				return nil, fmt.Errorf("core: tenant SLA needs a *RunResult, got %T", r)
+				return sla.TenantPool{}, fmt.Errorf("core: tenant SLA needs a *RunResult, got %T", r)
 			}
-			if len(rr.TenantAvailability) == 0 {
-				return nil, fmt.Errorf("core: result has no per-tenant availability data")
+			if rr.Tenants.Len() == 0 {
+				return sla.TenantPool{}, fmt.Errorf("core: result has no per-tenant availability data")
 			}
-			return rr.TenantAvailability, nil
+			return rr.Tenants, nil
 		},
 		AtLeast:   true,
 		Threshold: threshold,

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -91,7 +92,8 @@ func (r Runner) biasActive() bool {
 type trialOutcome struct {
 	availability   float64
 	zeroCopy       float64
-	tenantAvail    []float64
+	tenantOnes     int       // tenants at availability exactly 1
+	tenantBelow    []float64 // the other tenants' availabilities, in object order; nil when none
 	meanUnavail    float64
 	lost           int64
 	repairs        int64
@@ -271,10 +273,10 @@ func (r Runner) simulate(ctx context.Context, sc Scenario) (*RunResult, error) {
 
 	agg := &aggregator{weighted: r.biasActive()}
 	var (
-		events      uint64
-		aborted     int
-		rawTrials   int // trials folded into the aggregate
-		tenantAvail []float64
+		events    uint64
+		aborted   int
+		rawTrials int // trials folded into the aggregate
+		tenants   sla.TenantPool
 	)
 
 	// Persistent worker pool: each worker claims the next unstarted trial
@@ -339,13 +341,9 @@ func (r Runner) simulate(ctx context.Context, sc Scenario) (*RunResult, error) {
 	}
 	commit := func(o trialOutcome) {
 		events += o.events
-		if tenantAvail == nil && len(o.tenantAvail) > 0 {
-			// One allocation for the whole pool: every trial of a scenario
-			// reports the same tenant count, so the first committed trial
-			// fixes the final capacity.
-			tenantAvail = make([]float64, 0, r.Trials*len(o.tenantAvail))
-		}
-		tenantAvail = append(tenantAvail, o.tenantAvail...)
+		// Pooled in commit order and sorted once the run is over.
+		tenants.Ones += int64(o.tenantOnes)
+		tenants.Below = append(tenants.Below, o.tenantBelow...)
 		if o.aborted {
 			aborted++
 		}
@@ -422,6 +420,7 @@ func (r Runner) simulate(ctx context.Context, sc Scenario) (*RunResult, error) {
 		return nil, err
 	}
 	flushPending()
+	sort.Float64s(tenants.Below)
 
 	// Metric keys are compile-time literals (interned by the compiler);
 	// sizing the maps exactly keeps RunResult assembly at two fixed
@@ -455,13 +454,13 @@ func (r Runner) simulate(ctx context.Context, sc Scenario) (*RunResult, error) {
 		ci["energy_kwh"] = agg.ci(mEnergy, 0.05)
 	}
 	res := &RunResult{
-		Scenario:           sc.Name,
-		Trials:             rawTrials,
-		Metrics:            metrics,
-		CI:                 ci,
-		EventsTotal:        events,
-		AbortedTrials:      aborted,
-		TenantAvailability: tenantAvail,
+		Scenario:      sc.Name,
+		Trials:        rawTrials,
+		Metrics:       metrics,
+		CI:            ci,
+		EventsTotal:   events,
+		AbortedTrials: aborted,
+		Tenants:       tenants,
 	}
 	if r.biasActive() {
 		// Diagnostic for importance sampling: effective sample size and

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/sla"
@@ -12,14 +13,31 @@ func TestTenantAvailabilityPooled(t *testing.T) {
 		t.Fatal(err)
 	}
 	// One availability value per tenant per trial.
-	want := 3 * 100
-	if len(res.TenantAvailability) != want {
-		t.Fatalf("tenant pool size = %d, want %d", len(res.TenantAvailability), want)
+	if got, want := res.Tenants.Len(), int64(3*100); got != want {
+		t.Fatalf("tenant pool size = %d, want %d", got, want)
 	}
-	for i, a := range res.TenantAvailability {
-		if a < 0 || a > 1 {
-			t.Fatalf("tenant %d availability %v outside [0,1]", i, a)
-		}
+	if err := res.Tenants.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStoppedRunReservesNothing: a run the stopping rule ends at its
+// second trial pays for the trials it ran, not for the pool the ones it
+// was allowed would have filled — 100 000 trials x 100 tenants was 80 MB
+// reserved at the first commit.
+func TestStoppedRunReservesNothing(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := Runner{Trials: 100_000, TargetCI: 1, Workers: 1}.Run(quickScenario())
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Trials != 2 {
+		t.Fatalf("the run stopped after %d trials, want 2", res.Trials)
+	}
+	if total := after.TotalAlloc - before.TotalAlloc; total >= 1<<20 {
+		t.Fatalf("a run stopped at 2 trials allocated %d KB, want < 1 MB", total>>10)
 	}
 }
 
@@ -30,13 +48,7 @@ func TestTenantAvailabilityConsistentWithGlobal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	anyBelow := false
-	for _, a := range res.TenantAvailability {
-		if a < 1 {
-			anyBelow = true
-			break
-		}
-	}
+	anyBelow := len(res.Tenants.Below) > 0
 	globalBelow := res.Metrics["availability"] < 1
 	if globalBelow != anyBelow {
 		t.Fatalf("global availability %v but tenant-below-1 = %v",

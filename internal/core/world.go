@@ -28,8 +28,8 @@ import (
 // happens at the first read: the repair manager's, at the first node
 // transition of any kind — a node death, a ToR, PDU or utility outage —
 // or an abort check after one. A trial in which no node changes state
-// never places, and reports every tenant at availability 1 from the
-// world's constant slice. This is sound only because placement draws from
+// never places, and reports its tenants as a count at availability 1
+// without allocating. This is sound only because placement draws from
 // the place stream, which nothing else reads: when its draws are taken
 // cannot change what they are, nor any draw of the simulation. A
 // placement stream shared with the simulator would make the deferred
@@ -50,8 +50,8 @@ type trialWorld struct {
 	mgr    *repair.Manager
 	biased *dist.HazardBiased // nil unless FailureBias is active
 	abort  func() bool        // nil unless the runner has an AbortRule
-	ones   []float64          // sc.Users ones: the tenants of an untouched trial, read-only
 	placed bool               // the first population went in eagerly
+	trace  sim.Tracer         // nil outside tests: set on each trial's simulator after its reset
 }
 
 // build allocates the world. Nothing here depends on the trial index:
@@ -90,10 +90,6 @@ func (w *trialWorld) build() error {
 		return err
 	}
 	w.sc, w.sim, w.cl, w.store, w.mgr, w.biased = sc, s, cl, st, mgr, biased
-	w.ones = make([]float64, sc.Users)
-	for i := range w.ones {
-		w.ones[i] = 1
-	}
 	if r.Abort != nil {
 		minAvail := r.Abort.MinAvailability
 		w.abort = func() bool {
@@ -160,6 +156,9 @@ func (w *trialWorld) run(trial uint64) trialOutcome {
 		}
 		s.SetAbortCheck(w.abort, every)
 	}
+	if w.trace != nil {
+		s.SetTracer(w.trace)
+	}
 
 	s.RunUntil(sc.HorizonHours)
 
@@ -169,7 +168,6 @@ func (w *trialWorld) run(trial uint64) trialOutcome {
 	out := trialOutcome{
 		availability: 1 - mgr.AnyUnavailableFraction(),
 		zeroCopy:     mgr.ZeroCopyFraction(),
-		tenantAvail:  w.ones,
 		meanUnavail:  mgr.MeanUnavailableObjects(),
 		lost:         mgr.LostObjects(),
 		repairs:      mgr.Completed(),
@@ -179,11 +177,9 @@ func (w *trialWorld) run(trial uint64) trialOutcome {
 		weight:       1,
 		aborted:      s.Aborted(),
 	}
-	if mgr.Tracked() > 0 {
-		// Something looked at the objects: the tenants get a slice of their
-		// own. Otherwise no node changed state and w.ones is the answer.
-		out.tenantAvail = mgr.TenantAvailabilities()
-	}
+	// A fresh slice, and only for tenants below 1: the outcome may wait in
+	// the runner's reorder buffer while this world runs its next trial.
+	out.tenantBelow, out.tenantOnes = mgr.AppendTenants(nil)
 	if w.biased != nil {
 		out.weight = w.biased.Weight()
 	}

@@ -11,6 +11,8 @@ import (
 	"repro/internal/hardware"
 	"repro/internal/power"
 	"repro/internal/repair"
+	"repro/internal/repair/repairtest"
+	"repro/internal/sim"
 	"repro/internal/storage"
 )
 
@@ -132,20 +134,18 @@ func diffValues(path string, a, b reflect.Value) string {
 	return ""
 }
 
-// TestReusedWorldMatchesFresh is the contract the build-once trial path
-// stands on: a world that has already run other trials — and was left
-// with flows in flight, a rack and nodes down, events pending past the
-// horizon, a service throttle applied, a run aborted — gives, after its
-// resets, exactly the outcome of a world built for that trial alone.
-// Trial indices go through the reused world out of order and one repeats.
-func TestReusedWorldMatchesFresh(t *testing.T) {
-	cat := flakyCatalog(t)
-	type variant struct {
-		name   string
-		runner Runner
-		edit   func(*Scenario)
-	}
-	variants := []variant{
+// stormVariant is one runner and one edit of stormScenario.
+type stormVariant struct {
+	name   string
+	runner Runner
+	edit   func(*Scenario)
+}
+
+// stormVariants covers every sampling scheme of the runner — plain, CRN,
+// antithetic, failure bias, abort — with and without the power hierarchy,
+// over both redundancy schemes and the three placement policies.
+func stormVariants() []stormVariant {
+	return []stormVariant{
 		{"replication/random", Runner{}, func(sc *Scenario) {}},
 		{"replication/roundrobin/power", Runner{}, func(sc *Scenario) {
 			sc.Placement = "roundrobin"
@@ -172,6 +172,17 @@ func TestReusedWorldMatchesFresh(t *testing.T) {
 			sc.Power = stormPower()
 		}},
 	}
+}
+
+// TestReusedWorldMatchesFresh is the contract the build-once trial path
+// stands on: a world that has already run other trials — and was left
+// with flows in flight, a rack and nodes down, events pending past the
+// horizon, a service throttle applied, a run aborted — gives, after its
+// resets, exactly the outcome of a world built for that trial alone.
+// Trial indices go through the reused world out of order and one repeats.
+func TestReusedWorldMatchesFresh(t *testing.T) {
+	cat := flakyCatalog(t)
+	variants := stormVariants()
 	// Which dirty end states the reused worlds were actually left in.
 	var flows, nodeDown, rackDown, pending, aborted, ranOn, throttled, lost bool
 	for _, v := range variants {
@@ -248,6 +259,51 @@ func TestReusedWorldMatchesFresh(t *testing.T) {
 	}
 }
 
+// TestTenantReportMatchesScan: what a trial reports of its tenants — a
+// count at availability 1 and the others in object order — is the split
+// of the dense vector the full-rescan oracle (repairtest.Scan) derives
+// between every two events of the same trial, for every variant the reuse
+// contract runs, on a world that has run other trials before.
+func TestTenantReportMatchesScan(t *testing.T) {
+	cat := flakyCatalog(t)
+	for _, v := range stormVariants() {
+		t.Run(v.name, func(t *testing.T) {
+			sc := stormScenario()
+			v.edit(&sc)
+			w := trialWorld{runner: v.runner, sc: sc, cat: cat}
+			down := func(id int) bool { return !w.cl.Available(id) }
+			below := 0
+			for _, trial := range []uint64{5, 0, 3} {
+				ref := repairtest.NewScan(0)
+				w.trace = func(at sim.Time, _ string) { ref.Advance(at, w.store, down) }
+				out := w.run(trial)
+				if out.err != nil {
+					t.Fatalf("trial %d: %v", trial, out.err)
+				}
+				ref.Advance(w.sim.Now(), w.store, down)
+				ones, k := 0, 0
+				for i, want := range ref.Availabilities(w.sim.Now()) {
+					if want == 1 {
+						ones++
+						continue
+					}
+					if k == len(out.tenantBelow) || math.Abs(out.tenantBelow[k]-want) > 1e-12 {
+						t.Fatalf("trial %d: tenant %d is at %.17g by the scan, not among the %d reported below 1", trial, i, want, len(out.tenantBelow))
+					}
+					k++
+				}
+				if out.tenantOnes != ones || k != len(out.tenantBelow) {
+					t.Fatalf("trial %d reports %d tenants at 1 and %d below, the scan %d and %d", trial, out.tenantOnes, len(out.tenantBelow), ones, k)
+				}
+				below += k
+			}
+			if below == 0 {
+				t.Fatal("no tenant saw an outage: the variant no longer tests the tenants below 1")
+			}
+		})
+	}
+}
+
 // quietScenario is the shape of one sweep_quiet design point (bench/):
 // 3x40 nodes that each fail once in ~50000 hours, 1000 users on 3-way
 // replication, one simulated week. Two trials in three see no failure.
@@ -261,9 +317,9 @@ func quietScenario() Scenario {
 
 // TestQuietTrialAllocatesOnlyItsOutcome pins what reuse and deferral buy:
 // on a world that has run before, a trial in which no node changes state
-// places no object, reports its tenants from the world's constant slice
-// and allocates next to nothing — two small allocations, under 1 KB, where
-// the tenant slice alone used to be 8 KB at 1000 users.
+// places no object, reports its tenants as a count at availability 1 and
+// allocates nothing, where the tenant slice alone used to be 8 KB at 1000
+// users.
 func TestQuietTrialAllocatesOnlyItsOutcome(t *testing.T) {
 	for _, placement := range []string{"random", "roundrobin", "rackaware"} {
 		sc := quietScenario()
@@ -284,13 +340,13 @@ func TestQuietTrialAllocatesOnlyItsOutcome(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		allocs := testing.AllocsPerRun(runs, func() {
-			if out := w.run(quiet); out.nodeFailures != 0 || len(out.tenantAvail) != sc.Users {
-				t.Fatalf("trial %d: %d node failures, %d tenants", quiet, out.nodeFailures, len(out.tenantAvail))
+			if out := w.run(quiet); out.nodeFailures != 0 || out.tenantOnes != sc.Users || out.tenantBelow != nil {
+				t.Fatalf("trial %d: %d node failures, %d tenants at 1, %d below", quiet, out.nodeFailures, out.tenantOnes, len(out.tenantBelow))
 			}
 		})
 		runtime.ReadMemStats(&after)
-		if allocs > 2 {
-			t.Errorf("%s: a failure-free trial on a reused world allocates %.0f times, want <= 2", placement, allocs)
+		if allocs != 0 {
+			t.Errorf("%s: a failure-free trial on a reused world allocates %.0f times, want none", placement, allocs)
 		}
 		// AllocsPerRun runs the function once more to warm up.
 		if perTrial := (after.TotalAlloc - before.TotalAlloc) / (runs + 1); perTrial >= 1024 {
@@ -368,8 +424,8 @@ func TestDeferredPopulationMatchesEager(t *testing.T) {
 					if d := diffOutcomes(got, want); d != "" {
 						t.Fatalf("%s/%s/%s trial %d: deferred population differs from eager in %s", r.name, placement, s.name, trial, d)
 					}
-					if len(got.tenantAvail) != sc.Users {
-						t.Fatalf("%s/%s/%s trial %d: %d tenants, want %d", r.name, placement, s.name, trial, len(got.tenantAvail), sc.Users)
+					if n := got.tenantOnes + len(got.tenantBelow); n != sc.Users {
+						t.Fatalf("%s/%s/%s trial %d: %d tenants, want %d", r.name, placement, s.name, trial, n, sc.Users)
 					}
 					switch {
 					case deferred.mgr.Tracked() == 0:

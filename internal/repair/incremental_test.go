@@ -7,45 +7,11 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/dist"
 	"repro/internal/hardware"
+	"repro/internal/repair/repairtest"
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/storage"
 )
-
-// scanAccounting is the full-rescan availability accounting the Manager
-// used before it kept counters: every object's availability re-derived
-// from its locations, the time since the previous scan banked to every
-// tenant that was down at it. It is the oracle for the incremental state.
-type scanAccounting struct {
-	prevDown []bool
-	downTime []float64
-	lastScan sim.Time
-}
-
-func (a *scanAccounting) scan(now sim.Time, st *storage.Store, down func(int) bool) {
-	dt := now - a.lastScan
-	for i, obj := range st.Objects() {
-		if i >= len(a.prevDown) {
-			a.prevDown = append(a.prevDown, false)
-			a.downTime = append(a.downTime, 0)
-		}
-		if a.prevDown[i] {
-			a.downTime[i] += dt
-		}
-		a.prevDown[i] = !st.Available(obj, down)
-	}
-	a.lastScan = now
-}
-
-// observe re-reads which of the already-tracked objects are down without
-// moving the clock. The oracle is consulted between events, so it first
-// observes the state the last event left and then scans, banking the
-// interval that state held for.
-func (a *scanAccounting) observe(st *storage.Store, down func(int) bool) {
-	for i := range a.prevDown {
-		a.prevDown[i] = !st.Available(st.Objects()[i], down)
-	}
-}
 
 // bigCluster builds racks x perRack nodes and an empty store over them.
 func bigCluster(t testing.TB, s *sim.Simulator, racks, perRack int, ttf, rep dist.Dist) (*cluster.Cluster, *storage.Store) {
@@ -69,13 +35,14 @@ func bigCluster(t testing.TB, s *sim.Simulator, racks, perRack int, ttf, rep dis
 
 // checkedRun runs the simulation to horizon and, between every two events
 // and at the end, holds the manager's incremental state against a fresh
-// full scan: the unavailable and zero-copy counts, every object's live
-// shard count, and every tenant's availability.
+// full scan (repairtest.Scan): the unavailable and zero-copy counts, every
+// object's live shard count, and every tenant's availability.
 func checkedRun(t *testing.T, s *sim.Simulator, cl *cluster.Cluster, st *storage.Store, m *Manager, horizon sim.Time) {
 	t.Helper()
-	ref := &scanAccounting{lastScan: s.Now()}
+	ref := repairtest.NewScan(s.Now())
 	down := func(id int) bool { return !cl.Available(id) }
 	failed := false
+	var below []float64
 	check := func(at sim.Time, next string) {
 		if failed {
 			return
@@ -85,11 +52,11 @@ func checkedRun(t *testing.T, s *sim.Simulator, cl *cluster.Cluster, st *storage
 			failed = true
 			t.Errorf("t=%v before %q: "+format, append([]any{at, next}, args...)...)
 		}
-		ref.observe(st, down)
-		ref.scan(at, st, down)
+		ref.Advance(at, st, down)
 		// Also starts tracking new objects, unless every node is available
 		// and nothing is tracked yet: the manager then leaves the store alone.
-		tenants := m.TenantAvailabilities()
+		var ones int
+		below, ones = m.AppendTenants(below[:0])
 		if got, want := m.unavailable, st.UnavailableCount(down); got != want {
 			fail("unavailable count %d, scan says %d", got, want)
 		}
@@ -105,10 +72,12 @@ func checkedRun(t *testing.T, s *sim.Simulator, cl *cluster.Cluster, st *storage
 				}
 			}
 		}
-		if (!untracked && len(m.live) != st.Len()) || len(tenants) != st.Len() {
-			fail("tracking %d objects, %d tenants; store has %d", len(m.live), len(tenants), st.Len())
+		if (!untracked && len(m.live) != st.Len()) || ones+len(below) != st.Len() {
+			fail("tracking %d objects, %d tenants; store has %d", len(m.live), ones+len(below), st.Len())
 			return
 		}
+		wants := ref.Availabilities(at)
+		k := 0 // the next of the tenants below 1, which come in object order
 		for i, obj := range st.Objects() {
 			live := 0
 			for _, loc := range obj.Locations {
@@ -123,13 +92,20 @@ func checkedRun(t *testing.T, s *sim.Simulator, cl *cluster.Cluster, st *storage
 			if tracked != live {
 				fail("object %d (%v): live count %d, scan says %d", i, obj.Scheme, tracked, live)
 			}
-			want := 1.0
-			if at > 0 {
-				want = 1 - ref.downTime[i]/at
+			if want := wants[i]; want != 1 {
+				got := math.NaN() // not reported below 1
+				if k < len(below) {
+					got = below[k]
+				}
+				if !(math.Abs(got-want) <= 1e-12) {
+					fail("tenant %d availability %.17g, scan says %.17g", i, got, want)
+					return
+				}
+				k++
 			}
-			if math.Abs(tenants[i]-want) > 1e-12 {
-				fail("tenant %d availability %.17g, scan says %.17g", i, tenants[i], want)
-			}
+		}
+		if k != len(below) {
+			fail("%d tenants reported below 1, scan says %d", len(below), k)
 		}
 	}
 	// The tracer runs before each event's callback with the clock already
@@ -242,6 +218,33 @@ func TestRelocateFromUnreachableSource(t *testing.T) {
 	checkedRun(t, s, cl, st, m, 20)
 	if during == 0 {
 		t.Fatal("no repair committed while the source node was up but unreachable; the case was not exercised")
+	}
+}
+
+// TestTinyOutageCountsAsOne: a tenant whose outage is too short to move
+// 1 - dt/now off 1 is reported as a one, not as a value below 1 that is
+// 1, as it read in the dense pool — the report splits on the value, not
+// on whether any down time was banked.
+func TestTinyOutageCountsAsOne(t *testing.T) {
+	s := sim.New(5)
+	cl, st := bigCluster(t, s, 1, 4, nil, nil)
+	if err := st.AddObjects(30, 64, storage.ReplicationScheme(2), rng.New(5)); err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewManager(s, cl, st, Config{Mode: Parallel, MaxConcurrent: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Start()
+	s.At(1, "test/rack-fail", func() { cl.FailRack(0) })
+	s.At(1+1e-9, "test/rack-restore", func() { cl.RestoreRack(0) })
+	s.RunUntil(1e9)
+	below, ones := m.AppendTenants(nil)
+	if m.Tracked() != st.Len() || m.AnyUnavailableFraction() == 0 {
+		t.Fatalf("the outage was not seen: %d objects tracked, unavailable fraction %v", m.Tracked(), m.AnyUnavailableFraction())
+	}
+	if ones != st.Len() || below != nil {
+		t.Fatalf("%d tenants at 1 and %v below; want all %d at 1", ones, below, st.Len())
 	}
 }
 

@@ -629,32 +629,34 @@ func (m *Manager) ZeroCopyFraction() float64 {
 	return m.zeroTW.Average()
 }
 
-// TenantAvailabilities returns each tenant's availability (1 - fraction
-// of [0, now] its object was unavailable), enabling §4.1 SLAs expressed
-// as distributions over tenants ("95% of customers at three nines").
-func (m *Manager) TenantAvailabilities() []float64 {
+// AppendTenants reports each tenant's availability (1 - fraction of
+// [0, now] its object was unavailable), enabling §4.1 SLAs expressed as
+// distributions over tenants ("95% of customers at three nines"). It
+// appends the availabilities that are not exactly 1 to dst, in object
+// order, and returns the extended slice with the number of tenants at 1:
+// dst grows only for a tenant that saw an outage. The test is on the
+// value, so an outage too short to move 1 - dt/now counts as a one.
+func (m *Manager) AppendTenants(dst []float64) ([]float64, int) {
 	m.publish()
 	horizon := m.sim.Now()
-	out := make([]float64, m.store.Len())
-	if m.Tracked() == 0 {
-		// Nothing was ever unavailable (publish would have tracked it).
-		for i := range out {
-			out[i] = 1
-		}
-		return out
+	if m.Tracked() == 0 || horizon <= 0 {
+		// Nothing was ever unavailable (publish would have tracked it), or
+		// no time has passed.
+		return dst, m.store.Len()
 	}
+	ones := 0
 	for i, obj := range m.store.Objects() {
-		if horizon <= 0 {
-			out[i] = 1
-			continue
-		}
 		dt := m.downTime[i]
 		if m.live[i] < obj.Scheme.MinAvailable() {
 			dt += horizon - m.downSince[i]
 		}
-		out[i] = 1 - dt/horizon
+		if a := 1 - dt/horizon; a == 1 {
+			ones++
+		} else {
+			dst = append(dst, a)
+		}
 	}
-	return out
+	return dst, ones
 }
 
 // Tracked returns how many of the store's objects the manager has taken

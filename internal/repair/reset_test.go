@@ -25,7 +25,8 @@ func TestResetMatchesNewManager(t *testing.T) {
 			m.MeanUnavailableObjects(), m.AnyUnavailableFraction(), m.ZeroCopyFraction(),
 			float64(m.QueueLength()), float64(m.ActiveRepairs()), float64(m.RepairTimes().N()), m.RepairTimes().Mean(),
 		}
-		return append(out, m.TenantAvailabilities()...)
+		below, ones := m.AppendTenants(nil)
+		return append(append(out, float64(ones)), below...)
 	}
 
 	// 40 TB objects: nine hours a transfer at 10 Gb/s, so work piles up.

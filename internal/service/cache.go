@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/sla"
 )
 
 // Cache is the content-addressed trial cache: completed (SLA-free) trial
@@ -37,8 +38,9 @@ import (
 // byte-identical whether it was simulated or remembered.
 //
 // The memory bound is on entry count, not bytes: one entry holds the
-// aggregate metric maps plus the pooled per-tenant availabilities, so
-// size scales with (users x trials) of the cached run. The disk tier is
+// aggregate metric maps plus the per-tenant pool, one float for each
+// tenant-trial of the cached run that saw an outage (at most users x
+// trials of them). The disk tier is
 // unbounded and append-only; evicting from memory never deletes the
 // disk copy.
 type Cache struct {
@@ -238,11 +240,11 @@ func (c *Cache) fetchPeer(ctx context.Context, key string) (*core.RunResult, boo
 			}
 			return nil, 0, false
 		}
-		var rec diskRecord
-		if err := json.Unmarshal(data, &rec); err != nil {
+		res, err := decodeRecord(data)
+		if err != nil {
 			return nil, http.StatusOK, false
 		}
-		return rec.result(), http.StatusOK, true
+		return res, http.StatusOK, true
 	}
 
 	res, code, ok := attempt()
@@ -398,13 +400,18 @@ func (c *Cache) Stats() Stats {
 // the shortest representation that parses back exactly, so both the
 // disk round trip and a peer hop preserve every bit.
 type diskRecord struct {
-	Scenario           string             `json:"scenario"`
-	Trials             int                `json:"trials"`
-	Metrics            map[string]float64 `json:"metrics"`
-	CI                 map[string]float64 `json:"ci"`
-	TenantAvailability []float64          `json:"tenant_availability,omitempty"`
-	EventsTotal        uint64             `json:"events_total"`
-	AbortedTrials      int                `json:"aborted_trials,omitempty"`
+	Scenario    string             `json:"scenario"`
+	Trials      int                `json:"trials"`
+	Metrics     map[string]float64 `json:"metrics"`
+	CI          map[string]float64 `json:"ci"`
+	TenantOnes  int64              `json:"tenant_ones,omitempty"`
+	TenantBelow []float64          `json:"tenant_below,omitempty"`
+	// LegacyTenants is the dense pool — one value per tenant-trial — that
+	// entries and peers wrote before the pool was split. It is read, never
+	// written.
+	LegacyTenants []float64 `json:"tenant_availability,omitempty"`
+	EventsTotal   uint64    `json:"events_total"`
+	AbortedTrials int       `json:"aborted_trials,omitempty"`
 }
 
 func (c *Cache) path(key string) string {
@@ -415,27 +422,48 @@ func (c *Cache) path(key string) string {
 // recordFrom projects a result onto its persisted/wire form.
 func recordFrom(r *core.RunResult) diskRecord {
 	return diskRecord{
-		Scenario:           r.Scenario,
-		Trials:             r.Trials,
-		Metrics:            r.Metrics,
-		CI:                 r.CI,
-		TenantAvailability: r.TenantAvailability,
-		EventsTotal:        r.EventsTotal,
-		AbortedTrials:      r.AbortedTrials,
+		Scenario:      r.Scenario,
+		Trials:        r.Trials,
+		Metrics:       r.Metrics,
+		CI:            r.CI,
+		TenantOnes:    r.Tenants.Ones,
+		TenantBelow:   r.Tenants.Below,
+		EventsTotal:   r.EventsTotal,
+		AbortedTrials: r.AbortedTrials,
 	}
 }
 
-// result rebuilds the (SLA-free) cached result.
-func (rec diskRecord) result() *core.RunResult {
-	return &core.RunResult{
-		Scenario:           rec.Scenario,
-		Trials:             rec.Trials,
-		Metrics:            rec.Metrics,
-		CI:                 rec.CI,
-		TenantAvailability: rec.TenantAvailability,
-		EventsTotal:        rec.EventsTotal,
-		AbortedTrials:      rec.AbortedTrials,
+// decodeRecord rebuilds the (SLA-free) cached result from a disk entry or
+// a peer's reply. An entry that does not parse, holds its tenant pool in
+// both forms, or holds one that breaks the pool's invariants is corrupt,
+// and the caller treats it as a miss.
+func decodeRecord(data []byte) (*core.RunResult, error) {
+	var rec diskRecord
+	if err := json.Unmarshal(data, &rec); err != nil {
+		return nil, err
 	}
+	tenants := sla.TenantPool{Ones: rec.TenantOnes, Below: rec.TenantBelow}
+	if rec.LegacyTenants != nil {
+		if tenants.Ones != 0 || tenants.Below != nil {
+			return nil, errors.New("service: cache entry holds its tenant pool twice")
+		}
+		tenants = sla.SplitTenants(rec.LegacyTenants)
+	}
+	if err := tenants.Validate(); err != nil {
+		return nil, err
+	}
+	if len(tenants.Below) == 0 {
+		tenants.Below = nil // what an empty list re-encodes to
+	}
+	return &core.RunResult{
+		Scenario:      rec.Scenario,
+		Trials:        rec.Trials,
+		Metrics:       rec.Metrics,
+		CI:            rec.CI,
+		Tenants:       tenants,
+		EventsTotal:   rec.EventsTotal,
+		AbortedTrials: rec.AbortedTrials,
+	}, nil
 }
 
 func (c *Cache) readDisk(key string) (*core.RunResult, bool) {
@@ -443,11 +471,11 @@ func (c *Cache) readDisk(key string) (*core.RunResult, bool) {
 	if err != nil {
 		return nil, false
 	}
-	var rec diskRecord
-	if err := json.Unmarshal(data, &rec); err != nil {
+	res, err := decodeRecord(data)
+	if err != nil {
 		return nil, false // corrupt entry: treat as a miss
 	}
-	return rec.result(), true
+	return res, true
 }
 
 func (c *Cache) writeDisk(key string, r *core.RunResult) {

@@ -1,14 +1,18 @@
 package service
 
 import (
+	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/sla"
 	"repro/internal/wtql"
 )
 
@@ -18,8 +22,9 @@ func dummyResult(name string, avail float64) *core.RunResult {
 		Trials:   4,
 		Metrics:  map[string]float64{"availability": avail, "events": 123},
 		CI:       map[string]float64{"availability": 0.001},
-		TenantAvailability: []float64{
-			avail, avail - 0.001, avail + 0.0005,
+		Tenants: sla.TenantPool{
+			Ones:  397,
+			Below: []float64{0, 0.1 + 0.2, 0.99912345678901234, math.Nextafter(1, 0)},
 		},
 		EventsTotal: 4321,
 	}
@@ -100,8 +105,11 @@ func TestCacheDiskTierSurvivesRestart(t *testing.T) {
 			t.Fatalf("metric %s: %v != %v (float not bit-exact through JSON)", k, got.Metrics[k], v)
 		}
 	}
-	for i, v := range want.TenantAvailability {
-		if got.TenantAvailability[i] != v {
+	if got.Tenants.Ones != want.Tenants.Ones || len(got.Tenants.Below) != len(want.Tenants.Below) {
+		t.Fatalf("tenant pool %+v came back as %+v", want.Tenants, got.Tenants)
+	}
+	for i, v := range want.Tenants.Below {
+		if math.Float64bits(got.Tenants.Below[i]) != math.Float64bits(v) {
 			t.Fatalf("tenant availability %d not bit-exact", i)
 		}
 	}
@@ -207,6 +215,111 @@ func TestCacheCorruptDiskEntryIsAMiss(t *testing.T) {
 	if _, ok := c.Get(key); ok {
 		t.Fatal("corrupt disk entry served as a hit")
 	}
+}
+
+// parentCacheEntries returns the disk-tier entries the parent commit
+// be31c54 wrote, which hold the tenant pool in its dense form.
+func parentCacheEntries(t testing.TB) [][]byte {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join("testdata", "parent_be31c54", "cache", "*.json"))
+	if err != nil || len(files) != 7 {
+		t.Fatalf("parent cache entries: %d files, %v", len(files), err)
+	}
+	var entries [][]byte
+	for _, f := range files {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries = append(entries, data)
+	}
+	return entries
+}
+
+// TestReadsParentTenantPool: an entry written before the pool was split
+// decodes to the split of its own dense list, and is written back in the
+// split form alone.
+func TestReadsParentTenantPool(t *testing.T) {
+	for i, data := range parentCacheEntries(t) {
+		var dense struct {
+			Values []float64 `json:"tenant_availability"`
+		}
+		if err := json.Unmarshal(data, &dense); err != nil || len(dense.Values) == 0 {
+			t.Fatalf("entry %d: %d dense values, %v", i, len(dense.Values), err)
+		}
+		res, err := decodeRecord(data)
+		if err != nil {
+			t.Fatalf("entry %d: %v", i, err)
+		}
+		if want := sla.SplitTenants(dense.Values); !reflect.DeepEqual(res.Tenants, want) {
+			t.Fatalf("entry %d decodes to pool %+v, want %+v", i, res.Tenants, want)
+		}
+		enc, err := json.Marshal(recordFrom(res))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(string(enc), "tenant_availability") || !strings.Contains(string(enc), `"tenant_ones":40`) {
+			t.Fatalf("entry %d re-encodes as %s", i, enc)
+		}
+	}
+}
+
+// TestCacheRecordRefusesBadPools: an entry whose tenant pool breaks the
+// pool's invariants, or holds it in both forms, is corrupt.
+func TestCacheRecordRefusesBadPools(t *testing.T) {
+	for _, pool := range []string{
+		`"tenant_ones":-1`,
+		`"tenant_below":[0.5,0.25]`,
+		`"tenant_below":[1]`,
+		`"tenant_below":[-0.5]`,
+		`"tenant_availability":[1,1.5]`,
+		`"tenant_ones":2,"tenant_availability":[1,1]`,
+		`"tenant_below":[],"tenant_availability":[1]`,
+		`"tenant_ones":9223372036854775807,"tenant_below":[0.5]`,
+	} {
+		if _, err := decodeRecord([]byte(`{"scenario":"s","trials":2,"metrics":{},"ci":{},` + pool + `}`)); err == nil {
+			t.Errorf("an entry with %s decoded", pool)
+		}
+	}
+}
+
+// FuzzCacheRecord: arbitrary bytes through the disk-tier and peer decoder
+// never panic. They give a miss, or a result whose pool keeps its
+// invariants and whose re-encoding decodes to the same result.
+func FuzzCacheRecord(f *testing.F) {
+	for _, data := range parentCacheEntries(f) {
+		f.Add(data)
+	}
+	current, err := json.Marshal(recordFrom(dummyResult("current", 0.5)))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(current)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		res, err := decodeRecord(data)
+		if err != nil {
+			return
+		}
+		if err := res.Tenants.Validate(); err != nil {
+			t.Fatalf("accepted a pool that breaks its invariants: %v", err)
+		}
+		enc, err := json.Marshal(recordFrom(res))
+		if err != nil {
+			t.Fatalf("decoded result does not encode: %v", err)
+		}
+		again, err := decodeRecord(enc)
+		if err != nil {
+			t.Fatalf("re-encoding %s does not decode: %v", enc, err)
+		}
+		if !reflect.DeepEqual(res, again) {
+			t.Fatalf("re-encoding changed the result:\n%+v\n%+v", res, again)
+		}
+		for i, v := range res.Tenants.Below {
+			if math.Float64bits(again.Tenants.Below[i]) != math.Float64bits(v) {
+				t.Fatalf("tenant value %d: %v came back as %v", i, v, again.Tenants.Below[i])
+			}
+		}
+	})
 }
 
 // TestEngineDiskCacheRestartGolden is the end-to-end restart check: a

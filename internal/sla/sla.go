@@ -5,12 +5,14 @@
 // Three families are modelled: availability (fraction of time data is
 // reachable), durability (probability of permanent loss), and performance
 // (latency percentile bounds). An SLA can also be expressed as a
-// distribution over tenants ("95% of tenants must see p95 below 100 ms"),
-// the richer declarative form §4.1 calls for.
+// distribution over tenants ("95% of tenants at three nines"), the richer
+// declarative form §4.1 calls for.
 package sla
 
 import (
 	"fmt"
+	"math"
+	"sort"
 
 	"repro/internal/stats"
 )
@@ -283,14 +285,80 @@ func (e EnergyCost) Check(r Result) (Verdict, error) {
 	}, nil
 }
 
+// TenantPool is a pool of per-tenant values in [0, 1], held the way the
+// rare-failure regime fills it: Ones counts the values that are exactly 1
+// and Below holds every other one, in ascending order. It is the dense
+// pool's multiset exactly, so every count against a threshold — and with
+// it every TenantDistribution verdict — is the dense pool's, while a
+// tenant at 1 costs a count instead of a float.
+type TenantPool struct {
+	Ones  int64
+	Below []float64 // ascending, every value in [0, 1)
+}
+
+// SplitTenants returns the pool of a dense list of per-tenant values.
+func SplitTenants(vals []float64) TenantPool {
+	var p TenantPool
+	for _, v := range vals {
+		if v == 1 {
+			p.Ones++
+		} else {
+			p.Below = append(p.Below, v)
+		}
+	}
+	sort.Float64s(p.Below)
+	return p
+}
+
+// Len returns the number of values in the pool.
+func (p TenantPool) Len() int64 { return p.Ones + int64(len(p.Below)) }
+
+// Count returns how many values v satisfy v >= threshold when atLeast,
+// v <= threshold otherwise. Each predicate is monotone over the ascending
+// Below, so one binary search finds where it starts or stops holding; a
+// NaN threshold satisfies neither, as in a comparison.
+func (p TenantPool) Count(threshold float64, atLeast bool) int64 {
+	var n int64
+	if atLeast {
+		n = int64(len(p.Below) - sort.Search(len(p.Below), func(i int) bool { return p.Below[i] >= threshold }))
+		if 1 >= threshold {
+			n += p.Ones
+		}
+	} else {
+		n = int64(sort.Search(len(p.Below), func(i int) bool { return !(p.Below[i] <= threshold) }))
+		if 1 <= threshold {
+			n += p.Ones
+		}
+	}
+	return n
+}
+
+// Validate reports whether the pool keeps its invariants: a count that is
+// not negative, and Below ascending with every value in [0, 1). A pool
+// that arrives from outside the program is checked before it is trusted.
+func (p TenantPool) Validate() error {
+	if p.Ones < 0 || p.Ones > math.MaxInt64-int64(len(p.Below)) {
+		return fmt.Errorf("sla: tenant pool counts %d ones beside %d other values", p.Ones, len(p.Below))
+	}
+	for i, v := range p.Below {
+		if !(v >= 0 && v < 1) {
+			return fmt.Errorf("sla: tenant pool value %v outside [0, 1)", v)
+		}
+		if i > 0 && v < p.Below[i-1] {
+			return fmt.Errorf("sla: tenant pool values not ascending at %d", i)
+		}
+	}
+	return nil
+}
+
 // TenantDistribution is an SLA expressed as a distribution over tenants
 // (§4.1: "the user may need to specify a required SLA as a distribution"):
 // at least Fraction of per-tenant values must satisfy the inner predicate
 // direction against Threshold.
 type TenantDistribution struct {
 	Description string
-	// Values extracts per-tenant observations from the result.
-	Values func(r Result) ([]float64, error)
+	// Pool extracts the per-tenant observations from the result.
+	Pool func(r Result) (TenantPool, error)
 	// AtLeast: value >= Threshold counts as satisfied when true, value <=
 	// Threshold when false.
 	AtLeast   bool
@@ -306,23 +374,18 @@ func (t TenantDistribution) Check(r Result) (Verdict, error) {
 	if t.Fraction <= 0 || t.Fraction > 1 {
 		return Verdict{}, fmt.Errorf("sla: tenant fraction %v outside (0, 1]", t.Fraction)
 	}
-	if t.Values == nil {
-		return Verdict{}, fmt.Errorf("sla: tenant distribution needs a Values extractor")
+	if t.Pool == nil {
+		return Verdict{}, fmt.Errorf("sla: tenant distribution needs a Pool extractor")
 	}
-	vals, err := t.Values(r)
+	pool, err := t.Pool(r)
 	if err != nil {
 		return Verdict{}, err
 	}
-	if len(vals) == 0 {
+	n := pool.Len()
+	if n == 0 {
 		return Verdict{}, fmt.Errorf("sla: tenant distribution has no tenants")
 	}
-	ok := 0
-	for _, v := range vals {
-		if (t.AtLeast && v >= t.Threshold) || (!t.AtLeast && v <= t.Threshold) {
-			ok++
-		}
-	}
-	frac := float64(ok) / float64(len(vals))
+	frac := float64(pool.Count(t.Threshold, t.AtLeast)) / float64(n)
 	return Verdict{
 		SLA: t.Name(), Met: frac >= t.Fraction,
 		Observed: frac, Target: t.Fraction, Margin: frac - t.Fraction,

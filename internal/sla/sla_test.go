@@ -1,6 +1,8 @@
 package sla
 
 import (
+	"math"
+	"math/rand/v2"
 	"testing"
 
 	"repro/internal/stats"
@@ -128,7 +130,7 @@ func TestTenantDistributionSLA(t *testing.T) {
 	vals[0], vals[1], vals[2] = 0.5, 0.5, 0.5 // 3 bad tenants -> 97% good
 	td := TenantDistribution{
 		Description: "95% of tenants >= 0.99 availability",
-		Values:      func(Result) ([]float64, error) { return vals, nil },
+		Pool:        func(Result) (TenantPool, error) { return SplitTenants(vals), nil },
 		AtLeast:     true,
 		Threshold:   0.99,
 		Fraction:    0.95,
@@ -153,14 +155,108 @@ func TestTenantDistributionSLA(t *testing.T) {
 func TestTenantDistributionValidation(t *testing.T) {
 	td := TenantDistribution{Fraction: 0.5}
 	if _, err := td.Check(MapResult{}); err == nil {
-		t.Error("nil Values accepted")
+		t.Error("nil Pool accepted")
 	}
 	td = TenantDistribution{
 		Fraction: 2,
-		Values:   func(Result) ([]float64, error) { return []float64{1}, nil },
+		Pool:     func(Result) (TenantPool, error) { return TenantPool{Ones: 1}, nil },
 	}
 	if _, err := td.Check(MapResult{}); err == nil {
 		t.Error("fraction 2 accepted")
+	}
+	td.Fraction = 0.5
+	td.Pool = func(Result) (TenantPool, error) { return TenantPool{}, nil }
+	if _, err := td.Check(MapResult{}); err == nil {
+		t.Error("empty pool accepted")
+	}
+}
+
+// denseVerdict is TenantDistribution.Check as it was when the pool was
+// one float per tenant: a walk over every value. It is the reference the
+// pool's counting is held to.
+func denseVerdict(t TenantDistribution, vals []float64) Verdict {
+	ok := 0
+	for _, v := range vals {
+		if (t.AtLeast && v >= t.Threshold) || (!t.AtLeast && v <= t.Threshold) {
+			ok++
+		}
+	}
+	frac := float64(ok) / float64(len(vals))
+	return Verdict{
+		SLA: t.Name(), Met: frac >= t.Fraction,
+		Observed: frac, Target: t.Fraction, Margin: frac - t.Fraction,
+	}
+}
+
+// TestTenantVerdictMatchesDense: the pool gives the dense walk's verdict,
+// bit for bit, over seeded pools with exact ones, zeros, the float just
+// below 1 and duplicates, at every threshold that sits on a stored value
+// or on an edge of [0, 1], in both directions.
+func TestTenantVerdictMatchesDense(t *testing.T) {
+	justBelow := math.Nextafter(1, 0)
+	r := rand.New(rand.NewPCG(26, 1))
+	for round := 0; round < 200; round++ {
+		vals := make([]float64, 1+r.IntN(300))
+		for i := range vals {
+			switch r.IntN(6) {
+			case 0, 1:
+				vals[i] = 1
+			case 2:
+				vals[i] = 0
+			case 3:
+				vals[i] = justBelow
+			case 4:
+				vals[i] = vals[r.IntN(i+1)] // a duplicate, or a zero
+			default:
+				vals[i] = r.Float64()
+			}
+		}
+		pool := SplitTenants(vals)
+		if err := pool.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		if pool.Len() != int64(len(vals)) {
+			t.Fatalf("pool of %d values holds %d", len(vals), pool.Len())
+		}
+		thresholds := append([]float64{0, 1, justBelow, -1, 2, math.NaN(), math.Inf(-1)}, vals...)
+		for _, th := range thresholds {
+			for _, atLeast := range []bool{true, false} {
+				td := TenantDistribution{
+					Description: "tenants",
+					Pool:        func(Result) (TenantPool, error) { return pool, nil },
+					AtLeast:     atLeast,
+					Threshold:   th,
+					Fraction:    []float64{1, 0.5, 0.95, r.Float64() + 1e-9}[r.IntN(4)],
+				}
+				got, err := td.Check(MapResult{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := denseVerdict(td, vals)
+				if got.Met != want.Met || math.Float64bits(got.Observed) != math.Float64bits(want.Observed) ||
+					math.Float64bits(got.Margin) != math.Float64bits(want.Margin) {
+					t.Fatalf("round %d, threshold %v, atLeast %v: pool says %+v, dense walk %+v", round, th, atLeast, got, want)
+				}
+			}
+		}
+	}
+}
+
+func TestTenantPoolValidate(t *testing.T) {
+	for _, p := range []TenantPool{
+		{Ones: -1},
+		{Ones: math.MaxInt64, Below: []float64{0.5}},
+		{Below: []float64{0.5, 0.25}},
+		{Below: []float64{1}},
+		{Below: []float64{-0.25}},
+		{Below: []float64{math.NaN()}},
+	} {
+		if p.Validate() == nil {
+			t.Errorf("pool %+v accepted", p)
+		}
+	}
+	if err := (TenantPool{Ones: 3, Below: []float64{0, 0, 0.5, math.Nextafter(1, 0)}}).Validate(); err != nil {
+		t.Errorf("valid pool refused: %v", err)
 	}
 }
 
