@@ -166,7 +166,12 @@ func LogNormalFromMoments(mean, cv float64) (LogNormal, error) {
 		return LogNormal{}, err
 	}
 	sigma2 := math.Log1p(cv * cv)
-	return LogNormal{Mu: math.Log(mean) - sigma2/2, Sigma: math.Sqrt(sigma2)}, nil
+	l, err := NewLogNormal(math.Log(mean)-sigma2/2, math.Sqrt(sigma2))
+	if err != nil {
+		// cv so small that sigma rounds to 0, or so large that it overflows.
+		return LogNormal{}, fmt.Errorf("dist: LogNormalFromMoments(mean=%v, cv=%v) has no float64 LogNormal: %w", mean, cv, err)
+	}
+	return l, nil
 }
 
 func (l LogNormal) Sample(r *rng.Source) float64 {
@@ -213,6 +218,9 @@ type Exponential struct {
 func ExpMean(mean float64) (Exponential, error) {
 	if err := checkPositive("ExpMean", "mean", mean); err != nil {
 		return Exponential{}, err
+	}
+	if math.IsInf(1/mean, 0) {
+		return Exponential{}, fmt.Errorf("dist: ExpMean needs a mean whose rate is finite, got %v", mean)
 	}
 	return Exponential{Rate: 1 / mean}, nil
 }
@@ -501,6 +509,10 @@ type Component struct {
 type Mixture struct {
 	comps []Component // weights normalized to sum 1
 	cum   []float64
+	// given holds the weights as the caller gave them, which String
+	// prints: weights normalized and printed to six digits would no longer
+	// sum to 1, and parsing them back would normalize them into others.
+	given []float64
 }
 
 // NewMixture returns a mixture over the given components. Weights must
@@ -519,11 +531,17 @@ func NewMixture(comps []Component) (Mixture, error) {
 		}
 		total += c.Weight
 	}
-	m := Mixture{comps: make([]Component, len(comps)), cum: make([]float64, len(comps))}
+	m := Mixture{comps: make([]Component, len(comps)), cum: make([]float64, len(comps)), given: make([]float64, len(comps))}
 	acc := 0.0
 	for i, c := range comps {
 		w := c.Weight / total
+		if w == 0 {
+			// The total overflowed, or this weight is below float64's
+			// resolution of it: a component that could never be drawn.
+			return Mixture{}, fmt.Errorf("dist: Mixture component %d's weight %v vanishes beside the total %v", i, c.Weight, total)
+		}
 		m.comps[i] = Component{Weight: w, Dist: c.Dist}
+		m.given[i] = c.Weight
 		acc += w
 		m.cum[i] = acc
 	}
@@ -559,13 +577,15 @@ func (m Mixture) Variance() float64 {
 	mu := m.Mean()
 	var second float64
 	for _, c := range m.comps {
-		cm := c.Dist.Mean()
-		if math.IsInf(cm, 0) || math.IsInf(c.Dist.Variance(), 0) {
+		// One Variance call per component: a nested mixture asked twice
+		// per level would cost 2^depth.
+		cm, cv := c.Dist.Mean(), c.Dist.Variance()
+		if math.IsInf(cm, 0) || math.IsInf(cv, 0) {
 			// A heavy-tailed component dominates: the mixture's second
 			// moment diverges (avoid the Inf - Inf = NaN below).
 			return math.Inf(1)
 		}
-		second += c.Weight * (c.Dist.Variance() + cm*cm)
+		second += c.Weight * (cv + cm*cm)
 	}
 	return second - mu*mu
 }
@@ -583,12 +603,25 @@ func (m Mixture) Quantile(p float64) float64 {
 	return quantileByBisection(m.CDF, p, m.Mean())
 }
 
-func (m Mixture) String() string {
-	parts := make([]string, len(m.comps))
+func (m Mixture) String() string { return string(m.appendSpec(nil)) }
+
+// appendSpec appends the mixture's spec to dst, nested mixtures in place,
+// so a spec costs its length to print rather than its length times its
+// depth.
+func (m Mixture) appendSpec(dst []byte) []byte {
+	dst = append(dst, "mix("...)
 	for i, c := range m.comps {
-		parts[i] = fmt.Sprintf("%.6g*%s", c.Weight, c.Dist.String())
+		if i > 0 {
+			dst = append(dst, ", "...)
+		}
+		dst = append(strconv.AppendFloat(dst, m.given[i], 'g', 6, 64), '*')
+		if sub, ok := c.Dist.(Mixture); ok {
+			dst = sub.appendSpec(dst)
+		} else {
+			dst = append(dst, c.Dist.String()...)
+		}
 	}
-	return "mix(" + strings.Join(parts, ", ") + ")"
+	return append(dst, ')')
 }
 
 // ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ package dist
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -25,7 +26,8 @@ import (
 //	empirical(v1, v2, ...)                trace replay of listed values
 //	mix(w1*spec1, w2*spec2, ...)          finite mixture
 //
-// Every Dist's String() is re-parseable, so specs round-trip.
+// Every Dist's String() is re-parseable, so specs round-trip. Specs nest
+// at most maxNesting deep.
 func Parse(s string) (Dist, error) {
 	p := &parser{input: s}
 	d, err := p.parseSpec()
@@ -39,9 +41,16 @@ func Parse(s string) (Dist, error) {
 	return d, nil
 }
 
+// maxNesting bounds how deep a spec may nest: exp(mean=1) is one level,
+// mix(1*exp(mean=1)) two. A spec arrives in a query from anyone who can
+// reach a daemon, and the parser recurses once a level; like WTQL's own
+// bound on WHERE it is a constant, far above any mixture a model needs.
+const maxNesting = 200
+
 type parser struct {
 	input string
 	pos   int
+	depth int // specs open at pos
 }
 
 func (p *parser) skipSpace() {
@@ -112,6 +121,10 @@ type arg struct {
 }
 
 func (p *parser) parseSpec() (Dist, error) {
+	if p.depth++; p.depth > maxNesting {
+		return nil, fmt.Errorf("dist: spec nests deeper than %d at offset %d", maxNesting, p.pos)
+	}
+	defer func() { p.depth-- }()
 	name := p.ident()
 	if name == "" {
 		return nil, fmt.Errorf("dist: expected a family name at offset %d in %q", p.pos, p.input)
@@ -255,8 +268,8 @@ func build(name string, args []arg) (Dist, error) {
 			if err != nil {
 				return nil, err
 			}
-			if rate <= 0 {
-				return nil, fmt.Errorf("dist: exponential needs rate > 0, got %v", rate)
+			if rate <= 0 || math.IsInf(1/rate, 0) {
+				return nil, fmt.Errorf("dist: exponential needs rate > 0 with a finite mean, got %v", rate)
 			}
 			return Exponential{Rate: rate}, nil
 		}

@@ -74,9 +74,19 @@ func (r *recorder) exactlyOnce(t *testing.T, total int, wantTable string) {
 // returns the rendered table with each point's outcome.
 func localRun(t testing.TB, query string) (*wtql.ResultSet, []core.PointOutcome) {
 	t.Helper()
+	q, err := wtql.Parse(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := (&wtql.Engine{Trials: 5}).Plan(q)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var outs []core.PointOutcome
-	eng := &wtql.Engine{Trials: 5, Progress: func(_, _ int, out core.PointOutcome) { outs = append(outs, out) }}
-	rs, err := eng.ExecuteContext(context.Background(), query)
+	if err := plan.RunSubset(context.Background(), nil, func(out core.PointOutcome) { outs = append(outs, out) }); err != nil {
+		t.Fatal(err)
+	}
+	rs, err := plan.Assemble(outs)
 	if err != nil {
 		t.Fatal(err)
 	}

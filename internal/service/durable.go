@@ -183,35 +183,14 @@ func (s *Server) run(ctx context.Context, j *job, req QueryRequest, resume []Rec
 	s.commit(j, endRecord(status, errMsg, line), logLine{'t', line}, nil)
 }
 
-// answer is the query itself: parse, plan and sweep — fanned out across
-// the fleet when this is a coordinator and the sweep is shardable, on this
-// server's own engine otherwise (a worker's shard, req.Points, included).
-// emit receives each committed point's event with its cache key, except
-// the first len(resume), which the journal already holds.
+// answer is the query itself: plan (plans.go) and sweep — fanned out
+// across the fleet when this is a coordinator and the sweep is shardable,
+// on this server's own engine otherwise (a worker's shard, req.Points,
+// included). emit receives each committed point's event with its cache
+// key, except the first len(resume), which the journal already holds.
 func (s *Server) answer(ctx context.Context, j *job, req QueryRequest, resume []RecoveredPoint,
 	emit func(ev PointEvent, key string)) (*wtql.ResultSet, error) {
-	if s.stage != nil {
-		s.stage("parse")
-	}
-	q, err := wtql.Parse(req.Query)
-	if err != nil {
-		return nil, err
-	}
-	eng := s.engine()
-	if req.Trials > 0 {
-		eng.Trials = req.Trials
-	}
-	if s.stage != nil {
-		s.stage("plan")
-	}
-	// A coordinator plans with the engine each worker builds, so the cache
-	// keys it shards on are the keys the workers will compute.
-	var planSp *obs.SpanHandle
-	if s.fleet != nil {
-		planSp = s.tel.startSpan(j.trace, j.root.ID(), "plan")
-	}
-	plan, err := eng.Plan(q)
-	planSp.End()
+	plan, err := s.plan(j, req)
 	if err != nil {
 		return nil, err
 	}
@@ -232,8 +211,32 @@ func (s *Server) answer(ctx context.Context, j *job, req QueryRequest, resume []
 			return nil, err
 		}
 	}
+	// done and total count the points this job commits: the plan's, or
+	// its shard's.
 	k := len(prefix)
-	committed := func(done, total int, out core.PointOutcome) {
+	subset, total := req.Points, plan.NumPoints()
+	if subset != nil {
+		total = len(subset)
+	}
+	outcomes := make([]core.PointOutcome, 0, total)
+	if k > 0 && !plan.Pruned() {
+		// Resuming a plain sweep: the journaled prefix is final. Execute
+		// only the undelivered tail and assemble the table over prefix +
+		// tail.
+		outcomes = append(outcomes, prefix...)
+		subset = make([]int, 0, total-k)
+		for i := k; i < total; i++ {
+			subset = append(subset, i)
+		}
+	}
+	// Otherwise the whole sweep, or the shard. Resuming a MONOTONE sweep
+	// re-runs it in full — dominance decisions depend on the whole
+	// committed prefix, it is deterministic, and every previously-simulated
+	// point is a trial-cache hit — without emitting again the k events the
+	// journal already holds.
+	err = plan.RunSubset(ctx, subset, func(out core.PointOutcome) {
+		outcomes = append(outcomes, out)
+		done := len(outcomes)
 		s.progress(j, done, total, out.FromCache)
 		s.tel.observePoint(j.trace, j.root.ID(), out)
 		if done <= k {
@@ -244,27 +247,6 @@ func (s *Server) answer(ctx context.Context, j *job, req QueryRequest, resume []
 			key = keys[out.Index]
 		}
 		emit(pointEvent(plan.Config(out.Index), done, total, out), key)
-	}
-	if k == 0 || plan.Pruned() {
-		// The whole sweep. Resuming a MONOTONE one re-runs it in full —
-		// dominance decisions depend on the whole committed prefix, it is
-		// deterministic, and every previously-simulated point is a
-		// trial-cache hit — without emitting again the k events the journal
-		// already holds.
-		eng.Subset, eng.Progress = req.Points, committed
-		return plan.Run(ctx)
-	}
-	// Resuming a plain sweep: the journaled prefix is final. Execute only
-	// the undelivered tail and assemble the table over prefix + tail.
-	total := plan.NumPoints()
-	outcomes := prefix
-	rem := make([]int, 0, total-k)
-	for i := k; i < total; i++ {
-		rem = append(rem, i)
-	}
-	err = plan.RunSubset(ctx, rem, func(out core.PointOutcome) {
-		outcomes = append(outcomes, out)
-		committed(len(outcomes), total, out)
 	})
 	if err != nil {
 		return nil, err

@@ -262,9 +262,10 @@ type Server struct {
 	cfg     Config
 	pool    *Pool
 	cache   *Cache
-	fleet   *fleet   // non-nil in coordinator mode
-	health  *Health  // non-nil whenever Peers is configured
-	journal *Journal // non-nil when Config.JournalDir is set
+	plans   *planMemo // the kept plans of repeated queries (plans.go)
+	fleet   *fleet    // non-nil in coordinator mode
+	health  *Health   // non-nil whenever Peers is configured
+	journal *Journal  // non-nil when Config.JournalDir is set
 	chaos   *FaultInjector
 	tel     *telemetry   // always non-nil; its registry is nil with NoTelemetry
 	history *obs.History // telemetry history store, nil with NoTelemetry
@@ -279,7 +280,8 @@ type Server struct {
 	// job at an exact committed-point count before simulating kill -9.
 	pointGate func(index int)
 	// stage, when set (tests only), is told as a job enters "parse" and
-	// "plan", so a test can count that each happens once per job.
+	// "plan", so a test can count that each happens at most once per job,
+	// and not at all for a job whose plan was kept.
 	stage func(name string)
 
 	mu       sync.Mutex
@@ -302,6 +304,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:     cfg,
 		pool:    NewPool(cfg.PoolSize),
 		cache:   cache,
+		plans:   newPlanMemo(cache.maxEntries),
 		started: time.Now(),
 		now:     time.Now,
 		jobs:    make(map[string]*job),
@@ -620,9 +623,9 @@ func (s *Server) Jobs() []JobInfo {
 	return out
 }
 
-// engine builds a fresh WTQL engine wired to the shared pool and cache.
-// Each query gets its own engine (a job sets its Progress and Subset), but
-// all engines share the server-wide resources.
+// engine builds a WTQL engine wired to the shared pool and cache. Every
+// engine a server builds is the same but for the trials default a request
+// may override, which is why a plan can be kept per (query, trials).
 func (s *Server) engine() *wtql.Engine {
 	return &wtql.Engine{
 		Trials: s.cfg.Trials,

@@ -65,17 +65,6 @@ type Engine struct {
 	// Gate, when non-nil, bounds simulation concurrency across engines
 	// sharing it — the daemon's shared worker pool.
 	Gate core.Gate
-	// Progress, when non-nil, receives one callback per committed design
-	// point (in point order) while a query runs, enabling per-point
-	// streaming in the serving layer.
-	Progress func(done, total int, out core.PointOutcome)
-	// Subset, when non-nil, restricts SIMULATE execution to these global
-	// indices of the planned design space (strictly ascending) — the
-	// sharded-fleet worker contract. Each streamed outcome carries its
-	// global Index, and the assembled result covers only the subset's
-	// points; the coordinator merges worker subsets back into the full
-	// table.
-	Subset []int
 }
 
 // Execute parses and runs a query.
@@ -115,11 +104,15 @@ func (e *Engine) RunContext(ctx context.Context, q *Query) (*ResultSet, error) {
 // once, consistent-hashes PointKeys across workers, collects the
 // workers' outcome streams and Assembles the exact table a local run
 // would have produced.
+//
+// A plan is immutable once built: nothing in it depends on who runs it,
+// so any number of runs — shards, resumes, whole sweeps, one after another
+// or at once — may share it, and its points' scenarios, keys and configs
+// are worked out once for all of them.
 type Plan struct {
 	Query *Query
 	Space *design.Space
 
-	eng    *Engine
 	base   core.Scenario
 	runner core.Runner
 	slas   []sla.SLA
@@ -181,13 +174,14 @@ func (p *Plan) Config(index int) map[string]string {
 	return p.configs[index]
 }
 
-// RunSubset executes only the given global point indices (strictly
-// ascending) on this plan's engine resources, invoking onOutcome per
-// committed outcome in subset order. Each outcome carries its global
-// Index. This is the fleet coordinator's degraded-mode path: when a
-// shard's retry budget is exhausted with no healthy worker left to take
-// it, the remaining indices run on the coordinator's own engine and
-// merge into the same table, byte for byte.
+// RunSubset executes the given global point indices (strictly ascending;
+// nil means every point) on this plan's engine resources, invoking
+// onOutcome per committed outcome in subset order. Each outcome carries
+// its global Index. Handing the outcomes to Assemble gives the table: a
+// fleet worker's shard, a daemon job, or the coordinator's degraded-mode
+// remainder — when a shard's retry budget is exhausted with no healthy
+// worker left to take it, the remaining indices run on the coordinator's
+// own engine and merge into the same table, byte for byte.
 func (p *Plan) RunSubset(ctx context.Context, subset []int, onOutcome func(out core.PointOutcome)) error {
 	var progress func(done, total int, out core.PointOutcome)
 	if onOutcome != nil {
@@ -199,12 +193,10 @@ func (p *Plan) RunSubset(ctx context.Context, subset []int, onOutcome func(out c
 
 // Run executes the whole planned sweep on this plan's engine resources
 // and assembles the result set — the tail of Engine.RunContext, exposed
-// so a caller that needed the plan first (for PointKeys, say, or to
-// re-hydrate a journaled job from its recorded query text) does not
-// plan twice. The engine's Progress callback and Subset may be
-// (re)assigned any time before Run; they are read here, not at Plan time.
+// so a caller that needed the plan first (for PointKeys, say) does not
+// plan twice.
 func (p *Plan) Run(ctx context.Context) (*ResultSet, error) {
-	exploration, err := p.ex.RunPoints(ctx, p.eng.Subset, p.eng.Progress)
+	exploration, err := p.ex.RunPoints(ctx, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -248,7 +240,7 @@ func (e *Engine) Plan(q *Query) (*Plan, error) {
 
 	// The assignments write into the plan's own base scenario: the plan is
 	// on the heap either way, and a scenario beside it would be too.
-	plan := &Plan{Query: q, eng: e, base: core.DefaultScenario()}
+	plan := &Plan{Query: q, base: core.DefaultScenario()}
 	base := &plan.base
 	for _, a := range q.With {
 		p, ok := params[a.Param]
