@@ -2,7 +2,7 @@
 // experiment in EXPERIMENTS.md, one benchmark per artifact, plus engine
 // micro-benchmarks. `go test -bench=. -benchmem` runs them all; the full-
 // size tables come from `go run ./cmd/figures -exp all`.
-package windtunnel
+package main
 
 import (
 	"fmt"
@@ -12,21 +12,22 @@ import (
 	"repro/internal/core"
 	"repro/internal/design"
 	"repro/internal/dist"
+	"repro/internal/opslog"
 	"repro/internal/power"
 	"repro/internal/repair"
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/sla"
 	"repro/internal/storage"
-	"repro/internal/trace"
 	"repro/internal/validate"
 	"repro/internal/workload"
+	"repro/internal/wtql"
 )
 
 // benchScenario is a small availability scenario shared by the
 // experiment benchmarks.
-func benchScenario() Scenario {
-	sc := DefaultScenario()
+func benchScenario() core.Scenario {
+	sc := core.DefaultScenario()
 	sc.Cluster.Racks = 2
 	sc.Cluster.NodesPerRack = 5
 	sc.Cluster.NodeTTF = dist.Must(dist.ExpMean(500))
@@ -42,7 +43,7 @@ func benchScenario() Scenario {
 // Random placement (F1).
 func BenchmarkFigure1Random(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, err := Figure1(Figure1Config{
+		_, err := core.Figure1MonteCarlo(core.Figure1Config{
 			N: 30, Replicas: 3, Failures: 3, Users: 10000,
 			Placement: "random", Trials: 50, Seed: uint64(i),
 		})
@@ -55,7 +56,7 @@ func BenchmarkFigure1Random(b *testing.B) {
 // BenchmarkFigure1RoundRobin measures the same point under RoundRobin (F1).
 func BenchmarkFigure1RoundRobin(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, err := Figure1(Figure1Config{
+		_, err := core.Figure1MonteCarlo(core.Figure1Config{
 			N: 30, Replicas: 3, Failures: 3, Users: 10000,
 			Placement: "roundrobin", Trials: 50, Seed: uint64(i),
 		})
@@ -87,7 +88,7 @@ func BenchmarkRepairTradeoff(b *testing.B) {
 	sc.Repair.MaxConcurrent = 8
 	for i := 0; i < b.N; i++ {
 		sc.Seed = uint64(i + 1)
-		if _, err := Run(sc, 1); err != nil {
+		if _, err := (core.Runner{Trials: 1}).Run(sc); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -248,7 +249,7 @@ func BenchmarkErasureVsReplication(b *testing.B) {
 	sc.Scheme = storage.RSScheme(6, 3)
 	for i := 0; i < b.N; i++ {
 		sc.Seed = uint64(i + 1)
-		if _, err := Run(sc, 1); err != nil {
+		if _, err := (core.Runner{Trials: 1}).Run(sc); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -309,7 +310,7 @@ func BenchmarkRSEncodeInto(b *testing.B) {
 // BenchmarkFitting measures one E9 log-generation + fit pipeline.
 func BenchmarkFitting(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		events, err := trace.Generate(trace.GeneratorConfig{
+		events, err := opslog.Generate(opslog.GeneratorConfig{
 			Components: 50, Horizon: 50000,
 			TTF:    dist.Must(dist.NewWeibull(0.7, 1500)),
 			Repair: dist.Must(dist.NewLogNormal(2.2, 0.9)),
@@ -318,7 +319,7 @@ func BenchmarkFitting(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, _, err := trace.FitModels(events); err != nil {
+		if _, _, err := opslog.FitModels(events); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -336,7 +337,7 @@ func BenchmarkValidation(b *testing.B) {
 // vrScenario is the monotone-response workload (single-copy objects)
 // where antithetic pairing anti-correlates trials; see
 // internal/core/variance_test.go for the regime discussion.
-func vrScenario() Scenario {
+func vrScenario() core.Scenario {
 	sc := benchScenario()
 	sc.Scheme = storage.ReplicationScheme(1)
 	sc.Users = 100
@@ -476,7 +477,7 @@ func BenchmarkEngineEvents(b *testing.B) {
 // BenchmarkWTQL measures a full declarative query (parse + plan + run).
 func BenchmarkWTQL(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rs, err := Query(fmt.Sprintf(`
+		rs, err := (&wtql.Engine{}).Execute(fmt.Sprintf(`
 			SIMULATE availability
 			VARY storage.replication IN (2, 3)
 			WITH users = 50, trials = 1, horizon_hours = 500, object_mb = 5,

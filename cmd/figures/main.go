@@ -16,18 +16,17 @@ import (
 	"runtime"
 	"time"
 
-	windtunnel "repro"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/design"
 	"repro/internal/dist"
 	"repro/internal/hardware"
+	"repro/internal/opslog"
 	"repro/internal/repair"
 	"repro/internal/sim"
 	"repro/internal/sla"
 	"repro/internal/storage"
-	"repro/internal/trace"
 	"repro/internal/validate"
 	"repro/internal/workload"
 )
@@ -106,7 +105,7 @@ func figure1(trialOverride int, seed uint64) error {
 		fmt.Printf("\n%s-%d-%d (placement=%s, replicas=%d, nodes=%d)\n",
 			label, c.n, c.N, c.placement, c.n, c.N)
 		fmt.Printf("%8s  %10s  %10s\n", "failures", "sim", "exact")
-		curve, err := windtunnel.Figure1Curve(windtunnel.Figure1Config{
+		curve, err := core.Figure1Curve(core.Figure1Config{
 			N: c.N, Replicas: c.n, Users: 10000,
 			Placement: c.placement, Trials: trials, Seed: seed,
 		})
@@ -128,8 +127,8 @@ func figure1(trialOverride int, seed uint64) error {
 
 // scenarioBase is the shared E1/E5/E8 cluster (flat, 10 nodes unless
 // overridden).
-func scenarioBase() windtunnel.Scenario {
-	sc := windtunnel.DefaultScenario()
+func scenarioBase() core.Scenario {
+	sc := core.DefaultScenario()
 	sc.Cluster.Racks = 2
 	sc.Cluster.NodesPerRack = 10
 	sc.Cluster.NodeTTF = dist.Must(dist.NewWeibull(0.7, 3000))
@@ -178,7 +177,7 @@ func e1RepairTradeoff(trialOverride int, seed uint64) error {
 		sc.Cluster.NICSpec = c.nic
 		sc.Repair.Mode = c.mode
 		sc.Repair.MaxConcurrent = c.conc
-		res, err := windtunnel.Runner{Trials: trials}.Run(sc)
+		res, err := core.Runner{Trials: trials}.Run(sc)
 		if err != nil {
 			return err
 		}
@@ -582,7 +581,7 @@ func e8ErasureVsReplication(trialOverride int, seed uint64) error {
 		sc.Cluster.NodeTTF = dist.Must(dist.NewWeibull(0.7, 475))
 		sc.Repair.Detection = dist.Must(dist.NewDeterministic(6))
 		sc.Scheme = c.scheme
-		res, err := windtunnel.Runner{Trials: trials}.Run(sc)
+		res, err := core.Runner{Trials: trials}.Run(sc)
 		if err != nil {
 			return err
 		}
@@ -604,14 +603,14 @@ func e9TraceFitting(trialOverride int, seed uint64) error {
 	}
 	truthTTF := dist.Must(dist.NewWeibull(0.7, 1500))
 	truthRep := dist.Must(dist.NewLogNormal(2.2, 0.9))
-	events, err := trace.Generate(trace.GeneratorConfig{
+	events, err := opslog.Generate(opslog.GeneratorConfig{
 		Components: components, Horizon: 50000,
 		TTF: truthTTF, Repair: truthRep, Seed: seed,
 	})
 	if err != nil {
 		return err
 	}
-	ttf, rep, err := trace.FitModels(events)
+	ttf, rep, err := opslog.FitModels(events)
 	if err != nil {
 		return err
 	}
@@ -636,7 +635,7 @@ func e9TraceFitting(trialOverride int, seed uint64) error {
 // validation runs the §4.3 suite.
 func validation(_ int, seed uint64) error {
 	header("V1 (§4.3): simulator validation against closed forms")
-	reports, err := windtunnel.Validate(seed)
+	reports, err := validate.RunAll(seed)
 	if err != nil {
 		return err
 	}

@@ -43,13 +43,12 @@ import (
 	"sort"
 	"syscall"
 
+	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/hardware"
 	"repro/internal/power"
 	"repro/internal/sla"
 	"repro/internal/wtql"
-
-	windtunnel "repro"
 )
 
 // maxScenarioFile bounds a scenario file; every parameter there is, set
@@ -57,8 +56,8 @@ import (
 const maxScenarioFile = 1 << 20
 
 // readScenario builds the scenario a -scenario file describes.
-func readScenario(r io.Reader) (windtunnel.Scenario, error) {
-	sc := windtunnel.DefaultScenario()
+func readScenario(r io.Reader) (core.Scenario, error) {
+	sc := core.DefaultScenario()
 	data, err := io.ReadAll(io.LimitReader(r, maxScenarioFile+1))
 	if err != nil {
 		return sc, err
@@ -121,7 +120,7 @@ func main() {
 		defer cancel()
 	}
 
-	sc := windtunnel.DefaultScenario()
+	sc := core.DefaultScenario()
 	if *scenarioPath != "" {
 		f, err := os.Open(*scenarioPath)
 		if err != nil {
@@ -134,7 +133,7 @@ func main() {
 		}
 	}
 
-	var slas []windtunnel.SLA
+	var slas []sla.SLA
 	if *minAvail > 0 {
 		s, err := sla.NewAvailability(*minAvail)
 		if err != nil {
@@ -160,7 +159,7 @@ func main() {
 		slas = append(slas, s)
 	}
 
-	res, err := windtunnel.Runner{Trials: *trials, SLAs: slas}.RunContext(ctx, sc)
+	res, err := core.Runner{Trials: *trials, SLAs: slas}.RunContext(ctx, sc)
 	if err != nil {
 		fatal(err)
 	}

@@ -9,12 +9,10 @@ import (
 	"repro/internal/core"
 	"repro/internal/repair"
 	"repro/internal/wtql"
-
-	windtunnel "repro"
 )
 
 // fromFile reads raw as a scenario file.
-func fromFile(raw string) (windtunnel.Scenario, error) {
+func fromFile(raw string) (core.Scenario, error) {
 	return readScenario(strings.NewReader(raw))
 }
 

@@ -31,8 +31,9 @@
 // journal) that a coordinator propagates to workers via the X-WT-Trace
 // header. Every -history-interval (default 2s) the registry is sampled
 // into an in-process time-series history (bounded rings, -history-depth
-// samples per series); a coordinator additionally scrapes each worker's
-// /metrics into the same history labelled per instance, so
+// samples per series); on the same period every fleet member probes its
+// peers' /v1/healthz, and in the same round a coordinator scrapes each
+// worker's /metrics into the history labelled per instance, so
 // /v1/metrics/fleet serves one merged fleet view and /v1/metrics/history
 // serves range queries. An alert engine evaluates declarative SLO rules
 // (worker down, sustained queue depth, cache hit ratio collapse, slow
@@ -118,7 +119,7 @@ func main() {
 	journal := flag.String("journal", "auto", `job journal directory for crash recovery ("auto" = wtjournal-<addr>; empty = no journal: jobs are not crash-durable)`)
 	telemetry := flag.Bool("telemetry", true, "metrics registry + /metrics exposition + distributed tracing")
 	pprofAddr := flag.String("pprof", "", "mount net/http/pprof (and /metrics, /v1/stats) on this separate address (empty = off)")
-	historyInterval := flag.Duration("history-interval", 0, "telemetry history sampling / fleet scrape / alert evaluation period (0 = 2s)")
+	historyInterval := flag.Duration("history-interval", 0, "telemetry history sampling / fleet probe and scrape / alert evaluation period (0 = 2s)")
 	historyDepth := flag.Int("history-depth", 0, "retained samples per history series (0 = 360: 12m at the default interval)")
 	alertsFile := flag.String("alerts", "", "JSON alert rules file merged over the built-in defaults (empty = defaults only)")
 	flag.Parse()

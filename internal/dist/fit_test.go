@@ -20,7 +20,7 @@ func draw(t *testing.T, d Dist, n int, seed uint64) []float64 {
 
 // TestFitBestRecoversWeibull: synthetic Weibull samples must rank the
 // weibull family first and recover shape/scale within a few percent —
-// the internal/trace calibration contract.
+// the internal/opslog calibration contract.
 func TestFitBestRecoversWeibull(t *testing.T) {
 	truth := Must(NewWeibull(0.7, 1500))
 	fits := FitBest(draw(t, truth, 5000, 42))

@@ -5,7 +5,7 @@
 // Failure distributions default to the shapes reported by the studies the
 // paper cites: Weibull times-between-replacement with shape < 1 for disks
 // (Schroeder & Gibson, FAST'07 [15]) and LogNormal repair durations [16].
-// Every spec field can be overridden, and internal/trace can fit
+// Every spec field can be overridden, and internal/opslog can fit
 // replacement distributions from (synthetic) operational logs instead.
 //
 // The package also models performance-degraded components — "limpware"

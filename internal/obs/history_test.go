@@ -241,8 +241,10 @@ func TestWriteLatestPrometheusLintsAndRoundTrips(t *testing.T) {
 	}
 }
 
-func TestParseExposition(t *testing.T) {
-	text := `# HELP wt_jobs_total Jobs completed.
+// parseFixture is a lenient scrape: a counter, a histogram whose
+// expansions fold back into it, and an untyped family named like a
+// histogram count.
+const parseFixture = `# HELP wt_jobs_total Jobs completed.
 # TYPE wt_jobs_total counter
 wt_jobs_total{status="done"} 4
 # HELP wt_lat_seconds Latency.
@@ -253,7 +255,9 @@ wt_lat_seconds_sum 1.5
 wt_lat_seconds_count 3
 plain_count 7
 `
-	fams, err := ParseExposition([]byte(text))
+
+func TestParseExposition(t *testing.T) {
+	fams, err := ParseExposition([]byte(parseFixture))
 	if err != nil {
 		t.Fatal(err)
 	}

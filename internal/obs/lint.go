@@ -33,17 +33,7 @@ func Lint(data []byte) []string {
 	}
 	families := make(map[string]*famState)
 	seen := make(map[string]int) // series (name+labels) -> first line
-	type bucketKey struct {
-		series string // histogram name + non-le labels
-	}
-	type bucketSample struct {
-		le   float64
-		inf  bool
-		val  float64
-		line int
-	}
-	buckets := make(map[bucketKey][]bucketSample)
-	counts := make(map[string]float64) // histogram _count by series
+	hists := histogramCheck{buckets: map[string][]bucketSample{}, counts: map[string]float64{}}
 
 	lines := strings.Split(string(data), "\n")
 	for i, raw := range lines {
@@ -119,40 +109,69 @@ func Lint(data []byte) []string {
 		}
 
 		if fam.typ == "histogram" {
-			switch kind {
-			case "bucket":
-				le, hasLE := labelValue(labels, "le")
-				if !hasLE {
-					addf(n, "histogram bucket %s without an le label", name)
-					continue
-				}
-				bs := bucketSample{val: v, line: n}
-				if le == "+Inf" {
-					bs.inf = true
-				} else {
-					f, err := strconv.ParseFloat(le, 64)
-					if err != nil {
-						addf(n, "histogram bucket %s: bad le %q", name, le)
-						continue
-					}
-					bs.le = f
-				}
-				key := bucketKey{series: base + canonicalLabels(dropLabel(labels, "le"))}
-				buckets[key] = append(buckets[key], bs)
-			case "count":
-				counts[base+canonicalLabels(labels)] = v
+			if err := hists.add(base, kind, labels, v, n); err != nil {
+				addf(n, "%v", err)
 			}
 		}
 	}
+	return append(problems, hists.problems()...)
+}
 
-	// Cross-line histogram invariants.
-	keys := make([]bucketKey, 0, len(buckets))
-	for k := range buckets {
+// histogramCheck collects one exposition's histogram samples and checks
+// the cross-line invariants: buckets cumulative in ascending le order,
+// ending at le="+Inf", and the +Inf bucket equal to the series' _count.
+// Lint reports every violation; ParseExposition refuses a scrape with
+// any, so the fleet view never serves a histogram Lint would flag.
+type histogramCheck struct {
+	buckets map[string][]bucketSample // histogram name + non-le labels
+	counts  map[string]float64        // histogram _count by series
+}
+
+type bucketSample struct {
+	le   float64
+	inf  bool
+	val  float64
+	line int
+}
+
+// add records one sample of histogram base; kind is its suffix kind
+// ("bucket", "sum", "count" or ""). A bucket without a parseable le is
+// an error.
+func (c *histogramCheck) add(base, kind string, labels [][2]string, v float64, line int) error {
+	switch kind {
+	case "bucket":
+		le, hasLE := labelValue(labels, "le")
+		if !hasLE {
+			return fmt.Errorf("histogram bucket %s_bucket without an le label", base)
+		}
+		bs := bucketSample{val: v, line: line}
+		if le == "+Inf" {
+			bs.inf = true
+		} else {
+			f, err := strconv.ParseFloat(le, 64)
+			if err != nil {
+				return fmt.Errorf("histogram bucket %s_bucket: bad le %q", base, le)
+			}
+			bs.le = f
+		}
+		key := base + canonicalLabels(dropLabel(labels, "le"))
+		c.buckets[key] = append(c.buckets[key], bs)
+	case "count":
+		c.counts[base+canonicalLabels(labels)] = v
+	}
+	return nil
+}
+
+// problems checks the collected histograms, series in sorted order.
+func (c *histogramCheck) problems() []string {
+	var problems []string
+	keys := make([]string, 0, len(c.buckets))
+	for k := range c.buckets {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].series < keys[j].series })
+	sort.Strings(keys)
 	for _, k := range keys {
-		bs := buckets[k]
+		bs := c.buckets[k]
 		sort.Slice(bs, func(i, j int) bool {
 			if bs[i].inf != bs[j].inf {
 				return bs[j].inf
@@ -163,7 +182,7 @@ func Lint(data []byte) []string {
 		sawInf := false
 		for _, b := range bs {
 			if b.val < prev {
-				problems = append(problems, fmt.Sprintf("line %d: histogram %s buckets not cumulative: %v after %v", b.line, k.series, b.val, prev))
+				problems = append(problems, fmt.Sprintf("line %d: histogram %s buckets not cumulative: %v after %v", b.line, k, b.val, prev))
 			}
 			prev = b.val
 			if b.inf {
@@ -171,11 +190,11 @@ func Lint(data []byte) []string {
 			}
 		}
 		if !sawInf {
-			problems = append(problems, fmt.Sprintf("histogram %s has no le=\"+Inf\" bucket", k.series))
+			problems = append(problems, fmt.Sprintf("histogram %s has no le=\"+Inf\" bucket", k))
 			continue
 		}
-		if c, ok := counts[k.series]; ok && c != prev {
-			problems = append(problems, fmt.Sprintf("histogram %s: _count %v != +Inf bucket %v", k.series, c, prev))
+		if cnt, ok := c.counts[k]; ok && cnt != prev {
+			problems = append(problems, fmt.Sprintf("histogram %s: _count %v != +Inf bucket %v", k, cnt, prev))
 		}
 	}
 	return problems
@@ -265,7 +284,8 @@ func unquoteLabel(s string) (val, rest string, err error) {
 }
 
 // canonicalLabels renders label pairs sorted by key, so series identity
-// is label-order independent.
+// is label-order independent, with values escaped as the exposition
+// format escapes them (Go's %q would write escapes it does not have).
 func canonicalLabels(labels [][2]string) string {
 	if len(labels) == 0 {
 		return ""
@@ -278,7 +298,10 @@ func canonicalLabels(labels [][2]string) string {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		fmt.Fprintf(&b, "%s=%q", kv[0], kv[1])
+		b.WriteString(kv[0])
+		b.WriteString(`="`)
+		b.WriteString(escapeLabel(kv[1]))
+		b.WriteByte('"')
 	}
 	b.WriteByte('}')
 	return b.String()

@@ -23,75 +23,78 @@ func TestLintClean(t *testing.T) {
 	}
 }
 
+// lintViolations are exposition texts Lint must flag, each with a
+// substring of the problem it must report.
+var lintViolations = []struct {
+	name string
+	in   string
+	want string // substring of an expected problem
+}{
+	{
+		"missing TYPE",
+		"wt_x_total 1\n",
+		"no preceding # TYPE",
+	},
+	{
+		"missing HELP",
+		"# TYPE wt_x_total counter\nwt_x_total 1\n",
+		"no # HELP",
+	},
+	{
+		"duplicate series",
+		"# HELP wt_x_total x.\n# TYPE wt_x_total counter\nwt_x_total 1\nwt_x_total 2\n",
+		"duplicate series",
+	},
+	{
+		"duplicate series label order",
+		"# HELP wt_x_total x.\n# TYPE wt_x_total counter\nwt_x_total{a=\"1\",b=\"2\"} 1\nwt_x_total{b=\"2\",a=\"1\"} 2\n",
+		"duplicate series",
+	},
+	{
+		"bad escape",
+		"# HELP wt_x_total x.\n# TYPE wt_x_total counter\nwt_x_total{a=\"\\q\"} 1\n",
+		"bad escape",
+	},
+	{
+		"unterminated label",
+		"# HELP wt_x_total x.\n# TYPE wt_x_total counter\nwt_x_total{a=\"oops} 1\n",
+		"unterminated",
+	},
+	{
+		"bad value",
+		"# HELP wt_x_total x.\n# TYPE wt_x_total counter\nwt_x_total banana\n",
+		"bad value",
+	},
+	{
+		"non-cumulative buckets",
+		"# HELP wt_x_seconds x.\n# TYPE wt_x_seconds histogram\n" +
+			"wt_x_seconds_bucket{le=\"0.1\"} 5\nwt_x_seconds_bucket{le=\"1\"} 3\nwt_x_seconds_bucket{le=\"+Inf\"} 6\n" +
+			"wt_x_seconds_sum 1\nwt_x_seconds_count 6\n",
+		"not cumulative",
+	},
+	{
+		"missing +Inf",
+		"# HELP wt_x_seconds x.\n# TYPE wt_x_seconds histogram\n" +
+			"wt_x_seconds_bucket{le=\"0.1\"} 1\nwt_x_seconds_sum 1\nwt_x_seconds_count 1\n",
+		"+Inf",
+	},
+	{
+		"count disagrees with +Inf",
+		"# HELP wt_x_seconds x.\n# TYPE wt_x_seconds histogram\n" +
+			"wt_x_seconds_bucket{le=\"0.1\"} 1\nwt_x_seconds_bucket{le=\"+Inf\"} 4\n" +
+			"wt_x_seconds_sum 1\nwt_x_seconds_count 9\n",
+		"_count 9 != +Inf bucket 4",
+	},
+	{
+		"bucket without le",
+		"# HELP wt_x_seconds x.\n# TYPE wt_x_seconds histogram\n" +
+			"wt_x_seconds_bucket 1\nwt_x_seconds_bucket{le=\"+Inf\"} 1\nwt_x_seconds_sum 1\nwt_x_seconds_count 1\n",
+		"without an le label",
+	},
+}
+
 func TestLintViolations(t *testing.T) {
-	cases := []struct {
-		name string
-		in   string
-		want string // substring of an expected problem
-	}{
-		{
-			"missing TYPE",
-			"wt_x_total 1\n",
-			"no preceding # TYPE",
-		},
-		{
-			"missing HELP",
-			"# TYPE wt_x_total counter\nwt_x_total 1\n",
-			"no # HELP",
-		},
-		{
-			"duplicate series",
-			"# HELP wt_x_total x.\n# TYPE wt_x_total counter\nwt_x_total 1\nwt_x_total 2\n",
-			"duplicate series",
-		},
-		{
-			"duplicate series label order",
-			"# HELP wt_x_total x.\n# TYPE wt_x_total counter\nwt_x_total{a=\"1\",b=\"2\"} 1\nwt_x_total{b=\"2\",a=\"1\"} 2\n",
-			"duplicate series",
-		},
-		{
-			"bad escape",
-			"# HELP wt_x_total x.\n# TYPE wt_x_total counter\nwt_x_total{a=\"\\q\"} 1\n",
-			"bad escape",
-		},
-		{
-			"unterminated label",
-			"# HELP wt_x_total x.\n# TYPE wt_x_total counter\nwt_x_total{a=\"oops} 1\n",
-			"unterminated",
-		},
-		{
-			"bad value",
-			"# HELP wt_x_total x.\n# TYPE wt_x_total counter\nwt_x_total banana\n",
-			"bad value",
-		},
-		{
-			"non-cumulative buckets",
-			"# HELP wt_x_seconds x.\n# TYPE wt_x_seconds histogram\n" +
-				"wt_x_seconds_bucket{le=\"0.1\"} 5\nwt_x_seconds_bucket{le=\"1\"} 3\nwt_x_seconds_bucket{le=\"+Inf\"} 6\n" +
-				"wt_x_seconds_sum 1\nwt_x_seconds_count 6\n",
-			"not cumulative",
-		},
-		{
-			"missing +Inf",
-			"# HELP wt_x_seconds x.\n# TYPE wt_x_seconds histogram\n" +
-				"wt_x_seconds_bucket{le=\"0.1\"} 1\nwt_x_seconds_sum 1\nwt_x_seconds_count 1\n",
-			"+Inf",
-		},
-		{
-			"count disagrees with +Inf",
-			"# HELP wt_x_seconds x.\n# TYPE wt_x_seconds histogram\n" +
-				"wt_x_seconds_bucket{le=\"0.1\"} 1\nwt_x_seconds_bucket{le=\"+Inf\"} 4\n" +
-				"wt_x_seconds_sum 1\nwt_x_seconds_count 9\n",
-			"_count 9 != +Inf bucket 4",
-		},
-		{
-			"bucket without le",
-			"# HELP wt_x_seconds x.\n# TYPE wt_x_seconds histogram\n" +
-				"wt_x_seconds_bucket 1\nwt_x_seconds_bucket{le=\"+Inf\"} 1\nwt_x_seconds_sum 1\nwt_x_seconds_count 1\n",
-			"without an le label",
-		},
-	}
-	for _, tc := range cases {
+	for _, tc := range lintViolations {
 		t.Run(tc.name, func(t *testing.T) {
 			problems := Lint([]byte(tc.in))
 			for _, p := range problems {

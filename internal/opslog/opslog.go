@@ -1,4 +1,4 @@
-// Package trace implements the operational-log pipeline of §4.4/§4.5 of
+// Package opslog implements the operational-log pipeline of §4.4/§4.5 of
 // the paper: hardware event logs are parsed, per-component inter-failure
 // and repair durations are extracted, and distributions are fitted to
 // seed data-driven simulator models ("transformation algorithms that
@@ -8,7 +8,7 @@
 // so the package also contains a synthetic log generator that draws from
 // configurable ground-truth distributions — the fitting/validation code
 // path is identical for real logs.
-package trace
+package opslog
 
 import (
 	"bufio"
@@ -44,7 +44,7 @@ func WriteLog(w io.Writer, events []Event) error {
 	bw := bufio.NewWriter(w)
 	for _, e := range events {
 		if _, err := fmt.Fprintf(bw, "%.6f,%s,%s\n", e.Time, e.Component, e.Kind); err != nil {
-			return fmt.Errorf("trace: write: %w", err)
+			return fmt.Errorf("opslog: write: %w", err)
 		}
 	}
 	return bw.Flush()
@@ -65,24 +65,24 @@ func ParseLog(r io.Reader) ([]Event, error) {
 		}
 		parts := strings.Split(line, ",")
 		if len(parts) != 3 {
-			return nil, fmt.Errorf("trace: line %d: want 3 fields, got %d", lineNo, len(parts))
+			return nil, fmt.Errorf("opslog: line %d: want 3 fields, got %d", lineNo, len(parts))
 		}
 		t, err := strconv.ParseFloat(strings.TrimSpace(parts[0]), 64)
 		if err != nil {
-			return nil, fmt.Errorf("trace: line %d: bad timestamp %q", lineNo, parts[0])
+			return nil, fmt.Errorf("opslog: line %d: bad timestamp %q", lineNo, parts[0])
 		}
 		kind := EventKind(strings.TrimSpace(parts[2]))
 		if kind != EventFail && kind != EventRepair {
-			return nil, fmt.Errorf("trace: line %d: unknown event kind %q", lineNo, parts[2])
+			return nil, fmt.Errorf("opslog: line %d: unknown event kind %q", lineNo, parts[2])
 		}
 		comp := strings.TrimSpace(parts[1])
 		if comp == "" {
-			return nil, fmt.Errorf("trace: line %d: empty component", lineNo)
+			return nil, fmt.Errorf("opslog: line %d: empty component", lineNo)
 		}
 		events = append(events, Event{Time: t, Component: comp, Kind: kind})
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("trace: scan: %w", err)
+		return nil, fmt.Errorf("opslog: scan: %w", err)
 	}
 	return events, nil
 }
@@ -101,13 +101,13 @@ type GeneratorConfig struct {
 // are returned in time order.
 func Generate(cfg GeneratorConfig) ([]Event, error) {
 	if cfg.Components < 1 {
-		return nil, fmt.Errorf("trace: need >= 1 component, got %d", cfg.Components)
+		return nil, fmt.Errorf("opslog: need >= 1 component, got %d", cfg.Components)
 	}
 	if cfg.Horizon <= 0 {
-		return nil, fmt.Errorf("trace: horizon must be positive, got %v", cfg.Horizon)
+		return nil, fmt.Errorf("opslog: horizon must be positive, got %v", cfg.Horizon)
 	}
 	if cfg.TTF == nil || cfg.Repair == nil {
-		return nil, fmt.Errorf("trace: generator needs TTF and Repair distributions")
+		return nil, fmt.Errorf("opslog: generator needs TTF and Repair distributions")
 	}
 	var events []Event
 	for c := 0; c < cfg.Components; c++ {
@@ -152,7 +152,7 @@ func Extract(events []Event) (Durations, error) {
 	lastTime := -1.0
 	for i, e := range events {
 		if e.Time < lastTime {
-			return Durations{}, fmt.Errorf("trace: event %d out of time order", i)
+			return Durations{}, fmt.Errorf("opslog: event %d out of time order", i)
 		}
 		lastTime = e.Time
 		st := states[e.Component]
@@ -163,14 +163,14 @@ func Extract(events []Event) (Durations, error) {
 		switch e.Kind {
 		case EventFail:
 			if st.isDown {
-				return Durations{}, fmt.Errorf("trace: component %s failed twice without repair", e.Component)
+				return Durations{}, fmt.Errorf("opslog: component %s failed twice without repair", e.Component)
 			}
 			d.TimeBetweenFailures = append(d.TimeBetweenFailures, e.Time-st.lastUp)
 			st.isDown = true
 			st.downAt = e.Time
 		case EventRepair:
 			if !st.isDown {
-				return Durations{}, fmt.Errorf("trace: component %s repaired while healthy", e.Component)
+				return Durations{}, fmt.Errorf("opslog: component %s repaired while healthy", e.Component)
 			}
 			d.RepairDurations = append(d.RepairDurations, e.Time-st.downAt)
 			st.isDown = false
@@ -198,7 +198,7 @@ func FitModels(events []Event) (ttf, repair ModelReport, err error) {
 	}
 	if len(d.TimeBetweenFailures) < 10 || len(d.RepairDurations) < 10 {
 		return ModelReport{}, ModelReport{}, fmt.Errorf(
-			"trace: need >= 10 observations of each quantity, got %d TTF / %d repair",
+			"opslog: need >= 10 observations of each quantity, got %d TTF / %d repair",
 			len(d.TimeBetweenFailures), len(d.RepairDurations))
 	}
 	ttfFits := dist.FitBest(d.TimeBetweenFailures)

@@ -531,7 +531,7 @@ func TestReplyBodiesPinned(t *testing.T) {
 	postQuery(t, ts, smallQuery)
 	postQuery(t, ts, smallQuery)
 	coord, cts, _, urls := startFleet(t, 2, false)
-	coord.health.Probe() // every member probed: both timestamps set
+	coord.health.Probe(ctx) // every member probed: both timestamps set
 
 	ts3339 := `"\d{4}-\d\d-\d\dT[0-9:.]+(Z|[+-]\d\d:\d\d)"`
 	member := func(u string) string {

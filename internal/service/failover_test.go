@@ -282,14 +282,14 @@ func TestFleetDrainDuringJob(t *testing.T) {
 // still reachable for cache peering.
 func TestHealthTreatsDrainingAsSuspect(t *testing.T) {
 	srv, ts := newTestServer(t, Config{PoolSize: 1})
-	h := NewHealth([]string{ts.URL}, HealthConfig{})
-	h.Probe()
+	h := NewHealth([]string{ts.URL})
+	h.Probe(context.Background())
 	if st := h.State(ts.URL); st != StateUp {
 		t.Fatalf("healthy worker probed as %v", st)
 	}
 
 	srv.BeginDrain()
-	h.Probe()
+	h.Probe(context.Background())
 	if st := h.State(ts.URL); st != StateSuspect {
 		t.Fatalf("draining worker probed as %v, want suspect", st)
 	}
@@ -315,8 +315,8 @@ func TestPassiveSuccessKeepsDraining(t *testing.T) {
 		w.Write([]byte(`{"status":"draining"}`))
 	}))
 	defer draining.Close()
-	h := NewHealth([]string{draining.URL}, HealthConfig{})
-	h.Probe()
+	h := NewHealth([]string{draining.URL})
+	h.Probe(context.Background())
 	h.ReportSuccess(draining.URL)
 	if h.Assignable(draining.URL) {
 		t.Fatal("a passive success made a draining worker assignable")
@@ -326,13 +326,9 @@ func TestPassiveSuccessKeepsDraining(t *testing.T) {
 	}
 }
 
-// TestCachePeerDownSkipsFast is the issue's <10ms-per-key assertion: a
-// peer the health monitor holds down must be skipped before any dial,
-// so a dead peer costs microseconds per key instead of the peer
-// client's 2s timeout.
-func TestCachePeerDownSkipsFast(t *testing.T) {
-	// A listener that accepts and then ignores connections: any actual
-	// dial against it would burn the full client timeout.
+// hungMember returns the URL of a listener that accepts connections
+// and never answers on them, closed when the test ends.
+func hungMember(t testing.TB) string {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -347,7 +343,17 @@ func TestCachePeerDownSkipsFast(t *testing.T) {
 			defer conn.Close()
 		}
 	}()
-	hungURL := "http://" + ln.Addr().String()
+	return "http://" + ln.Addr().String()
+}
+
+// TestCachePeerDownSkipsFast is the <10ms-per-key assertion: a
+// peer the health monitor holds down must be skipped before any dial,
+// so a dead peer costs microseconds per key instead of the peer
+// client's 2s timeout.
+func TestCachePeerDownSkipsFast(t *testing.T) {
+	// Any actual dial against a hung member would burn the full client
+	// timeout.
+	hungURL := hungMember(t)
 
 	c, err := NewCache(64, "")
 	if err != nil {
@@ -355,8 +361,8 @@ func TestCachePeerDownSkipsFast(t *testing.T) {
 	}
 	self := "http://self.invalid"
 	c.EnablePeering([]string{hungURL, self}, self, nil)
-	h := NewHealth([]string{hungURL}, HealthConfig{DownAfter: 3})
-	for i := 0; i < 3; i++ {
+	h := NewHealth([]string{hungURL})
+	for range downAfter {
 		h.ReportFailure(hungURL, nil)
 	}
 	if h.State(hungURL) != StateDown {

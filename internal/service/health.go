@@ -3,10 +3,12 @@ package service
 import (
 	"context"
 	"fmt"
-	"net/http"
 	"sort"
+	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // MemberState is a fleet member's health as seen by this process.
@@ -20,51 +22,27 @@ const (
 	// shard assignments but in-flight streams are left alone and cache
 	// peering still tries them — a suspect is slow or leaving, not gone.
 	StateSuspect MemberState = "suspect"
-	// StateDown: consecutive failures reached DownAfter. Down members are
+	// StateDown: consecutive failures reached downAfter. Down members are
 	// skipped everywhere — shard planning routes around them and cache
 	// peering misses immediately instead of eating a connect timeout per
 	// key. Recovery probes keep running; successes bring the member back.
 	StateDown MemberState = "down"
 )
 
-// HealthConfig tunes the monitor. Zero values mean the defaults.
-type HealthConfig struct {
-	// ProbeInterval is the period of the background probe loop
-	// (default 2s).
-	ProbeInterval time.Duration
-	// ProbeTimeout bounds one GET /v1/healthz (default 1s).
-	ProbeTimeout time.Duration
-	// SuspectAfter is the consecutive-failure count that moves an up
-	// member to suspect (default 1: the first failure makes it suspect).
-	SuspectAfter int
-	// DownAfter is the consecutive-failure count that moves a member to
-	// down (default 3).
-	DownAfter int
-	// UpAfter is the consecutive-success count a *down* member needs to
-	// return to up (default 2) — hysteresis so a flapping member does not
-	// oscillate into the shard planner every other probe. Suspect members
-	// recover on the first success.
-	UpAfter int
-}
-
-func (c HealthConfig) withDefaults() HealthConfig {
-	if c.ProbeInterval <= 0 {
-		c.ProbeInterval = 2 * time.Second
-	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = time.Second
-	}
-	if c.SuspectAfter <= 0 {
-		c.SuspectAfter = 1
-	}
-	if c.DownAfter <= 0 {
-		c.DownAfter = 3
-	}
-	if c.UpAfter <= 0 {
-		c.UpAfter = 2
-	}
-	return c
-}
+// The poller's thresholds and bounds. Consecutive failures make a member
+// suspect (suspectAfter) and then down (downAfter); a *down* member needs
+// upAfter straight successes back — hysteresis so a flapping member does
+// not oscillate into the shard planner — while a suspect recovers on the
+// first. A full registry scrape is a few tens of KB; maxScrapeBody is
+// paranoia, not a limit anyone should hit.
+const (
+	suspectAfter  = 1
+	downAfter     = 3
+	upAfter       = 2
+	probeTimeout  = time.Second     // one GET /v1/healthz
+	scrapeTimeout = 2 * time.Second // one GET /metrics
+	maxScrapeBody = 8 << 20
+)
 
 // MemberHealth is the externally-visible state of one member, served at
 // GET /v1/fleet.
@@ -85,38 +63,45 @@ type memberHealth struct {
 	successes int // consecutive, for down→up hysteresis
 }
 
-// Health monitors fleet membership: a background loop probes every
-// member's GET /v1/healthz with a short timeout, and the serving paths
-// feed passive observations (a torn worker stream, a refused peer
-// fetch) through ReportFailure/ReportSuccess so real traffic detects
-// failures faster than the probe period. Shard planning and cache
-// peering consult the resulting up/suspect/down state; membership is
-// exposed at GET /v1/fleet.
+// Health is the fleet's one member poller. Each round GETs every
+// member's /v1/healthz with a short timeout and, when hist is set (a
+// coordinator with telemetry), the member's /metrics too, ingested into
+// hist under instance=<member URL>. The serving paths feed passive
+// observations (a torn worker stream, a refused peer fetch) through
+// ReportFailure/ReportSuccess so real traffic detects failures faster
+// than the round period. Shard planning and cache peering consult the
+// resulting up/suspect/down state; membership is exposed at
+// GET /v1/fleet, and the scrapes at GET /v1/metrics/fleet.
+//
+// Each scraping round also synthesizes wt_fleet_member_up, a
+// per-instance gauge that is 1 when the member's scrape answered and 0
+// when it failed. That makes "a worker is gone" an ordinary series in
+// history — the worker_down alert rule is a plain threshold over it, and
+// it flips within one round of a kill because a dead worker fails the
+// scrape immediately (connection refused), no state-machine hysteresis
+// in the path.
 type Health struct {
-	cfg    HealthConfig
 	client Client
+	urls   []string     // members in configuration order
+	hist   *obs.History // non-nil: rounds also scrape /metrics into it
 
 	mu      sync.Mutex
 	members map[string]*memberHealth
+	partial bool // a scrape failed in the last completed round
 	now     func() time.Time
 
 	stopOnce sync.Once
-	stop     chan struct{}
+	cancel   context.CancelFunc
 	done     chan struct{}
 }
 
-// NewHealth builds a monitor over the given member URLs. Members start
+// NewHealth builds a poller over the given member URLs. Members start
 // up (optimistic: an unprobed fleet must accept work immediately); call
-// Start to begin background probing, or Probe for one synchronous round.
-func NewHealth(members []string, cfg HealthConfig) *Health {
-	cfg = cfg.withDefaults()
+// Start to begin background rounds, or Probe for one synchronous round.
+func NewHealth(members []string) *Health {
 	h := &Health{
-		cfg:     cfg,
-		client:  Client{HTTP: &http.Client{Timeout: cfg.ProbeTimeout}},
 		members: make(map[string]*memberHealth, len(members)),
 		now:     time.Now,
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
 	}
 	for _, m := range members {
 		if m == "" {
@@ -124,67 +109,99 @@ func NewHealth(members []string, cfg HealthConfig) *Health {
 		}
 		if _, dup := h.members[m]; !dup {
 			h.members[m] = &memberHealth{MemberHealth: MemberHealth{URL: m, State: StateUp}}
+			h.urls = append(h.urls, m)
 		}
 	}
 	return h
 }
 
-// Start launches the background probe loop. Stop ends it.
-func (h *Health) Start() {
+// Start launches the background loop: one round now, then one per
+// interval (<= 0 = obs.DefaultSampleInterval). Stop ends it.
+func (h *Health) Start(interval time.Duration) {
+	if interval <= 0 {
+		interval = obs.DefaultSampleInterval
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	h.cancel, h.done = cancel, make(chan struct{})
 	go func() {
 		defer close(h.done)
-		ticker := time.NewTicker(h.cfg.ProbeInterval)
+		ticker := time.NewTicker(interval)
 		defer ticker.Stop()
-		h.Probe()
+		h.Probe(ctx)
 		for {
 			select {
-			case <-h.stop:
+			case <-ctx.Done():
 				return
 			case <-ticker.C:
-				h.Probe()
+				h.Probe(ctx)
 			}
 		}
 	}()
 }
 
-// Stop terminates the probe loop (idempotent) and waits for it to exit.
+// Stop terminates the loop (idempotent), cancelling any request in
+// flight, and waits for it to exit.
 func (h *Health) Stop() {
-	h.stopOnce.Do(func() { close(h.stop) })
+	if h == nil || h.cancel == nil {
+		return
+	}
+	h.stopOnce.Do(h.cancel)
 	<-h.done
 }
 
-// Probe runs one synchronous probe round over all members, including
-// down ones — those probes are the recovery path.
-func (h *Health) Probe() {
-	h.mu.Lock()
-	urls := make([]string, 0, len(h.members))
-	for u := range h.members {
-		urls = append(urls, u)
+// Partial reports whether the last completed round failed to scrape at
+// least one member — the fleet view is being served, but it is missing
+// somebody. Surfaced as the X-WT-Partial header on /v1/metrics/fleet.
+func (h *Health) Partial() bool {
+	if h == nil {
+		return false
 	}
-	h.mu.Unlock()
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.partial
+}
 
+// Probe runs one synchronous round over all members, including down
+// ones — those probes are the recovery path. A round cut short by ctx
+// records nothing.
+func (h *Health) Probe(ctx context.Context) {
+	scrapes := make([]scraped, len(h.urls))
 	var wg sync.WaitGroup
-	for _, u := range urls {
+	for i, u := range h.urls {
 		wg.Add(1)
-		go func(u string) {
+		go func() {
 			defer wg.Done()
-			draining, err := h.probeOne(u)
-			if err != nil {
+			draining, err := h.probeOne(ctx, u)
+			switch {
+			case ctx.Err() != nil:
+			case err != nil:
 				h.observe(u, true, nil, err.Error())
-				return
+			default:
+				h.observe(u, false, &draining, "")
 			}
-			h.observe(u, false, &draining, "")
-		}(u)
+		}()
+		if h.hist != nil {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				scrapes[i].fams, scrapes[i].err = h.scrape(ctx, u)
+			}()
+		}
 	}
 	wg.Wait()
+	if h.hist != nil && ctx.Err() == nil {
+		h.ingest(scrapes)
+	}
 }
 
 // probeOne GETs one member's healthz and reports whether it is
 // draining. Any transport error, non-200, or unparseable body is a
 // probe failure.
-func (h *Health) probeOne(u string) (draining bool, err error) {
+func (h *Health) probeOne(ctx context.Context, u string) (draining bool, err error) {
+	ctx, cancel := context.WithTimeout(ctx, probeTimeout)
+	defer cancel()
 	var hz HealthzResponse
-	if err := h.client.GetJSON(context.Background(), u+"/v1/healthz", 4096, &hz); err != nil {
+	if err := h.client.GetJSON(ctx, u+"/v1/healthz", 4096, &hz); err != nil {
 		return false, err
 	}
 	switch hz.Status {
@@ -195,6 +212,51 @@ func (h *Health) probeOne(u string) (draining bool, err error) {
 	default:
 		return false, fmt.Errorf("healthz status %q", hz.Status)
 	}
+}
+
+// scraped is one member's /metrics in a round.
+type scraped struct {
+	fams []obs.FamilySnapshot
+	err  error
+}
+
+// scrape fetches and parses one member's exposition.
+func (h *Health) scrape(ctx context.Context, u string) ([]obs.FamilySnapshot, error) {
+	ctx, cancel := context.WithTimeout(ctx, scrapeTimeout)
+	defer cancel()
+	body, err := h.client.Get(ctx, strings.TrimRight(u, "/")+"/metrics", maxScrapeBody)
+	if err != nil {
+		return nil, err
+	}
+	return obs.ParseExposition(body)
+}
+
+// ingest lands one round's scrapes in hist, then the synthesized
+// member-up gauge. A failed scrape ingests nothing for that member — its
+// last good samples age out of the rings naturally — but always lands a
+// member_up=0 sample, so absence is itself observable.
+func (h *Health) ingest(scrapes []scraped) {
+	now := time.Now()
+	up := obs.FamilySnapshot{
+		Name: "wt_fleet_member_up",
+		Help: "1 when the coordinator's last /metrics scrape of the fleet member succeeded, 0 when it failed.",
+		Type: "gauge",
+	}
+	anyDown := false
+	for i, u := range h.urls {
+		v := 0.0
+		if scrapes[i].err == nil {
+			v = 1
+			h.hist.Ingest(scrapes[i].fams, u, now)
+		} else {
+			anyDown = true
+		}
+		up.Samples = append(up.Samples, obs.SeriesSample{Labels: [][2]string{{"instance", u}}, Value: v})
+	}
+	h.mu.Lock()
+	h.partial = anyDown // before member_up lands, so a reader of 0 sees partial
+	h.mu.Unlock()
+	h.hist.Ingest([]obs.FamilySnapshot{up}, "", now)
 }
 
 // ReportFailure records a passive failure observation for a member — a
@@ -235,9 +297,9 @@ func (h *Health) observe(u string, failed bool, draining *bool, errMsg string) {
 		m.Failures++
 		m.LastError = errMsg
 		switch {
-		case m.Failures >= h.cfg.DownAfter:
+		case m.Failures >= downAfter:
 			m.State = StateDown
-		case m.Failures >= h.cfg.SuspectAfter:
+		case m.Failures >= suspectAfter:
 			m.State = StateSuspect
 		}
 		return
@@ -256,8 +318,8 @@ func (h *Health) observe(u string, failed bool, draining *bool, errMsg string) {
 		return
 	}
 	m.successes++
-	if m.State == StateDown && m.successes < h.cfg.UpAfter {
-		return // hysteresis: a down member needs UpAfter straight successes
+	if m.State == StateDown && m.successes < upAfter {
+		return // hysteresis: a down member needs upAfter straight successes
 	}
 	m.State = StateUp
 }

@@ -1,20 +1,23 @@
 package service
 
 import (
+	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
 // TestHealthStateMachine drives the up/suspect/down transitions with
-// passive observations: SuspectAfter failures suspend new assignments,
-// DownAfter failures cut the member off, and a down member needs
-// UpAfter straight successes back (hysteresis against flapping).
+// passive observations: suspectAfter failures suspend new assignments,
+// downAfter failures cut the member off, and a down member needs
+// upAfter straight successes back (hysteresis against flapping).
 func TestHealthStateMachine(t *testing.T) {
 	const u = "http://w1"
-	h := NewHealth([]string{u}, HealthConfig{SuspectAfter: 1, DownAfter: 3, UpAfter: 2})
+	h := NewHealth([]string{u})
 
 	if h.State(u) != StateUp || !h.Assignable(u) || !h.Reachable(u) {
 		t.Fatal("fresh member must start up (optimistic)")
@@ -87,21 +90,20 @@ func TestHealthProbe(t *testing.T) {
 	deadURL := dead.URL
 	dead.Close()
 
-	h := NewHealth([]string{live.URL, deadURL}, HealthConfig{
-		ProbeTimeout: 500 * time.Millisecond,
-		DownAfter:    2,
-		UpAfter:      1,
-	})
-	h.Probe()
+	ctx := context.Background()
+	h := NewHealth([]string{live.URL, deadURL})
+	h.Probe(ctx)
 	if st := h.State(live.URL); st != StateUp {
 		t.Fatalf("live member probed as %v", st)
 	}
 	if st := h.State(deadURL); st != StateSuspect {
 		t.Fatalf("dead member probed as %v after one round, want suspect", st)
 	}
-	h.Probe()
+	// A passive failure between rounds brings the streak to downAfter.
+	h.ReportFailure(deadURL, fmt.Errorf("refused"))
+	h.Probe(ctx)
 	if st := h.State(deadURL); st != StateDown {
-		t.Fatalf("dead member probed as %v after two rounds, want down", st)
+		t.Fatalf("dead member probed as %v after two rounds and a reported failure, want down", st)
 	}
 
 	// Recovery: down members keep receiving probes — that is the
@@ -110,12 +112,16 @@ func TestHealthProbe(t *testing.T) {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	}))
 	t.Cleanup(revived.Close)
-	h2 := NewHealth([]string{revived.URL}, HealthConfig{DownAfter: 1, UpAfter: 1})
-	h2.ReportFailure(revived.URL, fmt.Errorf("was down"))
+	h2 := NewHealth([]string{revived.URL})
+	for range downAfter {
+		h2.ReportFailure(revived.URL, fmt.Errorf("was down"))
+	}
 	if h2.State(revived.URL) != StateDown {
 		t.Fatal("setup: member not down")
 	}
-	h2.Probe()
+	for range upAfter {
+		h2.Probe(ctx)
+	}
 	if st := h2.State(revived.URL); st != StateUp {
 		t.Fatalf("revived member probed as %v, want up", st)
 	}
@@ -147,8 +153,8 @@ func TestHealthStartStop(t *testing.T) {
 	}))
 	t.Cleanup(ts.Close)
 
-	h := NewHealth([]string{ts.URL}, HealthConfig{ProbeInterval: 20 * time.Millisecond})
-	h.Start()
+	h := NewHealth([]string{ts.URL})
+	h.Start(20 * time.Millisecond)
 	select {
 	case <-probed:
 	case <-time.After(5 * time.Second):
@@ -156,4 +162,117 @@ func TestHealthStartStop(t *testing.T) {
 	}
 	h.Stop()
 	h.Stop() // idempotent
+}
+
+// TestCloseDoesNotWaitForHungMember: Close cancels the poller's
+// requests in flight instead of waiting out their timeouts — on a worker
+// the 1 s healthz probe, on a coordinator also the 2 s /metrics scrape —
+// against a member that accepts connections and never answers.
+func TestCloseDoesNotWaitForHungMember(t *testing.T) {
+	hung := hungMember(t)
+	const self = "http://self.invalid"
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"worker", Config{PoolSize: 1, Peers: []string{self, hung}, Self: self}},
+		{"coordinator", Config{PoolSize: 1, Coordinator: true, Peers: []string{hung}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, err := New(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			time.Sleep(100 * time.Millisecond) // the first round is in flight
+			start := time.Now()
+			srv.Close()
+			if d := time.Since(start); d > 200*time.Millisecond {
+				t.Fatalf("Close took %v with a hung member, want < 200ms", d)
+			}
+		})
+	}
+}
+
+// TestOnePollerPerMember: one loop polls each member, one request of a
+// kind per member per round — healthz always, and /metrics only on a
+// coordinator with telemetry. A worker polls only its peers.
+func TestOnePollerPerMember(t *testing.T) {
+	type counts struct{ healthz, metrics atomic.Int64 }
+	fake := func() (string, *counts) {
+		c := &counts{}
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			switch r.URL.Path {
+			case "/v1/healthz":
+				c.healthz.Add(1)
+				writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+			case "/metrics":
+				c.metrics.Add(1)
+				w.Header().Set("Content-Type", expositionContentType)
+				io.WriteString(w, "# HELP wt_fake_total A fake counter.\n# TYPE wt_fake_total counter\nwt_fake_total 1\n")
+			default:
+				http.NotFound(w, r)
+			}
+		}))
+		t.Cleanup(ts.Close)
+		return ts.URL, c
+	}
+	const self = "http://self.invalid"
+	const rounds = 3 // beyond the loop's own first round
+	for _, tc := range []struct {
+		name    string
+		cfg     func(members []string) Config
+		scrapes bool
+	}{
+		{"coordinator", func(m []string) Config { return Config{Coordinator: true, Peers: m} }, true},
+		{"coordinator-no-telemetry", func(m []string) Config { return Config{Coordinator: true, Peers: m, NoTelemetry: true} }, false},
+		{"worker", func(m []string) Config { return Config{Peers: append(m, self), Self: self} }, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var members []string
+			var seen []*counts
+			for range 2 {
+				u, c := fake()
+				members, seen = append(members, u), append(seen, c)
+			}
+			cfg := tc.cfg(members)
+			cfg.PoolSize, cfg.HistoryInterval = 1, time.Hour // one loop round, then ours
+			srv, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(srv.Close)
+			waitFor(t, 5*time.Second, "the loop's first round", func() bool {
+				for _, c := range seen {
+					if c.healthz.Load() == 0 {
+						return false
+					}
+				}
+				return true
+			})
+			for range rounds {
+				srv.health.Probe(context.Background())
+			}
+			want := int64(rounds + 1)
+			wantMetrics := int64(0)
+			if tc.scrapes {
+				wantMetrics = want
+			}
+			exact := func() bool {
+				for _, c := range seen {
+					if c.healthz.Load() != want || c.metrics.Load() != wantMetrics {
+						return false
+					}
+				}
+				return true
+			}
+			waitFor(t, 5*time.Second, "every round's requests", exact)
+			time.Sleep(50 * time.Millisecond)
+			if !exact() {
+				for i, c := range seen {
+					t.Errorf("member %d: %d healthz, %d /metrics; want %d, %d",
+						i, c.healthz.Load(), c.metrics.Load(), want, wantMetrics)
+				}
+			}
+		})
+	}
 }

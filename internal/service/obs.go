@@ -380,7 +380,7 @@ func (s *Server) handleFleetMetrics(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "telemetry disabled", http.StatusNotFound)
 		return
 	}
-	if s.fed.Partial() {
+	if s.health.Partial() {
 		w.Header().Set(partialHeader, "true")
 	}
 	w.Header().Set("Content-Type", expositionContentType)

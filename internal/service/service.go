@@ -209,10 +209,6 @@ type Config struct {
 	// (pruned) sweeps fall back to local execution — pruning decisions
 	// depend on the whole committed prefix, so they are not shardable.
 	Coordinator bool
-	// Health tunes the fleet health monitor (zero value = defaults).
-	// Used whenever Peers is non-empty: coordinators consult it for
-	// shard planning, workers for cache peering.
-	Health HealthConfig
 	// StreamIdleTimeout is the coordinator's per-stream liveness
 	// deadline: a worker stream delivering no NDJSON event for this
 	// long is failed over (<= 0 = 2m).
@@ -232,8 +228,9 @@ type Config struct {
 	NoTelemetry bool
 	// HistoryInterval is the telemetry-history sampling period: how
 	// often the registry is snapshotted into the in-process time-series
-	// store, how often a coordinator scrapes its workers' /metrics, and
-	// how often alert rules are evaluated (<= 0 = 2s).
+	// store, how often fleet members are polled (healthz, and on a
+	// coordinator their /metrics), and how often alert rules are
+	// evaluated (<= 0 = 2s).
 	HistoryInterval time.Duration
 	// HistoryDepth bounds each history series' ring buffer
 	// (<= 0 = obs.DefaultHistoryDepth: 360 samples, 12 minutes at the
@@ -264,13 +261,12 @@ type Server struct {
 	cache   *Cache
 	plans   *planMemo // the kept plans of repeated queries (plans.go)
 	fleet   *fleet    // non-nil in coordinator mode
-	health  *Health   // non-nil whenever Peers is configured
+	health  *Health   // the member poller, non-nil whenever Peers is configured
 	journal *Journal  // non-nil when Config.JournalDir is set
 	chaos   *FaultInjector
 	tel     *telemetry   // always non-nil; its registry is nil with NoTelemetry
 	history *obs.History // telemetry history store, nil with NoTelemetry
 	sampler *obs.Sampler // samples own registry into history
-	fed     *federator   // coordinator-only fleet /metrics scraper
 	alerts  *alertEngine // rule evaluation over history
 	started time.Time
 	now     func() time.Time
@@ -338,8 +334,7 @@ func New(cfg Config) (*Server, error) {
 		if len(cfg.Peers) == 0 {
 			return nil, fmt.Errorf("service: coordinator mode needs at least one worker in Peers")
 		}
-		s.health = NewHealth(cfg.Peers, cfg.Health)
-		s.health.Start()
+		s.health = NewHealth(cfg.Peers)
 		s.fleet = newFleet(cfg.Peers, s.health, cfg.StreamIdleTimeout, cfg.MaxShardRetries)
 	case len(cfg.Peers) > 0:
 		if cfg.Self == "" {
@@ -360,8 +355,7 @@ func New(cfg Config) (*Server, error) {
 		// A worker health-checks the peers it may fetch from (everyone
 		// but itself) so a down peer is skipped immediately on a cache
 		// miss instead of eating a connect timeout per key.
-		s.health = NewHealth(others, cfg.Health)
-		s.health.Start()
+		s.health = NewHealth(others)
 		cache.EnablePeering(cfg.Peers, cfg.Self, nil)
 		cache.SetHealth(s.health)
 	}
@@ -370,12 +364,13 @@ func New(cfg Config) (*Server, error) {
 	if s.tel.reg != nil {
 		// The retention layer: sample our own registry into history on
 		// the interval, labelled the same way our spans are; on a
-		// coordinator additionally scrape every worker's /metrics into
-		// the same store, and evaluate alert rules over the result.
+		// coordinator the member poller additionally scrapes every
+		// worker's /metrics into the same store; and evaluate alert rules
+		// over the result.
 		s.history = obs.NewHistory(cfg.HistoryDepth)
 		s.sampler = obs.StartSampler(s.history, s.tel.reg, worker, cfg.HistoryInterval)
 		if cfg.Coordinator {
-			s.fed = startFederator(s.history, cfg.Peers, cfg.HistoryInterval)
+			s.health.hist = s.history
 		}
 		rules := cfg.AlertRules
 		if rules == nil {
@@ -383,20 +378,20 @@ func New(cfg Config) (*Server, error) {
 		}
 		s.alerts = startAlertEngine(s.history, rules, cfg.HistoryInterval)
 	}
+	if s.health != nil {
+		s.health.Start(cfg.HistoryInterval)
+	}
 	return s, nil
 }
 
-// Close stops the server's background work (the health monitor's probe
-// loop, the history sampler, the fleet federator and the alert engine)
+// Close stops the server's background work (the member poller, the
+// history sampler and the alert engine)
 // and waits for every journal to flush what its job has queued, so no
 // batch is left in flight. It does not wait for running jobs — that is
 // BeginDrain plus WaitJobs' business.
 func (s *Server) Close() {
-	if s.health != nil {
-		s.health.Stop()
-	}
+	s.health.Stop()
 	s.sampler.Stop()
-	s.fed.Stop()
 	s.alerts.Stop()
 	for _, jj := range s.journals() {
 		jj.sync()
