@@ -29,19 +29,18 @@
 // dependency metrics registry scraped at /metrics, and every job records
 // a distributed trace (plan → shard → simulate/cache-hit → merge →
 // journal) that a coordinator propagates to workers via the X-WT-Trace
-// header. Every -history-interval (default 2s) the registry is sampled
-// into an in-process time-series history (bounded rings, -history-depth
-// samples per series); on the same period every fleet member probes its
-// peers' /v1/healthz, and in the same round a coordinator scrapes each
-// worker's /metrics into the history labelled per instance, so
-// /v1/metrics/fleet serves one merged fleet view and /v1/metrics/history
-// serves range queries. An alert engine evaluates declarative SLO rules
-// (worker down, sustained queue depth, cache hit ratio collapse, slow
-// journal fsyncs, degraded jobs, failover bursts — extend or override
-// with -alerts rules.json) over that history on the same interval;
-// instances are served at /v1/alerts, transitions are logged to stderr,
-// and /v1/healthz carries the firing count. -telemetry=false turns all
-// of it off; tables and NDJSON streams are byte-identical either way.
+// header. One telemetry round every -history-interval (default 2s)
+// samples the registry into an in-process time-series history (bounded
+// rings), probes the fleet members' /v1/healthz — on a coordinator also
+// scraping each worker's /metrics into the history labelled per
+// instance, so /v1/metrics/fleet serves one merged fleet view and
+// /v1/metrics/history serves range queries — and evaluates the built-in
+// SLO rules (worker down, sustained queue depth, cache hit ratio
+// collapse, slow journal fsyncs, degraded jobs, failover bursts) over
+// that history; instances are served at /v1/alerts, transitions are
+// logged to stderr, and /v1/healthz carries the firing count.
+// -telemetry=false turns all of it off; tables and NDJSON streams are
+// byte-identical either way.
 // -pprof mounts net/http/pprof (plus /metrics and /v1/stats) on a
 // separate listener kept off the serving port. cmd/wttop renders a live
 // terminal dashboard from these endpoints.
@@ -119,9 +118,7 @@ func main() {
 	journal := flag.String("journal", "auto", `job journal directory for crash recovery ("auto" = wtjournal-<addr>; empty = no journal: jobs are not crash-durable)`)
 	telemetry := flag.Bool("telemetry", true, "metrics registry + /metrics exposition + distributed tracing")
 	pprofAddr := flag.String("pprof", "", "mount net/http/pprof (and /metrics, /v1/stats) on this separate address (empty = off)")
-	historyInterval := flag.Duration("history-interval", 0, "telemetry history sampling / fleet probe and scrape / alert evaluation period (0 = 2s)")
-	historyDepth := flag.Int("history-depth", 0, "retained samples per history series (0 = 360: 12m at the default interval)")
-	alertsFile := flag.String("alerts", "", "JSON alert rules file merged over the built-in defaults (empty = defaults only)")
+	historyInterval := flag.Duration("history-interval", 0, "telemetry round period: history sample, fleet probe and scrape, alert evaluation (0 = 2s)")
 	flag.Parse()
 
 	journalDir := *journal
@@ -145,14 +142,6 @@ func main() {
 		JournalDir:        journalDir,
 		NoTelemetry:       !*telemetry,
 		HistoryInterval:   *historyInterval,
-		HistoryDepth:      *historyDepth,
-	}
-	if *alertsFile != "" {
-		rules, err := service.LoadAlertRules(*alertsFile)
-		if err != nil {
-			fatal(err)
-		}
-		cfg.AlertRules = rules
 	}
 	if *chaos != "" {
 		fcfg, err := service.ParseFaultConfig(*chaos)

@@ -8,9 +8,10 @@ import (
 
 // FuzzParseExposition: a coordinator parses whatever a fleet member's
 // /metrics returns and serves it back out at /v1/metrics/fleet. So any
-// body is refused with an error, or its families, ingested into a History
-// under an instance label, render through WriteLatestPrometheus to text
-// Lint accepts. Seeded with a live registry's exposition and the lint and
+// body is refused with an error, or Lint finds nothing in it but a
+// missing HELP or TYPE and its families, ingested into a History under an
+// instance label, render through WriteLatestPrometheus to text Lint
+// accepts. Seeded with a live registry's exposition and the lint and
 // parse fixtures, good and bad.
 func FuzzParseExposition(f *testing.F) {
 	r := NewRegistry()
@@ -31,10 +32,18 @@ func FuzzParseExposition(f *testing.F) {
 	for _, tc := range lintViolations {
 		f.Add([]byte(tc.in))
 	}
+	for _, tc := range unservable {
+		f.Add([]byte(tc.in))
+	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		fams, err := ParseExposition(body)
 		if err != nil {
 			return
+		}
+		for _, p := range Lint(body) {
+			if !strings.Contains(p, "no preceding # TYPE line") && !strings.Contains(p, "no # HELP line") {
+				t.Fatalf("body %q parsed despite lint problem %q", body, p)
+			}
 		}
 		if problems := renderLint(fams); len(problems) > 0 {
 			t.Fatalf("body %q renders to text that fails lint: %v", body, problems)
@@ -58,8 +67,8 @@ func TestParseExpositionFindings(t *testing.T) {
 			"# TYPE h histogram\nh_bucket 1\nh_bucket{le=\"+Inf\"} 1\nh_count 1\n", true},
 		{"histogram buckets not cumulative",
 			"# TYPE h histogram\nh_bucket{le=\"0.1\"} 5\nh_bucket{le=\"+Inf\"} 3\n", true},
-		{"empty TYPE", "# TYPE 0 \n0{}0 000000000000", false},
-		{"label value Go would quote", "0{=\"\xac\"}0\nx{a=\"tab\there\"} 1\n", false},
+		{"empty TYPE", "# TYPE m \nm{}0 000000000000", true},
+		{"label value Go would quote", "m{a=\"\xac\"}0\nx{a=\"tab\there\"} 1\n", false},
 		{"sample named like a histogram expansion before its TYPE",
 			"h_count{route=\"/v1/jobs/{id}\"}0\n# TYPE h histogram\nh_count{route=\"/v1/jobs/{id}\"}0", true},
 		{"second TYPE re-types folded samples", "# TYPE  histogram\n_sum 0\n# TYPE  0", true},

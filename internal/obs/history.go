@@ -1,25 +1,23 @@
 package obs
 
 import (
-	"fmt"
 	"io"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 )
 
 // This file is the retention half of the observability layer: a
-// zero-dependency in-process time-series store. A Sampler snapshots
-// every registry instrument on a fixed interval into bounded per-series
-// ring buffers; a coordinator additionally ingests parsed /metrics
-// scrapes from its fleet members (parse.go), labelled per instance, so
-// one History holds the whole fleet's recent past. On top of the rings
-// sit the query primitives the alert engine and the range endpoint
-// need — Range, Latest, Increase, Rate, QuantileOver — plus
-// WriteLatestPrometheus, which renders the merged latest view back out
-// in exposition format (the federation endpoint's body).
+// zero-dependency in-process time-series store. Each telemetry round
+// ingests a server's Registry.Snapshot into bounded per-series ring
+// buffers; a coordinator's round additionally ingests parsed /metrics
+// scrapes from its fleet members (exposition.go), labelled per instance,
+// so one History holds the whole fleet's recent past. On top of the rings
+// sit the query primitives the alert rules and the range endpoint need —
+// Range, Latest, Increase, QuantileOver — plus WriteLatestPrometheus,
+// which renders the merged latest view back out in exposition format
+// (the federation endpoint's body).
 
 // SeriesSample is one exposition sample inside a family snapshot: for
 // plain counters/gauges Suffix is empty; histograms expand into
@@ -38,65 +36,6 @@ type FamilySnapshot struct {
 	Help    string
 	Type    string // "counter" | "gauge" | "histogram" | "untyped"
 	Samples []SeriesSample
-}
-
-// Snapshot captures every registered family's current values — the
-// sampler's input, structurally identical to what ParseExposition
-// recovers from a remote scrape. Histogram buckets are cumulative and
-// the _count sample equals the +Inf bucket (same one-pass discipline as
-// WritePrometheus), so a snapshot always lints clean when re-rendered.
-func (r *Registry) Snapshot() []FamilySnapshot {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	names := append([]string(nil), r.names...)
-	fams := make([]*family, 0, len(names))
-	series := make([][]*instrument, 0, len(names))
-	for _, n := range names {
-		f := r.families[n]
-		fams = append(fams, f)
-		series = append(series, append([]*instrument(nil), f.series...))
-	}
-	r.mu.Unlock()
-
-	out := make([]FamilySnapshot, 0, len(fams))
-	for i, f := range fams {
-		fs := FamilySnapshot{Name: f.name, Help: f.help, Type: f.typ}
-		for _, ins := range series[i] {
-			switch {
-			case ins.fn != nil:
-				fs.Samples = append(fs.Samples, SeriesSample{Labels: ins.pairs, Value: ins.fn()})
-			case ins.c != nil:
-				fs.Samples = append(fs.Samples, SeriesSample{Labels: ins.pairs, Value: float64(ins.c.Value())})
-			case ins.g != nil:
-				fs.Samples = append(fs.Samples, SeriesSample{Labels: ins.pairs, Value: float64(ins.g.Value())})
-			case ins.h != nil:
-				h := ins.h
-				var cum uint64
-				for bi, ub := range h.bounds {
-					cum += h.counts[bi].Load()
-					fs.Samples = append(fs.Samples, SeriesSample{
-						Suffix: "_bucket",
-						Labels: append(append([][2]string(nil), ins.pairs...), [2]string{"le", formatFloat(ub)}),
-						Value:  float64(cum),
-					})
-				}
-				cum += h.counts[len(h.bounds)].Load()
-				fs.Samples = append(fs.Samples,
-					SeriesSample{
-						Suffix: "_bucket",
-						Labels: append(append([][2]string(nil), ins.pairs...), [2]string{"le", "+Inf"}),
-						Value:  float64(cum),
-					},
-					SeriesSample{Suffix: "_sum", Labels: ins.pairs, Value: h.Sum()},
-					SeriesSample{Suffix: "_count", Labels: ins.pairs, Value: float64(cum)},
-				)
-			}
-		}
-		out = append(out, fs)
-	}
-	return out
 }
 
 // HistPoint is one retained sample of one series.
@@ -147,9 +86,12 @@ type histFamily struct {
 	order           []string               // sorted keys
 }
 
-// DefaultHistoryDepth bounds each series' ring when the caller passes
-// zero: 360 samples = 12 minutes at the default 2 s interval.
+// DefaultHistoryDepth is a server's per-series ring depth: 360 samples =
+// 12 minutes at the default 2 s interval.
 const DefaultHistoryDepth = 360
+
+// DefaultSampleInterval is a server's default telemetry round period.
+const DefaultSampleInterval = 2 * time.Second
 
 // History is the in-process time-series store. All methods are safe
 // for concurrent use; a nil *History ignores ingests and answers every
@@ -161,21 +103,10 @@ type History struct {
 	names []string // sorted family names
 }
 
-// NewHistory builds a store retaining up to depth samples per series
-// (<= 0 = DefaultHistoryDepth).
+// NewHistory builds a store retaining up to depth (> 0) samples per
+// series.
 func NewHistory(depth int) *History {
-	if depth <= 0 {
-		depth = DefaultHistoryDepth
-	}
 	return &History{depth: depth, fams: make(map[string]*histFamily)}
-}
-
-// Depth returns the per-series ring capacity.
-func (h *History) Depth() int {
-	if h == nil {
-		return 0
-	}
-	return h.depth
 }
 
 // Ingest appends one snapshot generation — a local Registry.Snapshot or
@@ -200,7 +131,7 @@ func (h *History) Ingest(fams []FamilySnapshot, instance string, t time.Time) {
 		}
 		for _, s := range f.Samples {
 			labels := s.Labels
-			if instance != "" && labelIndex(labels, "instance") < 0 {
+			if _, has := labelValue(labels, "instance"); instance != "" && !has {
 				labels = append(append([][2]string(nil), labels...), [2]string{"instance", instance})
 			}
 			key := s.Suffix + canonicalLabels(labels)
@@ -216,15 +147,6 @@ func (h *History) Ingest(fams []FamilySnapshot, instance string, t time.Time) {
 			hs.append(h.depth, HistPoint{T: t, V: s.Value})
 		}
 	}
-}
-
-func labelIndex(labels [][2]string, key string) int {
-	for i, kv := range labels {
-		if kv[0] == key {
-			return i
-		}
-	}
-	return -1
 }
 
 // findSeries resolves a sample name — a plain family name, or a
@@ -252,6 +174,51 @@ func (h *History) findSeries(name string) []*histSeries {
 	return out
 }
 
+// seriesWindow is one series' labels and its samples within a window.
+type seriesWindow struct {
+	labels [][2]string
+	points []HistPoint
+}
+
+// window returns every matching series' samples within [now-window,
+// now], oldest first, leaving out series with none. name may be a family
+// name or a histogram expansion (_bucket/_sum/_count).
+func (h *History) window(name string, window time.Duration, now time.Time) []seriesWindow {
+	if h == nil {
+		return nil
+	}
+	cut := now.Add(-window)
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	var out []seriesWindow
+	for _, s := range h.findSeries(name) {
+		pts := s.points()
+		i := 0
+		for i < len(pts) && pts[i].T.Before(cut) {
+			i++
+		}
+		if i < len(pts) {
+			out = append(out, seriesWindow{labels: s.labels, points: append([]HistPoint(nil), pts[i:]...)})
+		}
+	}
+	return out
+}
+
+// increase is the window's reset-aware growth: a sample below its
+// predecessor (the process restarted and the counter started over)
+// contributes its full value, the Prometheus convention, so rates survive
+// a worker bounce without going negative. ok is false below two samples.
+func (s seriesWindow) increase() (inc float64, ok bool) {
+	for i := 1; i < len(s.points); i++ {
+		if d := s.points[i].V - s.points[i-1].V; d >= 0 {
+			inc += d
+		} else {
+			inc += s.points[i].V
+		}
+	}
+	return inc, len(s.points) >= 2
+}
+
 // SeriesRange is one series' retained samples within a query window.
 type SeriesRange struct {
 	Labels string      `json:"labels"`
@@ -262,26 +229,9 @@ type SeriesRange struct {
 // oldest first. name may be a family name or a histogram expansion
 // (_bucket/_sum/_count); an unknown name returns nil.
 func (h *History) Range(name string, window time.Duration, now time.Time) []SeriesRange {
-	if h == nil {
-		return nil
-	}
-	cut := now.Add(-window)
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	var out []SeriesRange
-	for _, s := range h.findSeries(name) {
-		pts := s.points()
-		i := 0
-		for i < len(pts) && pts[i].T.Before(cut) {
-			i++
-		}
-		if i == len(pts) {
-			continue
-		}
-		out = append(out, SeriesRange{
-			Labels: canonicalLabels(s.labels),
-			Points: append([]HistPoint(nil), pts[i:]...),
-		})
+	for _, s := range h.window(name, window, now) {
+		out = append(out, SeriesRange{Labels: canonicalLabels(s.labels), Points: s.points})
 	}
 	return out
 }
@@ -320,41 +270,20 @@ type SeriesDelta struct {
 	Samples int           `json:"samples"`
 }
 
-// PerSec returns the delta as a per-second rate (0 when the window
-// holds fewer than two samples).
-func (d SeriesDelta) PerSec() float64 {
-	if d.Elapsed <= 0 {
-		return 0
-	}
-	return d.Delta / d.Elapsed.Seconds()
-}
-
-// Increase computes each matching counter series' growth over
-// [now-window, now], reset-aware: a sample below its predecessor (the
-// process restarted and the counter started over) contributes its full
-// value, the Prometheus convention, so rates survive a worker bounce
-// without going negative. Series with fewer than two samples in the
-// window are omitted.
+// Increase computes each matching counter series' reset-aware growth over
+// [now-window, now]. Series with fewer than two samples in the window are
+// omitted.
 func (h *History) Increase(name string, window time.Duration, now time.Time) []SeriesDelta {
 	var out []SeriesDelta
-	for _, r := range h.Range(name, window, now) {
-		if len(r.Points) < 2 {
-			continue
+	for _, s := range h.window(name, window, now) {
+		if inc, ok := s.increase(); ok {
+			out = append(out, SeriesDelta{
+				Labels:  canonicalLabels(s.labels),
+				Delta:   inc,
+				Elapsed: s.points[len(s.points)-1].T.Sub(s.points[0].T),
+				Samples: len(s.points),
+			})
 		}
-		var inc float64
-		for i := 1; i < len(r.Points); i++ {
-			if d := r.Points[i].V - r.Points[i-1].V; d >= 0 {
-				inc += d
-			} else {
-				inc += r.Points[i].V
-			}
-		}
-		out = append(out, SeriesDelta{
-			Labels:  r.Labels,
-			Delta:   inc,
-			Elapsed: r.Points[len(r.Points)-1].T.Sub(r.Points[0].T),
-			Samples: len(r.Points),
-		})
 	}
 	return out
 }
@@ -367,26 +296,23 @@ func (h *History) Increase(name string, window time.Duration, now time.Time) []S
 // Series whose window saw no observations are omitted; a quantile
 // landing in the +Inf bucket reports the highest finite bound.
 func (h *History) QuantileOver(name string, q float64, window time.Duration, now time.Time) []SeriesValue {
-	type bucket struct {
-		le  float64
-		inf bool
-		inc float64
-	}
-	groups := make(map[string][]bucket)
+	groups := make(map[string][]bucketSample) // val: the bucket's increase
 	var order []string
-	for _, d := range h.Increase(name+"_bucket", window, now) {
-		le, rest := splitLE(d.Labels)
-		if le == "" {
+	for _, s := range h.window(name+"_bucket", window, now) {
+		inc, ok := s.increase()
+		le, hasLE := labelValue(s.labels, "le")
+		if !ok || !hasLE {
 			continue
 		}
-		b := bucket{inc: d.Delta}
-		if le == "+Inf" {
-			b.inf = true
-		} else if f, err := strconv.ParseFloat(le, 64); err == nil {
+		b := bucketSample{val: inc, inf: le == "+Inf"}
+		if !b.inf {
+			f, err := strconv.ParseFloat(le, 64)
+			if err != nil {
+				continue
+			}
 			b.le = f
-		} else {
-			continue
 		}
+		rest := canonicalLabels(dropLabel(s.labels, "le"))
 		if _, seen := groups[rest]; !seen {
 			order = append(order, rest)
 		}
@@ -395,16 +321,11 @@ func (h *History) QuantileOver(name string, q float64, window time.Duration, now
 	var out []SeriesValue
 	for _, labels := range order {
 		bs := groups[labels]
-		sort.Slice(bs, func(i, j int) bool {
-			if bs[i].inf != bs[j].inf {
-				return bs[j].inf
-			}
-			return bs[i].le < bs[j].le
-		})
-		if len(bs) == 0 || !bs[len(bs)-1].inf {
+		sortBuckets(bs)
+		if !bs[len(bs)-1].inf {
 			continue
 		}
-		total := bs[len(bs)-1].inc
+		total := bs[len(bs)-1].val
 		if total <= 0 {
 			continue
 		}
@@ -412,14 +333,14 @@ func (h *History) QuantileOver(name string, q float64, window time.Duration, now
 		prevLE, prevCum := 0.0, 0.0
 		v := bs[len(bs)-1].le
 		for _, b := range bs {
-			if b.inc >= target {
+			if b.val >= target {
 				if b.inf {
 					// The quantile is past every finite bound; the highest
 					// finite bucket edge is the best honest answer.
 					v = prevLE
 					break
 				}
-				span := b.inc - prevCum
+				span := b.val - prevCum
 				if span > 0 {
 					v = prevLE + (b.le-prevLE)*(target-prevCum)/span
 				} else {
@@ -427,7 +348,7 @@ func (h *History) QuantileOver(name string, q float64, window time.Duration, now
 				}
 				break
 			}
-			prevLE, prevCum = b.le, b.inc
+			prevLE, prevCum = b.le, b.val
 			if !b.inf {
 				v = b.le
 			}
@@ -435,35 +356,6 @@ func (h *History) QuantileOver(name string, q float64, window time.Duration, now
 		out = append(out, SeriesValue{Labels: labels, T: now, V: v})
 	}
 	return out
-}
-
-// splitLE extracts the le label from a canonical label suffix and
-// returns (le value, the suffix without le).
-func splitLE(labels string) (le, rest string) {
-	if labels == "" {
-		return "", ""
-	}
-	// Borrow the exposition tokenizer by dressing the label suffix back
-	// up as a sample line.
-	_, pairs, _, err := parseSample("x" + labels + " 0")
-	if err != nil {
-		return "", labels
-	}
-	v, ok := labelValue(pairs, "le")
-	if !ok {
-		return "", labels
-	}
-	return v, canonicalLabels(dropLabel(pairs, "le"))
-}
-
-// FamilyNames lists every retained family, sorted.
-func (h *History) FamilyNames() []string {
-	if h == nil {
-		return nil
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return append([]string(nil), h.names...)
 }
 
 // WriteLatestPrometheus renders every retained series' newest sample in
@@ -477,69 +369,18 @@ func (h *History) WriteLatestPrometheus(w io.Writer) error {
 		return nil
 	}
 	h.mu.Lock()
-	var b strings.Builder
+	fams := make([]FamilySnapshot, 0, len(h.names))
 	for _, name := range h.names {
 		hf := h.fams[name]
-		fmt.Fprintf(&b, "# HELP %s %s\n", hf.name, escapeHelp(hf.help))
-		fmt.Fprintf(&b, "# TYPE %s %s\n", hf.name, hf.typ)
+		f := FamilySnapshot{Name: hf.name, Help: hf.help, Type: hf.typ}
 		for _, key := range hf.order {
 			s := hf.series[key]
-			pts := s.points()
-			if len(pts) == 0 {
-				continue
+			if pts := s.points(); len(pts) > 0 {
+				f.Samples = append(f.Samples, SeriesSample{Suffix: s.suffix, Labels: s.labels, Value: pts[len(pts)-1].V})
 			}
-			fmt.Fprintf(&b, "%s%s%s %s\n", hf.name, s.suffix,
-				canonicalLabels(s.labels), formatFloat(pts[len(pts)-1].V))
 		}
+		fams = append(fams, f)
 	}
 	h.mu.Unlock()
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
-// DefaultSampleInterval is the sampler's default period.
-const DefaultSampleInterval = 2 * time.Second
-
-// Sampler drives a History from a Registry on a fixed interval in a
-// background goroutine. Stop is idempotent and waits for the loop to
-// exit. A nil *Sampler is safe to Stop.
-type Sampler struct {
-	stopOnce sync.Once
-	stop     chan struct{}
-	done     chan struct{}
-}
-
-// StartSampler begins sampling r into h every interval (<= 0 =
-// DefaultSampleInterval), labelling series with instance (may be
-// empty). One immediate sample lands before the first tick so queries
-// have data as soon as the process is up.
-func StartSampler(h *History, r *Registry, instance string, interval time.Duration) *Sampler {
-	if interval <= 0 {
-		interval = DefaultSampleInterval
-	}
-	s := &Sampler{stop: make(chan struct{}), done: make(chan struct{})}
-	go func() {
-		defer close(s.done)
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		h.Ingest(r.Snapshot(), instance, time.Now())
-		for {
-			select {
-			case <-s.stop:
-				return
-			case t := <-ticker.C:
-				h.Ingest(r.Snapshot(), instance, t)
-			}
-		}
-	}()
-	return s
-}
-
-// Stop ends the sampling loop and waits for it.
-func (s *Sampler) Stop() {
-	if s == nil {
-		return
-	}
-	s.stopOnce.Do(func() { close(s.stop) })
-	<-s.done
+	return writeExposition(w, fams)
 }

@@ -110,9 +110,6 @@ func TestIncreaseAcrossWrapAndReset(t *testing.T) {
 	if inc[0].Elapsed != 4*time.Second {
 		t.Fatalf("elapsed = %v, want 4s", inc[0].Elapsed)
 	}
-	if got := inc[0].PerSec(); got != 1.75 {
-		t.Fatalf("per-sec rate = %v, want 1.75", got)
-	}
 	// A window clipping to the last 3 samples (8,1,3) sees 1+(3-1)=3.
 	inc = h.Increase("wt_c_total", 2*time.Second+time.Millisecond, at(6))
 	if len(inc) != 1 || inc[0].Delta != 3 {
@@ -297,11 +294,22 @@ func TestHistoryConcurrentSampleQueryScrape(t *testing.T) {
 	c := r.Counter("wt_ops_total", "Ops.")
 	hist := r.Histogram("wt_lat_seconds", "Latency.", DurationBuckets)
 	h := NewHistory(32)
-	s := StartSampler(h, r, "local", time.Millisecond)
-	defer s.Stop()
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
+	wg.Add(1)
+	go func() { // the telemetry round's ingest
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			h.Ingest(r.Snapshot(), "local", time.Now())
+			time.Sleep(time.Millisecond)
+		}
+	}()
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
 		go func() {
@@ -338,10 +346,9 @@ func TestHistoryConcurrentSampleQueryScrape(t *testing.T) {
 	time.Sleep(50 * time.Millisecond)
 	close(stop)
 	wg.Wait()
-	s.Stop() // idempotent
 
 	if lat := h.Latest("wt_ops_total"); len(lat) != 1 || lat[0].V == 0 {
-		t.Fatalf("sampler never captured counter growth: %+v", lat)
+		t.Fatalf("ingest never captured counter growth: %+v", lat)
 	}
 	var b strings.Builder
 	if err := h.WriteLatestPrometheus(&b); err != nil {
@@ -356,13 +363,11 @@ func TestNilHistorySafe(t *testing.T) {
 	var h *History
 	h.Ingest(nil, "x", at(0))
 	if h.Range("a", time.Hour, at(0)) != nil || h.Latest("a") != nil ||
-		h.Increase("a", time.Hour, at(0)) != nil || h.FamilyNames() != nil || h.Depth() != 0 {
+		h.Increase("a", time.Hour, at(0)) != nil || h.QuantileOver("a", 0.5, time.Hour, at(0)) != nil {
 		t.Fatal("nil history should answer empty")
 	}
 	var b strings.Builder
 	if err := h.WriteLatestPrometheus(&b); err != nil || b.Len() != 0 {
 		t.Fatal("nil history should write nothing")
 	}
-	var s *Sampler
-	s.Stop()
 }

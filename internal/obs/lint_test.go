@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -123,5 +124,38 @@ func TestLintRegistryOutput(t *testing.T) {
 	}
 	if problems := Lint([]byte(b.String())); len(problems) > 0 {
 		t.Fatalf("registry output fails lint: %v\n---\n%s", problems, b.String())
+	}
+}
+
+// unservable are expositions no Prometheus parser accepts, each otherwise
+// clean, with a substring of the problem Lint must report. Lint used to
+// report nothing for any of them and ParseExposition ingested them, so
+// the fleet view served them on.
+var unservable = []struct {
+	name string
+	in   string
+	want string
+}{
+	{"repeated label name",
+		"# HELP m x.\n# TYPE m counter\nm{a=\"1\",a=\"2\"} 1\n", "repeated label a"},
+	{"label name with a space",
+		"# HELP m x.\n# TYPE m counter\nm{a b=\"1\"} 1\n", `invalid label name "a b"`},
+	{"metric name starting with a digit",
+		"# HELP 1m x.\n# TYPE 1m counter\n1m 1\n", `invalid metric name "1m"`},
+	{"unknown type",
+		"# HELP m x.\n# TYPE m bogus\nm 1\n", `unknown type "bogus"`},
+}
+
+func TestReaderRefusesUnservable(t *testing.T) {
+	for _, tc := range unservable {
+		t.Run(tc.name, func(t *testing.T) {
+			problems := Lint([]byte(tc.in))
+			if !slices.ContainsFunc(problems, func(p string) bool { return strings.Contains(p, tc.want) }) {
+				t.Errorf("Lint = %v, want a problem containing %q", problems, tc.want)
+			}
+			if fams, err := ParseExposition([]byte(tc.in)); err == nil {
+				t.Errorf("ParseExposition accepted it as %+v", fams)
+			}
+		})
 	}
 }

@@ -15,8 +15,6 @@ import (
 	"io"
 	"math"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -181,51 +179,6 @@ func NewRegistry() *Registry {
 	return &Registry{families: make(map[string]*family)}
 }
 
-// labelString renders variadic k1, v1, k2, v2 pairs as a deterministic
-// `{k1="v1",k2="v2"}` suffix. Values are escaped per the exposition
-// format; keys are assumed to be valid identifiers (they come from call
-// sites, not user input).
-func labelString(labels []string) string {
-	if len(labels) == 0 {
-		return ""
-	}
-	if len(labels)%2 != 0 {
-		panic("obs: labels must be key/value pairs")
-	}
-	var b strings.Builder
-	b.WriteByte('{')
-	for i := 0; i < len(labels); i += 2 {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(labels[i])
-		b.WriteString(`="`)
-		b.WriteString(escapeLabel(labels[i+1]))
-		b.WriteByte('"')
-	}
-	b.WriteByte('}')
-	return b.String()
-}
-
-// escapeLabel escapes a label value per the exposition format: backslash,
-// double quote and newline.
-func escapeLabel(v string) string {
-	if !strings.ContainsAny(v, "\\\"\n") {
-		return v
-	}
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(v)
-}
-
-// escapeHelp escapes a HELP string: backslash and newline.
-func escapeHelp(v string) string {
-	if !strings.ContainsAny(v, "\\\n") {
-		return v
-	}
-	r := strings.NewReplacer(`\`, `\\`, "\n", `\n`)
-	return r.Replace(v)
-}
-
 // lookup returns (creating if needed) the series for name+labels,
 // enforcing one type and one help string per family. init runs under
 // the registry lock with the instrument, so the payload pointer
@@ -235,7 +188,14 @@ func (r *Registry) lookup(name, help, typ string, labels []string, init func(*in
 	if r == nil {
 		return nil
 	}
-	ls := labelString(labels)
+	if len(labels)%2 != 0 {
+		panic("obs: labels must be key/value pairs")
+	}
+	var pairs [][2]string
+	for i := 0; i < len(labels); i += 2 {
+		pairs = append(pairs, [2]string{labels[i], labels[i+1]})
+	}
+	ls := string(appendLabels(nil, pairs))
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	f := r.families[name]
@@ -249,10 +209,7 @@ func (r *Registry) lookup(name, help, typ string, labels []string, init func(*in
 	}
 	ins := f.byLabel[ls]
 	if ins == nil {
-		ins = &instrument{labels: ls}
-		for i := 0; i < len(labels); i += 2 {
-			ins.pairs = append(ins.pairs, [2]string{labels[i], labels[i+1]})
-		}
+		ins = &instrument{labels: ls, pairs: pairs}
 		f.byLabel[ls] = ins
 		f.series = append(f.series, ins)
 		sort.Slice(f.series, func(i, j int) bool { return f.series[i].labels < f.series[j].labels })
@@ -327,74 +284,62 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...str
 	r.lookup(name, help, "gauge", labels, func(ins *instrument) { ins.fn = fn })
 }
 
-// WritePrometheus renders every registered family in Prometheus text
-// exposition format (version 0.0.4): families sorted by name, one HELP
-// and TYPE line each, series sorted by label set, histograms expanded
-// into cumulative _bucket/_sum/_count series.
-func (r *Registry) WritePrometheus(w io.Writer) error {
+// Snapshot captures every registered family's current values — what a
+// telemetry round ingests and WritePrometheus renders, structurally
+// identical to what ParseExposition recovers from a remote scrape.
+// Histogram buckets are cumulative and the _count sample equals the +Inf
+// bucket (one pass over the bucket counters), so a snapshot always lints
+// clean when rendered.
+func (r *Registry) Snapshot() []FamilySnapshot {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
-	names := append([]string(nil), r.names...)
-	fams := make([]*family, 0, len(names))
-	for _, n := range names {
-		fams = append(fams, r.families[n])
-	}
-	// Snapshot the series slices under the lock; instrument reads below
-	// are atomic and need no lock.
-	series := make([][]*instrument, len(fams))
-	for i, f := range fams {
-		series[i] = append([]*instrument(nil), f.series...)
+	out := make([]FamilySnapshot, 0, len(r.names))
+	series := make([][]*instrument, 0, len(r.names))
+	for _, n := range r.names {
+		f := r.families[n]
+		out = append(out, FamilySnapshot{Name: f.name, Help: f.help, Type: f.typ})
+		series = append(series, append([]*instrument(nil), f.series...))
 	}
 	r.mu.Unlock()
 
-	var b strings.Builder
-	for i, f := range fams {
-		fmt.Fprintf(&b, "# HELP %s %s\n", f.name, escapeHelp(f.help))
-		fmt.Fprintf(&b, "# TYPE %s %s\n", f.name, f.typ)
+	// Instrument reads are atomic and need no lock.
+	for i := range out {
+		fs := &out[i]
 		for _, ins := range series[i] {
 			switch {
 			case ins.fn != nil:
-				fmt.Fprintf(&b, "%s%s %s\n", f.name, ins.labels, formatFloat(ins.fn()))
+				fs.Samples = append(fs.Samples, SeriesSample{Labels: ins.pairs, Value: ins.fn()})
 			case ins.c != nil:
-				fmt.Fprintf(&b, "%s%s %d\n", f.name, ins.labels, ins.c.Value())
+				fs.Samples = append(fs.Samples, SeriesSample{Labels: ins.pairs, Value: float64(ins.c.Value())})
 			case ins.g != nil:
-				fmt.Fprintf(&b, "%s%s %d\n", f.name, ins.labels, ins.g.Value())
+				fs.Samples = append(fs.Samples, SeriesSample{Labels: ins.pairs, Value: float64(ins.g.Value())})
 			case ins.h != nil:
-				writeHistogram(&b, f.name, ins)
+				h := ins.h
+				var cum uint64
+				for bi := range h.counts {
+					cum += h.counts[bi].Load()
+					le := "+Inf"
+					if bi < len(h.bounds) {
+						le = formatFloat(h.bounds[bi])
+					}
+					labels := append(append([][2]string(nil), ins.pairs...), [2]string{"le", le})
+					fs.Samples = append(fs.Samples, SeriesSample{Suffix: "_bucket", Labels: labels, Value: float64(cum)})
+				}
+				fs.Samples = append(fs.Samples,
+					SeriesSample{Suffix: "_sum", Labels: ins.pairs, Value: h.Sum()},
+					SeriesSample{Suffix: "_count", Labels: ins.pairs, Value: float64(cum)})
 			}
 		}
 	}
-	_, err := io.WriteString(w, b.String())
-	return err
+	return out
 }
 
-// writeHistogram renders one histogram series: cumulative buckets with
-// le labels (ending at +Inf), then _sum and _count.
-func writeHistogram(b *strings.Builder, name string, ins *instrument) {
-	h := ins.h
-	// Merge the series labels with the per-bucket le label.
-	open := "{"
-	base := ""
-	if ins.labels != "" {
-		base = ins.labels[1:len(ins.labels)-1] + ","
-	}
-	var cum uint64
-	for i, ub := range h.bounds {
-		cum += h.counts[i].Load()
-		fmt.Fprintf(b, "%s_bucket%s%sle=%q} %d\n", name, open, base, formatFloat(ub), cum)
-	}
-	cum += h.counts[len(h.bounds)].Load()
-	fmt.Fprintf(b, "%s_bucket%s%sle=\"+Inf\"} %d\n", name, open, base, cum)
-	fmt.Fprintf(b, "%s_sum%s %s\n", name, ins.labels, formatFloat(h.Sum()))
-	// _count is the same one-pass cumulative total as the +Inf bucket, so
-	// the two never disagree under a concurrent scrape.
-	fmt.Fprintf(b, "%s_count%s %d\n", name, ins.labels, cum)
-}
-
-// formatFloat renders a float the way Prometheus clients expect:
-// shortest round-trip representation.
-func formatFloat(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
+// WritePrometheus renders every registered family's Snapshot in
+// Prometheus text exposition format (version 0.0.4): families sorted by
+// name, one HELP and TYPE line each, series sorted by label set,
+// histograms expanded into cumulative _bucket/_sum/_count series.
+func (r *Registry) WritePrometheus(w io.Writer) error {
+	return writeExposition(w, r.Snapshot())
 }

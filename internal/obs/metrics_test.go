@@ -1,9 +1,14 @@
 package obs
 
 import (
+	"io"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestExpositionFormat(t *testing.T) {
@@ -183,6 +188,66 @@ func TestConcurrentScrape(t *testing.T) {
 			t.Logf("%d scrapes during hammer", scrapes)
 			return
 		default:
+		}
+	}
+}
+
+// expositionFixture is a fixed registry: a counter with an escaped label
+// value and one at 1234567, a negative gauge, a labelled and an
+// unlabelled histogram, and gauge funcs at 2.5, 3 and 1e6 under an
+// escaped HELP.
+func expositionFixture() *Registry {
+	r := NewRegistry()
+	r.Counter("wt_fix_total", "A counter.", "path", `a\b"c`+"\n").Add(7)
+	r.Counter("wt_fix_total", "A counter.", "path", "/plain").Add(1234567)
+	r.Gauge("wt_fix_depth", "A gauge.").Set(-3)
+	lh := r.Histogram("wt_fix_route_seconds", "A labelled histogram.", DurationBuckets, "route", "/v1/jobs/{id}")
+	uh := r.Histogram("wt_fix_seconds", "An unlabelled histogram.", []float64{0.01, 0.1, 1})
+	for _, v := range []float64{0.005, 0.05, 0.5, 5} {
+		lh.Observe(v)
+		uh.Observe(v)
+	}
+	for _, v := range []float64{2.5, 3, 1e6} {
+		r.GaugeFunc("wt_fix_fn", "A gauge func.\nIts second line has a \\ backslash.",
+			func() float64 { return v }, "v", strconv.FormatFloat(v, 'g', -1, 64))
+	}
+	return r
+}
+
+// TestExpositionMatchesParent pins the one writer to what c0de718's two
+// writers printed for the same registry: /metrics and the fleet view
+// (the registry ingested under an instance label). testdata holds their
+// output, written in a c0de718 checkout. The only difference allowed is
+// the number format: an integral value below 2^53 now prints as an
+// integer, where c0de718 printed a fn-backed or fleet-view one >= 1e6 in
+// exponent form.
+func TestExpositionMatchesParent(t *testing.T) {
+	r := expositionFixture()
+	h := NewHistory(8)
+	h.Ingest(r.Snapshot(), "http://w1", time.Unix(1, 0))
+	for _, tc := range []struct {
+		file  string
+		write func(io.Writer) error
+		now   *strings.Replacer
+	}{
+		{"exposition_c0de718.txt", r.WritePrometheus,
+			strings.NewReplacer(`wt_fix_fn{v="1e+06"} 1e+06`, `wt_fix_fn{v="1e+06"} 1000000`)},
+		{"fleet_view_c0de718.txt", h.WriteLatestPrometheus,
+			strings.NewReplacer(`v="1e+06"} 1e+06`, `v="1e+06"} 1000000`, `} 1.234567e+06`, `} 1234567`)},
+	} {
+		parent, err := os.ReadFile(filepath.Join("testdata", tc.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		if err := tc.write(&b); err != nil {
+			t.Fatal(err)
+		}
+		if want := tc.now.Replace(string(parent)); b.String() != want {
+			t.Errorf("%s: got\n%s\nwant\n%s", tc.file, b.String(), want)
+		}
+		if problems := Lint([]byte(b.String())); len(problems) > 0 {
+			t.Errorf("%s: lint: %v", tc.file, problems)
 		}
 	}
 }

@@ -63,41 +63,37 @@ type memberHealth struct {
 	successes int // consecutive, for down→up hysteresis
 }
 
-// Health is the fleet's one member poller. Each round GETs every
-// member's /v1/healthz with a short timeout and, when hist is set (a
-// coordinator with telemetry), the member's /metrics too, ingested into
-// hist under instance=<member URL>. The serving paths feed passive
-// observations (a torn worker stream, a refused peer fetch) through
-// ReportFailure/ReportSuccess so real traffic detects failures faster
-// than the round period. Shard planning and cache peering consult the
-// resulting up/suspect/down state; membership is exposed at
+// Health is the fleet's one member poller. Each telemetry round calls
+// Probe, which GETs every member's /v1/healthz with a short timeout and,
+// when scrape is set (a coordinator with telemetry), the member's /metrics
+// too; the round ingests those under instance=<member URL>. The serving
+// paths feed passive observations (a torn worker stream, a refused peer
+// fetch) through ReportFailure/ReportSuccess so real traffic detects
+// failures faster than the round period. Shard planning and cache peering
+// consult the resulting up/suspect/down state; membership is exposed at
 // GET /v1/fleet, and the scrapes at GET /v1/metrics/fleet.
 //
-// Each scraping round also synthesizes wt_fleet_member_up, a
-// per-instance gauge that is 1 when the member's scrape answered and 0
+// A scraping round also synthesizes wt_fleet_member_up, a per-instance
+// gauge that is 1 when the member's scrape answered and 0
 // when it failed. That makes "a worker is gone" an ordinary series in
 // history — the worker_down alert rule is a plain threshold over it, and
-// it flips within one round of a kill because a dead worker fails the
-// scrape immediately (connection refused), no state-machine hysteresis
-// in the path.
+// it fires in the round whose scrape failed, because a dead worker fails
+// the scrape immediately (connection refused), no state-machine
+// hysteresis in the path.
 type Health struct {
 	client Client
-	urls   []string     // members in configuration order
-	hist   *obs.History // non-nil: rounds also scrape /metrics into it
+	urls   []string // members in configuration order
+	scrape bool     // rounds also fetch each member's /metrics
 
 	mu      sync.Mutex
 	members map[string]*memberHealth
 	partial bool // a scrape failed in the last completed round
 	now     func() time.Time
-
-	stopOnce sync.Once
-	cancel   context.CancelFunc
-	done     chan struct{}
 }
 
 // NewHealth builds a poller over the given member URLs. Members start
-// up (optimistic: an unprobed fleet must accept work immediately); call
-// Start to begin background rounds, or Probe for one synchronous round.
+// up (optimistic: an unprobed fleet must accept work immediately) until
+// a round probes them.
 func NewHealth(members []string) *Health {
 	h := &Health{
 		members: make(map[string]*memberHealth, len(members)),
@@ -115,40 +111,6 @@ func NewHealth(members []string) *Health {
 	return h
 }
 
-// Start launches the background loop: one round now, then one per
-// interval (<= 0 = obs.DefaultSampleInterval). Stop ends it.
-func (h *Health) Start(interval time.Duration) {
-	if interval <= 0 {
-		interval = obs.DefaultSampleInterval
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	h.cancel, h.done = cancel, make(chan struct{})
-	go func() {
-		defer close(h.done)
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		h.Probe(ctx)
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-ticker.C:
-				h.Probe(ctx)
-			}
-		}
-	}()
-}
-
-// Stop terminates the loop (idempotent), cancelling any request in
-// flight, and waits for it to exit.
-func (h *Health) Stop() {
-	if h == nil || h.cancel == nil {
-		return
-	}
-	h.stopOnce.Do(h.cancel)
-	<-h.done
-}
-
 // Partial reports whether the last completed round failed to scrape at
 // least one member — the fleet view is being served, but it is missing
 // somebody. Surfaced as the X-WT-Partial header on /v1/metrics/fleet.
@@ -162,10 +124,14 @@ func (h *Health) Partial() bool {
 }
 
 // Probe runs one synchronous round over all members, including down
-// ones — those probes are the recovery path. A round cut short by ctx
-// records nothing.
-func (h *Health) Probe(ctx context.Context) {
-	scrapes := make([]scraped, len(h.urls))
+// ones — those probes are the recovery path — and returns each member's
+// scrape when scrape is set. A round cut short by ctx records nothing and
+// returns nil.
+func (h *Health) Probe(ctx context.Context) []scraped {
+	var scrapes []scraped
+	if h.scrape {
+		scrapes = make([]scraped, len(h.urls))
+	}
 	var wg sync.WaitGroup
 	for i, u := range h.urls {
 		wg.Add(1)
@@ -180,18 +146,19 @@ func (h *Health) Probe(ctx context.Context) {
 				h.observe(u, false, &draining, "")
 			}
 		}()
-		if h.hist != nil {
+		if h.scrape {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				scrapes[i].fams, scrapes[i].err = h.scrape(ctx, u)
+				scrapes[i].fams, scrapes[i].err = h.fetchMetrics(ctx, u)
 			}()
 		}
 	}
 	wg.Wait()
-	if h.hist != nil && ctx.Err() == nil {
-		h.ingest(scrapes)
+	if ctx.Err() != nil {
+		return nil
 	}
+	return scrapes
 }
 
 // probeOne GETs one member's healthz and reports whether it is
@@ -220,8 +187,8 @@ type scraped struct {
 	err  error
 }
 
-// scrape fetches and parses one member's exposition.
-func (h *Health) scrape(ctx context.Context, u string) ([]obs.FamilySnapshot, error) {
+// fetchMetrics fetches and parses one member's exposition.
+func (h *Health) fetchMetrics(ctx context.Context, u string) ([]obs.FamilySnapshot, error) {
 	ctx, cancel := context.WithTimeout(ctx, scrapeTimeout)
 	defer cancel()
 	body, err := h.client.Get(ctx, strings.TrimRight(u, "/")+"/metrics", maxScrapeBody)
@@ -231,14 +198,16 @@ func (h *Health) scrape(ctx context.Context, u string) ([]obs.FamilySnapshot, er
 	return obs.ParseExposition(body)
 }
 
-// ingest lands one round's scrapes in hist, then the synthesized
+// memberUpFamily is the gauge a scraping round synthesizes per member.
+const memberUpFamily = "wt_fleet_member_up"
+
+// ingest lands one round's scrapes in hist at now, then the synthesized
 // member-up gauge. A failed scrape ingests nothing for that member — its
 // last good samples age out of the rings naturally — but always lands a
 // member_up=0 sample, so absence is itself observable.
-func (h *Health) ingest(scrapes []scraped) {
-	now := time.Now()
+func (h *Health) ingest(hist *obs.History, scrapes []scraped, now time.Time) {
 	up := obs.FamilySnapshot{
-		Name: "wt_fleet_member_up",
+		Name: memberUpFamily,
 		Help: "1 when the coordinator's last /metrics scrape of the fleet member succeeded, 0 when it failed.",
 		Type: "gauge",
 	}
@@ -247,7 +216,7 @@ func (h *Health) ingest(scrapes []scraped) {
 		v := 0.0
 		if scrapes[i].err == nil {
 			v = 1
-			h.hist.Ingest(scrapes[i].fams, u, now)
+			hist.Ingest(scrapes[i].fams, u, now)
 		} else {
 			anyDown = true
 		}
@@ -256,7 +225,7 @@ func (h *Health) ingest(scrapes []scraped) {
 	h.mu.Lock()
 	h.partial = anyDown // before member_up lands, so a reader of 0 sees partial
 	h.mu.Unlock()
-	h.hist.Ingest([]obs.FamilySnapshot{up}, "", now)
+	hist.Ingest([]obs.FamilySnapshot{up}, "", now)
 }
 
 // ReportFailure records a passive failure observation for a member — a
@@ -272,7 +241,7 @@ func (h *Health) ReportFailure(u string, err error) {
 
 // ReportSuccess records a passive success observation: real traffic is
 // the best probe, so a completed stream or served peer fetch recovers a
-// suspect member without waiting for the probe loop. It cannot tell
+// suspect member without waiting for the next round. It cannot tell
 // whether the member is draining — a draining worker still finishes its
 // in-flight shards — so a draining member stays suspect.
 func (h *Health) ReportSuccess(u string) {

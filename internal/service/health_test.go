@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -140,30 +141,6 @@ func TestHealthProbe(t *testing.T) {
 	}
 }
 
-// TestHealthStartStop: the background loop probes on its own and Stop
-// terminates it (idempotently).
-func TestHealthStartStop(t *testing.T) {
-	probed := make(chan struct{}, 8)
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		select {
-		case probed <- struct{}{}:
-		default:
-		}
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-	}))
-	t.Cleanup(ts.Close)
-
-	h := NewHealth([]string{ts.URL})
-	h.Start(20 * time.Millisecond)
-	select {
-	case <-probed:
-	case <-time.After(5 * time.Second):
-		t.Fatal("background loop never probed")
-	}
-	h.Stop()
-	h.Stop() // idempotent
-}
-
 // TestCloseDoesNotWaitForHungMember: Close cancels the poller's
 // requests in flight instead of waiting out their timeouts — on a worker
 // the 1 s healthz probe, on a coordinator also the 2 s /metrics scrape —
@@ -204,14 +181,10 @@ func TestOnePollerPerMember(t *testing.T) {
 			switch r.URL.Path {
 			case "/v1/healthz":
 				c.healthz.Add(1)
-				writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 			case "/metrics":
 				c.metrics.Add(1)
-				w.Header().Set("Content-Type", expositionContentType)
-				io.WriteString(w, "# HELP wt_fake_total A fake counter.\n# TYPE wt_fake_total counter\nwt_fake_total 1\n")
-			default:
-				http.NotFound(w, r)
 			}
+			fakeMember(w, r)
 		}))
 		t.Cleanup(ts.Close)
 		return ts.URL, c
@@ -250,7 +223,7 @@ func TestOnePollerPerMember(t *testing.T) {
 				return true
 			})
 			for range rounds {
-				srv.health.Probe(context.Background())
+				srv.round(context.Background(), time.Now())
 			}
 			want := int64(rounds + 1)
 			wantMetrics := int64(0)
@@ -274,5 +247,75 @@ func TestOnePollerPerMember(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// fakeMember answers healthz ok and a /metrics of one counter.
+var fakeMember = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	switch r.URL.Path {
+	case "/v1/healthz":
+		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	case "/metrics":
+		w.Header().Set("Content-Type", expositionContentType)
+		io.WriteString(w, "# HELP wt_fake_total A fake counter.\n# TYPE wt_fake_total counter\nwt_fake_total 1\n")
+	default:
+		http.NotFound(w, r)
+	}
+})
+
+// TestOneTelemetryRound: one round at a fixed now, on a coordinator with
+// one live member and one that died after the loop's first round, stores
+// the server's own samples, the live member's scrape and
+// wt_fleet_member_up{instance=<dead>} 0, all at now — and worker_down
+// fires in that same round, the one whose scrape failed.
+func TestOneTelemetryRound(t *testing.T) {
+	live := httptest.NewServer(fakeMember)
+	t.Cleanup(live.Close)
+	dead := httptest.NewServer(fakeMember)
+	t.Cleanup(dead.Close)
+	srv, err := New(Config{PoolSize: 1, Coordinator: true, Peers: []string{live.URL, dead.URL}, HistoryInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	waitFor(t, 5*time.Second, "the loop's first round", func() bool {
+		return len(srv.history.Latest(memberUpFamily)) == 2
+	})
+	dead.Close()
+
+	now := time.Now().Add(time.Hour).Round(time.Second)
+	srv.round(context.Background(), now)
+
+	latest := func(name, instance string) float64 {
+		t.Helper()
+		for _, v := range srv.history.Latest(name) {
+			if strings.Contains(v.Labels, fmt.Sprintf("instance=%q", instance)) {
+				if !v.T.Equal(now) {
+					t.Errorf("%s{instance=%q} stored at %v, want the round's %v", name, instance, v.T, now)
+				}
+				return v.V
+			}
+		}
+		t.Fatalf("no %s{instance=%q} in history", name, instance)
+		return 0
+	}
+	latest("wt_uptime_seconds", "coordinator")
+	if v := latest("wt_fake_total", live.URL); v != 1 {
+		t.Errorf("live member's scraped counter = %v, want 1", v)
+	}
+	if v := latest(memberUpFamily, live.URL); v != 1 {
+		t.Errorf("%s for the live member = %v, want 1", memberUpFamily, v)
+	}
+	if v := latest(memberUpFamily, dead.URL); v != 0 {
+		t.Errorf("%s for the dead member = %v, want 0", memberUpFamily, v)
+	}
+	var fired []Alert
+	for _, a := range srv.alerts.Snapshot().Alerts {
+		if a.Rule == "worker_down" && a.State == AlertFiring {
+			fired = append(fired, a)
+		}
+	}
+	if len(fired) != 1 || !strings.Contains(fired[0].Labels, dead.URL) || !fired[0].Since.Equal(now) {
+		t.Fatalf("firing worker_down alerts after the round: %+v, want one for %s since %v", fired, dead.URL, now)
 	}
 }

@@ -51,6 +51,9 @@ func parseTraceHeader(r *http.Request) traceCtx {
 type telemetry struct {
 	reg    *obs.Registry
 	tracer *obs.Tracer
+	// instance labels this process's own history samples, as worker
+	// labels its spans.
+	instance string
 
 	// Point commit path.
 	pointsCommitted *obs.Counter
@@ -96,8 +99,9 @@ func newTelemetry(worker string, enabled bool) *telemetry {
 		tracer = obs.NewTracer(worker, 0, 0)
 	}
 	t := &telemetry{
-		reg:    reg,
-		tracer: tracer,
+		reg:      reg,
+		tracer:   tracer,
+		instance: worker,
 
 		pointsCommitted: reg.Counter("wt_points_committed_total",
 			"Design points committed by this process's jobs (workers count their shards, a coordinator its merged jobs)."),

@@ -226,20 +226,12 @@ type Config struct {
 	// because it is free on the serving contract: tables and NDJSON
 	// streams are byte-identical either way.
 	NoTelemetry bool
-	// HistoryInterval is the telemetry-history sampling period: how
-	// often the registry is snapshotted into the in-process time-series
-	// store, how often fleet members are polled (healthz, and on a
-	// coordinator their /metrics), and how often alert rules are
-	// evaluated (<= 0 = 2s).
+	// HistoryInterval is the telemetry round period (<= 0 = 2s). Each
+	// round snapshots the registry into the in-process time-series store
+	// (obs.DefaultHistoryDepth samples per series), polls the fleet
+	// members (healthz, and on a coordinator their /metrics), and
+	// evaluates the alert rules.
 	HistoryInterval time.Duration
-	// HistoryDepth bounds each history series' ring buffer
-	// (<= 0 = obs.DefaultHistoryDepth: 360 samples, 12 minutes at the
-	// default interval).
-	HistoryDepth int
-	// AlertRules replaces the default alert rule set when non-nil (the
-	// windtunneld -alerts flag loads a rules file merged over the
-	// defaults via LoadAlertRules). nil means DefaultAlertRules.
-	AlertRules []AlertRule
 	// JournalDir, when non-empty, makes jobs crash-durable: every
 	// client-facing query is write-ahead journaled (query, one record per
 	// committed point with its cache key, terminal record — group
@@ -266,10 +258,13 @@ type Server struct {
 	chaos   *FaultInjector
 	tel     *telemetry   // always non-nil; its registry is nil with NoTelemetry
 	history *obs.History // telemetry history store, nil with NoTelemetry
-	sampler *obs.Sampler // samples own registry into history
-	alerts  *alertEngine // rule evaluation over history
-	started time.Time
-	now     func() time.Time
+	alerts  *alertEngine // rule evaluation over history, nil with NoTelemetry
+	// stopRounds cancels the telemetry round loop (nil when the server has
+	// neither telemetry nor members); roundsDone closes when it exits.
+	stopRounds context.CancelFunc
+	roundsDone chan struct{}
+	started    time.Time
+	now        func() time.Time
 	// pointGate, when set (tests only), is called before each point is
 	// committed, with its index, and before the terminal line, with the
 	// number of points committed — the hook crash tests use to freeze a
@@ -362,37 +357,70 @@ func New(cfg Config) (*Server, error) {
 	s.chaos = cfg.Chaos
 	s.tel.bind(s)
 	if s.tel.reg != nil {
-		// The retention layer: sample our own registry into history on
-		// the interval, labelled the same way our spans are; on a
-		// coordinator the member poller additionally scrapes every
-		// worker's /metrics into the same store; and evaluate alert rules
-		// over the result.
-		s.history = obs.NewHistory(cfg.HistoryDepth)
-		s.sampler = obs.StartSampler(s.history, s.tel.reg, worker, cfg.HistoryInterval)
+		s.history = obs.NewHistory(obs.DefaultHistoryDepth)
+		s.alerts = newAlertEngine(s.history)
 		if cfg.Coordinator {
-			s.health.hist = s.history
+			s.health.scrape = true
 		}
-		rules := cfg.AlertRules
-		if rules == nil {
-			rules = DefaultAlertRules()
-		}
-		s.alerts = startAlertEngine(s.history, rules, cfg.HistoryInterval)
 	}
-	if s.health != nil {
-		s.health.Start(cfg.HistoryInterval)
+	if s.history != nil || s.health != nil {
+		interval := cfg.HistoryInterval
+		if interval <= 0 {
+			interval = obs.DefaultSampleInterval
+		}
+		var ctx context.Context
+		ctx, s.stopRounds = context.WithCancel(context.Background())
+		s.roundsDone = make(chan struct{})
+		go s.runRounds(ctx, interval)
 	}
 	return s, nil
 }
 
-// Close stops the server's background work (the member poller, the
-// history sampler and the alert engine)
-// and waits for every journal to flush what its job has queued, so no
-// batch is left in flight. It does not wait for running jobs — that is
-// BeginDrain plus WaitJobs' business.
+// runRounds is the server's one background telemetry loop: a round now,
+// then one per interval, until ctx is cancelled.
+func (s *Server) runRounds(ctx context.Context, interval time.Duration) {
+	defer close(s.roundsDone)
+	ticker := time.NewTicker(interval)
+	defer ticker.Stop()
+	s.round(ctx, time.Now())
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case now := <-ticker.C:
+			s.round(ctx, now)
+		}
+	}
+}
+
+// round is one telemetry round at now: ingest this server's own
+// registry (labelled the way its spans are), poll the members — healthz,
+// plus /metrics and wt_fleet_member_up on a coordinator — storing every
+// sample at now, then evaluate the alert rules over the result. A round
+// cut short by ctx stops after the poll.
+func (s *Server) round(ctx context.Context, now time.Time) {
+	s.history.Ingest(s.tel.reg.Snapshot(), s.tel.instance, now)
+	if s.health != nil {
+		scrapes := s.health.Probe(ctx)
+		if ctx.Err() != nil {
+			return
+		}
+		if s.health.scrape {
+			s.health.ingest(s.history, scrapes, now)
+		}
+	}
+	s.alerts.evaluate(now)
+}
+
+// Close stops the telemetry round loop, cancelling any member request
+// in flight, and waits for every journal to flush what its job has
+// queued, so no batch is left in flight. It does not wait for running
+// jobs — that is BeginDrain plus WaitJobs' business.
 func (s *Server) Close() {
-	s.health.Stop()
-	s.sampler.Stop()
-	s.alerts.Stop()
+	if s.stopRounds != nil {
+		s.stopRounds()
+		<-s.roundsDone
+	}
 	for _, jj := range s.journals() {
 		jj.sync()
 	}
