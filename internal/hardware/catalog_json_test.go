@@ -47,6 +47,11 @@ func TestLoadJSONRegistersSpecs(t *testing.T) {
 	}
 }
 
+// negativeInts is a spec whose only fault is its negative integer
+// attributes.
+const negativeInts = `[{"name": "cpu-neg", "kind": "cpu", "cores": -4, "ports": -2, "cost_usd": 100,
+  "power_watts": 50, "ttf": "exp(mean=500)", "repair": "det(2)"}]`
+
 func TestLoadJSONRejectsBadEntries(t *testing.T) {
 	cases := []struct {
 		name string
@@ -58,6 +63,9 @@ func TestLoadJSONRejectsBadEntries(t *testing.T) {
 		{"bad dist spec", `[{"name": "x", "kind": "disk", "ttf": "frechet(1)", "repair": "det(1)"}]`, "frechet"},
 		{"missing dists", `[{"name": "x", "kind": "disk"}]`, "missing TTF"},
 		{"empty name", `[{"kind": "disk", "ttf": "det(1)", "repair": "det(1)"}]`, "empty name"},
+		{"negative cores and ports", negativeInts, "negative attribute"},
+		{"negative cores", `[{"name": "x", "kind": "cpu", "cores": -1, "ttf": "det(1)", "repair": "det(1)"}]`, "negative attribute"},
+		{"negative ports", `[{"name": "x", "kind": "switch", "ports": -1, "ttf": "det(1)", "repair": "det(1)"}]`, "negative attribute"},
 	}
 	for _, c := range cases {
 		err := NewCatalog().LoadJSON([]byte(c.data))

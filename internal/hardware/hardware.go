@@ -87,7 +87,7 @@ func (sp Spec) Validate() error {
 		return fmt.Errorf("hardware: spec %q missing TTF or Repair distribution", sp.Name)
 	}
 	if sp.CostUSD < 0 || sp.PowerWatts < 0 || sp.CapacityGB < 0 ||
-		sp.ThroughputMBps < 0 || sp.IOPS < 0 {
+		sp.ThroughputMBps < 0 || sp.IOPS < 0 || sp.Cores < 0 || sp.Ports < 0 {
 		return fmt.Errorf("hardware: spec %q has negative attribute", sp.Name)
 	}
 	return nil

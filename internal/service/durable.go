@@ -20,6 +20,14 @@ import (
 // commit; every reader of a job, the submitting HTTP client included,
 // follows that log.
 //
+// A line is built once per answer, not once per job. A whole local run of
+// a kept plan (plans.go) commits its plan's kept point lines while its
+// outcomes match the ones they were built from, and when all match it
+// re-sends the kept result line under its own id: the rows are assembled
+// and the table rendered only for outcomes that differ, and that answer is
+// kept in turn. Every line, kept or fresh, passes through commit the same
+// way: the journal record, the span, the test gate.
+//
 // A job never waits for the disk. When a journal backs the log, commit
 // queues each line behind its journal record and carries on; the job's
 // committer (journal.go) fsyncs whatever has accumulated as one batch and
@@ -142,34 +150,23 @@ func jobLine(id string) []byte {
 func (s *Server) run(ctx context.Context, j *job, req QueryRequest, resume []RecoveredPoint) {
 	// One encoder for the job's events, each copied out of its buffer at
 	// its exact size, newline included: the copy is what the journal
-	// record, the log and every follower share. A point whose metrics
-	// cannot be encoded (NaN, ±Inf) is left out of the stream and the
-	// journal.
+	// record, the log and every follower share.
 	enc := encoders.Get().(*eventEncoder)
 	defer encoders.Put(enc)
-	emit := func(ev PointEvent, key string) {
-		encoded, err := enc.encodePoint(&ev)
-		if err != nil {
-			return
-		}
-		if s.pointGate != nil {
-			s.pointGate(ev.Index)
-		}
-		line := bytes.Clone(encoded)
-		// The journal_append span runs from here to the fsync that covers
-		// the record.
-		var sp *obs.SpanHandle
-		if j.jj != nil {
-			sp = s.tel.startSpan(j.trace, j.root.ID(), "journal_append").
-				Attr("index", strconv.Itoa(ev.Index))
-		}
-		s.commit(j, pointRecord(ev.Index, key, line), logLine{'p', line}, sp)
-	}
-	rs, err := s.answer(ctx, j, req, resume, emit)
+	rs, rr, err := s.answer(ctx, j, req, resume, enc)
 	info := s.finish(j, err)
 
-	encoded, failure := enc.encodeTerminal(info.ID, rs, info.Degraded, err)
+	var encoded []byte
+	var failure error
+	if tail := rr.keptResult(); tail != nil {
+		encoded = enc.encodeResent(info.ID, tail)
+	} else {
+		encoded, failure = enc.encodeTerminal(info.ID, rs, info.Degraded, err)
+	}
 	line := bytes.Clone(encoded)
+	if failure == nil {
+		rr.keep(info.ID, line)
+	}
 	status, errMsg := "done", ""
 	if failure != nil {
 		status, errMsg = "failed", failure.Error()
@@ -183,32 +180,67 @@ func (s *Server) run(ctx context.Context, j *job, req QueryRequest, resume []Rec
 	s.commit(j, endRecord(status, errMsg, line), logLine{'t', line}, nil)
 }
 
+// emitPoint encodes ev with enc and commits the line, which it returns. A
+// point whose metrics cannot be encoded (NaN, ±Inf) is left out of the
+// stream and the journal, and emitPoint returns nil.
+func (s *Server) emitPoint(j *job, enc *eventEncoder, ev PointEvent, key string) []byte {
+	encoded, err := enc.encodePoint(&ev)
+	if err != nil {
+		return nil
+	}
+	line := bytes.Clone(encoded)
+	s.commitPoint(j, ev.Index, key, line)
+	return line
+}
+
+// commitPoint commits the line of the point at index, whose cache key is
+// key when the job is journaled.
+func (s *Server) commitPoint(j *job, index int, key string, line []byte) {
+	if s.pointGate != nil {
+		s.pointGate(index)
+	}
+	// The journal_append span runs from here to the fsync that covers the
+	// record.
+	var sp *obs.SpanHandle
+	if j.jj != nil {
+		sp = s.tel.startSpan(j.trace, j.root.ID(), "journal_append").
+			Attr("index", strconv.Itoa(index))
+	}
+	s.commit(j, pointRecord(index, key, line), logLine{'p', line}, sp)
+}
+
 // answer is the query itself: plan (plans.go) and sweep — fanned out
 // across the fleet when this is a coordinator and the sweep is shardable,
 // on this server's own engine otherwise (a worker's shard, req.Points,
-// included). emit receives each committed point's event with its cache
-// key, except the first len(resume), which the journal already holds.
+// included). Each committed point's line is committed with its cache key,
+// except the first len(resume), which the journal already holds. A whole
+// local run also returns its resend: when that re-sends the kept answer
+// whole, the result set is nil, for the kept result line stands in for it.
 func (s *Server) answer(ctx context.Context, j *job, req QueryRequest, resume []RecoveredPoint,
-	emit func(ev PointEvent, key string)) (*wtql.ResultSet, error) {
-	plan, err := s.plan(j, req)
+	enc *eventEncoder) (*wtql.ResultSet, *resend, error) {
+	kp, err := s.plan(j, req)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
+	plan := kp.plan
 	prefix, err := journaledPrefix(plan, resume)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// MONOTONE sweeps are not shardable: a dominance decision depends on
 	// the whole committed prefix.
 	if s.fleet != nil && !plan.Pruned() && req.Points == nil {
-		return s.runFleetPlan(ctx, j, req.Query, plan, prefix, emit)
+		rs, err := s.runFleetPlan(ctx, j, req.Query, plan, prefix, func(ev PointEvent, key string) {
+			s.emitPoint(j, enc, ev, key)
+		})
+		return rs, nil, err
 	}
 
 	// Only a journal record needs a point's cache key.
 	var keys []string
 	if j.jj != nil {
 		if keys, err = plan.PointKeys(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	// done and total count the points this job commits: the plan's, or
@@ -219,6 +251,10 @@ func (s *Server) answer(ctx context.Context, j *job, req QueryRequest, resume []
 		total = len(subset)
 	}
 	outcomes := make([]core.PointOutcome, 0, total)
+	var rr *resend
+	if k == 0 && subset == nil {
+		rr = newResend(kp)
+	}
 	if k > 0 && !plan.Pruned() {
 		// Resuming a plain sweep: the journaled prefix is final. Execute
 		// only the undelivered tail and assemble the table over prefix +
@@ -246,12 +282,21 @@ func (s *Server) answer(ctx context.Context, j *job, req QueryRequest, resume []
 		if keys != nil {
 			key = keys[out.Index]
 		}
-		emit(pointEvent(plan.Config(out.Index), done, total, out), key)
+		if line := rr.keptLine(done-1, &out); line != nil {
+			s.commitPoint(j, out.Index, key, line)
+			return
+		}
+		rr.add(&out, s.emitPoint(j, enc, pointEvent(plan.Config(out.Index), done, total, out), key))
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return plan.Assemble(outcomes)
+	if rr.resendsAll(len(outcomes)) {
+		j.root.Attr("reused", "true")
+		return nil, rr, nil
+	}
+	rs, err := plan.Assemble(outcomes)
+	return rs, rr, err
 }
 
 // journaledPrefix reconstructs the committed outcomes a journal's point

@@ -20,7 +20,8 @@ import (
 // included), nil maps and slices as null. It exists because these four
 // event shapes are everything a warm query sends, and reflection over
 // them was a third of its CPU; encoding/json stays the reference the
-// tests hold this to (TestEventEncoding, FuzzEventEncoding).
+// tests hold this to (TestEventEncoding, FuzzEventEncoding). A repeat of a
+// kept plan's answer encodes only its result line's head (plans.go).
 //
 // Each method encodes into the encoder's one buffer and returns it, '\n'
 // included: the line is valid until the next call, so a caller that
@@ -154,6 +155,18 @@ func (e *eventEncoder) encodeResult(ev *ResultEvent) ([]byte, error) {
 	b = strconv.AppendBool(b, ev.Degraded)
 	e.buf = append(b, '}', '\n')
 	return e.buf, nil
+}
+
+// resultHead is what every result line encodeTerminal writes holds before
+// its job id.
+const resultHead = `{"type":"result","id":`
+
+// encodeResent encodes a result line for job id from the tail — what
+// follows the id — of another job's result line for the same answer.
+func (e *eventEncoder) encodeResent(id string, tail []byte) []byte {
+	b := appendString(append(e.buf[:0], resultHead...), id)
+	e.buf = append(b, tail...)
+	return e.buf
 }
 
 // encodeTerminal encodes a finished job's last line: its result event,
