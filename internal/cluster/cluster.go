@@ -26,6 +26,7 @@ package cluster
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/dist"
 	"repro/internal/hardware"
@@ -191,6 +192,10 @@ type Cluster struct {
 	onDomDown   []func(*Domain)
 	onDomUp     []func(*Domain)
 
+	// avail is Available as a bitset (see AvailableSet), brought up to date
+	// by mark at every statement that moves a node's up flag or veto count.
+	avail []uint64
+
 	// Failure wiring built by the first StartFailures (see wire): disks in
 	// node-major order, then one entry per NIC and per ToR switch.
 	wired    bool
@@ -254,6 +259,7 @@ func Build(s *sim.Simulator, cat *hardware.Catalog, cfg Config) (*Cluster, error
 		hostCap:  hostCap,
 		nodeVeto: make([]int, size),
 		linkVeto: make([]int, len(net.Topo.Links())),
+		avail:    make([]uint64, (size+63)/64),
 	}
 	// Nodes, their disk lists and their components each come out of one
 	// block: a cluster is a handful of allocations however many nodes.
@@ -334,6 +340,9 @@ func (c *Cluster) Reset() {
 	}
 	clear(c.nodeVeto)
 	clear(c.linkVeto)
+	for id := range c.nodes {
+		c.mark(id)
+	}
 	c.onDown, c.onUp = dropAll(c.onDown), dropAll(c.onUp)
 	c.onDisk, c.onDiskOK = dropAll(c.onDisk), dropAll(c.onDiskOK)
 	c.onDomDown, c.onDomUp = dropAll(c.onDomDown), dropAll(c.onDomUp)
@@ -408,6 +417,7 @@ func (c *Cluster) FailDomain(d *Domain) {
 		n := c.nodes[id]
 		wasAvailable := n.up && c.nodeVeto[id] == 0
 		c.nodeVeto[id]++
+		c.mark(id)
 		if wasAvailable {
 			for _, fn := range c.onDown {
 				fn(n)
@@ -442,6 +452,7 @@ func (c *Cluster) RestoreDomain(d *Domain) {
 	for _, id := range d.nodes {
 		n := c.nodes[id]
 		c.nodeVeto[id]--
+		c.mark(id)
 		if n.up && c.nodeVeto[id] == 0 {
 			for _, fn := range c.onUp {
 				fn(n)
@@ -490,12 +501,25 @@ func (c *Cluster) Available(id int) bool {
 // AvailableCount returns the number of available nodes.
 func (c *Cluster) AvailableCount() int {
 	count := 0
-	for _, n := range c.nodes {
-		if c.Available(n.ID) {
-			count++
-		}
+	for _, w := range c.avail {
+		count += bits.OnesCount64(w)
 	}
 	return count
+}
+
+// AvailableSet returns the available nodes as a bitset: bit id%64 of word
+// id/64 is set exactly while Available(id) holds, at every point a
+// callback can observe. The words are the cluster's own, kept current by
+// every transition; the caller must not modify them.
+func (c *Cluster) AvailableSet() []uint64 { return c.avail }
+
+// mark brings node id's bit in avail up to date.
+func (c *Cluster) mark(id int) {
+	bit := uint64(1) << (id % 64)
+	c.avail[id/64] &^= bit
+	if c.Available(id) {
+		c.avail[id/64] |= bit
+	}
 }
 
 // FailNode forces node id down (manual failure injection).
@@ -505,6 +529,7 @@ func (c *Cluster) FailNode(id int) {
 		return
 	}
 	n.up = false
+	c.mark(id)
 	n.upSignal.Set(c.sim.Now(), 0)
 	c.nodeFailures++
 	if n.accessLk != nil {
@@ -523,6 +548,7 @@ func (c *Cluster) RestoreNode(id int) {
 		return
 	}
 	n.up = true
+	c.mark(id)
 	n.upSignal.Set(c.sim.Now(), 1)
 	if n.accessLk != nil {
 		c.Topo.SetLinkUp(n.accessLk, true)

@@ -12,7 +12,8 @@ import (
 // checkMaxMin asserts the two max–min invariants over the current
 // active flow set: per-link feasibility and the bottleneck property.
 // Flows whose route crosses a down link must not be active at all. It
-// then compares every rate with the reference allocator's.
+// then holds the incremental state to a full rebuild (checkIncremental)
+// and compares every rate with the reference allocator's.
 func checkMaxMin(t *testing.T, fs *FlowSim, seed uint64, step int) bool {
 	t.Helper()
 	const eps = 1e-9
@@ -51,6 +52,10 @@ func checkMaxMin(t *testing.T, fs *FlowSim, seed uint64, step int) bool {
 				seed, step, fl.ID, fl.Rate())
 			return false
 		}
+	}
+	if err := checkIncremental(fs); err != nil {
+		t.Logf("seed %d step %d: %v", seed, step, err)
+		return false
 	}
 	return checkAgainstReference(t, fs, seed, step)
 }

@@ -1,0 +1,186 @@
+package netsim
+
+import (
+	"bytes"
+	"testing"
+
+	"repro/internal/sim"
+)
+
+// flowRun drives a FlowSim with one program, two bytes an operation, over
+// a two-rack topology whose racks each reach two core switches, so a
+// failed uplink reroutes and a failed access link aborts. A flow's done and
+// failed callbacks run the next few operations from inside the callback.
+// After every operation run from outside, the flow simulator's
+// incremental state must be what it stands for (checkIncremental): every
+// rate the full rebuild's bit for bit, every link's list the active flows
+// that cross it.
+type flowRun struct {
+	t     *testing.T
+	s     *sim.Simulator
+	fs    *FlowSim
+	topo  *Topology
+	hosts []NodeID
+	prog  []byte
+	pc    int
+
+	handed  []*Flow // every flow Start returned, dead ones included
+	nesting int     // callbacks running
+	cancels int64   // Cancels of a flow in flight
+}
+
+func newFlowRun(t *testing.T, prog []byte) *flowRun {
+	r := &flowRun{t: t, s: sim.New(1), topo: NewTopology(), prog: prog}
+	// The first byte picks the access links' latency: 0 puts activations at
+	// the instant of their Start, so a link change in between is a tie.
+	latency := 0.0
+	if len(prog) > 0 {
+		latency = [4]float64{0, 0, 0.01, 0.5}[prog[0]&3]
+		r.pc = 1
+	}
+	cores := []NodeID{r.topo.AddNode(Switch, "core-0"), r.topo.AddNode(Switch, "core-1")}
+	for rack := 0; rack < 2; rack++ {
+		tor := r.topo.AddNode(Switch, "tor")
+		for _, core := range cores {
+			r.link(tor, core, 150, 0)
+		}
+		for h := 0; h < 3; h++ {
+			host := r.topo.AddNode(Host, "host")
+			r.hosts = append(r.hosts, host)
+			r.link(host, tor, 100, latency)
+		}
+	}
+	r.fs = NewFlowSim(r.s, r.topo)
+	return r
+}
+
+func (r *flowRun) link(a, b NodeID, capacity, latency float64) {
+	if _, err := r.topo.AddLink(a, b, capacity, latency); err != nil {
+		r.t.Fatal(err)
+	}
+}
+
+// callbacks returns a flow's done and failed callbacks: each runs the next
+// nested operations of the program.
+func (r *flowRun) callbacks(nested int) (func(*Flow), func(*Flow, error)) {
+	run := func() {
+		r.nesting++
+		for i := 0; i < nested; i++ {
+			r.op()
+		}
+		r.nesting--
+	}
+	return func(*Flow) { run() }, func(*Flow, error) { run() }
+}
+
+// op decodes and runs one operation. The low three bits of the first byte
+// pick it, the rest of that byte and the second byte are its arguments.
+func (r *flowRun) op() {
+	if r.pc+2 > len(r.prog) {
+		return
+	}
+	code, extra, arg := r.prog[r.pc]&7, int(r.prog[r.pc]>>3), int(r.prog[r.pc+1])
+	r.pc += 2
+	if r.nesting > 0 && (code == 3 || code == 4) {
+		code = 0 // no Step or RunUntil from inside a callback
+	}
+	links := r.topo.Links()
+	switch code {
+	case 0, 1: // start
+		done, failed := r.callbacks(arg / 36 % 4)
+		src, dst := r.hosts[arg%6], r.hosts[arg/6%6]
+		if f, err := r.fs.Start(src, dst, 1+7*float64(extra), done, failed); err == nil {
+			r.handed = append(r.handed, f)
+		}
+	case 2: // cancel, of a flow in flight or (a no-op) of a dead one
+		if len(r.handed) > 0 {
+			f := r.handed[arg%len(r.handed)]
+			if r.fs.Active() > 0 && extra&1 == 0 {
+				f = r.fs.flows[arg%r.fs.Active()]
+			}
+			before := r.fs.Active()
+			r.fs.Cancel(f)
+			r.cancels += int64(before - r.fs.Active())
+		}
+	case 3: // step
+		r.s.Step()
+	case 4: // run until
+		r.s.RunUntil(r.s.Now() + float64(extra)/8)
+	case 5, 6: // a link down or back up
+		l := links[arg%len(links)]
+		r.topo.SetLinkUp(l, !l.Up())
+		r.fs.OnLinkChange()
+	default: // a link's capacity to 0, a quarter, ..., all of it
+		l := links[arg%len(links)]
+		l.Capacity = l.built * float64(extra%5) / 4
+		r.fs.OnLinkChange()
+	}
+	if r.nesting == 0 {
+		r.check()
+	}
+}
+
+func (r *flowRun) check() {
+	r.t.Helper()
+	if err := checkIncremental(r.fs); err != nil {
+		r.t.Fatalf("pc %d, t=%v: %v", r.pc, r.s.Now(), err)
+	}
+	fs := r.fs
+	if accounted := fs.started - fs.completed - fs.aborted - r.cancels; accounted != int64(fs.Active()) {
+		r.t.Fatalf("pc %d: %d started, %d completed, %d aborted, %d cancelled, but %d in flight",
+			r.pc, fs.started, fs.completed, fs.aborted, r.cancels, fs.Active())
+	}
+}
+
+func runFlowProgram(t *testing.T, prog []byte) {
+	if len(prog) > 4096 {
+		prog = prog[:4096]
+	}
+	r := newFlowRun(t, prog)
+	for r.pc+2 <= len(r.prog) {
+		r.op()
+	}
+	// Drain: flows on a link at capacity 0 wait for ever, with no event.
+	r.s.Run()
+	r.check()
+	r.fs.Reset()
+	r.cancels = 0
+	r.check()
+}
+
+// flowSeeds are shapes the repair manager and the failure models give the
+// flow simulator.
+func flowSeeds() [][]byte {
+	// A storm: transfers whose completions start the next ones, stepped.
+	storm := []byte{0}
+	for i := 0; i < 40; i++ {
+		storm = append(storm, byte(i%4)<<3, byte(i*7+1+36), 3, 0, 3, 0)
+	}
+	// Flaps: uplinks and access links failing and returning under load,
+	// with failed callbacks that start, cancel and flap again.
+	flaps := []byte{1}
+	for i := 0; i < 30; i++ {
+		flaps = append(flaps, 0, byte(i*11+2+3*36), 5, byte(i%10), 4|3<<3, 0, 6, byte(i%10), 7|byte(i%5)<<3, byte(i*3))
+	}
+	// Latency phases: starts, then a link cut and restored before they
+	// activate.
+	phases := bytes.Repeat([]byte{0, 1, 0, 13, 5, 6, 3, 0, 6, 6, 4 | 8<<3, 0}, 20)
+	phases = append([]byte{2}, phases...)
+	// Throttles: capacities to zero and back, stalling and resuming flows.
+	throttles := []byte{0}
+	for i := 0; i < 30; i++ {
+		throttles = append(throttles, 1, byte(i*5+1), 7, byte(i%10), 4|2<<3, 0, 7|4<<3, byte(i%10), 2, byte(i))
+	}
+	return [][]byte{storm, flaps, phases, throttles, {}, {3}, {0, 0, 7}}
+}
+
+// FuzzFlowSim holds the flow simulator's per-link lists and the allocation
+// computed from them to the full rebuild, bit for bit, whatever is started,
+// cancelled, stepped, failed, restored and throttled, from outside or from
+// inside done and failed callbacks.
+func FuzzFlowSim(f *testing.F) {
+	for _, seed := range flowSeeds() {
+		f.Add(seed)
+	}
+	f.Fuzz(runFlowProgram)
+}

@@ -545,3 +545,71 @@ func TestWarmFlowAllocatesNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestLatencyPhaseFlowSeesLinkFailure: OnLinkChange looks only at active
+// flows, so a link that goes down while a flow is still in its latency
+// phase is for the activation to see. With no other way to the destination
+// the flow fails through its failed callback, as an active flow would; with
+// one, it is rerouted and completes over links that are up. (Before the
+// activation checked, the first flow completed at t = 1.04 at rate 100
+// through the dead link.)
+func TestLatencyPhaseFlowSeesLinkFailure(t *testing.T) {
+	net, err := TwoTier(TwoTierConfig{Racks: 2, HostsPerRack: 2, HostLinkCap: 100, UplinkCap: 100, LinkLatency: 0.01})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := sim.New(1)
+	fs := NewFlowSim(s, net.Topo)
+	var failErr error
+	completed := false
+	if _, err := fs.Start(net.Hosts[0], net.Hosts[3], 100,
+		func(*Flow) { completed = true }, func(_ *Flow, err error) { failErr = err }); err != nil {
+		t.Fatal(err)
+	}
+	s.Schedule(0.005, "cut", func() {
+		net.Topo.SetLinkUp(net.Access[0], false) // hosts[0]'s only link
+		fs.OnLinkChange()
+	})
+	s.Run()
+	if completed || failErr == nil || fs.Aborted() != 1 || fs.Active() != 0 || fs.Completed() != 0 {
+		t.Fatalf("flow over a link cut in its latency phase: completed=%v at %v, failed with %v; %d aborted, %d in flight",
+			completed, s.Now(), failErr, fs.Aborted(), fs.Active())
+	}
+
+	// Two parallel paths a-s1-b and a-s2-b: the first one's cut reroutes.
+	topo := NewTopology()
+	a, b := topo.AddNode(Host, "a"), topo.AddNode(Host, "b")
+	s1, s2 := topo.AddNode(Switch, "s1"), topo.AddNode(Switch, "s2")
+	var cut *Link
+	for _, pair := range [][2]NodeID{{a, s1}, {s1, b}, {a, s2}, {s2, b}} {
+		l, err := topo.AddLink(pair[0], pair[1], 100, 0.01)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cut == nil {
+			cut = l
+		}
+	}
+	s = sim.New(1)
+	fs = NewFlowSim(s, topo)
+	var doneAt sim.Time = -1
+	f, err := fs.Start(a, b, 200, func(*Flow) { doneAt = s.Now() }, func(*Flow, error) { t.Error("a reroutable flow failed") })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Contains(f.Route(), cut) {
+		t.Fatal("the flow does not start over the link the test cuts")
+	}
+	s.Schedule(0.005, "cut", func() {
+		topo.SetLinkUp(cut, false)
+		fs.OnLinkChange()
+	})
+	s.RunUntil(0.03)
+	if !f.IsActive() || broken(f.Route()) || f.Rate() != 100 {
+		t.Fatalf("after activation: active=%v, route over a down link %v, rate %v", f.IsActive(), broken(f.Route()), f.Rate())
+	}
+	s.Run()
+	if doneAt != 2.02 || fs.Aborted() != 0 {
+		t.Fatalf("rerouted flow done at %v with %d aborted; want 2.02 (latency 0.02, then 200 MB at 100) and 0", doneAt, fs.Aborted())
+	}
+}

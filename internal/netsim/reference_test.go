@@ -1,7 +1,10 @@
 package netsim
 
 import (
+	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/sim"
@@ -301,4 +304,236 @@ func BenchmarkFlowSimRepairStorm(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(2*b.N), "ns/flow-event")
+}
+
+// fullRebuildRates is the allocation FlowSim.recompute computed before each
+// link kept the list of its active flows: the link table rebuilt from every
+// active flow's route on every call, and each round's bottleneck members
+// found by scanning every unfrozen flow's route. It is kept as the oracle
+// the lists are held to bit for bit, and only reads the flow simulator: it
+// returns the rate of each flow in flight, index-aligned with fs.flows (0
+// for one in its latency phase).
+func fullRebuildRates(fs *FlowSim) []float64 {
+	residual := make([]float64, len(fs.topo.links))
+	crossing := make([]int, len(fs.topo.links))
+	rates := make([]float64, len(fs.flows))
+	var touched, unfrozen []int // link IDs; indices into fs.flows
+	for i, f := range fs.flows {
+		if !f.active {
+			continue
+		}
+		unfrozen = append(unfrozen, i)
+		rates[i] = math.Inf(1)
+		for _, l := range f.route {
+			if crossing[l.ID] == 0 {
+				touched = append(touched, l.ID)
+				residual[l.ID] = l.Capacity
+			}
+			crossing[l.ID]++
+		}
+	}
+	crosses := func(route []*Link, id int) bool {
+		for _, l := range route {
+			if l.ID == id {
+				return true
+			}
+		}
+		return false
+	}
+	for len(unfrozen) > 0 {
+		bottleneck, share := -1, math.Inf(1)
+		for _, id := range touched {
+			n := crossing[id]
+			if n == 0 {
+				continue
+			}
+			if s := residual[id] / float64(n); s < share || (s == share && id < bottleneck) {
+				bottleneck, share = id, s
+			}
+		}
+		if bottleneck < 0 {
+			break
+		}
+		keep := unfrozen[:0]
+		for _, i := range unfrozen {
+			f := fs.flows[i]
+			if !crosses(f.route, bottleneck) {
+				keep = append(keep, i)
+				continue
+			}
+			rates[i] = share
+			for _, l := range f.route {
+				r := residual[l.ID] - share
+				if r < 0 {
+					r = 0
+				}
+				residual[l.ID] = r
+				crossing[l.ID]--
+			}
+		}
+		unfrozen = keep
+	}
+	return rates
+}
+
+// checkIncremental holds a flow simulator's incremental state to what it
+// stands for: every active flow's rate is fullRebuildRates' bit for bit;
+// each link's list holds exactly the active flows that cross it, as many
+// times as they do; no flow in its latency phase is on any list; busy lists
+// exactly the links whose list is not empty, each at the index its busyAt
+// names; and no active flow crosses a link that is down.
+func checkIncremental(fs *FlowSim) error {
+	want := map[int]map[*Flow]int{}
+	for i, rate := range fullRebuildRates(fs) {
+		f := fs.flows[i]
+		if !f.active {
+			continue
+		}
+		if math.Float64bits(f.rate) != math.Float64bits(rate) {
+			return fmt.Errorf("flow %d: rate %v (%#x), the full rebuild gives %v (%#x)",
+				f.ID, f.rate, math.Float64bits(f.rate), rate, math.Float64bits(rate))
+		}
+		if broken(f.route) {
+			return fmt.Errorf("active flow %d crosses a link that is down", f.ID)
+		}
+		for _, l := range f.route {
+			if want[l.ID] == nil {
+				want[l.ID] = map[*Flow]int{}
+			}
+			want[l.ID][f]++
+		}
+	}
+	for id := range fs.links {
+		ls := &fs.links[id]
+		got := map[*Flow]int{}
+		for _, f := range ls.flows {
+			if !f.active || !slices.Contains(fs.flows, f) {
+				return fmt.Errorf("link %d lists flow %d, which is not active", id, f.ID)
+			}
+			got[f]++
+		}
+		if !maps.Equal(got, want[id]) {
+			return fmt.Errorf("link %d lists %d flows, %d active flows cross it", id, len(ls.flows), len(want[id]))
+		}
+		if busy := len(ls.flows) > 0; busy != (ls.busyAt > 0) ||
+			(busy && (ls.busyAt > len(fs.busy) || fs.busy[ls.busyAt-1] != id)) {
+			return fmt.Errorf("link %d with %d flows has busyAt %d in %v", id, len(ls.flows), ls.busyAt, fs.busy)
+		}
+	}
+	if len(want) != len(fs.busy) {
+		return fmt.Errorf("%d links carry an active flow, busy holds %d", len(want), len(fs.busy))
+	}
+	return nil
+}
+
+// TestOnLinkChangeAllocatesNothing: taking a link's capacity down and back,
+// and failing and restoring the link under flows that can reroute, costs
+// OnLinkChange no allocation once the flow simulator has done it before —
+// the walk's snapshot is the flow simulator's, a reroute writes over the
+// flow's own route, and the lists are put back in place.
+func TestOnLinkChangeAllocatesNothing(t *testing.T) {
+	s, fs, _ := steadyFlows(t, 16)
+	uplink := fs.topo.links[0]
+	throttle := func() {
+		uplink.Capacity /= 4
+		fs.OnLinkChange()
+		uplink.Capacity *= 4
+		fs.OnLinkChange()
+	}
+	throttle()
+	if allocs := testing.AllocsPerRun(100, throttle); allocs != 0 {
+		t.Errorf("a throttle and its undoing allocated %v times, want 0", allocs)
+	}
+	if err := checkIncremental(fs); err != nil {
+		t.Fatal(err)
+	}
+	if s.Pending() != 16 {
+		t.Fatalf("%d events pending, want the 16 completions", s.Pending())
+	}
+
+	// Two parallel paths a-s1-b and a-s2-b, four flows over the first.
+	topo := NewTopology()
+	a, b := topo.AddNode(Host, "a"), topo.AddNode(Host, "b")
+	s1, s2 := topo.AddNode(Switch, "s1"), topo.AddNode(Switch, "s2")
+	for _, pair := range [][2]NodeID{{a, s1}, {s1, b}, {a, s2}, {s2, b}} {
+		if _, err := topo.AddLink(pair[0], pair[1], 100, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s = sim.New(1)
+	fs = NewFlowSim(s, topo)
+	for i := 0; i < 4; i++ {
+		if _, err := fs.Start(a, b, 1e12, nil, func(*Flow, error) { t.Error("a reroutable flow failed") }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.RunUntil(0)
+	first, second := topo.links[0], topo.links[2]
+	flap := func() {
+		topo.SetLinkUp(first, false)
+		fs.OnLinkChange()
+		topo.SetLinkUp(first, true)
+		topo.SetLinkUp(second, false)
+		fs.OnLinkChange()
+		topo.SetLinkUp(second, true)
+	}
+	flap()
+	if allocs := testing.AllocsPerRun(100, flap); allocs != 0 {
+		t.Errorf("rerouting four flows there and back allocated %v times, want 0", allocs)
+	}
+	if err := checkIncremental(fs); err != nil {
+		t.Fatal(err)
+	}
+	if fs.Aborted() != 0 || fs.Active() != 4 {
+		t.Fatalf("%d aborted, %d in flight; want 0 and 4", fs.Aborted(), fs.Active())
+	}
+}
+
+// TestOnLinkChangeReentered: a failed callback that changes another link
+// and calls OnLinkChange again, while the outer call is still walking its
+// snapshot. The nested walk handles the flows broken by then, the outer one
+// goes on over its own snapshot — every flow that was active when it began
+// is looked at once, in start order — and the state afterwards is what a
+// full rebuild gives.
+func TestOnLinkChangeReentered(t *testing.T) {
+	topo, hosts, err := SingleSwitch(6, 100, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := sim.New(1)
+	fs := NewFlowSim(s, topo)
+	var aborted []int
+	cutSecond := true
+	failed := func(f *Flow, _ error) {
+		aborted = append(aborted, f.ID)
+		if cutSecond {
+			cutSecond = false
+			topo.SetLinkUp(topo.Links()[4], false) // hosts[4]'s link
+			fs.OnLinkChange()
+		}
+	}
+	// Flows 0 and 3 lose hosts[0]'s link, 2 and 4 hosts[4]'s, 1 and 5 keep
+	// theirs.
+	for _, p := range [][2]int{{0, 1}, {2, 3}, {4, 5}, {0, 5}, {3, 4}, {1, 5}} {
+		if _, err := fs.Start(hosts[p[0]], hosts[p[1]], 1e9, nil, failed); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.RunUntil(0)
+	topo.SetLinkUp(topo.Links()[0], false) // hosts[0]'s link
+	fs.OnLinkChange()
+	if !slices.Equal(aborted, []int{0, 2, 3, 4}) {
+		t.Fatalf("failed callbacks ran for flows %v, want [0 2 3 4]: 0 in the outer walk, then 2, 3 and 4 in the nested one", aborted)
+	}
+	if fs.Aborted() != 4 || fs.Active() != 2 || len(fs.walk) != 0 {
+		t.Fatalf("%d aborted, %d in flight, %d snapshot entries left; want 4, 2 and 0", fs.Aborted(), fs.Active(), len(fs.walk))
+	}
+	if err := checkIncremental(fs); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range fs.Flows() {
+		if f.Rate() != 100 {
+			t.Errorf("surviving flow %d at rate %v, want 100", f.ID, f.Rate())
+		}
+	}
 }

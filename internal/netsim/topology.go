@@ -12,20 +12,24 @@
 // flow starts, finishes or a link changes state. This is the standard
 // flow-level approximation used by datacenter simulators.
 //
-// A repair storm is thousands of such recomputations, so the allocator
-// (FlowSim.recompute) is built to cost what changed and nothing more:
-// progressive filling runs over scratch arrays indexed by Link.ID that
-// the FlowSim owns and reuses (no per-call maps, zero allocations in the
-// steady state), flows are visited in start order and bottleneck ties go
-// to the lowest link ID, so a seed reproduces its completion times bit
-// for bit, and a flow's completion event is touched only when its rate
-// actually moved — and then it is moved: sim.Reschedule rewrites the
-// pending event's time in the calendar, one sift, where there used to be a
-// cancelled entry left to pop later and a fresh one pushed. A storm moves
-// two or three completions per recomputation, so more than half of what
-// the calendar was handed used to be cancelled. Topology.Route searches
-// over scratch of its own and allocates only the path it returns. Neither
-// type is safe for concurrent use; a simulation owns one of each.
+// A repair storm is thousands of such recomputations, so a flow event
+// costs the links it touches, as the paper's §4.2 argument has it, and not
+// a rebuild of the network's state. The FlowSim keeps, for each link, the
+// active flows that cross it and the list of links that carry any; those
+// lists change only when a flow activates, leaves or is rerouted, each
+// change costing the flow's own route. The allocator (FlowSim.recompute)
+// starts from the busy links alone, freezes each round's bottleneck from
+// that link's own list, and drops a link from its scan once every flow on
+// it is frozen. Its scratch is the FlowSim's and is reused (zero
+// allocations in the steady state), and bottleneck ties go to the lowest
+// link ID, so a seed reproduces its completion times bit for bit — the
+// same bits the full rebuild it replaced gave. A flow's completion event
+// is touched only when its rate actually moved, and then it is moved in
+// place (sim.Reschedule, one sift). OnLinkChange walks a snapshot the
+// FlowSim keeps and reroutes a flow into its own route's storage, so a
+// link change allocates nothing either; Topology.Route searches over
+// scratch of its own and allocates only the path it returns. Neither type
+// is safe for concurrent use; a simulation owns one of each.
 package netsim
 
 import (

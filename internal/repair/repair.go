@@ -38,6 +38,7 @@ package repair
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/cluster"
 	"repro/internal/dist"
@@ -191,9 +192,9 @@ type Manager struct {
 	downTime  []float64
 	downSince []sim.Time
 
-	// pickTarget scratch.
-	candidates []int
-	holds      []bool
+	// pickTarget's scratch: the cluster's available set less one object's
+	// holders.
+	free []uint64
 
 	// The two cluster callbacks Start registers, built once.
 	onDown, onUp func(*cluster.Node)
@@ -212,7 +213,6 @@ func NewManager(s *sim.Simulator, cl *cluster.Cluster, st *storage.Store, cfg Co
 		cfg: cfg, sim: s, clst: cl, store: st,
 		lost:      make(map[int]bool),
 		nodeDown:  make([]bool, cl.Size()),
-		holds:     make([]bool, cl.Size()),
 		live:      make([]int, 0, st.Len()),
 		downTime:  make([]float64, 0, st.Len()),
 		downSince: make([]sim.Time, 0, st.Len()),
@@ -483,25 +483,33 @@ func (m *Manager) pickSource(obj *storage.Object) int {
 }
 
 // pickTarget returns an available node not holding a shard, chosen via
-// the repair stream, or -1.
+// the repair stream, or -1. The candidates, in node order, are the
+// cluster's available set less the holders; one draw picks the k-th.
 func (m *Manager) pickTarget(obj *storage.Object) int {
+	free := append(m.free[:0], m.clst.AvailableSet()...)
+	m.free = free
 	for _, loc := range obj.Locations {
-		m.holds[loc] = true
+		free[loc/64] &^= 1 << (loc % 64)
 	}
-	m.candidates = m.candidates[:0]
-	for id := 0; id < m.clst.Size(); id++ {
-		if m.clst.Available(id) && !m.holds[id] {
-			m.candidates = append(m.candidates, id)
-		}
+	count := 0
+	for _, w := range free {
+		count += bits.OnesCount64(w)
 	}
-	for _, loc := range obj.Locations {
-		m.holds[loc] = false
-	}
-	if len(m.candidates) == 0 {
+	if count == 0 {
 		return -1
 	}
-	r := m.sim.Stream("repair-target")
-	return m.candidates[r.Intn(len(m.candidates))]
+	k := m.sim.Stream("repair-target").Intn(count)
+	for i, w := range free {
+		if n := bits.OnesCount64(w); k >= n {
+			k -= n
+			continue
+		}
+		for ; k > 0; k-- {
+			w &= w - 1 // drop the lowest candidate
+		}
+		return i*64 + bits.TrailingZeros64(w)
+	}
+	panic("repair: target draw outside the candidate count")
 }
 
 // nodeChanged is the cluster's node-transition callback: if node id's
