@@ -192,7 +192,8 @@ func BenchmarkPruning(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelSweep measures an E6 parallel (unpruned) sweep.
+// BenchmarkParallelSweep measures a parallel (unpruned) sweep. Point-level
+// scaling makes no design claim, so it has no figures artifact.
 func BenchmarkParallelSweep(b *testing.B) {
 	space, err := design.NewSpace(
 		design.Dimension{Name: "replicas", Values: []design.Value{2, 3}},

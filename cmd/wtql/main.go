@@ -49,23 +49,9 @@ func main() {
 	trace := flag.Bool("trace", false, "daemon mode: after the result, print the job's distributed-trace waterfall to stderr")
 	flag.Parse()
 
-	text := *query
-	if text == "" && *file != "" {
-		data, err := os.ReadFile(*file)
-		if err != nil {
-			fatal(err)
-		}
-		text = string(data)
-	}
-	if text == "" {
-		data, err := io.ReadAll(os.Stdin)
-		if err != nil {
-			fatal(err)
-		}
-		text = string(data)
-	}
-	if text == "" {
-		fatal(fmt.Errorf("no query given: use -q, -f or stdin"))
+	text, err := queryText(*query, *file, os.Stdin)
+	if err != nil {
+		fatal(err)
 	}
 
 	// SIGINT/SIGTERM cancel the run; -timeout bounds it.
@@ -109,6 +95,35 @@ func main() {
 		fatal(err)
 	}
 	fmt.Print(rs.Render())
+}
+
+// queryText is the query named by -q, by -f or, with neither, on stdin.
+// Naming two, or a file with no query in it, is an error: falling through
+// to the other would run a query other than the one named.
+func queryText(query, file string, stdin io.Reader) (string, error) {
+	switch {
+	case query != "" && file != "":
+		return "", fmt.Errorf("-q and -f both name a query: give one")
+	case query != "":
+		return query, nil
+	case file != "":
+		data, err := os.ReadFile(file)
+		if err != nil {
+			return "", err
+		}
+		if strings.TrimSpace(string(data)) == "" {
+			return "", fmt.Errorf("-f %s holds no query", file)
+		}
+		return string(data), nil
+	}
+	data, err := io.ReadAll(stdin)
+	if err != nil {
+		return "", err
+	}
+	if len(data) == 0 {
+		return "", fmt.Errorf("no query given: use -q, -f or stdin")
+	}
+	return string(data), nil
 }
 
 // splitServers parses the comma-separated -server list.

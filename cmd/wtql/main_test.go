@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"sync/atomic"
@@ -31,6 +32,41 @@ func localTable(t *testing.T) string {
 		t.Fatal(err)
 	}
 	return rs.Render()
+}
+
+// TestQueryTextNamesOneQuery: wtql runs the query it was given or none.
+// An empty -f file used to fall through to whatever stdin held, and -q
+// beside -f ignored the file, missing or not; both ran and exited 0.
+func TestQueryTextNamesOneQuery(t *testing.T) {
+	dir := t.TempDir()
+	empty, file := filepath.Join(dir, "empty.wtq"), filepath.Join(dir, "sweep.wtq")
+	if err := os.WriteFile(empty, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(file, []byte(sweep), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const piped = "SIMULATE availability VARY seed IN (1)"
+	for _, c := range []struct {
+		name, q, f, stdin string
+		want, err         string // one of them
+	}{
+		{"-q", sweep, "", piped, sweep, ""},
+		{"-f", "", file, piped, sweep, ""},
+		{"stdin", "", "", piped, piped, ""},
+		{"empty -f", "", empty, piped, "", "holds no query"},
+		{"-q and -f", sweep, file, "", "", "-q and -f"},
+		{"-q and a missing -f", sweep, filepath.Join(dir, "missing.wtq"), "", "", "-q and -f"},
+		{"nothing", "", "", "", "", "no query given"},
+	} {
+		got, err := queryText(c.q, c.f, strings.NewReader(c.stdin))
+		switch {
+		case c.err == "" && (err != nil || got != c.want):
+			t.Errorf("%s: got %q, %v; want %q", c.name, got, err, c.want)
+		case c.err != "" && (err == nil || !strings.Contains(err.Error(), c.err)):
+			t.Errorf("%s: got %q, %v; want an error naming %q", c.name, got, err, c.err)
+		}
+	}
 }
 
 // swapHandler serves whatever handler was stored last: a daemon

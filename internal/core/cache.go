@@ -123,13 +123,9 @@ func cacheKey(sc *Scenario, r *Runner, dists *distKeys) string {
 	w.dist("repair.detection", sc.Repair.Detection)
 	w.int("repair.max_concurrent", repairSlots(sc.Repair))
 	w.int("repair.mode", int(sc.Repair.Mode))
-	w.open("runner.abort")
-	if a := r.Abort; a != nil {
-		w.buf = strconv.AppendFloat(w.buf, a.MinAvailability, 'g', -1, 64)
-		w.buf = append(w.buf, '/')
-		w.buf = strconv.AppendUint(w.buf, a.CheckEvery, 10)
-	}
-	w.close()
+	// Empty since the runner lost its early-abort rule, and still written:
+	// every persisted digest was hashed with it.
+	w.str("runner.abort", "")
 	w.bool("runner.antithetic", r.Antithetic)
 	w.bool("runner.crn", r.CRN)
 	w.float("runner.failure_bias", r.FailureBias)

@@ -122,10 +122,6 @@ func fingerprintKey(sc Scenario, r Runner) string {
 			"|q50=" + f(d.Quantile(0.5)) +
 			"|q90=" + f(d.Quantile(0.9))
 	}
-	abortKey := ""
-	if a := r.Abort; a != nil {
-		abortKey = f(a.MinAvailability) + "/" + strconv.FormatUint(a.CheckEvery, 10)
-	}
 	return fingerprint(map[string]string{
 		"cluster.racks":              strconv.Itoa(sc.Cluster.Racks),
 		"cluster.nodes_per_rack":     strconv.Itoa(sc.Cluster.NodesPerRack),
@@ -171,7 +167,7 @@ func fingerprintKey(sc Scenario, r Runner) string {
 		"runner.crn":                 b(r.CRN),
 		"runner.antithetic":          b(r.Antithetic),
 		"runner.failure_bias":        f(r.FailureBias),
-		"runner.abort":               abortKey,
+		"runner.abort":               "", // empty since the runner's early-abort rule was removed
 	})
 }
 
@@ -229,10 +225,6 @@ var keyMutations = []func(rng *rand.Rand, sc *Scenario, r *Runner){
 	func(rng *rand.Rand, sc *Scenario, r *Runner) { r.CRN = !r.CRN },
 	func(rng *rand.Rand, sc *Scenario, r *Runner) { r.Antithetic = !r.Antithetic },
 	func(rng *rand.Rand, sc *Scenario, r *Runner) { r.FailureBias = randomFloat(rng) },
-	func(rng *rand.Rand, sc *Scenario, r *Runner) {
-		r.Abort = &AbortRule{MinAvailability: rng.Float64(), CheckEvery: rng.Uint64() >> uint(rng.Intn(64))}
-	},
-	func(rng *rand.Rand, sc *Scenario, r *Runner) { r.Abort = nil },
 	// Not in the key: they must not move it either way.
 	func(rng *rand.Rand, sc *Scenario, r *Runner) { sc.Name = randomName(rng) },
 	func(rng *rand.Rand, sc *Scenario, r *Runner) { r.Workers = rng.Intn(64) },
@@ -293,7 +285,7 @@ func randomDist(rng *rand.Rand) dist.Dist {
 // + fingerprint form it replaced, digest for digest: on the
 // default scenario, with each covered field changed alone (so every field
 // is varied at least once, from both of a bool's values, with nil and
-// non-nil distributions, Abort set and unset, Serial and Parallel repair),
+// non-nil distributions, Serial and Parallel repair),
 // and on a few hundred random combinations. The sweep path's remembered
 // distribution encodings must not change a digest either.
 func TestCacheKeyMatchesFingerprint(t *testing.T) {

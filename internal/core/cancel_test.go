@@ -100,7 +100,7 @@ func TestCacheKeyCoverage(t *testing.T) {
 		{"cluster.Config", reflect.TypeOf(cluster.Config{}), 14},
 		{"repair.Config", reflect.TypeOf(repair.Config{}), 3},
 		{"power.Config", reflect.TypeOf(power.Config{}), 16},
-		{"core.Runner", reflect.TypeOf(Runner{}), 9},
+		{"core.Runner", reflect.TypeOf(Runner{}), 8},
 	} {
 		if got := tc.typ.NumField(); got != tc.want {
 			t.Fatalf("%s grew from %d to %d fields: triage the new field(s) into CacheKey "+
@@ -145,7 +145,6 @@ func TestCacheKeyCoverage(t *testing.T) {
 		"crn":          func(sc *Scenario, r *Runner) { r.CRN = true },
 		"antithetic":   func(sc *Scenario, r *Runner) { r.Antithetic = true },
 		"failure_bias": func(sc *Scenario, r *Runner) { r.FailureBias = 3 },
-		"abort":        func(sc *Scenario, r *Runner) { r.Abort = &AbortRule{MinAvailability: 0.9} },
 	}
 	seen := map[string]string{k0: "base"}
 	for name, mut := range muts {

@@ -3,9 +3,9 @@
 // (internal/cluster, internal/netsim), the software models
 // (internal/storage, internal/repair, internal/workload) and the SLA layer
 // into runnable what-if scenarios, executes them as replicated
-// discrete-event simulations with confidence-interval stopping and early
-// abort (§4.2), and sweeps configuration design spaces with dominance
-// pruning and parallel execution.
+// discrete-event simulations with confidence-interval stopping (§4.2),
+// and sweeps configuration design spaces with dominance pruning and
+// parallel execution.
 package core
 
 import (
@@ -174,8 +174,7 @@ type RunResult struct {
 	// only for a tenant-trial that saw an outage.
 	Tenants sla.TenantPool
 
-	EventsTotal   uint64
-	AbortedTrials int
+	EventsTotal uint64
 }
 
 // TenantAvailabilitySLA returns an SLA of the distributional form §4.1

@@ -126,28 +126,6 @@ func TestRunnerTargetCIStopsEarly(t *testing.T) {
 	}
 }
 
-func TestEarlyAbortSavesEvents(t *testing.T) {
-	// An absurd availability floor aborts trials almost immediately.
-	sc := quickScenario()
-	full, err := Runner{Trials: 3, Workers: 1}.Run(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	aborting, err := Runner{
-		Trials: 3, Workers: 1,
-		Abort: &AbortRule{MinAvailability: 0.9999999, CheckEvery: 64},
-	}.Run(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if aborting.AbortedTrials == 0 {
-		t.Fatal("no trials aborted under an impossible availability floor")
-	}
-	if aborting.EventsTotal >= full.EventsTotal {
-		t.Fatalf("abort did not save events: %d vs %d", aborting.EventsTotal, full.EventsTotal)
-	}
-}
-
 func TestRunnerValidation(t *testing.T) {
 	if _, err := (Runner{Trials: 0}).Run(quickScenario()); err == nil {
 		t.Error("0 trials accepted")

@@ -14,18 +14,6 @@ import (
 	"repro/internal/stats"
 )
 
-// AbortRule enables §4.2 early abort: a trial is stopped as soon as its
-// partial trajectory proves the availability constraint cannot be met.
-type AbortRule struct {
-	// MinAvailability is the constraint being checked. A trial aborts
-	// once accumulated any-unavailable time alone pushes final
-	// availability below this bound even if the system were perfectly
-	// available for the rest of the horizon.
-	MinAvailability float64
-	// CheckEvery is the event interval between checks (default 512).
-	CheckEvery uint64
-}
-
 // Runner executes replicated trials of a scenario on a persistent worker
 // pool. Trials stream back as they finish and are aggregated strictly in
 // trial-index order, so results are bit-identical regardless of Workers.
@@ -60,8 +48,6 @@ type Runner struct {
 	Workers int
 	// SLAs are checked against the aggregate result.
 	SLAs []sla.SLA
-	// Abort, when non-nil, enables per-trial early abort.
-	Abort *AbortRule
 	// CRN enables common-random-numbers stream keying.
 	CRN bool
 	// Antithetic enables antithetic trial pairing (implies CRN keying).
@@ -101,8 +87,7 @@ type trialOutcome struct {
 	nodeFailures   int64
 	events         uint64
 	repairMakespan float64
-	weight         float64 // importance weight (1 when unbiased)
-	aborted        bool
+	weight         float64     // importance weight (1 when unbiased)
 	power          power.Stats // zero unless Scenario.Power.Enabled
 	err            error
 }
@@ -274,7 +259,6 @@ func (r Runner) simulate(ctx context.Context, sc Scenario) (*RunResult, error) {
 	agg := &aggregator{weighted: r.biasActive()}
 	var (
 		events    uint64
-		aborted   int
 		rawTrials int // trials folded into the aggregate
 		tenants   sla.TenantPool
 	)
@@ -344,9 +328,6 @@ func (r Runner) simulate(ctx context.Context, sc Scenario) (*RunResult, error) {
 		// Pooled in commit order and sorted once the run is over.
 		tenants.Ones += int64(o.tenantOnes)
 		tenants.Below = append(tenants.Below, o.tenantBelow...)
-		if o.aborted {
-			aborted++
-		}
 		wt := max1(o.weight)
 		if r.Antithetic {
 			if pending == nil {
@@ -454,13 +435,12 @@ func (r Runner) simulate(ctx context.Context, sc Scenario) (*RunResult, error) {
 		ci["energy_kwh"] = agg.ci(mEnergy, 0.05)
 	}
 	res := &RunResult{
-		Scenario:      sc.Name,
-		Trials:        rawTrials,
-		Metrics:       metrics,
-		CI:            ci,
-		EventsTotal:   events,
-		AbortedTrials: aborted,
-		Tenants:       tenants,
+		Scenario:    sc.Name,
+		Trials:      rawTrials,
+		Metrics:     metrics,
+		CI:          ci,
+		EventsTotal: events,
+		Tenants:     tenants,
 	}
 	if r.biasActive() {
 		// Diagnostic for importance sampling: effective sample size and

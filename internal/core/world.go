@@ -26,18 +26,17 @@ import (
 // A trial also pays for its objects only when something looks at one. run
 // tells the store its population (storage.Store.Defer) and the placing
 // happens at the first read: the repair manager's, at the first node
-// transition of any kind — a node death, a ToR, PDU or utility outage —
-// or an abort check after one. A trial in which no node changes state
-// never places, and reports its tenants as a count at availability 1
-// without allocating. This is sound only because placement draws from
-// the place stream, which nothing else reads: when its draws are taken
-// cannot change what they are, nor any draw of the simulation. A
-// placement stream shared with the simulator would make the deferred
-// trial a different trial. The world's first population is placed at
-// once, so a scenario that cannot be placed fails its first trial rather
-// than its first failure; a placement that fails later is that trial's
-// error (TestDeferredPopulationMatchesEager holds all of it against the
-// eager AddObjects).
+// transition of any kind — a node death, a ToR, PDU or utility outage. A
+// trial in which no node changes state never places, and reports its
+// tenants as a count at availability 1 without allocating. This is sound
+// only because placement draws from the place stream, which nothing else
+// reads: when its draws are taken cannot change what they are, nor any
+// draw of the simulation. A placement stream shared with the simulator
+// would make the deferred trial a different trial. The world's first
+// population is placed at once, so a scenario that cannot be placed fails
+// its first trial rather than its first failure; a placement that fails
+// later is that trial's error (TestDeferredPopulationMatchesEager holds
+// all of it against the eager AddObjects).
 type trialWorld struct {
 	runner Runner
 	sc     Scenario          // this worker's copy; Cluster.NodeTTF is biased under FailureBias
@@ -49,7 +48,6 @@ type trialWorld struct {
 	store  *storage.Store
 	mgr    *repair.Manager
 	biased *dist.HazardBiased // nil unless FailureBias is active
-	abort  func() bool        // nil unless the runner has an AbortRule
 	placed bool               // the first population went in eagerly
 	trace  sim.Tracer         // nil outside tests: set on each trial's simulator after its reset
 }
@@ -90,15 +88,6 @@ func (w *trialWorld) build() error {
 		return err
 	}
 	w.sc, w.sim, w.cl, w.store, w.mgr, w.biased = sc, s, cl, st, mgr, biased
-	if r.Abort != nil {
-		minAvail := r.Abort.MinAvailability
-		w.abort = func() bool {
-			// Lower bound on final unavailable fraction: unavailable time
-			// already accrued divided by the full horizon.
-			accrued := mgr.AnyUnavailableFraction() * s.Now()
-			return 1-accrued/sc.HorizonHours < minAvail
-		}
-	}
 	return nil
 }
 
@@ -149,13 +138,6 @@ func (w *trialWorld) run(trial uint64) trialOutcome {
 	}
 	cl.StartFailures()
 
-	if w.abort != nil {
-		every := r.Abort.CheckEvery
-		if every == 0 {
-			every = 512
-		}
-		s.SetAbortCheck(w.abort, every)
-	}
 	if w.trace != nil {
 		s.SetTracer(w.trace)
 	}
@@ -175,7 +157,6 @@ func (w *trialWorld) run(trial uint64) trialOutcome {
 		nodeFailures: cl.NodeFailures(),
 		events:       s.Executed(),
 		weight:       1,
-		aborted:      s.Aborted(),
 	}
 	// A fresh slice, and only for tenants below 1: the outcome may wait in
 	// the runner's reorder buffer while this world runs its next trial.
@@ -184,18 +165,10 @@ func (w *trialWorld) run(trial uint64) trialOutcome {
 		out.weight = w.biased.Weight()
 	}
 	if psys != nil {
-		// Aborted trials stop early; the meter integrates to wherever the
-		// clock actually reached.
 		out.power = psys.Stats(s.Now())
 	}
 	if mgr.RepairTimes().N() > 0 {
 		out.repairMakespan = mgr.RepairTimes().Max()
-	}
-	if s.Aborted() {
-		// An aborted trial is, by construction, a trial that violated the
-		// availability bound; report the bound itself as a conservative
-		// (optimistic) availability so aggregates stay monotone.
-		out.availability = 1 - mgr.AnyUnavailableFraction()*s.Now()/sc.HorizonHours
 	}
 	return out
 }

@@ -142,7 +142,7 @@ type stormVariant struct {
 }
 
 // stormVariants covers every sampling scheme of the runner — plain, CRN,
-// antithetic, failure bias, abort — with and without the power hierarchy,
+// antithetic, failure bias — with and without the power hierarchy,
 // over both redundancy schemes and the three placement policies.
 func stormVariants() []stormVariant {
 	return []stormVariant{
@@ -163,11 +163,11 @@ func stormVariants() []stormVariant {
 			sc.Power = stormPower()
 		}},
 		{"replication/random/bias", Runner{FailureBias: 3}, func(sc *Scenario) {}},
-		{"rs/roundrobin/abort", Runner{Abort: &AbortRule{MinAvailability: 0.5, CheckEvery: 8}}, func(sc *Scenario) {
+		{"rs/roundrobin", Runner{}, func(sc *Scenario) {
 			sc.Scheme = storage.RSScheme(4, 2)
 			sc.Placement = "roundrobin"
 		}},
-		{"replication/rackaware/all", Runner{Antithetic: true, FailureBias: 2, Abort: &AbortRule{MinAvailability: 0.025, CheckEvery: 64}}, func(sc *Scenario) {
+		{"replication/rackaware/all", Runner{Antithetic: true, FailureBias: 2}, func(sc *Scenario) {
 			sc.Placement = "rackaware"
 			sc.Power = stormPower()
 		}},
@@ -177,14 +177,14 @@ func stormVariants() []stormVariant {
 // TestReusedWorldMatchesFresh is the contract the build-once trial path
 // stands on: a world that has already run other trials — and was left
 // with flows in flight, a rack and nodes down, events pending past the
-// horizon, a service throttle applied, a run aborted — gives, after its
-// resets, exactly the outcome of a world built for that trial alone.
-// Trial indices go through the reused world out of order and one repeats.
+// horizon, a service throttle applied — gives, after its resets, exactly
+// the outcome of a world built for that trial alone. Trial indices go
+// through the reused world out of order and one repeats.
 func TestReusedWorldMatchesFresh(t *testing.T) {
 	cat := flakyCatalog(t)
 	variants := stormVariants()
 	// Which dirty end states the reused worlds were actually left in.
-	var flows, nodeDown, rackDown, pending, aborted, ranOn, throttled, lost bool
+	var flows, nodeDown, rackDown, pending, throttled, lost bool
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
 			sc := stormScenario()
@@ -193,7 +193,6 @@ func TestReusedWorldMatchesFresh(t *testing.T) {
 				t.Fatal(err)
 			}
 			reused := trialWorld{runner: v.runner, sc: sc, cat: cat}
-			afterAbort := false
 			for _, trial := range []uint64{5, 0, 3, 0, 4} {
 				got := reused.run(trial)
 				if got.err != nil {
@@ -209,9 +208,6 @@ func TestReusedWorldMatchesFresh(t *testing.T) {
 				cl := reused.cl
 				flows = flows || cl.Flow.Active() > 0
 				pending = pending || reused.sim.Pending() > 0
-				aborted = aborted || got.aborted
-				ranOn = ranOn || (afterAbort && !got.aborted)
-				afterAbort = got.aborted
 				lost = lost || got.lost > 0
 				for r := 0; r < sc.Cluster.Racks; r++ {
 					rackDown = rackDown || !cl.RackDomain(r).Up()
@@ -225,9 +221,8 @@ func TestReusedWorldMatchesFresh(t *testing.T) {
 	}
 	for name, seen := range map[string]bool{
 		"flows in flight": flows, "a node down": nodeDown, "a rack down": rackDown,
-		"events pending past the horizon": pending, "an aborted run": aborted,
-		"an aborted run followed by one that ran to the horizon": ranOn,
-		"a service throttle applied":                             throttled, "a lost object": lost,
+		"events pending past the horizon": pending,
+		"a service throttle applied":      throttled, "a lost object": lost,
 	} {
 		if !seen {
 			t.Errorf("no reused world was ever left with %s: the scenarios no longer exercise that reset", name)
@@ -390,7 +385,6 @@ func TestDeferredPopulationMatchesEager(t *testing.T) {
 		{"crn", Runner{CRN: true}, false},
 		{"antithetic", Runner{Antithetic: true}, false},
 		{"bias", Runner{FailureBias: 4}, false},
-		{"abort", Runner{Abort: &AbortRule{MinAvailability: 0.9999, CheckEvery: 8}}, false},
 		{"power", Runner{}, true},
 	}
 	scenarios := []struct {
@@ -403,7 +397,7 @@ func TestDeferredPopulationMatchesEager(t *testing.T) {
 		{"storm", stormScenario, stormPower()},
 	}
 	untouched := map[string]int{} // by scenario
-	var touched, outageOnly, aborted int
+	var touched, outageOnly int
 	for _, r := range runners {
 		for _, placement := range []string{"random", "roundrobin", "rackaware"} {
 			for _, s := range scenarios {
@@ -436,9 +430,6 @@ func TestDeferredPopulationMatchesEager(t *testing.T) {
 					default:
 						touched++
 					}
-					if got.aborted {
-						aborted++
-					}
 				}
 			}
 		}
@@ -448,7 +439,7 @@ func TestDeferredPopulationMatchesEager(t *testing.T) {
 		t.Errorf("untouched trials of %d: rare %d (want most), quiet %d (want some), storm %d (want none)",
 			perScenario, untouched["rare"], untouched["quiet"], untouched["storm"])
 	}
-	for name, n := range map[string]int{"a trial populated by a power outage with no node failure": outageOnly, "an aborted trial": aborted, "a touched trial": touched} {
+	for name, n := range map[string]int{"a trial populated by a power outage with no node failure": outageOnly, "a touched trial": touched} {
 		if n == 0 {
 			t.Errorf("the matrix never ran %s", name)
 		}

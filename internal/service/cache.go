@@ -411,7 +411,6 @@ type diskRecord struct {
 	// written.
 	LegacyTenants []float64 `json:"tenant_availability,omitempty"`
 	EventsTotal   uint64    `json:"events_total"`
-	AbortedTrials int       `json:"aborted_trials,omitempty"`
 }
 
 func (c *Cache) path(key string) string {
@@ -422,14 +421,13 @@ func (c *Cache) path(key string) string {
 // recordFrom projects a result onto its persisted/wire form.
 func recordFrom(r *core.RunResult) diskRecord {
 	return diskRecord{
-		Scenario:      r.Scenario,
-		Trials:        r.Trials,
-		Metrics:       r.Metrics,
-		CI:            r.CI,
-		TenantOnes:    r.Tenants.Ones,
-		TenantBelow:   r.Tenants.Below,
-		EventsTotal:   r.EventsTotal,
-		AbortedTrials: r.AbortedTrials,
+		Scenario:    r.Scenario,
+		Trials:      r.Trials,
+		Metrics:     r.Metrics,
+		CI:          r.CI,
+		TenantOnes:  r.Tenants.Ones,
+		TenantBelow: r.Tenants.Below,
+		EventsTotal: r.EventsTotal,
 	}
 }
 
@@ -456,13 +454,12 @@ func decodeRecord(data []byte) (*core.RunResult, error) {
 		tenants.Below = nil // what an empty list re-encodes to
 	}
 	return &core.RunResult{
-		Scenario:      rec.Scenario,
-		Trials:        rec.Trials,
-		Metrics:       rec.Metrics,
-		CI:            rec.CI,
-		Tenants:       tenants,
-		EventsTotal:   rec.EventsTotal,
-		AbortedTrials: rec.AbortedTrials,
+		Scenario:    rec.Scenario,
+		Trials:      rec.Trials,
+		Metrics:     rec.Metrics,
+		CI:          rec.CI,
+		Tenants:     tenants,
+		EventsTotal: rec.EventsTotal,
 	}, nil
 }
 

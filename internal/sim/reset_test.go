@@ -7,13 +7,13 @@ import (
 
 // churn is a small model that uses everything a Reset has to undo: named
 // streams (plain and mirrored), events that reschedule themselves, a
-// cancelled event, an Every ticker, a tracer and an abort check. It
-// returns a transcript of what happened up to the horizon.
-func churn(s *Simulator, horizon Time, abortAfter uint64) string {
+// cancelled event, an Every ticker, a tracer and, at stopAt > 0, a Stop.
+// It returns a transcript of what happened up to the horizon.
+func churn(s *Simulator, horizon, stopAt Time) string {
 	log := ""
 	s.SetTracer(func(t Time, name string) { log += fmt.Sprintf("%s@%.6f ", name, t) })
-	if abortAfter > 0 {
-		s.SetAbortCheck(func() bool { return s.Executed() >= abortAfter }, 1)
+	if stopAt > 0 {
+		s.Schedule(stopAt, "stop", s.Stop)
 	}
 	arrive := s.Stream("arrive")
 	fail := s.MirroredStream("fail")
@@ -24,25 +24,24 @@ func churn(s *Simulator, horizon Time, abortAfter uint64) string {
 	s.Cancel(s.Schedule(horizon/2, "never", func() {}))
 	s.Every(1, 3, "tick", func(Time) {})
 	s.RunUntil(horizon)
-	return fmt.Sprintf("%sexecuted=%d pending=%d now=%v aborted=%v", log, s.Executed(), s.Pending(), s.Now(), s.Aborted())
+	return fmt.Sprintf("%sexecuted=%d pending=%d now=%v stopped=%v", log, s.Executed(), s.Pending(), s.Now(), s.Stopped())
 }
 
 // TestResetMatchesNew: a simulator that has run — and was left with
-// events pending, one cancelled, streams advanced, a tracer and
-// an abort check installed, stopped by an abort — replays, after Reset,
-// exactly what a new simulator does; in plain mode, in keyed mode, and
-// across a switch between the two.
+// events pending, one cancelled, streams advanced, a tracer installed,
+// stopped mid-run — replays, after Reset, exactly what a new simulator
+// does; in plain mode, in keyed mode, and across a switch between the two.
 func TestResetMatchesNew(t *testing.T) {
 	reused := New(1)
-	churn(reused, 50, 7) // leaves it aborted and stopped
-	if !reused.Aborted() || reused.Pending() == 0 {
-		t.Fatalf("the dirtying run left aborted=%v pending=%d", reused.Aborted(), reused.Pending())
+	churn(reused, 50, 7) // leaves it stopped
+	if !reused.Stopped() || reused.Pending() == 0 {
+		t.Fatalf("the dirtying run left stopped=%v pending=%d", reused.Stopped(), reused.Pending())
 	}
 	for _, seed := range []uint64{9, 1, 9} {
 		reused.Reset(seed)
-		if reused.Now() != 0 || reused.Executed() != 0 || reused.Pending() != 0 || reused.Aborted() || reused.Stopped() || reused.Keyed() {
-			t.Fatalf("after Reset: now=%v executed=%d pending=%d aborted=%v stopped=%v keyed=%v",
-				reused.Now(), reused.Executed(), reused.Pending(), reused.Aborted(), reused.Stopped(), reused.Keyed())
+		if reused.Now() != 0 || reused.Executed() != 0 || reused.Pending() != 0 || reused.Stopped() || reused.Keyed() {
+			t.Fatalf("after Reset: now=%v executed=%d pending=%d stopped=%v keyed=%v",
+				reused.Now(), reused.Executed(), reused.Pending(), reused.Stopped(), reused.Keyed())
 		}
 		if got, want := churn(reused, 40, 0), churn(New(seed), 40, 0); got != want {
 			t.Fatalf("seed %d: reset simulator ran\n%s\nnew simulator ran\n%s", seed, got, want)

@@ -1,9 +1,7 @@
 // Package sim is the discrete-event simulation engine at the heart of the
 // wind tunnel (§2.3 of the paper). It provides a virtual clock, an event
 // calendar (arena-backed 4-ary heap keyed by time with FIFO tie-breaking),
-// cancellable events, named deterministic random streams, an early-abort
-// mechanism (§4.2: "abort a simulation run before it completes, if it is
-// clear ... that the design constraint will not be met"), and event
+// cancellable events, named deterministic random streams and event
 // tracing.
 //
 // Time is a float64 in model units; the packages above use hours for
@@ -154,11 +152,6 @@ type Simulator struct {
 	keyTrial   uint64
 	antithetic bool
 	tracer     Tracer
-	// abortCheck, when set, is consulted every abortEvery events; a true
-	// return stops the run (early abort, §4.2).
-	abortCheck func() bool
-	abortEvery uint64
-	aborted    bool
 }
 
 // stream is one named random stream: the source, the epoch it was last
@@ -191,8 +184,7 @@ func NewKeyed(seed, trial uint64, antithetic bool) *Simulator {
 
 // Reset returns the simulator, in place, to the state New(seed) builds:
 // clock at zero, calendar empty with every pending callback dropped,
-// counters, stop and abort flags cleared, no tracer, no abort check,
-// named streams reseeded. It keeps the event arena, the heap's backing
+// counters and the stop flag cleared, no tracer, named streams reseeded. It keeps the event arena, the heap's backing
 // array and the stream table, so a reset simulator re-running a model of
 // the same shape allocates nothing.
 //
@@ -222,11 +214,10 @@ func (s *Simulator) reset(seed uint64) {
 	}
 	s.heap = s.heap[:0]
 	s.now, s.seq, s.executed = 0, 0, 0
-	s.stopped, s.aborted = false, false
+	s.stopped = false
 	s.root.Reseed(seed)
 	s.epoch++
 	s.tracer = nil
-	s.abortCheck, s.abortEvery = nil, 1024
 }
 
 // Antithetic reports whether this simulator is the mirrored member of
@@ -244,9 +235,6 @@ func (s *Simulator) Executed() uint64 { return s.executed }
 
 // Pending returns the number of events still scheduled.
 func (s *Simulator) Pending() int { return len(s.heap) }
-
-// Aborted reports whether the last run was stopped by the abort check.
-func (s *Simulator) Aborted() bool { return s.aborted }
 
 // Stream returns the deterministic random stream for name. Distinct names
 // give independent streams, and the mapping is stable across runs with the
@@ -304,17 +292,6 @@ func (s *Simulator) stream(name string, mirror bool) *rng.Source {
 
 // SetTracer installs fn as the event tracer (nil disables tracing).
 func (s *Simulator) SetTracer(fn Tracer) { s.tracer = fn }
-
-// SetAbortCheck installs an early-abort predicate evaluated every `every`
-// executed events. When it returns true the run stops and Aborted()
-// reports true.
-func (s *Simulator) SetAbortCheck(fn func() bool, every uint64) {
-	if every == 0 {
-		every = 1
-	}
-	s.abortCheck = fn
-	s.abortEvery = every
-}
 
 // slot returns the arena slot for idx.
 func (s *Simulator) slot(idx int32) *Event {
@@ -503,10 +480,6 @@ func (s *Simulator) Step() bool {
 	// (and no-op-Cancel) its own still-firing event, and new events it
 	// schedules must not be handed this slot while it runs.
 	s.freeSlot(e)
-	if s.abortCheck != nil && s.executed%s.abortEvery == 0 && s.abortCheck() {
-		s.aborted = true
-		s.stopped = true
-	}
 	return !s.stopped
 }
 
@@ -532,7 +505,7 @@ func (s *Simulator) RunUntil(horizon Time) {
 // Stop halts the run; subsequent Step calls return false.
 func (s *Simulator) Stop() { s.stopped = true }
 
-// Stopped reports whether Stop was called (or an abort fired).
+// Stopped reports whether Stop was called.
 func (s *Simulator) Stopped() bool { return s.stopped }
 
 // Every schedules fn at t0, t0+period, t0+2*period, ... until the

@@ -302,22 +302,6 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-func TestEarlyAbort(t *testing.T) {
-	s := New(1)
-	count := 0
-	for i := 0; i < 10000; i++ {
-		s.Schedule(Time(i), "e", func() { count++ })
-	}
-	s.SetAbortCheck(func() bool { return count >= 2000 }, 100)
-	s.Run()
-	if !s.Aborted() {
-		t.Fatal("run was not aborted")
-	}
-	if count < 2000 || count >= 2200 {
-		t.Fatalf("aborted after %d events, want shortly after 2000", count)
-	}
-}
-
 func TestEvery(t *testing.T) {
 	s := New(1)
 	var fires []Time

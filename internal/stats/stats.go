@@ -3,8 +3,8 @@
 // histograms and confidence intervals.
 //
 // Every SLA verdict (§3 of the paper) is a statistic over one or more
-// simulation runs, and the Runner's stopping rule and early-abort logic
-// (§4.2) are driven by confidence-interval widths computed here.
+// simulation runs, and the Runner's stopping rule (§4.2) is driven by
+// confidence-interval widths computed here.
 package stats
 
 import (
