@@ -82,6 +82,15 @@ func CacheKey(sc Scenario, r Runner) string {
 // cacheKey is CacheKey with the sweep's remembered distribution
 // encodings, when there is a sweep.
 func cacheKey(sc *Scenario, r *Runner, dists *distKeys) string {
+	return walkKeys(sc, r, dists, nil)
+}
+
+// walkKeys is cacheKey that, when world is non-nil, also writes the
+// point's worldKey there from the same walk: the digest of the same
+// encoding with the three fields that do not shape a world — seed,
+// runner.trials and runner.target_ci — cut out. The cache key's bytes are
+// hashed first and do not change.
+func walkKeys(sc *Scenario, r *Runner, dists *distKeys, world *worldKey) string {
 	// The encoding (~2.2 KB for the default scenario) is handed to the
 	// hash through an interface, so a local array would move to the heap
 	// on every call; a pooled buffer does not.
@@ -129,17 +138,27 @@ func cacheKey(sc *Scenario, r *Runner, dists *distKeys) string {
 	w.bool("runner.antithetic", r.Antithetic)
 	w.bool("runner.crn", r.CRN)
 	w.float("runner.failure_bias", r.FailureBias)
+	runStart := len(w.buf) // runner.target_ci and runner.trials, adjacent
 	w.float("runner.target_ci", r.TargetCI)
 	w.int("runner.trials", r.Trials)
+	runEnd := len(w.buf)
 	w.open("scheme")
 	w.buf = sc.Scheme.Append(w.buf)
 	w.close()
+	seedStart := len(w.buf)
 	w.open("seed")
 	w.buf = strconv.AppendUint(w.buf, sc.Seed, 10)
 	w.close()
+	seedEnd := len(w.buf)
 	w.int("users", sc.Users)
 
 	sum := sha256.Sum256(w.buf)
+	if world != nil {
+		// Cut the later field out first, so the earlier one's offsets hold.
+		w.buf = append(w.buf[:seedStart], w.buf[seedEnd:]...)
+		w.buf = append(w.buf[:runStart], w.buf[runEnd:]...)
+		*world = sha256.Sum256(w.buf)
+	}
 	*bufp = w.buf
 	keyBufs.Put(bufp)
 	var digest [2 * sha256.Size]byte

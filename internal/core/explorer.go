@@ -170,6 +170,7 @@ type preparedPoint struct {
 
 	keyed sync.Once
 	key   string
+	world worldKey
 }
 
 // prepared returns the explorer's point list.
@@ -193,10 +194,10 @@ func (e *Explorer) build(l *pointList, i int) (*preparedPoint, error) {
 	return pp, pp.err
 }
 
-// key returns a built point's CacheKey.
-func (e *Explorer) key(l *pointList, pp *preparedPoint) string {
-	pp.keyed.Do(func() { pp.key = cacheKey(&pp.sc, &e.Runner, &l.dists) })
-	return pp.key
+// key returns a built point's CacheKey and worldKey, worked out together.
+func (e *Explorer) key(l *pointList, pp *preparedPoint) (string, worldKey) {
+	pp.keyed.Do(func() { pp.key = walkKeys(&pp.sc, &e.Runner, &l.dists, &pp.world) })
+	return pp.key, pp.world
 }
 
 // indexedPoint pairs a point outcome with its order index.
@@ -433,7 +434,7 @@ func (e *Explorer) PointKeys() ([]string, error) {
 		if err != nil {
 			return nil, err
 		}
-		keys[i] = e.key(list, pp)
+		keys[i], _ = e.key(list, pp)
 	}
 	return keys, nil
 }
@@ -509,11 +510,10 @@ func (e *Explorer) runPoint(ctx context.Context, list *pointList, i int) (PointO
 	runner.SLAs = slas
 	var (
 		res       *RunResult
-		key       string
 		fromCache bool
 	)
+	key, world := e.key(list, pp)
 	if e.Cache != nil {
-		key = e.key(list, pp)
 		var hit *RunResult
 		var ok bool
 		if cc, hasCtx := e.Cache.(ContextTrialCache); hasCtx {
@@ -539,7 +539,7 @@ func (e *Explorer) runPoint(ctx context.Context, list *pointList, i int) (PointO
 			}
 			waited = time.Since(gateStart)
 		}
-		res, err = runner.simulate(ctx, sc)
+		res, err = runner.simulate(ctx, sc, world)
 		if e.Gate != nil {
 			e.Gate.Release()
 		}

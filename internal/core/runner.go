@@ -8,7 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/hardware"
 	"repro/internal/power"
 	"repro/internal/sla"
 	"repro/internal/stats"
@@ -18,6 +17,16 @@ import (
 // pool — or, with one worker, on the calling goroutine. Trials are
 // aggregated strictly in trial-index order, so results are bit-identical
 // regardless of Workers.
+//
+// Each worker runs its trials on one trial world, which it takes from a
+// process-wide pool and gives back when the run ends. The pool is keyed by
+// the run's content address without its seed, trial count and target
+// interval, so a later run of the same data centre — another seed, more
+// trials, the same point in another sweep — resets a world rather than
+// building one, and gets the bits a new world gives. Idle worlds are held
+// to a fixed byte budget, least recently used dropped first; nothing else
+// drops them, so a process carries its last worlds until the budget pushes
+// them out.
 //
 // Three §4.2 variance-reduction techniques are available, all opt-in and
 // all preserving Workers-independence:
@@ -202,7 +211,9 @@ func (r Runner) Run(sc Scenario) (*RunResult, error) {
 // looks at ctx between slices of its events; no new trial starts, and the
 // partial aggregate is discarded.
 func (r Runner) RunContext(ctx context.Context, sc Scenario) (*RunResult, error) {
-	res, err := r.simulate(ctx, sc)
+	var world worldKey
+	walkKeys(&sc, &r, nil, &world)
+	res, err := r.simulate(ctx, sc, world)
 	if err != nil {
 		return nil, err
 	}
@@ -229,8 +240,10 @@ func (r Runner) applySLAs(res *RunResult) error {
 
 // simulate runs the trial batch and aggregates metrics; SLA checking is
 // layered on top so the trial cache can store SLA-free results and reuse
-// them across queries with different WHERE thresholds.
-func (r Runner) simulate(ctx context.Context, sc Scenario) (*RunResult, error) {
+// them across queries with different WHERE thresholds. Each worker takes
+// its world from the process's worldPool under world, sc's worldKey, and
+// gives it back when the run ends.
+func (r Runner) simulate(ctx context.Context, sc Scenario, world worldKey) (*RunResult, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
@@ -325,18 +338,18 @@ func (r Runner) simulate(ctx context.Context, sc Scenario) (*RunResult, error) {
 		return r.TargetCI > 0 && agg.n(mAvail) >= 2 && agg.ci(mAvail, 0.05) < r.TargetCI
 	}
 
-	cat := hardware.SharedCatalog() // read-only, shared by every worker's world
 	if workers == 1 {
 		// One worker runs on the calling goroutine: each trial is committed
 		// as soon as it has run, with no channel and nothing to reorder.
-		world := trialWorld{runner: r, sc: sc, cat: cat}
+		w := worlds.take(world, r, sc)
 		for i := 0; i < r.Trials && ctx.Err() == nil; i++ {
-			if accept(world.run(ctx, uint64(i))) {
+			if accept(w.run(ctx, uint64(i))) {
 				break
 			}
 		}
+		worlds.give(w)
 	} else {
-		r.pool(ctx, sc, cat, workers, accept)
+		r.pool(ctx, sc, world, workers, accept)
 	}
 	if firstErr != nil {
 		return nil, firstErr
@@ -400,7 +413,7 @@ func (r Runner) simulate(ctx context.Context, sc Scenario) (*RunResult, error) {
 // goroutine in trial-index order, through a reorder buffer, until accept
 // reports that the run stops, ctx is done, or every trial has been
 // accepted.
-func (r Runner) pool(ctx context.Context, sc Scenario, cat *hardware.Catalog, workers int, accept func(trialOutcome) (stop bool)) {
+func (r Runner) pool(ctx context.Context, sc Scenario, world worldKey, workers int, accept func(trialOutcome) (stop bool)) {
 	var next atomic.Int64
 	stop := make(chan struct{}) // closed to halt the workers once the run stops
 	results := make(chan indexedOutcome, workers)
@@ -409,9 +422,11 @@ func (r Runner) pool(ctx context.Context, sc Scenario, cat *hardware.Catalog, wo
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// The worker's world: built by its first trial, reset in place
-			// before each later one, never seen by another goroutine.
-			world := trialWorld{runner: r, sc: sc, cat: cat}
+			// The worker's world: pooled or built by its first trial, reset
+			// in place before each trial, seen by no other goroutine until
+			// it is given back.
+			w := worlds.take(world, r, sc)
+			defer worlds.give(w)
 			for {
 				i := int(next.Add(1) - 1)
 				if i >= r.Trials {
@@ -424,7 +439,7 @@ func (r Runner) pool(ctx context.Context, sc Scenario, cat *hardware.Catalog, wo
 					return
 				default:
 				}
-				out := world.run(ctx, uint64(i))
+				out := w.run(ctx, uint64(i))
 				select {
 				case results <- indexedOutcome{idx: i, out: out}:
 				case <-stop:

@@ -15,8 +15,8 @@ import (
 
 // trialWorld is everything one trial simulates — simulator, cluster (with
 // its topology, flow simulator and components), object store and repair
-// manager — owned by one worker goroutine of one Runner.simulate call.
-// The worker's first trial builds it with the layers' public constructors;
+// manager — owned by one worker goroutine of one Runner.simulate call at a
+// time. Its first trial builds it with the layers' public constructors;
 // every trial, the first included, then starts by resetting each layer in
 // place to its just-built state, so a trial costs what it simulates rather
 // than what it would take to construct the data center again. A layer's
@@ -24,6 +24,13 @@ import (
 // reused world and a world built fresh for the trial give bit-identical
 // outcomes (TestReusedWorldMatchesFresh; bench/'s replay, which builds
 // fresh, checks the same from outside).
+//
+// A world also outlives its point. When the run ends, the world goes back
+// to the process's worldPool under its worldKey — the point's content
+// address without seed, trial count and target interval — and the next
+// run with that key, in any sweep, takes it with only its seed and name
+// changed (TestPooledWorldMatchesFresh). A world whose trial failed is
+// dropped, not pooled, and so is an idle one the pool's budget pushes out.
 //
 // A trial also pays for its objects only when something looks at one. run
 // tells the store its population (storage.Store.Defer) and the placing
@@ -40,7 +47,8 @@ import (
 // later is that trial's error (TestDeferredPopulationMatchesEager holds
 // all of it against the eager AddObjects).
 type trialWorld struct {
-	runner Runner
+	key    worldKey
+	runner Runner            // only the fields in key: CRN, Antithetic, FailureBias
 	sc     Scenario          // this worker's copy; Cluster.NodeTTF is biased under FailureBias
 	cat    *hardware.Catalog // shared with the other workers, read-only
 
@@ -52,6 +60,18 @@ type trialWorld struct {
 	biased *dist.HazardBiased // nil unless FailureBias is active
 	placed bool               // the first population went in eagerly
 	trace  sim.Tracer         // nil outside tests: set on each trial's simulator after its reset
+	failed bool               // a trial ended in an error other than its run's cancellation
+}
+
+// newWorld returns an unbuilt world for runs of r on sc under key k. It
+// keeps only the runner fields a world reads, all of them in k.
+func newWorld(k worldKey, r Runner, sc Scenario) *trialWorld {
+	return &trialWorld{
+		key:    k,
+		runner: Runner{CRN: r.CRN, Antithetic: r.Antithetic, FailureBias: r.FailureBias},
+		sc:     sc,
+		cat:    hardware.SharedCatalog(),
+	}
 }
 
 // build allocates the world. Nothing here depends on the trial index:
@@ -100,8 +120,19 @@ const trialSlice = 1 << 16
 // run executes one independent replication. It looks at ctx between slices
 // of trialSlice events and gives up with ctx's error once it is done, so a
 // cancelled run does not wait out a trial of a long horizon. Nothing outside
-// the simulator acts between two slices, so slicing changes no draw.
+// the simulator acts between two slices, so slicing changes no draw. A
+// cancelled trial leaves the world fit for the next trial's resets; any
+// other error marks it failed.
 func (w *trialWorld) run(ctx context.Context, trial uint64) trialOutcome {
+	out := w.trial(ctx, trial)
+	if out.err != nil && out.err != ctx.Err() {
+		w.failed = true
+	}
+	return out
+}
+
+// trial is run without the failure mark.
+func (w *trialWorld) trial(ctx context.Context, trial uint64) trialOutcome {
 	if w.sim == nil {
 		if err := w.build(); err != nil {
 			return trialOutcome{err: err}

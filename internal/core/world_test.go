@@ -464,18 +464,34 @@ func TestUnplaceableScenarioFailsFirstTrial(t *testing.T) {
 }
 
 // BenchmarkRunnerQuiet runs one sweep_quiet design point the way a sweep
-// does — 128 trials through Runner.Run — and reports the cost of a trial.
+// does — 128 trials through Runner.Run, a new seed each time — and reports
+// the cost of a trial. cold empties the world pool before each run, so
+// every run builds its world as a process's first point does; warm leaves
+// it, so every run after the first resets the world the previous one gave
+// back.
 func BenchmarkRunnerQuiet(b *testing.B) {
-	sc := quietScenario()
-	const trials = 128
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		sc.Seed = uint64(i + 1)
-		if _, err := (Runner{Trials: trials, Workers: 1}).Run(sc); err != nil {
-			b.Fatal(err)
+	for _, cold := range []bool{true, false} {
+		name := "warm"
+		if cold {
+			name = "cold"
 		}
+		b.Run(name, func(b *testing.B) {
+			pool := useWorldPool(b, worldBudget)
+			sc := quietScenario()
+			const trials = 128
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if cold {
+					pool.drain()
+				}
+				sc.Seed = uint64(i + 1)
+				if _, err := (Runner{Trials: trials, Workers: 1}).Run(sc); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*trials), "ns/trial")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*trials), "ns/trial")
 }
 
 // BenchmarkTrialScale runs reused-world trials of the quiet shape at 1k

@@ -13,11 +13,10 @@
 // owns. Every handle from before the Reset (*Object, ObjectsOn slices) is
 // dead. Policies place into storage the caller owns and keep their
 // scratch in the View, so re-placing a population allocates nothing. A
-// re-population of the same shape draws locations and nothing else: the
-// count is checked and the view's scratch fetched once per population, an
+// re-population of the same shape draws locations and nothing else: an
 // object's ID, size and scheme are written over the old ones in place,
-// and its Locations are placed again with the draws a fresh store would
-// take.
+// and its Locations are placed again, through the policy's Place, with
+// the draws a fresh store would take.
 //
 // The store's node index (ObjectsOn) is written far more often than it is
 // read — every finished repair relocates a shard, a node's list is read

@@ -29,11 +29,16 @@ type viewWork struct {
 	epoch    uint64
 }
 
-// scratch returns the view's work area, building it on first use.
+// scratch returns the view's work area, building it on first use. Every
+// Random.Place calls it, so the built case is small enough to inline.
 func (v *View) scratch() *viewWork {
-	if v.work != nil {
-		return v.work
+	if v.work == nil {
+		v.work = v.build()
 	}
+	return v.work
+}
+
+func (v *View) build() *viewWork {
 	w := &viewWork{identity: make([]int, v.Nodes), stamp: make([]uint64, v.Nodes)}
 	for i := range w.identity {
 		w.identity[i] = i
@@ -56,7 +61,6 @@ func (v *View) scratch() *viewWork {
 		}
 		w.order = make([]int, racks)
 	}
-	v.work = w
 	return w
 }
 
@@ -122,28 +126,17 @@ type Policy interface {
 	Place(dst []int, objectID int, view *View, r *rng.Source) error
 }
 
-// placer is a built-in policy's Place without its checks: the count is in
-// range and w is view's scratch. Store.Place checks a population once and
-// then places each of its objects through it.
-type placer interface {
-	place(dst []int, objectID int, view *View, w *viewWork, r *rng.Source) error
-}
-
 // Random places each object's replicas on a uniformly random set of
 // distinct nodes — the "R" policy of Figure 1.
 type Random struct{}
 
 func (Random) Name() string { return "random" }
 
-func (p Random) Place(dst []int, objectID int, view *View, r *rng.Source) error {
+func (Random) Place(dst []int, _ int, view *View, r *rng.Source) error {
 	if err := checkCount(len(dst), view); err != nil {
 		return err
 	}
-	return p.place(dst, objectID, view, view.scratch(), r)
-}
-
-func (Random) place(dst []int, _ int, view *View, w *viewWork, r *rng.Source) error {
-	r.SampleInto(dst, view.Nodes, w.identity)
+	r.SampleInto(dst, view.Nodes, view.scratch().identity)
 	return nil
 }
 
@@ -153,14 +146,10 @@ type RoundRobin struct{}
 
 func (RoundRobin) Name() string { return "roundrobin" }
 
-func (p RoundRobin) Place(dst []int, objectID int, view *View, r *rng.Source) error {
+func (RoundRobin) Place(dst []int, objectID int, view *View, _ *rng.Source) error {
 	if err := checkCount(len(dst), view); err != nil {
 		return err
 	}
-	return p.place(dst, objectID, view, nil, r)
-}
-
-func (RoundRobin) place(dst []int, objectID int, view *View, _ *viewWork, _ *rng.Source) error {
 	for j := range dst {
 		dst[j] = (objectID + j) % view.Nodes
 	}
@@ -276,14 +265,21 @@ func (c *CopySet) build(nodes int, r *rng.Source) {
 	}
 }
 
+// checkCount reports whether count distinct nodes can be chosen from a
+// valid view. Every Place calls it for every object, so a passing count
+// costs three compares; countError works out which check failed.
 func checkCount(count int, view *View) error {
+	if count >= 1 && count <= view.Nodes && (view.RackOf == nil || len(view.RackOf) == view.Nodes) {
+		return nil
+	}
+	return countError(count, view)
+}
+
+func countError(count int, view *View) error {
 	if err := view.Validate(); err != nil {
 		return err
 	}
-	if count < 1 || count > view.Nodes {
-		return fmt.Errorf("storage: placement count %d outside [1, %d]", count, view.Nodes)
-	}
-	return nil
+	return fmt.Errorf("storage: placement count %d outside [1, %d]", count, view.Nodes)
 }
 
 // PolicyByName returns a fresh policy instance for the given name.

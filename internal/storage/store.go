@@ -269,16 +269,7 @@ func (st *Store) Place() error {
 	st.pending = population{}
 	count, width := p.count, p.scheme.Width()
 	base := len(st.objects)
-	// What does not depend on the object is checked, and the view's scratch
-	// fetched, once for the population. A built-in policy then places each
-	// object unchecked; any other goes through its Place.
 	w := st.view.scratch()
-	fast, isFast := st.policy.(placer)
-	if isFast {
-		if err := checkCount(width, &st.view); err != nil {
-			return fmt.Errorf("storage: placing object %d: %w", base, err)
-		}
-	}
 	// Objects a Reset left behind are reused; the rest come in one block.
 	st.objects = st.objects[:min(base+count, st.owned)]
 	if missing := base + count - st.owned; missing > 0 {
@@ -299,12 +290,7 @@ func (st *Store) Place() error {
 		}
 		obj.Locations = obj.Locations[:width]
 		obj.ID, obj.SizeMB, obj.Scheme = id, p.sizeMB, p.scheme
-		var err error
-		if isFast {
-			err = fast.place(obj.Locations, id, &st.view, w, p.r)
-		} else {
-			err = st.policy.Place(obj.Locations, id, &st.view, p.r)
-		}
+		err := st.policy.Place(obj.Locations, id, &st.view, p.r)
 		if err != nil {
 			err = fmt.Errorf("storage: placing object %d: %w", id, err)
 		} else if err = w.distinct(st.view.Nodes, obj.Locations); err != nil {
