@@ -345,41 +345,36 @@ func vrScenario() core.Scenario {
 	return sc
 }
 
-// BenchmarkRunnerPlainCI measures trials-to-target for plain Monte
-// Carlo at TargetCI 4e-3 on the monotone workload (the E10 baseline).
-func BenchmarkRunnerPlainCI(b *testing.B) {
+// vrHalfWidth runs r on the monotone workload at seeds 1..b.N and
+// reports the mean 95 % availability half-width — E10's measure: at equal
+// trials, how tight an interval each runner reads.
+func vrHalfWidth(b *testing.B, r core.Runner) {
 	sc := vrScenario()
-	trials := 0.0
+	ci := 0.0
 	for i := 0; i < b.N; i++ {
 		sc.Seed = uint64(i + 1)
-		res, err := core.Runner{Trials: 1024, TargetCI: 4e-3}.Run(sc)
+		res, err := r.Run(sc)
 		if err != nil {
 			b.Fatal(err)
 		}
-		trials += float64(res.Trials)
+		ci += res.CI["availability"]
 	}
-	b.ReportMetric(trials/float64(b.N), "trials/op")
+	b.ReportMetric(ci/float64(b.N), "ci/op")
 }
 
-// BenchmarkRunnerAntithetic measures the same target with §4.2
-// antithetic pairing: fewer raw trials for the same confidence (E10).
+// BenchmarkRunnerPlainCI is E10's baseline: plain Monte Carlo at 256
+// trials.
+func BenchmarkRunnerPlainCI(b *testing.B) { vrHalfWidth(b, core.Runner{Trials: 256}) }
+
+// BenchmarkRunnerAntithetic is the same 256 trials with §4.2 antithetic
+// pairing: 128 pair means, a tighter interval (E10).
 func BenchmarkRunnerAntithetic(b *testing.B) {
-	sc := vrScenario()
-	trials := 0.0
-	for i := 0; i < b.N; i++ {
-		sc.Seed = uint64(i + 1)
-		res, err := core.Runner{Trials: 1024, TargetCI: 4e-3, Antithetic: true}.Run(sc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		trials += float64(res.Trials)
-	}
-	b.ReportMetric(trials/float64(b.N), "trials/op")
+	vrHalfWidth(b, core.Runner{Trials: 256, Antithetic: true})
 }
 
 // vrSweep builds the E11 multi-fidelity acceptance sweep: replication
 // (3,5,7,9) x cluster size (5,10,20 nodes/rack), availability >= 0.9,
-// equal TargetCI everywhere. With screening, the three clearly
+// 16 trials at every point. With screening, the three clearly
 // over-provisioned replication columns are decided analytically and
 // only the marginal replication-3 column pays for simulation.
 func vrSweep(b *testing.B, seed uint64, screened bool) *core.Exploration {
@@ -404,7 +399,7 @@ func vrSweep(b *testing.B, seed uint64, screened bool) *core.Exploration {
 			sc.Scheme = storage.ReplicationScheme(p.MustValue("replicas").(int))
 			return sc, []sla.SLA{target}, nil
 		},
-		Runner: core.Runner{Trials: 16, TargetCI: 1e-3, CRN: true},
+		Runner: core.Runner{Trials: 16, CRN: true},
 	}
 	if screened {
 		ex.Screen = &core.ScreenRule{Margin: core.DefaultScreenMargin}

@@ -139,7 +139,9 @@ func walkKeys(sc *Scenario, r *Runner, dists *distKeys, world *worldKey) string 
 	w.bool("runner.crn", r.CRN)
 	w.float("runner.failure_bias", r.FailureBias)
 	runStart := len(w.buf) // runner.target_ci and runner.trials, adjacent
-	w.float("runner.target_ci", r.TargetCI)
+	// 0 since the runner lost its early-stop rule, and still written:
+	// every persisted digest was hashed with it.
+	w.float("runner.target_ci", 0)
 	w.int("runner.trials", r.Trials)
 	runEnd := len(w.buf)
 	w.open("scheme")

@@ -163,7 +163,7 @@ func fingerprintKey(sc Scenario, r Runner) string {
 		"horizon_hours":              f(sc.HorizonHours),
 		"seed":                       strconv.FormatUint(sc.Seed, 10),
 		"runner.trials":              strconv.Itoa(r.Trials),
-		"runner.target_ci":           f(r.TargetCI),
+		"runner.target_ci":           "0", // 0 since the runner's early-stop rule was removed
 		"runner.crn":                 b(r.CRN),
 		"runner.antithetic":          b(r.Antithetic),
 		"runner.failure_bias":        f(r.FailureBias),
@@ -221,7 +221,6 @@ var keyMutations = []func(rng *rand.Rand, sc *Scenario, r *Runner){
 	func(rng *rand.Rand, sc *Scenario, r *Runner) { sc.HorizonHours = randomFloat(rng) },
 	func(rng *rand.Rand, sc *Scenario, r *Runner) { sc.Seed = rng.Uint64() },
 	func(rng *rand.Rand, sc *Scenario, r *Runner) { r.Trials = rng.Intn(1000) },
-	func(rng *rand.Rand, sc *Scenario, r *Runner) { r.TargetCI = randomFloat(rng) },
 	func(rng *rand.Rand, sc *Scenario, r *Runner) { r.CRN = !r.CRN },
 	func(rng *rand.Rand, sc *Scenario, r *Runner) { r.Antithetic = !r.Antithetic },
 	func(rng *rand.Rand, sc *Scenario, r *Runner) { r.FailureBias = randomFloat(rng) },

@@ -128,7 +128,7 @@ func TestCacheKeyCoverage(t *testing.T) {
 		{"cluster.Config", reflect.TypeOf(cluster.Config{}), 14},
 		{"repair.Config", reflect.TypeOf(repair.Config{}), 3},
 		{"power.Config", reflect.TypeOf(power.Config{}), 16},
-		{"core.Runner", reflect.TypeOf(Runner{}), 8},
+		{"core.Runner", reflect.TypeOf(Runner{}), 7},
 	} {
 		if got := tc.typ.NumField(); got != tc.want {
 			t.Fatalf("%s grew from %d to %d fields: triage the new field(s) into CacheKey "+
@@ -169,7 +169,6 @@ func TestCacheKeyCoverage(t *testing.T) {
 		"racks":        func(sc *Scenario, r *Runner) { sc.Cluster.Racks++ },
 		"placement":    func(sc *Scenario, r *Runner) { sc.Placement = "roundrobin" },
 		"trials":       func(sc *Scenario, r *Runner) { r.Trials++ },
-		"target_ci":    func(sc *Scenario, r *Runner) { r.TargetCI = 0.001 },
 		"crn":          func(sc *Scenario, r *Runner) { r.CRN = true },
 		"antithetic":   func(sc *Scenario, r *Runner) { r.Antithetic = true },
 		"failure_bias": func(sc *Scenario, r *Runner) { r.FailureBias = 3 },

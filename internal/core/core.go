@@ -3,8 +3,8 @@
 // (internal/cluster, internal/netsim), the software models
 // (internal/storage, internal/repair, internal/workload) and the SLA layer
 // into runnable what-if scenarios, executes them as replicated
-// discrete-event simulations with confidence-interval stopping (§4.2),
-// and sweeps configuration design spaces with dominance pruning and
+// discrete-event simulations with confidence intervals (§4.2), and
+// sweeps configuration design spaces with dominance pruning and
 // parallel execution.
 package core
 

@@ -113,19 +113,6 @@ func TestRunnerSLAVerdicts(t *testing.T) {
 	}
 }
 
-func TestRunnerTargetCIStopsEarly(t *testing.T) {
-	res, err := Runner{Trials: 64, TargetCI: 0.5, Workers: 2}.Run(quickScenario())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Trials >= 64 {
-		t.Fatalf("CI stopping did not trigger: ran all %d trials", res.Trials)
-	}
-	if res.Trials < 2 {
-		t.Fatalf("needs >= 2 trials for a CI, got %d", res.Trials)
-	}
-}
-
 func TestRunnerValidation(t *testing.T) {
 	if _, err := (Runner{Trials: 0}).Run(quickScenario()); err == nil {
 		t.Error("0 trials accepted")

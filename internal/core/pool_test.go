@@ -177,7 +177,6 @@ func TestPooledWorldMatchesFresh(t *testing.T) {
 		{"seed", func(sc *Scenario, _ *Runner) { sc.Seed = 99 }},
 		{"name", func(sc *Scenario, _ *Runner) { sc.Name = "other" }},
 		{"runner.trials", func(_ *Scenario, r *Runner) { r.Trials = 3 }},
-		{"runner.target_ci", func(_ *Scenario, r *Runner) { r.TargetCI = 0.5 }},
 		{"runner.slas", func(_ *Scenario, r *Runner) { r.SLAs = []sla.SLA{mustAvailability(t, 0.5)} }},
 	} {
 		sc, r := base, Runner{}

@@ -20,13 +20,12 @@ import (
 //
 // Each worker runs its trials on one trial world, which it takes from a
 // process-wide pool and gives back when the run ends. The pool is keyed by
-// the run's content address without its seed, trial count and target
-// interval, so a later run of the same data centre — another seed, more
-// trials, the same point in another sweep — resets a world rather than
-// building one, and gets the bits a new world gives. Idle worlds are held
-// to a fixed byte budget, least recently used dropped first; nothing else
-// drops them, so a process carries its last worlds until the budget pushes
-// them out.
+// the run's content address without its seed and trial count, so a later
+// run of the same data centre — another seed, more trials, the same point
+// in another sweep — resets a world rather than building one, and gets
+// the bits a new world gives. Idle worlds are held to a fixed byte budget,
+// least recently used dropped first; nothing else drops them, so a process
+// carries its last worlds until the budget pushes them out.
 //
 // Three §4.2 variance-reduction techniques are available, all opt-in and
 // all preserving Workers-independence:
@@ -47,13 +46,9 @@ import (
 //     scenarios resolve tiny unavailabilities in a fraction of the
 //     trials.
 type Runner struct {
-	// Trials is the maximum number of trials (>= 1).
+	// Trials is the number of trials (>= 1). A run stops short of it only
+	// at a trial's error or a cancelled context.
 	Trials int
-	// TargetCI, when positive, stops early once the 95% confidence
-	// half-width of the availability estimate drops below it. The check
-	// runs as each trial's result is committed (in trial-index order), so
-	// the stopping trial count does not depend on Workers.
-	TargetCI float64
 	// Workers bounds trial-level parallelism (0 = GOMAXPROCS).
 	Workers int
 	// SLAs are checked against the aggregate result.
@@ -71,13 +66,6 @@ type Runner struct {
 	// the callback must not block for long (it stalls aggregation, not
 	// simulation) and must not call back into the Runner.
 	Progress func(done, total int)
-}
-
-// varianceReduced reports whether any technique changes the aggregation
-// path (the plain path is kept byte-for-byte identical to the historical
-// one — see golden_test.go).
-func (r Runner) varianceReduced() bool {
-	return r.Antithetic || r.biasActive()
 }
 
 func (r Runner) biasActive() bool {
@@ -194,13 +182,6 @@ func (a *aggregator) ci(i int, alpha float64) float64 {
 	return a.plain[i].CI(alpha)
 }
 
-func (a *aggregator) n(i int) int64 {
-	if a.weighted {
-		return a.w[i].N()
-	}
-	return a.plain[i].N()
-}
-
 // Run executes the scenario.
 func (r Runner) Run(sc Scenario) (*RunResult, error) {
 	return r.RunContext(context.Background(), sc)
@@ -271,31 +252,20 @@ func (r Runner) simulate(ctx context.Context, sc Scenario, world worldKey) (*Run
 	}
 
 	agg := &aggregator{weighted: r.biasActive()}
+	// Outcomes are committed strictly in trial-index order, and a run that
+	// returns has committed all r.Trials of them. With Antithetic, a
+	// committed even trial is held until its odd twin commits (adjacent in
+	// commit order) and the pair mean becomes one observation; an unpaired
+	// final trial is committed alone.
 	var (
 		events    uint64
-		rawTrials int // trials folded into the aggregate
 		tenants   sla.TenantPool
-	)
-
-	// Outcomes are committed strictly in trial-index order, so the
-	// early-stop decision is a pure function of the seed. With Antithetic,
-	// a committed even trial is held until its odd twin commits (adjacent
-	// in commit order) and the pair mean becomes one observation; an
-	// unpaired final trial is committed alone.
-	var (
 		committed = 0
 		firstErr  error
 		pending   *trialOutcome // even twin awaiting its antithetic pair
 	)
-	flushPending := func() {
-		if pending != nil {
-			agg.add(pending.values(sc.Users), max1(pending.weight))
-			rawTrials++
-			pending = nil
-		}
-	}
 	// accept commits the next trial's outcome and reports whether the run
-	// stops there: at the trial's error, or at the target interval.
+	// stops there, at the trial's error.
 	accept := func(o trialOutcome) (stop bool) {
 		committed++
 		if o.err != nil {
@@ -310,7 +280,6 @@ func (r Runner) simulate(ctx context.Context, sc Scenario, world worldKey) (*Run
 		switch {
 		case !r.Antithetic:
 			agg.add(o.values(sc.Users), wt)
-			rawTrials++
 		case pending == nil:
 			held := o
 			pending = &held
@@ -327,15 +296,14 @@ func (r Runner) simulate(ctx context.Context, sc Scenario, world worldKey) (*Run
 				vals[i] = (pw*pv[i] + wt*ov[i]) / (pw + wt)
 			}
 			agg.add(vals, (pw+wt)/2)
-			rawTrials += 2
 		}
-		if committed == r.Trials {
-			flushPending()
+		if committed == r.Trials && pending != nil {
+			agg.add(pending.values(sc.Users), max1(pending.weight))
 		}
 		if r.Progress != nil {
 			r.Progress(committed, r.Trials)
 		}
-		return r.TargetCI > 0 && agg.n(mAvail) >= 2 && agg.ci(mAvail, 0.05) < r.TargetCI
+		return false
 	}
 
 	if workers == 1 {
@@ -357,7 +325,6 @@ func (r Runner) simulate(ctx context.Context, sc Scenario, world worldKey) (*Run
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	flushPending()
 	sort.Float64s(tenants.Below)
 
 	// Metric keys are compile-time literals (interned by the compiler);
@@ -374,7 +341,7 @@ func (r Runner) simulate(ctx context.Context, sc Scenario, world worldKey) (*Run
 	metrics["repair_bytes_mb"] = agg.mean(mRepBytes)
 	metrics["node_failures"] = agg.mean(mNodeFail)
 	metrics["repair_makespan"] = agg.mean(mMakespan)
-	metrics["events"] = float64(events) / float64(rawTrials)
+	metrics["events"] = float64(events) / float64(r.Trials)
 	ci := make(map[string]float64, 3)
 	ci["availability"] = agg.ci(mAvail, 0.05)
 	ci["loss_prob"] = agg.ci(mLost, 0.05)
@@ -393,7 +360,7 @@ func (r Runner) simulate(ctx context.Context, sc Scenario, world worldKey) (*Run
 	}
 	res := &RunResult{
 		Scenario:    sc.Name,
-		Trials:      rawTrials,
+		Trials:      r.Trials,
 		Metrics:     metrics,
 		CI:          ci,
 		EventsTotal: events,

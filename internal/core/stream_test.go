@@ -9,40 +9,6 @@ import (
 	"repro/internal/storage"
 )
 
-// TestRunnerTargetCIDeterministic pins the streaming scheduler's
-// early-stop contract: because trial results commit in trial-index order,
-// the stopping trial count is a pure function of the seed, not of the
-// worker count or of arrival timing.
-func TestRunnerTargetCIDeterministic(t *testing.T) {
-	sc := quickScenario()
-	sc.Seed = 777
-	run := func(workers int) *RunResult {
-		res, err := Runner{Trials: 12, Workers: workers, TargetCI: 0.01}.Run(sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	a := run(1)
-	for _, w := range []int{2, 4} {
-		b := run(w)
-		if a.Trials != b.Trials {
-			t.Fatalf("workers=%d stopped after %d trials, workers=1 after %d", w, b.Trials, a.Trials)
-		}
-		for _, m := range []string{"availability", "repairs", "node_failures", "events"} {
-			if a.Metrics[m] != b.Metrics[m] {
-				t.Fatalf("workers=%d diverges on %s: %v vs %v", w, m, b.Metrics[m], a.Metrics[m])
-			}
-		}
-		if a.EventsTotal != b.EventsTotal {
-			t.Fatalf("workers=%d EventsTotal %d vs %d", w, b.EventsTotal, a.EventsTotal)
-		}
-	}
-	if a.Trials >= 12 {
-		t.Fatalf("TargetCI never triggered (ran all %d trials); test needs a looser target", a.Trials)
-	}
-}
-
 // TestExplorerSpeculativePruneMatchesSequential checks that dominance
 // pruning composes with the worker pool: a parallel pruned sweep must
 // produce the same outcomes, executed/pruned counts and event totals as

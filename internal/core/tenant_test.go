@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"runtime"
 	"testing"
 
@@ -21,20 +23,28 @@ func TestTenantAvailabilityPooled(t *testing.T) {
 	}
 }
 
-// TestStoppedRunReservesNothing: a run the stopping rule ends at its
-// second trial pays for the trials it ran, not for the pool the ones it
-// was allowed would have filled — 100 000 trials x 100 tenants was 80 MB
-// reserved at the first commit.
+// TestStoppedRunReservesNothing: a run allowed 100 000 trials and
+// cancelled at its second commit pays for the trials it ran, not for the
+// pool the ones it was allowed would have filled — 100 000 trials x 100
+// tenants was 80 MB reserved at the first commit.
 func TestStoppedRunReservesNothing(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	committed := 0
+	r := Runner{Trials: 100_000, Workers: 1, Progress: func(done, total int) {
+		if committed = done; done == 2 {
+			cancel()
+		}
+	}}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	res, err := Runner{Trials: 100_000, TargetCI: 1, Workers: 1}.Run(quickScenario())
+	_, err := r.RunContext(ctx, quickScenario())
 	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatal(err)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled, got %v", err)
 	}
-	if res.Trials != 2 {
-		t.Fatalf("the run stopped after %d trials, want 2", res.Trials)
+	if committed != 2 {
+		t.Fatalf("the run stopped after %d trials, want 2", committed)
 	}
 	if total := after.TotalAlloc - before.TotalAlloc; total >= 1<<20 {
 		t.Fatalf("a run stopped at 2 trials allocated %d KB, want < 1 MB", total>>10)

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"repro/internal/design"
 	"repro/internal/dist"
 	"repro/internal/sla"
+	"repro/internal/stats"
 	"repro/internal/storage"
 )
 
@@ -115,21 +117,44 @@ func TestAntitheticTightensCI(t *testing.T) {
 	}
 }
 
-// TestAntitheticFewerTrialsAtTargetCI is the §4.2 payoff: at an equal
-// TargetCI the paired runner stops after fewer raw trials.
-func TestAntitheticFewerTrialsAtTargetCI(t *testing.T) {
+// TestAntitheticIntervalIsOverPairMeans: an antithetic run of 2m trials
+// reports 2m trials, and its availability mean and interval are
+// stats.Welford's over the m pair means computed here by hand, one trial
+// at a time — m − 1 degrees of freedom, not the 2m − 1 of the raw trials.
+func TestAntitheticIntervalIsOverPairMeans(t *testing.T) {
+	const m = 16
 	sc := monotoneScenario()
-	plain, err := Runner{Trials: 1024, TargetCI: 4e-3}.Run(sc)
+	r := Runner{Trials: 2 * m, Antithetic: true, Workers: 1}
+	res, err := r.Run(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	anti, err := Runner{Trials: 1024, TargetCI: 4e-3, Antithetic: true}.Run(sc)
-	if err != nil {
-		t.Fatal(err)
+	if res.Trials != 2*m {
+		t.Fatalf("an antithetic run of %d trials reports %d", 2*m, res.Trials)
 	}
-	if anti.Trials >= plain.Trials {
-		t.Errorf("antithetic trials %d not fewer than plain %d at equal TargetCI",
-			anti.Trials, plain.Trials)
+
+	var world worldKey
+	walkKeys(&sc, &r, nil, &world)
+	w := worlds.take(world, r, sc)
+	defer worlds.give(w)
+	var pairs, raw stats.Welford
+	for k := uint64(0); k < m; k++ {
+		even, odd := w.run(context.Background(), 2*k), w.run(context.Background(), 2*k+1)
+		if even.err != nil || odd.err != nil {
+			t.Fatal(even.err, odd.err)
+		}
+		pairs.Add((even.availability + odd.availability) / 2)
+		raw.Add(even.availability)
+		raw.Add(odd.availability)
+	}
+	if got, want := res.Metrics["availability"], pairs.Mean(); got != want {
+		t.Errorf("availability %.17g, the mean of the %d pair means is %.17g", got, m, want)
+	}
+	if got, want := res.CI["availability"], pairs.CI(0.05); got != want || want == 0 {
+		t.Errorf("availability half-width %.17g, Welford's over the %d pair means is %.17g", got, m, want)
+	}
+	if res.CI["availability"] == raw.CI(0.05) {
+		t.Errorf("the half-width is the raw trials' %.17g, not the pair means'", raw.CI(0.05))
 	}
 }
 

@@ -27,7 +27,7 @@ import (
 //
 // A world also outlives its point. When the run ends, the world goes back
 // to the process's worldPool under its worldKey — the point's content
-// address without seed, trial count and target interval — and the next
+// address without seed and trial count — and the next
 // run with that key, in any sweep, takes it with only its seed and name
 // changed (TestPooledWorldMatchesFresh). A world whose trial failed is
 // dropped, not pooled, and so is an idle one the pool's budget pushes out.

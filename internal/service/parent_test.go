@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -109,6 +110,71 @@ func TestServesParentWrittenState(t *testing.T) {
 	}
 	if st := srv.Cache().Stats(); st.DiskHits != 5 || st.Misses != 1 {
 		t.Fatalf("repeating the finished query: %d disk hits and %d misses in total, want all four points read from the parent's files", st.DiskHits, st.Misses)
+	}
+}
+
+// TestServesRetiredTargetCIState: a journal the parent commit (f352535)
+// wrote for two queries that set the retired target_ci = 1e-3, under
+// testdata/parent_f352535. Job-1 finished there, its points stopped at 2
+// of 4 trials; job-2 was killed with two of its four points journaled.
+// The finished job replays the bytes the parent streamed, because nothing
+// plans it again. The unfinished one streams its journaled points and ends
+// failed, with the retired-row error its query now plans to. The daemon
+// then answers a fresh query.
+func TestServesRetiredTargetCIState(t *testing.T) {
+	noLeakedCommitters(t)
+	fixture := filepath.Join("testdata", "parent_f352535")
+	journalDir := t.TempDir()
+	copyTree(t, filepath.Join(fixture, "journal"), journalDir)
+	srv, err := New(Config{PoolSize: 1, JournalDir: journalDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	if resumed, warns, err := srv.Recover(); err != nil || resumed != 1 {
+		t.Fatalf("Recover resumed %d jobs (%v, warnings %v), want job-2 alone", resumed, err, warns)
+	}
+
+	wantStream, err := os.ReadFile(filepath.Join(fixture, "job-1.stream"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if replay := append(bytes.Join(collectJob(t, srv, "job-1", 0), []byte("\n")), '\n'); !bytes.Equal(replay, wantStream) {
+		t.Fatalf("job-1 replays differently from what the parent streamed:\n got %s\nwant %s", replay, wantStream)
+	}
+
+	q, err := wtql.Parse(`SIMULATE availability VARY seed IN (1) WITH target_ci = 1e-3`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, retired := (&wtql.Engine{}).Plan(q)
+	if retired == nil || !strings.Contains(retired.Error(), "verdict-driven stopping") {
+		t.Fatalf("a query setting target_ci plans to %v, want the retired-row error", retired)
+	}
+	lines := collectJob(t, srv, "job-2", 0)
+	if len(lines) != 4 {
+		t.Fatalf("job-2 streamed %d lines, want job + its 2 journaled points + error:\n%s", len(lines), bytes.Join(lines, []byte("\n")))
+	}
+	for i, line := range lines[1:3] {
+		var ev PointEvent
+		if err := json.Unmarshal(line, &ev); err != nil || ev.Type != "point" || ev.Index != i || ev.Total != 4 {
+			t.Fatalf("job-2 line %d is %s, want journaled point %d of 4", i+1, line, i)
+		}
+	}
+	var end ErrorEvent
+	if err := json.Unmarshal(lines[3], &end); err != nil || end.Type != "error" || end.Error != retired.Error() {
+		t.Fatalf("job-2 ended with %s, want the retired-row error", lines[3])
+	}
+	if info, ok := srv.Job("job-2"); !ok || info.State != JobFailed || info.Error != retired.Error() {
+		t.Fatalf("job-2 came back as %+v", info)
+	}
+
+	id, err := srv.Submit(QueryRequest{Query: smallQuery})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh := collectJob(t, srv, id, 0); !strings.Contains(string(fresh[len(fresh)-1]), `"type":"result"`) {
+		t.Fatalf("a fresh query after the recovery ended with %s", fresh[len(fresh)-1])
 	}
 }
 

@@ -230,6 +230,16 @@ const maxPoints = 100_000
 // running anything: defaults and WITH overrides, the design space, the
 // lifted SLAs and the screening decision.
 func (e *Engine) Plan(q *Query) (*Plan, error) {
+	for _, a := range q.With {
+		if err := retiredParams[a.Param]; err != nil {
+			return nil, err
+		}
+	}
+	for _, vc := range q.Vary {
+		if err := retiredParams[vc.Param]; err != nil {
+			return nil, err
+		}
+	}
 	if q.Metric != "availability" {
 		return nil, fmt.Errorf("wtql: unsupported SIMULATE target %q (only 'availability')", q.Metric)
 	}
@@ -298,7 +308,7 @@ func (e *Engine) Plan(q *Query) (*Plan, error) {
 
 	plan.Space, plan.slas, plan.prune = space, slas, prune
 	plan.runner = core.Runner{
-		Trials: st.trials, TargetCI: st.targetCI, Workers: e.TrialWorkers,
+		Trials: st.trials, Workers: e.TrialWorkers,
 		CRN: st.crn, Antithetic: st.antithetic, FailureBias: st.failureBias,
 	}
 	plan.ex = &core.Explorer{

@@ -1,6 +1,7 @@
 package wtql
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -53,9 +54,9 @@ type param struct {
 // settings is how a query is run, as opposed to what it simulates: the
 // engine's session settings with the query's WITH overlay applied.
 type settings struct {
-	trials, workers                     int
-	targetCI, screenMargin, failureBias float64
-	screen, crn, antithetic             bool
+	trials, workers           int
+	screenMargin, failureBias float64
+	screen, crn, antithetic   bool
 }
 
 var paramTable = []param{
@@ -178,12 +179,17 @@ var paramTable = []param{
 	// Execution settings: WITH only, not part of a scenario, never varied.
 	{name: "trials", kind: kindInt, ceiling: core.MaxTrials, doc: "trials per design point", setting: func(s *settings) any { return &s.trials }},
 	{name: "workers", kind: kindInt, doc: "design points run at once; 0 for one per CPU", setting: func(s *settings) any { return &s.workers }},
-	{name: "target_ci", kind: kindNumber, doc: "stop a point's trials once availability's 95 % half-width is below this; 0 runs them all", setting: func(s *settings) any { return &s.targetCI }},
 	{name: "screen", kind: kindBool, doc: "decide points analytically where the closed form clears or misses the WHERE by the margin (§2.2)", setting: func(s *settings) any { return &s.screen }},
 	{name: "screen_margin", kind: kindNumber, doc: "the screen's safety factor; 0 screens at the exact threshold", setting: func(s *settings) any { return &s.screenMargin }},
 	{name: "crn", kind: kindBool, doc: "common random numbers: the same failure draws at every design point (§4.2)", setting: func(s *settings) any { return &s.crn }},
 	{name: "antithetic", kind: kindBool, doc: "pair each trial with its antithetic twin", setting: func(s *settings) any { return &s.antithetic }},
 	{name: "failure_bias", kind: kindNumber, doc: "above 1, failure-biased importance sampling by this factor", setting: func(s *settings) any { return &s.failureBias }},
+}
+
+// retiredParams are rows a query may no longer name, in WITH or in VARY,
+// at any value: Plan refuses the query before it plans anything else.
+var retiredParams = map[string]error{
+	"target_ci": errors.New("wtql: target_ci is retired: two identical trials have a 95 % half-width of 0, so it stopped rare-failure points at 1 ± 0; every point runs all its trials, and verdict-driven stopping (ROADMAP item 10) is its successor"),
 }
 
 // params indexes paramTable by name.

@@ -128,7 +128,7 @@ func TestScenarioFileMatchesQuery(t *testing.T) {
 func TestEveryParamMovesTheCacheKey(t *testing.T) {
 	runner := core.Runner{Trials: 5}
 	inKey := map[string]bool{
-		"trials": true, "target_ci": true, "crn": true, "antithetic": true, "failure_bias": true,
+		"trials": true, "crn": true, "antithetic": true, "failure_bias": true,
 		// Runs are bit-identical for any worker count, and a screened point
 		// never reaches the cache.
 		"workers": false, "screen": false, "screen_margin": false,
