@@ -72,11 +72,9 @@ type Space struct {
 	labels [][]string
 }
 
-// NewSpace validates and constructs a space.
+// NewSpace validates and constructs a space. A space with no dimensions
+// is the one-point space: its only point assigns nothing, and its Key is "".
 func NewSpace(dims ...Dimension) (*Space, error) {
-	if len(dims) == 0 {
-		return nil, fmt.Errorf("design: space needs >= 1 dimension")
-	}
 	s := &Space{dims: dims, index: make(map[string]int, len(dims))}
 	for i, d := range dims {
 		if err := d.Validate(); err != nil {

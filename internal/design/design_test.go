@@ -59,8 +59,13 @@ func TestEnumerationBestFirst(t *testing.T) {
 }
 
 func TestSpaceValidation(t *testing.T) {
-	if _, err := NewSpace(); err == nil {
-		t.Error("empty space accepted")
+	// No dimensions is the one-point space: the point that assigns nothing.
+	empty, err := NewSpace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pts := empty.Points(); empty.Size() != 1 || len(pts) != 1 || pts[0].Len() != 0 || pts[0].Key() != "" {
+		t.Errorf("empty space: size %d, points %v, want one point keyed \"\"", empty.Size(), pts)
 	}
 	if _, err := NewSpace(Dimension{Name: "", Values: []Value{1}}); err == nil {
 		t.Error("empty name accepted")

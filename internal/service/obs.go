@@ -377,7 +377,7 @@ const partialHeader = "X-WT-Partial"
 
 // handleFleetMetrics renders the merged telemetry history's latest
 // samples — on a coordinator, the whole fleet per instance; elsewhere,
-// this process's own sampled series. Exposition format, promlint-clean.
+// this process's own sampled series. Exposition format, obs.Lint-clean.
 func (s *Server) handleFleetMetrics(w http.ResponseWriter, r *http.Request) {
 	noStore(w)
 	if s.history == nil {

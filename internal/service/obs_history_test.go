@@ -112,7 +112,7 @@ func TestHistoryEndpointsWithTelemetryOff(t *testing.T) {
 }
 
 // TestFleetMetricsFederation: the coordinator scrapes both workers into
-// history, so /v1/metrics/fleet serves one merged, promlint-clean view
+// history, so /v1/metrics/fleet serves one merged, obs.Lint-clean view
 // with per-instance series, member-up gauges for every worker, and
 // range queries over it answer JSON.
 func TestFleetMetricsFederation(t *testing.T) {
@@ -132,24 +132,30 @@ func TestFleetMetricsFederation(t *testing.T) {
 		return len(coord.history.Latest("wt_uptime_seconds")) == 3 // 2 workers + coordinator
 	})
 
-	resp, err := http.Get(cts.URL + "/v1/metrics/fleet")
-	if err != nil {
-		t.Fatal(err)
+	// scrape fetches the federated view and lints it.
+	scrape := func() []byte {
+		t.Helper()
+		resp, err := http.Get(cts.URL + "/v1/metrics/fleet")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET /v1/metrics/fleet: HTTP %d", resp.StatusCode)
+		}
+		if got := resp.Header.Get(partialHeader); got != "" {
+			t.Fatalf("healthy fleet flagged partial: %q", got)
+		}
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if problems := obs.Lint(body); len(problems) != 0 {
+			t.Fatalf("federated exposition fails lint: %v\n%s", problems, body)
+		}
+		return body
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /v1/metrics/fleet: HTTP %d", resp.StatusCode)
-	}
-	if got := resp.Header.Get(partialHeader); got != "" {
-		t.Fatalf("healthy fleet flagged partial: %q", got)
-	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if problems := obs.Lint(body); len(problems) != 0 {
-		t.Fatalf("federated exposition fails lint: %v\n%s", problems, body)
-	}
+	body := scrape()
 	for _, u := range urls {
 		if !strings.Contains(string(body), fmt.Sprintf("instance=%q", u)) {
 			t.Fatalf("federated view missing instance %s:\n%s", u, body)
@@ -157,6 +163,23 @@ func TestFleetMetricsFederation(t *testing.T) {
 	}
 	if !strings.Contains(string(body), `instance="coordinator"`) {
 		t.Fatalf("federated view missing the coordinator's own series")
+	}
+
+	// A view that is only sometimes valid is broken, and one scrape can
+	// miss the racing write that breaks it: it lints again after each of
+	// five further telemetry rounds.
+	lastRound := func() (at time.Time) {
+		for _, v := range coord.history.Latest("wt_fleet_member_up") {
+			if v.T.After(at) {
+				at = v.T
+			}
+		}
+		return at
+	}
+	for i := 0; i < 5; i++ {
+		before := lastRound()
+		waitFor(t, 5*time.Second, "a further telemetry round", func() bool { return lastRound().After(before) })
+		scrape()
 	}
 
 	hresp, err := http.Get(cts.URL + "/v1/metrics/history?name=wt_fleet_member_up&window=1m")

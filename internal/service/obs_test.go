@@ -370,7 +370,8 @@ func TestChaosExemptsObservability(t *testing.T) {
 }
 
 // TestDebugHandlerServesPprof checks the -pprof mux: the profiler index
-// and the shared /metrics + /v1/stats endpoints answer on it.
+// and the shared /metrics + /v1/stats endpoints answer on it, and its
+// /metrics passes the exposition-format linter.
 func TestDebugHandlerServesPprof(t *testing.T) {
 	srv, err := New(Config{PoolSize: 1})
 	if err != nil {
@@ -384,9 +385,22 @@ func TestDebugHandlerServesPprof(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		body, err := io.ReadAll(resp.Body)
 		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("GET %s on debug handler: HTTP %d", path, resp.StatusCode)
+		}
+		if path != "/metrics" {
+			continue
+		}
+		if len(body) == 0 {
+			t.Fatal("debug listener's /metrics is empty")
+		}
+		if problems := obs.Lint(body); len(problems) != 0 {
+			t.Fatalf("debug listener's /metrics fails lint: %v\n%s", problems, body)
 		}
 	}
 }

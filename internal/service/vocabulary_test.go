@@ -123,3 +123,32 @@ ORDER BY storage.overhead DESC`
 		t.Errorf("fleet's table differs from the local engine's (degraded: %v):\n--- local ---\n%s--- fleet ---\n%s", last["degraded"], want, got)
 	}
 }
+
+// TestOnePointQuery: a query without VARY is a one-point job like any
+// other. The daemon streams one point event whose config is empty, then
+// the table the local engine renders, byte for byte.
+func TestOnePointQuery(t *testing.T) {
+	const query = "SIMULATE availability WITH users = 20, object_mb = 10, trials = 2, horizon_hours = 200"
+	rs, err := (&wtql.Engine{TrialWorkers: 1}).Execute(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{PoolSize: 2})
+	events := postQuery(t, ts, query)
+	var points []map[string]any
+	for _, ev := range events {
+		if ev["type"] == "point" {
+			points = append(points, ev)
+		}
+	}
+	if len(points) != 1 {
+		t.Fatalf("streamed %d point events, want 1: %v", len(points), events)
+	}
+	if config, ok := points[0]["config"].(map[string]any); !ok || len(config) != 0 {
+		t.Errorf("the point's config is %v, want {}", points[0]["config"])
+	}
+	last := lastEvent(t, events)
+	if got, _ := last["table"].(string); last["type"] != "result" || got != rs.Render() {
+		t.Errorf("daemon's result differs from the local engine's:\n--- local ---\n%s--- daemon ---\n%v", rs.Render(), last)
+	}
+}

@@ -262,10 +262,8 @@ func (e *Engine) Plan(q *Query) (*Plan, error) {
 		}
 	}
 
-	// Plan the VARY clauses onto a design space.
-	if len(q.Vary) == 0 {
-		return nil, fmt.Errorf("wtql: query needs at least one VARY clause")
-	}
+	// Plan the VARY clauses onto a design space; with none, it is the one
+	// point the WITH clause describes.
 	dims := make([]design.Dimension, 0, len(q.Vary))
 	prune := false
 	points := 1
@@ -605,9 +603,20 @@ func compareFloats(a float64, op string, b float64) (bool, error) {
 
 // columnsFor picks the display columns: varied dimensions, then the
 // simulated metric, cost, the power/energy pair when the sweep
-// simulated it, and the ORDER BY key.
+// simulated it, and the ORDER BY key. A query without VARY asks about one
+// point, so its table is that point's whole report: every metric its row
+// holds, in name order.
 func columnsFor(q *Query, rows []Row) []string {
 	var cols []string
+	if len(q.Vary) == 0 {
+		for _, r := range rows { // at most one
+			for k := range r.Metrics {
+				cols = append(cols, k)
+			}
+		}
+		sort.Strings(cols)
+		return cols
+	}
 	for _, vc := range q.Vary {
 		cols = append(cols, vc.Param)
 	}

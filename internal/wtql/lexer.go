@@ -25,6 +25,13 @@
 // its WITH clause too, by the table's execution settings: a query is the
 // only statement, and it carries everything it means.
 //
+// A query without VARY asks about one design: it is a one-point sweep of
+// the scenario its WITH clause describes, and its table is that point's
+// whole report, every metric in name order. It is how a single scenario is
+// run.
+//
+//	SIMULATE availability WITH trials = 10 WHERE sla.availability >= 0.999
+//
 // Example:
 //
 //	SIMULATE availability

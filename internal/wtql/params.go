@@ -13,13 +13,13 @@ import (
 	"repro/internal/storage"
 )
 
-// The parameter table: every name a designer can set — in a WITH or VARY
-// clause, or as a key of a `windtunnel -scenario` file — with the kind of
-// value it takes, what it means, and the core.Scenario field or execution
-// setting it writes. It is the only place a name meets a field: Plan, the
-// per-point build and SetParam all assign through it, so an unknown name or
-// a bad value is refused before anything runs, and README's "Parameters"
-// section is this table written out (TestREADMEListsEveryParameter).
+// The parameter table: every name a designer can set in a WITH or VARY
+// clause — one scenario is a query without VARY — with the kind of value it
+// takes, what it means, and the core.Scenario field or execution setting it
+// writes. It is the only place a name meets a field: Plan and the per-point
+// build both assign through it, so an unknown name or a bad value is
+// refused before anything runs, and README's "Parameters" section is this
+// table written out (TestREADMEListsEveryParameter).
 
 // kind is the type of value a parameter takes, and how it is checked.
 type kind string
@@ -200,22 +200,6 @@ var params = func() map[string]*param {
 	}
 	return m
 }()
-
-// SetParam assigns one scenario parameter by its WTQL name, exactly as a
-// WITH clause would: v is a float64, string or bool, checked as the
-// parameter's kind. It is how a scenario written down outside a query —
-// `windtunnel -scenario`'s file — says what a query says, in the same
-// words.
-func SetParam(sc *core.Scenario, name string, v any) error {
-	p, ok := params[name]
-	switch {
-	case !ok:
-		return fmt.Errorf("wtql: unknown parameter %q (README's \"Parameters\" section lists them)", name)
-	case p.setting != nil:
-		return fmt.Errorf("wtql: %q says how a query is run and is not part of a scenario", name)
-	}
-	return p.assign(sc, nil, v)
-}
 
 // assign gives the parameter the value v. st may be nil when the caller
 // has already refused execution settings.

@@ -65,35 +65,28 @@ func planned(t *testing.T, query string) (core.Scenario, string, *Plan) {
 	return sc, keys[0], plan
 }
 
-// TestScenarioFileMatchesQuery: for every parameter, what SetParam — which
-// is all `windtunnel -scenario` does with a file's key — makes of the
-// default scenario is what Engine.Plan makes of it for `WITH name = v`,
-// and for `VARY name IN (v)`: the same scenario, field for field, and the
-// same cache key. An execution setting is not a scenario's to set.
-// (cmd/windtunnel's test of the same name goes through the file reader
-// itself, and pins the "MTTF 500 h, repair 24 h" key the two front-ends
-// used to disagree on.)
+// TestScenarioFileMatchesQuery: for every parameter, the one-point query
+// `SIMULATE availability WITH name = v` — what a scenario file used to
+// say — plans what `VARY other WITH name = v` and `VARY name IN (v)` plan:
+// the same scenario, field for field with its Name aside, and the same
+// cache key. An execution setting says how a query runs, not where, so it
+// cannot be varied.
 func TestScenarioFileMatchesQuery(t *testing.T) {
 	for i := range paramTable {
 		p := &paramTable[i]
 		text := sample(t, p)
-		q, err := Parse("SIMULATE availability VARY users IN (1000) WITH " + p.name + " = " + text)
-		if err != nil {
-			t.Fatal(err)
-		}
-		value := q.With[0].Value
-		file := core.DefaultScenario()
-		err = SetParam(&file, p.name, value)
 		if p.setting != nil {
-			if err == nil || !strings.Contains(err.Error(), "not part of a scenario") {
-				t.Errorf("SetParam(%s) = %v, want a refusal: it is an execution setting", p.name, err)
+			q, err := Parse("SIMULATE availability VARY " + p.name + " IN (" + text + ")")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := (&Engine{}).Plan(q); err == nil || !strings.Contains(err.Error(), "cannot be varied") {
+				t.Errorf("VARY %s: %v, want a refusal: it is an execution setting", p.name, err)
 			}
 			continue
 		}
-		if err != nil {
-			t.Errorf("SetParam(%s, %v): %v", p.name, value, err)
-			continue
-		}
+		point := "SIMULATE availability WITH " + p.name + " = " + text
+		one, oneKey, _ := planned(t, point)
 		other := "users IN (1000)" // a dimension that leaves the default where it is
 		if p.name == "users" {
 			other = "seed IN (1)"
@@ -102,18 +95,54 @@ func TestScenarioFileMatchesQuery(t *testing.T) {
 			"SIMULATE availability VARY " + other + " WITH " + p.name + " = " + text,
 			"SIMULATE availability VARY " + p.name + " IN (" + text + ")",
 		} {
-			sc, key, plan := planned(t, query)
-			file.Name = sc.Name
-			if !reflect.DeepEqual(file, sc) {
-				t.Errorf("%s\n file:  %+v\n query: %+v", query, file, sc)
+			sc, key, _ := planned(t, query)
+			one.Name = sc.Name
+			if !reflect.DeepEqual(one, sc) {
+				t.Errorf("%s\n point: %+v\n query: %+v", query, one, sc)
 			}
-			if got := core.CacheKey(file, plan.runner); got != key {
-				t.Errorf("%s: the file's key %s is not the query's %s", query, got, key)
+			if key != oneKey {
+				t.Errorf("%s: the one-point key %s is not the query's %s", query, oneKey, key)
 			}
 		}
 	}
-	if err := SetParam(new(core.Scenario), "node_mttf_hours", 500.0); err == nil || !strings.Contains(err.Error(), `README's "Parameters" section`) {
-		t.Errorf("an unknown name is answered %v, want a pointer to README's Parameters section", err)
+}
+
+// badValues is what a WITH may not say about a value, and the part of the
+// complaint that tells the query's author where to look. A single size
+// over its ceiling is TestWhatAQueryMayAskFor's; unknown names and varied
+// execution settings are TestEngineRejectsBadQueries'.
+var badValues = []struct{ with, want string }{
+	{"cluster.racks = 'three'", "cluster.racks wants a non-negative integer"},
+	{"node.ttf = 42", "node.ttf wants a distribution spec string"},
+	{"power.enabled = 1", "power.enabled wants TRUE or FALSE"},
+	{"users = 2.5", "users wants a non-negative integer"},
+	{"disk.spec = 'warp-drive'", "disk.spec: "},
+	{"power.utilization = 2", "power.utilization wants a number in [0, 1]"},
+	{"power.pue = 0.5", "power.pue wants a number >= 1"},
+	{"storage.scheme = 'raid5'", "storage.scheme: "},
+	{"cluster.racks = 100000, cluster.nodes_per_rack = 100000", "over the ceiling of 1000000 nodes"},
+	{"cluster.racks = 0", "need >= 1 rack"}, // a present 0 is applied, not skipped
+	{"power.utility_ttf = 'exp(mean=2000)'", "UtilityTTF and UtilityRepair must both be set"},
+}
+
+// TestOnePointRefusesBadValues: a one-point query is outside input, as a
+// scenario file was. Whatever its WITH gets wrong about a value is an
+// error that says where to look, found before a trial runs — and a value
+// that is present is applied even when it is 0.
+func TestOnePointRefusesBadValues(t *testing.T) {
+	for _, c := range badValues {
+		_, err := (&Engine{Trials: 1}).Execute("SIMULATE availability WITH " + c.with)
+		if err == nil {
+			t.Errorf("WITH %s: accepted", c.with)
+		} else if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("WITH %s: error %q does not say %q", c.with, err, c.want)
+		}
+	}
+
+	sc, _, _ := planned(t, "SIMULATE availability WITH repair.detection = 'det(2)', repair.detection_hours = 0, seed = 0, object_mb = 0, power.cap = 0")
+	if sc.Repair.Detection != nil || sc.Seed != 0 || sc.ObjectSizeMB != 0 || !sc.Power.Enabled {
+		t.Errorf("a 0 was not applied: detection %v, seed %d, object_mb %v, power enabled %t",
+			sc.Repair.Detection, sc.Seed, sc.ObjectSizeMB, sc.Power.Enabled)
 	}
 }
 
@@ -155,7 +184,7 @@ func TestEveryParamMovesTheCacheKey(t *testing.T) {
 			t.Fatal(err)
 		}
 		sc := base
-		if err := SetParam(&sc, p.name, q.With[0].Value); err != nil {
+		if err := p.assign(&sc, nil, q.With[0].Value); err != nil {
 			t.Fatal(err)
 		}
 		if core.CacheKey(sc, runner) == core.CacheKey(base, runner) {

@@ -54,14 +54,34 @@ func planOutcome(e *Engine, query string) string {
 // the 38 parameters and 8 execution settings that existed then against a
 // spread of good and bad values, in WITH and in VARY: the same keys, the
 // same scenarios (every field, printed), the same settings, the same error
-// text. The one exception is the retired target_ci row: each of the 13
-// pinned queries that names it — in WITH at good and bad values, and in
-// VARY — is now refused with the retired-row error, and no other is.
+// text. There are two exceptions. The retired target_ci row: each of the
+// 13 pinned queries that names it — in WITH at good and bad values, and in
+// VARY — is now refused with the retired-row error, and no other is. And a
+// query without VARY, which 7ca0849 refused, is now the one point its WITH
+// clause describes: each of the 2 pinned ones plans to one point keyed as
+// its VARY form is, the query that varies one value it already has.
 func TestPlansMeanWhatTheyMeant(t *testing.T) {
 	pinned := pinnedPlans(t)
 	retired := "error: " + retiredParams["target_ci"].Error()
-	namesIt := 0
+	onePoint := map[string]string{
+		"SIMULATE availability":                 "SIMULATE availability VARY users IN (1000)",
+		"SIMULATE availability WITH users = 10": "SIMULATE availability VARY users IN (10)",
+	}
+	namesIt, noVary := 0, 0
 	for _, p := range pinned {
+		if p[1] == "error: wtql: query needs at least one VARY clause" {
+			noVary++
+			form, ok := onePoint[p[0]]
+			if !ok {
+				t.Errorf("%s: a query without VARY that is not one of the two named", p[0])
+				continue
+			}
+			_, key, plan := planned(t, p[0])
+			if _, formKey, _ := planned(t, form); plan.NumPoints() != 1 || key != formKey {
+				t.Errorf("%s: %d points keyed %s, want one keyed as %s is, %s", p[0], plan.NumPoints(), key, form, formKey)
+			}
+			continue
+		}
 		want := p[1]
 		if strings.Contains(p[0], "target_ci") {
 			namesIt++
@@ -73,6 +93,9 @@ func TestPlansMeanWhatTheyMeant(t *testing.T) {
 	}
 	if namesIt != 13 {
 		t.Errorf("%d pinned queries name target_ci, want the 13 the file was written with", namesIt)
+	}
+	if noVary != len(onePoint) {
+		t.Errorf("%d pinned queries have no VARY, want the %d named", noVary, len(onePoint))
 	}
 	if len(pinned) < 700 {
 		t.Fatalf("only %d pinned queries read", len(pinned))

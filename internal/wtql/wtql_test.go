@@ -1,8 +1,17 @@
 package wtql
 
 import (
+	"math"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/cost"
+	"repro/internal/dist"
+	"repro/internal/hardware"
+	"repro/internal/power"
 )
 
 func TestLexBasics(t *testing.T) {
@@ -265,7 +274,6 @@ func TestEngineRejectsBadQueries(t *testing.T) {
 	bad := []string{
 		"SIMULATE latency VARY users IN (1)",                  // unsupported metric
 		"SIMULATE availability VARY bogus.param IN (1)",       // unknown vary param
-		"SIMULATE availability WITH users = 10",               // no VARY
 		"SIMULATE availability VARY trials IN (1, 2)",         // exec param varied
 		"SIMULATE availability VARY users IN (1) WITH q = 1",  // unknown with param
 		"SIMULATE availability VARY net.nic IN ('warp-coil')", // unknown spec
@@ -273,6 +281,91 @@ func TestEngineRejectsBadQueries(t *testing.T) {
 	for _, b := range bad {
 		if _, err := e.Execute(b); err == nil {
 			t.Errorf("Execute(%q) accepted", b)
+		}
+	}
+}
+
+// TestOnePointQuery: a query without VARY is a one-point sweep of the
+// scenario its WITH clause describes. Its row's metrics are what
+// core.Runner makes of that scenario, bit for bit, plus the cost columns
+// every row carries (priced as a sweep's rows are), and its table shows
+// every metric the row holds, in name order. The power-enabled case
+// covers the energy, peak, PUE, carbon and power-event metrics.
+func TestOnePointQuery(t *testing.T) {
+	withPower := core.DefaultScenario()
+	withPower.Cluster.Racks, withPower.Cluster.NodesPerRack = 2, 5
+	withPower.Users, withPower.HorizonHours = 300, 4000
+	p := &withPower.Power
+	p.Enabled, p.PDUs, p.UPSSpec, p.UPSMinutes = true, 2, "ups-240kva", 15
+	var err error
+	if p.UtilityTTF, err = dist.Parse("exp(mean=2000)"); err != nil {
+		t.Fatal(err)
+	}
+	if p.UtilityRepair, err = dist.Parse("det(4)"); err != nil {
+		t.Fatal(err)
+	}
+	p.GeneratorStartProb, p.GeneratorStartHours = 0.9, 0.2
+
+	compared := map[string]bool{}
+	for _, c := range []struct {
+		query string
+		sc    core.Scenario
+	}{
+		{"SIMULATE availability WITH trials = 10", core.DefaultScenario()},
+		{`SIMULATE availability WITH trials = 10, cluster.racks = 2, cluster.nodes_per_rack = 5,
+			users = 300, horizon_hours = 4000, power.pdus = 2, power.ups_spec = 'ups-240kva',
+			power.ups_minutes = 15, power.utility_ttf = 'exp(mean=2000)', power.utility_repair = 'det(4)',
+			power.generator_start_prob = 0.9, power.generator_start_hours = 0.2`, withPower},
+	} {
+		rs, err := (&Engine{}).Execute(c.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rs.Rows) != 1 || rs.Executed != 1 || len(rs.Rows[0].Config) != 0 {
+			t.Fatalf("%s: %d rows, %d executed, config %v; want one row of one point that assigns nothing",
+				c.query, len(rs.Rows), rs.Executed, rs.Rows[0].Config)
+		}
+		row := rs.Rows[0]
+		want, err := core.Runner{Trials: 10}.Run(c.sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		book := cost.DefaultPriceBook()
+		breakdown, err := cost.EstimateWithPower(hardware.DefaultCatalog(), c.sc.Cluster, c.sc.Power, book, c.sc.HorizonHours)
+		if err != nil {
+			t.Fatal(err)
+		}
+		priced := map[string]float64{"storage.overhead": c.sc.Scheme.Overhead()}
+		if kwh, ok := want.Metrics["energy_kwh"]; ok {
+			breakdown = cost.WithMeasuredEnergy(breakdown, kwh, power.DefaultCarbon, book)
+			priced["cost.energy"] = breakdown.EnergyUSD
+		}
+		priced["cost.total"], priced["cost.capex"] = breakdown.TotalUSD(), breakdown.CapexUSD
+		for k, v := range want.Metrics {
+			priced[k] = v
+		}
+		for k, v := range priced {
+			compared[k] = true
+			if got, ok := row.Metrics[k]; !ok || math.Float64bits(got) != math.Float64bits(v) {
+				t.Errorf("%s: %s = %v (present %t), want %v", c.query, k, got, ok, v)
+			}
+		}
+		if len(row.Metrics) != len(priced) {
+			t.Errorf("%s: the row holds %d metrics, want %d", c.query, len(row.Metrics), len(priced))
+		}
+		var names []string
+		for k := range row.Metrics {
+			names = append(names, k)
+		}
+		sort.Strings(names)
+		if !reflect.DeepEqual(rs.Columns, names) {
+			t.Errorf("%s: columns %v, want every metric in name order %v", c.query, rs.Columns, names)
+		}
+	}
+	for _, m := range []string{"energy_kwh", "peak_kw", "pue", "carbon_kg", "cost.energy",
+		"power_utility_outages", "power_ride_through_ok", "power_generator_starts", "power_loss_events", "power_pdu_failures"} {
+		if !compared[m] {
+			t.Errorf("no case compared %s", m)
 		}
 	}
 }
