@@ -210,15 +210,36 @@ func tail(lat *stats.Sample) quantiles {
 	return quantiles{lat.Quantile(0.5), lat.Quantile(0.95), lat.Quantile(0.99)}
 }
 
-// perfNodes builds a small workload cluster of node models.
-func perfNodes(s *sim.Simulator, n int, spec workload.NodeSpec) (nodes []*workload.NodeModel, err error) {
-	nodes = make([]*workload.NodeModel, n)
+// openLoop runs one open-loop rig: a simulator seeded with seed, four
+// node models of spec, and a workload issuing requests of profile at
+// exponential gaps of mean gap seconds, run for slack times the
+// requests' nominal span. extra, when not nil, adds what else the rig
+// holds once the workload has started. It returns the workload, whose
+// latencies are the rig's reading.
+func openLoop(seed uint64, spec workload.NodeSpec, name string, profile workload.Profile, gap float64, requests int64, slack float64,
+	extra func(*sim.Simulator, []*workload.NodeModel) error) (*workload.Workload, error) {
+	s := sim.New(seed)
+	nodes := make([]*workload.NodeModel, 4)
 	for i := range nodes {
+		var err error
 		if nodes[i], err = workload.NewNodeModel(s, fmt.Sprintf("node-%d", i), spec); err != nil {
 			return nil, err
 		}
 	}
-	return nodes, nil
+	w, err := workload.NewWorkload(s, name, profile, nodes)
+	if err != nil {
+		return nil, err
+	}
+	if err := w.StartOpen(dist.Must(dist.ExpMean(gap)), requests); err != nil {
+		return nil, err
+	}
+	if extra != nil {
+		if err := extra(s, nodes); err != nil {
+			return nil, err
+		}
+	}
+	s.RunUntil(float64(requests) * gap * slack)
+	return w, nil
 }
 
 // e3Interference is the §3 performance-SLA use case: co-location and
@@ -228,43 +249,10 @@ func perfNodes(s *sim.Simulator, n int, spec workload.NodeSpec) (nodes []*worklo
 func e3Interference(out io.Writer, trialOverride int, seed uint64) ([]quantiles, error) {
 	header(out, "E3 (§3): workload interference and cluster events")
 	requests := int64(orDefault(trialOverride, 40000))
-	run := func(withB, withStorm bool) (*workload.Workload, error) {
-		s := sim.New(seed)
-		nodes, err := perfNodes(s, 4, workload.NodeSpec{Cores: 8, DiskIOPS: 210, NICMBps: 1250})
-		if err != nil {
-			return nil, err
-		}
-		profileA := workload.Profile{Name: "oltp", CPU: dist.Must(dist.ExpMean(0.002)),
-			Disk: dist.Must(dist.ExpMean(1.2)), Net: dist.Must(dist.ExpMean(0.05))}
-		a, err := workload.NewWorkload(s, "A", profileA, nodes)
-		if err != nil {
-			return nil, err
-		}
-		if err := a.StartOpen(dist.Must(dist.ExpMean(0.01)), requests); err != nil {
-			return nil, err
-		}
-		if withB {
-			profileB := workload.Profile{Name: "analytics",
-				CPU: dist.Must(dist.ExpMean(0.02)), Disk: dist.Must(dist.ExpMean(4))}
-			b, err := workload.NewWorkload(s, "B", profileB, nodes)
-			if err != nil {
-				return nil, err
-			}
-			if err := b.StartOpen(dist.Must(dist.ExpMean(0.08)), requests/4); err != nil {
-				return nil, err
-			}
-		}
-		if withStorm {
-			for _, n := range nodes {
-				if _, err := workload.BackgroundLoad(s, n, 0.25,
-					workload.Demand{DiskOps: 12, NetMB: 24}); err != nil {
-					return nil, err
-				}
-			}
-		}
-		s.RunUntil(float64(requests) * 0.01 * 1.2)
-		return a, nil
-	}
+	profileA := workload.Profile{Name: "oltp", CPU: dist.Must(dist.ExpMean(0.002)),
+		Disk: dist.Must(dist.ExpMean(1.2)), Net: dist.Must(dist.ExpMean(0.05))}
+	profileB := workload.Profile{Name: "analytics",
+		CPU: dist.Must(dist.ExpMean(0.02)), Disk: dist.Must(dist.ExpMean(4))}
 	fmt.Fprintf(out, "%-34s %10s %10s %10s\n", "tenant A sees", "p50 (s)", "p95 (s)", "p99 (s)")
 	var rows []quantiles
 	for _, c := range []struct {
@@ -275,7 +263,27 @@ func e3Interference(out io.Writer, trialOverride int, seed uint64) ([]quantiles,
 		{"A + co-located tenant B", true, false},
 		{"A + B + repair storm", true, true},
 	} {
-		w, err := run(c.withB, c.storm)
+		w, err := openLoop(seed, workload.NodeSpec{Cores: 8, DiskIOPS: 210, NICMBps: 1250}, "A", profileA, 0.01, requests, 1.2,
+			func(s *sim.Simulator, nodes []*workload.NodeModel) error {
+				if c.withB {
+					b, err := workload.NewWorkload(s, "B", profileB, nodes)
+					if err != nil {
+						return err
+					}
+					if err := b.StartOpen(dist.Must(dist.ExpMean(0.08)), requests/4); err != nil {
+						return err
+					}
+				}
+				if c.storm {
+					for _, n := range nodes {
+						if _, err := workload.BackgroundLoad(s, n, 0.25,
+							workload.Demand{DiskOps: 12, NetMB: 24}); err != nil {
+							return err
+						}
+					}
+				}
+				return nil
+			})
 		if err != nil {
 			return nil, err
 		}
@@ -315,21 +323,12 @@ func e4Provisioning(out io.Writer, trialOverride int, seed uint64) ([]provision,
 				return nil, err
 			}
 			hit := min(memSpec.CapacityGB/datasetGB, 0.95)
-			s := sim.New(seed)
-			nodes, err := perfNodes(s, 4, workload.NodeSpec{Cores: 8, DiskIOPS: diskSpec.IOPS, NICMBps: 1250})
-			if err != nil {
-				return nil, err
-			}
 			profile := workload.Profile{Name: "kv",
 				CPU: dist.Must(dist.ExpMean(0.001)), Disk: dist.Must(dist.ExpMean(1.0 * (1 - hit)))}
-			w, err := workload.NewWorkload(s, "kv", profile, nodes)
+			w, err := openLoop(seed, workload.NodeSpec{Cores: 8, DiskIOPS: diskSpec.IOPS, NICMBps: 1250}, "kv", profile, 0.005, requests, 1.2, nil)
 			if err != nil {
 				return nil, err
 			}
-			if err := w.StartOpen(dist.Must(dist.ExpMean(0.005)), requests); err != nil {
-				return nil, err
-			}
-			s.RunUntil(float64(requests) * 0.005 * 1.2)
 			p95 := w.Latencies().Quantile(0.95)
 
 			ccfg := cluster.Config{Racks: 1, NodesPerRack: 4, DiskSpec: diskName, DisksPerNode: 4,
@@ -386,28 +385,20 @@ func e7Limpware(out io.Writer, trialOverride int, seed uint64) ([]quantiles, err
 	requests := int64(orDefault(trialOverride, 30000))
 	fmt.Fprintf(out, "%-22s %10s %10s %10s\n", "NIC at % of spec", "p50 (s)", "p95 (s)", "p99 (s)")
 	var rows []quantiles
+	profile := workload.Profile{Name: "netbound",
+		CPU: dist.Must(dist.ExpMean(0.0005)), Net: dist.Must(dist.ExpMean(0.5))}
 	for _, factor := range []float64{1.0, 0.1, 0.01} {
-		s := sim.New(seed)
-		nodes, err := perfNodes(s, 4, workload.NodeSpec{Cores: 8, DiskIOPS: 75000, NICMBps: 125})
+		w, err := openLoop(seed, workload.NodeSpec{Cores: 8, DiskIOPS: 75000, NICMBps: 125}, "w", profile, 0.01, requests, 2,
+			func(_ *sim.Simulator, nodes []*workload.NodeModel) error {
+				if factor < 1 {
+					// One limping NIC out of four — the Limplock scenario.
+					return nodes[0].DegradeNIC(factor)
+				}
+				return nil
+			})
 		if err != nil {
 			return nil, err
 		}
-		if factor < 1 {
-			// One limping NIC out of four — the Limplock scenario.
-			if err := nodes[0].DegradeNIC(factor); err != nil {
-				return nil, err
-			}
-		}
-		profile := workload.Profile{Name: "netbound",
-			CPU: dist.Must(dist.ExpMean(0.0005)), Net: dist.Must(dist.ExpMean(0.5))}
-		w, err := workload.NewWorkload(s, "w", profile, nodes)
-		if err != nil {
-			return nil, err
-		}
-		if err := w.StartOpen(dist.Must(dist.ExpMean(0.01)), requests); err != nil {
-			return nil, err
-		}
-		s.RunUntil(float64(requests) * 0.01 * 2)
 		q := tail(w.Latencies())
 		fmt.Fprintf(out, "%-22.0f %10.4f %10.4f %10.4f\n", factor*100, q[0], q[1], q[2])
 		rows = append(rows, q)

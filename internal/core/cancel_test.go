@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -57,6 +58,33 @@ func TestCancelStopsTrialInFlight(t *testing.T) {
 		case <-time.After(2 * time.Second):
 			t.Fatalf("%d workers: the run was still going 2 s after its cancel", workers)
 		}
+	}
+}
+
+// TestStoppedRunReservesNothing: a run allowed 100 000 trials and
+// cancelled at its second commit pays for the trials it ran, not for the
+// ones it was allowed: nothing is reserved in proportion to Trials.
+func TestStoppedRunReservesNothing(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	committed := 0
+	r := Runner{Trials: 100_000, Workers: 1, Progress: func(done, total int) {
+		if committed = done; done == 2 {
+			cancel()
+		}
+	}}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := r.RunContext(ctx, quickScenario())
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled, got %v", err)
+	}
+	if committed != 2 {
+		t.Fatalf("the run stopped after %d trials, want 2", committed)
+	}
+	if total := after.TotalAlloc - before.TotalAlloc; total >= 1<<20 {
+		t.Fatalf("a run stopped at 2 trials allocated %d KB, want < 1 MB", total>>10)
 	}
 }
 

@@ -17,7 +17,6 @@ import (
 	"repro/internal/power"
 	"repro/internal/repair"
 	"repro/internal/sla"
-	"repro/internal/stats"
 	"repro/internal/storage"
 )
 
@@ -61,7 +60,6 @@ const (
 	MaxUsers        = 10_000_000  // Scenario.Users, one object each
 	MaxShards       = 100_000_000 // users x the scheme's width
 	MaxTrials       = 10_000_000  // Runner.Trials
-	MaxTenantTrials = 100_000_000 // trials x users: RunResult.Tenants when every tenant-trial is below 1
 )
 
 // Validate checks the scenario.
@@ -163,40 +161,10 @@ type RunResult struct {
 	// CI holds 95% confidence half-widths for selected metrics.
 	CI map[string]float64
 
-	Latencies map[string]*stats.Sample
-
 	Verdicts []sla.Verdict
 	AllMet   bool
 
-	// Tenants pools every tenant's availability in every trial, supporting
-	// §4.1 SLAs expressed as distributions: a count of the tenant-trials at
-	// exactly 1 and the others in ascending order, so a run holds a float
-	// only for a tenant-trial that saw an outage.
-	Tenants sla.TenantPool
-
 	EventsTotal uint64
-}
-
-// TenantAvailabilitySLA returns an SLA of the distributional form §4.1
-// calls for: at least `fraction` of tenants must see availability >=
-// `threshold`. It evaluates against the Tenants pool of a RunResult.
-func TenantAvailabilitySLA(fraction, threshold float64) sla.SLA {
-	return sla.TenantDistribution{
-		Description: fmt.Sprintf("%.0f%% of tenants at availability >= %v", fraction*100, threshold),
-		Pool: func(r sla.Result) (sla.TenantPool, error) {
-			rr, ok := r.(*RunResult)
-			if !ok {
-				return sla.TenantPool{}, fmt.Errorf("core: tenant SLA needs a *RunResult, got %T", r)
-			}
-			if rr.Tenants.Len() == 0 {
-				return sla.TenantPool{}, fmt.Errorf("core: result has no per-tenant availability data")
-			}
-			return rr.Tenants, nil
-		},
-		AtLeast:   true,
-		Threshold: threshold,
-		Fraction:  fraction,
-	}
 }
 
 // Metric implements sla.Result.
@@ -206,12 +174,4 @@ func (r *RunResult) Metric(name string) (float64, error) {
 		return 0, fmt.Errorf("core: metric %q not recorded", name)
 	}
 	return v, nil
-}
-
-// LatencySample implements sla.Result.
-func (r *RunResult) LatencySample(workload string) *stats.Sample {
-	if r.Latencies == nil {
-		return nil
-	}
-	return r.Latencies[workload]
 }

@@ -161,15 +161,42 @@ func TestCeilings(t *testing.T) {
 	for want, run := range map[string]struct {
 		trials, users int
 	}{
-		"10000001 trials is over the ceiling of 10000000":                              {MaxTrials + 1, 1},
-		"2000000000 trials is over the ceiling of 10000000":                            {2000000000, 100},
-		"1000001 trials x 100 users is over the ceiling of 100000000 tenant-trials":    {1000001, 100},
-		"10000000 trials x 10000000 users is over the ceiling of 100000000 tenant-tri": {MaxTrials, MaxUsers},
+		"10000001 trials is over the ceiling of 10000000":   {MaxTrials + 1, 1},
+		"2000000000 trials is over the ceiling of 10000000": {2000000000, 100},
 	} {
 		sc := at(func(sc *Scenario) { sc.Users = run.users })
 		if _, err := (Runner{Trials: run.trials}).Run(sc); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("Run with %d trials, %d users = %v, want %q", run.trials, run.users, err, want)
 		}
+	}
+}
+
+// TestTenantAvailabilityConsistentWithGlobal: the per-tenant aggregate
+// agrees with the global one. Some tenant is unavailable at some time
+// exactly when availability is below 1, and the time-averaged number of
+// unavailable tenants lies between the fraction of time any was down and
+// that fraction times the tenants.
+func TestTenantAvailabilityConsistentWithGlobal(t *testing.T) {
+	sc := quickScenario()
+	res, err := Runner{Trials: 4, Workers: 1}.Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	down, mean := res.Metrics["unavail_fraction"], res.Metrics["mean_unavail_objects"]
+	if down <= 0 || res.Metrics["availability"] >= 1 {
+		t.Fatalf("availability %v: the quick scenario no longer sees an outage", res.Metrics["availability"])
+	}
+	if mean < down*(1-1e-12) || mean > down*float64(sc.Users)*(1+1e-12) {
+		t.Fatalf("%v tenants unavailable on average, outside [%v, %v x %d]", mean, down, down, sc.Users)
+	}
+	quiet := sc
+	quiet.Cluster.NodeTTF = dist.Must(dist.ExpMean(1e12))
+	res, err = Runner{Trials: 4, Workers: 1}.Run(quiet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Metrics["availability"] != 1 || res.Metrics["mean_unavail_objects"] != 0 {
+		t.Fatalf("a failure-free run: availability %v, %v tenants unavailable on average", res.Metrics["availability"], res.Metrics["mean_unavail_objects"])
 	}
 }
 

@@ -419,3 +419,31 @@ func TestWorldBytesCoversHeap(t *testing.T) {
 		runtime.KeepAlive(w)
 	}
 }
+
+// TestRunAllocationFlatInTrials: on a warm pool with one worker, each
+// trial a run adds costs at most perTrialBytes of allocation: a run keeps
+// nothing in proportion to trials x users, so Trials needs no ceiling
+// beyond MaxTrials. The storm keeps most of its 150 tenants below
+// availability 1 in most trials, where a record kept per tenant-trial
+// would grow by kilobytes a trial.
+func TestRunAllocationFlatInTrials(t *testing.T) {
+	const perTrialBytes = 2048
+	useWorldPool(t, worldBudget)
+	sc := stormRun(func(*Scenario) {})
+	alloc := func(trials int) int64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := (Runner{Trials: trials, Workers: 1}).Run(sc); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return int64(after.TotalAlloc - before.TotalAlloc)
+	}
+	alloc(1) // builds the world the two measured runs take
+	small, large := alloc(20), alloc(200)
+	perTrial := (large - small) / 180
+	if perTrial > perTrialBytes {
+		t.Errorf("each trial past the 20th allocates %d bytes, budget %d (20 trials: %d bytes, 200: %d)", perTrial, perTrialBytes, small, large)
+	}
+	t.Logf("%d bytes a trial (20 trials: %d bytes, 200: %d)", perTrial, small, large)
+}

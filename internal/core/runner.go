@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -76,8 +75,6 @@ func (r Runner) biasActive() bool {
 type trialOutcome struct {
 	availability   float64
 	zeroCopy       float64
-	tenantOnes     int       // tenants at availability exactly 1
-	tenantBelow    []float64 // the other tenants' availabilities, in object order; nil when none
 	meanUnavail    float64
 	lost           int64
 	repairs        int64
@@ -234,9 +231,6 @@ func (r Runner) simulate(ctx context.Context, sc Scenario, world worldKey) (*Run
 	if r.Trials > MaxTrials {
 		return nil, fmt.Errorf("core: %d trials is over the ceiling of %d", r.Trials, MaxTrials)
 	}
-	if r.Trials > MaxTenantTrials/sc.Users {
-		return nil, fmt.Errorf("core: %d trials x %d users is over the ceiling of %d tenant-trials", r.Trials, sc.Users, MaxTenantTrials)
-	}
 	if r.FailureBias < 0 {
 		return nil, fmt.Errorf("core: Runner.FailureBias must be >= 0, got %v", r.FailureBias)
 	}
@@ -259,7 +253,6 @@ func (r Runner) simulate(ctx context.Context, sc Scenario, world worldKey) (*Run
 	// final trial is committed alone.
 	var (
 		events    uint64
-		tenants   sla.TenantPool
 		committed = 0
 		firstErr  error
 		pending   *trialOutcome // even twin awaiting its antithetic pair
@@ -273,9 +266,6 @@ func (r Runner) simulate(ctx context.Context, sc Scenario, world worldKey) (*Run
 			return true
 		}
 		events += o.events
-		// Pooled in commit order and sorted once the run is over.
-		tenants.Ones += int64(o.tenantOnes)
-		tenants.Below = append(tenants.Below, o.tenantBelow...)
 		wt := max1(o.weight)
 		switch {
 		case !r.Antithetic:
@@ -325,8 +315,6 @@ func (r Runner) simulate(ctx context.Context, sc Scenario, world worldKey) (*Run
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	sort.Float64s(tenants.Below)
-
 	// Metric keys are compile-time literals (interned by the compiler);
 	// sizing the maps exactly keeps RunResult assembly at two fixed
 	// allocations per run, which matters when the Explorer assembles one
@@ -364,7 +352,6 @@ func (r Runner) simulate(ctx context.Context, sc Scenario, world worldKey) (*Run
 		Metrics:     metrics,
 		CI:          ci,
 		EventsTotal: events,
-		Tenants:     tenants,
 	}
 	if r.biasActive() {
 		// Diagnostic for importance sampling: effective sample size and

@@ -184,7 +184,7 @@ func availabilityTargets(slas []sla.SLA) (budgets []float64, all bool) {
 	all = true
 	for _, s := range slas {
 		a, ok := s.(sla.Availability)
-		if !ok || (a.MetricName != "" && a.MetricName != "availability") {
+		if !ok {
 			all = false
 			continue
 		}
@@ -211,7 +211,7 @@ func (r ScreenRule) Decide(b AnalyticBounds, slas []sla.SLA) ScreenDecision {
 	if b.PeakKWFloor > 0 {
 		for _, s := range slas {
 			pb, ok := s.(sla.PowerBudget)
-			if !ok || (pb.MetricName != "" && pb.MetricName != "peak_kw") {
+			if !ok {
 				continue
 			}
 			if b.PeakKWFloor/(1+margin) > pb.MaxKW {

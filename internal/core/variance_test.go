@@ -354,10 +354,6 @@ func TestScreeningSkipsNonAvailabilitySLAs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	durable, err := sla.NewDurability(1e-6)
-	if err != nil {
-		t.Fatal(err)
-	}
 	bounds, ok, err := AnalyticScreen(sc)
 	if err != nil || !ok {
 		t.Fatalf("screen unavailable: ok=%v err=%v", ok, err)
@@ -366,7 +362,8 @@ func TestScreeningSkipsNonAvailabilitySLAs(t *testing.T) {
 	if dec := rule.Decide(bounds, []sla.SLA{easy}); dec != ScreenPass {
 		t.Fatalf("availability-only decision = %v, want pass", dec)
 	}
-	if dec := rule.Decide(bounds, []sla.SLA{easy, durable}); dec != ScreenSimulate {
+	// alwaysFail is an SLA the screen knows nothing of.
+	if dec := rule.Decide(bounds, []sla.SLA{easy, alwaysFail{}}); dec != ScreenSimulate {
 		t.Fatalf("mixed-SLA decision = %v, want simulate", dec)
 	}
 }

@@ -36,8 +36,8 @@ import (
 // tells the store its population (storage.Store.Defer) and the placing
 // happens at the first read: the repair manager's, at the first node
 // transition of any kind — a node death, a ToR, PDU or utility outage. A
-// trial in which no node changes state never places, and reports its
-// tenants as a count at availability 1 without allocating. This is sound
+// trial in which no node changes state never places and allocates
+// nothing. This is sound
 // only because placement draws from the place stream, which nothing else
 // reads: when its draws are taken cannot change what they are, nor any
 // draw of the simulation. A placement stream shared with the simulator
@@ -202,9 +202,6 @@ func (w *trialWorld) trial(ctx context.Context, trial uint64) trialOutcome {
 		events:       s.Executed(),
 		weight:       1,
 	}
-	// A fresh slice, and only for tenants below 1: the outcome may wait in
-	// the runner's reorder buffer while this world runs its next trial.
-	out.tenantBelow, out.tenantOnes = mgr.AppendTenants(nil)
 	if w.biased != nil {
 		out.weight = w.biased.Weight()
 	}

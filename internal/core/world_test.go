@@ -12,7 +12,6 @@ import (
 	"repro/internal/hardware"
 	"repro/internal/power"
 	"repro/internal/repair"
-	"repro/internal/repair/repairtest"
 	"repro/internal/sim"
 	"repro/internal/storage"
 )
@@ -255,46 +254,73 @@ func TestReusedWorldMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestTenantReportMatchesScan: what a trial reports of its tenants — a
-// count at availability 1 and the others in object order — is the split
-// of the dense vector the full-rescan oracle (repairtest.Scan) derives
-// between every two events of the same trial, for every variant the reuse
-// contract runs, on a world that has run other trials before.
+// scan is the full-rescan reference for a trial's availability signals.
+// Consulted between events, with the clock already on the next one, it
+// re-derives from every object's locations how many objects are below
+// their scheme's MinAvailable and MinRecoverable in the state the last
+// event left, and banks the interval since the previous look at those
+// counts.
+type scan struct {
+	last                      sim.Time
+	unavail, anyDown, anyLost float64 // each signal's area over [0, last]
+}
+
+func (a *scan) advance(now sim.Time, st *storage.Store, down func(int) bool) {
+	dt := now - a.last
+	unavail := st.UnavailableCount(down)
+	a.unavail += float64(unavail) * dt
+	if unavail > 0 {
+		a.anyDown += dt
+	}
+	if st.LostCount(down) > 0 {
+		a.anyLost += dt
+	}
+	a.last = now
+}
+
+// TestTenantReportMatchesScan: what a trial reports of its tenants — the
+// fraction of time any was unavailable, the time-averaged number
+// unavailable, the fraction of time any had no live copy — is what a
+// full rescan of every tenant between every two events of the same trial
+// derives, for every variant the reuse contract runs, on a world that has
+// run other trials before.
 func TestTenantReportMatchesScan(t *testing.T) {
 	cat := flakyCatalog(t)
+	near := func(got, want float64) bool { return math.Abs(got-want) <= 1e-9*math.Max(1, math.Abs(want)) }
 	for _, v := range stormVariants() {
 		t.Run(v.name, func(t *testing.T) {
 			sc := stormScenario()
 			v.edit(&sc)
 			w := trialWorld{runner: v.runner, sc: sc, cat: cat}
 			down := func(id int) bool { return !w.cl.Available(id) }
-			below := 0
+			unavailable := 0
 			for _, trial := range []uint64{5, 0, 3} {
-				ref := repairtest.NewScan(0)
-				w.trace = func(at sim.Time, _ string) { ref.Advance(at, w.store, down) }
+				var ref scan
+				w.trace = func(at sim.Time, _ string) { ref.advance(at, w.store, down) }
 				out := w.run(context.Background(), trial)
 				if out.err != nil {
 					t.Fatalf("trial %d: %v", trial, out.err)
 				}
-				ref.Advance(w.sim.Now(), w.store, down)
-				ones, k := 0, 0
-				for i, want := range ref.Availabilities(w.sim.Now()) {
-					if want == 1 {
-						ones++
-						continue
+				now := w.sim.Now()
+				ref.advance(now, w.store, down)
+				for _, c := range []struct {
+					name      string
+					got, want float64
+				}{
+					{"availability", out.availability, 1 - ref.anyDown/now},
+					{"mean unavailable objects", out.meanUnavail, ref.unavail / now},
+					{"zero-copy fraction", out.zeroCopy, ref.anyLost / now},
+				} {
+					if !near(c.got, c.want) {
+						t.Fatalf("trial %d: %s %.17g, the scan says %.17g", trial, c.name, c.got, c.want)
 					}
-					if k == len(out.tenantBelow) || math.Abs(out.tenantBelow[k]-want) > 1e-12 {
-						t.Fatalf("trial %d: tenant %d is at %.17g by the scan, not among the %d reported below 1", trial, i, want, len(out.tenantBelow))
-					}
-					k++
 				}
-				if out.tenantOnes != ones || k != len(out.tenantBelow) {
-					t.Fatalf("trial %d reports %d tenants at 1 and %d below, the scan %d and %d", trial, out.tenantOnes, len(out.tenantBelow), ones, k)
+				if out.availability < 1 {
+					unavailable++
 				}
-				below += k
 			}
-			if below == 0 {
-				t.Fatal("no tenant saw an outage: the variant no longer tests the tenants below 1")
+			if unavailable == 0 {
+				t.Fatal("no trial saw an outage: the variant no longer tests the tenants' outages")
 			}
 		})
 	}
@@ -313,9 +339,7 @@ func quietScenario() Scenario {
 
 // TestQuietTrialAllocatesOnlyItsOutcome pins what reuse and deferral buy:
 // on a world that has run before, a trial in which no node changes state
-// places no object, reports its tenants as a count at availability 1 and
-// allocates nothing, where the tenant slice alone used to be 8 KB at 1000
-// users.
+// places no object, reports availability 1 and allocates nothing.
 func TestQuietTrialAllocatesOnlyItsOutcome(t *testing.T) {
 	for _, placement := range []string{"random", "roundrobin", "rackaware"} {
 		sc := quietScenario()
@@ -336,8 +360,8 @@ func TestQuietTrialAllocatesOnlyItsOutcome(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		allocs := testing.AllocsPerRun(runs, func() {
-			if out := w.run(context.Background(), quiet); out.nodeFailures != 0 || out.tenantOnes != sc.Users || out.tenantBelow != nil {
-				t.Fatalf("trial %d: %d node failures, %d tenants at 1, %d below", quiet, out.nodeFailures, out.tenantOnes, len(out.tenantBelow))
+			if out := w.run(context.Background(), quiet); out.nodeFailures != 0 || out.availability != 1 {
+				t.Fatalf("trial %d: %d node failures, availability %v", quiet, out.nodeFailures, out.availability)
 			}
 		})
 		runtime.ReadMemStats(&after)
@@ -418,9 +442,6 @@ func TestDeferredPopulationMatchesEager(t *testing.T) {
 					}
 					if d := diffOutcomes(got, want); d != "" {
 						t.Fatalf("%s/%s/%s trial %d: deferred population differs from eager in %s", r.name, placement, s.name, trial, d)
-					}
-					if n := got.tenantOnes + len(got.tenantBelow); n != sc.Users {
-						t.Fatalf("%s/%s/%s trial %d: %d tenants, want %d", r.name, placement, s.name, trial, n, sc.Users)
 					}
 					switch {
 					case deferred.mgr.Tracked() == 0:

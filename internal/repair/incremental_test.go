@@ -1,13 +1,11 @@
 package repair
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/dist"
 	"repro/internal/hardware"
-	"repro/internal/repair/repairtest"
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/storage"
@@ -35,14 +33,12 @@ func bigCluster(t testing.TB, s *sim.Simulator, racks, perRack int, ttf, rep dis
 
 // checkedRun runs the simulation to horizon and, between every two events
 // and at the end, holds the manager's incremental state against a fresh
-// full scan (repairtest.Scan): the unavailable and zero-copy counts, every
-// object's live shard count, and every tenant's availability.
+// full scan of the store: the unavailable and zero-copy counts and every
+// object's live shard count.
 func checkedRun(t *testing.T, s *sim.Simulator, cl *cluster.Cluster, st *storage.Store, m *Manager, horizon sim.Time) {
 	t.Helper()
-	ref := repairtest.NewScan(s.Now())
 	down := func(id int) bool { return !cl.Available(id) }
 	failed := false
-	var below []float64
 	check := func(at sim.Time, next string) {
 		if failed {
 			return
@@ -52,11 +48,10 @@ func checkedRun(t *testing.T, s *sim.Simulator, cl *cluster.Cluster, st *storage
 			failed = true
 			t.Errorf("t=%v before %q: "+format, append([]any{at, next}, args...)...)
 		}
-		ref.Advance(at, st, down)
-		// Also starts tracking new objects, unless every node is available
-		// and nothing is tracked yet: the manager then leaves the store alone.
-		var ones int
-		below, ones = m.AppendTenants(below[:0])
+		// A metric read also starts tracking new objects, unless every node
+		// is available and nothing is tracked yet: the manager then leaves
+		// the store alone.
+		m.AnyUnavailableFraction()
 		if got, want := m.unavailable, st.UnavailableCount(down); got != want {
 			fail("unavailable count %d, scan says %d", got, want)
 		}
@@ -71,13 +66,10 @@ func checkedRun(t *testing.T, s *sim.Simulator, cl *cluster.Cluster, st *storage
 					return
 				}
 			}
-		}
-		if (!untracked && len(m.missing) != st.Len()) || ones+len(below) != st.Len() {
-			fail("tracking %d objects, %d tenants; store has %d", len(m.missing), ones+len(below), st.Len())
+		} else if len(m.missing) != st.Len() {
+			fail("tracking %d objects; store has %d", len(m.missing), st.Len())
 			return
 		}
-		wants := ref.Availabilities(at)
-		k := 0 // the next of the tenants below 1, which come in object order
 		for i, obj := range st.Objects() {
 			live := 0
 			for _, loc := range obj.Locations {
@@ -92,20 +84,6 @@ func checkedRun(t *testing.T, s *sim.Simulator, cl *cluster.Cluster, st *storage
 			if tracked != live {
 				fail("object %d (%v): live count %d, scan says %d", i, obj.Scheme, tracked, live)
 			}
-			if want := wants[i]; want != 1 {
-				got := math.NaN() // not reported below 1
-				if k < len(below) {
-					got = below[k]
-				}
-				if !(math.Abs(got-want) <= 1e-12) {
-					fail("tenant %d availability %.17g, scan says %.17g", i, got, want)
-					return
-				}
-				k++
-			}
-		}
-		if k != len(below) {
-			fail("%d tenants reported below 1, scan says %d", len(below), k)
 		}
 	}
 	// The tracer runs before each event's callback with the clock already
@@ -218,33 +196,6 @@ func TestRelocateFromUnreachableSource(t *testing.T) {
 	checkedRun(t, s, cl, st, m, 20)
 	if during == 0 {
 		t.Fatal("no repair committed while the source node was up but unreachable; the case was not exercised")
-	}
-}
-
-// TestTinyOutageCountsAsOne: a tenant whose outage is too short to move
-// 1 - dt/now off 1 is reported as a one, not as a value below 1 that is
-// 1, as it read in the dense pool — the report splits on the value, not
-// on whether any down time was banked.
-func TestTinyOutageCountsAsOne(t *testing.T) {
-	s := sim.New(5)
-	cl, st := bigCluster(t, s, 1, 4, nil, nil)
-	if err := st.AddObjects(30, 64, storage.ReplicationScheme(2), rng.New(5)); err != nil {
-		t.Fatal(err)
-	}
-	m, err := NewManager(s, cl, st, Config{Mode: Parallel, MaxConcurrent: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Start()
-	s.At(1, "test/rack-fail", func() { cl.FailRack(0) })
-	s.At(1+1e-9, "test/rack-restore", func() { cl.RestoreRack(0) })
-	s.RunUntil(1e9)
-	below, ones := m.AppendTenants(nil)
-	if m.Tracked() != st.Len() || m.AnyUnavailableFraction() == 0 {
-		t.Fatalf("the outage was not seen: %d objects tracked, unavailable fraction %v", m.Tracked(), m.AnyUnavailableFraction())
-	}
-	if ones != st.Len() || below != nil {
-		t.Fatalf("%d tenants at 1 and %v below; want all %d at 1", ones, below, st.Len())
 	}
 }
 

@@ -188,17 +188,6 @@ type Manager struct {
 	unavailable int
 	zeroCopy    int
 
-	// Per-tenant accounting for SLA-as-distribution queries (§4.1):
-	// downTime[i] is object i's unavailable time over its finished
-	// outages, downSince[i] the start of the outage it is in (read only
-	// while object i is below MinAvailable). dipped lists the ids of the
-	// objects that went below it since Reset, an id once per outage until
-	// dedupDipped sorts it; they are the only tenants whose availability
-	// can be below 1.
-	downTime  []float64
-	downSince []sim.Time
-	dipped    []int
-
 	// pickTarget's scratch: the cluster's available set less one object's
 	// holders.
 	free []uint64
@@ -220,13 +209,11 @@ func NewManager(s *sim.Simulator, cl *cluster.Cluster, st *storage.Store, cfg Co
 	}
 	m := &Manager{
 		cfg: cfg, sim: s, clst: cl, store: st,
-		lost:      make(map[int]bool),
-		nodeDown:  make([]bool, cl.Size()),
-		missing:   make([]int, 0, st.Len()),
-		downTime:  make([]float64, 0, st.Len()),
-		downSince: make([]sim.Time, 0, st.Len()),
-		detect:    s.StreamHandle("repair-detect"),
-		target:    s.StreamHandle("repair-target"),
+		lost:     make(map[int]bool),
+		nodeDown: make([]bool, cl.Size()),
+		missing:  make([]int, 0, st.Len()),
+		detect:   s.StreamHandle("repair-detect"),
+		target:   s.StreamHandle("repair-target"),
 	}
 	m.onDown = func(n *cluster.Node) { m.onNodeDown(n.ID) }
 	m.onUp = func(n *cluster.Node) {
@@ -269,8 +256,7 @@ func (m *Manager) Reset() {
 			m.downNodes++
 		}
 	}
-	m.missing, m.downTime, m.downSince = m.missing[:0], m.downTime[:0], m.downSince[:0]
-	m.dipped = m.dipped[:0]
+	m.missing = m.missing[:0]
 	m.unavailable, m.zeroCopy = 0, 0
 }
 
@@ -558,8 +544,6 @@ func (m *Manager) track() {
 		return
 	}
 	m.missing = extend(m.missing, len(objs))
-	m.downTime = extend(m.downTime, len(objs))
-	m.downSince = extend(m.downSince, len(objs))
 	if m.downNodes == 0 {
 		return
 	}
@@ -577,7 +561,7 @@ func (m *Manager) track() {
 
 // extend lengthens s to n entries, the new ones zero, in the storage s
 // already has when that is large enough.
-func extend[T any](s []T, n int) []T {
+func extend(s []int, n int) []int {
 	old := len(s)
 	s = slices.Grow(s, n-old)[:n]
 	clear(s[old:])
@@ -585,7 +569,7 @@ func extend[T any](s []T, n int) []T {
 }
 
 // adjust moves obj's live-shard count by delta and carries the running
-// counts and the tenant's outage clock across the thresholds it crosses.
+// counts across the thresholds it crosses.
 func (m *Manager) adjust(obj *storage.Object, delta int) {
 	was := len(obj.Locations) - m.missing[obj.ID]
 	now := was + delta
@@ -593,13 +577,8 @@ func (m *Manager) adjust(obj *storage.Object, delta int) {
 	if min := obj.Scheme.MinAvailable(); (was < min) != (now < min) {
 		if now < min {
 			m.unavailable++
-			m.downSince[obj.ID] = m.sim.Now()
-			if m.dipped = append(m.dipped, obj.ID); len(m.dipped) > 2*len(m.missing) {
-				m.dedupDipped() // a long trial's flapping objects stay within bounds
-			}
 		} else {
 			m.unavailable--
-			m.downTime[obj.ID] += m.sim.Now() - m.downSince[obj.ID]
 		}
 	}
 	if min := obj.Scheme.MinRecoverable(); (was < min) != (now < min) {
@@ -672,47 +651,9 @@ func (m *Manager) ZeroCopyFraction() float64 {
 	return m.zeroTW.Average()
 }
 
-// AppendTenants reports each tenant's availability (1 - fraction of
-// [0, now] its object was unavailable), enabling §4.1 SLAs expressed as
-// distributions over tenants ("95% of customers at three nines"). It
-// appends the availabilities that are not exactly 1 to dst, in object
-// order, and returns the extended slice with the number of tenants at 1:
-// dst grows only for a tenant that saw an outage. The test is on the
-// value, so an outage too short to move 1 - dt/now counts as a one. Only
-// the tenants that ever went below MinAvailable are looked at.
-func (m *Manager) AppendTenants(dst []float64) ([]float64, int) {
-	m.publish()
-	horizon := m.sim.Now()
-	if m.Tracked() == 0 || horizon <= 0 {
-		// Nothing was ever unavailable (publish would have tracked it), or
-		// no time has passed.
-		return dst, m.store.Len()
-	}
-	objs := m.store.Objects()
-	m.dedupDipped()
-	below := 0
-	for _, id := range m.dipped {
-		dt := m.downTime[id]
-		if obj := objs[id]; len(obj.Locations)-m.missing[id] < obj.Scheme.MinAvailable() {
-			dt += horizon - m.downSince[id]
-		}
-		if a := 1 - dt/horizon; a != 1 {
-			dst = append(dst, a)
-			below++
-		}
-	}
-	return dst, len(objs) - below
-}
-
-// dedupDipped sorts dipped and leaves each id in it once.
-func (m *Manager) dedupDipped() {
-	slices.Sort(m.dipped)
-	m.dipped = slices.Compact(m.dipped)
-}
-
 // Tracked returns how many of the store's objects the manager has taken
 // in since Reset. Zero means no node has changed state and none was
-// unavailable at a metric read: every tenant's availability is exactly 1.
+// unavailable at a metric read: every object was available throughout.
 func (m *Manager) Tracked() int { return len(m.missing) }
 
 // QueueLength returns the number of repairs waiting for a slot.

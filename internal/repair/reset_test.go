@@ -10,7 +10,7 @@ import (
 )
 
 // TestResetMatchesNewManager: a manager left mid-storm — tasks queued,
-// transfers in flight, objects lost, signals and tenant clocks running —
+// transfers in flight, objects lost, signals running —
 // reports, after the simulator, cluster, store and manager are reset and
 // the store re-populated, exactly what a manager built for that run
 // reports, whatever the new population's size.
@@ -20,13 +20,11 @@ func TestResetMatchesNewManager(t *testing.T) {
 	report := func(m *Manager, horizon float64) []float64 {
 		m.clst.StartFailures()
 		m.sim.RunUntil(horizon)
-		out := []float64{
+		return []float64{
 			float64(m.Completed()), m.BytesMovedMB(), float64(m.LostObjects()), m.LastRepairAt(),
 			m.MeanUnavailableObjects(), m.AnyUnavailableFraction(), m.ZeroCopyFraction(),
 			float64(m.QueueLength()), float64(m.ActiveRepairs()), float64(m.RepairTimes().N()), m.RepairTimes().Mean(),
 		}
-		below, ones := m.AppendTenants(nil)
-		return append(append(out, float64(ones)), below...)
 	}
 
 	// 40 TB objects: nine hours a transfer at 10 Gb/s, so work piles up.
@@ -77,10 +75,9 @@ func TestResetMatchesNewManager(t *testing.T) {
 // the first trial left in the manager, the calendar moves and removes
 // events in place, OnLinkChange walks a snapshot the flow simulator keeps,
 // and the store's node lists have room for most of what arrives. The
-// budget is for the trial as a whole, everything but the tenants' slice:
-// the four allocations left are storage.Store.Relocate's appends. Before
-// the records were pooled a trial made more than three allocations per
-// repair.
+// budget is for the trial as a whole: the four allocations left are
+// storage.Store.Relocate's appends. Before the records were pooled a
+// trial made more than three allocations per repair.
 func TestWarmRepairAllocatesNothing(t *testing.T) {
 	const budget = 4
 	cfg := Config{Mode: Parallel, MaxConcurrent: 4, Detection: dist.Must(dist.ExpMean(0.5))}

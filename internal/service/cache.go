@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/sla"
 )
 
 // Cache is the content-addressed trial cache: completed (SLA-free) trial
@@ -37,12 +36,10 @@ import (
 // float encoding round-trips float64 exactly — so a served sweep is
 // byte-identical whether it was simulated or remembered.
 //
-// The memory bound is on entry count, not bytes: one entry holds the
-// aggregate metric maps plus the per-tenant pool, one float for each
-// tenant-trial of the cached run that saw an outage (at most users x
-// trials of them). The disk tier is
-// unbounded and append-only; evicting from memory never deletes the
-// disk copy.
+// The memory bound is on entry count, not bytes: one entry holds a
+// run's aggregate metric and CI maps, a few dozen floats whatever its
+// trials or users. The disk tier is unbounded and append-only; evicting
+// from memory never deletes the disk copy.
 type Cache struct {
 	mu         sync.Mutex
 	maxEntries int
@@ -281,7 +278,7 @@ func transientPeerStatus(code int) bool {
 const peerRetryDelay = 50 * time.Millisecond
 
 // maxCacheEntryBytes bounds a peer response: an entry holds aggregate
-// metric maps plus per-tenant availabilities, far below this.
+// metric maps, far below this.
 const maxCacheEntryBytes = 64 << 20
 
 // Peek returns the entry from the local memory+disk tiers only — the
@@ -398,19 +395,15 @@ func (c *Cache) Stats() Stats {
 // construction (verdicts are recomputed on every hit), so only the
 // aggregate statistics are stored. encoding/json encodes float64 with
 // the shortest representation that parses back exactly, so both the
-// disk round trip and a peer hop preserve every bit.
+// disk round trip and a peer hop preserve every bit. Entries written
+// before the per-tenant pool was retired carry it under tenant_ones,
+// tenant_below or tenant_availability; the decoder skips those keys.
 type diskRecord struct {
 	Scenario    string             `json:"scenario"`
 	Trials      int                `json:"trials"`
 	Metrics     map[string]float64 `json:"metrics"`
 	CI          map[string]float64 `json:"ci"`
-	TenantOnes  int64              `json:"tenant_ones,omitempty"`
-	TenantBelow []float64          `json:"tenant_below,omitempty"`
-	// LegacyTenants is the dense pool — one value per tenant-trial — that
-	// entries and peers wrote before the pool was split. It is read, never
-	// written.
-	LegacyTenants []float64 `json:"tenant_availability,omitempty"`
-	EventsTotal   uint64    `json:"events_total"`
+	EventsTotal uint64             `json:"events_total"`
 }
 
 func (c *Cache) path(key string) string {
@@ -425,40 +418,23 @@ func recordFrom(r *core.RunResult) diskRecord {
 		Trials:      r.Trials,
 		Metrics:     r.Metrics,
 		CI:          r.CI,
-		TenantOnes:  r.Tenants.Ones,
-		TenantBelow: r.Tenants.Below,
 		EventsTotal: r.EventsTotal,
 	}
 }
 
 // decodeRecord rebuilds the (SLA-free) cached result from a disk entry or
-// a peer's reply. An entry that does not parse, holds its tenant pool in
-// both forms, or holds one that breaks the pool's invariants is corrupt,
-// and the caller treats it as a miss.
+// a peer's reply. An entry that does not parse is corrupt, and the caller
+// treats it as a miss.
 func decodeRecord(data []byte) (*core.RunResult, error) {
 	var rec diskRecord
 	if err := json.Unmarshal(data, &rec); err != nil {
 		return nil, err
-	}
-	tenants := sla.TenantPool{Ones: rec.TenantOnes, Below: rec.TenantBelow}
-	if rec.LegacyTenants != nil {
-		if tenants.Ones != 0 || tenants.Below != nil {
-			return nil, errors.New("service: cache entry holds its tenant pool twice")
-		}
-		tenants = sla.SplitTenants(rec.LegacyTenants)
-	}
-	if err := tenants.Validate(); err != nil {
-		return nil, err
-	}
-	if len(tenants.Below) == 0 {
-		tenants.Below = nil // what an empty list re-encodes to
 	}
 	return &core.RunResult{
 		Scenario:    rec.Scenario,
 		Trials:      rec.Trials,
 		Metrics:     rec.Metrics,
 		CI:          rec.CI,
-		Tenants:     tenants,
 		EventsTotal: rec.EventsTotal,
 	}, nil
 }

@@ -3,7 +3,6 @@ package service
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -12,20 +11,15 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/sla"
 	"repro/internal/wtql"
 )
 
 func dummyResult(name string, avail float64) *core.RunResult {
 	return &core.RunResult{
-		Scenario: name,
-		Trials:   4,
-		Metrics:  map[string]float64{"availability": avail, "events": 123},
-		CI:       map[string]float64{"availability": 0.001},
-		Tenants: sla.TenantPool{
-			Ones:  397,
-			Below: []float64{0, 0.1 + 0.2, 0.99912345678901234, math.Nextafter(1, 0)},
-		},
+		Scenario:    name,
+		Trials:      4,
+		Metrics:     map[string]float64{"availability": avail, "events": 123},
+		CI:          map[string]float64{"availability": 0.001},
 		EventsTotal: 4321,
 	}
 }
@@ -103,14 +97,6 @@ func TestCacheDiskTierSurvivesRestart(t *testing.T) {
 	for k, v := range want.Metrics {
 		if got.Metrics[k] != v {
 			t.Fatalf("metric %s: %v != %v (float not bit-exact through JSON)", k, got.Metrics[k], v)
-		}
-	}
-	if got.Tenants.Ones != want.Tenants.Ones || len(got.Tenants.Below) != len(want.Tenants.Below) {
-		t.Fatalf("tenant pool %+v came back as %+v", want.Tenants, got.Tenants)
-	}
-	for i, v := range want.Tenants.Below {
-		if math.Float64bits(got.Tenants.Below[i]) != math.Float64bits(v) {
-			t.Fatalf("tenant availability %d not bit-exact", i)
 		}
 	}
 	st := c2.Stats()
@@ -217,13 +203,22 @@ func TestCacheCorruptDiskEntryIsAMiss(t *testing.T) {
 	}
 }
 
-// parentCacheEntries returns the disk-tier entries the parent commit
-// be31c54 wrote, which hold the tenant pool in its dense form.
+// parentCacheEntries returns the disk-tier entries earlier commits wrote,
+// each with a per-tenant pool this build no longer reads: seven by
+// be31c54, which hold it dense (tenant_availability), then one by
+// d181683, which holds it split (tenant_ones, tenant_below).
 func parentCacheEntries(t testing.TB) [][]byte {
 	t.Helper()
-	files, err := filepath.Glob(filepath.Join("testdata", "parent_be31c54", "cache", "*.json"))
-	if err != nil || len(files) != 7 {
-		t.Fatalf("parent cache entries: %d files, %v", len(files), err)
+	var files []string
+	for _, parent := range []string{"parent_be31c54", "parent_d181683"} {
+		more, err := filepath.Glob(filepath.Join("testdata", parent, "cache", "*.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, more...)
+	}
+	if len(files) != 8 {
+		t.Fatalf("parent cache entries: %d files, want 8", len(files))
 	}
 	var entries [][]byte
 	for _, f := range files {
@@ -236,56 +231,48 @@ func parentCacheEntries(t testing.TB) [][]byte {
 	return entries
 }
 
-// TestReadsParentTenantPool: an entry written before the pool was split
-// decodes to the split of its own dense list, and is written back in the
-// split form alone.
+// TestReadsParentTenantPool: an entry an earlier commit wrote with a
+// per-tenant pool, dense or split, decodes to the metrics, intervals,
+// trial count and event total it holds, bit for bit, and is written
+// back without the pool.
 func TestReadsParentTenantPool(t *testing.T) {
 	for i, data := range parentCacheEntries(t) {
-		var dense struct {
-			Values []float64 `json:"tenant_availability"`
+		var want struct {
+			Trials      int                `json:"trials"`
+			Metrics     map[string]float64 `json:"metrics"`
+			CI          map[string]float64 `json:"ci"`
+			EventsTotal uint64             `json:"events_total"`
+			Ones        int64              `json:"tenant_ones"`
+			Below       []float64          `json:"tenant_below"`
+			Dense       []float64          `json:"tenant_availability"`
 		}
-		if err := json.Unmarshal(data, &dense); err != nil || len(dense.Values) == 0 {
-			t.Fatalf("entry %d: %d dense values, %v", i, len(dense.Values), err)
+		if err := json.Unmarshal(data, &want); err != nil {
+			t.Fatalf("entry %d: %v", i, err)
+		}
+		if dense, split := len(want.Dense) > 0, want.Ones > 0 && len(want.Below) > 0; dense == split || dense != (i < 7) {
+			t.Fatalf("entry %d holds %d dense values, %d ones and %d others: not the pool its commit wrote", i, len(want.Dense), want.Ones, len(want.Below))
 		}
 		res, err := decodeRecord(data)
 		if err != nil {
 			t.Fatalf("entry %d: %v", i, err)
 		}
-		if want := sla.SplitTenants(dense.Values); !reflect.DeepEqual(res.Tenants, want) {
-			t.Fatalf("entry %d decodes to pool %+v, want %+v", i, res.Tenants, want)
+		if res.Trials != want.Trials || res.EventsTotal != want.EventsTotal || len(want.Metrics) == 0 ||
+			!sameBits(res.Metrics, want.Metrics) || !sameBits(res.CI, want.CI) {
+			t.Fatalf("entry %d decodes to %+v, the file holds %+v", i, res, want)
 		}
 		enc, err := json.Marshal(recordFrom(res))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if strings.Contains(string(enc), "tenant_availability") || !strings.Contains(string(enc), `"tenant_ones":40`) {
+		if strings.Contains(string(enc), "tenant_") {
 			t.Fatalf("entry %d re-encodes as %s", i, enc)
 		}
 	}
 }
 
-// TestCacheRecordRefusesBadPools: an entry whose tenant pool breaks the
-// pool's invariants, or holds it in both forms, is corrupt.
-func TestCacheRecordRefusesBadPools(t *testing.T) {
-	for _, pool := range []string{
-		`"tenant_ones":-1`,
-		`"tenant_below":[0.5,0.25]`,
-		`"tenant_below":[1]`,
-		`"tenant_below":[-0.5]`,
-		`"tenant_availability":[1,1.5]`,
-		`"tenant_ones":2,"tenant_availability":[1,1]`,
-		`"tenant_below":[],"tenant_availability":[1]`,
-		`"tenant_ones":9223372036854775807,"tenant_below":[0.5]`,
-	} {
-		if _, err := decodeRecord([]byte(`{"scenario":"s","trials":2,"metrics":{},"ci":{},` + pool + `}`)); err == nil {
-			t.Errorf("an entry with %s decoded", pool)
-		}
-	}
-}
-
 // FuzzCacheRecord: arbitrary bytes through the disk-tier and peer decoder
-// never panic. They give a miss, or a result whose pool keeps its
-// invariants and whose re-encoding decodes to the same result.
+// never panic. They give a miss, or a result whose re-encoding decodes to
+// the same result.
 func FuzzCacheRecord(f *testing.F) {
 	for _, data := range parentCacheEntries(f) {
 		f.Add(data)
@@ -300,9 +287,6 @@ func FuzzCacheRecord(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if err := res.Tenants.Validate(); err != nil {
-			t.Fatalf("accepted a pool that breaks its invariants: %v", err)
-		}
 		enc, err := json.Marshal(recordFrom(res))
 		if err != nil {
 			t.Fatalf("decoded result does not encode: %v", err)
@@ -313,11 +297,6 @@ func FuzzCacheRecord(f *testing.F) {
 		}
 		if !reflect.DeepEqual(res, again) {
 			t.Fatalf("re-encoding changed the result:\n%+v\n%+v", res, again)
-		}
-		for i, v := range res.Tenants.Below {
-			if math.Float64bits(again.Tenants.Below[i]) != math.Float64bits(v) {
-				t.Fatalf("tenant value %d: %v came back as %v", i, v, again.Tenants.Below[i])
-			}
 		}
 	})
 }
