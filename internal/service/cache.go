@@ -1,14 +1,16 @@
 package service
 
 import (
+	"bytes"
 	"container/list"
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
+	"io"
+	"math"
 	"net/http"
-	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"time"
 
@@ -19,9 +21,11 @@ import (
 // statistics keyed by core.CacheKey fingerprints. It has two tiers:
 //
 //   - an LRU memory tier bounded at maxEntries results,
-//   - an optional disk tier (one JSON file per key under dir) written on
-//     every Put, so results survive daemon restarts; a memory miss falls
-//     through to disk and promotes the entry back into memory, and
+//   - an optional disk tier, the durable log (log.go) in its directory:
+//     every Put appends the entry and returns once it is durable, so
+//     results survive daemon restarts; an in-memory index from key to
+//     frame, rebuilt by the scan at open, serves a memory miss, which
+//     promotes the entry back into memory, and
 //   - an optional peer tier (EnablePeering): on a memory+disk miss the
 //     key's consistent-hash owner peer is asked over GET /v1/cache/{key}
 //     before the caller falls back to simulating, so a re-sharded or
@@ -38,14 +42,14 @@ import (
 //
 // The memory bound is on entry count, not bytes: one entry holds a
 // run's aggregate metric and CI maps, a few dozen floats whatever its
-// trials or users. The disk tier is unbounded and append-only; evicting
-// from memory never deletes the disk copy.
+// trials or users. The disk tier is unbounded; evicting from memory never
+// deletes the disk copy.
 type Cache struct {
 	mu         sync.Mutex
 	maxEntries int
 	ll         *list.List // front = most recently used
 	items      map[string]*list.Element
-	dir        string // "" = memory-only
+	disk       *segLog // nil = memory-only
 
 	// Peer tier (nil ring = disabled). The ring spans the whole fleet
 	// including this worker; self is this worker's URL on it, excluded
@@ -73,34 +77,49 @@ const DefaultCacheEntries = 512
 // NewCache returns a cache holding at most maxEntries results in memory
 // (<= 0 means DefaultCacheEntries), persisting to dir when non-empty.
 func NewCache(maxEntries int, dir string) (*Cache, error) {
+	if err := mkdirs(dir); err != nil {
+		return nil, err
+	}
+	return newCache(maxEntries, dir, osDisk)
+}
+
+func newCache(maxEntries int, dir string, d disk) (*Cache, error) {
 	if maxEntries <= 0 {
 		maxEntries = DefaultCacheEntries
 	}
-	if dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("service: cache dir: %w", err)
-		}
-		// writeDisk stages entries as put-* temp files before the atomic
-		// rename. A daemon killed between CreateTemp and Rename leaves
-		// the temp file behind, and nothing would ever delete it — they
-		// accumulated forever across restarts. A cache dir belongs to
-		// exactly one daemon (fleet workers each get their own), so at
-		// open time every surviving put-* file is from a dead writer and
-		// is swept.
-		stale, err := filepath.Glob(filepath.Join(dir, "put-*"))
-		if err != nil {
-			return nil, fmt.Errorf("service: cache dir sweep: %w", err)
-		}
-		for _, f := range stale {
-			os.Remove(f)
-		}
-	}
-	return &Cache{
+	c := &Cache{
 		maxEntries: maxEntries,
 		ll:         list.New(),
 		items:      make(map[string]*list.Element),
-		dir:        dir,
-	}, nil
+	}
+	if dir == "" {
+		return c, nil
+	}
+	var err error
+	c.disk, err = openDiskTier(d, dir)
+	return c, err
+}
+
+// openDiskTier opens dir's log and indexes every entry it holds. Each
+// <key>.json file an older build wrote is imported, and removed once its
+// copy is durable; the put-* files its writers left behind are removed.
+func openDiskTier(d disk, dir string) (*segLog, error) {
+	l, names, _, err := openLog(d, dir, "", func(l *segLog, e extent, rec *journalRecord) {
+		if rec.Kind == "entry" && rec.Key != "" {
+			l.own(rec.Key, e, true)
+		}
+	})
+	for _, name := range names {
+		path := filepath.Join(dir, name)
+		if strings.HasPrefix(name, "put-") {
+			d.fs.Remove(path)
+		} else if key, ok := strings.CutSuffix(name, ".json"); ok {
+			if res, ok := readLegacyEntry(d.fs, path); ok && l.put(key, entryRecord(key, res)) {
+				d.fs.Remove(path)
+			}
+		}
+	}
+	return l, err
 }
 
 // EnablePeering turns on the peer tier: peers is the full fleet member
@@ -146,20 +165,14 @@ func (c *Cache) GetContext(ctx context.Context, key string) (*core.RunResult, bo
 	}
 	c.mu.Unlock()
 
-	if c.dir != "" {
-		if res, ok := c.readDisk(key); ok {
-			return c.promote(key, res, &c.diskHits), true
-		}
+	if res, ok := c.fromDisk(key); ok {
+		return c.promote(key, res, &c.diskHits), true
 	}
 	if res, ok := c.fetchPeer(ctx, key); ok {
 		res = c.promote(key, res, &c.peerHits)
-		if c.dir != "" {
-			// Re-replicate onto the local disk tier so the next restart
-			// (or the next re-shard) finds it without another hop. A
-			// concurrent Put of the same key writes identical bytes, so
-			// the double write is idempotent.
-			c.writeDisk(key, res)
-		}
+		// Re-replicate onto the local disk tier so the next restart (or
+		// the next re-shard) finds it without another hop.
+		c.toDisk(key, res)
 		return res, true
 	}
 
@@ -295,10 +308,7 @@ func (c *Cache) Peek(key string) (*core.RunResult, bool) {
 		return res, true
 	}
 	c.mu.Unlock()
-	if c.dir == "" {
-		return nil, false
-	}
-	res, ok := c.readDisk(key)
+	res, ok := c.fromDisk(key)
 	if !ok {
 		return nil, false
 	}
@@ -325,10 +335,7 @@ func (c *Cache) Put(key string, r *core.RunResult) {
 	}
 	c.insert(key, r)
 	c.mu.Unlock()
-
-	if c.dir != "" {
-		c.writeDisk(key, r)
-	}
+	c.toDisk(key, r)
 }
 
 // insert adds an entry and evicts the LRU tail past capacity. Caller
@@ -406,11 +413,6 @@ type diskRecord struct {
 	EventsTotal uint64             `json:"events_total"`
 }
 
-func (c *Cache) path(key string) string {
-	// Keys are hex SHA-256 fingerprints: filesystem-safe by construction.
-	return filepath.Join(c.dir, key+".json")
-}
-
 // recordFrom projects a result onto its persisted/wire form.
 func recordFrom(r *core.RunResult) diskRecord {
 	return diskRecord{
@@ -439,44 +441,53 @@ func decodeRecord(data []byte) (*core.RunResult, error) {
 	}, nil
 }
 
-func (c *Cache) readDisk(key string) (*core.RunResult, bool) {
-	data, err := os.ReadFile(c.path(key))
+// entryRecord is the log record of key's disk-tier entry, or nil for a
+// result that cannot be encoded (a non-finite metric): memory-only.
+func entryRecord(key string, r *core.RunResult) *journalRecord {
+	data, err := json.Marshal(recordFrom(r))
+	if err != nil {
+		return nil
+	}
+	return &journalRecord{Kind: "entry", Key: key, Entry: data}
+}
+
+// toDisk appends key's entry to the disk tier, if there is one, and
+// returns once it is durable.
+func (c *Cache) toDisk(key string, r *core.RunResult) {
+	if c.disk != nil {
+		if rec := entryRecord(key, r); rec != nil {
+			c.disk.put(key, rec)
+		}
+	}
+}
+
+// fromDisk reads key's entry from the disk tier. A frame that does not
+// read back whole, or does not decode, is a miss.
+func (c *Cache) fromDisk(key string) (*core.RunResult, bool) {
+	if c.disk == nil {
+		return nil, false
+	}
+	payload, ok := c.disk.read(key)
+	head := appendString([]byte(`{"kind":"entry","key":`), key)
+	head = append(head, `,"entry":`...)
+	if !ok || len(payload) <= len(head) || !bytes.HasPrefix(payload, head) {
+		return nil, false
+	}
+	res, err := decodeRecord(payload[len(head) : len(payload)-1])
+	return res, err == nil
+}
+
+// readLegacyEntry reads a <key>.json file an older build wrote.
+func readLegacyEntry(fs logFS, path string) (*core.RunResult, bool) {
+	f, err := fs.Open(path)
+	if err != nil {
+		return nil, false
+	}
+	defer f.Close()
+	data, err := io.ReadAll(io.NewSectionReader(f, 0, math.MaxInt64))
 	if err != nil {
 		return nil, false
 	}
 	res, err := decodeRecord(data)
-	if err != nil {
-		return nil, false // corrupt entry: treat as a miss
-	}
-	return res, true
-}
-
-func (c *Cache) writeDisk(key string, r *core.RunResult) {
-	data, err := json.Marshal(recordFrom(r))
-	if err != nil {
-		return // non-finite metric: keep the memory tier only
-	}
-	// Write-fsync-rename so concurrent readers never see a torn file
-	// and a power loss never publishes one: rename alone orders nothing
-	// on most filesystems, so without the Sync a crash could leave an
-	// empty or partial entry under the final name. readDisk's
-	// corrupt=miss stays as the last line of defense, not the plan.
-	tmp, err := os.CreateTemp(c.dir, "put-*")
-	if err != nil {
-		return
-	}
-	name := tmp.Name()
-	_, werr := tmp.Write(data)
-	serr := tmp.Sync()
-	cerr := tmp.Close()
-	if werr != nil || serr != nil || cerr != nil {
-		os.Remove(name)
-		return
-	}
-	if err := os.Rename(name, c.path(key)); err != nil {
-		os.Remove(name)
-		return
-	}
-	// Make the rename itself durable: fsync the directory entry.
-	syncDir(c.dir)
+	return res, err == nil
 }

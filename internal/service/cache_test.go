@@ -188,18 +188,92 @@ func TestStalePutTempFilesSweptOnOpen(t *testing.T) {
 	}
 }
 
+// TestCacheCorruptDiskEntryIsAMiss: an entry whose frame no longer reads
+// back whole — bytes flipped under an open cache, or found damaged by the
+// scan at open — is a miss, and so is a <key>.json file from an older
+// build that does not parse, which is left where it is.
 func TestCacheCorruptDiskEntryIsAMiss(t *testing.T) {
 	dir := t.TempDir()
-	c, err := NewCache(8, dir)
+	key := strings.Repeat("cd34", 16)
+	c1, err := NewCache(1, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := strings.Repeat("cd34", 16)
-	if err := os.WriteFile(filepath.Join(dir, key+".json"), []byte("{torn"), 0o644); err != nil {
+	c1.Put(key, dummyResult("kept", 0.9))
+	c2, err := NewCache(1, dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.Get(key); ok {
-		t.Fatal("corrupt disk entry served as a hit")
+	seg := segments(t, dir)[0]
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-5] ^= 0xff
+	if err := os.WriteFile(seg, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c2.Get(key); ok {
+		t.Fatal("an entry whose CRC fails was served")
+	}
+	c3, err := NewCache(1, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c3.Get(key); ok {
+		t.Fatal("a damaged entry was indexed at open")
+	}
+	torn := filepath.Join(dir, strings.Repeat("ab12", 16)+".json")
+	if err := os.WriteFile(torn, []byte("{torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c4, err := NewCache(8, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c4.Get(strings.Repeat("ab12", 16)); ok {
+		t.Fatal("corrupt legacy entry served as a hit")
+	}
+	if _, err := os.Stat(torn); err != nil {
+		t.Fatalf("a legacy entry that was not imported is gone: %v", err)
+	}
+}
+
+// TestCacheImportsLegacyEntries: the <key>.json files an older build
+// wrote are imported into the log at open and removed; each then serves
+// from the disk tier as the result its file holds.
+func TestCacheImportsLegacyEntries(t *testing.T) {
+	dir := t.TempDir()
+	copyTree(t, filepath.Join("testdata", "parent_be31c54", "cache"), dir)
+	files, err := filepath.Glob(filepath.Join(dir, "*.json"))
+	if err != nil || len(files) != 7 {
+		t.Fatalf("fixture holds %d entries (%v)", len(files), err)
+	}
+	want := map[string]*core.RunResult{}
+	for _, f := range files {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want[strings.TrimSuffix(filepath.Base(f), ".json")], err = decodeRecord(data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c, err := NewCache(1, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, "*.json")); len(left) != 0 || len(segments(t, dir)) != 1 {
+		t.Fatalf("after the import: %v left, segments %v", left, segments(t, dir))
+	}
+	for key, res := range want {
+		got, ok := c.Get(key)
+		if !ok || got.Trials != res.Trials || got.EventsTotal != res.EventsTotal || !sameBits(got.Metrics, res.Metrics) || !sameBits(got.CI, res.CI) {
+			t.Fatalf("%s serves %+v, its file held %+v", key, got, res)
+		}
+	}
+	if st := c.Stats(); st.DiskHits != 7 {
+		t.Fatalf("%d disk hits, want 7", st.DiskHits)
 	}
 }
 

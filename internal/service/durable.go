@@ -29,13 +29,13 @@ import (
 // way: the journal record, the span, the test gate.
 //
 // A job never waits for the disk. When a journal backs the log, commit
-// queues each line behind its journal record and carries on; the job's
-// committer (journal.go) fsyncs whatever has accumulated as one batch and
-// only then appends the batch's lines, in order, to the log. That is the
-// write-ahead discipline: a client that has seen N point events can
-// always resume with from=N after a crash — the daemon cannot have
-// forgotten an event it delivered. If the journal breaks mid-job (disk
-// full, file gone) the committer keeps releasing lines in order,
+// queues each line behind its journal record and carries on; the
+// journal's committer (log.go) fsyncs whatever every job has queued as
+// one batch and only then appends each job's lines, in order, to its
+// log. That is the write-ahead discipline: a client that has seen N point
+// events can always resume with from=N after a crash — the daemon cannot
+// have forgotten an event it delivered. If the journal breaks mid-job
+// (disk full, file gone) the committer keeps releasing lines in order,
 // non-durably: the job finishes normally and recovery sees a clean
 // prefix. Without a journal a line is visible the moment it is committed,
 // and lost with the process.
@@ -65,11 +65,8 @@ func (s *Server) submit(req QueryRequest, tr traceCtx) (*job, error) {
 	}
 	id := j.info.ID // immutable once registered
 	if s.journal != nil && req.Points == nil {
-		if jj, jerr := s.journal.Begin(id, req.Query, req.Trials, j.info.Created); jerr == nil {
-			s.attachJournal(j, jj)
-		}
-		// A Begin failure (disk full, permissions) degrades this job to
-		// non-durable rather than refusing it.
+		jj, _ := s.journal.Begin(id, req.Query, req.Trials, j.info.Created)
+		s.attachJournal(j, jj)
 	}
 	// The job line rides behind the begin record: the id is not announced
 	// before the journal can resurrect it.
@@ -334,10 +331,7 @@ func (s *Server) Recover() (resumed int, warnings []string, err error) {
 	if s.journal == nil {
 		return 0, nil, nil
 	}
-	jobs, warnings, err := s.journal.Recover()
-	if err != nil {
-		return 0, warnings, err
-	}
+	jobs, warnings := s.journal.Recover()
 	for _, rec := range jobs {
 		if rec.ID == "" {
 			warnings = append(warnings, "journal: record with empty job id: skipping")
@@ -410,9 +404,7 @@ func (s *Server) restoreJob(rec *RecoveredJob) bool {
 		return false
 	}
 	j.root.Attr("resumed", "true")
-	if jj, err := s.journal.Reopen(rec.ID); err == nil {
-		s.attachJournal(j, jj)
-	}
+	s.attachJournal(j, s.journal.Reopen(rec.ID))
 	go s.run(ctx, j, QueryRequest{Query: rec.Query, Trials: rec.Trials}, rec.Points)
 	return true
 }

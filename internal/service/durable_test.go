@@ -14,6 +14,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -522,13 +523,13 @@ func TestChaosCutResume(t *testing.T) {
 // journal: the begin record, the job line, four points, the end record.
 const journalEntries = 7
 
-// awaitQueued blocks until jj's job has queued n entries.
-func awaitQueued(t testing.TB, jj *JobJournal, n uint64) {
+// awaitQueued blocks until n entries have been queued on l.
+func awaitQueued(t testing.TB, l *segLog, n uint64) {
 	t.Helper()
 	for deadline := time.Now().Add(time.Minute); ; time.Sleep(100 * time.Microsecond) {
-		jj.mu.Lock()
-		queued := jj.queued
-		jj.mu.Unlock()
+		l.mu.Lock()
+		queued := l.queued
+		l.mu.Unlock()
 		if queued >= n {
 			return
 		}
@@ -547,20 +548,21 @@ func awaitQueued(t testing.TB, jj *JobJournal, n uint64) {
 // journal_append spans end.
 func TestJournalWriteAheadWatermark(t *testing.T) {
 	noLeakedCommitters(t)
-	srv, err := New(Config{PoolSize: 2, JournalDir: t.TempDir()})
+	dir := t.TempDir()
+	srv, err := New(Config{PoolSize: 2, JournalDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(srv.Close)
 	// The first two flushes stop at the gate until the test lets them by.
-	// One job, so one committer: flushes needs no lock.
-	entered := make(chan *JobJournal)
+	// One committer at a time: flushes needs no lock.
+	entered := make(chan struct{})
 	hold := []chan struct{}{make(chan struct{}), make(chan struct{})}
 	flushes := 0
-	srv.journal.flushGate = func(jj *JobJournal) {
+	srv.journal.log.flushGate = func() {
 		if n := flushes; n < len(hold) {
 			flushes++
-			entered <- jj
+			entered <- struct{}{}
 			<-hold[n]
 		}
 	}
@@ -568,7 +570,6 @@ func TestJournalWriteAheadWatermark(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := srv.journal.path(id)
 
 	var (
 		mu   sync.Mutex
@@ -585,11 +586,7 @@ func TestJournalWriteAheadWatermark(t *testing.T) {
 			if err := json.Unmarshal(line, &ev); err != nil {
 				return err
 			}
-			data, err := os.ReadFile(path)
-			if err != nil {
-				return err
-			}
-			_, kinds := wholeFrames(data)
+			_, kinds := wholeFrames(onDisk(t, dir))
 			onDisk := strings.Join(kinds, " ")
 			mu.Lock()
 			defer mu.Unlock()
@@ -605,8 +602,8 @@ func TestJournalWriteAheadWatermark(t *testing.T) {
 		})
 	}()
 
-	jj := <-entered // the begin record's flush is held
-	awaitQueued(t, jj, journalEntries)
+	<-entered // the begin record's flush is held
+	awaitQueued(t, srv.journal.log, journalEntries)
 	if info, _ := srv.Job(id); info.State != JobDone {
 		t.Fatalf("job did not run to completion behind the held flush: %+v", info)
 	}
@@ -616,8 +613,8 @@ func TestJournalWriteAheadWatermark(t *testing.T) {
 		t.Fatalf("follower saw %v before anything was durable", seen)
 	}
 	mu.Unlock()
-	if st, err := os.Stat(path); err != nil || st.Size() != 0 {
-		t.Fatalf("journal file not empty behind the held flush: %v %v", st, err)
+	if data := onDisk(t, dir); len(data) != 0 {
+		t.Fatalf("journal not empty behind the held flush: %d bytes", len(data))
 	}
 
 	close(hold[0])
@@ -689,9 +686,11 @@ func TestJournalFlushErrorDegradesJob(t *testing.T) {
 		}
 		// Points 0 and 1 are on disk and nothing is in flight: close the
 		// descriptor under the journal, so its next write fails.
-		jj := srv.journals()[0]
-		jj.sync()
-		jj.f.Close()
+		srv.journals()[0].sync()
+		l := srv.journal.log
+		l.mu.Lock()
+		l.head.f.Close()
+		l.mu.Unlock()
 	}
 	id, err := srv.Submit(QueryRequest{Query: smallQuery})
 	if err != nil {
@@ -716,10 +715,9 @@ func TestJournalFlushErrorDegradesJob(t *testing.T) {
 	}
 	srv.Close()
 
-	j, _ := OpenJournal(journalDir)
-	jobs, warns, err := j.Recover()
-	if err != nil || len(jobs) != 1 || len(warns) != 0 {
-		t.Fatalf("broken journal is not a clean prefix: jobs=%+v warns=%v err=%v", jobs, warns, err)
+	jobs, warns := recoverDir(t, journalDir)
+	if len(jobs) != 1 || len(warns) != 0 {
+		t.Fatalf("broken journal is not a clean prefix: jobs=%+v warns=%v", jobs, warns)
 	}
 	if jobs[0].Status != "" || len(jobs[0].Points) != durable {
 		t.Fatalf("recovered %d points, status %q; want %d durable points of an incomplete job", len(jobs[0].Points), jobs[0].Status, durable)
@@ -754,10 +752,10 @@ func TestJournalTornBatchResumeGolden(t *testing.T) {
 	// Hold the begin record's flush until the job has queued everything:
 	// the four points and the end record then share the second batch.
 	first := true
-	a.journal.flushGate = func(jj *JobJournal) {
+	a.journal.log.flushGate = func() {
 		if first {
 			first = false
-			awaitQueued(t, jj, journalEntries)
+			awaitQueued(t, a.journal.log, journalEntries)
 		}
 	}
 	id, err := a.Submit(QueryRequest{Query: smallQuery})
@@ -768,10 +766,7 @@ func TestJournalTornBatchResumeGolden(t *testing.T) {
 	if n := a.tel.journalFsync.Count(); n != 2 {
 		t.Fatalf("job flushed %d batches, want 2", n)
 	}
-	data, err := os.ReadFile(a.journal.path(id))
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := onDisk(t, journalDir)
 	ends, _ := wholeFrames(data)
 	if len(ends) != 6 {
 		t.Fatalf("journal holds %d records, want 6", len(ends))
@@ -780,7 +775,7 @@ func TestJournalTornBatchResumeGolden(t *testing.T) {
 	for r := 1; r < len(ends); r++ {
 		cut := (ends[r-1] + ends[r]) / 2 // inside record r: r-1 points survive
 		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, id+journalExt), data[:cut], 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, "00000001"+segmentExt), data[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
 		b, err := New(Config{PoolSize: 2, JournalDir: dir, CacheDir: cacheDir})
@@ -801,5 +796,173 @@ func TestJournalTornBatchResumeGolden(t *testing.T) {
 				t.Fatalf("cut in record %d: replayed line %d differs:\n%s\nvs\n%s", r, i, got[i], want[i])
 			}
 		}
+	}
+}
+
+// countingFS is the os file system, counting the operations that change
+// a directory.
+type countingFS struct {
+	osFS
+	creates, removes, syncDirs atomic.Int64
+}
+
+func (fs *countingFS) Create(name string) (logFile, error) {
+	fs.creates.Add(1)
+	return fs.osFS.Create(name)
+}
+
+func (fs *countingFS) Remove(name string) error {
+	fs.removes.Add(1)
+	return fs.osFS.Remove(name)
+}
+
+func (fs *countingFS) SyncDir(dir string) error {
+	fs.syncDirs.Add(1)
+	return fs.osFS.SyncDir(dir)
+}
+
+// dirNames returns the names under the given directories.
+func dirNames(t testing.TB, dirs ...string) map[string]bool {
+	t.Helper()
+	names := map[string]bool{}
+	for _, dir := range dirs {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			names[filepath.Join(dir, e.Name())] = true
+		}
+	}
+	return names
+}
+
+// TestWarmDurableQueriesTouchNoFiles: with a registry already full of
+// finished jobs, 100 warm 8-point durable queries change no directory
+// entry of the journal or the cache beyond one new and one deleted
+// segment, and through the file interface they create, remove and
+// fsync no directory at all.
+func TestWarmDurableQueriesTouchNoFiles(t *testing.T) {
+	noLeakedCommitters(t)
+	journalDir, cacheDir := t.TempDir(), t.TempDir()
+	fs := &countingFS{}
+	srv, err := newServer(Config{PoolSize: 2, JournalDir: journalDir, CacheDir: cacheDir}, disk{fs, segmentRoll})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	srv.now = func() time.Time { return time.Unix(1700000000, 0) }
+	run := func() {
+		t.Helper()
+		id, err := srv.Submit(QueryRequest{Query: serveWarmQuery})
+		if err != nil {
+			t.Fatal(err)
+		}
+		collectJob(t, srv, id, 0)
+		if info, _ := srv.Job(id); info.State != JobDone || info.Done != 8 {
+			t.Fatalf("%s ended as %+v", id, info)
+		}
+	}
+	run() // cold: the eight points reach the disk tier
+	for i := 0; i < maxRetainedJobs; i++ {
+		run()
+	}
+	before := dirNames(t, journalDir, cacheDir)
+	hits := srv.Cache().Stats().Hits
+	fs.creates.Store(0)
+	fs.removes.Store(0)
+	fs.syncDirs.Store(0)
+	for i := 0; i < 100; i++ {
+		run()
+	}
+	if n := srv.Cache().Stats().Hits - hits; n != 800 {
+		t.Fatalf("100 warm queries hit the cache %d times, want 800", n)
+	}
+	after := dirNames(t, journalDir, cacheDir)
+	var added, removed []string
+	for name := range after {
+		if !before[name] {
+			added = append(added, name)
+		}
+	}
+	for name := range before {
+		if !after[name] {
+			removed = append(removed, name)
+		}
+	}
+	if len(added) > 1 || len(removed) > 1 || len(added)+len(removed) > 0 && !strings.HasSuffix(strings.Join(append(added, removed...), ""), segmentExt) {
+		t.Fatalf("100 warm queries added %v and removed %v", added, removed)
+	}
+	if c, r, d := fs.creates.Load(), fs.removes.Load(), fs.syncDirs.Load(); c+r+d != 0 {
+		t.Fatalf("100 warm queries made %d creates, %d removes and %d directory fsyncs", c, r, d)
+	}
+	t.Logf("%d names in the two directories; %d segments", len(after), len(segments(t, journalDir)))
+}
+
+// TestParentJobResumesOnceAcrossTwoCrashes: on the parent_be31c54
+// fixture, a restart resumes job-2; crashing it again and restarting
+// once more brings job-2 back exactly once, with the parent's table and
+// no point streamed twice.
+func TestParentJobResumesOnceAcrossTwoCrashes(t *testing.T) {
+	noLeakedCommitters(t)
+	fixture := filepath.Join("testdata", "parent_be31c54")
+	journalDir, cacheDir := t.TempDir(), t.TempDir()
+	copyTree(t, filepath.Join(fixture, "journal"), journalDir)
+	copyTree(t, filepath.Join(fixture, "cache"), cacheDir)
+	cfg := Config{PoolSize: 1, JournalDir: journalDir, CacheDir: cacheDir}
+
+	a, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(a.Close)
+	// Crash the resumed job once it has journaled its third point.
+	crashed, stop := make(chan struct{}), make(chan struct{})
+	t.Cleanup(func() { close(stop) })
+	a.pointGate = func(index int) {
+		if index == 3 {
+			close(crashed)
+			<-stop // the fourth is committed only after the crash
+		}
+	}
+	if resumed, warns, err := a.Recover(); err != nil || resumed != 1 {
+		t.Fatalf("first restart resumed %d (%v, %v)", resumed, err, warns)
+	}
+	<-crashed
+	a.crashForTest()
+
+	b, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(b.Close)
+	resumed, warns, err := b.Recover()
+	if err != nil || resumed != 1 {
+		t.Fatalf("second restart resumed %d (%v, %v), want job-2 once", resumed, err, warns)
+	}
+	jobs := 0
+	for _, info := range b.Jobs() {
+		if info.ID == "job-2" {
+			jobs++
+		}
+	}
+	lines := collectJob(t, b, "job-2", 0)
+	want, err := os.ReadFile(filepath.Join(fixture, "job-2.table"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if jobs != 1 || tableOf(t, lines) != string(want) {
+		t.Fatalf("job-2 is held %d times and renders\n%s\nwant\n%s", jobs, tableOf(t, lines), want)
+	}
+	indices := map[int]bool{}
+	for _, line := range lines[1 : len(lines)-1] {
+		var ev PointEvent
+		if err := json.Unmarshal(line, &ev); err != nil || ev.Type != "point" || indices[ev.Index] {
+			t.Fatalf("job-2 streams %s again or out of place", line)
+		}
+		indices[ev.Index] = true
+	}
+	if len(indices) != 4 {
+		t.Fatalf("job-2 streamed %d points, want 4", len(indices))
 	}
 }

@@ -4,9 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -166,14 +168,15 @@ func goldenLines(t testing.TB) [][]byte {
 		if err != nil {
 			t.Fatal(err)
 		}
-		path := filepath.Join(t.TempDir(), "job-1"+journalExt)
-		if err := os.WriteFile(path, data, 0o644); err != nil {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "job-1"+journalExt), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		job, _ := recoverFile(path)
-		if job == nil {
+		jobs, _ := recoverDir(t, dir)
+		if len(jobs) != 1 {
 			t.Fatalf("%s did not recover", name)
 		}
+		job := jobs[0]
 		for _, p := range job.Points {
 			lines = append(lines, p.Line)
 		}
@@ -240,8 +243,7 @@ func TestGoldenLinesReencode(t *testing.T) {
 // FuzzEventEncoding: whatever event a line decodes to — seeded with the
 // parent's golden lines — and whatever string and float are then pushed
 // into it, the append encoder and encoding/json write the same bytes or
-// refuse alike; and so do the journal's record appender and json.Marshal
-// on a record carrying the line.
+// refuse alike.
 func FuzzEventEncoding(f *testing.F) {
 	for i, line := range goldenLines(f) {
 		f.Add(line, hostileStrings[i%len(hostileStrings)], math.Float64bits(hostileFloats[i%len(hostileFloats)]))
@@ -279,14 +281,6 @@ func FuzzEventEncoding(f *testing.F) {
 			ev = e
 		}
 		sameAsEncodingJSON(t, &enc, ev)
-
-		// The journal frames the raw line, whatever it is, as RawMessage does.
-		rec := journalRecord{Kind: "point", Index: len(s), Key: s, Line: line}
-		want, wantErr := json.Marshal(rec)
-		got, gotErr := appendRecord(nil, &rec)
-		if (wantErr != nil) != (gotErr != nil) || (wantErr == nil && !bytes.Equal(got, want)) {
-			t.Fatalf("journal record of line %q:\n got %s, %v\nwant %s, %v", line, got, gotErr, want, wantErr)
-		}
 	})
 }
 
@@ -343,10 +337,12 @@ func BenchmarkEventEncode(b *testing.B) {
 	})
 }
 
-// TestJournalRecordEncoding holds the journal's record appender to
-// json.Marshal(journalRecord): format v1's payload is defined as those
-// bytes. Lines that are not already compact, carry characters RawMessage
-// escapes, or are not JSON at all are the interesting ones.
+// TestJournalRecordEncoding holds the journal's framing to format v1: a
+// frame is its payload's length and CRC-32, then json.Marshal(journalRecord)
+// — those bytes define the payload — and a record that does not encode
+// leaves the buffer as it was. Lines that are not already compact, carry
+// characters RawMessage escapes, or are not JSON at all are the
+// interesting ones.
 func TestJournalRecordEncoding(t *testing.T) {
 	lines := []string{
 		"", `{}`, `{"type":"point","done":1}`, ` { "a" : [ 1 , 2 ] , "b" : "x y\t" } `, "[1,\n2,\r\n3]\n",
@@ -368,20 +364,28 @@ func TestJournalRecordEncoding(t *testing.T) {
 				{Kind: s},
 			} {
 				want, wantErr := json.Marshal(rec)
-				got, gotErr := appendRecord([]byte("frame"), &rec)
+				got, gotErr := appendFrame([]byte("frame"), &rec)
 				if (wantErr != nil) != (gotErr != nil) {
-					t.Fatalf("record %+v: appendRecord error %v, json.Marshal error %v", rec, gotErr, wantErr)
+					t.Fatalf("record %+v: appendFrame error %v, json.Marshal error %v", rec, gotErr, wantErr)
 				}
-				if wantErr == nil && string(got) != "frame"+string(want) {
-					t.Fatalf("record %+v:\n got %s\nwant frame%s", rec, got, want)
+				if wantErr != nil {
+					if string(got) != "frame" {
+						t.Fatalf("record %+v: a refused record left %q", rec, got)
+					}
+					continue
+				}
+				payload := got[len("frame")+8:]
+				if !bytes.Equal(payload, want) || binary.LittleEndian.Uint32(got[5:]) != uint32(len(want)) ||
+					binary.LittleEndian.Uint32(got[9:]) != crc32.ChecksumIEEE(want) {
+					t.Fatalf("record %+v:\n got %q\nwant a frame of %s", rec, got, want)
 				}
 			}
 		}
 	}
 	// A year encoding/json refuses, the appender refuses.
 	far := journalRecord{Kind: "begin", Created: time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC)}
-	if _, err := appendRecord(nil, &far); err == nil {
-		t.Fatal("appendRecord framed a year-10000 timestamp")
+	if _, err := appendFrame(nil, &far); err == nil {
+		t.Fatal("appendFrame framed a year-10000 timestamp")
 	}
 }
 
@@ -458,13 +462,9 @@ func TestNonFiniteMetrics(t *testing.T) {
 		}
 		// The journal agrees with the stream: the job failed, with that line.
 		srv.Close()
-		jr, err := OpenJournal(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		jobs, warns, err := jr.Recover()
-		if err != nil || len(jobs) != 2 {
-			t.Fatalf("recovered %d jobs (%v, warnings %v), want 2", len(jobs), err, warns)
+		jobs, warns := recoverDir(t, dir)
+		if len(jobs) != 2 {
+			t.Fatalf("recovered %d jobs (warnings %v), want 2", len(jobs), warns)
 		}
 		if j := jobs[1]; j.Status != "failed" || j.Error != "json: unsupported value: NaN" || !bytes.Contains(j.EndLine, []byte(`"type":"error"`)) {
 			t.Fatalf("journaled end of the poisoned job: status %q, error %q, line %s", j.Status, j.Error, j.EndLine)

@@ -8,7 +8,6 @@ import (
 	"maps"
 	"math"
 	"net/http"
-	"os"
 	"regexp"
 	"sync"
 	"sync/atomic"
@@ -380,10 +379,7 @@ func TestKeptAnswerMatchesFresh(t *testing.T) {
 				ref.nextID = seq - 1
 				stream = rawStream(t, ts.URL, req)
 				if ref.journal != nil {
-					var err error
-					if journal, err = os.ReadFile(ref.journal.path(id)); err != nil {
-						t.Fatal(err)
-					}
+					journal = jobFrames(t, ref.journal, id)
 				}
 				return stream, journal
 			}
@@ -415,11 +411,7 @@ WITH users = 20, object_mb = 10, trials = 2, horizon_hours = 200`
 					t.Fatalf("job %d sent\n%s\na fresh server sends\n%s", n, got, want)
 				}
 				if srv.journal != nil {
-					journal, err := os.ReadFile(srv.journal.path(id))
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(journal, wantJournal) {
+					if journal := jobFrames(t, srv.journal, id); !bytes.Equal(journal, wantJournal) {
 						t.Fatalf("job %d journaled\n%q\na fresh server journals\n%q", n, journal, wantJournal)
 					}
 				}

@@ -163,11 +163,11 @@ type job struct {
 
 	// jj is the job's journal, set once (under Server.mu) before the job
 	// runs: lines reach the log through its committer, after their records
-	// are fsync'd. nil means nothing backs the log — journaling is off, the
-	// job is a fleet shard (the coordinator owns client-facing durability),
-	// or the journal file could not be created: lines are appended directly
-	// and the job is abandoned (under Server.mu) — cancelled, its stream
-	// withdrawn — if its submitting client leaves before it finishes.
+	// are fsync'd. nil means nothing backs the log — journaling is off, or
+	// the job is a fleet shard (the coordinator owns client-facing
+	// durability): lines are appended directly and the job is abandoned
+	// (under Server.mu) — cancelled, its stream withdrawn — if its
+	// submitting client leaves before it finishes.
 	jj        *JobJournal
 	abandoned bool
 
@@ -284,10 +284,18 @@ type Server struct {
 
 // New builds a Server.
 func New(cfg Config) (*Server, error) {
+	if err := mkdirs(cfg.CacheDir, cfg.JournalDir); err != nil {
+		return nil, err
+	}
+	return newServer(cfg, osDisk)
+}
+
+// newServer builds a Server whose durable logs live on d.
+func newServer(cfg Config, d disk) (*Server, error) {
 	if cfg.Trials <= 0 {
 		cfg.Trials = 5
 	}
-	cache, err := NewCache(cfg.CacheEntries, cfg.CacheDir)
+	cache, err := newCache(cfg.CacheEntries, cfg.CacheDir, d)
 	if err != nil {
 		return nil, err
 	}
@@ -315,14 +323,14 @@ func New(cfg Config) (*Server, error) {
 		s.tel.reg.Gauge("wt_pool_queue_depth",
 			"Design points currently waiting for a pool slot."))
 	if cfg.JournalDir != "" {
-		s.journal, err = OpenJournal(cfg.JournalDir)
+		s.journal, err = openJournal(d, cfg.JournalDir)
 		if err != nil {
 			return nil, err
 		}
 		s.journal.instrument(s.tel.journalAppends, s.tel.journalFsync)
 		// Continue job numbering past every journaled job so a restarted
 		// daemon never reuses a journaled id.
-		s.nextID = s.journal.MaxSeq()
+		s.nextID = s.journal.maxSeq
 	}
 	switch {
 	case cfg.Coordinator:
@@ -413,17 +421,18 @@ func (s *Server) round(ctx context.Context, now time.Time) {
 }
 
 // Close stops the telemetry round loop, cancelling any member request
-// in flight, and waits for every journal to flush what its job has
-// queued, so no batch is left in flight. It does not wait for running
+// in flight, and waits for the journal and the disk tier to flush what
+// is queued, so no batch is left in flight. It does not wait for running
 // jobs — that is BeginDrain plus WaitJobs' business.
 func (s *Server) Close() {
 	if s.stopRounds != nil {
 		s.stopRounds()
 		<-s.roundsDone
 	}
-	for _, jj := range s.journals() {
-		jj.sync()
+	if s.journal != nil {
+		s.journal.log.sync()
 	}
+	s.cache.disk.sync()
 }
 
 // markDegraded flags a job as partially coordinator-served.
@@ -557,7 +566,7 @@ func (s *Server) evictFinishedLocked() {
 				delete(s.jobs, id)
 				s.order = append(s.order[:i], s.order[i+1:]...)
 				if s.journal != nil {
-					s.journal.Remove(id)
+					s.journal.log.drop(id)
 				}
 				evicted = true
 				break
