@@ -15,7 +15,6 @@ import (
 	"repro/internal/opslog"
 	"repro/internal/power"
 	"repro/internal/repair"
-	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/sla"
 	"repro/internal/storage"
@@ -251,58 +250,6 @@ func BenchmarkErasureVsReplication(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sc.Seed = uint64(i + 1)
 		if _, err := (core.Runner{Trials: 1}).Run(sc); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRSEncode measures the Reed-Solomon substrate itself: RS(10,4)
-// over 64 KiB shards.
-func BenchmarkRSEncode(b *testing.B) {
-	code, err := storage.NewRSCode(10, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := rng.New(1)
-	data := make([][]byte, 10)
-	for i := range data {
-		data[i] = make([]byte, 64<<10)
-		for j := range data[i] {
-			data[i][j] = byte(r.Intn(256))
-		}
-	}
-	b.SetBytes(int64(10 * 64 << 10))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := code.Encode(data); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRSEncodeInto measures the steady-state encode path: RS(10,4)
-// over 64 KiB shards into a reused parity buffer (0 allocs/op).
-func BenchmarkRSEncodeInto(b *testing.B) {
-	code, err := storage.NewRSCode(10, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := rng.New(1)
-	data := make([][]byte, 10)
-	for i := range data {
-		data[i] = make([]byte, 64<<10)
-		for j := range data[i] {
-			data[i][j] = byte(r.Intn(256))
-		}
-	}
-	parity := make([][]byte, 4)
-	for i := range parity {
-		parity[i] = make([]byte, 64<<10)
-	}
-	b.SetBytes(int64(10 * 64 << 10))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := code.EncodeInto(data, parity); err != nil {
 			b.Fatal(err)
 		}
 	}

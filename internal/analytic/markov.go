@@ -1,9 +1,6 @@
 package analytic
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // BirthDeath solves a finite birth–death chain on states 0..N with birth
 // rates Birth[i] (i -> i+1) and death rates Death[i] (i -> i-1, indexed by
@@ -52,16 +49,6 @@ func (bd *BirthDeath) SteadyState() []float64 {
 		p[i] /= sum
 	}
 	return p
-}
-
-// MeanState returns the steady-state expected state index.
-func (bd *BirthDeath) MeanState() float64 {
-	p := bd.SteadyState()
-	m := 0.0
-	for i, v := range p {
-		m += float64(i) * v
-	}
-	return m
 }
 
 // ReplicaAvailabilityModel is the classical Markov availability model for
@@ -135,45 +122,3 @@ func (m *ReplicaAvailabilityModel) Unavailability(quorumDown int) float64 {
 // MajorityQuorumDown returns the minimum number of failed replicas that
 // breaks a majority quorum of n replicas: floor(n/2)+1.
 func MajorityQuorumDown(n int) int { return n/2 + 1 }
-
-// MTTDL approximates the mean time to data loss (all N replicas failed)
-// for the model via the standard absorbing-chain first-passage formula on
-// the birth–death chain with state N absorbing.
-func (m *ReplicaAvailabilityModel) MTTDL() float64 {
-	// Expected first passage time from state 0 to state N for a
-	// birth–death chain: sum over i<N of (1/ (birth_i * pi_i)) * sum_{j<=i} pi_j
-	// where pi is the (unnormalized) reversibility measure.
-	bd := m.chain()
-	n := len(bd.Birth)
-	pi := make([]float64, n)
-	pi[0] = 1
-	for i := 1; i < n; i++ {
-		pi[i] = pi[i-1] * bd.Birth[i-1] / bd.Death[i-1]
-	}
-	total := 0.0
-	for i := 0; i < n; i++ {
-		prefix := 0.0
-		for j := 0; j <= i; j++ {
-			prefix += pi[j]
-		}
-		total += prefix / (bd.Birth[i] * pi[i])
-	}
-	return total
-}
-
-// SteadyStateAvailability returns 1 - Unavailability(quorumDown).
-func (m *ReplicaAvailabilityModel) SteadyStateAvailability(quorumDown int) float64 {
-	return 1 - m.Unavailability(quorumDown)
-}
-
-// Nines converts an availability a in (0,1) to "number of nines"
-// (-log10(1-a)); returns +Inf for a == 1.
-func Nines(a float64) float64 {
-	if a >= 1 {
-		return math.Inf(1)
-	}
-	if a <= 0 {
-		return 0
-	}
-	return -math.Log10(1 - a)
-}

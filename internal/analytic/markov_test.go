@@ -123,48 +123,11 @@ func TestReplicaModelFasterRepairCompensatesLowerReplication(t *testing.T) {
 	}
 }
 
-func TestMTTDLIncreasesWithReplicas(t *testing.T) {
-	prev := 0.0
-	for _, n := range []int{1, 2, 3} {
-		m, err := NewReplicaAvailabilityModel(n, 0.001, 1, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mttdl := m.MTTDL()
-		if mttdl <= prev {
-			t.Errorf("n=%d: MTTDL %v did not increase from %v", n, mttdl, prev)
-		}
-		prev = mttdl
-	}
-}
-
-func TestMTTDLSingleReplicaIsMTTF(t *testing.T) {
-	m, err := NewReplicaAvailabilityModel(1, 0.02, 1, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := m.MTTDL(), 50.0; math.Abs(got-want) > 1e-9 {
-		t.Errorf("MTTDL = %v, want 1/failRate = %v", got, want)
-	}
-}
-
 func TestMajorityQuorumDown(t *testing.T) {
 	cases := []struct{ n, want int }{{1, 1}, {2, 2}, {3, 2}, {4, 3}, {5, 3}, {7, 4}}
 	for _, c := range cases {
 		if got := MajorityQuorumDown(c.n); got != c.want {
 			t.Errorf("MajorityQuorumDown(%d) = %d, want %d", c.n, got, c.want)
 		}
-	}
-}
-
-func TestNines(t *testing.T) {
-	if got := Nines(0.999); math.Abs(got-3) > 1e-9 {
-		t.Errorf("Nines(0.999) = %v, want 3", got)
-	}
-	if !math.IsInf(Nines(1), 1) {
-		t.Error("Nines(1) should be +Inf")
-	}
-	if Nines(0) != 0 {
-		t.Errorf("Nines(0) = %v, want 0", Nines(0))
 	}
 }

@@ -1,18 +1,15 @@
 // Package analytic implements the closed-form models the paper positions
 // as both comparator and validation instrument (§2.2, §4.3): classical
-// queueing formulas (M/M/1, M/M/c, M/M/c/K, M/G/1, G/G/1, G/G/c),
-// birth–death Markov chains for availability, and exact combinatorics for
-// the replica-placement unavailability question behind Figure 1.
+// queueing formulas (M/M/1, M/M/c), birth–death Markov chains for
+// availability, and exact combinatorics for the replica-placement
+// unavailability question behind Figure 1.
 //
 // The queueing models assume exponential arrivals/services where named so;
 // the point of the wind tunnel is precisely that real systems are not
 // exponential, and internal/validate quantifies the resulting error.
 package analytic
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // MM1 describes an M/M/1 queue with arrival rate Lambda and service rate
 // Mu (both per unit time).
@@ -35,26 +32,11 @@ func NewMM1(lambda, mu float64) (MM1, error) {
 // Rho returns the utilization λ/μ.
 func (q MM1) Rho() float64 { return q.Lambda / q.Mu }
 
-// L returns the mean number in system.
-func (q MM1) L() float64 { rho := q.Rho(); return rho / (1 - rho) }
-
-// Lq returns the mean number in queue.
-func (q MM1) Lq() float64 { rho := q.Rho(); return rho * rho / (1 - rho) }
-
 // W returns the mean sojourn (response) time.
 func (q MM1) W() float64 { return 1 / (q.Mu - q.Lambda) }
 
 // Wq returns the mean waiting time in queue.
 func (q MM1) Wq() float64 { return q.Rho() / (q.Mu - q.Lambda) }
-
-// ResponseQuantile returns the p-quantile of the sojourn time, which in
-// M/M/1-FCFS is exponential with rate mu-lambda.
-func (q MM1) ResponseQuantile(p float64) float64 {
-	if p <= 0 || p >= 1 {
-		panic(fmt.Sprintf("analytic: quantile probability %v outside (0,1)", p))
-	}
-	return -math.Log(1-p) / (q.Mu - q.Lambda)
-}
 
 // MMc describes an M/M/c queue with c identical servers.
 type MMc struct {
@@ -100,141 +82,3 @@ func (q MMc) Wq() float64 {
 
 // W returns the mean sojourn time.
 func (q MMc) W() float64 { return q.Wq() + 1/q.Mu }
-
-// Lq returns the mean queue length.
-func (q MMc) Lq() float64 { return q.Lambda * q.Wq() }
-
-// L returns the mean number in system.
-func (q MMc) L() float64 { return q.Lambda * q.W() }
-
-// ErlangB returns the blocking probability of an M/M/c/c loss system with
-// offered load a = lambda/mu Erlangs and c servers.
-func ErlangB(a float64, c int) float64 {
-	if a <= 0 || c < 0 {
-		return 0
-	}
-	b := 1.0
-	for k := 1; k <= c; k++ {
-		b = a * b / (float64(k) + a*b)
-	}
-	return b
-}
-
-// MMcK describes an M/M/c/K queue (c servers, at most K in system).
-type MMcK struct {
-	Lambda, Mu float64
-	C, K       int
-}
-
-// NewMMcK validates and constructs an M/M/c/K model (K >= c >= 1). A
-// finite-capacity queue is always stable.
-func NewMMcK(lambda, mu float64, c, k int) (MMcK, error) {
-	if lambda <= 0 || mu <= 0 {
-		return MMcK{}, fmt.Errorf("analytic: M/M/c/K rates must be positive (lambda=%v, mu=%v)", lambda, mu)
-	}
-	if c < 1 || k < c {
-		return MMcK{}, fmt.Errorf("analytic: M/M/c/K needs K >= c >= 1, got c=%d K=%d", c, k)
-	}
-	return MMcK{Lambda: lambda, Mu: mu, C: c, K: k}, nil
-}
-
-// probs returns the steady-state distribution p_0..p_K.
-func (q MMcK) probs() []float64 {
-	p := make([]float64, q.K+1)
-	p[0] = 1
-	for n := 1; n <= q.K; n++ {
-		servers := n
-		if servers > q.C {
-			servers = q.C
-		}
-		p[n] = p[n-1] * q.Lambda / (float64(servers) * q.Mu)
-	}
-	sum := 0.0
-	for _, v := range p {
-		sum += v
-	}
-	for i := range p {
-		p[i] /= sum
-	}
-	return p
-}
-
-// BlockingProbability returns the probability an arrival is rejected.
-func (q MMcK) BlockingProbability() float64 {
-	p := q.probs()
-	return p[q.K]
-}
-
-// L returns the mean number in system.
-func (q MMcK) L() float64 {
-	p := q.probs()
-	l := 0.0
-	for n, v := range p {
-		l += float64(n) * v
-	}
-	return l
-}
-
-// W returns the mean sojourn time of accepted customers (Little's law on
-// the effective arrival rate).
-func (q MMcK) W() float64 {
-	return q.L() / (q.Lambda * (1 - q.BlockingProbability()))
-}
-
-// MG1 describes an M/G/1 queue via the Pollaczek–Khinchine formula;
-// ServiceMean and ServiceVar describe the general service distribution.
-type MG1 struct {
-	Lambda                float64
-	ServiceMean, Service2 float64 // E[S], E[S^2]
-}
-
-// NewMG1 validates and constructs an M/G/1 model from the first two
-// moments of service time; requires lambda*E[S] < 1.
-func NewMG1(lambda, serviceMean, serviceVar float64) (MG1, error) {
-	if lambda <= 0 || serviceMean <= 0 || serviceVar < 0 {
-		return MG1{}, fmt.Errorf("analytic: M/G/1 invalid parameters (lambda=%v, mean=%v, var=%v)",
-			lambda, serviceMean, serviceVar)
-	}
-	if lambda*serviceMean >= 1 {
-		return MG1{}, fmt.Errorf("analytic: M/G/1 unstable: rho=%v >= 1", lambda*serviceMean)
-	}
-	return MG1{Lambda: lambda, ServiceMean: serviceMean,
-		Service2: serviceVar + serviceMean*serviceMean}, nil
-}
-
-// Rho returns the utilization.
-func (q MG1) Rho() float64 { return q.Lambda * q.ServiceMean }
-
-// Wq returns the mean waiting time (Pollaczek–Khinchine).
-func (q MG1) Wq() float64 {
-	return q.Lambda * q.Service2 / (2 * (1 - q.Rho()))
-}
-
-// W returns the mean sojourn time.
-func (q MG1) W() float64 { return q.Wq() + q.ServiceMean }
-
-// L returns the mean number in system (Little).
-func (q MG1) L() float64 { return q.Lambda * q.W() }
-
-// GG1Kingman approximates the mean waiting time of a G/G/1 queue with
-// Kingman's formula: Wq ≈ rho/(1-rho) * (ca²+cs²)/2 * E[S].
-// ca and cs are the coefficients of variation of interarrival and service
-// times. The paper notes (§2.2) such approximations are "often inadequate"
-// — internal/validate measures exactly how inadequate.
-func GG1Kingman(lambda, serviceMean, ca2, cs2 float64) (float64, error) {
-	rho := lambda * serviceMean
-	if rho >= 1 || rho <= 0 {
-		return 0, fmt.Errorf("analytic: G/G/1 needs 0 < rho < 1, got %v", rho)
-	}
-	return rho / (1 - rho) * (ca2 + cs2) / 2 * serviceMean, nil
-}
-
-// GGcAllenCunneen approximates the mean waiting time of a G/G/c queue with
-// the Allen–Cunneen formula: Wq(M/M/c) * (ca²+cs²)/2.
-func GGcAllenCunneen(lambda, mu float64, c int, ca2, cs2 float64) (float64, error) {
-	q, err := NewMMc(lambda, mu, c)
-	if err != nil {
-		return 0, err
-	}
-	return q.Wq() * (ca2 + cs2) / 2, nil
-}

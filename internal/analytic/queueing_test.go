@@ -13,41 +13,11 @@ func TestMM1KnownValues(t *testing.T) {
 	if math.Abs(q.Rho()-0.5) > 1e-12 {
 		t.Errorf("rho = %v, want 0.5", q.Rho())
 	}
-	if math.Abs(q.L()-1.0) > 1e-12 {
-		t.Errorf("L = %v, want 1", q.L())
-	}
 	if math.Abs(q.W()-2.0) > 1e-12 {
 		t.Errorf("W = %v, want 2", q.W())
 	}
 	if math.Abs(q.Wq()-1.0) > 1e-12 {
 		t.Errorf("Wq = %v, want 1", q.Wq())
-	}
-	if math.Abs(q.Lq()-0.5) > 1e-12 {
-		t.Errorf("Lq = %v, want 0.5", q.Lq())
-	}
-}
-
-func TestMM1LittleLaw(t *testing.T) {
-	for _, rho := range []float64{0.1, 0.5, 0.9, 0.99} {
-		q, err := NewMM1(rho, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(q.L()-q.Lambda*q.W()) > 1e-9 {
-			t.Errorf("rho=%v: L=%v != lambda*W=%v", rho, q.L(), q.Lambda*q.W())
-		}
-	}
-}
-
-func TestMM1ResponseQuantile(t *testing.T) {
-	q, err := NewMM1(0.5, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Median of Exp(0.5) = ln2/0.5.
-	want := math.Ln2 / 0.5
-	if got := q.ResponseQuantile(0.5); math.Abs(got-want) > 1e-12 {
-		t.Errorf("median response = %v, want %v", got, want)
 	}
 }
 
@@ -92,117 +62,8 @@ func TestMMcKnownValue(t *testing.T) {
 	}
 }
 
-func TestErlangBMonotone(t *testing.T) {
-	// Blocking decreases with more servers, increases with load.
-	prev := 1.1
-	for c := 1; c <= 20; c++ {
-		b := ErlangB(5, c)
-		if b >= prev {
-			t.Errorf("ErlangB(5, %d) = %v not decreasing (prev %v)", c, b, prev)
-		}
-		prev = b
-	}
-	if ErlangB(1, 5) >= ErlangB(10, 5) {
-		t.Error("ErlangB should increase with offered load")
-	}
-}
-
-func TestMMcKBlockingAndConsistency(t *testing.T) {
-	// With K very large, M/M/c/K approaches M/M/c.
-	mc, err := NewMMc(2, 1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mck, err := NewMMcK(2, 1, 3, 500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mck.BlockingProbability() > 1e-12 {
-		t.Errorf("blocking with huge K = %v, want ~0", mck.BlockingProbability())
-	}
-	if math.Abs(mck.L()-mc.L()) > 1e-6 {
-		t.Errorf("M/M/c/K L=%v vs M/M/c L=%v", mck.L(), mc.L())
-	}
-	// K = c gives Erlang-B blocking.
-	loss, err := NewMMcK(2, 1, 3, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := loss.BlockingProbability(), ErlangB(2, 3); math.Abs(got-want) > 1e-12 {
-		t.Errorf("M/M/c/c blocking = %v, want ErlangB = %v", got, want)
-	}
-}
-
-func TestMG1ReducesToMM1(t *testing.T) {
-	// Exponential service: var = mean^2.
-	mm1, err := NewMM1(0.6, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mg1, err := NewMG1(0.6, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(mm1.Wq()-mg1.Wq()) > 1e-12 {
-		t.Errorf("M/G/1 with exp service Wq=%v, want M/M/1 Wq=%v", mg1.Wq(), mm1.Wq())
-	}
-}
-
-func TestMG1DeterministicHalvesWait(t *testing.T) {
-	// P-K: deterministic service halves the waiting time vs exponential.
-	exp, err := NewMG1(0.6, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	det, err := NewMG1(0.6, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(det.Wq()-exp.Wq()/2) > 1e-12 {
-		t.Errorf("M/D/1 Wq = %v, want half of M/M/1's %v", det.Wq(), exp.Wq())
-	}
-}
-
-func TestKingmanMatchesMM1(t *testing.T) {
-	// With ca2 = cs2 = 1, Kingman is exact for M/M/1.
-	mm1, err := NewMM1(0.8, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wq, err := GG1Kingman(0.8, 1, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(wq-mm1.Wq()) > 1e-12 {
-		t.Errorf("Kingman = %v, want %v", wq, mm1.Wq())
-	}
-}
-
-func TestAllenCunneenMatchesMMc(t *testing.T) {
-	mc, err := NewMMc(2, 1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wq, err := GGcAllenCunneen(2, 1, 3, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(wq-mc.Wq()) > 1e-12 {
-		t.Errorf("Allen-Cunneen = %v, want %v", wq, mc.Wq())
-	}
-}
-
 func TestStabilityValidation(t *testing.T) {
 	if _, err := NewMMc(3, 1, 3); err == nil {
 		t.Error("unstable M/M/c accepted")
-	}
-	if _, err := NewMG1(1, 1, 0); err == nil {
-		t.Error("unstable M/G/1 accepted")
-	}
-	if _, err := GG1Kingman(2, 1, 1, 1); err == nil {
-		t.Error("unstable G/G/1 accepted")
-	}
-	if _, err := NewMMcK(1, 1, 2, 1); err == nil {
-		t.Error("K < c accepted")
 	}
 }

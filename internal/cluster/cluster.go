@@ -464,9 +464,6 @@ func (c *Cluster) Size() int { return len(c.nodes) }
 // Config returns the build configuration.
 func (c *Cluster) Config() Config { return c.cfg }
 
-// Sim returns the driving simulator.
-func (c *Cluster) Sim() *sim.Simulator { return c.sim }
-
 // OnNodeDown registers fn for node-down transitions.
 func (c *Cluster) OnNodeDown(fn func(*Node)) { c.onDown = append(c.onDown, fn) }
 
@@ -731,13 +728,4 @@ func (c *Cluster) NodeUptime(id int) float64 {
 	}
 	n.upSignal.Set(c.sim.Now(), v)
 	return n.upSignal.Average()
-}
-
-// DiskCapacityGB returns the total disk capacity of one node.
-func (c *Cluster) DiskCapacityGB() float64 {
-	if len(c.nodes) == 0 || len(c.nodes[0].Disks) == 0 {
-		return 0
-	}
-	n := c.nodes[0]
-	return float64(len(n.Disks)) * n.Disks[0].Spec.CapacityGB
 }

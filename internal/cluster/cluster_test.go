@@ -48,9 +48,6 @@ func TestBuildShape(t *testing.T) {
 			t.Errorf("fresh node %d not available", i)
 		}
 	}
-	if c.DiskCapacityGB() != 4000 {
-		t.Errorf("per-node disk capacity %v, want 4000", c.DiskCapacityGB())
-	}
 }
 
 func TestBuildValidation(t *testing.T) {

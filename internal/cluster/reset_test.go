@@ -135,16 +135,16 @@ func components(c *Cluster, at float64) string {
 	var b strings.Builder
 	for _, n := range c.Nodes() {
 		for _, comp := range append(slices.Clone(n.Disks), n.NIC) {
-			fmt.Fprintf(&b, "%d:%v/%v/%d/%d/%v ", comp.ID, comp.State(), comp.PerfFactor(),
+			fmt.Fprintf(&b, "%d:%v/%d/%d/%v ", comp.ID, comp.State(),
 				comp.Failures(), comp.Repairs(), comp.TotalDowntime(at))
 		}
 	}
 	return b.String()
 }
 
-// TestResetRestoresHandFailedComponent: a disk failed and a NIC degraded
-// by hand, with no failure process ever started, are put back by Reset:
-// every component then reads as a fresh build's, and a callback registered
+// TestResetRestoresHandFailedComponent: a disk and a NIC failed by hand,
+// with no failure process ever started, are put back by Reset: every
+// component then reads as a fresh build's, and a callback registered
 // before the Reset never runs. Reset lists only the components that left
 // their built state, and a component it put back is listed again by its
 // next change.
@@ -155,11 +155,9 @@ func TestResetRestoresHandFailedComponent(t *testing.T) {
 	disk.OnRepair(func(*hardware.Component) { fired++ })
 	s.RunUntil(5)
 	disk.Fail(s.Now())
-	if err := nic.Degrade(s.Now(), 0.5); err != nil {
-		t.Fatal(err)
-	}
+	nic.Fail(s.Now())
 	if components(c, 9) == components(mustBuild(t), 9) {
-		t.Fatal("failing a disk and degrading a NIC by hand changed nothing a getter sees")
+		t.Fatal("failing a disk and a NIC by hand changed nothing a getter sees")
 	}
 	for round := 0; round < 3; round++ {
 		s.Reset(42)

@@ -61,11 +61,6 @@ func (b Breakdown) TotalUSD() float64 {
 	return b.CapexUSD + b.EnergyUSD + b.ReplacementUSD
 }
 
-func (b Breakdown) String() string {
-	return fmt.Sprintf("total $%.0f (capex $%.0f, energy $%.0f, replacement $%.0f over %.0fh)",
-		b.TotalUSD(), b.CapexUSD, b.EnergyUSD, b.ReplacementUSD, b.HorizonHours)
-}
-
 // Estimate prices a cluster configuration over horizonHours. Expected
 // replacements use each component's mean time to failure: horizon/MTTF
 // failures per component in steady state (each swap costs labor plus the
@@ -178,17 +173,4 @@ func WithMeasuredEnergy(b Breakdown, facilityKWh float64, carbonKgPerKWh float64
 	b.CarbonKg = facilityKWh * carbonKgPerKWh
 	b.EnergyMeasured = true
 	return b
-}
-
-// PerUserMonthlyUSD converts a breakdown into a per-user monthly price
-// given the user population, amortizing capex over the horizon.
-func PerUserMonthlyUSD(b Breakdown, users int) (float64, error) {
-	if users < 1 {
-		return 0, fmt.Errorf("cost: need >= 1 user, got %d", users)
-	}
-	months := b.HorizonHours / (hardware.HoursPerYear / 12)
-	if months <= 0 {
-		return 0, fmt.Errorf("cost: non-positive horizon")
-	}
-	return b.TotalUSD() / months / float64(users), nil
 }

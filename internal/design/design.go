@@ -93,9 +93,6 @@ func NewSpace(dims ...Dimension) (*Space, error) {
 	return s, nil
 }
 
-// Dims returns the dimensions.
-func (s *Space) Dims() []Dimension { return s.dims }
-
 // Size returns the number of points.
 func (s *Space) Size() int {
 	n := 1
@@ -209,34 +206,6 @@ func (s *Space) Points() []Point {
 	}
 }
 
-// PointFor returns the point with the given assignments (every dimension
-// must be present, values must exist).
-func (s *Space) PointFor(assign map[string]Value) (Point, error) {
-	if len(assign) != len(s.dims) {
-		return Point{}, fmt.Errorf("design: assignment covers %d of %d dimensions", len(assign), len(s.dims))
-	}
-	idx := make([]int, len(s.dims))
-	for name, v := range assign {
-		i, ok := s.index[name]
-		if !ok {
-			return Point{}, fmt.Errorf("design: unknown dimension %q", name)
-		}
-		found := -1
-		want := FormatValue(v)
-		for j, dv := range s.dims[i].Values {
-			if FormatValue(dv) == want {
-				found = j
-				break
-			}
-		}
-		if found < 0 {
-			return Point{}, fmt.Errorf("design: dimension %q has no value %s", name, want)
-		}
-		idx[i] = found
-	}
-	return Point{space: s, idx: idx}, nil
-}
-
 // Pruner implements the §4.2 dominance skip: once a point fails its SLA,
 // every point that is equal on all categorical dimensions and
 // worse-or-equal on every monotone dimension is guaranteed to fail too
@@ -253,9 +222,6 @@ func NewPruner(s *Space) *Pruner { return &Pruner{space: s} }
 func (pr *Pruner) RecordFailure(p Point) {
 	pr.failed = append(pr.failed, p.clone())
 }
-
-// Failures returns the number of recorded failures.
-func (pr *Pruner) Failures() int { return len(pr.failed) }
 
 // Dominated reports whether q is guaranteed to fail given the recorded
 // failures.

@@ -45,7 +45,6 @@ type HazardBiased struct {
 	Horizon float64
 
 	logLR float64
-	draws int64
 }
 
 // NewHazardBiased validates and constructs the wrapper.
@@ -78,7 +77,6 @@ func (h *HazardBiased) Sample(r *rng.Source) float64 {
 		p = 0
 	}
 	t := h.D.Quantile(p)
-	h.draws++
 	if h.Now != nil && h.Horizon > 0 {
 		if rem := h.Horizon - h.Now(); t > rem {
 			// Censored draw: only "no failure before the horizon" is
@@ -96,9 +94,6 @@ func (h *HazardBiased) Sample(r *rng.Source) float64 {
 	h.logLR += -math.Log(h.Bias) - (h.Bias-1)*logS
 	return t
 }
-
-// LogLR returns the accumulated log likelihood ratio over all draws.
-func (h *HazardBiased) LogLR() float64 { return h.logLR }
 
 // Weight returns the importance weight exp(LogLR) for the trajectory
 // that consumed the draws so far. The exponent is clamped to ±350 so a
@@ -118,11 +113,8 @@ func (h *HazardBiased) Weight() float64 {
 	return math.Exp(lr)
 }
 
-// Draws returns the number of biased draws made.
-func (h *HazardBiased) Draws() int64 { return h.draws }
-
-// Reset clears the accumulated likelihood ratio and draw count.
-func (h *HazardBiased) Reset() { h.logLR = 0; h.draws = 0 }
+// Reset clears the accumulated likelihood ratio.
+func (h *HazardBiased) Reset() { h.logLR = 0 }
 
 // Mean returns the biased mean, computed by quantile-grid integration
 // (the biased family has no closed form for general D).

@@ -451,9 +451,6 @@ func NewEmpirical(samples []float64) (Empirical, error) {
 	return Empirical{values: vs, mean: mean, vari: ss / float64(len(vs))}, nil
 }
 
-// N returns the number of recorded values.
-func (e Empirical) N() int { return len(e.values) }
-
 func (e Empirical) Sample(r *rng.Source) float64 {
 	return e.values[r.Intn(len(e.values))]
 }

@@ -257,9 +257,6 @@ func TestEmpiricalReplaysOnlyObservedValues(t *testing.T) {
 			t.Fatalf("empirical produced unobserved value %v", v)
 		}
 	}
-	if e.N() != 7 {
-		t.Errorf("N = %d, want 7", e.N())
-	}
 }
 
 func TestMixtureWeightsNormalized(t *testing.T) {

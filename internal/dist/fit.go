@@ -273,20 +273,3 @@ func digamma(x float64) float64 {
 		inv2*(1.0/12-inv2*(1.0/120-inv2*(1.0/252-inv2*(1.0/240-inv2/132))))
 	return result
 }
-
-// FitSummary renders fits as an aligned table, best first — handy for
-// CLI reporting.
-func FitSummary(fits []FitResult) string {
-	if len(fits) == 0 {
-		return "(no fits)"
-	}
-	out := fmt.Sprintf("%-14s %-36s %10s %10s %12s\n", "family", "fit", "KS", "p-value", "AIC")
-	for _, f := range fits {
-		if f.Err != nil {
-			out += fmt.Sprintf("%-14s fit failed: %v\n", f.Name, f.Err)
-			continue
-		}
-		out += fmt.Sprintf("%-14s %-36s %10.4f %10.3f %12.1f\n", f.Name, f.Dist.String(), f.KS, f.PValue, f.AIC)
-	}
-	return out
-}

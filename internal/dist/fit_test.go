@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -29,7 +30,7 @@ func TestFitBestRecoversWeibull(t *testing.T) {
 	}
 	if fits[0].Name != "weibull" {
 		t.Fatalf("best fit = %s (KS %.4f), want weibull; table:\n%s",
-			fits[0].Name, fits[0].KS, FitSummary(fits))
+			fits[0].Name, fits[0].KS, fitSummary(fits))
 	}
 	w, ok := fits[0].Dist.(Weibull)
 	if !ok {
@@ -49,7 +50,7 @@ func TestFitBestRecoversLogNormal(t *testing.T) {
 	truth := Must(NewLogNormal(2.0, 0.8))
 	fits := FitBest(draw(t, truth, 5000, 43))
 	if fits[0].Name != "lognormal" {
-		t.Fatalf("best fit = %s, want lognormal; table:\n%s", fits[0].Name, FitSummary(fits))
+		t.Fatalf("best fit = %s, want lognormal; table:\n%s", fits[0].Name, fitSummary(fits))
 	}
 	l, ok := fits[0].Dist.(LogNormal)
 	if !ok {
@@ -101,7 +102,7 @@ func TestFitBestRecoversGamma(t *testing.T) {
 	}
 	if fits[0].Name != "gamma" && fits[0].Name != "weibull" {
 		t.Errorf("best fit = %s, want gamma (or its close cousin weibull); table:\n%s",
-			fits[0].Name, FitSummary(fits))
+			fits[0].Name, fitSummary(fits))
 	}
 }
 
@@ -109,7 +110,7 @@ func TestFitBestRecoversPareto(t *testing.T) {
 	truth := Must(NewPareto(2, 2.5))
 	fits := FitBest(draw(t, truth, 5000, 46))
 	if fits[0].Name != "pareto" {
-		t.Fatalf("best fit = %s, want pareto; table:\n%s", fits[0].Name, FitSummary(fits))
+		t.Fatalf("best fit = %s, want pareto; table:\n%s", fits[0].Name, fitSummary(fits))
 	}
 	p := fits[0].Dist.(Pareto)
 	if relErr(p.Alpha, 2.5) > 0.1 || relErr(p.Xm, 2) > 0.02 {
@@ -211,4 +212,21 @@ func TestDigamma(t *testing.T) {
 			t.Errorf("digamma recurrence violated at %v by %v", x, diff)
 		}
 	}
+}
+
+// fitSummary renders fits as an aligned table, best first, for failure
+// messages.
+func fitSummary(fits []FitResult) string {
+	if len(fits) == 0 {
+		return "(no fits)"
+	}
+	out := fmt.Sprintf("%-14s %-36s %10s %10s %12s\n", "family", "fit", "KS", "p-value", "AIC")
+	for _, f := range fits {
+		if f.Err != nil {
+			out += fmt.Sprintf("%-14s fit failed: %v\n", f.Name, f.Err)
+			continue
+		}
+		out += fmt.Sprintf("%-14s %-36s %10.4f %10.3f %12.1f\n", f.Name, f.Dist.String(), f.KS, f.PValue, f.AIC)
+	}
+	return out
 }

@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"strconv"
@@ -331,41 +330,4 @@ func build(name string, args []arg) (Dist, error) {
 	default:
 		return nil, fmt.Errorf("dist: unknown family %q (want weibull, lognormal, exp, det, gamma, pareto, empirical, or mix)", name)
 	}
-}
-
-// Spec wraps a Dist for JSON (de)serialization: it marshals to the spec
-// string and unmarshals from one, so scenario files and hardware
-// catalogs can declare arbitrary failure models as plain strings.
-type Spec struct {
-	Dist
-}
-
-// NewSpec wraps d.
-func NewSpec(d Dist) Spec { return Spec{Dist: d} }
-
-// MarshalJSON encodes the spec-grammar string, or null for an empty
-// Spec.
-func (s Spec) MarshalJSON() ([]byte, error) {
-	if s.Dist == nil {
-		return []byte("null"), nil
-	}
-	return json.Marshal(s.Dist.String())
-}
-
-// UnmarshalJSON decodes a spec-grammar string (or null).
-func (s *Spec) UnmarshalJSON(data []byte) error {
-	if string(data) == "null" {
-		s.Dist = nil
-		return nil
-	}
-	var str string
-	if err := json.Unmarshal(data, &str); err != nil {
-		return fmt.Errorf("dist: spec must be a JSON string: %w", err)
-	}
-	d, err := Parse(str)
-	if err != nil {
-		return err
-	}
-	s.Dist = d
-	return nil
 }

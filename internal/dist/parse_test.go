@@ -1,11 +1,9 @@
 package dist
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 )
 
@@ -129,64 +127,6 @@ func TestParseRejectsMalformed(t *testing.T) {
 			t.Errorf("Parse(%q) accepted: %v", s, d)
 		}
 	}
-}
-
-func TestSpecJSONRoundTrip(t *testing.T) {
-	type carrier struct {
-		TTF    Spec `json:"ttf"`
-		Repair Spec `json:"repair"`
-	}
-	in := `{"ttf": "weibull(shape=0.7, scale=8760)", "repair": "lognormal(mean=12, cv=1.2)"}`
-	var c carrier
-	if err := json.Unmarshal([]byte(in), &c); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := c.TTF.Dist.(Weibull); !ok {
-		t.Fatalf("ttf decoded as %T", c.TTF.Dist)
-	}
-	if math.Abs(c.Repair.Mean()-12) > 1e-9 {
-		t.Errorf("repair mean = %v, want 12", c.Repair.Mean())
-	}
-	out, err := json.Marshal(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back carrier
-	if err := json.Unmarshal(out, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.TTF.String() != c.TTF.String() || back.Repair.String() != c.Repair.String() {
-		t.Errorf("JSON round trip drifted: %s", out)
-	}
-}
-
-func TestSpecJSONNullAndErrors(t *testing.T) {
-	var s Spec
-	if err := json.Unmarshal([]byte("null"), &s); err != nil || s.Dist != nil {
-		t.Errorf("null: %v, %v", s.Dist, err)
-	}
-	if b, err := json.Marshal(Spec{}); err != nil || string(b) != "null" {
-		t.Errorf("empty spec marshal = %s, %v", b, err)
-	}
-	if err := json.Unmarshal([]byte(`"nope(1)"`), &s); err == nil {
-		t.Error("unknown family accepted via JSON")
-	}
-	if err := json.Unmarshal([]byte(`42`), &s); err == nil {
-		t.Error("non-string spec accepted")
-	}
-	if !strings.Contains(mustErr(t, `"weibull(0, 1)"`).Error(), "shape") {
-		t.Error("constructor error not propagated through JSON")
-	}
-}
-
-func mustErr(t *testing.T, jsonSpec string) error {
-	t.Helper()
-	var s Spec
-	err := json.Unmarshal([]byte(jsonSpec), &s)
-	if err == nil {
-		t.Fatalf("expected error for %s", jsonSpec)
-	}
-	return err
 }
 
 // TestStringIsSprintf: the parametric families render through spec, one

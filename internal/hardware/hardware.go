@@ -8,9 +8,9 @@
 // Every spec field can be overridden, and internal/opslog can fit
 // replacement distributions from (synthetic) operational logs instead.
 //
-// The package also models performance-degraded components — "limpware"
-// (Do et al., SoCC'13, the paper's [5]): a component that is up but
-// running at a fraction of its specified speed.
+// A component is healthy or failed. Performance-degraded "limpware" (Do et
+// al., SoCC'13, the paper's [5]) is modelled where it acts, on a node's
+// service times: see internal/workload's NodeModel.DegradeNIC.
 package hardware
 
 import (
@@ -98,7 +98,6 @@ type State int
 
 const (
 	StateHealthy State = iota
-	StateDegraded
 	StateFailed
 )
 
@@ -106,8 +105,6 @@ func (s State) String() string {
 	switch s {
 	case StateHealthy:
 		return "healthy"
-	case StateDegraded:
-		return "degraded"
 	case StateFailed:
 		return "failed"
 	default:
@@ -122,20 +119,17 @@ type Component struct {
 	ID   int
 	Spec Spec
 
-	state      State
-	perfFactor float64 // 1 = full speed; meaningful when degraded
-	failures   int64
-	repairs    int64
-	downSince  sim.Time
-	totalDown  sim.Time
+	state     State
+	failures  int64
+	repairs   int64
+	downSince sim.Time
+	totalDown sim.Time
 	// block is the Block to list the component on when it first leaves its
 	// built state (see touch); nil for a standalone component and for one
 	// already listed.
-	block       *Block
-	onFail      []func(*Component)
-	onRepair    []func(*Component)
-	onDegrade   []func(*Component)
-	lifecycleEv *sim.Event
+	block    *Block
+	onFail   []func(*Component)
+	onRepair []func(*Component)
 
 	// Lifecycle wiring. The simulator and stream are those of the last
 	// StartLifecycle; the event names and the two callbacks are built by
@@ -173,27 +167,17 @@ func (c *Component) Init(id int, spec Spec) error {
 // simulator that drove it is expected to have been reset as well; a
 // pending lifecycle event is forgotten, not cancelled.
 func (c *Component) Reset() {
-	c.state, c.perfFactor = StateHealthy, 1
+	c.state = StateHealthy
 	c.failures, c.repairs = 0, 0
 	c.downSince, c.totalDown = 0, 0
 	clear(c.onFail)
 	clear(c.onRepair)
-	clear(c.onDegrade)
-	c.onFail, c.onRepair, c.onDegrade = c.onFail[:0], c.onRepair[:0], c.onDegrade[:0]
-	c.lifecycleEv, c.lcSim, c.lcStream = nil, nil, nil
+	c.onFail, c.onRepair = c.onFail[:0], c.onRepair[:0]
+	c.lcSim, c.lcStream = nil, nil
 }
 
 // State returns the current operational state.
 func (c *Component) State() State { return c.state }
-
-// PerfFactor returns the current performance multiplier in (0, 1]: 1 when
-// healthy, the degradation fraction when limping, and 0 when failed.
-func (c *Component) PerfFactor() float64 {
-	if c.state == StateFailed {
-		return 0
-	}
-	return c.perfFactor
-}
 
 // Failures returns the number of failures so far.
 func (c *Component) Failures() int64 { return c.failures }
@@ -222,12 +206,6 @@ func (c *Component) OnRepair(fn func(*Component)) {
 	c.onRepair = append(c.onRepair, fn)
 }
 
-// OnDegrade registers fn to run when the component degrades (limpware).
-func (c *Component) OnDegrade(fn func(*Component)) {
-	c.touch()
-	c.onDegrade = append(c.onDegrade, fn)
-}
-
 // StartLifecycle wires the component's failure/repair process into s,
 // drawing from stream. Times are in the TTF/Repair distributions' unit
 // (hours by convention). The cycle is: healthy --TTF--> failed --Repair-->
@@ -240,7 +218,7 @@ func (c *Component) StartLifecycle(s *sim.Simulator, stream *rng.Source) {
 		c.failFn = func() {
 			c.Fail(c.lcSim.Now())
 			rep := c.Spec.Repair.Sample(c.lcStream)
-			c.lifecycleEv = c.lcSim.Schedule(rep, c.repairName, c.repairFn)
+			c.lcSim.Schedule(rep, c.repairName, c.repairFn)
 		}
 		c.repairFn = func() {
 			c.Restore(c.lcSim.Now())
@@ -253,15 +231,7 @@ func (c *Component) StartLifecycle(s *sim.Simulator, stream *rng.Source) {
 
 func (c *Component) scheduleFailure() {
 	ttf := c.Spec.TTF.Sample(c.lcStream)
-	c.lifecycleEv = c.lcSim.Schedule(ttf, c.failName, c.failFn)
-}
-
-// StopLifecycle cancels any pending lifecycle event.
-func (c *Component) StopLifecycle(s *sim.Simulator) {
-	if c.lifecycleEv != nil {
-		s.Cancel(c.lifecycleEv)
-		c.lifecycleEv = nil
-	}
+	c.lcSim.Schedule(ttf, c.failName, c.failFn)
 }
 
 // Fail transitions the component to failed at time now. Failing a failed
@@ -285,38 +255,12 @@ func (c *Component) Restore(now sim.Time) {
 		return
 	}
 	c.touch()
-	if c.state == StateFailed {
-		c.totalDown += now - c.downSince
-		c.repairs++
-	}
+	c.totalDown += now - c.downSince
+	c.repairs++
 	c.state = StateHealthy
-	c.perfFactor = 1
 	for _, fn := range c.onRepair {
 		fn(c)
 	}
-}
-
-// Degrade marks the component as limpware running at factor (0 < factor
-// < 1) of its specified performance. Degrading a failed component is a
-// no-op; factor 1 restores health.
-func (c *Component) Degrade(now sim.Time, factor float64) error {
-	if factor <= 0 || factor > 1 {
-		return fmt.Errorf("hardware: degrade factor %v outside (0, 1]", factor)
-	}
-	if c.state == StateFailed {
-		return nil
-	}
-	if factor == 1 {
-		c.Restore(now)
-		return nil
-	}
-	c.touch()
-	c.state = StateDegraded
-	c.perfFactor = factor
-	for _, fn := range c.onDegrade {
-		fn(c)
-	}
-	return nil
 }
 
 // touch lists c on its block's changed list, the first time since the
@@ -332,8 +276,8 @@ func (c *Component) touch() {
 // Block is a set of components allocated together, as a cluster allocates
 // every node's: Reset costs the components that changed since the last
 // one, not the block's size. A member lists itself the first time it
-// leaves its built state — through StartLifecycle, Fail, Restore,
-// Degrade, OnFail, OnRepair or OnDegrade — so one failed by hand is put
+// leaves its built state — through StartLifecycle, Fail, Restore, OnFail
+// or OnRepair — so one failed by hand is put
 // back as surely as one a lifecycle drove. A standalone component
 // (NewComponent) belongs to no block.
 type Block struct {

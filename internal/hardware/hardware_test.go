@@ -53,7 +53,6 @@ func TestComponentLifecycleCycles(t *testing.T) {
 	c.OnRepair(func(*Component) { repairs++ })
 	c.StartLifecycle(s, s.Stream("disk-1"))
 	s.RunUntil(100000) // ~100 MTTFs
-	c.StopLifecycle(s)
 	if fails < 50 {
 		t.Errorf("only %d failures in 100 expected lifetimes", fails)
 	}
@@ -73,12 +72,12 @@ func TestComponentStateTransitions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.State() != StateHealthy || c.PerfFactor() != 1 {
-		t.Fatal("new component not healthy at full speed")
+	if c.State() != StateHealthy {
+		t.Fatal("new component not healthy")
 	}
 	c.Fail(5)
-	if c.State() != StateFailed || c.PerfFactor() != 0 {
-		t.Fatal("failed component should report state failed, perf 0")
+	if c.State() != StateFailed {
+		t.Fatal("failed component should report state failed")
 	}
 	c.Fail(6) // no-op
 	if c.Failures() != 1 {
@@ -90,46 +89,6 @@ func TestComponentStateTransitions(t *testing.T) {
 	}
 	if got := c.TotalDowntime(20); math.Abs(got-10) > 1e-12 {
 		t.Errorf("downtime = %v, want 10", got)
-	}
-}
-
-func TestDegradeLimpware(t *testing.T) {
-	c, err := NewComponent(1, testSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	degraded := false
-	c.OnDegrade(func(*Component) { degraded = true })
-	if err := c.Degrade(1, 0.01); err != nil {
-		t.Fatal(err)
-	}
-	if c.State() != StateDegraded || c.PerfFactor() != 0.01 {
-		t.Fatalf("state=%v perf=%v, want degraded at 0.01", c.State(), c.PerfFactor())
-	}
-	if !degraded {
-		t.Error("OnDegrade hook not called")
-	}
-	// Factor 1 restores.
-	if err := c.Degrade(2, 1); err != nil {
-		t.Fatal(err)
-	}
-	if c.State() != StateHealthy {
-		t.Error("Degrade(1.0) should restore health")
-	}
-	// Invalid factors rejected.
-	if err := c.Degrade(3, 0); err == nil {
-		t.Error("factor 0 accepted")
-	}
-	if err := c.Degrade(3, 1.5); err == nil {
-		t.Error("factor > 1 accepted")
-	}
-	// Degrading a failed component is a no-op.
-	c.Fail(4)
-	if err := c.Degrade(5, 0.5); err != nil {
-		t.Fatal(err)
-	}
-	if c.State() != StateFailed {
-		t.Error("degrade resurrected a failed component")
 	}
 }
 
@@ -231,20 +190,6 @@ func TestNICSpeedOrdering(t *testing.T) {
 	}
 }
 
-func TestStopLifecycle(t *testing.T) {
-	s := sim.New(1)
-	c, err := NewComponent(1, testSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.StartLifecycle(s, s.Stream("x"))
-	c.StopLifecycle(s)
-	s.Run()
-	if c.Failures() != 0 {
-		t.Errorf("lifecycle continued after stop: %d failures", c.Failures())
-	}
-}
-
 func TestKindString(t *testing.T) {
 	if KindDisk.String() != "disk" || KindSwitch.String() != "switch" {
 		t.Error("kind names wrong")
@@ -254,7 +199,7 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-// TestResetMatchesNewComponent: a component that failed, limped, counted
+// TestResetMatchesNewComponent: a component that failed, counted
 // downtime and has callbacks and a lifecycle running replays, after a
 // Reset (and a reset of its simulator), the failure history a new
 // component has — and formats its event names and builds its lifecycle
@@ -265,7 +210,7 @@ func TestResetMatchesNewComponent(t *testing.T) {
 		c.OnRepair(func(*Component) { out = append(out, -s.Now()) })
 		c.StartLifecycle(s, s.Stream("disk"))
 		s.RunUntil(20000)
-		return append(out, float64(c.Failures()), float64(c.Repairs()), c.TotalDowntime(s.Now()), c.PerfFactor())
+		return append(out, float64(c.Failures()), float64(c.Repairs()), c.TotalDowntime(s.Now()))
 	}
 	s := sim.New(1)
 	reused, err := NewComponent(3, testSpec())
@@ -273,13 +218,11 @@ func TestResetMatchesNewComponent(t *testing.T) {
 		t.Fatal(err)
 	}
 	history(s, reused)
-	if err := reused.Degrade(s.Now(), 0.5); err != nil {
-		t.Fatal(err)
-	}
+	reused.Fail(s.Now())
 	for _, seed := range []uint64{8, 1} {
 		s.Reset(seed)
 		reused.Reset()
-		if reused.State() != StateHealthy || reused.Failures() != 0 || reused.TotalDowntime(0) != 0 || reused.PerfFactor() != 1 {
+		if reused.State() != StateHealthy || reused.Failures() != 0 || reused.TotalDowntime(0) != 0 {
 			t.Fatalf("after Reset: %v, %d failures, downtime %v", reused.State(), reused.Failures(), reused.TotalDowntime(0))
 		}
 		fresh, err := NewComponent(3, testSpec())
@@ -300,7 +243,7 @@ func TestResetMatchesNewComponent(t *testing.T) {
 	if err := block[1].Init(7, testSpec()); err != nil {
 		t.Fatal(err)
 	}
-	if block[1].ID != 7 || block[1].State() != StateHealthy || block[1].PerfFactor() != 1 {
+	if block[1].ID != 7 || block[1].State() != StateHealthy {
 		t.Errorf("Init left %+v", block[1])
 	}
 	bad := testSpec()
@@ -323,25 +266,23 @@ func TestResetMatchesNewComponent(t *testing.T) {
 // builtState is everything of c that Reset puts back, the callbacks by
 // count and the lifecycle wiring by whether it is set.
 func builtState(c *Component) string {
-	return fmt.Sprintf("%d %v %v %d %d %v %v callbacks %d/%d/%d lifecycle %v/%v/%v",
-		c.ID, c.state, c.perfFactor, c.failures, c.repairs, c.downSince, c.totalDown,
-		len(c.onFail), len(c.onRepair), len(c.onDegrade), c.lifecycleEv != nil, c.lcSim != nil, c.lcStream != nil)
+	return fmt.Sprintf("%d %v %d %d %v %v callbacks %d/%d lifecycle %v/%v",
+		c.ID, c.state, c.failures, c.repairs, c.downSince, c.totalDown,
+		len(c.onFail), len(c.onRepair), c.lcSim != nil, c.lcStream != nil)
 }
 
 // TestBlockResetPutsBackEveryMutator: whichever method moved a member of a
 // block away from its built state, Block.Reset puts it back, round after
 // round, and leaves every member equal to a NewComponent. (Restore is left
-// out: it changes only a component that an earlier Fail or Degrade listed.)
+// out: it changes only a component that an earlier Fail listed.)
 func TestBlockResetPutsBackEveryMutator(t *testing.T) {
 	s := sim.New(1)
 	noop := func(*Component) {}
 	mutators := map[string]func(c *Component){
 		"StartLifecycle": func(c *Component) { c.StartLifecycle(s, s.Stream("x")) },
 		"Fail":           func(c *Component) { c.Fail(3) },
-		"Degrade":        func(c *Component) { _ = c.Degrade(3, 0.5) },
 		"OnFail":         func(c *Component) { c.OnFail(noop) },
 		"OnRepair":       func(c *Component) { c.OnRepair(noop) },
-		"OnDegrade":      func(c *Component) { c.OnDegrade(noop) },
 	}
 	for name, mutate := range mutators {
 		b := NewBlock(3)

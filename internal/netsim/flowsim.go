@@ -25,9 +25,6 @@ type Flow struct {
 	eventRate float64 // rate the pending flow/done event was scheduled at
 }
 
-// Size returns the flow's total size in MB.
-func (f *Flow) Size() float64 { return f.size }
-
 // Rate returns the instantaneous allocated rate.
 func (f *Flow) Rate() float64 { return f.rate }
 

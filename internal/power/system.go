@@ -138,10 +138,6 @@ func Attach(s *sim.Simulator, cl *cluster.Cluster, cat *hardware.Catalog, cfg Co
 	return p, nil
 }
 
-// Meter returns the system's energy meter (for workload-coupled
-// utilization updates).
-func (p *System) Meter() *Meter { return p.meter }
-
 // PDUDomains returns the registered PDU failure domains.
 func (p *System) PDUDomains() []*cluster.Domain { return p.pduDomains }
 

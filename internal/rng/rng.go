@@ -306,16 +306,6 @@ func (r *Source) DeriveHashed(d *Source, h uint64) {
 	d.flip = r.flip
 }
 
-// Fork returns a new independent Source, advancing the receiver. The
-// child inherits the antithetic setting but is seeded from the raw
-// (unflipped) draw, so plain/antithetic twins fork state-identical
-// children.
-func (r *Source) Fork() *Source {
-	d := New(r.Uint64() ^ r.flip ^ 0xa0761d6478bd642f)
-	d.flip = r.flip
-	return d
-}
-
 // Keyed returns the deterministic Source for the (seed, trial, name)
 // triple: a pure function of its arguments, independent of any generator
 // state. This is the §4.2 common-random-numbers keying — two design

@@ -201,15 +201,6 @@ func TestDeriveDoesNotAdvanceParent(t *testing.T) {
 	}
 }
 
-func TestForkAdvancesParent(t *testing.T) {
-	a := New(42)
-	f1 := a.Fork()
-	f2 := a.Fork()
-	if f1.Uint64() == f2.Uint64() {
-		t.Fatal("successive forks produced identical streams")
-	}
-}
-
 func TestShufflePreservesMultiset(t *testing.T) {
 	r := New(23)
 	xs := []int{1, 2, 3, 4, 5, 6, 7, 8}
@@ -270,16 +261,6 @@ func TestAntitheticDeriveInherits(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		if plain.Uint64() != ^antiD.Uint64() {
 			t.Fatalf("derived antithetic stream is not the complement at draw %d", i)
-		}
-	}
-	// Forked children also mirror.
-	pf := New(7).Fork()
-	af := New(7)
-	af.SetAntithetic(true)
-	aff := af.Fork()
-	for i := 0; i < 100; i++ {
-		if pf.Uint64() != ^aff.Uint64() {
-			t.Fatalf("forked antithetic stream is not the complement at draw %d", i)
 		}
 	}
 }

@@ -555,15 +555,26 @@ func TestJournalWriteAheadWatermark(t *testing.T) {
 	}
 	t.Cleanup(srv.Close)
 	// The first two flushes stop at the gate until the test lets them by.
-	// One committer at a time: flushes needs no lock.
+	// One committer at a time: flushes needs no lock. The job's first
+	// point waits until the first flush has taken its batch, so that batch
+	// is the begin record alone however late the committer starts.
 	entered := make(chan struct{})
 	hold := []chan struct{}{make(chan struct{}), make(chan struct{})}
+	firstFlush := make(chan struct{})
 	flushes := 0
 	srv.journal.log.flushGate = func() {
 		if n := flushes; n < len(hold) {
 			flushes++
+			if n == 0 {
+				close(firstFlush)
+			}
 			entered <- struct{}{}
 			<-hold[n]
+		}
+	}
+	srv.pointGate = func(index int) {
+		if index == 0 {
+			<-firstFlush
 		}
 	}
 	id, err := srv.Submit(QueryRequest{Query: smallQuery})

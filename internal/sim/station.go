@@ -20,12 +20,8 @@ type Station struct {
 	waiting []*Job
 	active  map[*Job]struct{}
 
-	// Metrics.
 	arrivals    int64
 	completions int64
-	busyArea    float64 // integral of busy servers over time
-	lastT       Time
-	queueArea   float64 // integral of queue length over time
 }
 
 // Job is one unit of work flowing through a Station.
@@ -50,18 +46,8 @@ func NewStation(s *Simulator, name string, servers int) (*Station, error) {
 	return &Station{
 		sim: s, name: name, completeName: name + "/complete", servers: servers, speed: 1,
 		active: make(map[*Job]struct{}),
-		lastT:  s.Now(),
 	}, nil
 }
-
-// Name returns the station's label.
-func (st *Station) Name() string { return st.name }
-
-// Servers returns the number of servers.
-func (st *Station) Servers() int { return st.servers }
-
-// Speed returns the current speed factor.
-func (st *Station) Speed() float64 { return st.speed }
 
 // Submit enqueues work (service requirement at unit speed, > 0); done is
 // invoked at completion with the waiting time and total sojourn time.
@@ -70,7 +56,6 @@ func (st *Station) Submit(work float64, done func(waited, total float64)) *Job {
 	if work <= 0 {
 		panic(fmt.Sprintf("sim: station %q received non-positive work %v", st.name, work))
 	}
-	st.integrate()
 	j := &Job{work: work, arrival: st.sim.Now(), done: done, station: st}
 	j.complete = func() { st.complete(j) }
 	st.arrivals++
@@ -109,7 +94,6 @@ func (st *Station) scheduleCompletion(j *Job) {
 // complete finishes j and promotes the next waiting job.
 func (st *Station) complete(j *Job) {
 	j.event = nil // this event: the handle is dead once it fires
-	st.integrate()
 	delete(st.active, j)
 	st.completions++
 	if j.done != nil {
@@ -138,7 +122,6 @@ func (st *Station) SetSpeed(f float64) {
 	if f == st.speed {
 		return
 	}
-	st.integrate()
 	now := st.sim.Now()
 	// Bank progress at the old speed, then reschedule at the new one.
 	for j := range st.active {
@@ -156,37 +139,6 @@ func (st *Station) SetSpeed(f float64) {
 	for f > 0 && len(st.waiting) > 0 && len(st.active) < st.servers {
 		st.startService(st.popFront())
 	}
-}
-
-// integrate advances the time-weighted utilization and queue integrals.
-func (st *Station) integrate() {
-	now := st.sim.Now()
-	dt := now - st.lastT
-	if dt > 0 {
-		st.busyArea += dt * float64(len(st.active))
-		st.queueArea += dt * float64(len(st.waiting))
-		st.lastT = now
-	}
-}
-
-// Utilization returns the time-averaged fraction of busy servers since the
-// station was created, evaluated at the current simulation time.
-func (st *Station) Utilization() float64 {
-	st.integrate()
-	elapsed := st.lastT
-	if elapsed <= 0 {
-		return 0
-	}
-	return st.busyArea / (elapsed * float64(st.servers))
-}
-
-// MeanQueueLength returns the time-averaged number of waiting jobs.
-func (st *Station) MeanQueueLength() float64 {
-	st.integrate()
-	if st.lastT <= 0 {
-		return 0
-	}
-	return st.queueArea / st.lastT
 }
 
 // QueueLength returns the instantaneous number of waiting jobs.

@@ -136,20 +136,6 @@ func TestStationFreezeAndThaw(t *testing.T) {
 	}
 }
 
-func TestStationUtilization(t *testing.T) {
-	s := New(1)
-	st, err := NewStation(s, "cpu", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st.Submit(5, nil)
-	s.Schedule(10, "probe", func() {})
-	s.Run()
-	if u := st.Utilization(); math.Abs(u-0.5) > 1e-9 {
-		t.Fatalf("utilization = %v, want 0.5", u)
-	}
-}
-
 func TestStationMM1AgainstAnalytic(t *testing.T) {
 	// M/M/1 with rho = 0.5: mean sojourn = 1/(mu-lambda) = 2.
 	s := New(12345)

@@ -1,6 +1,6 @@
 // Package stats provides the streaming statistics the wind tunnel uses to
-// summarize simulation output: moments, quantiles, time-weighted averages,
-// histograms and confidence intervals.
+// summarize simulation output: moments, quantiles, time-weighted averages
+// and confidence intervals.
 //
 // Every SLA verdict (§3 of the paper) is a statistic over one or more
 // simulation runs, and the Runner's stopping rule (§4.2) is driven by
@@ -19,23 +19,11 @@ type Welford struct {
 	n    int64
 	mean float64
 	m2   float64
-	min  float64
-	max  float64
 }
 
 // Add incorporates one observation.
 func (w *Welford) Add(x float64) {
 	w.n++
-	if w.n == 1 {
-		w.min, w.max = x, x
-	} else {
-		if x < w.min {
-			w.min = x
-		}
-		if x > w.max {
-			w.max = x
-		}
-	}
 	delta := x - w.mean
 	w.mean += delta / float64(w.n)
 	w.m2 += delta * (x - w.mean)
@@ -58,12 +46,6 @@ func (w *Welford) Variance() float64 {
 // StdDev returns the sample standard deviation.
 func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
 
-// Min returns the smallest observation (0 if empty).
-func (w *Welford) Min() float64 { return w.min }
-
-// Max returns the largest observation (0 if empty).
-func (w *Welford) Max() float64 { return w.max }
-
 // StdErr returns the standard error of the mean.
 func (w *Welford) StdErr() float64 {
 	if w.n < 2 {
@@ -80,33 +62,6 @@ func (w *Welford) CI(alpha float64) float64 {
 		return math.Inf(1)
 	}
 	return tQuantile(1-alpha/2, w.n-1) * w.StdErr()
-}
-
-// Merge combines another accumulator into w (parallel trials).
-func (w *Welford) Merge(o *Welford) {
-	if o.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = *o
-		return
-	}
-	n := w.n + o.n
-	delta := o.mean - w.mean
-	mean := w.mean + delta*float64(o.n)/float64(n)
-	m2 := w.m2 + o.m2 + delta*delta*float64(w.n)*float64(o.n)/float64(n)
-	if o.min < w.min {
-		w.min = o.min
-	}
-	if o.max > w.max {
-		w.max = o.max
-	}
-	w.n, w.mean, w.m2 = n, mean, m2
-}
-
-func (w *Welford) String() string {
-	return fmt.Sprintf("n=%d mean=%.6g sd=%.6g [%.6g, %.6g]",
-		w.n, w.Mean(), w.StdDev(), w.min, w.max)
 }
 
 // WeightedWelford accumulates a weighted mean and variance in one pass
@@ -199,11 +154,6 @@ func (w *WeightedWelford) CI(alpha float64) float64 {
 	return tQuantile(1-alpha/2, int64(neff)-1) * w.StdErr()
 }
 
-func (w *WeightedWelford) String() string {
-	return fmt.Sprintf("n=%d neff=%.3g mean=%.6g sd=%.6g",
-		w.n, w.EffectiveN(), w.Mean(), w.StdDev())
-}
-
 // tQuantile approximates the Student-t quantile with df degrees of freedom
 // using the Cornish–Fisher expansion around the normal quantile; exact
 // enough for CI reporting (error < 1% for df >= 3).
@@ -264,9 +214,6 @@ func normQuantile(p float64) float64 {
 	x -= u / (1 + x*u/2)
 	return x
 }
-
-// NormQuantile exposes the inverse standard normal CDF.
-func NormQuantile(p float64) float64 { return normQuantile(p) }
 
 // Sample collects observations for exact quantile queries. Use for
 // latency distributions where tail percentiles matter (§3 performance
@@ -338,17 +285,4 @@ func (s *Sample) Max() float64 {
 		}
 	}
 	return m
-}
-
-// Values returns a copy of the observations.
-func (s *Sample) Values() []float64 {
-	out := make([]float64, len(s.xs))
-	copy(out, s.xs)
-	return out
-}
-
-// Merge appends all observations from o.
-func (s *Sample) Merge(o *Sample) {
-	s.xs = append(s.xs, o.xs...)
-	s.sorted = false
 }

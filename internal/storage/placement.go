@@ -200,71 +200,6 @@ func (RackAware) Place(dst []int, objectID int, view *View, r *rng.Source) error
 	return nil
 }
 
-// CopySet restricts placements to a small set of precomputed replica
-// groups (Cidon et al.'s copysets), trading a higher per-group loss
-// probability for far fewer distinct groups — the classic illustration
-// that placement policy interacts with availability (§4.6). Scatter
-// controls how many permutations are used (>= 1).
-type CopySet struct {
-	GroupSize int
-	Scatter   int
-
-	sets    [][]int
-	forView int // view size the sets were built for
-}
-
-// NewCopySet builds a copyset policy for groups of size groupSize using
-// `scatter` random permutations.
-func NewCopySet(groupSize, scatter int) (*CopySet, error) {
-	if groupSize < 1 {
-		return nil, fmt.Errorf("storage: copyset group size must be >= 1, got %d", groupSize)
-	}
-	if scatter < 1 {
-		return nil, fmt.Errorf("storage: copyset scatter must be >= 1, got %d", scatter)
-	}
-	return &CopySet{GroupSize: groupSize, Scatter: scatter}, nil
-}
-
-func (c *CopySet) Name() string { return "copyset" }
-
-// Reset forgets the groups, which were drawn from an earlier population's
-// stream: the next placement draws its own, as a new policy's first does.
-// Store.Reset calls it.
-func (c *CopySet) Reset() { c.sets = nil }
-
-func (c *CopySet) Place(dst []int, objectID int, view *View, r *rng.Source) error {
-	if err := checkCount(len(dst), view); err != nil {
-		return err
-	}
-	if len(dst) != c.GroupSize {
-		return fmt.Errorf("storage: copyset built for group size %d, asked for %d", c.GroupSize, len(dst))
-	}
-	if c.sets == nil || c.forView != view.Nodes {
-		c.build(view.Nodes, r)
-	}
-	copy(dst, c.sets[r.Intn(len(c.sets))])
-	return nil
-}
-
-// build partitions `scatter` random permutations into groups.
-func (c *CopySet) build(nodes int, r *rng.Source) {
-	c.sets = nil
-	c.forView = nodes
-	for s := 0; s < c.Scatter; s++ {
-		perm := r.Perm(nodes)
-		for i := 0; i+c.GroupSize <= nodes; i += c.GroupSize {
-			group := make([]int, c.GroupSize)
-			copy(group, perm[i:i+c.GroupSize])
-			c.sets = append(c.sets, group)
-		}
-	}
-	if len(c.sets) == 0 {
-		// Fewer nodes than the group size is rejected by checkCount
-		// before build; guard anyway.
-		c.sets = [][]int{{0}}
-	}
-}
-
 // checkCount reports whether count distinct nodes can be chosen from a
 // valid view. Every Place calls it for every object, so a passing count
 // costs three compares; countError works out which check failed.

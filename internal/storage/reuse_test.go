@@ -121,21 +121,10 @@ func sameObjects(t *testing.T, what string, got, want []*Object) {
 // TestResetStoreMatchesFresh: a store that was populated, indexed,
 // relocated in and reset is, after the next AddObjects, the store a
 // fresh build with that stream would be — objects, placements, index.
-// The copyset policy keeps its groups between placements; the fresh store
-// gets a policy of its own, so groups that survived the Reset would show.
 func TestResetStoreMatchesFresh(t *testing.T) {
 	view := rackView(3, 8)
-	stateless := func(p Policy) func(int) Policy { return func(int) Policy { return p } }
-	copyset := func(width int) Policy {
-		cs, err := NewCopySet(width, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return cs
-	}
-	for _, newPolicy := range []func(width int) Policy{stateless(Random{}), stateless(RoundRobin{}), stateless(RackAware{}), copyset} {
+	for _, policy := range []Policy{Random{}, RoundRobin{}, RackAware{}} {
 		for _, scheme := range []Scheme{ReplicationScheme(3), RSScheme(6, 3)} {
-			policy := newPolicy(scheme.Width())
 			reused := populate(t, view, policy, 300, scheme, 1)
 			// Dirty it: an index, relocations that grow index lists, a
 			// second batch of objects.
@@ -146,11 +135,7 @@ func TestResetStoreMatchesFresh(t *testing.T) {
 					}
 				}
 			}
-			second := ReplicationScheme(2)
-			if policy.Name() == "copyset" {
-				second = scheme // a copyset places one width only
-			}
-			if err := reused.AddObjects(50, 1, second, rng.New(2)); err != nil {
+			if err := reused.AddObjects(50, 1, ReplicationScheme(2), rng.New(2)); err != nil {
 				t.Fatal(err)
 			}
 			// Fewer objects, more objects, a wider scheme than before.
@@ -163,7 +148,7 @@ func TestResetStoreMatchesFresh(t *testing.T) {
 				if err := reused.AddObjects(users, 64, scheme, rng.New(seed)); err != nil {
 					t.Fatal(err)
 				}
-				fresh := populate(t, view, newPolicy(scheme.Width()), users, scheme, seed)
+				fresh := populate(t, view, policy, users, scheme, seed)
 				what := fmt.Sprintf("%s %v after Reset vs fresh", policy.Name(), scheme)
 				if reused.Len() != fresh.Len() {
 					t.Fatalf("%s: Len %d, fresh %d", what, reused.Len(), fresh.Len())
@@ -290,7 +275,6 @@ func TestDeferredStoreMatchesEager(t *testing.T) {
 		"UnavailableCount": func(st *Store) { st.UnavailableCount(up) },
 		"AnyUnavailable":   func(st *Store) { st.AnyUnavailable(up) },
 		"LostCount":        func(st *Store) { st.LostCount(up) },
-		"TotalStoredMB":    func(st *Store) { st.TotalStoredMB() },
 		"Place":            func(st *Store) { _ = st.Place() },
 		"Defer": func(st *Store) {
 			if err := st.Defer(10, 1, ReplicationScheme(2), rng.New(3)); err != nil {
@@ -372,11 +356,7 @@ func TestDeferredPlacementFailureIsKept(t *testing.T) {
 		t.Fatalf("a refused Defer left %d objects requested", st.Len())
 	}
 
-	cs, err := NewCopySet(3, 1) // places groups of 3 only
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st, err = NewStore(View{Nodes: 9}, cs); err != nil {
+	if st, err = NewStore(View{Nodes: 9}, oneWidth(3)); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.AddObjects(4, 1, ReplicationScheme(3), rng.New(1)); err != nil {
@@ -388,7 +368,7 @@ func TestDeferredPlacementFailureIsKept(t *testing.T) {
 	if st.Len() != 10 || st.Err() != nil {
 		t.Fatalf("before the read: Len %d, Err %v", st.Len(), st.Err())
 	}
-	const want = "storage: placing object 4: storage: copyset built for group size 3, asked for 2"
+	const want = "storage: placing object 4: policy places groups of 3 only, asked for 2"
 	if n := len(st.Objects()); n != 4 || st.Len() != 4 || st.Err() == nil || st.Err().Error() != want {
 		t.Fatalf("after the read: %d objects, Len %d, Err %v; want 4, 4, %q", n, st.Len(), st.Err(), want)
 	}
@@ -396,4 +376,17 @@ func TestDeferredPlacementFailureIsKept(t *testing.T) {
 	if st.Err() != nil {
 		t.Fatalf("Reset kept the placement error: %v", st.Err())
 	}
+}
+
+// oneWidth is a policy that places groups of one width only, round-robin,
+// and fails on any other width.
+type oneWidth int
+
+func (oneWidth) Name() string { return "onewidth" }
+
+func (w oneWidth) Place(dst []int, objectID int, view *View, r *rng.Source) error {
+	if len(dst) != int(w) {
+		return fmt.Errorf("policy places groups of %d only, asked for %d", int(w), len(dst))
+	}
+	return RoundRobin{}.Place(dst, objectID, view, r)
 }

@@ -1,3 +1,32 @@
+// Package storage implements the software side of the wind tunnel's
+// availability story (§1, §3, §4.6 of the paper): the placement and
+// availability of customer data objects protected by n-way replication or
+// Reed–Solomon erasure coding (the "XORing elephants" alternative the paper
+// cites as [14]). Objects are distributed across cluster nodes by pluggable
+// placement policies — Random and RoundRobin as in Figure 1, plus a
+// rack-aware variant — and judged available under a majority-quorum
+// protocol for replicas, or while K of an rs-K-M object's shards are
+// reachable. No byte is ever encoded: a scheme is its width, overhead and
+// survival rule.
+//
+// A Store is built once and can then be populated any number of times:
+// Reset empties it, in place, to the state NewStore left it in — equal to
+// a freshly built store — and the next AddObjects places, with whatever
+// stream it is given, into the Objects and Locations the store already
+// owns. Every handle from before the Reset (*Object, ObjectsOn slices) is
+// dead. Policies place into storage the caller owns and keep their
+// scratch in the View, so re-placing a population allocates nothing. A
+// re-population of the same shape draws locations and nothing else: an
+// object's ID, size and scheme are written over the old ones in place,
+// and its Locations are placed again, through the policy's Place, with
+// the draws a fresh store would take.
+//
+// The store's node index (ObjectsOn) is written far more often than it is
+// read — every finished repair relocates a shard, a node's list is read
+// when that node changes state — so Relocate only appends the object to
+// its new node's list and marks the two nodes; a marked node's list is
+// filtered, sorted by ID and de-duplicated at the next ObjectsOn of that
+// node, and of no other.
 package storage
 
 import (
@@ -193,9 +222,8 @@ func NewStore(view View, policy Policy) (*Store, error) {
 
 // Reset empties the store, in place, to the state NewStore left it in,
 // keeping what it has allocated for the next population. A deferred
-// population that nothing has read yet is dropped unplaced, a placement
-// error is forgotten, and a policy that keeps state between placements
-// (CopySet's groups) is returned to its just-built state with it.
+// population that nothing has read yet is dropped unplaced and a placement
+// error is forgotten.
 //
 // A reset store is equal to a freshly built one, and every handle from
 // before is dead: each *Object will be handed out again, with a new
@@ -204,13 +232,7 @@ func (st *Store) Reset() {
 	st.objects = st.objects[:0]
 	st.indexed = false
 	st.pending, st.err = population{}, nil
-	if p, ok := st.policy.(interface{ Reset() }); ok {
-		p.Reset()
-	}
 }
-
-// Policy returns the placement policy.
-func (st *Store) Policy() Policy { return st.policy }
 
 // View returns the placement view.
 func (st *Store) View() View { return st.view }
@@ -390,15 +412,6 @@ func (st *Store) Lost(obj *Object, down func(int) bool) bool {
 		}
 	}
 	return up < obj.Scheme.MinRecoverable()
-}
-
-// TotalStoredMB returns the physical bytes stored (logical × overhead).
-func (st *Store) TotalStoredMB() float64 {
-	total := 0.0
-	for _, o := range st.placed() {
-		total += o.SizeMB * o.Scheme.Overhead()
-	}
-	return total
 }
 
 // ObjectsOn returns the objects having a shard/replica on node n, in

@@ -104,24 +104,10 @@ func (n *NodeModel) Process(d Demand, done func(latency float64)) {
 // means the NIC runs at 1% of its specified throughput. Factor 1 restores
 // full speed.
 func (n *NodeModel) DegradeNIC(factor float64) error {
-	return degrade(n.NIC, factor)
-}
-
-// DegradeDisk applies a limpware factor to the node's disk.
-func (n *NodeModel) DegradeDisk(factor float64) error {
-	return degrade(n.Disk, factor)
-}
-
-// DegradeCPU applies a limpware factor to the node's CPU.
-func (n *NodeModel) DegradeCPU(factor float64) error {
-	return degrade(n.CPU, factor)
-}
-
-func degrade(st *sim.Station, factor float64) error {
 	if factor <= 0 || factor > 1 {
 		return fmt.Errorf("workload: degrade factor %v outside (0, 1]", factor)
 	}
-	st.SetSpeed(factor)
+	n.NIC.SetSpeed(factor)
 	return nil
 }
 
@@ -161,7 +147,6 @@ type Workload struct {
 	lat     stats.Sample
 	started int64
 	done    int64
-	stopped bool
 }
 
 // NewWorkload creates a workload targeting nodes (round-robin routing).
@@ -201,7 +186,7 @@ func (w *Workload) StartOpen(interarrival dist.Dist, count int64) error {
 	}
 	var arrive func()
 	arrive = func() {
-		if w.stopped || (count > 0 && w.started >= count) {
+		if count > 0 && w.started >= count {
 			return
 		}
 		w.submit()
@@ -211,48 +196,8 @@ func (w *Workload) StartOpen(interarrival dist.Dist, count int64) error {
 	return nil
 }
 
-// StartClosed begins a closed-loop population of `clients` users with the
-// given think-time distribution: each client thinks, issues a request,
-// waits for completion, repeats.
-func (w *Workload) StartClosed(clients int, think dist.Dist) error {
-	if clients < 1 {
-		return fmt.Errorf("workload: %q closed loop needs >= 1 client, got %d", w.Name, clients)
-	}
-	if think == nil {
-		return fmt.Errorf("workload: %q closed loop needs a think-time distribution", w.Name)
-	}
-	for i := 0; i < clients; i++ {
-		var loop func()
-		loop = func() {
-			if w.stopped {
-				return
-			}
-			w.sim.Schedule(think.Sample(w.rng), w.Name+"/think", func() {
-				if w.stopped {
-					return
-				}
-				w.started++
-				d := w.Profile.sample(w.rng)
-				w.next().Process(d, func(latency float64) {
-					w.done++
-					w.lat.Add(latency)
-					loop()
-				})
-			})
-		}
-		loop()
-	}
-	return nil
-}
-
-// Stop halts request generation (in-flight requests drain).
-func (w *Workload) Stop() { w.stopped = true }
-
 // Latencies returns the collected latency sample.
 func (w *Workload) Latencies() *stats.Sample { return &w.lat }
-
-// Started returns the number of issued requests.
-func (w *Workload) Started() int64 { return w.started }
 
 // Completed returns the number of finished requests.
 func (w *Workload) Completed() int64 { return w.done }
