@@ -25,7 +25,9 @@
 // the simulation before it changed rather than the data center's size:
 // every node's disks and NIC are one hardware.Block, and a component lists
 // itself there when it first leaves its built state, whether a failure
-// process or a caller moved it, so Reset visits the listed ones only.
+// process or a caller moved it, so Reset visits the listed ones only; a
+// node lists itself when its up flag or veto count first moves, a domain
+// when it first fails, and Reset puts back those.
 package cluster
 
 import (
@@ -37,7 +39,6 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/rng"
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 // Config describes one data center design point. Time unit: hours (all
@@ -96,7 +97,6 @@ type Node struct {
 	NIC   *hardware.Component
 
 	up       bool
-	upSignal stats.TimeWeighted
 	accessLk *netsim.Link
 
 	// Whole-node lifecycle wiring: event names and callbacks are built by
@@ -135,9 +135,10 @@ type Domain struct {
 	// unpowered one does not.
 	Power bool
 
-	nodes []int
-	links []*netsim.Link
-	up    bool
+	nodes  []int
+	links  []*netsim.Link
+	up     bool
+	downed bool // listed in the cluster's downed since its last Reset
 }
 
 // Up reports whether the domain is operational.
@@ -196,6 +197,13 @@ type Cluster struct {
 	onDomDown   []func(*Domain)
 	onDomUp     []func(*Domain)
 
+	// What Reset puts back: the nodes whose up flag or veto count has moved
+	// since the last Reset (touched[id] says whether id is listed in moved),
+	// and the domains that have failed.
+	moved   []int
+	touched []bool
+	downed  []*Domain
+
 	// avail is Available as a bitset (see AvailableSet), brought up to date
 	// by mark at every statement that moves a node's up flag or veto count.
 	avail []uint64
@@ -208,7 +216,6 @@ type Cluster struct {
 	torWire  []componentWiring
 
 	nodeFailures int64
-	rackFailures int64
 }
 
 // Build constructs the cluster, its topology and flow simulator. Failure
@@ -264,6 +271,8 @@ func Build(s *sim.Simulator, cat *hardware.Catalog, cfg Config) (*Cluster, error
 		nodeVeto: make([]int, size),
 		linkVeto: make([]int, len(net.Topo.Links())),
 		avail:    make([]uint64, (size+63)/64),
+		moved:    make([]int, 0, size),
+		touched:  make([]bool, size),
 	}
 	// Nodes, their disk lists and their components each come out of one
 	// block: a cluster is a handful of allocations however many nodes.
@@ -283,6 +292,7 @@ func Build(s *sim.Simulator, cat *hardware.Catalog, cfg Config) (*Cluster, error
 			return nil, err
 		}
 		c.nodes[id] = n
+		c.touch(id) // built down: the Reset below brings it up
 	}
 	// The built-in correlated-failure domains: one per rack, covering its
 	// nodes and severing its uplink while down (the ToR mechanism).
@@ -303,8 +313,7 @@ func Build(s *sim.Simulator, cat *hardware.Catalog, cfg Config) (*Cluster, error
 
 // Reset returns the cluster to the state Build left it in, in place:
 // every link up at its configured capacity and no flow in flight, every
-// node and component healthy with zeroed counters and uptime signals, no
-// domain down, the domains added since Build (internal/power's) gone,
+// node and component healthy with zeroed counters, no domain down, the domains added since Build (internal/power's) gone,
 // every registered callback dropped, no failure process running. Reset
 // the driving simulator first: the cluster restarts its clocks from the
 // simulator's Now and forgets, rather than cancels, its pending events.
@@ -320,27 +329,32 @@ func (c *Cluster) Reset() {
 			sw.Reset()
 		}
 	}
-	now := c.sim.Now()
-	for _, n := range c.nodes {
-		n.up = true
-		n.upSignal = stats.TimeWeighted{}
-		n.upSignal.Set(now, 1)
-		n.ttfStream, n.repairStream = nil, nil
+	for _, d := range c.downed {
+		d.up, d.downed = true, false
+		for _, l := range d.links {
+			c.linkVeto[l.ID] = 0
+		}
 	}
+	c.downed = dropAll(c.downed)
 	clear(c.domains[len(c.rackDomains):])
 	c.domains = c.domains[:len(c.rackDomains)]
-	for _, d := range c.rackDomains {
-		d.up = true
-	}
-	clear(c.nodeVeto)
-	clear(c.linkVeto)
-	for id := range c.nodes {
+	for _, id := range c.moved {
+		c.nodes[id].up, c.nodeVeto[id], c.touched[id] = true, 0, false
 		c.mark(id)
 	}
+	c.moved = c.moved[:0]
 	c.onDown, c.onUp = dropAll(c.onDown), dropAll(c.onUp)
 	c.onDisk, c.onDiskOK = dropAll(c.onDisk), dropAll(c.onDiskOK)
 	c.onDomDown, c.onDomUp = dropAll(c.onDomDown), dropAll(c.onDomUp)
-	c.nodeFailures, c.rackFailures = 0, 0
+	c.nodeFailures = 0
+}
+
+// touch lists node id for the next Reset, once.
+func (c *Cluster) touch(id int) {
+	if !c.touched[id] {
+		c.touched[id] = true
+		c.moved = append(c.moved, id)
+	}
 }
 
 // dropAll empties a callback list, releasing the callbacks and keeping
@@ -393,6 +407,10 @@ func (c *Cluster) FailDomain(d *Domain) {
 		return
 	}
 	d.up = false
+	if !d.downed {
+		d.downed = true
+		c.downed = append(c.downed, d)
+	}
 	changed := false
 	for _, l := range d.links {
 		c.linkVeto[l.ID]++
@@ -411,6 +429,7 @@ func (c *Cluster) FailDomain(d *Domain) {
 		n := c.nodes[id]
 		wasAvailable := n.up && c.nodeVeto[id] == 0
 		c.nodeVeto[id]++
+		c.touch(id)
 		c.mark(id)
 		if wasAvailable {
 			for _, fn := range c.onDown {
@@ -479,9 +498,6 @@ func (c *Cluster) OnDiskRepair(fn func(*Node, int)) { c.onDiskOK = append(c.onDi
 // NodeFailures returns the count of node-down transitions so far.
 func (c *Cluster) NodeFailures() int64 { return c.nodeFailures }
 
-// RackFailures returns the count of ToR-switch failures so far.
-func (c *Cluster) RackFailures() int64 { return c.rackFailures }
-
 // Available reports whether node id is up and reachable: the node
 // itself is up and no failure domain covering it (rack ToR, PDU,
 // facility power) is down.
@@ -520,8 +536,8 @@ func (c *Cluster) FailNode(id int) {
 		return
 	}
 	n.up = false
+	c.touch(id)
 	c.mark(id)
-	n.upSignal.Set(c.sim.Now(), 0)
 	c.nodeFailures++
 	if n.accessLk != nil {
 		c.Topo.SetLinkUp(n.accessLk, false)
@@ -540,7 +556,6 @@ func (c *Cluster) RestoreNode(id int) {
 	}
 	n.up = true
 	c.mark(id)
-	n.upSignal.Set(c.sim.Now(), 1)
 	if n.accessLk != nil {
 		c.Topo.SetLinkUp(n.accessLk, true)
 		c.Flow.OnLinkChange()
@@ -553,10 +568,6 @@ func (c *Cluster) RestoreNode(id int) {
 // FailRack forces rack r's ToR switch down, making all its nodes
 // unreachable (correlated failure). It is the rack domain's failure.
 func (c *Cluster) FailRack(r int) {
-	if !c.rackDomains[r].up {
-		return
-	}
-	c.rackFailures++
 	c.FailDomain(c.rackDomains[r])
 }
 
@@ -716,16 +727,4 @@ func (c *Cluster) SetServiceThrottle(factor float64) error {
 		c.Flow.OnLinkChange()
 	}
 	return nil
-}
-
-// NodeUptime returns the time-averaged fraction of time node id was up,
-// evaluated at the current simulation time.
-func (c *Cluster) NodeUptime(id int) float64 {
-	n := c.nodes[id]
-	v := 0.0
-	if n.up {
-		v = 1
-	}
-	n.upSignal.Set(c.sim.Now(), v)
-	return n.upSignal.Average()
 }

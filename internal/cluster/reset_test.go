@@ -22,12 +22,13 @@ func transcript(s *sim.Simulator, c *Cluster, horizon float64) string {
 	c.OnDiskRepair(func(n *Node, d int) { log += fmt.Sprintf("diskok %d/%d@%v ", n.ID, d, s.Now()) })
 	c.OnDomainDown(func(d *Domain) { log += fmt.Sprintf("dom %s@%v ", d.Name, s.Now()) })
 	c.OnDomainUp(func(d *Domain) { log += fmt.Sprintf("domok %s@%v ", d.Name, s.Now()) })
+	share := uptime(s, c)
 	c.StartFailures()
 	s.RunUntil(horizon)
-	log += fmt.Sprintf("| failures %d/%d available %d domains %d version %d |",
-		c.NodeFailures(), c.RackFailures(), c.AvailableCount(), len(c.Domains()), c.Topo.Version())
+	log += fmt.Sprintf("| failures %d available %d domains %d |",
+		c.NodeFailures(), c.AvailableCount(), len(c.Domains()))
 	for id := range c.Nodes() {
-		log += fmt.Sprintf(" %v", c.NodeUptime(id))
+		log += fmt.Sprintf(" %v", share(id))
 	}
 	return log
 }
@@ -130,13 +131,12 @@ func TestBuildWiresLinksWithoutSearching(t *testing.T) {
 }
 
 // components describes every node's disks and NIC as their getters see
-// them at time at.
-func components(c *Cluster, at float64) string {
+// them.
+func components(c *Cluster) string {
 	var b strings.Builder
 	for _, n := range c.Nodes() {
 		for _, comp := range append(slices.Clone(n.Disks), n.NIC) {
-			fmt.Fprintf(&b, "%d:%v/%d/%d/%v ", comp.ID, comp.State(),
-				comp.Failures(), comp.Repairs(), comp.TotalDowntime(at))
+			fmt.Fprintf(&b, "%d:%v ", comp.ID, comp.State())
 		}
 	}
 	return b.String()
@@ -154,23 +154,23 @@ func TestResetRestoresHandFailedComponent(t *testing.T) {
 	fired := 0
 	disk.OnRepair(func(*hardware.Component) { fired++ })
 	s.RunUntil(5)
-	disk.Fail(s.Now())
-	nic.Fail(s.Now())
-	if components(c, 9) == components(mustBuild(t), 9) {
+	disk.Fail()
+	nic.Fail()
+	if components(c) == components(mustBuild(t)) {
 		t.Fatal("failing a disk and a NIC by hand changed nothing a getter sees")
 	}
 	for round := 0; round < 3; round++ {
 		s.Reset(42)
 		c.Reset()
-		if got, want := components(c, 9), components(mustBuild(t), 9); got != want {
+		if got, want := components(c), components(mustBuild(t)); got != want {
 			t.Fatalf("round %d: after Reset the components read\n%s\na fresh build's read\n%s", round, got, want)
 		}
-		disk.Fail(1)
-		disk.Restore(2)
+		disk.Fail()
+		disk.Restore()
 		if fired != 0 {
 			t.Fatalf("round %d: a repair callback registered before Reset ran %d times", round, fired)
 		}
-		nic.Fail(3)
+		nic.Fail()
 	}
 }
 

@@ -282,7 +282,7 @@ func (e *Explorer) RunPoints(ctx context.Context, subset []int, progress func(do
 
 	var pruner *sharedPruner
 	if e.Prune {
-		pruner = &sharedPruner{pr: design.NewPruner(e.Space)}
+		pruner = &sharedPruner{pr: design.NewPruner()}
 	}
 
 	var next atomic.Int64

@@ -46,6 +46,11 @@ import (
 // its first trial rather than its first failure; a placement that fails
 // later is that trial's error (TestDeferredPopulationMatchesEager holds
 // all of it against the eager AddObjects).
+//
+// Nor does a trial pay for what falls after its horizon: the simulator is
+// told the horizon before anything is scheduled, and the failures drawn
+// past it — in a rare-failure trial, nearly every node's first — are
+// parked outside the calendar's heap (sim.Simulator.SetHorizon).
 type trialWorld struct {
 	key    worldKey
 	runner Runner            // only the fields in key: CRN, Antithetic, FailureBias
@@ -153,6 +158,9 @@ func (w *trialWorld) trial(ctx context.Context, trial uint64) trialOutcome {
 		s.Reset(sc.Seed*1_000_003 + trial)
 		w.place.Reseed(sc.Seed*7_919 + trial)
 	}
+	// Nothing is scheduled yet: every event the trial will not reach is
+	// parked out of the calendar's heap from the start.
+	s.SetHorizon(sc.HorizonHours)
 	if w.biased != nil {
 		w.biased.Reset()
 	}

@@ -211,12 +211,11 @@ func (s *Space) Points() []Point {
 // worse-or-equal on every monotone dimension is guaranteed to fail too
 // and need not be simulated.
 type Pruner struct {
-	space  *Space
 	failed []Point
 }
 
-// NewPruner creates a pruner for s.
-func NewPruner(s *Space) *Pruner { return &Pruner{space: s} }
+// NewPruner creates a pruner with no failure recorded.
+func NewPruner() *Pruner { return &Pruner{} }
 
 // RecordFailure marks p as having failed its constraint.
 func (pr *Pruner) RecordFailure(p Point) {

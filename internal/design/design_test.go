@@ -140,7 +140,7 @@ func TestPointAccessors(t *testing.T) {
 
 func TestDominancePruning(t *testing.T) {
 	s := space(t)
-	pr := NewPruner(s)
+	pr := NewPruner()
 	// 10g + 3 replicas + random failed.
 	pr.RecordFailure(pointFor(t, s, map[string]Value{"net": "10g", "replicas": 3, "placement": "random"}))
 
@@ -174,7 +174,7 @@ func TestPruningSavesRunsInBestFirstOrder(t *testing.T) {
 	// best-first enumeration and pruning, strictly fewer points should be
 	// executed than the full cartesian product.
 	s := space(t)
-	pr := NewPruner(s)
+	pr := NewPruner()
 	executed := 0
 	fails := func(p Point) bool {
 		return p.MustValue("net") == "1g" || p.MustValue("replicas") == 2

@@ -119,11 +119,7 @@ type Component struct {
 	ID   int
 	Spec Spec
 
-	state     State
-	failures  int64
-	repairs   int64
-	downSince sim.Time
-	totalDown sim.Time
+	state State
 	// block is the Block to list the component on when it first leaves its
 	// built state (see touch); nil for a standalone component and for one
 	// already listed.
@@ -162,14 +158,12 @@ func (c *Component) Init(id int, spec Spec) error {
 	return nil
 }
 
-// Reset returns the component to its just-built state: healthy, counters
-// and downtime zero, no callbacks registered, no lifecycle running. The
+// Reset returns the component to its just-built state: healthy, no
+// callbacks registered, no lifecycle running. The
 // simulator that drove it is expected to have been reset as well; a
 // pending lifecycle event is forgotten, not cancelled.
 func (c *Component) Reset() {
 	c.state = StateHealthy
-	c.failures, c.repairs = 0, 0
-	c.downSince, c.totalDown = 0, 0
 	clear(c.onFail)
 	clear(c.onRepair)
 	c.onFail, c.onRepair = c.onFail[:0], c.onRepair[:0]
@@ -178,21 +172,6 @@ func (c *Component) Reset() {
 
 // State returns the current operational state.
 func (c *Component) State() State { return c.state }
-
-// Failures returns the number of failures so far.
-func (c *Component) Failures() int64 { return c.failures }
-
-// Repairs returns the number of completed repairs.
-func (c *Component) Repairs() int64 { return c.repairs }
-
-// TotalDowntime returns accumulated failed time up to now.
-func (c *Component) TotalDowntime(now sim.Time) sim.Time {
-	d := c.totalDown
-	if c.state == StateFailed {
-		d += now - c.downSince
-	}
-	return d
-}
 
 // OnFail registers fn to run when the component fails.
 func (c *Component) OnFail(fn func(*Component)) {
@@ -216,12 +195,12 @@ func (c *Component) StartLifecycle(s *sim.Simulator, stream *rng.Source) {
 		c.failName = fmt.Sprintf("%s#%d/fail", c.Spec.Kind, c.ID)
 		c.repairName = fmt.Sprintf("%s#%d/repair", c.Spec.Kind, c.ID)
 		c.failFn = func() {
-			c.Fail(c.lcSim.Now())
+			c.Fail()
 			rep := c.Spec.Repair.Sample(c.lcStream)
 			c.lcSim.Schedule(rep, c.repairName, c.repairFn)
 		}
 		c.repairFn = func() {
-			c.Restore(c.lcSim.Now())
+			c.Restore()
 			c.scheduleFailure()
 		}
 	}
@@ -234,29 +213,26 @@ func (c *Component) scheduleFailure() {
 	c.lcSim.Schedule(ttf, c.failName, c.failFn)
 }
 
-// Fail transitions the component to failed at time now. Failing a failed
-// component is a no-op.
-func (c *Component) Fail(now sim.Time) {
+// Fail transitions the component to failed. Failing a failed component is
+// a no-op.
+func (c *Component) Fail() {
 	if c.state == StateFailed {
 		return
 	}
 	c.touch()
 	c.state = StateFailed
-	c.failures++
-	c.downSince = now
 	for _, fn := range c.onFail {
 		fn(c)
 	}
 }
 
-// Restore transitions the component to healthy at time now.
-func (c *Component) Restore(now sim.Time) {
+// Restore transitions the component to healthy. Restoring a healthy
+// component is a no-op.
+func (c *Component) Restore() {
 	if c.state == StateHealthy {
 		return
 	}
 	c.touch()
-	c.totalDown += now - c.downSince
-	c.repairs++
 	c.state = StateHealthy
 	for _, fn := range c.onRepair {
 		fn(c)

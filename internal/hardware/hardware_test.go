@@ -49,8 +49,9 @@ func TestComponentLifecycleCycles(t *testing.T) {
 		t.Fatal(err)
 	}
 	fails, repairs := 0, 0
-	c.OnFail(func(*Component) { fails++ })
-	c.OnRepair(func(*Component) { repairs++ })
+	var downSince, down float64
+	c.OnFail(func(*Component) { fails++; downSince = s.Now() })
+	c.OnRepair(func(*Component) { repairs++; down += s.Now() - downSince })
 	c.StartLifecycle(s, s.Stream("disk-1"))
 	s.RunUntil(100000) // ~100 MTTFs
 	if fails < 50 {
@@ -60,7 +61,10 @@ func TestComponentLifecycleCycles(t *testing.T) {
 		t.Errorf("fails %d and repairs %d differ by more than the in-flight one", fails, repairs)
 	}
 	// Downtime fraction should approach 10/1010.
-	frac := c.TotalDowntime(s.Now()) / s.Now()
+	if c.State() == StateFailed {
+		down += s.Now() - downSince
+	}
+	frac := down / s.Now()
 	want := 10.0 / 1010
 	if math.Abs(frac-want) > 0.01 {
 		t.Errorf("downtime fraction %v, want ~%v", frac, want)
@@ -75,20 +79,21 @@ func TestComponentStateTransitions(t *testing.T) {
 	if c.State() != StateHealthy {
 		t.Fatal("new component not healthy")
 	}
-	c.Fail(5)
+	fails, repairs := 0, 0
+	c.OnFail(func(*Component) { fails++ })
+	c.OnRepair(func(*Component) { repairs++ })
+	c.Fail()
 	if c.State() != StateFailed {
 		t.Fatal("failed component should report state failed")
 	}
-	c.Fail(6) // no-op
-	if c.Failures() != 1 {
-		t.Errorf("double fail counted: %d", c.Failures())
+	c.Fail() // no-op
+	if fails != 1 {
+		t.Errorf("double fail reported: %d", fails)
 	}
-	c.Restore(15)
-	if c.State() != StateHealthy {
-		t.Fatal("restore did not heal")
-	}
-	if got := c.TotalDowntime(20); math.Abs(got-10) > 1e-12 {
-		t.Errorf("downtime = %v, want 10", got)
+	c.Restore()
+	c.Restore() // no-op
+	if c.State() != StateHealthy || repairs != 1 {
+		t.Fatalf("restore left state %v after %d repairs, want healthy after 1", c.State(), repairs)
 	}
 }
 
@@ -199,8 +204,7 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-// TestResetMatchesNewComponent: a component that failed, counted
-// downtime and has callbacks and a lifecycle running replays, after a
+// TestResetMatchesNewComponent: a component that failed and has callbacks and a lifecycle running replays, after a
 // Reset (and a reset of its simulator), the failure history a new
 // component has — and formats its event names and builds its lifecycle
 // callbacks only the first time.
@@ -210,7 +214,7 @@ func TestResetMatchesNewComponent(t *testing.T) {
 		c.OnRepair(func(*Component) { out = append(out, -s.Now()) })
 		c.StartLifecycle(s, s.Stream("disk"))
 		s.RunUntil(20000)
-		return append(out, float64(c.Failures()), float64(c.Repairs()), c.TotalDowntime(s.Now()))
+		return append(out, float64(c.State()))
 	}
 	s := sim.New(1)
 	reused, err := NewComponent(3, testSpec())
@@ -218,12 +222,12 @@ func TestResetMatchesNewComponent(t *testing.T) {
 		t.Fatal(err)
 	}
 	history(s, reused)
-	reused.Fail(s.Now())
+	reused.Fail()
 	for _, seed := range []uint64{8, 1} {
 		s.Reset(seed)
 		reused.Reset()
-		if reused.State() != StateHealthy || reused.Failures() != 0 || reused.TotalDowntime(0) != 0 {
-			t.Fatalf("after Reset: %v, %d failures, downtime %v", reused.State(), reused.Failures(), reused.TotalDowntime(0))
+		if got, want := builtState(reused), builtState(mustComponent(t)); got != want {
+			t.Fatalf("after Reset: %s, want %s", got, want)
 		}
 		fresh, err := NewComponent(3, testSpec())
 		if err != nil {
@@ -266,9 +270,18 @@ func TestResetMatchesNewComponent(t *testing.T) {
 // builtState is everything of c that Reset puts back, the callbacks by
 // count and the lifecycle wiring by whether it is set.
 func builtState(c *Component) string {
-	return fmt.Sprintf("%d %v %d %d %v %v callbacks %d/%d lifecycle %v/%v",
-		c.ID, c.state, c.failures, c.repairs, c.downSince, c.totalDown,
-		len(c.onFail), len(c.onRepair), c.lcSim != nil, c.lcStream != nil)
+	return fmt.Sprintf("%d %v callbacks %d/%d lifecycle %v/%v",
+		c.ID, c.state, len(c.onFail), len(c.onRepair), c.lcSim != nil, c.lcStream != nil)
+}
+
+// mustComponent is a new component of testSpec with ID 3.
+func mustComponent(t *testing.T) *Component {
+	t.Helper()
+	c, err := NewComponent(3, testSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
 }
 
 // TestBlockResetPutsBackEveryMutator: whichever method moved a member of a
@@ -280,7 +293,7 @@ func TestBlockResetPutsBackEveryMutator(t *testing.T) {
 	noop := func(*Component) {}
 	mutators := map[string]func(c *Component){
 		"StartLifecycle": func(c *Component) { c.StartLifecycle(s, s.Stream("x")) },
-		"Fail":           func(c *Component) { c.Fail(3) },
+		"Fail":           func(c *Component) { c.Fail() },
 		"OnFail":         func(c *Component) { c.OnFail(noop) },
 		"OnRepair":       func(c *Component) { c.OnRepair(noop) },
 	}

@@ -12,8 +12,7 @@ import (
 type Flow struct {
 	ID        int
 	Src, Dst  NodeID
-	size      float64 // MB
-	remaining float64
+	remaining float64 // MB
 	route     []*Link
 	rate      float64 // MB per time unit, 0 while in latency phase
 	lastSet   sim.Time
@@ -64,10 +63,8 @@ type FlowSim struct {
 	walk []*Flow
 
 	// Metrics.
-	started   int64
 	completed int64
 	aborted   int64
-	bytes     float64 // MB delivered
 }
 
 // maxRecycled bounds what a FlowSim keeps alive for reuse, at ~300 bytes a
@@ -112,7 +109,7 @@ func (fs *FlowSim) Reset() {
 	clear(fs.walk)
 	fs.walk = fs.walk[:0]
 	fs.nextID = 0
-	fs.started, fs.completed, fs.aborted, fs.bytes = 0, 0, 0, 0
+	fs.completed, fs.aborted = 0, 0
 }
 
 // Active returns the number of in-flight flows.
@@ -135,9 +132,6 @@ func (fs *FlowSim) Completed() int64 { return fs.completed }
 
 // Aborted returns the number of flows killed by link failures.
 func (fs *FlowSim) Aborted() int64 { return fs.aborted }
-
-// BytesDelivered returns total MB delivered by completed flows.
-func (fs *FlowSim) BytesDelivered() float64 { return fs.bytes }
 
 // Start begins a transfer of sizeMB from src to dst. done fires on
 // completion; failed fires if the flow is aborted by a link failure and
@@ -170,7 +164,7 @@ func (fs *FlowSim) Start(src, dst NodeID, sizeMB float64, done func(*Flow), fail
 	}
 	*f = Flow{
 		ID: fs.nextID, Src: src, Dst: dst,
-		size: sizeMB, remaining: sizeMB, route: route,
+		remaining: sizeMB, route: route,
 		done: done, failed: failed, fire: f.fire,
 	}
 	if len(fs.issued) < maxRecycled {
@@ -178,7 +172,6 @@ func (fs *FlowSim) Start(src, dst NodeID, sizeMB float64, done func(*Flow), fail
 	}
 	fs.nextID++
 	fs.flows = append(fs.flows, f)
-	fs.started++
 	lat := RouteLatency(route)
 	if len(route) == 0 {
 		// Local transfer: completes after latency only (disk-to-disk
@@ -215,7 +208,6 @@ func (fs *FlowSim) Cancel(f *Flow) {
 
 // finish completes a flow.
 func (fs *FlowSim) finish(f *Flow) {
-	fs.bytes += f.size
 	fs.completed++
 	fs.removeFlow(f)
 	if f.done != nil {

@@ -26,6 +26,7 @@ type flowRun struct {
 
 	handed  []*Flow // every flow Start returned, dead ones included
 	nesting int     // callbacks running
+	started int64   // Starts that returned a flow
 	cancels int64   // Cancels of a flow in flight
 }
 
@@ -90,6 +91,7 @@ func (r *flowRun) op() {
 		done, failed := r.callbacks(arg / 36 % 4)
 		src, dst := r.hosts[arg%6], r.hosts[arg/6%6]
 		if f, err := r.fs.Start(src, dst, 1+7*float64(extra), done, failed); err == nil {
+			r.started++
 			r.handed = append(r.handed, f)
 		}
 	case 2: // cancel, of a flow in flight or (a no-op) of a dead one
@@ -126,9 +128,9 @@ func (r *flowRun) check() {
 		r.t.Fatalf("pc %d, t=%v: %v", r.pc, r.s.Now(), err)
 	}
 	fs := r.fs
-	if accounted := fs.started - fs.completed - fs.aborted - r.cancels; accounted != int64(fs.Active()) {
+	if accounted := r.started - fs.completed - fs.aborted - r.cancels; accounted != int64(fs.Active()) {
 		r.t.Fatalf("pc %d: %d started, %d completed, %d aborted, %d cancelled, but %d in flight",
-			r.pc, fs.started, fs.completed, fs.aborted, r.cancels, fs.Active())
+			r.pc, r.started, fs.completed, fs.aborted, r.cancels, fs.Active())
 	}
 }
 
@@ -144,7 +146,7 @@ func runFlowProgram(t *testing.T, prog []byte) {
 	r.s.Run()
 	r.check()
 	r.fs.Reset()
-	r.cancels = 0
+	r.started, r.cancels = 0, 0
 	r.check()
 }
 

@@ -82,11 +82,10 @@ func (l *Link) other(n NodeID) NodeID {
 
 // Topology is an undirected graph of hosts and switches.
 type Topology struct {
-	kinds   []NodeKind
-	names   []string
-	links   []*Link
-	adj     [][]*Link
-	version uint64 // see Version; nothing in this package caches on it
+	kinds []NodeKind
+	names []string
+	links []*Link
+	adj   [][]*Link
 
 	// The links' shape, worked out by the first route after the last
 	// AddNode or AddLink (shaped says it is current): whether the links,
@@ -139,7 +138,6 @@ func (t *Topology) AddLink(a, b NodeID, capacity, latency float64) (*Link, error
 	t.links = append(t.links, l)
 	t.adj[a] = append(t.adj[a], l)
 	t.adj[b] = append(t.adj[b], l)
-	t.version++
 	t.shaped = false
 	return l, nil
 }
@@ -164,27 +162,16 @@ func (t *Topology) Kind(n NodeID) NodeKind { return t.kinds[n] }
 func (t *Topology) Name(n NodeID) string { return t.names[n] }
 
 // SetLinkUp changes a link's operational state.
-func (t *Topology) SetLinkUp(l *Link, up bool) {
-	if l.up != up {
-		l.up = up
-		t.version++
-	}
-}
+func (t *Topology) SetLinkUp(l *Link, up bool) { l.up = up }
 
 // Reset returns every link to the state AddLink left it in — up, at the
-// capacity it was added with — and the version to what it was then. The
-// topology is then equal to a freshly built one.
+// capacity it was added with. The topology is then equal to a freshly
+// built one.
 func (t *Topology) Reset() {
 	for _, l := range t.links {
 		l.up, l.Capacity = true, l.built
 	}
-	t.version = uint64(len(t.links))
 }
-
-// Version returns the topology's state version, bumped whenever a link
-// is added or changes state: two calls returning the same value bracket
-// an interval in which every Route answer stayed valid.
-func (t *Topology) Version() uint64 { return t.version }
 
 // Route returns a minimum-hop path of links from src to dst over
 // operational links, or an error if dst is unreachable. src == dst yields

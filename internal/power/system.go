@@ -18,7 +18,6 @@ type System struct {
 	cl    *cluster.Cluster
 	meter *Meter
 
-	pdus       []*hardware.Component
 	pduDomains []*cluster.Domain
 	ups        *hardware.Component
 	dc         *cluster.Domain // facility-wide blackout domain
@@ -181,7 +180,6 @@ func (p *System) buildPDUs(cat *hardware.Catalog) error {
 		})
 		pdu.OnRepair(func(*hardware.Component) { p.cl.RestoreDomain(dom) })
 		pdu.StartLifecycle(p.sim, p.sim.Stream(fmt.Sprintf("power/pdu-%d", i)))
-		p.pdus = append(p.pdus, pdu)
 		p.pduDomains = append(p.pduDomains, dom)
 	}
 	return nil

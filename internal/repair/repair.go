@@ -164,14 +164,13 @@ type Manager struct {
 	detections pool[detection]
 
 	// Metrics.
-	completed    int64
-	bytesMoved   float64
-	repairTimes  stats.Sample
-	lastRepairAt sim.Time
-	lostCount    int64
-	unavailTW    stats.TimeWeighted // unavailable-object count over time
-	anyTW        stats.TimeWeighted // any-unavailable indicator over time
-	zeroTW       stats.TimeWeighted // any-object-at-zero-copies indicator (§1)
+	completed   int64
+	bytesMoved  float64
+	repairTimes stats.Sample
+	lostCount   int64
+	unavailTW   stats.TimeWeighted // unavailable-object count over time
+	anyTW       stats.TimeWeighted // any-unavailable indicator over time
+	zeroTW      stats.TimeWeighted // any-object-at-zero-copies indicator (§1)
 
 	// Availability state, moved only by what changed: a node's
 	// availability flipping touches the objects on that node, a finished
@@ -242,7 +241,7 @@ func (m *Manager) Reset() {
 	m.detections.reset()
 	m.active = 0
 	clear(m.lost)
-	m.completed, m.bytesMoved, m.lastRepairAt, m.lostCount = 0, 0, 0, 0
+	m.completed, m.bytesMoved, m.lostCount = 0, 0, 0
 	m.repairTimes.Reset()
 	now := m.sim.Now()
 	m.unavailTW, m.anyTW, m.zeroTW = stats.TimeWeighted{}, stats.TimeWeighted{}, stats.TimeWeighted{}
@@ -466,7 +465,6 @@ func (m *Manager) finishRepair(t task, dst int, size float64) {
 	// any wait for a transfer slot — the "time to re-protect" that serial
 	// vs. parallel repair trades off (§1).
 	m.repairTimes.Add(m.sim.Now() - t.created)
-	m.lastRepairAt = m.sim.Now()
 	m.publish()
 }
 
@@ -623,11 +621,6 @@ func (m *Manager) LostObjects() int64 { return m.lostCount }
 
 // RepairTimes returns the distribution of completed repair durations.
 func (m *Manager) RepairTimes() *stats.Sample { return &m.repairTimes }
-
-// LastRepairAt returns the simulation time of the most recent completed
-// repair; together with the failure time it gives the redundancy-
-// restoration makespan (the quantity parallel repair shrinks, §1).
-func (m *Manager) LastRepairAt() sim.Time { return m.lastRepairAt }
 
 // MeanUnavailableObjects returns the time-averaged number of unavailable
 // objects over [0, now].

@@ -76,7 +76,7 @@ func TestSerialSlowerThanParallel(t *testing.T) {
 		if m.Completed() == 0 {
 			t.Fatal("no repairs completed")
 		}
-		return m.LastRepairAt() - 1 // failure injected at t=1
+		return m.RepairTimes().Max() // every transfer is queued at the one detection
 	}
 	serialMakespan := run(Config{Mode: Serial})
 	parallelMakespan := run(Config{Mode: Parallel, MaxConcurrent: 16})

@@ -21,7 +21,7 @@ func TestResetMatchesNewManager(t *testing.T) {
 		m.clst.StartFailures()
 		m.sim.RunUntil(horizon)
 		return []float64{
-			float64(m.Completed()), m.BytesMovedMB(), float64(m.LostObjects()), m.LastRepairAt(),
+			float64(m.Completed()), m.BytesMovedMB(), float64(m.LostObjects()), m.RepairTimes().Max(),
 			m.MeanUnavailableObjects(), m.AnyUnavailableFraction(), m.ZeroCopyFraction(),
 			float64(m.QueueLength()), float64(m.ActiveRepairs()), float64(m.RepairTimes().N()), m.RepairTimes().Mean(),
 		}

@@ -69,20 +69,6 @@ func ringHash(s string) uint64 {
 	return h.Sum64()
 }
 
-// Nodes returns the distinct members on the ring.
-func (r *Ring) Nodes() []string {
-	seen := make(map[string]bool)
-	var out []string
-	for _, p := range r.points {
-		if !seen[p.node] {
-			seen[p.node] = true
-			out = append(out, p.node)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Owner returns the member owning key: the first virtual node clockwise
 // from the key's hash. ok is false on an empty ring.
 func (r *Ring) Owner(key string) (string, bool) {

@@ -15,6 +15,8 @@ type refEvent struct {
 
 // calendarRun drives a Simulator and a naive reference — a slice searched
 // for its (time, seq) minimum — with one program, two bytes an operation.
+// The program also moves the simulator's horizon, which the reference has
+// no notion of: parking an event past it must change nothing observable.
 // The simulator is in control: every callback pops the reference's minimum
 // and must be that event, at that time; after every operation the clock,
 // Executed, Pending and each pending handle's Time agree. Only the public
@@ -105,10 +107,10 @@ func (c *calendarRun) op() {
 	if c.pc+2 > len(c.prog) {
 		return
 	}
-	code, arg := c.prog[c.pc]%5, int(c.prog[c.pc+1])
+	code, arg := c.prog[c.pc]%6, int(c.prog[c.pc+1])
 	c.pc += 2
 	delay := calendarDelays[arg&7]
-	if c.inCallback && code >= 3 {
+	if c.inCallback && (code == 3 || code == 4) {
 		code = 0 // no Step or RunUntil from inside a callback
 	}
 	switch code {
@@ -152,6 +154,8 @@ func (c *calendarRun) op() {
 			}
 		}
 		c.now = horizon
+	case 5: // horizon, raised or lowered
+		c.s.SetHorizon(c.now + delay)
 	default:
 		c.schedule(delay, (arg>>3)&3)
 	}
@@ -185,6 +189,9 @@ func runCalendarProgram(t *testing.T, prog []byte) {
 		t.Fatalf("after the drain: %d pending (reference %d), executed %d (reference %d)",
 			c.s.Pending(), len(c.pending), c.s.Executed(), c.executed)
 	}
+	if len(c.s.parked) != 0 {
+		t.Fatalf("after the drain: %d events still parked", len(c.s.parked))
+	}
 }
 
 // calendarSeeds are the shapes the models put on the calendar.
@@ -204,12 +211,24 @@ func calendarSeeds() [][]byte {
 	ties := bytes.Repeat([]byte{0, 3 << 3, 0, 1 | 2<<3, 1, 8, 2, 16, 3, 0}, 40)
 	// Horizons: RunUntil over a calendar that refills from its callbacks.
 	horizons := bytes.Repeat([]byte{0, 2 | 3<<3, 0, 5 | 1<<3, 4, 2, 1, 0, 2, 9, 4, 0}, 30)
-	return [][]byte{storm, ties, horizons, {}, {3, 0}, {2, 0, 1, 0, 4, 7}}
+	// A trial: a short horizon, then failures drawn mostly past it, some
+	// cancelled or moved to either side of it from outside and from
+	// callbacks, a run to the horizon, and a run past it.
+	trial := []byte{5, 1}
+	for i := 0; i < 40; i++ {
+		trial = append(trial, 0, byte(i*8+6|(i%3)<<3), 0, byte(7|(i%4)<<3))
+	}
+	for i := 0; i < 20; i++ {
+		trial = append(trial, 1, byte(i*16), 2, byte(i*24+i%8), 3, 0, 5, byte(i%8))
+	}
+	trial = append(trial, 4, 2, 5, 0, 4, 7, 4, 7)
+	return [][]byte{storm, ties, horizons, trial, {}, {3, 0}, {2, 0, 1, 0, 4, 7}, {5, 0, 0, 7, 2, 0, 4, 1}}
 }
 
 // FuzzCalendar holds the calendar against the naive reference: whatever
 // is scheduled, cancelled, moved and stepped, from outside or from inside
-// callbacks, the events fire in (time, seq) order.
+// callbacks, and wherever the horizon is moved, the events fire in
+// (time, seq) order.
 func FuzzCalendar(f *testing.F) {
 	for _, seed := range calendarSeeds() {
 		f.Add(seed)

@@ -28,6 +28,20 @@
 // is a slice searched for its minimum alongside): engine refactors change
 // how events are stored, never which event fires next.
 //
+// A model that knows how far it will run says so with SetHorizon, and an
+// event scheduled past the horizon is parked: it takes its slot and its
+// sequence number but stays out of the heap, in an unordered list where
+// pos records its index instead. A trial of a rare-failure model draws
+// every component's first failure and almost all of them land past the
+// end of the run; parked, none of them costs a sift, nor deepens the heap
+// the events that do fire are sifted through. Cancel and Reschedule work
+// on a parked event as on any other, and the parked events at or before
+// a later horizon (SetHorizon, or a RunUntil past the horizon) enter the
+// heap in (time, seq) order. Every parked event is later than the
+// horizon, so while the heap's minimum is at or before it, that minimum
+// is the calendar's; once it is not, Step puts every parked event back
+// before it pops. The execution order is unchanged by construction.
+//
 // The price is the handle contract: an *Event is dead once its event has
 // fired or been cancelled, because its slot may be handed out again by
 // the very next Schedule. Cancelling a dead handle is a no-op only until
@@ -48,8 +62,10 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/rng"
 )
@@ -61,6 +77,7 @@ type Time = float64
 const (
 	evFree    uint8 = iota // on the free list, contents cleared
 	evPending              // scheduled, in the heap
+	evParked               // scheduled past the horizon, in the parked list
 	evFiring               // callback currently executing
 )
 
@@ -126,6 +143,11 @@ type Simulator struct {
 	// the arena.
 	heap []heapEntry
 	pos  []int32
+	// parked holds the pending events later than horizon that have not
+	// entered the heap (see SetHorizon), in no order; pos[idx] is a parked
+	// slot's index here.
+	parked  []heapEntry
+	horizon Time
 
 	arena     []*[chunkSize]Event
 	free      []int32
@@ -212,9 +234,9 @@ func NewKeyed(seed, trial uint64, antithetic bool) *Simulator {
 }
 
 // Reset returns the simulator, in place, to the state New(seed) builds:
-// clock at zero, calendar empty with every pending callback dropped,
-// counters and the stop flag cleared, no tracer, and every named stream
-// due to be seeded again at its next request. It keeps the event arena,
+// clock at zero, calendar empty with every pending callback dropped, no
+// horizon, counters and the stop flag cleared, no tracer, and every named
+// stream due to be seeded again at its next request. It keeps the event arena,
 // the heap's backing array and the stream table, so a reset simulator
 // re-running a model of the same shape allocates nothing.
 //
@@ -237,12 +259,16 @@ func (s *Simulator) ResetKeyed(seed, trial uint64, antithetic bool) {
 // reset is the one initialisation routine behind New, NewKeyed, Reset
 // and ResetKeyed.
 func (s *Simulator) reset(seed uint64) {
-	// Every slot is either free or pending in the heap, so freeing the
-	// heap's slots empties the calendar.
+	// Every slot is free, pending in the heap or parked, so freeing the
+	// heap's and the parked list's slots empties the calendar.
 	for _, entry := range s.heap {
 		s.freeSlot(s.slot(entry.idx))
 	}
-	s.heap = s.heap[:0]
+	for _, entry := range s.parked {
+		s.freeSlot(s.slot(entry.idx))
+	}
+	s.heap, s.parked = s.heap[:0], s.parked[:0]
+	s.horizon = math.Inf(1)
 	s.now, s.seq, s.executed = 0, 0, 0
 	s.stopped = false
 	s.root.Reseed(seed)
@@ -263,8 +289,46 @@ func (s *Simulator) Now() Time { return s.now }
 // Executed returns the number of events executed so far.
 func (s *Simulator) Executed() uint64 { return s.executed }
 
-// Pending returns the number of events still scheduled.
-func (s *Simulator) Pending() int { return len(s.heap) }
+// Pending returns the number of events still scheduled, parked ones
+// included.
+func (s *Simulator) Pending() int { return len(s.heap) + len(s.parked) }
+
+// SetHorizon tells the simulator that the run is not meant to go past h:
+// an event scheduled later than h is parked out of the heap until the
+// horizon is raised past it, here or by a RunUntil beyond h (see Calendar
+// internals). It changes no event's firing order or time, only what the
+// calendar pays for events that never fire. The parked events at or
+// before h enter the heap now; the events already in it stay. Reset
+// removes the horizon (+Inf: nothing is parked).
+func (s *Simulator) SetHorizon(h Time) {
+	s.horizon = h
+	if len(s.parked) == 0 {
+		return
+	}
+	start := len(s.heap)
+	keep := s.parked[:0]
+	for _, entry := range s.parked {
+		if entry.time > h {
+			s.pos[entry.idx] = int32(len(keep))
+			keep = append(keep, entry)
+			continue
+		}
+		s.heap = append(s.heap, entry)
+		s.slot(entry.idx).state = evPending
+	}
+	s.parked = keep
+	// Entered in (time, seq) order, an entry never sifts past the others
+	// entered with it: into an empty heap, the sorted run is the heap.
+	slices.SortFunc(s.heap[start:], func(a, b heapEntry) int {
+		if c := cmp.Compare(a.time, b.time); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.seq, b.seq)
+	})
+	for i := start; i < len(s.heap); i++ {
+		s.siftUp(i, s.heap[i])
+	}
+}
 
 // Stream returns the deterministic random stream for name. Distinct names
 // give independent streams, and the mapping is stable across runs with the
@@ -435,6 +499,32 @@ func (s *Simulator) removeAt(i int) {
 	}
 }
 
+// unpark takes the entry at parked index i out of the parked list: the
+// last entry fills the hole.
+func (s *Simulator) unpark(i int) {
+	n := len(s.parked) - 1
+	if i < n {
+		last := s.parked[n]
+		s.parked[i] = last
+		s.pos[last.idx] = int32(i)
+	}
+	s.parked = s.parked[:n]
+}
+
+// enqueue files entry, its slot's new key, in the heap — or, past the
+// horizon, in the parked list — and sets the slot's state to match.
+func (s *Simulator) enqueue(e *Event, entry heapEntry) {
+	if entry.time > s.horizon {
+		e.state = evParked
+		s.pos[entry.idx] = int32(len(s.parked))
+		s.parked = append(s.parked, entry)
+		return
+	}
+	e.state = evPending
+	s.heap = append(s.heap, heapEntry{})
+	s.siftUp(len(s.heap)-1, entry)
+}
+
 // Schedule enqueues fn to run after delay (>= 0) and returns the event.
 func (s *Simulator) Schedule(delay Time, name string, fn func()) *Event {
 	return s.At(s.after(delay, name), name, fn)
@@ -460,9 +550,7 @@ func (s *Simulator) At(t Time, name string, fn func()) *Event {
 	e.time = t
 	e.name = name
 	e.fn = fn
-	e.state = evPending
-	s.heap = append(s.heap, heapEntry{})
-	s.siftUp(len(s.heap)-1, heapEntry{time: t, seq: s.seq, idx: e.idx})
+	s.enqueue(e, heapEntry{time: t, seq: s.seq, idx: e.idx})
 	s.seq++
 	return e
 }
@@ -471,10 +559,17 @@ func (s *Simulator) At(t Time, name string, fn func()) *Event {
 // once: e is dead afterwards (see Event). Cancelling nil or the currently
 // firing event is a no-op.
 func (s *Simulator) Cancel(e *Event) {
-	if e == nil || e.state != evPending {
+	if e == nil {
 		return
 	}
-	s.removeAt(int(s.pos[e.idx]))
+	switch e.state {
+	case evPending:
+		s.removeAt(int(s.pos[e.idx]))
+	case evParked:
+		s.unpark(int(s.pos[e.idx]))
+	default:
+		return
+	}
 	s.freeSlot(e)
 }
 
@@ -484,12 +579,22 @@ func (s *Simulator) Cancel(e *Event) {
 // at that time — that cancelling it and scheduling a new one would give.
 // From inside e's own callback there is nothing to move, and a fresh event
 // is scheduled and returned. e must be pending or currently firing.
+//
+// A pending event stays in the heap wherever it moves. A parked event
+// stays parked while its new time is past the horizon and enters the heap
+// when it is not.
 func (s *Simulator) Reschedule(e *Event, delay Time) *Event {
-	if e.state != evPending {
+	switch e.state {
+	case evPending:
+		e.time = s.after(delay, e.name)
+		s.place(int(s.pos[e.idx]), heapEntry{time: e.time, seq: s.seq, idx: e.idx})
+	case evParked:
+		e.time = s.after(delay, e.name)
+		s.unpark(int(s.pos[e.idx]))
+		s.enqueue(e, heapEntry{time: e.time, seq: s.seq, idx: e.idx})
+	default:
 		return s.Schedule(delay, e.name, e.fn)
 	}
-	e.time = s.after(delay, e.name)
-	s.place(int(s.pos[e.idx]), heapEntry{time: e.time, seq: s.seq, idx: e.idx})
 	s.seq++
 	return e
 }
@@ -499,6 +604,10 @@ func (s *Simulator) Reschedule(e *Event, delay Time) *Event {
 func (s *Simulator) Step() bool {
 	if s.stopped {
 		return false
+	}
+	if len(s.parked) > 0 && (len(s.heap) == 0 || s.heap[0].time > s.horizon) {
+		// Past the horizon the parked events may come first.
+		s.SetHorizon(math.Inf(1))
 	}
 	if len(s.heap) == 0 {
 		return false
@@ -553,18 +662,32 @@ func (s *Simulator) RunUntilN(horizon Time, n int) bool {
 }
 
 func (s *Simulator) runUntil(horizon Time, n int) bool {
-	for ; n > 0 && len(s.heap) > 0 && s.heap[0].time <= horizon; n-- {
+	for ; n > 0 && s.due(horizon); n-- {
 		if !s.Step() {
 			return true
 		}
 	}
-	if n == 0 && len(s.heap) > 0 && s.heap[0].time <= horizon {
+	if n == 0 && s.due(horizon) {
 		return false
 	}
 	if !s.stopped && s.now < horizon {
 		s.now = horizon
 	}
 	return true
+}
+
+// due reports whether an event at or before t is pending. Past the
+// horizon (a callback may have lowered it) it raises the horizon to t
+// first, so a parked event at or before t is in the heap to be found.
+func (s *Simulator) due(t Time) bool {
+	if len(s.heap) > 0 && s.heap[0].time <= t {
+		return true
+	}
+	if t <= s.horizon || len(s.parked) == 0 {
+		return false
+	}
+	s.SetHorizon(t)
+	return len(s.heap) > 0 && s.heap[0].time <= t
 }
 
 // Stop halts the run; subsequent Step calls return false.

@@ -224,6 +224,47 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
+// TestParkedEventsPastTheHorizon: events past the horizon stay out of the
+// heap and still fire, cancel and move exactly as the calendar without a
+// horizon would have them: the transcript of the same program with and
+// without SetHorizon is one.
+func TestParkedEventsPastTheHorizon(t *testing.T) {
+	run := func(horizon Time) string {
+		s := New(1)
+		s.SetHorizon(horizon)
+		log := ""
+		note := func(name string) func() { return func() { log += fmt.Sprintf("%s@%v ", name, s.Now()) } }
+		var late []*Event
+		for i := 0; i < 8; i++ {
+			s.Schedule(Time(i), fmt.Sprint("early", i), note(fmt.Sprint("early", i)))
+			late = append(late, s.Schedule(Time(20+i%3), fmt.Sprint("late", i), note(fmt.Sprint("late", i))))
+		}
+		if horizon == 10 && (len(s.heap) != 8 || len(s.parked) != 8 || s.Pending() != 16) {
+			t.Fatalf("heap %d, parked %d, pending %d; want the 8 events past 10 parked", len(s.heap), len(s.parked), s.Pending())
+		}
+		s.Cancel(late[0])
+		late[1] = s.Reschedule(late[1], 3)  // into the heap, behind early3
+		late[2] = s.Reschedule(late[2], 25) // parked still, with a new seq
+		s.Schedule(2, "moves", func() {
+			log += "moves "
+			late[3] = s.Reschedule(late[3], 1) // from a callback, into the heap
+			s.Cancel(late[4])
+		})
+		s.RunUntil(10)
+		log += fmt.Sprintf("| pending=%d ", s.Pending())
+		s.RunUntil(21)
+		log += fmt.Sprintf("| pending=%d ", s.Pending())
+		s.Run()
+		return log
+	}
+	want := run(math.Inf(1))
+	for _, h := range []Time{10, 0, 20.5, 30} {
+		if got := run(h); got != want {
+			t.Fatalf("horizon %v ran\n%s\nwithout one\n%s", h, got, want)
+		}
+	}
+}
+
 func TestStop(t *testing.T) {
 	s := New(1)
 	count := 0

@@ -20,7 +20,6 @@ type Station struct {
 	waiting []*Job
 	active  map[*Job]struct{}
 
-	arrivals    int64
 	completions int64
 }
 
@@ -32,7 +31,6 @@ type Job struct {
 	done      func(waited, total float64)
 	complete  func() // the completion event's callback, built once per job
 	event     *Event // pending completion; nil while waiting, frozen or done
-	station   *Station
 	remaining float64
 	lastSet   Time
 }
@@ -56,9 +54,8 @@ func (st *Station) Submit(work float64, done func(waited, total float64)) *Job {
 	if work <= 0 {
 		panic(fmt.Sprintf("sim: station %q received non-positive work %v", st.name, work))
 	}
-	j := &Job{work: work, arrival: st.sim.Now(), done: done, station: st}
+	j := &Job{work: work, arrival: st.sim.Now(), done: done}
 	j.complete = func() { st.complete(j) }
-	st.arrivals++
 	if len(st.active) < st.servers && st.speed > 0 {
 		st.startService(j)
 	} else {
@@ -149,6 +146,3 @@ func (st *Station) InService() int { return len(st.active) }
 
 // Completions returns the number of finished jobs.
 func (st *Station) Completions() int64 { return st.completions }
-
-// Arrivals returns the number of submitted jobs.
-func (st *Station) Arrivals() int64 { return st.arrivals }

@@ -238,15 +238,17 @@ func TestStationThroughputConservation(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := rng.New(5)
+	arrivals, done := 0, 0
 	for i := 0; i < 500; i++ {
 		delay := Time(i) * 0.1
 		s.Schedule(delay, "submit", func() {
-			st.Submit(0.05+r.Float64(), nil)
+			arrivals++
+			st.Submit(0.05+r.Float64(), func(_, _ float64) { done++ })
 		})
 	}
 	s.Run()
-	if st.Arrivals() != st.Completions() {
-		t.Fatalf("arrivals %d != completions %d after drain", st.Arrivals(), st.Completions())
+	if int64(arrivals) != st.Completions() || done != arrivals {
+		t.Fatalf("arrivals %d != completions %d (%d callbacks) after drain", arrivals, st.Completions(), done)
 	}
 	if st.QueueLength() != 0 || st.InService() != 0 {
 		t.Fatalf("residual jobs after drain: queue=%d active=%d", st.QueueLength(), st.InService())

@@ -21,12 +21,18 @@
 // and its Locations are placed again, through the policy's Place, with
 // the draws a fresh store would take.
 //
-// The store's node index (ObjectsOn) is written far more often than it is
-// read — every finished repair relocates a shard, a node's list is read
-// when that node changes state — so Relocate only appends the object to
-// its new node's list and marks the two nodes; a marked node's list is
-// filtered, sorted by ID and de-duplicated at the next ObjectsOn of that
-// node, and of no other.
+// The store's node index (ObjectsOn) is read for few nodes and written far
+// more often than it is read — a node's list is read when that node
+// changes state, every finished repair relocates a shard — so it is built
+// when read. The first ObjectsOn in a population builds that node's list
+// alone, by a scan of the objects; the first ObjectsOn of a second node
+// builds every list left in one more pass, which costs about what a scan
+// does, so a population never pays for more than two passes however many
+// nodes are read, and one in which a single node is read pays for one.
+// Relocate only appends the object to its new node's list, if that one is
+// built, and marks the two nodes; a marked node's list is filtered,
+// sorted by ID and de-duplicated at the next ObjectsOn of that node, and
+// of no other.
 package storage
 
 import (
@@ -193,20 +199,27 @@ type Store struct {
 	// point at one.
 	owned int
 	// byNode[n] lists the objects with a shard on node n, in ascending ID
-	// order unless stale[n]. Built by the first ObjectsOn (indexed says
-	// whether it has been); AddObjects appends to it; Relocate appends the
-	// object to its new node's list, leaves it on the old one's and marks
-	// both stale, and the next ObjectsOn of a stale node puts that one list
-	// right (tidy). The lists are read at node transitions, a handful a
-	// trial, and written at every finished repair, hundreds: the write is
-	// O(1) and the read pays for the writes to its own node only. index is
-	// the one backing array the build carves the lists from and perNode its
-	// counting scratch; both are kept between builds.
+	// order unless stale[n], once built[n] == epoch: ObjectsOn builds it
+	// (build, or buildRest, which counts in perNode), and Reset bumps
+	// epoch, so a Reset costs nothing per node. Place appends to the built
+	// lists;
+	// Relocate appends the object to its new node's list, if built, leaves
+	// it on the old one's and marks both stale, and the next ObjectsOn of a
+	// stale node puts that one list right (tidy). The lists are read at
+	// node transitions, a handful a trial, and written at every finished
+	// repair, hundreds: the write is O(1) and the read pays for the writes
+	// to its own node only. index is the backing array the lists are carved
+	// from, used of it so far since the last Reset; it is kept between
+	// populations. lists counts the lists built since the last Reset: a
+	// population placed before the first read has none to append to.
 	byNode  [][]*Object
 	stale   []bool
-	index   []*Object
+	built   []uint64
 	perNode []int
-	indexed bool
+	epoch   uint64
+	index   []*Object
+	used    int
+	lists   int
 }
 
 // NewStore creates a store over the given view with the given policy.
@@ -217,7 +230,7 @@ func NewStore(view View, policy Policy) (*Store, error) {
 	if policy == nil {
 		return nil, fmt.Errorf("storage: nil placement policy")
 	}
-	return &Store{view: view, policy: policy}, nil
+	return &Store{view: view, policy: policy, epoch: 1}, nil
 }
 
 // Reset empties the store, in place, to the state NewStore left it in,
@@ -230,7 +243,8 @@ func NewStore(view View, policy Policy) (*Store, error) {
 // placement, by the next population, and so will the ObjectsOn slices.
 func (st *Store) Reset() {
 	st.objects = st.objects[:0]
-	st.indexed = false
+	st.epoch++
+	st.used, st.lists = 0, 0
 	st.pending, st.err = population{}, nil
 }
 
@@ -322,8 +336,8 @@ func (st *Store) Place() error {
 			st.objects = st.objects[:id]
 			return err
 		}
-		if st.indexed {
-			for _, n := range obj.Locations {
+		for _, n := range obj.Locations {
+			if st.lists > 0 && st.isBuilt(n) {
 				st.byNode[n] = append(st.byNode[n], obj)
 			}
 		}
@@ -419,13 +433,103 @@ func (st *Store) Lost(obj *Object, down func(int) bool) bool {
 // modified and is valid only until the next Relocate or AddObjects.
 func (st *Store) ObjectsOn(n int) []*Object {
 	st.placed()
-	if !st.indexed {
-		st.buildIndex()
-	}
-	if st.stale[n] {
-		st.tidy(n)
+	switch {
+	case st.isBuilt(n):
+		if st.stale[n] {
+			st.tidy(n)
+		}
+	case st.lists == 0:
+		st.build(n)
+	default:
+		st.buildRest()
 	}
 	return st.byNode[n]
+}
+
+// isBuilt reports whether node n's list has been built since the last Reset.
+func (st *Store) isBuilt(n int) bool {
+	return st.built != nil && st.built[n] == st.epoch
+}
+
+// build makes node n's list alone, by a scan of the objects in ascending
+// ID order.
+func (st *Store) build(n int) {
+	if st.built == nil {
+		st.byNode = make([][]*Object, st.view.Nodes)
+		st.stale = make([]bool, st.view.Nodes)
+		st.built = make([]uint64, st.view.Nodes)
+		st.perNode = make([]int, st.view.Nodes)
+	}
+	// The list is at most one entry per object.
+	st.reserve(len(st.objects) + len(st.objects)/2 + 8)
+	list := st.index[st.used:st.used]
+	for _, o := range st.objects {
+		if slices.Contains(o.Locations, n) {
+			list = append(list, o)
+		}
+	}
+	st.carve(n, len(list))
+}
+
+// buildRest makes the list of every node not built yet, in one pass that
+// counts and one that fills, in ascending ID order.
+func (st *Store) buildRest() {
+	clear(st.perNode)
+	for _, o := range st.objects {
+		for _, loc := range o.Locations {
+			st.perNode[loc]++
+		}
+	}
+	need := 0
+	for n, c := range st.perNode {
+		if !st.isBuilt(n) {
+			need += c + c/2 + 8
+		}
+	}
+	st.reserve(need)
+	for n, c := range st.perNode {
+		if !st.isBuilt(n) {
+			st.carve(n, c)
+			st.byNode[n] = st.byNode[n][:0]
+			st.perNode[n] = -1 // to be filled
+		}
+	}
+	for _, o := range st.objects {
+		for _, loc := range o.Locations {
+			if st.perNode[loc] < 0 {
+				st.byNode[loc] = append(st.byNode[loc], o)
+			}
+		}
+	}
+}
+
+// carve makes node n's list the c entries of index from used, with room
+// to grow by half its length plus 8 before an append has to move it to
+// storage of its own: the shards a repair storm relocates onto one node
+// between two reads of it are a fraction of what it holds.
+func (st *Store) carve(n, c int) {
+	room := c/2 + 8
+	st.byNode[n] = st.index[st.used : st.used+c : st.used+c+room]
+	st.used += c + room
+	st.lists++
+	st.built[n], st.stale[n] = st.epoch, false
+}
+
+// reserve makes room for k more entries in index. A new index holds every
+// node's list at once and k on top — the shards, half as many again and 8
+// a node, the most a population's lists take unless relocations have
+// moved shards onto nodes read after them, and a list counts them twice —
+// or twice the old one, so the next population fits.
+func (st *Store) reserve(k int) {
+	if cap(st.index)-st.used >= k {
+		return
+	}
+	shards := 0
+	for _, o := range st.objects {
+		shards += len(o.Locations)
+	}
+	st.index = make([]*Object, max(shards+shards/2+8*st.view.Nodes+k, 2*cap(st.index)))
+	st.used = 0
 }
 
 // tidy puts node n's list right after the Relocates that touched it: the
@@ -442,49 +546,6 @@ func (st *Store) tidy(n int) {
 	slices.SortFunc(list, func(a, b *Object) int { return a.ID - b.ID })
 	st.byNode[n] = slices.Compact(list)
 	st.stale[n] = false
-}
-
-// buildIndex fills byNode from the current placements. Every node's list
-// is carved out of one backing array with the same room to grow by before
-// an append has to move it to storage of its own: the shards a repair
-// storm relocates onto one node between two reads of it are a fraction of
-// what a node holds. The room depends on the population's shape only, not
-// on how the shards fall, so a store re-populated with the same shape
-// never allocates here.
-func (st *Store) buildIndex() {
-	st.indexed = true
-	if st.byNode == nil {
-		st.byNode = make([][]*Object, st.view.Nodes)
-		st.stale = make([]bool, st.view.Nodes)
-		st.perNode = make([]int, st.view.Nodes)
-	}
-	clear(st.stale)
-	clear(st.perNode)
-	shards := 0
-	for _, o := range st.objects {
-		for _, loc := range o.Locations {
-			st.perNode[loc]++
-		}
-		shards += len(o.Locations)
-	}
-	room := shards/(2*len(st.perNode)) + 8
-	if need := shards + room*len(st.perNode); cap(st.index) < need {
-		st.index = make([]*Object, need)
-	}
-	// Each list is carved at its final length, and perNode turns into the
-	// position its next entry is written at.
-	start := 0
-	for node, c := range st.perNode {
-		st.byNode[node] = st.index[start : start+c : start+c+room]
-		st.perNode[node] = start
-		start += c + room
-	}
-	for _, o := range st.objects {
-		for _, loc := range o.Locations {
-			st.index[st.perNode[loc]] = o
-			st.perNode[loc]++
-		}
-	}
 }
 
 // Relocate moves obj's shard from node `from` to node `to` (repair
@@ -508,9 +569,12 @@ func (st *Store) Relocate(obj *Object, from, to int) error {
 		return fmt.Errorf("storage: node %d holds no shard of object %d", from, obj.ID)
 	}
 	obj.Locations[fromIdx] = to
-	if st.indexed {
+	if st.isBuilt(from) {
+		st.stale[from] = true
+	}
+	if st.isBuilt(to) {
 		st.byNode[to] = append(st.byNode[to], obj)
-		st.stale[from], st.stale[to] = true, true
+		st.stale[to] = true
 	}
 	return nil
 }

@@ -483,3 +483,118 @@ func TestPlacementPropertyRandomViews(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// buildIndex is the node index as it was built before lists were built
+// lazily: every node's list at once, counted and then filled, in ascending
+// ID order. Kept as the reference the lazily built lists must equal.
+func buildIndex(objects []*Object, nodes int) [][]*Object {
+	perNode := make([]int, nodes)
+	shards := 0
+	for _, o := range objects {
+		for _, loc := range o.Locations {
+			perNode[loc]++
+		}
+		shards += len(o.Locations)
+	}
+	index := make([]*Object, shards)
+	byNode := make([][]*Object, nodes)
+	start := 0
+	for node, c := range perNode {
+		byNode[node] = index[start : start : start+c]
+		start += c
+	}
+	for _, o := range objects {
+		for _, loc := range o.Locations {
+			byNode[loc] = append(byNode[loc], o)
+		}
+	}
+	return byNode
+}
+
+// TestLazyListsMatchBuildIndex: through random sequences of populations
+// (eager and deferred, one or two of them), relocations and resets, with
+// random nodes read between them, every list ObjectsOn gives — built at
+// that read or earlier, tidied or not — is the reference index's list of
+// that node, the same objects in the same order. A trial's first read
+// builds one list, its second every list left, and a warm trial that reads
+// every node allocates nothing.
+func TestLazyListsMatchBuildIndex(t *testing.T) {
+	const nodes = 16
+	for seed := uint64(1); seed <= 8; seed++ {
+		r := rng.New(seed)
+		st, err := NewStore(rackView(4, 4), []Policy{Random{}, RoundRobin{}, RackAware{}}[seed%3])
+		if err != nil {
+			t.Fatal(err)
+		}
+		var place rng.Source
+		check := func(when string, n int) {
+			t.Helper()
+			got, want := st.ObjectsOn(n), buildIndex(st.Objects(), nodes)[n]
+			if !slices.Equal(got, want) {
+				t.Fatalf("seed %d, %s: node %d lists %v, the reference %v", seed, when, n, ids(got), ids(want))
+			}
+		}
+		for trial := uint64(0); trial < 12; trial++ {
+			st.Reset()
+			place.Reseed(seed*100 + trial)
+			scheme := []Scheme{ReplicationScheme(3), RSScheme(4, 2)}[trial%2]
+			if trial%3 == 0 {
+				err = st.AddObjects(40+int(trial), 1, scheme, &place)
+			} else {
+				err = st.Defer(40+int(trial), 1, scheme, &place)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			for step := 0; step < 150; step++ {
+				switch op := r.Intn(10); {
+				case op < 4:
+					check("a read", r.Intn(nodes))
+				case op < 9:
+					objs := st.Objects()
+					obj := objs[r.Intn(len(objs))]
+					from := obj.Locations[r.Intn(len(obj.Locations))]
+					_ = st.Relocate(obj, from, r.Intn(nodes)) // an occupied target refuses
+				default:
+					if err := st.AddObjects(5, 1, ReplicationScheme(2), &place); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			for n := 0; n < nodes; n++ {
+				check("the end of a trial", n)
+			}
+		}
+
+		warm := func() {
+			st.Reset()
+			place.Reseed(seed)
+			if err := st.Defer(300, 1, ReplicationScheme(3), &place); err != nil {
+				t.Fatal(err)
+			}
+			for n := nodes - 1; n >= 0; n-- {
+				st.ObjectsOn(n)
+				// One node read builds its list alone; a second builds the rest.
+				want := nodes
+				if n == nodes-1 {
+					want = 1
+				}
+				if st.lists != want {
+					t.Fatalf("seed %d: %d lists built after reading node %d, want %d", seed, st.lists, n, want)
+				}
+			}
+		}
+		warm()
+		if allocs := testing.AllocsPerRun(10, warm); allocs != 0 {
+			t.Fatalf("seed %d: a warm trial reading every node allocates %v times, want 0", seed, allocs)
+		}
+	}
+}
+
+func ids(objs []*Object) []int {
+	out := make([]int, len(objs))
+	for i, o := range objs {
+		out[i] = o.ID
+	}
+	return out
+}

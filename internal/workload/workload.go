@@ -146,7 +146,6 @@ type Workload struct {
 	route   int
 	lat     stats.Sample
 	started int64
-	done    int64
 }
 
 // NewWorkload creates a workload targeting nodes (round-robin routing).
@@ -172,7 +171,6 @@ func (w *Workload) submit() {
 	w.started++
 	d := w.Profile.sample(w.rng)
 	w.next().Process(d, func(latency float64) {
-		w.done++
 		w.lat.Add(latency)
 	})
 }
@@ -196,11 +194,9 @@ func (w *Workload) StartOpen(interarrival dist.Dist, count int64) error {
 	return nil
 }
 
-// Latencies returns the collected latency sample.
+// Latencies returns the collected latency sample, one entry per finished
+// request.
 func (w *Workload) Latencies() *stats.Sample { return &w.lat }
-
-// Completed returns the number of finished requests.
-func (w *Workload) Completed() int64 { return w.done }
 
 // BackgroundLoad injects constant-rate disk and NIC work on a node,
 // modelling repair storms or control operations whose impact on tenant

@@ -111,8 +111,8 @@ func TestOpenLoopLatencyMatchesMM1(t *testing.T) {
 	if math.Abs(mean-2) > 0.15 {
 		t.Fatalf("open-loop mean latency = %v, want ~2 (M/M/1)", mean)
 	}
-	if w.Completed() != 100000 {
-		t.Fatalf("completed %d of 100000", w.Completed())
+	if w.Latencies().N() != 100000 {
+		t.Fatalf("completed %d of 100000", w.Latencies().N())
 	}
 }
 
