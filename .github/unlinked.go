@@ -404,20 +404,23 @@ func fieldReads(linked func(string) bool) (map[string]bool, error) {
 		pkg, internal := strings.CutPrefix(path, module)
 		for _, f := range files {
 			var stack []ast.Node
+			// inFunc is the function declaration being walked, and dead
+			// says whether it is an internal one no binary links.
 			var inFunc *ast.FuncDecl
+			dead := false
 			ast.Inspect(f, func(n ast.Node) bool {
 				if n == nil {
 					if stack[len(stack)-1] == inFunc {
-						inFunc = nil
+						inFunc, dead = nil, false
 					}
 					stack = stack[:len(stack)-1]
 					return true
 				}
 				stack = append(stack, n)
 				if d, ok := n.(*ast.FuncDecl); ok {
-					inFunc = d
+					inFunc, dead = d, internal && !linked(funcName(pkg, d))
 				}
-				if internal && inFunc != nil && !linked(funcName(pkg, inFunc)) {
+				if dead {
 					return true
 				}
 				switch x := n.(type) {

@@ -25,9 +25,7 @@
 // the simulation before it changed rather than the data center's size:
 // every node's disks and NIC are one hardware.Block, and a component lists
 // itself there when it first leaves its built state, whether a failure
-// process or a caller moved it, so Reset visits the listed ones only; a
-// node lists itself when its up flag or veto count first moves, a domain
-// when it first fails, and Reset puts back those.
+// process or a caller moved it, so Reset visits the listed ones only.
 package cluster
 
 import (
@@ -135,10 +133,9 @@ type Domain struct {
 	// unpowered one does not.
 	Power bool
 
-	nodes  []int
-	links  []*netsim.Link
-	up     bool
-	downed bool // listed in the cluster's downed since its last Reset
+	nodes []int
+	links []*netsim.Link
+	up    bool
 }
 
 // Up reports whether the domain is operational.
@@ -196,13 +193,6 @@ type Cluster struct {
 	linkVeto    []int
 	onDomDown   []func(*Domain)
 	onDomUp     []func(*Domain)
-
-	// What Reset puts back: the nodes whose up flag or veto count has moved
-	// since the last Reset (touched[id] says whether id is listed in moved),
-	// and the domains that have failed.
-	moved   []int
-	touched []bool
-	downed  []*Domain
 
 	// avail is Available as a bitset (see AvailableSet), brought up to date
 	// by mark at every statement that moves a node's up flag or veto count.
@@ -271,8 +261,6 @@ func Build(s *sim.Simulator, cat *hardware.Catalog, cfg Config) (*Cluster, error
 		nodeVeto: make([]int, size),
 		linkVeto: make([]int, len(net.Topo.Links())),
 		avail:    make([]uint64, (size+63)/64),
-		moved:    make([]int, 0, size),
-		touched:  make([]bool, size),
 	}
 	// Nodes, their disk lists and their components each come out of one
 	// block: a cluster is a handful of allocations however many nodes.
@@ -292,7 +280,6 @@ func Build(s *sim.Simulator, cat *hardware.Catalog, cfg Config) (*Cluster, error
 			return nil, err
 		}
 		c.nodes[id] = n
-		c.touch(id) // built down: the Reset below brings it up
 	}
 	// The built-in correlated-failure domains: one per rack, covering its
 	// nodes and severing its uplink while down (the ToR mechanism).
@@ -313,10 +300,11 @@ func Build(s *sim.Simulator, cat *hardware.Catalog, cfg Config) (*Cluster, error
 
 // Reset returns the cluster to the state Build left it in, in place:
 // every link up at its configured capacity and no flow in flight, every
-// node and component healthy with zeroed counters, no domain down, the domains added since Build (internal/power's) gone,
-// every registered callback dropped, no failure process running. Reset
-// the driving simulator first: the cluster restarts its clocks from the
-// simulator's Now and forgets, rather than cancels, its pending events.
+// node and component healthy with zeroed counters, no domain down, the
+// domains added since Build (internal/power's) gone, every registered
+// callback dropped, no failure process running. Reset the driving
+// simulator first: the cluster restarts its clocks from the simulator's
+// Now and forgets, rather than cancels, its pending events.
 //
 // A reset cluster is equal to a freshly built one, and every handle from
 // before is dead: flows, added domains, registered callbacks.
@@ -329,32 +317,23 @@ func (c *Cluster) Reset() {
 			sw.Reset()
 		}
 	}
-	for _, d := range c.downed {
-		d.up, d.downed = true, false
-		for _, l := range d.links {
-			c.linkVeto[l.ID] = 0
-		}
+	for _, n := range c.nodes {
+		n.up = true
 	}
-	c.downed = dropAll(c.downed)
 	clear(c.domains[len(c.rackDomains):])
 	c.domains = c.domains[:len(c.rackDomains)]
-	for _, id := range c.moved {
-		c.nodes[id].up, c.nodeVeto[id], c.touched[id] = true, 0, false
+	for _, d := range c.rackDomains {
+		d.up = true
+	}
+	clear(c.nodeVeto)
+	clear(c.linkVeto)
+	for id := range c.nodes {
 		c.mark(id)
 	}
-	c.moved = c.moved[:0]
 	c.onDown, c.onUp = dropAll(c.onDown), dropAll(c.onUp)
 	c.onDisk, c.onDiskOK = dropAll(c.onDisk), dropAll(c.onDiskOK)
 	c.onDomDown, c.onDomUp = dropAll(c.onDomDown), dropAll(c.onDomUp)
 	c.nodeFailures = 0
-}
-
-// touch lists node id for the next Reset, once.
-func (c *Cluster) touch(id int) {
-	if !c.touched[id] {
-		c.touched[id] = true
-		c.moved = append(c.moved, id)
-	}
 }
 
 // dropAll empties a callback list, releasing the callbacks and keeping
@@ -407,10 +386,6 @@ func (c *Cluster) FailDomain(d *Domain) {
 		return
 	}
 	d.up = false
-	if !d.downed {
-		d.downed = true
-		c.downed = append(c.downed, d)
-	}
 	changed := false
 	for _, l := range d.links {
 		c.linkVeto[l.ID]++
@@ -429,7 +404,6 @@ func (c *Cluster) FailDomain(d *Domain) {
 		n := c.nodes[id]
 		wasAvailable := n.up && c.nodeVeto[id] == 0
 		c.nodeVeto[id]++
-		c.touch(id)
 		c.mark(id)
 		if wasAvailable {
 			for _, fn := range c.onDown {
@@ -536,7 +510,6 @@ func (c *Cluster) FailNode(id int) {
 		return
 	}
 	n.up = false
-	c.touch(id)
 	c.mark(id)
 	c.nodeFailures++
 	if n.accessLk != nil {

@@ -204,10 +204,11 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-// TestResetMatchesNewComponent: a component that failed and has callbacks and a lifecycle running replays, after a
-// Reset (and a reset of its simulator), the failure history a new
-// component has — and formats its event names and builds its lifecycle
-// callbacks only the first time.
+// TestResetMatchesNewComponent: a component that failed and has
+// callbacks and a lifecycle running replays, after a Reset (and a reset
+// of its simulator), the failure history a new component has — and
+// formats its event names and builds its lifecycle callbacks only the
+// first time.
 func TestResetMatchesNewComponent(t *testing.T) {
 	history := func(s *sim.Simulator, c *Component) (out []float64) {
 		c.OnFail(func(*Component) { out = append(out, s.Now()) })

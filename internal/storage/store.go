@@ -32,7 +32,11 @@
 // Relocate only appends the object to its new node's list, if that one is
 // built, and marks the two nodes; a marked node's list is filtered,
 // sorted by ID and de-duplicated at the next ObjectsOn of that node, and
-// of no other.
+// of no other. The shards a repair storm relocates between a population's
+// first and second read are counted by the second's pass rather than
+// appended one by one, so fewer lists outgrow their room (EXPERIMENTS.md
+// E43 measures both effects against building every list at the first
+// read).
 package storage
 
 import (
@@ -202,16 +206,16 @@ type Store struct {
 	// order unless stale[n], once built[n] == epoch: ObjectsOn builds it
 	// (build, or buildRest, which counts in perNode), and Reset bumps
 	// epoch, so a Reset costs nothing per node. Place appends to the built
-	// lists;
-	// Relocate appends the object to its new node's list, if built, leaves
-	// it on the old one's and marks both stale, and the next ObjectsOn of a
-	// stale node puts that one list right (tidy). The lists are read at
-	// node transitions, a handful a trial, and written at every finished
-	// repair, hundreds: the write is O(1) and the read pays for the writes
-	// to its own node only. index is the backing array the lists are carved
-	// from, used of it so far since the last Reset; it is kept between
-	// populations. lists counts the lists built since the last Reset: a
-	// population placed before the first read has none to append to.
+	// lists; Relocate appends the object to its new node's list, if built,
+	// leaves it on the old one's and marks both stale, and the next
+	// ObjectsOn of a stale node puts that one list right (tidy). The lists
+	// are read at node transitions, a handful a trial, and written at every
+	// finished repair, hundreds: the write is O(1) and the read pays for
+	// the writes to its own node only. index is the backing array the
+	// lists are carved from, used of it so far since the last Reset; it is
+	// kept between populations. lists counts the lists built since the
+	// last Reset: a population placed before the first read has none to
+	// append to.
 	byNode  [][]*Object
 	stale   []bool
 	built   []uint64
