@@ -61,10 +61,6 @@ type FlowSim struct {
 	// callback may call OnLinkChange again; the nested call's snapshot goes
 	// after the outer one's and is taken off again when it returns.
 	walk []*Flow
-
-	// Metrics.
-	completed int64
-	aborted   int64
 }
 
 // maxRecycled bounds what a FlowSim keeps alive for reuse, at ~300 bytes a
@@ -90,8 +86,7 @@ func NewFlowSim(s *sim.Simulator, t *Topology) *FlowSim {
 }
 
 // Reset returns the flow simulator to its just-built state: every flow in
-// flight is dropped without a callback, IDs start over, the metrics are
-// zero. The simulator that carried the flows' events is expected to have
+// flight is dropped without a callback, and IDs start over. The simulator that carried the flows' events is expected to have
 // been reset as well, and the topology too; every *Flow from before is
 // dead, and will be handed out again by a later Start.
 func (fs *FlowSim) Reset() {
@@ -109,7 +104,6 @@ func (fs *FlowSim) Reset() {
 	clear(fs.walk)
 	fs.walk = fs.walk[:0]
 	fs.nextID = 0
-	fs.completed, fs.aborted = 0, 0
 }
 
 // Active returns the number of in-flight flows.
@@ -126,12 +120,6 @@ func (f *Flow) IsActive() bool { return f.active }
 // Route returns the links the flow currently crosses. The slice is the
 // flow's own: a reroute writes the new route over it.
 func (f *Flow) Route() []*Link { return f.route }
-
-// Completed returns the number of finished flows.
-func (fs *FlowSim) Completed() int64 { return fs.completed }
-
-// Aborted returns the number of flows killed by link failures.
-func (fs *FlowSim) Aborted() int64 { return fs.aborted }
 
 // Start begins a transfer of sizeMB from src to dst. done fires on
 // completion; failed fires if the flow is aborted by a link failure and
@@ -208,7 +196,6 @@ func (fs *FlowSim) Cancel(f *Flow) {
 
 // finish completes a flow.
 func (fs *FlowSim) finish(f *Flow) {
-	fs.completed++
 	fs.removeFlow(f)
 	if f.done != nil {
 		f.done(f)
@@ -274,12 +261,11 @@ func broken(route []*Link) bool {
 
 // reroute gives a flow that is on no link's list a route over links that
 // are up, written over its old route's storage, and reports true. If there
-// is none, the flow is aborted — counted, taken out of flight, its failed
-// callback run — and reroute reports false.
+// is none, the flow is aborted — taken out of flight, its failed callback
+// run — and reroute reports false.
 func (fs *FlowSim) reroute(f *Flow) bool {
 	route, err := fs.topo.routeInto(f.route, f.Src, f.Dst)
 	if err != nil {
-		fs.aborted++
 		fs.removeFlow(f)
 		if f.failed != nil {
 			f.failed(f, err)

@@ -28,6 +28,8 @@ type flowRun struct {
 	nesting int     // callbacks running
 	started int64   // Starts that returned a flow
 	cancels int64   // Cancels of a flow in flight
+	// done and failed callbacks that ran
+	completed, aborted int64
 }
 
 func newFlowRun(t *testing.T, prog []byte) *flowRun {
@@ -71,7 +73,7 @@ func (r *flowRun) callbacks(nested int) (func(*Flow), func(*Flow, error)) {
 		}
 		r.nesting--
 	}
-	return func(*Flow) { run() }, func(*Flow, error) { run() }
+	return func(*Flow) { r.completed++; run() }, func(*Flow, error) { r.aborted++; run() }
 }
 
 // op decodes and runs one operation. The low three bits of the first byte
@@ -128,9 +130,9 @@ func (r *flowRun) check() {
 		r.t.Fatalf("pc %d, t=%v: %v", r.pc, r.s.Now(), err)
 	}
 	fs := r.fs
-	if accounted := r.started - fs.completed - fs.aborted - r.cancels; accounted != int64(fs.Active()) {
+	if accounted := r.started - r.completed - r.aborted - r.cancels; accounted != int64(fs.Active()) {
 		r.t.Fatalf("pc %d: %d started, %d completed, %d aborted, %d cancelled, but %d in flight",
-			r.pc, r.started, fs.completed, fs.aborted, r.cancels, fs.Active())
+			r.pc, r.started, r.completed, r.aborted, r.cancels, fs.Active())
 	}
 }
 
@@ -146,7 +148,7 @@ func runFlowProgram(t *testing.T, prog []byte) {
 	r.s.Run()
 	r.check()
 	r.fs.Reset()
-	r.started, r.cancels = 0, 0
+	r.started, r.cancels, r.completed, r.aborted = 0, 0, 0, 0
 	r.check()
 }
 

@@ -235,8 +235,8 @@ func TestSingleFlowFullBandwidth(t *testing.T) {
 	}
 	fs := NewFlowSim(s, topo)
 	var doneAt sim.Time = -1
-	delivered := 0.0
-	if _, err := fs.Start(hosts[0], hosts[1], 500, func(*Flow) { doneAt, delivered = s.Now(), 500 }, nil); err != nil {
+	delivered, completed := 0.0, 0
+	if _, err := fs.Start(hosts[0], hosts[1], 500, func(*Flow) { doneAt, delivered = s.Now(), 500; completed++ }, nil); err != nil {
 		t.Fatal(err)
 	}
 	s.Run()
@@ -244,8 +244,8 @@ func TestSingleFlowFullBandwidth(t *testing.T) {
 	if math.Abs(doneAt-5) > 1e-9 {
 		t.Fatalf("flow finished at %v, want 5", doneAt)
 	}
-	if fs.Completed() != 1 || delivered != 500 {
-		t.Fatalf("completed=%d bytes=%v", fs.Completed(), delivered)
+	if completed != 1 || delivered != 500 {
+		t.Fatalf("completed=%d bytes=%v", completed, delivered)
 	}
 }
 
@@ -349,7 +349,8 @@ func TestLinkFailureAbortsUnreroutableFlow(t *testing.T) {
 	}
 	fs := NewFlowSim(s, topo)
 	var failErr error
-	if _, err := fs.Start(hosts[0], hosts[1], 1000, nil, func(_ *Flow, err error) { failErr = err }); err != nil {
+	aborted := 0
+	if _, err := fs.Start(hosts[0], hosts[1], 1000, nil, func(_ *Flow, err error) { failErr = err; aborted++ }); err != nil {
 		t.Fatal(err)
 	}
 	s.Schedule(1, "cut", func() {
@@ -360,8 +361,8 @@ func TestLinkFailureAbortsUnreroutableFlow(t *testing.T) {
 	if failErr == nil {
 		t.Fatal("flow was not aborted by link failure")
 	}
-	if fs.Aborted() != 1 {
-		t.Fatalf("aborted = %d, want 1", fs.Aborted())
+	if aborted != 1 {
+		t.Fatalf("aborted = %d, want 1", aborted)
 	}
 }
 
@@ -383,7 +384,7 @@ func TestLinkFailureReroutesWhenPossible(t *testing.T) {
 	}
 	fs := NewFlowSim(s, topo)
 	var doneAt sim.Time = -1
-	if _, err := fs.Start(a, b, 200, func(*Flow) { doneAt = s.Now() }, nil); err != nil {
+	if _, err := fs.Start(a, b, 200, func(*Flow) { doneAt = s.Now() }, func(*Flow, error) { t.Error("a reroutable flow failed") }); err != nil {
 		t.Fatal(err)
 	}
 	s.Schedule(1, "cut", func() {
@@ -395,9 +396,6 @@ func TestLinkFailureReroutesWhenPossible(t *testing.T) {
 	// 100 MB takes 1 more unit. Finish at 2.
 	if math.Abs(doneAt-2) > 1e-9 {
 		t.Fatalf("rerouted flow finished at %v, want 2", doneAt)
-	}
-	if fs.Aborted() != 0 {
-		t.Fatalf("aborted = %d, want 0", fs.Aborted())
 	}
 }
 
@@ -470,6 +468,7 @@ func TestManyFlowsConservation(t *testing.T) {
 	fs := NewFlowSim(s, topo)
 	r := s.Stream("traffic")
 	total, delivered := 0.0, 0.0
+	completed := 0
 	const n = 200
 	for i := 0; i < n; i++ {
 		src := hosts[r.Intn(len(hosts))]
@@ -481,14 +480,14 @@ func TestManyFlowsConservation(t *testing.T) {
 		total += size
 		delay := 10 * r.Float64()
 		s.Schedule(delay, "start-flow", func() {
-			if _, err := fs.Start(src, dst, size, func(*Flow) { delivered += size }, nil); err != nil {
+			if _, err := fs.Start(src, dst, size, func(*Flow) { delivered += size; completed++ }, nil); err != nil {
 				t.Errorf("flow start failed: %v", err)
 			}
 		})
 	}
 	s.Run()
-	if fs.Completed() != n {
-		t.Fatalf("completed %d of %d flows", fs.Completed(), n)
+	if completed != n {
+		t.Fatalf("completed %d of %d flows", completed, n)
 	}
 	if math.Abs(delivered-total) > 1e-6*total {
 		t.Fatalf("delivered %v MB, want %v", delivered, total)
@@ -557,8 +556,8 @@ func TestResetMatchesFreshNetwork(t *testing.T) {
 	s.Reset(1)
 	net.Topo.Reset()
 	fs.Reset()
-	if fs.Active() != 0 || fs.Completed() != 0 || fs.Aborted() != 0 {
-		t.Fatalf("after Reset: %d active, %d completed, %d aborted", fs.Active(), fs.Completed(), fs.Aborted())
+	if fs.Active() != 0 {
+		t.Fatalf("after Reset: %d active", fs.Active())
 	}
 	if !net.Uplinks[0].Up() || net.Access[1].Capacity != 100 {
 		t.Fatalf("after Reset: uplink up=%v, access capacity %v", net.Uplinks[0].Up(), net.Access[1].Capacity)
@@ -600,8 +599,12 @@ func TestWarmFlowAllocatesNothing(t *testing.T) {
 	fs := NewFlowSim(s, net.Topo)
 	const flows = 40
 	handed := make([]*Flow, 0, flows)
+	completed := 0
 	var start func(*Flow)
-	start = func(*Flow) {
+	start = func(f *Flow) {
+		if f != nil {
+			completed++
+		}
 		if len(handed) == flows {
 			return
 		}
@@ -617,15 +620,15 @@ func TestWarmFlowAllocatesNothing(t *testing.T) {
 		s.Reset(1)
 		net.Topo.Reset()
 		fs.Reset()
-		handed = handed[:0]
+		handed, completed = handed[:0], 0
 		for i := 0; i < 4; i++ {
 			start(nil)
 		}
 		s.RunUntil(10)
 	}
 	run()
-	if fs.Completed() != flows {
-		t.Fatalf("%d of %d flows completed", fs.Completed(), flows)
+	if completed != flows {
+		t.Fatalf("%d of %d flows completed", completed, flows)
 	}
 	first := slices.Clone(handed)
 	if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
@@ -658,9 +661,9 @@ func TestLatencyPhaseFlowSeesLinkFailure(t *testing.T) {
 	s := sim.New(1)
 	fs := NewFlowSim(s, net.Topo)
 	var failErr error
-	completed := false
+	completed, aborted := false, 0
 	if _, err := fs.Start(net.Hosts[0], net.Hosts[3], 100,
-		func(*Flow) { completed = true }, func(_ *Flow, err error) { failErr = err }); err != nil {
+		func(*Flow) { completed = true }, func(_ *Flow, err error) { failErr = err; aborted++ }); err != nil {
 		t.Fatal(err)
 	}
 	s.Schedule(0.005, "cut", func() {
@@ -668,9 +671,9 @@ func TestLatencyPhaseFlowSeesLinkFailure(t *testing.T) {
 		fs.OnLinkChange()
 	})
 	s.Run()
-	if completed || failErr == nil || fs.Aborted() != 1 || fs.Active() != 0 || fs.Completed() != 0 {
+	if completed || failErr == nil || aborted != 1 || fs.Active() != 0 {
 		t.Fatalf("flow over a link cut in its latency phase: completed=%v at %v, failed with %v; %d aborted, %d in flight",
-			completed, s.Now(), failErr, fs.Aborted(), fs.Active())
+			completed, s.Now(), failErr, aborted, fs.Active())
 	}
 
 	// Two parallel paths a-s1-b and a-s2-b: the first one's cut reroutes.
@@ -706,7 +709,7 @@ func TestLatencyPhaseFlowSeesLinkFailure(t *testing.T) {
 		t.Fatalf("after activation: active=%v, route over a down link %v, rate %v", f.IsActive(), broken(f.Route()), f.Rate())
 	}
 	s.Run()
-	if doneAt != 2.02 || fs.Aborted() != 0 {
-		t.Fatalf("rerouted flow done at %v with %d aborted; want 2.02 (latency 0.02, then 200 MB at 100) and 0", doneAt, fs.Aborted())
+	if doneAt != 2.02 {
+		t.Fatalf("rerouted flow done at %v; want 2.02 (latency 0.02, then 200 MB at 100)", doneAt)
 	}
 }

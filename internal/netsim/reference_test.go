@@ -168,7 +168,7 @@ func TestRecomputeStallsAndResumesFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bystander, err := fs.Start(hosts[2], hosts[3], 1000, done, nil)
+	bystander, err := fs.Start(hosts[2], hosts[3], 1000, done, func(*Flow, error) { t.Error("the bystander was aborted") })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,8 +200,8 @@ func TestRecomputeStallsAndResumesFlow(t *testing.T) {
 	if doneAt[bystander] != 10 || doneAt[stalled] != 15 {
 		t.Fatalf("bystander done at %v, stalled flow at %v; want 10 and 15", doneAt[bystander], doneAt[stalled])
 	}
-	if fs.Aborted() != 0 || fs.Completed() != 2 {
-		t.Fatalf("%d aborted, %d completed; want 0 and 2", fs.Aborted(), fs.Completed())
+	if len(doneAt) != 2 {
+		t.Fatalf("%d completed; want 2", len(doneAt))
 	}
 }
 
@@ -220,10 +220,12 @@ func TestFailedCallbackStartsReplacementFlow(t *testing.T) {
 	fs := NewFlowSim(s, topo)
 	var abortOrder []int
 	var replacements []*Flow
+	completed := 0
+	done := func(*Flow) { completed++ }
 	retry := func(f *Flow, _ error) {
 		abortOrder = append(abortOrder, f.ID)
 		// hosts[0] just lost its link; read from hosts[1] instead.
-		r, err := fs.Start(hosts[1], f.Dst, 500, nil, func(*Flow, error) {
+		r, err := fs.Start(hosts[1], f.Dst, 500, done, func(*Flow, error) {
 			t.Error("replacement flow aborted by the failure it replaces")
 		})
 		if err != nil {
@@ -236,7 +238,7 @@ func TestFailedCallbackStartsReplacementFlow(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	bystander, err := fs.Start(hosts[1], hosts[3], 500, nil, func(*Flow, error) {
+	bystander, err := fs.Start(hosts[1], hosts[3], 500, done, func(*Flow, error) {
 		t.Error("flow off the failed link aborted")
 	})
 	if err != nil {
@@ -250,8 +252,8 @@ func TestFailedCallbackStartsReplacementFlow(t *testing.T) {
 	if len(abortOrder) != 3 || abortOrder[0] != 0 || abortOrder[1] != 1 || abortOrder[2] != 2 {
 		t.Fatalf("failed callbacks ran for flows %v, want [0 1 2]", abortOrder)
 	}
-	if fs.Aborted() != 3 || fs.Active() != 4 {
-		t.Fatalf("aborted=%d in-flight=%d, want 3 and 4 (bystander + 3 replacements)", fs.Aborted(), fs.Active())
+	if fs.Active() != 4 {
+		t.Fatalf("in-flight=%d, want 4 (bystander + 3 replacements)", fs.Active())
 	}
 	if !bystander.IsActive() || bystander.Rate() != 100 {
 		t.Fatalf("bystander active=%v rate=%v, want the whole 100 while replacements are in their latency phase",
@@ -264,8 +266,8 @@ func TestFailedCallbackStartsReplacementFlow(t *testing.T) {
 		}
 	}
 	s.Run()
-	if fs.Completed() != 4 || fs.Active() != 0 {
-		t.Fatalf("completed=%d in-flight=%d, want 4 and 0", fs.Completed(), fs.Active())
+	if completed != 4 || fs.Active() != 0 {
+		t.Fatalf("completed=%d in-flight=%d, want 4 and 0", completed, fs.Active())
 	}
 }
 
@@ -283,13 +285,13 @@ func BenchmarkFlowSimRepairStorm(b *testing.B) {
 	}
 	s := sim.New(1)
 	fs := NewFlowSim(s, topo)
-	next := 0
+	next, completed := 0, 0
 	var start func()
 	start = func() {
 		src := hosts[next%len(hosts)]
 		dst := hosts[(next*7+11)%len(hosts)]
 		next++
-		if _, err := fs.Start(src, dst, 64+float64(next%5), func(*Flow) { start() }, nil); err != nil {
+		if _, err := fs.Start(src, dst, 64+float64(next%5), func(*Flow) { completed++; start() }, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -298,7 +300,7 @@ func BenchmarkFlowSimRepairStorm(b *testing.B) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	for done := fs.Completed(); fs.Completed() < done+int64(b.N); {
+	for completed < b.N {
 		if !s.Step() {
 			b.Fatal("calendar drained")
 		}
@@ -484,8 +486,8 @@ func TestOnLinkChangeAllocatesNothing(t *testing.T) {
 	if err := checkIncremental(fs); err != nil {
 		t.Fatal(err)
 	}
-	if fs.Aborted() != 0 || fs.Active() != 4 {
-		t.Fatalf("%d aborted, %d in flight; want 0 and 4", fs.Aborted(), fs.Active())
+	if fs.Active() != 4 {
+		t.Fatalf("%d in flight; want 4", fs.Active())
 	}
 }
 
@@ -525,8 +527,8 @@ func TestOnLinkChangeReentered(t *testing.T) {
 	if !slices.Equal(aborted, []int{0, 2, 3, 4}) {
 		t.Fatalf("failed callbacks ran for flows %v, want [0 2 3 4]: 0 in the outer walk, then 2, 3 and 4 in the nested one", aborted)
 	}
-	if fs.Aborted() != 4 || fs.Active() != 2 || len(fs.walk) != 0 {
-		t.Fatalf("%d aborted, %d in flight, %d snapshot entries left; want 4, 2 and 0", fs.Aborted(), fs.Active(), len(fs.walk))
+	if fs.Active() != 2 || len(fs.walk) != 0 {
+		t.Fatalf("%d in flight, %d snapshot entries left; want 2 and 0", fs.Active(), len(fs.walk))
 	}
 	if err := checkIncremental(fs); err != nil {
 		t.Fatal(err)

@@ -14,14 +14,16 @@ import (
 )
 
 // This file is the job pipeline. Every query — a client's, a fleet shard
-// on a worker, a coordinator's merge, a job resurrected from the journal
-// — is admitted by submit (or restoreJob), executed by run on the job's
-// own goroutine, and written line by line to the job's log through
+// on a worker, a coordinator's sharded sweep, a job resurrected from the
+// journal — is admitted by submit (or restoreJob), executed by run on the
+// job's own goroutine, and written line by line to the job's log through
 // commit; every reader of a job, the submitting HTTP client included,
-// follows that log.
+// follows that log. Where a point runs — this server's engine or the
+// fleet (fleet.go) — is the only thing that differs: answer resumes,
+// commits, re-sends and assembles the same way for both.
 //
-// A line is built once per answer, not once per job. A whole local run of
-// a kept plan (plans.go) commits its plan's kept point lines while its
+// A line is built once per answer, not once per job. A whole run of a
+// kept plan (plans.go) commits its plan's kept point lines while its
 // outcomes match the ones they were built from, and when all match it
 // re-sends the kept result line under its own id: the rows are assembled
 // and the table rendered only for outcomes that differ, and that answer is
@@ -206,12 +208,12 @@ func (s *Server) commitPoint(j *job, index int, key string, line []byte) {
 	s.commit(j, pointRecord(index, key, line), logLine{'p', line}, sp)
 }
 
-// answer is the query itself: plan (plans.go) and sweep — fanned out
-// across the fleet when this is a coordinator and the sweep is shardable,
-// on this server's own engine otherwise (a worker's shard, req.Points,
-// included). Each committed point's line is committed with its cache key,
-// except the first len(resume), which the journal already holds. A whole
-// local run also returns its resend: when that re-sends the kept answer
+// answer is the query itself: plan (plans.go), then run the points — on
+// the fleet when this is a coordinator and the sweep is shardable, on this
+// server's own engine otherwise (a worker's shard, req.Points, included) —
+// and commit each outcome as it arrives, in point order, with its cache
+// key, except the first len(resume), which the journal already holds. A
+// whole run also returns its resend: when that re-sends the kept answer
 // whole, the result set is nil, for the kept result line stands in for it.
 func (s *Server) answer(ctx context.Context, j *job, req QueryRequest, resume []RecoveredPoint,
 	enc *eventEncoder) (*wtql.ResultSet, *resend, error) {
@@ -224,15 +226,6 @@ func (s *Server) answer(ctx context.Context, j *job, req QueryRequest, resume []
 	if err != nil {
 		return nil, nil, err
 	}
-	// MONOTONE sweeps are not shardable: a dominance decision depends on
-	// the whole committed prefix.
-	if s.fleet != nil && !plan.Pruned() && req.Points == nil {
-		rs, err := s.runFleetPlan(ctx, j, req.Query, plan, prefix, func(ev PointEvent, key string) {
-			s.emitPoint(j, enc, ev, key)
-		})
-		return rs, nil, err
-	}
-
 	// Only a journal record needs a point's cache key.
 	var keys []string
 	if j.jj != nil {
@@ -252,6 +245,27 @@ func (s *Server) answer(ctx context.Context, j *job, req QueryRequest, resume []
 	if k == 0 && subset == nil {
 		rr = newResend(kp)
 	}
+	// commit takes the job's next outcome, served by worker: "" for this
+	// server's own engine.
+	commit := func(out core.PointOutcome, worker string) {
+		outcomes = append(outcomes, out)
+		done := len(outcomes)
+		s.progress(j, done, total, out.FromCache)
+		if done <= k {
+			return
+		}
+		key := ""
+		if keys != nil {
+			key = keys[out.Index]
+		}
+		if line := rr.keptLine(done-1, &out, worker); line != nil {
+			s.commitPoint(j, out.Index, key, line)
+			return
+		}
+		ev := pointEvent(plan.Config(out.Index), done, total, out)
+		ev.Worker, ev.Degraded = worker, worker == localWorker
+		rr.add(&out, worker, s.emitPoint(j, enc, ev, key))
+	}
 	if k > 0 && !plan.Pruned() {
 		// Resuming a plain sweep: the journaled prefix is final. Execute
 		// only the undelivered tail and assemble the table over prefix +
@@ -266,25 +280,17 @@ func (s *Server) answer(ctx context.Context, j *job, req QueryRequest, resume []
 	// re-runs it in full — dominance decisions depend on the whole
 	// committed prefix, it is deterministic, and every previously-simulated
 	// point is a trial-cache hit — without emitting again the k events the
-	// journal already holds.
-	err = plan.RunSubset(ctx, subset, func(out core.PointOutcome) {
-		outcomes = append(outcomes, out)
-		done := len(outcomes)
-		s.progress(j, done, total, out.FromCache)
-		s.tel.observePoint(j.trace, j.root.ID(), out)
-		if done <= k {
-			return
-		}
-		key := ""
-		if keys != nil {
-			key = keys[out.Index]
-		}
-		if line := rr.keptLine(done-1, &out); line != nil {
-			s.commitPoint(j, out.Index, key, line)
-			return
-		}
-		rr.add(&out, s.emitPoint(j, enc, pointEvent(plan.Config(out.Index), done, total, out), key))
-	})
+	// journal already holds. For the same reason a MONOTONE sweep is never
+	// sharded.
+	if s.fleet != nil && !plan.Pruned() && req.Points == nil {
+		err = s.runFleet(ctx, j, req.Query, plan, subset, commit)
+	} else {
+		// A point is observed where it runs: a worker observes its shard's.
+		err = plan.RunSubset(ctx, subset, func(out core.PointOutcome) {
+			s.tel.observePoint(j.trace, j.root.ID(), out)
+			commit(out, "")
+		})
+	}
 	if err != nil {
 		return nil, nil, err
 	}

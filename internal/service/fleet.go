@@ -24,9 +24,10 @@ import (
 // tracks which members are worth talking to, and the Client the
 // coordinator fans queries out with. A sweep's design points are hashed
 // on core.CacheKey, so a point always lands on the worker that already
-// holds its cached trials; the workers' NDJSON streams are merged back
-// in global point order, and the in-order commit discipline on each
-// worker makes the merged table byte-identical to a single-daemon run.
+// holds its cached trials; the workers' outcomes are handed back in
+// global point order to the job's one commit path (answer, durable.go),
+// so a coordinator's stream and table are byte-identical to a
+// single-daemon run.
 //
 // Fault tolerance: like a fan-array wind tunnel that keeps prescribing
 // flow when individual fans degrade, the fleet keeps serving sweeps
@@ -142,32 +143,37 @@ type fleetMsg struct {
 	done  bool
 }
 
-// runFleetPlan shards the planned sweep, streams the merged per-point
-// events in global point order, and assembles the final result set.
-// Worker failures trigger shard failover; exhausted retry budgets
-// degrade the remainder to coordinator-local execution. prefix, when
-// non-empty, is what the journal already holds (coordinator takeover /
-// restart): those points are committed and streamed, so only the
-// remainder is planned onto shards and a resumed client picks up at
-// exactly the next undelivered index. onEvent receives each merged point
-// with its cache key, for its journal record. The plan's resolved trial
-// count is forwarded to the workers so that a worker's own -trials
-// default cannot skew the cache keys the shards were hashed on.
-func (s *Server) runFleetPlan(ctx context.Context, j *job, query string, plan *wtql.Plan, prefix []core.PointOutcome,
-	onEvent func(ev PointEvent, key string)) (*wtql.ResultSet, error) {
+// runFleet runs the plan's points at subset — strictly ascending global
+// indices, nil meaning every point — across the fleet, and calls fn once
+// per outcome in subset order, as Plan.RunSubset does, with the label of
+// the worker that served it: localWorker for a point the coordinator ran
+// itself. Each point goes to its ring owner by cache key. A worker's
+// failure re-plans only its shard's undelivered points onto the next
+// healthy owners; an exhausted retry budget runs them on the
+// coordinator's own engine, and the job is marked degraded. The plan's
+// resolved trial count is forwarded to the workers so that a worker's own
+// -trials default cannot skew the cache keys the shards were hashed on.
+func (s *Server) runFleet(ctx context.Context, j *job, query string, plan *wtql.Plan, subset []int,
+	fn func(out core.PointOutcome, worker string)) error {
 	f := s.fleet
 	keys, err := plan.PointKeys()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	total := len(keys)
-	points := plan.Points()
-	if total == 0 {
-		return plan.Assemble(nil)
+	if subset == nil {
+		subset = make([]int, total)
+		for i := range subset {
+			subset[i] = i
+		}
 	}
+	if len(subset) == 0 {
+		return nil
+	}
+	points := plan.Points()
 	trace, root := j.trace, j.root.ID()
 	mergeSp := s.tel.startSpan(trace, root, "merge").
-		Attr("points", strconv.Itoa(total))
+		Attr("points", strconv.Itoa(len(subset)))
 	defer mergeSp.End()
 
 	fctx, cancel := context.WithCancel(ctx)
@@ -223,7 +229,7 @@ func (s *Server) runFleetPlan(ctx context.Context, j *job, query string, plan *w
 		go func() {
 			err := plan.RunSubset(fctx, indices, func(out core.PointOutcome) {
 				s.tel.observePoint(trace, sh.span.ID(), out)
-				ev := pointEvent(plan.Config(out.Index), 0, 0, out)
+				ev := pointEvent(nil, 0, 0, out)
 				select {
 				case ch <- fleetMsg{shard: sh, ev: &ev}:
 				case <-fctx.Done():
@@ -233,43 +239,40 @@ func (s *Server) runFleetPlan(ctx context.Context, j *job, query string, plan *w
 		}()
 	}
 
-	// Initial assignment: group point indices by their ring owner among
-	// assignable members (health skips down and draining workers at
-	// planning time), preserving first-seen worker order for the
-	// fan-out. With no assignable worker at all the whole sweep runs
-	// coordinator-local.
-	assign := make(map[string][]int)
-	var order []string
-	var localIdx []int
-	for i := len(prefix); i < total; i++ {
-		k := keys[i]
-		w, ok := f.ring.OwnerSkipping(k, func(node string) bool { return !f.health.Assignable(node) })
-		if !ok {
-			localIdx = append(localIdx, i)
-			continue
+	// place groups indices by their ring owner among the members skip
+	// leaves, preserving first-seen worker order for the fan-out, and
+	// launches one shard per owner after delay; the indices no member may
+	// take run coordinator-local.
+	place := func(indices []int, skip func(string) bool, attempt int, tried map[string]bool, delay time.Duration) {
+		byWorker := make(map[string][]int)
+		var order []string
+		var local []int
+		for _, gi := range indices {
+			w, ok := f.ring.OwnerSkipping(keys[gi], skip)
+			if !ok {
+				local = append(local, gi)
+				continue
+			}
+			if byWorker[w] == nil {
+				order = append(order, w)
+			}
+			byWorker[w] = append(byWorker[w], gi)
 		}
-		if assign[w] == nil {
-			order = append(order, w)
+		for _, w := range order {
+			launchStream(&shard{worker: w, points: byWorker[w], attempt: attempt, tried: tried}, delay)
 		}
-		assign[w] = append(assign[w], i)
+		launchLocal(local)
 	}
-	for _, w := range order {
-		launchStream(&shard{worker: w, points: assign[w], tried: make(map[string]bool)}, 0)
-	}
-	launchLocal(localIdx)
+	// Initial assignment among assignable members: health skips down and
+	// draining workers at planning time. With no assignable worker at all
+	// the whole sweep runs coordinator-local.
+	place(subset, func(node string) bool { return !f.health.Assignable(node) }, 0, nil, 0)
 
 	var (
-		received  = make([]bool, total)
-		outcomes  = make([]core.PointOutcome, total)
-		pending   = make(map[int]PointEvent)
-		nextIdx   = len(prefix)
-		committed = len(prefix)
-		firstErr  error
+		received = make([]*PointEvent, total) // by global index, each as delivered
+		next     = 0                          // position in subset of the next point fn is owed
+		firstErr error
 	)
-	for i, out := range prefix {
-		received[i] = true
-		outcomes[i] = out
-	}
 	fail := func(err error) {
 		if firstErr == nil {
 			firstErr = err
@@ -316,7 +319,7 @@ func (s *Server) runFleetPlan(ctx context.Context, j *job, query string, plan *w
 			// before its result line cost the job nothing.
 			var rem []int
 			for _, gi := range m.shard.points {
-				if !received[gi] {
+				if received[gi] == nil {
 					rem = append(rem, gi)
 				}
 			}
@@ -351,75 +354,43 @@ func (s *Server) runFleetPlan(ctx context.Context, j *job, query string, plan *w
 					return tried[node] || !f.health.Reachable(node)
 				}
 			}
-			retry := make(map[string][]int)
-			var retryOrder []string
-			var exhausted []int
-			for _, gi := range rem {
-				nw, ok := f.ring.OwnerSkipping(keys[gi], skip)
-				if !ok {
-					exhausted = append(exhausted, gi)
-					continue
-				}
-				if retry[nw] == nil {
-					retryOrder = append(retryOrder, nw)
-				}
-				retry[nw] = append(retry[nw], gi)
-			}
-			delay := f.backoff(attempt)
-			for _, nw := range retryOrder {
-				launchStream(&shard{worker: nw, points: retry[nw], attempt: attempt, tried: tried}, delay)
-			}
-			launchLocal(exhausted)
+			place(rem, skip, attempt, tried, f.backoff(attempt))
 
 		case firstErr != nil:
 			// Already failing: drain without committing.
 
 		default:
-			ev := *m.ev
+			ev := m.ev
 			if ev.Index < 0 || ev.Index >= total {
 				fail(fmt.Errorf("service: worker %s streamed out-of-range point index %d", m.shard.worker, ev.Index))
 				continue
 			}
-			if received[ev.Index] {
+			if received[ev.Index] != nil {
 				// Outcomes are deterministic per cache key, so a
 				// duplicate delivery (possible only in pathological
 				// failover interleavings) is identical — keep the first.
 				continue
 			}
-			received[ev.Index] = true
 			ev.Worker = m.shard.worker
-			if m.shard.worker == localWorker {
-				ev.Degraded = true
-			}
-			pending[ev.Index] = ev
-			// Commit the contiguous prefix: merged events leave in
-			// global point order with coordinator-level done/total, the
-			// same discipline each worker's commit path follows.
-			for {
-				next, ok := pending[nextIdx]
-				if !ok {
-					break
-				}
-				delete(pending, nextIdx)
-				outcomes[nextIdx] = eventOutcome(points[nextIdx], next)
-				committed++
-				next.Done, next.Total = committed, total
-				s.progress(j, committed, total, next.Cached)
-				onEvent(next, keys[next.Index])
-				nextIdx++
+			received[ev.Index] = ev
+			// Hand on the contiguous run: outcomes leave in subset order,
+			// the order each worker's own commit path follows.
+			for ; next < len(subset) && received[subset[next]] != nil; next++ {
+				gi := subset[next]
+				fn(eventOutcome(points[gi], *received[gi]), received[gi].Worker)
 			}
 		}
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err // job cancelled: report it as such, not as a torn stream
+		return err // job cancelled: report it as such, not as a torn stream
 	}
 	if firstErr != nil {
-		return nil, firstErr
+		return firstErr
 	}
-	if committed != total {
-		return nil, fmt.Errorf("service: fleet streams ended after %d/%d points", committed, total)
+	if next != len(subset) {
+		return fmt.Errorf("service: fleet streams ended after %d/%d points", next, len(subset))
 	}
-	return plan.Assemble(outcomes)
+	return nil
 }
 
 // stream posts one shard and forwards its point events to ch, always

@@ -113,36 +113,75 @@ func TestFleetSecondPassHitsCaches(t *testing.T) {
 	}
 }
 
-// TestFleetDeadWorkerFailsOver: a worker that is down before the query
+// TestFleetDeadWorkerFailsOver: a worker that is down when a query
 // arrives must not fail the job — its shard fails over to the survivor
 // and the merged table stays byte-identical to a single-daemon run,
-// with no degradation (the fleet, not the coordinator, served it).
+// with no degradation (the fleet, not the coordinator, served it). When
+// the worker went down after two identical jobs, the third is not the
+// answer the coordinator kept, even with every point cached on the
+// survivor: its point lines name the survivor, and it is not marked
+// reused.
 func TestFleetDeadWorkerFailsOver(t *testing.T) {
 	_, single := newTestServer(t, Config{PoolSize: 2})
 	want := lastEvent(t, postQuery(t, single, smallQuery))
 
-	workers := make([]*Server, 2)
-	urls := make([]string, 2)
-	tss := make([]*httptest.Server, 2)
-	for i := range workers {
-		srv, ts := newTestServer(t, Config{PoolSize: 2})
-		workers[i], tss[i], urls[i] = srv, ts, ts.URL
-	}
-	_, cts := newTestServer(t, Config{Coordinator: true, Peers: urls})
+	for _, c := range []struct {
+		name string
+		// before is how many jobs run with both workers up; the worker that
+		// served the last one's first point then goes down.
+		before int
+	}{
+		{name: "down before the query"},
+		{name: "down after two jobs", before: 2},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			tss := make(map[string]*httptest.Server, 2)
+			urls := make([]string, 2)
+			for i := range urls {
+				_, ts := newTestServer(t, Config{PoolSize: 2})
+				urls[i], tss[ts.URL] = ts.URL, ts
+			}
+			coord, cts := newTestServer(t, Config{Coordinator: true, Peers: urls})
 
-	tss[1].Close() // one worker is down before the query arrives
+			dead := urls[1]
+			for n := 0; n < c.before; n++ {
+				dead, _ = postQuery(t, cts, smallQuery)[1]["worker"].(string)
+			}
+			if c.before > 0 && coord.plans.get(planKey{query: smallQuery}).last.Load() == nil {
+				t.Fatal("the coordinator kept no answer: the re-ask would not be a re-send either way")
+			}
+			if c.before > 0 {
+				// The survivor holds every point, so the moved points' lines
+				// differ from the kept ones in the worker they name alone.
+				survivor := urls[0]
+				if survivor == dead {
+					survivor = urls[1]
+				}
+				postQuery(t, tss[survivor], smallQuery)
+			}
+			tss[dead].Close()
 
-	events := postQuery(t, cts, smallQuery)
-	final := lastEvent(t, events)
-	if final["type"] != "result" {
-		t.Fatalf("fleet with a dead worker ended with %v, want failover to the survivor", final)
-	}
-	if final["table"] != want["table"] {
-		t.Fatalf("failover table differs from single-daemon run:\n--- single ---\n%v--- fleet ---\n%v",
-			want["table"], final["table"])
-	}
-	if final["degraded"] != false {
-		t.Fatalf("failover to a healthy survivor reported degraded=%v", final["degraded"])
+			events := postQuery(t, cts, smallQuery)
+			final := lastEvent(t, events)
+			if final["type"] != "result" {
+				t.Fatalf("fleet with a dead worker ended with %v, want failover to the survivor", final)
+			}
+			if final["table"] != want["table"] {
+				t.Fatalf("failover table differs from single-daemon run:\n--- single ---\n%v--- fleet ---\n%v",
+					want["table"], final["table"])
+			}
+			if final["degraded"] != false {
+				t.Fatalf("failover to a healthy survivor reported degraded=%v", final["degraded"])
+			}
+			for _, ev := range events {
+				if ev["type"] == "point" && (ev["worker"] == dead || ev["worker"] == localWorker) {
+					t.Fatalf("a point line names %v, not the survivor: %v", ev["worker"], ev)
+				}
+			}
+			if id, _ := events[0]["id"].(string); reused(t, coord, id) {
+				t.Fatal("a job whose shard moved re-sent the kept answer")
+			}
+		})
 	}
 }
 

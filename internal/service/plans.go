@@ -21,10 +21,11 @@ import (
 // saves a repeat is parsing, planning, and each point's scenario build,
 // cache key and config labels.
 //
-// A kept plan also keeps the last answer a whole local run of it sent: the
-// point lines and the result line, and a signature of every outcome they
-// were built from. Every byte of those lines but the result's job id is a
-// function of the plan and those outcomes, so a later whole run whose
+// A kept plan also keeps the last answer a whole run of it sent: the point
+// lines and the result line, and a signature of every outcome they were
+// built from, the worker that served it included. Every byte of those
+// lines but the result's job id is a function of the plan and those
+// outcomes, so a later whole run whose
 // outcomes match commits the kept lines instead of encoding its own, and
 // when every outcome matches it skips assembling the rows, rendering the
 // table and encoding the result, and sends the kept result line under its
@@ -59,8 +60,8 @@ type planMemo struct {
 type keptPlan struct {
 	key  planKey
 	plan *wtql.Plan
-	// last is the answer of the plan's most recent whole local run that
-	// built one. Any stored answer is valid for its own outcomes, so jobs
+	// last is the answer of the plan's most recent whole run that built
+	// one. Any stored answer is valid for its own outcomes, so jobs
 	// that build answers at once may store in any order: the last wins.
 	last atomic.Pointer[keptAnswer]
 }
@@ -147,7 +148,7 @@ func (s *Server) plan(j *job, req QueryRequest) (*keptPlan, error) {
 	return s.plans.keep(key, plan), nil
 }
 
-// keptAnswer is what one whole local run of a plan sent, with the outcomes
+// keptAnswer is what one whole run of a plan sent, with the outcomes
 // it was built from. It is immutable once stored: its lines are shared
 // read-only by every job log, journal batch and later answer that holds
 // them.
@@ -159,7 +160,9 @@ type keptAnswer struct {
 
 // outcomeSig is everything of a committed outcome that its point line and
 // the result line are built from besides the plan and the outcome's
-// position: what pointEvent, Plan.Assemble and the encoders read. Metric
+// position: what pointEvent, Plan.Assemble and the encoders read, and the
+// worker that served it (the point line names it, and the result line says
+// whether the coordinator ran any point itself). Metric
 // values are compared bit for bit, and by content, so an entry read back
 // from the disk tier matches the one that was evicted from memory.
 type outcomeSig struct {
@@ -169,6 +172,7 @@ type outcomeSig struct {
 
 // outcomeHead is the comparable part of an outcomeSig.
 type outcomeHead struct {
+	worker                                      string
 	index, trials                               int
 	events                                      uint64
 	cached, pruned, screened, allMet, hasResult bool
@@ -180,9 +184,9 @@ type metricBits struct {
 	bits uint64
 }
 
-func headOf(out *core.PointOutcome) outcomeHead {
+func headOf(out *core.PointOutcome, worker string) outcomeHead {
 	h := outcomeHead{
-		index: out.Index, cached: out.FromCache, pruned: out.Pruned,
+		worker: worker, index: out.Index, cached: out.FromCache, pruned: out.Pruned,
 		screened: out.Screened, allMet: out.AllMet, hasResult: out.Result != nil,
 	}
 	if out.Result != nil {
@@ -191,9 +195,9 @@ func headOf(out *core.PointOutcome) outcomeHead {
 	return h
 }
 
-// signature takes out's signature.
-func signature(out *core.PointOutcome) outcomeSig {
-	sig := outcomeSig{outcomeHead: headOf(out)}
+// signature takes the signature of out, served by worker.
+func signature(out *core.PointOutcome, worker string) outcomeSig {
+	sig := outcomeSig{outcomeHead: headOf(out, worker)}
 	if out.Result != nil && len(out.Result.Metrics) > 0 {
 		sig.metrics = make([]metricBits, 0, len(out.Result.Metrics))
 		for name, v := range out.Result.Metrics {
@@ -203,9 +207,10 @@ func signature(out *core.PointOutcome) outcomeSig {
 	return sig
 }
 
-// matches reports whether out is the outcome sig was taken of.
-func (sig *outcomeSig) matches(out *core.PointOutcome) bool {
-	if sig.outcomeHead != headOf(out) {
+// matches reports whether out, served by worker, is the outcome sig was
+// taken of.
+func (sig *outcomeSig) matches(out *core.PointOutcome, worker string) bool {
+	if sig.outcomeHead != headOf(out, worker) {
 		return false
 	}
 	var m map[string]float64
@@ -223,11 +228,11 @@ func (sig *outcomeSig) matches(out *core.PointOutcome) bool {
 	return true
 }
 
-// resend is one whole local run of a kept plan — every point, from the
-// first, on this server — checked outcome by outcome against the plan's
-// kept answer as it commits. A nil *resend is a run that neither re-sends
-// nor keeps anything: a worker's shard, a recovered job's tail, a fleet
-// merge.
+// resend is one whole run of a kept plan — every point, from the first,
+// on this server or across its fleet — checked outcome by outcome against
+// the plan's kept answer as it commits. A nil *resend is a run that
+// neither re-sends nor keeps anything: a worker's shard, a recovered job's
+// tail.
 type resend struct {
 	kp *keptPlan
 	// kept is the answer this run is re-sending: nil when the plan had none,
@@ -244,7 +249,7 @@ type resend struct {
 	whole bool
 }
 
-// newResend starts a whole local run of kp against its kept answer.
+// newResend starts a whole run of kp against its kept answer.
 func newResend(kp *keptPlan) *resend {
 	r := &resend{kp: kp, kept: kp.last.Load()}
 	if r.kept == nil {
@@ -255,13 +260,13 @@ func newResend(kp *keptPlan) *resend {
 }
 
 // keptLine returns the kept point line for the outcome at commit position
-// pos when it, and every outcome before it, matches the kept answer's;
-// nil when the run must encode its own line.
-func (r *resend) keptLine(pos int, out *core.PointOutcome) []byte {
+// pos, served by worker, when it and every outcome before it match the
+// kept answer's; nil when the run must encode its own line.
+func (r *resend) keptLine(pos int, out *core.PointOutcome, worker string) []byte {
 	if r == nil || r.kept == nil {
 		return nil
 	}
-	if pos < len(r.kept.outcomes) && r.kept.outcomes[pos].matches(out) {
+	if pos < len(r.kept.outcomes) && r.kept.outcomes[pos].matches(out, worker) {
 		return r.kept.points[pos]
 	}
 	n := len(r.kept.outcomes)
@@ -273,8 +278,9 @@ func (r *resend) keptLine(pos int, out *core.PointOutcome) []byte {
 	return nil
 }
 
-// add records the line the run encoded for out: nil when it could not.
-func (r *resend) add(out *core.PointOutcome, line []byte) {
+// add records the line the run encoded for out, served by worker: nil
+// when it could not.
+func (r *resend) add(out *core.PointOutcome, worker string, line []byte) {
 	if r == nil {
 		return
 	}
@@ -282,7 +288,7 @@ func (r *resend) add(out *core.PointOutcome, line []byte) {
 		r.dropped = true
 		return
 	}
-	r.built.outcomes = append(r.built.outcomes, signature(out))
+	r.built.outcomes = append(r.built.outcomes, signature(out, worker))
 	r.built.points = append(r.built.points, line)
 }
 

@@ -336,7 +336,7 @@ func reused(t *testing.T, srv *Server, id string) bool {
 // the third reads its points back from disk and still re-sends.
 func TestKeptAnswerMatchesFresh(t *testing.T) {
 	clock := func() time.Time { return time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC) }
-	_, worker := newTestServer(t, Config{PoolSize: 1})
+	shards, worker := newTestServer(t, Config{PoolSize: 1})
 	for _, c := range []struct {
 		name, query string
 		from        int
@@ -354,6 +354,7 @@ func TestKeptAnswerMatchesFresh(t *testing.T) {
 		{name: "order by limit", query: lossyQuery + "\nORDER BY availability DESC LIMIT 3"},
 		{name: "disk re-reads", query: smallQuery, journal: true, flush: true},
 		{name: "coordinator monotone", query: monotoneQuery, coordinator: true},
+		{name: "coordinator", query: smallQuery, coordinator: true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			config := func(cacheDir string) Config {
@@ -400,11 +401,19 @@ WITH users = 20, object_mb = 10, trials = 2, horizon_hours = 200`
 					}
 				}
 				before := srv.Cache().Stats()
+				held := entries(shards.Cache())
 				got := rawStream(t, ts.URL, req)
 				id := streamJobID(t, got)
 				refDir := warm
 				if n == 1 {
 					refDir = ""
+				}
+				// A sharded job's points are the worker's: its reference
+				// finds the worker's cache as the job did.
+				for key := range entries(shards.Cache()) {
+					if _, ok := held[key]; !ok {
+						setEntry(shards.Cache(), key, nil)
+					}
 				}
 				want, wantJournal := reference(id, refDir)
 				if !bytes.Equal(got, want) {
@@ -475,11 +484,11 @@ func changed(r *core.RunResult, change func(r *core.RunResult)) *core.RunResult 
 // TestKeptAnswerSignature: an outcome that differs from the one a kept line
 // was built from in any field the line, or the result line, is built from
 // does not match — each field changed alone, a metric by one ulp or by its
-// sign, one metric added, removed or renamed — while an equal outcome at
-// another address does. Through a daemon: with one cached point changed
-// each way a cache can change it, the next job streams what a fresh server
-// with the same cache streams, is not marked reused, and keeps its answer
-// for the job after it.
+// sign, one metric added, removed or renamed, the worker that served it —
+// while an equal outcome at another address does. Through a daemon: with
+// one cached point changed each way a cache can change it, the next job
+// streams what a fresh server with the same cache streams, is not marked
+// reused, and keeps its answer for the job after it.
 func TestKeptAnswerSignature(t *testing.T) {
 	base := core.PointOutcome{
 		Index: 2, FromCache: true, AllMet: true,
@@ -487,14 +496,20 @@ func TestKeptAnswerSignature(t *testing.T) {
 			"availability": 0.99, "loss_prob": 0, "repairs": 4,
 		}},
 	}
-	sig := signature(&base)
+	const worker = "http://127.0.0.1:8867"
+	sig := signature(&base, worker)
 	copyOf := func() core.PointOutcome {
 		o := base
 		o.Result = changed(base.Result, func(*core.RunResult) {})
 		return o
 	}
-	if o := copyOf(); !sig.matches(&o) {
+	if o := copyOf(); !sig.matches(&o, worker) {
 		t.Fatal("an equal outcome does not match")
+	}
+	for _, other := range []string{"http://127.0.0.1:8868", localWorker, ""} {
+		if o := copyOf(); sig.matches(&o, other) {
+			t.Errorf("worker %q: an outcome another worker served matches", other)
+		}
 	}
 	for name, change := range map[string]func(o *core.PointOutcome){
 		"index":       func(o *core.PointOutcome) { o.Index++ },
@@ -514,14 +529,14 @@ func TestKeptAnswerSignature(t *testing.T) {
 	} {
 		o := copyOf()
 		change(&o)
-		if sig.matches(&o) {
+		if sig.matches(&o, worker) {
 			t.Errorf("%s: a changed outcome matches", name)
 		}
 	}
 	pruned := core.PointOutcome{Index: 1, Pruned: true}
 	withResult := pruned
 	withResult.Result = &core.RunResult{}
-	if s := signature(&pruned); !s.matches(&pruned) || s.matches(&withResult) {
+	if s := signature(&pruned, ""); !s.matches(&pruned, "") || s.matches(&withResult, "") {
 		t.Error("a pruned outcome's signature does not tell an empty result from none")
 	}
 

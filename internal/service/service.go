@@ -579,9 +579,8 @@ func (s *Server) evictFinishedLocked() {
 }
 
 // progress updates a job's per-point counters. It is the single choke
-// point every committed point passes through — local sweep and fleet
-// merge alike — which makes it the one true home of the committed-points
-// counter.
+// point every committed point passes through — wherever the point ran —
+// which makes it the one true home of the committed-points counter.
 func (s *Server) progress(j *job, done, total int, fromCache bool) {
 	s.tel.pointsCommitted.Inc()
 	s.mu.Lock()

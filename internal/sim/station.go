@@ -19,8 +19,6 @@ type Station struct {
 
 	waiting []*Job
 	active  map[*Job]struct{}
-
-	completions int64
 }
 
 // Job is one unit of work flowing through a Station.
@@ -92,7 +90,6 @@ func (st *Station) scheduleCompletion(j *Job) {
 func (st *Station) complete(j *Job) {
 	j.event = nil // this event: the handle is dead once it fires
 	delete(st.active, j)
-	st.completions++
 	if j.done != nil {
 		now := st.sim.Now()
 		j.done(j.start-j.arrival, now-j.arrival)
@@ -143,6 +140,3 @@ func (st *Station) QueueLength() int { return len(st.waiting) }
 
 // InService returns the instantaneous number of jobs being served.
 func (st *Station) InService() int { return len(st.active) }
-
-// Completions returns the number of finished jobs.
-func (st *Station) Completions() int64 { return st.completions }

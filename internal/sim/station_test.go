@@ -14,7 +14,8 @@ func TestStationSingleJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	var waited, total float64 = -1, -1
-	st.Submit(5, func(w, tt float64) { waited, total = w, tt })
+	completions := 0
+	st.Submit(5, func(w, tt float64) { waited, total = w, tt; completions++ })
 	s.Run()
 	if waited != 0 {
 		t.Errorf("waited = %v, want 0", waited)
@@ -22,8 +23,8 @@ func TestStationSingleJob(t *testing.T) {
 	if total != 5 {
 		t.Errorf("total = %v, want 5", total)
 	}
-	if st.Completions() != 1 {
-		t.Errorf("completions = %d, want 1", st.Completions())
+	if completions != 1 {
+		t.Errorf("completions = %d, want 1", completions)
 	}
 }
 
@@ -247,8 +248,8 @@ func TestStationThroughputConservation(t *testing.T) {
 		})
 	}
 	s.Run()
-	if int64(arrivals) != st.Completions() || done != arrivals {
-		t.Fatalf("arrivals %d != completions %d (%d callbacks) after drain", arrivals, st.Completions(), done)
+	if done != arrivals {
+		t.Fatalf("arrivals %d != completions %d after drain", arrivals, done)
 	}
 	if st.QueueLength() != 0 || st.InService() != 0 {
 		t.Fatalf("residual jobs after drain: queue=%d active=%d", st.QueueLength(), st.InService())

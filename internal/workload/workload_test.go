@@ -161,10 +161,13 @@ func TestRoundRobinRouting(t *testing.T) {
 	if err := w.StartOpen(dist.Must(dist.NewDeterministic(0.1)), 100); err != nil {
 		t.Fatal(err)
 	}
+	// Each node's CPU completions are the events its station labels.
+	completions := map[string]int{}
+	s.SetTracer(func(_ sim.Time, name string) { completions[name]++ })
 	s.Run()
-	if n1.CPU.Completions() != 50 || n2.CPU.Completions() != 50 {
+	if completions["n1/cpu/complete"] != 50 || completions["n2/cpu/complete"] != 50 {
 		t.Fatalf("routing split %d/%d, want 50/50",
-			n1.CPU.Completions(), n2.CPU.Completions())
+			completions["n1/cpu/complete"], completions["n2/cpu/complete"])
 	}
 }
 
