@@ -375,6 +375,12 @@ func TestCrashPointsOfTheLog(t *testing.T) {
 	d := submit(strings.Replace(smallQuery, "trials = 2", "trials = 2, seed = 34", 1))
 	<-held
 	srv.pointGate = nil
+	// The held job's records reach the log behind a batch the job does not
+	// wait for: wait for it here, or under load the job can reach its
+	// second point before its first record owns a segment.
+	for _, jj := range srv.journals() {
+		jj.sync()
+	}
 	l := srv.journal.log
 	l.mu.Lock()
 	first := l.owned[d][0].seg

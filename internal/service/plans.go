@@ -25,16 +25,16 @@ import (
 // lines and the result line, and a signature of every outcome they were
 // built from, the worker that served it included. Every byte of those
 // lines but the result's job id is a function of the plan and those
-// outcomes, so a later whole run whose
-// outcomes match commits the kept lines instead of encoding its own, and
-// when every outcome matches it skips assembling the rows, rendering the
-// table and encoding the result, and sends the kept result line under its
-// own id. From the first outcome that differs the run encodes, assembles
-// and renders as a fresh one does, and its answer replaces the kept one.
-// Everything else still happens per job — each point looked up in the
-// trial cache, its SLA verdicts recomputed, its progress, counters and
-// spans recorded, its line journaled and streamed — so the bytes a job
-// sends do not depend on whether its plan, or its answer, was kept.
+// outcomes, so a later whole run whose outcomes match commits the kept
+// lines instead of encoding its own, and when every outcome matches it
+// skips assembling the rows, rendering the table and encoding the result,
+// and sends the kept result line under its own id. From the first outcome
+// that differs the run encodes, assembles and renders as a fresh one does,
+// and its answer replaces the kept one. Everything else still happens per
+// job — each point looked up in the trial cache, its SLA verdicts
+// recomputed, its progress, counters and spans recorded, its line
+// journaled and streamed — so the bytes a job sends do not depend on
+// whether its plan, or its answer, was kept.
 
 // planKey is what distinguishes two plans on one server.
 type planKey struct {
