@@ -30,6 +30,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"repro/internal/dist"
@@ -159,7 +160,7 @@ func (n *Node) AccessLinkCapacity() float64 {
 	if n.accessLk == nil {
 		return 0
 	}
-	return n.accessLk.Capacity
+	return n.accessLk.Capacity()
 }
 
 // Cluster is a fully wired simulated data center.
@@ -204,6 +205,10 @@ type Cluster struct {
 	diskWire []componentWiring
 	nicWire  []componentWiring
 	torWire  []componentWiring
+
+	// ttf draws the node failures of the current StartFailuresUntil, which
+	// sets it, against that run's end.
+	ttf dist.Until
 
 	nodeFailures int64
 }
@@ -554,8 +559,17 @@ func (c *Cluster) RestoreRack(r int) {
 // StartFailures wires all configured failure processes into the
 // simulator: whole-node lifecycles (NodeTTF/NodeRepair), per-component
 // lifecycles (disks and NICs), and ToR switch lifecycles.
-func (c *Cluster) StartFailures() {
+func (c *Cluster) StartFailures() { c.StartFailuresUntil(math.Inf(1)) }
+
+// StartFailuresUntil is StartFailures for a run that stops at end: a node
+// failure that would land strictly after end — a node's first, or the
+// next one after a repair — is drawn (its stream advances as it always
+// does) but never scheduled, and for Exponential and Weibull TTFs is
+// mostly decided from its uniform alone (dist.Until). The run must not go
+// past end.
+func (c *Cluster) StartFailuresUntil(end sim.Time) {
 	c.wire()
+	c.ttf = dist.NewUntil(c.cfg.NodeTTF, end)
 	for _, n := range c.nodes {
 		if c.cfg.NodeTTF != nil {
 			if c.sim.Keyed() {
@@ -667,13 +681,14 @@ func (c *Cluster) wire() {
 	}
 }
 
-// scheduleNodeFailure draws node n's next whole-node failure; failFn and
-// repairFn (see wire) carry the cycle on from there. The TTF and repair
-// streams coincide in legacy mode and are split in keyed mode (see
-// StartFailures).
+// scheduleNodeFailure draws node n's next whole-node failure and
+// schedules it unless it falls after the run's end; failFn and repairFn
+// (see wire) carry the cycle on from there. The TTF and repair streams
+// coincide in legacy mode and are split in keyed mode (see StartFailures).
 func (c *Cluster) scheduleNodeFailure(n *Node) {
-	ttf := c.cfg.NodeTTF.Sample(n.ttfStream)
-	c.sim.Schedule(ttf, n.failName, n.failFn)
+	if ttf, past := c.ttf.Sample(n.ttfStream, c.sim.Now()); !past {
+		c.sim.Schedule(ttf, n.failName, n.failFn)
+	}
 }
 
 // SetServiceThrottle scales every node's access-link capacity to factor
@@ -691,8 +706,10 @@ func (c *Cluster) SetServiceThrottle(factor float64) error {
 		if n.accessLk == nil {
 			continue
 		}
-		if n.accessLk.Capacity != want {
-			n.accessLk.Capacity = want
+		if n.accessLk.Capacity() != want {
+			if err := c.Topo.SetCapacity(n.accessLk, want); err != nil {
+				return err
+			}
 			changed = true
 		}
 	}

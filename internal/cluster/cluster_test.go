@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/dist"
@@ -174,6 +176,58 @@ func TestNodeLifecycleUptime(t *testing.T) {
 	}
 	if c.NodeFailures() < 1000 {
 		t.Errorf("only %d failures over 200k hours x 12 nodes", c.NodeFailures())
+	}
+}
+
+// TestFailuresUntilEndMatchAll: a run told its end fires, at the same
+// times and in the same order, the events of a run whose failures are all
+// scheduled, for exponential, Weibull and lognormal TTFs in plain and
+// keyed mode — the failures it skips are the ones past the end, a node's
+// first and the next after a repair alike — and it leaves fewer events
+// pending. Each node's streams stand where the full run left them.
+func TestFailuresUntilEndMatchAll(t *testing.T) {
+	for _, ttf := range []dist.Dist{
+		dist.Must(dist.ExpMean(300)),
+		dist.Must(dist.NewWeibull(0.7, 400)),
+		dist.Must(dist.NewLogNormal(5, 1)),
+	} {
+		for _, keyed := range []bool{false, true} {
+			cfg := testConfig()
+			cfg.NodeTTF = ttf
+			cfg.NodeRepair = dist.Must(dist.NewDeterministic(30))
+			const end = 500.0
+			run := func(until bool) (events []string, pending int, c *Cluster) {
+				s, c := build(t, cfg)
+				if keyed {
+					s.ResetKeyed(42, 3, false)
+					c.Reset()
+				}
+				s.SetTracer(func(now sim.Time, name string) {
+					events = append(events, fmt.Sprintf("%v %s", now, name))
+				})
+				if until {
+					c.StartFailuresUntil(end)
+				} else {
+					c.StartFailures()
+				}
+				s.RunUntil(end)
+				return events, s.Pending(), c
+			}
+			all, allPending, full := run(false)
+			got, gotPending, cut := run(true)
+			what := fmt.Sprintf("%v, keyed %v", ttf, keyed)
+			if !slices.Equal(got, all) {
+				t.Fatalf("%s: the run told its end fired %d events, the full run %d", what, len(got), len(all))
+			}
+			if len(all) == 0 || gotPending >= allPending {
+				t.Errorf("%s: %d events fired, %d left pending with the end told, %d without", what, len(all), gotPending, allPending)
+			}
+			for i, n := range cut.Nodes() {
+				if *n.ttfStream != *full.nodes[i].ttfStream || *n.repairStream != *full.nodes[i].repairStream {
+					t.Fatalf("%s: node %d's streams moved differently", what, i)
+				}
+			}
+		}
 	}
 }
 

@@ -47,10 +47,13 @@ import (
 // later is that trial's error (TestDeferredPopulationMatchesEager holds
 // all of it against the eager AddObjects).
 //
-// Nor does a trial pay for what falls after its horizon: the simulator is
-// told the horizon before anything is scheduled, and the failures drawn
-// past it — in a rare-failure trial, nearly every node's first — are
-// parked outside the calendar's heap (sim.Simulator.SetHorizon).
+// Nor does a trial pay for what falls after its horizon. The cluster is
+// told it: a node failure drawn past it — in a rare-failure trial, nearly
+// every node's first — is drawn but never scheduled, and mostly decided
+// from its uniform alone (cluster.Cluster.StartFailuresUntil). The
+// simulator is told it too, before anything is scheduled, and parks any
+// other event past it outside the calendar's heap
+// (sim.Simulator.SetHorizon).
 type trialWorld struct {
 	key    worldKey
 	runner Runner            // only the fields in key: CRN, Antithetic, FailureBias
@@ -184,7 +187,7 @@ func (w *trialWorld) trial(ctx context.Context, trial uint64) trialOutcome {
 			return trialOutcome{err: err}
 		}
 	}
-	cl.StartFailures()
+	cl.StartFailuresUntil(sc.HorizonHours)
 
 	if w.trace != nil {
 		s.SetTracer(w.trace)

@@ -104,8 +104,20 @@ func NewWeibull(shape, scale float64) (Weibull, error) {
 }
 
 // Sample draws by inverse transform: scale * (-ln U)^(1/shape).
-func (w Weibull) Sample(r *rng.Source) float64 {
-	return w.Scale * math.Pow(r.ExpFloat64(), 1/w.Shape)
+func (w Weibull) Sample(r *rng.Source) float64 { return w.at(r.OpenFloat64()) }
+
+// at is the variate Sample makes of the uniform u.
+func (w Weibull) at(u float64) float64 { return w.Scale * math.Pow(-math.Log(u), 1/w.Shape) }
+
+// hazardAbove is the cumulative hazard (x/scale)^shape (see inverse). Far
+// from shape 1, or with x/scale near the subnormals, the rounding of the
+// power moves a variate by more than Until's margin, so it vouches for
+// nothing there.
+func (w Weibull) hazardAbove(x float64) float64 {
+	if scaled := x / w.Scale; w.Shape >= 1.0/1024 && w.Shape <= 1024 && scaled >= 0x1p-900 {
+		return math.Pow(scaled, w.Shape)
+	}
+	return math.Inf(1)
 }
 
 func (w Weibull) Mean() float64 {
@@ -225,9 +237,13 @@ func ExpMean(mean float64) (Exponential, error) {
 	return Exponential{Rate: 1 / mean}, nil
 }
 
-func (e Exponential) Sample(r *rng.Source) float64 {
-	return r.ExpFloat64() / e.Rate
-}
+func (e Exponential) Sample(r *rng.Source) float64 { return e.at(r.OpenFloat64()) }
+
+// at is the variate Sample makes of the uniform u.
+func (e Exponential) at(u float64) float64 { return -math.Log(u) / e.Rate }
+
+// hazardAbove is the cumulative hazard rate·x (see inverse).
+func (e Exponential) hazardAbove(x float64) float64 { return x * e.Rate }
 
 func (e Exponential) Mean() float64 { return 1 / e.Rate }
 

@@ -31,8 +31,8 @@ func checkMaxMin(t *testing.T, fs *FlowSim, seed uint64, step int) bool {
 		}
 	}
 	for l, used := range load {
-		if used > l.Capacity+eps {
-			t.Logf("seed %d step %d: link over capacity: %v > %v", seed, step, used, l.Capacity)
+		if used > l.Capacity()+eps {
+			t.Logf("seed %d step %d: link over capacity: %v > %v", seed, step, used, l.Capacity())
 			return false
 		}
 	}
@@ -42,7 +42,7 @@ func checkMaxMin(t *testing.T, fs *FlowSim, seed uint64, step int) bool {
 		}
 		bottlenecked := false
 		for _, l := range fl.Route() {
-			if load[l] >= l.Capacity-eps {
+			if load[l] >= l.Capacity()-eps {
 				bottlenecked = true
 				break
 			}

@@ -182,7 +182,40 @@ func (fs *FlowSim) activate(f *Flow) {
 	}
 	f.lastSet = fs.sim.Now()
 	fs.join(f)
+	if fs.alone(f) {
+		fs.settle(f.lastSet)
+		fs.solo(f)
+		return
+	}
 	fs.recompute()
+}
+
+// alone reports whether no other active flow crosses a link of f's route:
+// f is on each of its links' lists once and nothing else is. A flow with
+// no route (a local transfer) is alone.
+func (fs *FlowSim) alone(f *Flow) bool {
+	for _, l := range f.route {
+		if len(fs.links[l.ID].flows) != 1 {
+			return false
+		}
+	}
+	return true
+}
+
+// solo gives an active flow that is alone on its links the rate the full
+// solve would, and its completion. Progressive filling freezes it at its
+// first link to become the bottleneck — the one of least capacity, ties to
+// the lowest ID — at that link's untouched capacity, whatever the flows on
+// other links get; those keep their rates, so nothing else moves.
+func (fs *FlowSim) solo(f *Flow) {
+	f.rate = math.Inf(1)
+	bottleneck := -1
+	for _, l := range f.route {
+		if c := l.capacity; c < f.rate || (c == f.rate && l.ID < bottleneck) {
+			f.rate, bottleneck = c, l.ID
+		}
+	}
+	fs.reschedule(f)
 }
 
 // Cancel aborts a flow without invoking callbacks.
@@ -194,11 +227,18 @@ func (fs *FlowSim) Cancel(f *Flow) {
 	fs.recompute()
 }
 
-// finish completes a flow.
+// finish completes a flow. A flow that was alone on its links leaves
+// every other rate where it was: only progress is settled, as the solve
+// would settle it.
 func (fs *FlowSim) finish(f *Flow) {
+	lone := fs.alone(f)
 	fs.removeFlow(f)
 	if f.done != nil {
 		f.done(f)
+	}
+	if lone {
+		fs.settle(fs.sim.Now())
+		return
 	}
 	fs.recompute()
 }
@@ -363,7 +403,7 @@ func (fs *FlowSim) recompute() {
 	scan := fs.scan[:0]
 	for _, id := range fs.busy {
 		ls := &fs.links[id]
-		ls.residual, ls.crossing = fs.topo.links[id].Capacity, len(ls.flows)
+		ls.residual, ls.crossing = fs.topo.links[id].capacity, len(ls.flows)
 		scan = append(scan, id)
 	}
 	for unfrozen > 0 {
@@ -418,19 +458,28 @@ func (fs *FlowSim) recompute() {
 	// calendar (one sift), in flow order, so the moved events keep the
 	// relative sequence order fresh ones would get.
 	for _, f := range fs.flows {
-		if !f.active || (f.event != nil && f.rate == f.eventRate) {
-			continue
+		if f.active {
+			fs.reschedule(f)
 		}
-		switch {
-		case f.rate <= 0 || math.IsInf(f.rate, 1):
-			fs.sim.Cancel(f.event)
-			f.event = nil
-		case f.event != nil:
-			f.eventRate = f.rate
-			f.event = fs.sim.Reschedule(f.event, f.remaining/f.rate)
-		default:
-			f.eventRate = f.rate
-			f.event = fs.sim.Schedule(f.remaining/f.rate, "flow/done", f.fire)
-		}
+	}
+}
+
+// reschedule brings an active flow's completion event in line with its
+// rate: untouched while it was scheduled at that rate, cancelled at a rate
+// that never completes, moved or scheduled otherwise.
+func (fs *FlowSim) reschedule(f *Flow) {
+	if f.event != nil && f.rate == f.eventRate {
+		return
+	}
+	switch {
+	case f.rate <= 0 || math.IsInf(f.rate, 1):
+		fs.sim.Cancel(f.event)
+		f.event = nil
+	case f.event != nil:
+		f.eventRate = f.rate
+		f.event = fs.sim.Reschedule(f.event, f.remaining/f.rate)
+	default:
+		f.eventRate = f.rate
+		f.event = fs.sim.Schedule(f.remaining/f.rate, "flow/done", f.fire)
 	}
 }

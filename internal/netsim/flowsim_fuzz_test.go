@@ -116,7 +116,7 @@ func (r *flowRun) op() {
 		r.fs.OnLinkChange()
 	default: // a link's capacity to 0, a quarter, ..., all of it
 		l := links[arg%len(links)]
-		l.Capacity = l.built * float64(extra%5) / 4
+		setCapacity(r.t, r.topo, l, l.built*float64(extra%5)/4)
 		r.fs.OnLinkChange()
 	}
 	if r.nesting == 0 {
@@ -175,7 +175,30 @@ func flowSeeds() [][]byte {
 	for i := 0; i < 30; i++ {
 		throttles = append(throttles, 1, byte(i*5+1), 7, byte(i%10), 4|2<<3, 0, 7|4<<3, byte(i%10), 2, byte(i))
 	}
-	return [][]byte{storm, flaps, phases, throttles, {}, {3}, {0, 0, 7}}
+	// Lone flows: transfers inside one rack, alone on their two access
+	// links, activating and finishing with no other flow anywhere, then
+	// beside a flow in the other rack, then beside one that shares a link
+	// with them; done callbacks that start and cancel flows.
+	lone := []byte{2,
+		0, 1 * 6, 3, 0, 3, 0, // host 0 to host 1, activated, finished
+		0, 1*6 + 2*36, 0, 3 + 4*6, 3, 0, 3, 0, // two racks, each flow alone; the first's done runs two ops:
+		3, 0, // its completion: runs the next two operations nested
+		0, 2 + 5*6 + 1*36, // a start across the uplinks, whose done runs one op
+		2, 0, // a cancel of a flow in flight
+		4 | 8<<3, 0, // run on
+		8, 1 * 6, 0, 2 + 1*6, 3, 0, 3, 0, // two flows sharing host 1's access link
+		4 | 31<<3, 0,
+		0, 4 + 3*6 + 3*36, 3, 0, // a lone flow whose done runs three ops
+		3, 0, 0, 5 + 3*6, 2, 1, 1, 0 + 2*6, 4 | 31<<3, 0,
+	}
+	// Many small transfers, mostly alone, stepped one event at a time.
+	solos := []byte{3}
+	for i := 0; i < 40; i++ {
+		src := i % 6
+		dst := (src + 1 + i%2) % 6
+		solos = append(solos, byte(i%3)<<3, byte(src+dst*6+(i%4)*36), 3, 0, 3, byte(i))
+	}
+	return [][]byte{storm, flaps, phases, throttles, lone, solos, {}, {3}, {0, 0, 7}}
 }
 
 // FuzzFlowSim holds the flow simulator's per-link lists and the allocation

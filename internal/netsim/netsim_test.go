@@ -33,6 +33,15 @@ func TestRouteSingleSwitch(t *testing.T) {
 }
 
 // twoTier is TwoTier with the handles most tests want, unpacked.
+// setCapacity sets a link's capacity through its topology, failing the
+// test on a refused value.
+func setCapacity(t testing.TB, topo *Topology, l *Link, capacity float64) {
+	t.Helper()
+	if err := topo.SetCapacity(l, capacity); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func twoTier(cfg TwoTierConfig) (*Topology, []NodeID, []NodeID, error) {
 	net, err := TwoTier(cfg)
 	if err != nil {
@@ -508,12 +517,12 @@ func TestTwoTierHandsBackItsLinks(t *testing.T) {
 	}
 	joins := func(l *Link, a, b NodeID) bool { return (l.A == a && l.B == b) || (l.A == b && l.B == a) }
 	for i, l := range net.Access {
-		if !joins(l, net.Hosts[i], net.ToRs[i/4]) || l.Capacity != 10 || net.Topo.Links()[l.ID] != l {
+		if !joins(l, net.Hosts[i], net.ToRs[i/4]) || l.Capacity() != 10 || net.Topo.Links()[l.ID] != l {
 			t.Errorf("Access[%d] = %+v does not join host %d to ToR %d", i, *l, net.Hosts[i], net.ToRs[i/4])
 		}
 	}
 	for r, l := range net.Uplinks {
-		if !joins(l, net.ToRs[r], 0) || l.Capacity != 40 || net.Topo.Links()[l.ID] != l {
+		if !joins(l, net.ToRs[r], 0) || l.Capacity() != 40 || net.Topo.Links()[l.ID] != l {
 			t.Errorf("Uplinks[%d] = %+v does not join ToR %d to the core", r, *l, net.ToRs[r])
 		}
 	}
@@ -546,7 +555,7 @@ func TestResetMatchesFreshNetwork(t *testing.T) {
 	if _, err := fs.Start(net.Hosts[0], net.Hosts[5], 1e9, func(*Flow) { fired = true }, func(*Flow, error) { fired = true }); err != nil {
 		t.Fatal(err)
 	}
-	net.Access[1].Capacity = 7
+	setCapacity(t, net.Topo, net.Access[1], 7)
 	net.Topo.SetLinkUp(net.Uplinks[0], false)
 	fs.OnLinkChange()
 	if fs.Active() == 0 {
@@ -559,8 +568,8 @@ func TestResetMatchesFreshNetwork(t *testing.T) {
 	if fs.Active() != 0 {
 		t.Fatalf("after Reset: %d active", fs.Active())
 	}
-	if !net.Uplinks[0].Up() || net.Access[1].Capacity != 100 {
-		t.Fatalf("after Reset: uplink up=%v, access capacity %v", net.Uplinks[0].Up(), net.Access[1].Capacity)
+	if !net.Uplinks[0].Up() || net.Access[1].Capacity() != 100 {
+		t.Fatalf("after Reset: uplink up=%v, access capacity %v", net.Uplinks[0].Up(), net.Access[1].Capacity())
 	}
 	freshSim := sim.New(1)
 	freshNet, err := TwoTier(cfg)

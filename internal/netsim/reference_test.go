@@ -32,7 +32,7 @@ func referenceMaxMin(flows []*Flow) map[*Flow]float64 {
 		for _, l := range f.route {
 			st := states[l]
 			if st == nil {
-				st = &linkState{residual: l.Capacity}
+				st = &linkState{residual: l.Capacity()}
 				states[l] = st
 			}
 			st.flows = append(st.flows, f)
@@ -176,7 +176,7 @@ func TestRecomputeStallsAndResumesFlow(t *testing.T) {
 	var kept *sim.Event
 	s.Schedule(4, "throttle", func() {
 		kept = bystander.event
-		access.Capacity = 0
+		setCapacity(t, fs.topo, access, 0)
 		fs.OnLinkChange()
 		if stalled.Rate() != 0 || stalled.event != nil || stalled.Remaining() != 600 {
 			t.Errorf("stalled flow: rate %v, event pending %v, remaining %v; want 0, false, 600",
@@ -190,7 +190,7 @@ func TestRecomputeStallsAndResumesFlow(t *testing.T) {
 		}
 	})
 	s.Schedule(9, "restore", func() {
-		access.Capacity = 100
+		setCapacity(t, fs.topo, access, 100)
 		fs.OnLinkChange()
 		if stalled.Rate() != 100 || stalled.event == nil {
 			t.Errorf("restored flow: rate %v, event pending %v", stalled.Rate(), stalled.event != nil)
@@ -329,7 +329,7 @@ func fullRebuildRates(fs *FlowSim) []float64 {
 		for _, l := range f.route {
 			if crossing[l.ID] == 0 {
 				touched = append(touched, l.ID)
-				residual[l.ID] = l.Capacity
+				residual[l.ID] = l.Capacity()
 			}
 			crossing[l.ID]++
 		}
@@ -379,7 +379,9 @@ func fullRebuildRates(fs *FlowSim) []float64 {
 }
 
 // checkIncremental holds a flow simulator's incremental state to what it
-// stands for: every active flow's rate is fullRebuildRates' bit for bit;
+// stands for: every active flow's rate is fullRebuildRates' bit for bit,
+// and its completion is pending at that rate exactly when the rate is
+// positive and finite;
 // each link's list holds exactly the active flows that cross it, as many
 // times as they do; no flow in its latency phase is on any list; busy lists
 // exactly the links whose list is not empty, each at the index its busyAt
@@ -394,6 +396,11 @@ func checkIncremental(fs *FlowSim) error {
 		if math.Float64bits(f.rate) != math.Float64bits(rate) {
 			return fmt.Errorf("flow %d: rate %v (%#x), the full rebuild gives %v (%#x)",
 				f.ID, f.rate, math.Float64bits(f.rate), rate, math.Float64bits(rate))
+		}
+		if completes := rate > 0 && !math.IsInf(rate, 1); completes != (f.event != nil) ||
+			(completes && math.Float64bits(f.eventRate) != math.Float64bits(rate)) {
+			return fmt.Errorf("flow %d at rate %v: completion pending %v, scheduled at rate %v",
+				f.ID, rate, f.event != nil, f.eventRate)
 		}
 		if broken(f.route) {
 			return fmt.Errorf("active flow %d crosses a link that is down", f.ID)
@@ -437,9 +444,9 @@ func TestOnLinkChangeAllocatesNothing(t *testing.T) {
 	s, fs, _ := steadyFlows(t, 16)
 	uplink := fs.topo.links[0]
 	throttle := func() {
-		uplink.Capacity /= 4
+		setCapacity(t, fs.topo, uplink, uplink.Capacity()/4)
 		fs.OnLinkChange()
-		uplink.Capacity *= 4
+		setCapacity(t, fs.topo, uplink, uplink.Capacity()*4)
 		fs.OnLinkChange()
 	}
 	throttle()

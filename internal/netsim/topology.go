@@ -25,9 +25,14 @@
 // link ID, so a seed reproduces its completion times bit for bit — the
 // same bits the full rebuild it replaced gave. A flow's completion event
 // is touched only when its rate actually moved, and then it is moved in
-// place (sim.Reschedule, one sift). OnLinkChange walks a snapshot the
-// FlowSim keeps and reroutes a flow into its own route's storage, so a
-// link change allocates nothing either. Topology.Route allocates only the
+// place (sim.Reschedule, one sift). A flow that activates or finishes
+// alone on its links moves no other flow's rate, so it skips the solve: it
+// takes its route's least capacity, which is what progressive filling
+// would give it, and only progress is settled. That holds because a
+// link's state moves only through Topology.SetLinkUp and SetCapacity, each
+// followed by OnLinkChange, which solves again. OnLinkChange walks a
+// snapshot the FlowSim keeps and reroutes a flow into its own route's
+// storage, so a link change allocates nothing either. Topology.Route allocates only the
 // path it returns. While the links form a forest, as TwoTier's tree with
 // one core and SingleSwitch's star do, a route is the one simple path
 // there is: it climbs from both ends to their common ancestor, checking
@@ -59,18 +64,23 @@ func (k NodeKind) String() string {
 }
 
 // Link is an undirected edge with a capacity (MB per simulated time unit;
-// the caller fixes the unit) and a propagation latency in time units.
+// the caller fixes the unit) and a propagation latency in time units. Its
+// state — up or down, and its capacity — belongs to its Topology and moves
+// only through SetLinkUp and SetCapacity.
 type Link struct {
 	ID       int
 	A, B     NodeID
-	Capacity float64
 	Latency  float64
+	capacity float64
 	up       bool
 	built    float64 // the capacity AddLink was given; Topology.Reset restores it
 }
 
 // Up reports whether the link is operational.
 func (l *Link) Up() bool { return l.up }
+
+// Capacity returns the link's current capacity.
+func (l *Link) Capacity() float64 { return l.capacity }
 
 // other returns the far endpoint of l from n.
 func (l *Link) other(n NodeID) NodeID {
@@ -134,7 +144,7 @@ func (t *Topology) AddLink(a, b NodeID, capacity, latency float64) (*Link, error
 	if latency < 0 {
 		return nil, fmt.Errorf("netsim: link latency must be >= 0, got %v", latency)
 	}
-	l := &Link{ID: len(t.links), A: a, B: b, Capacity: capacity, Latency: latency, up: true, built: capacity}
+	l := &Link{ID: len(t.links), A: a, B: b, capacity: capacity, Latency: latency, up: true, built: capacity}
 	t.links = append(t.links, l)
 	t.adj[a] = append(t.adj[a], l)
 	t.adj[b] = append(t.adj[b], l)
@@ -161,15 +171,29 @@ func (t *Topology) Kind(n NodeID) NodeKind { return t.kinds[n] }
 // Name returns the vertex name.
 func (t *Topology) Name(n NodeID) string { return t.names[n] }
 
-// SetLinkUp changes a link's operational state.
+// SetLinkUp changes a link's operational state. A FlowSim over the
+// topology must be told with OnLinkChange before it runs on.
 func (t *Topology) SetLinkUp(l *Link, up bool) { l.up = up }
+
+// SetCapacity changes a link's capacity; 0 stalls the flows that cross
+// it. As after SetLinkUp, a FlowSim over the topology must be told with
+// OnLinkChange before it runs on: it reads a capacity only when it
+// reallocates, and a flow alone on its links is not reallocated when
+// others start or end.
+func (t *Topology) SetCapacity(l *Link, capacity float64) error {
+	if !(capacity >= 0) {
+		return fmt.Errorf("netsim: link capacity must be >= 0, got %v", capacity)
+	}
+	l.capacity = capacity
+	return nil
+}
 
 // Reset returns every link to the state AddLink left it in — up, at the
 // capacity it was added with. The topology is then equal to a freshly
 // built one.
 func (t *Topology) Reset() {
 	for _, l := range t.links {
-		l.up, l.Capacity = true, l.built
+		l.up, l.capacity = true, l.built
 	}
 }
 

@@ -390,3 +390,140 @@ func (w oneWidth) Place(dst []int, objectID int, view *View, r *rng.Source) erro
 	}
 	return RoundRobin{}.Place(dst, objectID, view, r)
 }
+
+// TestKeptLayoutMatchesFresh: a roundrobin store whose objects were read,
+// relocated (some twice, some there and back) and reset revives its layout
+// at the next Defer of the identical population — nothing pending,
+// nothing drawn, no allocation — and is then the store a fresh build
+// gives, object for object and list for list. A population that differs in
+// count, size (-0 included), scheme or policy is placed afresh, and equal
+// to a fresh build too.
+func TestKeptLayoutMatchesFresh(t *testing.T) {
+	view := rackView(3, 8)
+	scheme := ReplicationScheme(3)
+	check := func(t *testing.T, what string, st *Store, policy Policy, users int, sizeMB float64, scheme Scheme) {
+		t.Helper()
+		fresh, err := NewStore(view, policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fresh.AddObjects(users, sizeMB, scheme, rng.New(5)); err != nil {
+			t.Fatal(err)
+		}
+		sameObjects(t, what, st.Objects(), fresh.Objects())
+		for j, obj := range st.Objects() {
+			if math.Float64bits(obj.SizeMB) != math.Float64bits(sizeMB) {
+				t.Fatalf("%s: object %d is %v MB, want %v MB", what, j, obj.SizeMB, sizeMB)
+			}
+		}
+		for n := 0; n < view.Nodes; n++ {
+			sameObjects(t, fmt.Sprintf("%s, list of node %d", what, n), st.ObjectsOn(n), fresh.ObjectsOn(n))
+		}
+	}
+	// dirty reads lists and moves shards: node 0's away, one object there
+	// and back, one object twice.
+	dirty := func(t *testing.T, st *Store) {
+		t.Helper()
+		st.ObjectsOn(3)
+		for _, obj := range slices.Clone(st.ObjectsOn(0)) {
+			for to := 1; to < view.Nodes; to++ {
+				if st.Relocate(obj, 0, to) == nil {
+					break
+				}
+			}
+		}
+		hop := func(obj *Object, from int) int {
+			t.Helper()
+			for to := view.Nodes - 1; ; to-- {
+				if !slices.Contains(obj.Locations, to) {
+					if err := st.Relocate(obj, from, to); err != nil {
+						t.Fatal(err)
+					}
+					return to
+				}
+			}
+		}
+		obj := st.Objects()[7]
+		from := obj.Locations[0]
+		if err := st.Relocate(obj, hop(obj, hop(obj, from)), from); err != nil {
+			t.Fatal(err)
+		}
+		hop(st.Objects()[11], st.Objects()[11].Locations[1])
+	}
+
+	st := populate(t, view, RoundRobin{}, 200, scheme, 1)
+	for round := 0; round < 3; round++ {
+		dirty(t, st)
+		st.Reset()
+		r, untouched := rng.New(uint64(round)), rng.New(uint64(round))
+		if err := st.Defer(200, 64, scheme, r); err != nil {
+			t.Fatal(err)
+		}
+		if st.pending.count != 0 || len(st.objects) != 200 || *r != *untouched {
+			t.Fatalf("round %d: the identical population was not revived (%d pending, %d objects)",
+				round, st.pending.count, len(st.objects))
+		}
+		check(t, fmt.Sprintf("revived, round %d", round), st, RoundRobin{}, 200, 64, scheme)
+	}
+
+	// A revived trial that moves shards and resets allocates nothing: the
+	// list of moved objects keeps its storage.
+	var r rng.Source
+	allocs := testing.AllocsPerRun(10, func() {
+		st.Reset()
+		if err := st.Defer(200, 64, scheme, &r); err != nil {
+			t.Fatal(err)
+		}
+		obj := st.Objects()[7]
+		if err := st.Relocate(obj, obj.Locations[0], 20); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a revived population with a relocation allocates %.0f times a trial, want 0", allocs)
+	}
+
+	for _, c := range []struct {
+		what   string
+		users  int
+		sizeMB float64
+		scheme Scheme
+	}{
+		{"count", 199, 64, scheme},
+		{"size", 200, 32, scheme},
+		{"size -0 after 0", 200, math.Copysign(0, -1), scheme},
+		{"scheme of the same width", 200, 64, RSScheme(2, 1)},
+		{"scheme", 200, 64, ReplicationScheme(2)},
+	} {
+		t.Run(c.what, func(t *testing.T) {
+			st := populate(t, view, RoundRobin{}, 200, scheme, 1)
+			if c.what == "size -0 after 0" {
+				st.Reset()
+				if err := st.AddObjects(200, 0, scheme, rng.New(1)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			dirty(t, st)
+			st.Reset()
+			if err := st.Defer(c.users, c.sizeMB, c.scheme, rng.New(5)); err != nil {
+				t.Fatal(err)
+			}
+			if st.pending.count != c.users {
+				t.Fatalf("a changed %s revived the kept layout", c.what)
+			}
+			check(t, "placed afresh", st, RoundRobin{}, c.users, c.sizeMB, c.scheme)
+		})
+	}
+	for _, policy := range []Policy{Random{}, RackAware{}, oneWidth(3)} {
+		st := populate(t, view, policy, 200, scheme, 5)
+		dirty(t, st)
+		st.Reset()
+		if err := st.Defer(200, 64, scheme, rng.New(5)); err != nil {
+			t.Fatal(err)
+		}
+		if st.pending.count != 200 {
+			t.Fatalf("%s kept a layout", policy.Name())
+		}
+		check(t, policy.Name()+" placed afresh", st, policy, 200, 64, scheme)
+	}
+}

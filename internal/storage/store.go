@@ -21,6 +21,15 @@
 // and its Locations are placed again, through the policy's Place, with
 // the draws a fresh store would take.
 //
+// A roundrobin layout outlives its population. RoundRobin places an
+// object from its ID and the view alone, so after a Reset the objects a
+// store placed under it still hold that layout, hidden (the store reads
+// empty), and Reset re-places, through the policy, only the objects a
+// Relocate moved. The next Defer of the identical population — same
+// count, the same size bit for bit (-0 is not 0), the same scheme —
+// revives it without placing anything. Any other population, and every
+// other policy, is placed as described above.
+//
 // The store's node index (ObjectsOn) is read for few nodes and written far
 // more often than it is read — a node's list is read when that node
 // changes state, every finished repair relocates a shard — so it is built
@@ -41,6 +50,7 @@ package storage
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -224,6 +234,14 @@ type Store struct {
 	index   []*Object
 	used    int
 	lists   int
+	// kept is the population whose layout objects[:kept.count] hold, when
+	// the policy places from IDs alone (pure): set by the Place at ID 0
+	// that placed it, revived by a Defer of the identical population
+	// after a Reset. moved lists the kept objects Relocate has moved since
+	// the last Reset, which puts them back through the policy.
+	pure  bool
+	kept  population
+	moved []*Object
 }
 
 // NewStore creates a store over the given view with the given policy.
@@ -234,7 +252,8 @@ func NewStore(view View, policy Policy) (*Store, error) {
 	if policy == nil {
 		return nil, fmt.Errorf("storage: nil placement policy")
 	}
-	return &Store{view: view, policy: policy, epoch: 1}, nil
+	_, pure := policy.(RoundRobin)
+	return &Store{view: view, policy: policy, epoch: 1, pure: pure}, nil
 }
 
 // Reset empties the store, in place, to the state NewStore left it in,
@@ -245,7 +264,14 @@ func NewStore(view View, policy Policy) (*Store, error) {
 // A reset store is equal to a freshly built one, and every handle from
 // before is dead: each *Object will be handed out again, with a new
 // placement, by the next population, and so will the ObjectsOn slices.
+// A kept roundrobin layout (see Store) is put back where a Relocate moved
+// it.
 func (st *Store) Reset() {
+	for _, o := range st.moved {
+		// The policy placed this object before, so it places it again.
+		_ = st.policy.Place(o.Locations, o.ID, &st.view, nil)
+	}
+	st.moved = st.moved[:0]
 	st.objects = st.objects[:0]
 	st.epoch++
 	st.used, st.lists = 0, 0
@@ -295,8 +321,20 @@ func (st *Store) Defer(count int, sizeMB float64, scheme Scheme, r *rng.Source) 
 	if err := st.Place(); err != nil {
 		return err
 	}
-	st.pending = population{count, sizeMB, scheme, r}
+	p := population{count, sizeMB, scheme, r}
+	if len(st.objects) == 0 && st.lists == 0 && st.kept.same(p) {
+		st.objects = st.objects[:count]
+		return nil
+	}
+	st.pending = p
 	return nil
+}
+
+// same reports whether p is the population q describes, with the size
+// compared by its bits; the streams are not compared.
+func (q population) same(p population) bool {
+	return q.count == p.count && q.scheme == p.scheme &&
+		math.Float64bits(q.sizeMB) == math.Float64bits(p.sizeMB)
 }
 
 // Place places the deferred population now, if there is one. A failed
@@ -309,6 +347,10 @@ func (st *Store) Place() error {
 	st.pending = population{}
 	count, width := p.count, p.scheme.Width()
 	base := len(st.objects)
+	if base == 0 {
+		// Objects from ID 0 up are written over: what was kept is gone.
+		st.kept = population{}
+	}
 	w := st.view.scratch()
 	// Objects a Reset left behind are reused; the rest come in one block.
 	st.objects = st.objects[:min(base+count, st.owned)]
@@ -345,6 +387,9 @@ func (st *Store) Place() error {
 				st.byNode[n] = append(st.byNode[n], obj)
 			}
 		}
+	}
+	if base == 0 && st.pure {
+		st.kept = population{count: count, sizeMB: p.sizeMB, scheme: p.scheme}
 	}
 	return nil
 }
@@ -573,6 +618,9 @@ func (st *Store) Relocate(obj *Object, from, to int) error {
 		return fmt.Errorf("storage: node %d holds no shard of object %d", from, obj.ID)
 	}
 	obj.Locations[fromIdx] = to
+	if obj.ID < st.kept.count {
+		st.moved = append(st.moved, obj)
+	}
 	if st.isBuilt(from) {
 		st.stale[from] = true
 	}
