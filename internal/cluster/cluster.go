@@ -707,9 +707,7 @@ func (c *Cluster) SetServiceThrottle(factor float64) error {
 			continue
 		}
 		if n.accessLk.Capacity() != want {
-			if err := c.Topo.SetCapacity(n.accessLk, want); err != nil {
-				return err
-			}
+			c.Topo.SetCapacity(n.accessLk, want)
 			changed = true
 		}
 	}

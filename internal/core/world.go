@@ -48,9 +48,9 @@ import (
 // all of it against the eager AddObjects).
 //
 // Nor does a trial pay for what falls after its horizon. The cluster is
-// told it: a node failure drawn past it — in a rare-failure trial, nearly
-// every node's first — is drawn but never scheduled, and mostly decided
-// from its uniform alone (cluster.Cluster.StartFailuresUntil). The
+// told it: a node failure that falls past it — in a rare-failure trial,
+// nearly every node's first — is drawn but never scheduled, and mostly
+// decided from its uniform alone (cluster.Cluster.StartFailuresUntil). The
 // simulator is told it too, before anything is scheduled, and parks any
 // other event past it outside the calendar's heap
 // (sim.Simulator.SetHorizon).

@@ -25,10 +25,9 @@ type Until struct {
 	inv inverse // d, when it samples by inversion; nil otherwise
 	end float64
 
-	// cut is the cutoff for draws at now: a uniform below it lands past
-	// end for certain. valid is false until the first draw.
+	// cut is the cutoff for draws at now (NaN before the first draw): a
+	// uniform below it lands past end for certain.
 	now, cut float64
-	valid    bool
 }
 
 // inverse is a distribution whose Sample is at(u) of one uniform u from
@@ -47,7 +46,7 @@ const untilMargin = 1e-9
 // NewUntil returns an Until for draws of d against end; with end = +Inf
 // nothing is past it.
 func NewUntil(d Dist, end float64) Until {
-	u := Until{d: d, end: end}
+	u := Until{d: d, end: end, now: math.NaN()}
 	// The families themselves only: a type that embeds one has its
 	// methods, but may sample otherwise.
 	switch d.(type) {
@@ -65,8 +64,8 @@ func (u *Until) Sample(r *rng.Source, now float64) (x float64, past bool) {
 		x = u.d.Sample(r)
 		return x, now+x > u.end
 	}
-	if !u.valid || now != u.now {
-		u.now, u.cut, u.valid = now, u.cutoff(now), true
+	if now != u.now {
+		u.now, u.cut = now, u.cutoff(now)
 	}
 	v := r.OpenFloat64()
 	if v < u.cut {

@@ -116,7 +116,7 @@ func (r *flowRun) op() {
 		r.fs.OnLinkChange()
 	default: // a link's capacity to 0, a quarter, ..., all of it
 		l := links[arg%len(links)]
-		setCapacity(r.t, r.topo, l, l.built*float64(extra%5)/4)
+		r.topo.SetCapacity(l, l.built*float64(extra%5)/4)
 		r.fs.OnLinkChange()
 	}
 	if r.nesting == 0 {

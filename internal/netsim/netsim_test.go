@@ -33,15 +33,6 @@ func TestRouteSingleSwitch(t *testing.T) {
 }
 
 // twoTier is TwoTier with the handles most tests want, unpacked.
-// setCapacity sets a link's capacity through its topology, failing the
-// test on a refused value.
-func setCapacity(t testing.TB, topo *Topology, l *Link, capacity float64) {
-	t.Helper()
-	if err := topo.SetCapacity(l, capacity); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func twoTier(cfg TwoTierConfig) (*Topology, []NodeID, []NodeID, error) {
 	net, err := TwoTier(cfg)
 	if err != nil {
@@ -555,7 +546,7 @@ func TestResetMatchesFreshNetwork(t *testing.T) {
 	if _, err := fs.Start(net.Hosts[0], net.Hosts[5], 1e9, func(*Flow) { fired = true }, func(*Flow, error) { fired = true }); err != nil {
 		t.Fatal(err)
 	}
-	setCapacity(t, net.Topo, net.Access[1], 7)
+	net.Topo.SetCapacity(net.Access[1], 7)
 	net.Topo.SetLinkUp(net.Uplinks[0], false)
 	fs.OnLinkChange()
 	if fs.Active() == 0 {

@@ -176,7 +176,7 @@ func TestRecomputeStallsAndResumesFlow(t *testing.T) {
 	var kept *sim.Event
 	s.Schedule(4, "throttle", func() {
 		kept = bystander.event
-		setCapacity(t, fs.topo, access, 0)
+		fs.topo.SetCapacity(access, 0)
 		fs.OnLinkChange()
 		if stalled.Rate() != 0 || stalled.event != nil || stalled.Remaining() != 600 {
 			t.Errorf("stalled flow: rate %v, event pending %v, remaining %v; want 0, false, 600",
@@ -190,7 +190,7 @@ func TestRecomputeStallsAndResumesFlow(t *testing.T) {
 		}
 	})
 	s.Schedule(9, "restore", func() {
-		setCapacity(t, fs.topo, access, 100)
+		fs.topo.SetCapacity(access, 100)
 		fs.OnLinkChange()
 		if stalled.Rate() != 100 || stalled.event == nil {
 			t.Errorf("restored flow: rate %v, event pending %v", stalled.Rate(), stalled.event != nil)
@@ -444,9 +444,9 @@ func TestOnLinkChangeAllocatesNothing(t *testing.T) {
 	s, fs, _ := steadyFlows(t, 16)
 	uplink := fs.topo.links[0]
 	throttle := func() {
-		setCapacity(t, fs.topo, uplink, uplink.Capacity()/4)
+		fs.topo.SetCapacity(uplink, uplink.Capacity()/4)
 		fs.OnLinkChange()
-		setCapacity(t, fs.topo, uplink, uplink.Capacity()*4)
+		fs.topo.SetCapacity(uplink, uplink.Capacity()*4)
 		fs.OnLinkChange()
 	}
 	throttle()

@@ -175,18 +175,12 @@ func (t *Topology) Name(n NodeID) string { return t.names[n] }
 // topology must be told with OnLinkChange before it runs on.
 func (t *Topology) SetLinkUp(l *Link, up bool) { l.up = up }
 
-// SetCapacity changes a link's capacity; 0 stalls the flows that cross
-// it. As after SetLinkUp, a FlowSim over the topology must be told with
-// OnLinkChange before it runs on: it reads a capacity only when it
+// SetCapacity changes a link's capacity (>= 0; 0 stalls the flows that
+// cross it). As after SetLinkUp, a FlowSim over the topology must be told
+// with OnLinkChange before it runs on: it reads a capacity only when it
 // reallocates, and a flow alone on its links is not reallocated when
 // others start or end.
-func (t *Topology) SetCapacity(l *Link, capacity float64) error {
-	if !(capacity >= 0) {
-		return fmt.Errorf("netsim: link capacity must be >= 0, got %v", capacity)
-	}
-	l.capacity = capacity
-	return nil
-}
+func (t *Topology) SetCapacity(l *Link, capacity float64) { l.capacity = capacity }
 
 // Reset returns every link to the state AddLink left it in — up, at the
 // capacity it was added with. The topology is then equal to a freshly
