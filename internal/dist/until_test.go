@@ -66,6 +66,24 @@ func checkUntil(t *testing.T, d Dist, seed uint64, now, end float64, n int) (pas
 	return past, early
 }
 
+// checkLanding runs checkUntil on the first draw from seed with ends from
+// four ulps before to four after the time that draw lands at.
+func checkLanding(t *testing.T, d Dist, seed uint64, now float64) {
+	t.Helper()
+	r := rng.New(seed)
+	if seed&1 == 1 {
+		r.SetAntithetic(true)
+	}
+	lands := now + d.Sample(r)
+	end := lands
+	for i := 0; i < 4; i++ {
+		end = math.Nextafter(end, math.Inf(-1))
+	}
+	for ; end <= lands+4*(math.Nextafter(lands, math.Inf(1))-lands); end = math.Nextafter(end, math.Inf(1)) {
+		checkUntil(t, d, seed, now, end, 1)
+	}
+}
+
 // TestUntilDecidesEarly: at the rates of a quiet trial (MTTF 50 000 h, a
 // 168 h run) nearly every first failure lands past the end, and every one
 // that does is decided from its uniform, in agreement with Sample; with no
@@ -81,6 +99,13 @@ func TestUntilDecidesEarly(t *testing.T) {
 	}
 	if past, early := checkUntil(t, LogNormal{Mu: 2, Sigma: 1}, 9, 0, 3, 500); past == 0 || early != 0 {
 		t.Errorf("a LogNormal: %d draws past the end, %d decided early", past, early)
+	}
+	// Ends a few ulps either side of where the first draw lands: the
+	// margin keeps every early decision off the draws at the end itself.
+	for _, d := range []Dist{Exponential{Rate: 1.0 / 50000}, Weibull{Shape: 0.7, Scale: 50000}, Weibull{Shape: 3, Scale: 400}} {
+		for seed := uint64(0); seed < 200; seed++ {
+			checkLanding(t, d, seed, float64(seed%7)*13.25)
+		}
 	}
 	// A type that embeds a family but samples its own way is sampled.
 	calls := 0
@@ -138,5 +163,6 @@ func FuzzUntil(f *testing.F) {
 			}
 		}
 		checkUntil(t, d, seed, now, end, 64)
+		checkLanding(t, d, seed, now)
 	})
 }

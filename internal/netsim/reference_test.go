@@ -308,6 +308,39 @@ func BenchmarkFlowSimRepairStorm(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(2*b.N), "ns/flow-event")
 }
 
+// TestLoneFinishSettlesEveryFlow: a flow that finishes alone on its links
+// skips the solve but not the settling, so a flow elsewhere banks its
+// progress at that instant as the solve would have, and its remaining
+// bytes keep the bits of two settles, not of one longer one.
+func TestLoneFinishSettlesEveryFlow(t *testing.T) {
+	s := sim.New(1)
+	topo, hosts, err := SingleSwitch(4, 3.7, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := NewFlowSim(s, topo)
+	bystander, err := fs.Start(hosts[2], hosts[3], 1000, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var finished float64
+	if _, err := fs.Start(hosts[0], hosts[1], 1.3, func(*Flow) { finished = s.Now() }, nil); err != nil {
+		t.Fatal(err)
+	}
+	const later = 1.1
+	s.RunUntil(later)
+	fs.OnLinkChange() // settles every flow at later
+	rate := bystander.Rate()
+	want := (1000 - rate*(finished-0)) - rate*(later-finished)
+	if once := 1000 - rate*(later-0); math.Float64bits(once) == math.Float64bits(want) {
+		t.Fatalf("one settle and two give the same bits (%v): pick other sizes", want)
+	}
+	if finished == 0 || rate != 3.7 || math.Float64bits(bystander.Remaining()) != math.Float64bits(want) {
+		t.Fatalf("lone flow finished at %v; bystander at rate %v has %v MB left, want %v",
+			finished, rate, bystander.Remaining(), want)
+	}
+}
+
 // fullRebuildRates is the allocation FlowSim.recompute computed before each
 // link kept the list of its active flows: the link table rebuilt from every
 // active flow's route on every call, and each round's bottleneck members
