@@ -32,13 +32,13 @@
 // link's state moves only through Topology.SetLinkUp and SetCapacity, each
 // followed by OnLinkChange, which solves again. OnLinkChange walks a
 // snapshot the FlowSim keeps and reroutes a flow into its own route's
-// storage, so a link change allocates nothing either. Topology.Route allocates only the
-// path it returns. While the links form a forest, as TwoTier's tree with
-// one core and SingleSwitch's star do, a route is the one simple path
-// there is: it climbs from both ends to their common ancestor, checking
-// each link is up, at the cost of the path itself. Any other graph is
-// searched breadth-first over scratch of its own. Neither type is safe for
-// concurrent use; a simulation owns one of each.
+// storage, so a link change allocates nothing either. Topology.Route
+// allocates only the path it returns. While the links form a forest, as
+// TwoTier's tree with one core and SingleSwitch's star do, a route is the
+// one simple path there is: it climbs from both ends to their common
+// ancestor, checking each link is up, at the cost of the path itself. Any
+// other graph is searched breadth-first over scratch of its own. Neither
+// type is safe for concurrent use; a simulation owns one of each.
 package netsim
 
 import (
