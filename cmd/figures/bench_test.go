@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -185,7 +186,7 @@ func BenchmarkPruning(b *testing.B) {
 			Runner: core.Runner{Trials: 1},
 			Prune:  true,
 		}
-		if _, err := ex.Run(); err != nil {
+		if _, err := ex.RunPoints(context.Background(), nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -212,7 +213,7 @@ func BenchmarkParallelSweep(b *testing.B) {
 			Runner:  core.Runner{Trials: 1},
 			Workers: 2,
 		}
-		if _, err := ex.Run(); err != nil {
+		if _, err := ex.RunPoints(context.Background(), nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -351,7 +352,7 @@ func vrSweep(b *testing.B, seed uint64, screened bool) *core.Exploration {
 	if screened {
 		ex.Screen = &core.ScreenRule{Margin: core.DefaultScreenMargin}
 	}
-	res, err := ex.Run()
+	res, err := ex.RunPoints(context.Background(), nil, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

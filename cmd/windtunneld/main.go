@@ -19,7 +19,7 @@
 //	GET    /v1/fleet      fleet membership and per-member health
 //	GET    /v1/healthz    liveness ("ok", or "draining" during shutdown) + build identity
 //	GET    /v1/stats      operational snapshot (build, runtime, pool, cache, jobs)
-//	GET    /metrics       Prometheus text exposition (disable with -telemetry=false)
+//	GET    /metrics       Prometheus text exposition
 //	GET    /v1/jobs/{id}/trace  the job's distributed trace tree (fleet-merged on a coordinator)
 //	GET    /v1/metrics/fleet    merged fleet exposition from telemetry history (per-instance labels)
 //	GET    /v1/metrics/history  JSON range query over retained samples (?name=&window=)
@@ -39,8 +39,6 @@
 // collapse, slow journal fsyncs, degraded jobs, failover bursts) over
 // that history; instances are served at /v1/alerts, transitions are
 // logged to stderr, and /v1/healthz carries the firing count.
-// -telemetry=false turns all of it off; tables and NDJSON streams are
-// byte-identical either way.
 // -pprof mounts net/http/pprof (plus /metrics and /v1/stats) on a
 // separate listener kept off the serving port. cmd/wttop renders a live
 // terminal dashboard from these endpoints.
@@ -78,9 +76,6 @@
 // monitor probes every member's /v1/healthz and routes shard planning
 // and cache peering around suspect or down members.
 //
-// -chaos enables deterministic fault injection (dropped streams,
-// delays, 500s, connection resets) for exercising those paths.
-//
 // On SIGINT/SIGTERM the daemon drains gracefully: new queries are
 // refused with 503, in-flight jobs stream to completion within the
 // -drain window, then remaining jobs are cancelled.
@@ -114,9 +109,7 @@ func main() {
 	coordinator := flag.Bool("coordinator", false, "coordinator mode: shard queries across -peers workers")
 	streamIdle := flag.Duration("stream-idle", 0, "coordinator per-stream idle deadline before failover (0 = 2m)")
 	shardRetries := flag.Int("shard-retries", 0, "max workers a shard fails over across before coordinator-local execution (0 = 3)")
-	chaos := flag.String("chaos", "", "fault injection spec, e.g. seed=7,err=0.05,delay=0.1,delay-max=200ms,drop=0.05,reset=0.05,cut=3")
 	journal := flag.String("journal", "auto", `job journal directory for crash recovery ("auto" = wtjournal-<addr>; empty = no journal: jobs are not crash-durable)`)
-	telemetry := flag.Bool("telemetry", true, "metrics registry + /metrics exposition + distributed tracing")
 	pprofAddr := flag.String("pprof", "", "mount net/http/pprof (and /metrics, /v1/stats) on this separate address (empty = off)")
 	historyInterval := flag.Duration("history-interval", 0, "telemetry round period: history sample, fleet probe and scrape, alert evaluation (0 = 2s)")
 	flag.Parse()
@@ -140,16 +133,7 @@ func main() {
 		StreamIdleTimeout: *streamIdle,
 		MaxShardRetries:   *shardRetries,
 		JournalDir:        journalDir,
-		NoTelemetry:       !*telemetry,
 		HistoryInterval:   *historyInterval,
-	}
-	if *chaos != "" {
-		fcfg, err := service.ParseFaultConfig(*chaos)
-		if err != nil {
-			fatal(err)
-		}
-		cfg.Chaos = service.NewFaultInjector(fcfg)
-		log.Printf("windtunneld running with CHAOS INJECTION enabled: %s", *chaos)
 	}
 	svc, err := service.New(cfg)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"regexp"
 	"strings"
@@ -12,17 +13,46 @@ import (
 	"repro/internal/service"
 )
 
-func startDaemon(t *testing.T, cfg service.Config) string {
+// startDaemon starts a daemon for cfg, behind wrap when it is non-nil.
+func startDaemon(t *testing.T, cfg service.Config, wrap func(http.Handler) http.Handler) string {
 	t.Helper()
 	srv, err := service.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(srv.Close)
-	ts := httptest.NewServer(srv.Handler())
+	h := srv.Handler()
+	if wrap != nil {
+		h = wrap(h)
+	}
+	ts := httptest.NewServer(h)
 	t.Cleanup(ts.Close)
 	return ts.URL
 }
+
+// cutAfter3 resets every response's connection at its fourth write, so a
+// client receives exactly three lines of any longer stream.
+func cutAfter3(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h.ServeHTTP(&cutWriter{ResponseWriter: w}, r)
+	})
+}
+
+type cutWriter struct {
+	http.ResponseWriter
+	writes int
+}
+
+func (c *cutWriter) Write(p []byte) (int, error) {
+	if c.writes == 3 {
+		c.Flush()
+		panic(http.ErrAbortHandler) // net/http: abort the connection
+	}
+	c.writes++
+	return c.ResponseWriter.Write(p)
+}
+
+func (c *cutWriter) Flush() { c.ResponseWriter.(http.Flusher).Flush() }
 
 // TestLoadSurvivesStreamCuts: 20 requests from 4 clients against a
 // journaled daemon that resets every stream after three lines. The default
@@ -30,10 +60,7 @@ func startDaemon(t *testing.T, cfg service.Config) string {
 // twice, resumes the job it was admitted under, and still counts as one
 // successful request.
 func TestLoadSurvivesStreamCuts(t *testing.T) {
-	url := startDaemon(t, service.Config{
-		PoolSize: 2, JournalDir: t.TempDir(),
-		Chaos: service.NewFaultInjector(service.FaultConfig{CutEvery: 3}),
-	})
+	url := startDaemon(t, service.Config{PoolSize: 2, JournalDir: t.TempDir()}, cutAfter3)
 	var stdout, stderr bytes.Buffer
 	if !run(context.Background(), url+"/", defaultQuery, 4, 20, 2, &stdout, &stderr) {
 		t.Fatalf("run reported failed requests:\n%s", stdout.String())
@@ -64,7 +91,7 @@ func TestLoadSurvivesStreamCuts(t *testing.T) {
 // TestLoadReportsFailures: a query the daemon cannot run fails every
 // request after its retries; the report buckets the error and run says so.
 func TestLoadReportsFailures(t *testing.T) {
-	url := startDaemon(t, service.Config{PoolSize: 2})
+	url := startDaemon(t, service.Config{PoolSize: 2}, nil)
 	var stdout, stderr bytes.Buffer
 	if run(context.Background(), url, "SIMULATE nonsense", 8, 3, 1, &stdout, &stderr) {
 		t.Fatalf("run reported success:\n%s", stdout.String())

@@ -146,11 +146,15 @@ func remote(t *testing.T, ctx context.Context, servers []string, query string, p
 func TestRemoteSurvivesStreamCuts(t *testing.T) {
 	want := localTable(t)
 	for _, journal := range []bool{true, false} {
-		cfg := service.Config{PoolSize: 2, Chaos: service.NewFaultInjector(service.FaultConfig{CutEvery: 3})}
+		cfg := service.Config{PoolSize: 2}
 		if journal {
 			cfg.JournalDir = t.TempDir()
 		}
-		srv, _, url := listen(t, cfg)
+		srv, addr, url := listen(t, cfg)
+		h := srv.Handler()
+		addr.set(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			h.ServeHTTP(&cutWriter{ResponseWriter: w, after: 3, then: func() {}}, r)
+		}))
 		stdout, stderr, err := remote(t, context.Background(), []string{url}, sweep, true, 10*time.Second, false)
 		if err != nil {
 			t.Fatalf("journal=%v: %v\n%s", journal, err, stderr)

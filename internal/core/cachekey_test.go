@@ -389,7 +389,7 @@ func TestPointKeysThenRunKeysOnce(t *testing.T) {
 		t.Fatalf("PointKeys: %d builds and %d key computations for 4 points", builds.Load(), rendered.Load())
 	}
 	// Twice, the second time in two shards at once: still nothing rebuilt.
-	if _, err := ex.RunContext(context.Background()); err != nil {
+	if _, err := ex.RunPoints(context.Background(), nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	errs := make(chan error, 2)

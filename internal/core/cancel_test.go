@@ -107,11 +107,10 @@ func TestExplorerContextCancelled(t *testing.T) {
 		},
 		Runner:  Runner{Trials: 3},
 		Workers: 1,
-		Progress: func(done, total int, out PointOutcome) {
-			once.Do(cancel) // cancel as soon as the first point commits
-		},
 	}
-	_, err = e.RunContext(ctx)
+	_, err = e.RunPoints(ctx, nil, func(done, total int, out PointOutcome) {
+		once.Do(cancel) // cancel as soon as the first point commits
+	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -292,14 +291,14 @@ func TestExplorerCacheHitsAreIdentical(t *testing.T) {
 			Cache:  cache,
 		}
 	}
-	cold, err := mk().Run()
+	cold, err := mk().RunPoints(context.Background(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cold.CacheHits != 0 {
 		t.Fatalf("cold run reported %d cache hits", cold.CacheHits)
 	}
-	warm, err := mk().Run()
+	warm, err := mk().RunPoints(context.Background(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

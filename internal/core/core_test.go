@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -258,7 +259,7 @@ func TestExplorerPruningSavesRuns(t *testing.T) {
 		return sc, []sla.SLA{alwaysFail{}}, nil
 	}
 	ex := &Explorer{Space: space, Build: build, Runner: Runner{Trials: 1}, Prune: true}
-	res, err := ex.Run()
+	res, err := ex.RunPoints(context.Background(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +301,7 @@ func TestExplorerFindsCheapestPassing(t *testing.T) {
 			return float64(p.MustValue("replicas").(int)), nil // replicas = cost proxy
 		},
 	}
-	res, err := ex.Run()
+	res, err := ex.RunPoints(context.Background(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,11 +328,11 @@ func TestExplorerParallelMatchesSequential(t *testing.T) {
 	}
 	seq := &Explorer{Space: space, Build: build, Runner: Runner{Trials: 2}, Workers: 1}
 	par := &Explorer{Space: space, Build: build, Runner: Runner{Trials: 2}, Workers: 4}
-	rs, err := seq.Run()
+	rs, err := seq.RunPoints(context.Background(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rp, err := par.Run()
+	rp, err := par.RunPoints(context.Background(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

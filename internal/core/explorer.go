@@ -17,7 +17,7 @@ import (
 type PointOutcome struct {
 	Point design.Point
 	// Index is the point's position in the full space's point order.
-	// Without a Subset it equals the commit position; with one it is the
+	// Without a subset it equals the commit position; with one it is the
 	// global index, which is what lets a sharded fleet merge per-worker
 	// outcome streams back into the exact single-sweep order.
 	Index  int
@@ -118,14 +118,6 @@ type Explorer struct {
 	Screen *ScreenRule
 	// Workers bounds point-level parallelism (0 = GOMAXPROCS).
 	Workers int
-	// Subset, when non-nil, restricts the sweep to these indices of
-	// Space.Points() (strictly ascending, in range). Outcomes commit in
-	// subset order, done/total count subset points, and every
-	// PointOutcome carries its global Index — the contract a sharded
-	// fleet's coordinator relies on to merge per-worker streams back
-	// into the full space's order. With pruning enabled, dominance is
-	// observed within the subset only.
-	Subset []int
 	// Objective, when non-nil, scores passing points (lower = better).
 	Objective func(p design.Point, r *RunResult) (float64, error)
 	// Cache, when non-nil, is consulted before simulating a point and
@@ -138,15 +130,9 @@ type Explorer struct {
 	// sharing it: a worker holds one slot only while actually simulating
 	// a point (screening decisions and cache hits bypass the gate).
 	Gate Gate
-	// Progress, when non-nil, is called from the commit path after each
-	// point outcome is committed, strictly in point order. done counts
-	// all committed points (including pruned ones); total is the space
-	// size. The callback must not block for long.
-	Progress func(done, total int, out PointOutcome)
 
 	// list is the sweep's prepared point list, made on first use. Every
-	// field above except Subset and Progress must be set before then and
-	// left alone after.
+	// field above must be set before then and left alone after.
 	listOnce sync.Once
 	list     *pointList
 }
@@ -230,24 +216,27 @@ func (s *sharedPruner) recordFailure(p design.Point) {
 	s.pr.RecordFailure(p)
 }
 
-// Run executes the sweep.
-func (e *Explorer) Run() (*Exploration, error) {
-	return e.RunContext(context.Background())
-}
-
-// RunContext executes the sweep, stopping early (with ctx.Err) when the
+// RunPoints executes the sweep, stopping early (with ctx.Err) when the
 // context is cancelled. Cancellation is observed at point granularity:
 // in-flight points finish their current trial batch and the partial
 // exploration is discarded.
-func (e *Explorer) RunContext(ctx context.Context) (*Exploration, error) {
-	return e.RunPoints(ctx, e.Subset, e.Progress)
-}
-
-// RunPoints is RunContext with subset and progress standing in for the
-// Subset and Progress fields, which it does not read. It only reads the
-// explorer, so one Explorer serves any number of RunPoints calls, one
-// after another or at once — a sweep run in shards, say — and they all
-// share its prepared points.
+//
+// subset, when non-nil, restricts the sweep to these indices of
+// Space.Points() (strictly ascending, in range). Outcomes commit in
+// subset order, done/total count subset points, and every PointOutcome
+// carries its global Index — the contract a sharded fleet's coordinator
+// relies on to merge per-worker streams back into the full space's
+// order. With pruning enabled, dominance is observed within the subset
+// only.
+//
+// progress, when non-nil, is called from the commit path after each
+// point outcome is committed, strictly in point order. done counts all
+// committed points (including pruned ones); total is the number of
+// points run. The callback must not block for long.
+//
+// RunPoints only reads the explorer, so one Explorer serves any number
+// of RunPoints calls, one after another or at once — a sweep run in
+// shards, say — and they all share its prepared points.
 func (e *Explorer) RunPoints(ctx context.Context, subset []int, progress func(done, total int, out PointOutcome)) (*Exploration, error) {
 	if e.Space == nil || e.Build == nil {
 		return nil, fmt.Errorf("core: explorer needs a space and a build function")

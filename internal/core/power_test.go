@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -235,11 +236,11 @@ func TestPowerExplorerCacheBitExact(t *testing.T) {
 			Cache:  cache,
 		}
 	}
-	cold, err := mk().Run()
+	cold, err := mk().RunPoints(context.Background(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := mk().Run()
+	warm, err := mk().RunPoints(context.Background(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,17 +34,6 @@ const (
 	ScreenFail
 )
 
-func (d ScreenDecision) String() string {
-	switch d {
-	case ScreenPass:
-		return "pass"
-	case ScreenFail:
-		return "fail"
-	default:
-		return "simulate"
-	}
-}
-
 // ScreenRule configures analytic screening. Margin is the relative
 // safety factor applied against the model's approximations (exponential
 // assumption, union bound, node-level failures only): a point passes

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/design"
@@ -40,7 +41,7 @@ func TestExplorerSpeculativePruneMatchesSequential(t *testing.T) {
 			Prune:   true,
 			Workers: workers,
 		}
-		res, err := ex.Run()
+		res, err := ex.RunPoints(context.Background(), nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -276,7 +276,7 @@ func TestScreeningGolden(t *testing.T) {
 			Screen:  &ScreenRule{Margin: DefaultScreenMargin},
 			Workers: workers,
 		}
-		res, err := ex.Run()
+		res, err := ex.RunPoints(context.Background(), nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -298,7 +298,7 @@ func TestScreeningGolden(t *testing.T) {
 			t.Errorf("replicas=%d screened=%v, want %v", r, out.Screened, want)
 		}
 		if want && out.Decision != dec {
-			t.Errorf("replicas=%d decision=%v, want %v", r, out.Decision, dec)
+			t.Errorf("replicas=%d decision=%d, want %d", r, out.Decision, dec)
 		}
 		if out.Screened && out.Result == nil {
 			t.Errorf("replicas=%d screened without a reported analytic result", r)

@@ -6,8 +6,9 @@
 // designed so that the hot path — Counter.Add, Gauge.Set,
 // Histogram.Observe — is a handful of atomic operations and zero heap
 // allocations (pinned by an AllocsPerRun test). All instrument methods
-// are nil-receiver safe, so a server running with telemetry disabled
-// passes nil instruments around and every call site stays unguarded.
+// are nil-receiver safe, so code that holds an uninstrumented handle —
+// a journal opened without a registry, an untraced job's span — stays
+// unguarded.
 package obs
 
 import (
@@ -21,8 +22,8 @@ import (
 
 // Counter is a monotonically-increasing uint64. The zero value is not
 // usable on its own — obtain counters from a Registry — but a nil
-// *Counter is: all methods no-op, so disabled telemetry needs no call
-// site guards.
+// *Counter is: all methods no-op, so an uninstrumented caller needs no
+// call site guards.
 type Counter struct {
 	v atomic.Uint64
 }

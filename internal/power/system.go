@@ -18,9 +18,8 @@ type System struct {
 	cl    *cluster.Cluster
 	meter *Meter
 
-	pduDomains []*cluster.Domain
-	ups        *hardware.Component
-	dc         *cluster.Domain // facility-wide blackout domain
+	ups *hardware.Component
+	dc  *cluster.Domain // facility-wide blackout domain
 
 	// powerVeto counts down *power* domains covering each node; a node
 	// draws electricity while it is up and unvetoed, even when a ToR
@@ -137,9 +136,6 @@ func Attach(s *sim.Simulator, cl *cluster.Cluster, cat *hardware.Catalog, cfg Co
 	return p, nil
 }
 
-// PDUDomains returns the registered PDU failure domains.
-func (p *System) PDUDomains() []*cluster.Domain { return p.pduDomains }
-
 // buildPDUs registers one power domain and one component lifecycle per
 // PDU, assigning racks contiguously: PDU i feeds the racks r with
 // r*pdus/racks == i, covering their nodes and severing their uplinks
@@ -180,7 +176,6 @@ func (p *System) buildPDUs(cat *hardware.Catalog) error {
 		})
 		pdu.OnRepair(func(*hardware.Component) { p.cl.RestoreDomain(dom) })
 		pdu.StartLifecycle(p.sim, p.sim.Stream(fmt.Sprintf("power/pdu-%d", i)))
-		p.pduDomains = append(p.pduDomains, dom)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package power
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -68,6 +69,18 @@ func TestNodeActiveWatts(t *testing.T) {
 	}
 }
 
+// pduDomains returns the PDU failure domains Attach registered on c,
+// found by the "pdu-<i>" names buildPDUs gives them, in PDU order.
+func pduDomains(c *cluster.Cluster) []*cluster.Domain {
+	var out []*cluster.Domain
+	for _, d := range c.Domains() {
+		if strings.HasPrefix(d.Name, "pdu-") {
+			out = append(out, d)
+		}
+	}
+	return out
+}
+
 // TestPDUDomainsCoverExactlyTheirRacks builds 2 PDUs over 4 racks and
 // fails one: exactly its two racks must go dark (and still draw no
 // power), while the other PDU's racks stay up.
@@ -79,10 +92,11 @@ func TestPDUDomainsCoverExactlyTheirRacks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p.PDUDomains()) != 2 {
-		t.Fatalf("pdu domains = %d, want 2", len(p.PDUDomains()))
+	pdus := pduDomains(c)
+	if len(pdus) != 2 {
+		t.Fatalf("pdu domains = %d, want 2", len(pdus))
 	}
-	c.FailDomain(p.PDUDomains()[0])
+	c.FailDomain(pdus[0])
 	// Racks 0 and 1 (nodes 0..5) down, racks 2 and 3 (nodes 6..11) up.
 	for i := 0; i < 6; i++ {
 		if c.Available(i) {
@@ -98,7 +112,7 @@ func TestPDUDomainsCoverExactlyTheirRacks(t *testing.T) {
 	if st.PeakKW <= 0 {
 		t.Fatal("no peak power recorded")
 	}
-	c.RestoreDomain(p.PDUDomains()[0])
+	c.RestoreDomain(pdus[0])
 	if c.AvailableCount() != 12 {
 		t.Fatalf("available after PDU restore = %d, want 12", c.AvailableCount())
 	}
@@ -117,8 +131,9 @@ func TestPDUFailureCutsEnergy(t *testing.T) {
 			t.Fatal(err)
 		}
 		if fail {
-			s.Schedule(6, "blast", func() { c.FailDomain(p.PDUDomains()[0]) })
-			s.Schedule(12, "fix", func() { c.RestoreDomain(p.PDUDomains()[0]) })
+			pdu := pduDomains(c)[0]
+			s.Schedule(6, "blast", func() { c.FailDomain(pdu) })
+			s.Schedule(12, "fix", func() { c.RestoreDomain(pdu) })
 		}
 		s.RunUntil(24)
 		return p.Stats(24)

@@ -154,9 +154,6 @@ func newAlertEngine(hist *obs.History) *alertEngine {
 // then resolved, stably ordered within each state.
 func (e *alertEngine) Snapshot() AlertsResponse {
 	resp := AlertsResponse{Alerts: []Alert{}}
-	if e == nil {
-		return resp
-	}
 	e.mu.Lock()
 	for _, inst := range e.active {
 		resp.Alerts = append(resp.Alerts, inst.Alert)
@@ -187,9 +184,6 @@ func (e *alertEngine) Snapshot() AlertsResponse {
 // FiringCount returns how many alerts are currently firing — the number
 // /v1/healthz carries.
 func (e *alertEngine) FiringCount() int {
-	if e == nil {
-		return 0
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	n := 0
@@ -201,11 +195,8 @@ func (e *alertEngine) FiringCount() int {
 	return n
 }
 
-// evaluate runs every rule at now (nil-safe: no telemetry, no rules).
+// evaluate runs every rule at now.
 func (e *alertEngine) evaluate(now time.Time) {
-	if e == nil {
-		return
-	}
 	for _, rule := range e.rules {
 		e.apply(rule, e.eval(rule, now), now)
 	}

@@ -23,7 +23,7 @@ import (
 )
 
 // The client half of the serving contract — stream, reconnect, resume by
-// cursor, fail over — against real servers: what CI's crash-, chaos- and
+// cursor, fail over — against real servers: what CI's crash- and
 // fleet-smoke jobs drive through wtql and wtload, in tier-1.
 
 // recorder collects what one query's attempts delivered.
@@ -186,9 +186,9 @@ func TestClientChaosCutEveryN(t *testing.T) {
 				ts := httptest.NewServer(&late)
 				t.Cleanup(ts.Close)
 				cacheDir := t.TempDir()
-				var servers []*Server
+				var daemons []*faults
 				start := func() {
-					cfg := Config{PoolSize: 2, CacheDir: cacheDir, Chaos: NewFaultInjector(FaultConfig{CutEvery: n})}
+					cfg := Config{PoolSize: 2, CacheDir: cacheDir}
 					if mode.journal {
 						cfg.JournalDir = t.TempDir()
 					}
@@ -198,8 +198,9 @@ func TestClientChaosCutEveryN(t *testing.T) {
 						t.Fatal(err)
 					}
 					t.Cleanup(srv.Close)
-					servers = append(servers, srv)
-					late.set(srv.Handler())
+					f := &faults{cut: n}
+					daemons = append(daemons, f)
+					late.set(f.wrap(srv.Handler()))
 				}
 				start()
 
@@ -235,19 +236,19 @@ func TestClientChaosCutEveryN(t *testing.T) {
 				if attempts != want {
 					t.Fatalf("took %d connections, want %d", attempts, want)
 				}
-				requests := func(srv *Server) uint64 { return srv.chaos.Stats().Requests }
+				requests := func(f *faults) int { n, _ := f.counts(); return n }
 				switch {
 				case mode.journal:
 					// One POST, then GET …/stream?from= on the same job.
-					if requests(servers[0]) != uint64(attempts) || len(slices.Compact(rec.jobs)) != 1 {
-						t.Fatalf("%d requests over jobs %v, want %d on one job", requests(servers[0]), rec.jobs, attempts)
+					if requests(daemons[0]) != attempts || len(slices.Compact(rec.jobs)) != 1 {
+						t.Fatalf("%d requests over jobs %v, want %d on one job", requests(daemons[0]), rec.jobs, attempts)
 					}
 				case mode.restart:
 					// Each new daemon is asked for the stream (404), then
 					// sent the query with the cursor.
-					for i, srv := range servers[:attempts] {
-						if want := uint64(min(i, 1) + 1); requests(srv) != want {
-							t.Fatalf("daemon %d served %d requests, want %d", i, requests(srv), want)
+					for i, f := range daemons[:attempts] {
+						if want := min(i, 1) + 1; requests(f) != want {
+							t.Fatalf("daemon %d served %d requests, want %d", i, requests(f), want)
 						}
 					}
 				}
@@ -422,7 +423,7 @@ func TestClientErrors(t *testing.T) {
 
 	t.Run("a clean end before the result is ErrTorn", func(t *testing.T) {
 		// A drop comes within nine lines; bigQuery's stream has fourteen.
-		_, ts := newTestServer(t, Config{PoolSize: 2, Chaos: NewFaultInjector(FaultConfig{DropProb: 1})})
+		_, ts := newFaultyServer(t, Config{PoolSize: 2}, &faults{drop: 1})
 		err := (Client{}).Query(ctx, ts.URL, QueryRequest{Query: bigQuery}, nothing)
 		if !errors.Is(err, ErrTorn) || Permanent(err) {
 			t.Fatalf("dropped stream ended with %#v", err)

@@ -457,27 +457,16 @@ func coordinatorTakeoverGolden(t *testing.T, urls []string, k int, wantTable str
 	}
 }
 
-// TestChaosCutResume: with cut=3 chaos aborting every streaming
-// response after three writes, a client that reconnects with
-// from=<received> (the wtql/wtload loop) must still converge to the
-// exact table — end-to-end proof that resume survives repeated
-// connection loss.
+// TestChaosCutResume: with a cut aborting every streaming response
+// after three writes, a client that reconnects with from=<received>
+// (the wtql/wtload loop) must still converge to the exact table —
+// end-to-end proof that resume survives repeated connection loss.
 func TestChaosCutResume(t *testing.T) {
-	noLeakedCommitters(t)
 	_, clean := newTestServer(t, Config{PoolSize: 2})
 	want := lastEvent(t, postQuery(t, clean, smallQuery))
 
-	srv, err := New(Config{
-		PoolSize:   2,
-		JournalDir: t.TempDir(),
-		Chaos:      NewFaultInjector(FaultConfig{CutEvery: 3}),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(srv.Close)
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
+	cut := &faults{cut: 3}
+	_, ts := newFaultyServer(t, Config{PoolSize: 2, JournalDir: t.TempDir()}, cut)
 
 	var table string
 	attempts := 0
@@ -506,7 +495,7 @@ func TestChaosCutResume(t *testing.T) {
 		}
 	}
 	if attempts < 2 {
-		t.Fatalf("chaos cut never fired (attempts=%d) — the test proved nothing", attempts)
+		t.Fatalf("the cut never fired (attempts=%d) — the test proved nothing", attempts)
 	}
 	if s.Points != 4 {
 		t.Fatalf("received %d point events across %d attempts, want exactly 4 (no duplicates, no loss)", s.Points, attempts)
@@ -514,8 +503,8 @@ func TestChaosCutResume(t *testing.T) {
 	if table != want["table"] {
 		t.Fatalf("resumed table differs from clean run:\n--- want ---\n%v--- got ---\n%v", want["table"], table)
 	}
-	if cuts := srv.chaos.Stats().Cuts; cuts == 0 {
-		t.Fatalf("injector recorded no cuts")
+	if _, cuts := cut.counts(); cuts == 0 {
+		t.Fatalf("the wrapper recorded no cuts")
 	}
 }
 

@@ -12,43 +12,6 @@ import (
 	"time"
 )
 
-// killNthWrite wraps a handler so that the first /v1/query response
-// across the wrapped set is aborted (connection reset) after `after`
-// body writes — a worker dying mid-stream, deterministically.
-type killOnce struct {
-	used  atomic.Bool
-	after int
-}
-
-func (k *killOnce) wrap(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/v1/query" && k.used.CompareAndSwap(false, true) {
-			w = &killWriter{ResponseWriter: w, after: k.after}
-		}
-		next.ServeHTTP(w, r)
-	})
-}
-
-type killWriter struct {
-	http.ResponseWriter
-	writes int
-	after  int
-}
-
-func (k *killWriter) Write(p []byte) (int, error) {
-	if k.writes >= k.after {
-		panic(http.ErrAbortHandler) // net/http: abort the connection
-	}
-	k.writes++
-	return k.ResponseWriter.Write(p)
-}
-
-func (k *killWriter) Flush() {
-	if fl, ok := k.ResponseWriter.(http.Flusher); ok {
-		fl.Flush()
-	}
-}
-
 // TestFleetFailoverMidStreamKill is the golden failover check the issue
 // asks for: kill a worker mid-sweep (its NDJSON stream resets after the
 // job line plus one point event) and assert the coordinator re-plans
@@ -62,16 +25,10 @@ func TestFleetFailoverMidStreamKill(t *testing.T) {
 	// Whichever worker receives the first query stream gets killed after
 	// two body writes (the job event + one point event), so the kill is
 	// mid-sweep regardless of how the ring splits the four points.
-	kill := &killOnce{after: 2}
+	kill := &faults{cut: 2, once: true}
 	urls := make([]string, 2)
-	for i := 0; i < 2; i++ {
-		srv, err := New(Config{PoolSize: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(srv.Close)
-		ts := httptest.NewServer(kill.wrap(srv.Handler()))
-		t.Cleanup(ts.Close)
+	for i := range urls {
+		_, ts := newFaultyServer(t, Config{PoolSize: 2}, kill)
 		urls[i] = ts.URL
 	}
 	_, cts := newTestServer(t, Config{Coordinator: true, Peers: urls})
@@ -86,7 +43,7 @@ func TestFleetFailoverMidStreamKill(t *testing.T) {
 	if final["type"] != "result" {
 		t.Fatalf("fleet ended with %v after mid-stream kill", final)
 	}
-	if !kill.used.Load() {
+	if _, cuts := kill.counts(); cuts != 1 {
 		t.Fatal("kill middleware never fired: the test exercised nothing")
 	}
 	if final["table"] != want["table"] {
@@ -120,21 +77,9 @@ func TestFleetDegradedLocalFallback(t *testing.T) {
 	_, single := newTestServer(t, Config{PoolSize: 2})
 	want := lastEvent(t, postQuery(t, single, smallQuery))
 
-	srv, err := New(Config{PoolSize: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(srv.Close)
 	// Every query stream dies after the job line: the worker is alive
 	// (healthz answers) but never delivers a single point.
-	h := srv.Handler()
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/v1/query" {
-			w = &killWriter{ResponseWriter: w, after: 1}
-		}
-		h.ServeHTTP(w, r)
-	}))
-	t.Cleanup(ts.Close)
+	_, ts := newFaultyServer(t, Config{PoolSize: 2}, &faults{cut: 1})
 
 	coord, cts := newTestServer(t, Config{Coordinator: true, Peers: []string{ts.URL}})
 	events := postQuery(t, cts, smallQuery)

@@ -219,7 +219,7 @@ func (s *Server) runFleet(ctx context.Context, j *job, query string, plan *wtql.
 		if len(indices) == 0 {
 			return
 		}
-		sort.Ints(indices) // Subset wants strictly ascending global indices
+		sort.Ints(indices) // RunSubset wants strictly ascending global indices
 		s.markDegraded(j)
 		sh := &shard{worker: localWorker, points: indices}
 		sh.span = s.tel.startSpan(trace, root, "shard").

@@ -65,7 +65,7 @@ type memberHealth struct {
 
 // Health is the fleet's one member poller. Each telemetry round calls
 // Probe, which GETs every member's /v1/healthz with a short timeout and,
-// when scrape is set (a coordinator with telemetry), the member's /metrics
+// when scrape is set (on a coordinator), the member's /metrics
 // too; the round ingests those under instance=<member URL>. The serving
 // paths feed passive observations (a torn worker stream, a refused peer
 // fetch) through ReportFailure/ReportSuccess so real traffic detects

@@ -197,7 +197,6 @@ func TestOnePollerPerMember(t *testing.T) {
 		scrapes bool
 	}{
 		{"coordinator", func(m []string) Config { return Config{Coordinator: true, Peers: m} }, true},
-		{"coordinator-no-telemetry", func(m []string) Config { return Config{Coordinator: true, Peers: m, NoTelemetry: true} }, false},
 		{"worker", func(m []string) Config { return Config{Peers: append(m, self), Self: self} }, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -149,9 +149,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/metrics/fleet", s.handleFleetMetrics)
 	mux.HandleFunc("GET /v1/metrics/history", s.handleMetricsHistory)
 	mux.HandleFunc("GET /v1/alerts", s.handleAlerts)
-	if s.chaos != nil {
-		return s.chaos.Wrap(mux)
-	}
 	return mux
 }
 
@@ -254,8 +251,8 @@ func parseFrom(v string) (int, error) {
 }
 
 // streamJob follows a job's log onto the response — the only code that
-// writes a stream. One Write per event line: an abort (or a chaos cut)
-// lands between events, never inside one, and the chaos cut counter
+// writes a stream. One Write per event line: an abort (or a test's cut)
+// lands between events, never inside one, and a cut after N writes
 // assumes one write == one delivered event. One Flush per batch of lines
 // the log had queued: progress stays live, and a reply whose lines were
 // all there costs one.

@@ -44,10 +44,8 @@ func parseTraceHeader(r *http.Request) traceCtx {
 
 // telemetry owns the server's observability state: the metrics registry,
 // the distributed tracer, and every pre-registered instrument the
-// serving paths update. The struct itself is always non-nil on a Server;
-// with Config.NoTelemetry the registry and tracer are nil, every
-// instrument below is therefore nil, and the obs package's nil-receiver
-// contract turns every update into a no-op — call sites never guard.
+// serving paths update. Telemetry is always on: it never touches the
+// data plane, so it changes no byte of a table or an NDJSON stream.
 type telemetry struct {
 	reg    *obs.Registry
 	tracer *obs.Tracer
@@ -89,18 +87,12 @@ type telemetry struct {
 
 // newTelemetry builds the registry, the tracer and the static
 // instruments. worker labels this process's spans ("coordinator", the
-// worker's own URL, or "local"). enabled=false leaves the registry and
-// tracer nil: every instrument comes back nil and no-ops.
-func newTelemetry(worker string, enabled bool) *telemetry {
-	var reg *obs.Registry
-	var tracer *obs.Tracer
-	if enabled {
-		reg = obs.NewRegistry()
-		tracer = obs.NewTracer(worker, 0, 0)
-	}
+// worker's own URL, or "local").
+func newTelemetry(worker string) *telemetry {
+	reg := obs.NewRegistry()
 	t := &telemetry{
 		reg:      reg,
-		tracer:   tracer,
+		tracer:   obs.NewTracer(worker, 0, 0),
 		instance: worker,
 
 		pointsCommitted: reg.Counter("wt_points_committed_total",
@@ -156,9 +148,6 @@ func newTelemetry(worker string, enabled bool) *telemetry {
 // cache stats, pool depth, job registry, Go runtime. Called once all of
 // the server's subsystems exist.
 func (t *telemetry) bind(s *Server) {
-	if t == nil || t.reg == nil {
-		return
-	}
 	r := t.reg
 	r.GaugeFunc("wt_uptime_seconds", "Seconds since the server started.",
 		func() float64 { return time.Since(s.started).Seconds() })
@@ -216,9 +205,6 @@ func (t *telemetry) bind(s *Server) {
 
 // observeHTTP records one served request.
 func (t *telemetry) observeHTTP(route string, status int) {
-	if t == nil || t.reg == nil {
-		return
-	}
 	key := route + " " + strconv.Itoa(status)
 	t.httpMu.Lock()
 	c := t.httpReqs[key]
@@ -232,9 +218,10 @@ func (t *telemetry) observeHTTP(route string, status int) {
 	c.Inc()
 }
 
-// startSpan opens a span under a job's trace (nil-safe at every layer).
+// startSpan opens a span under a job's trace; an untraced job's span is
+// nil, and the obs package's nil-receiver contract makes it a no-op.
 func (t *telemetry) startSpan(trace traceCtx, parent, name string) *obs.SpanHandle {
-	if t == nil || trace.id == "" {
+	if trace.id == "" {
 		return nil
 	}
 	return t.tracer.StartSpan(trace.id, parent, name)
@@ -244,9 +231,6 @@ func (t *telemetry) startSpan(trace traceCtx, parent, name string) *obs.SpanHand
 // under the job's trace. The span reuses the outcome's measured
 // Started/Elapsed, so tracing adds no clock reads to the commit path.
 func (t *telemetry) observePoint(trace traceCtx, parent string, out core.PointOutcome) {
-	if t == nil {
-		return
-	}
 	name := "simulate"
 	switch {
 	case out.Pruned:
@@ -303,14 +287,9 @@ func (w *statusWriter) Flush() {
 }
 
 // route registers a handler on mux, instrumented with the per-route
-// latency histogram and request counter when telemetry is on. pattern is
-// the ServeMux pattern ("POST /v1/query"); the route label is the
-// pattern without its method.
+// latency histogram and request counter. pattern is the ServeMux pattern
+// ("POST /v1/query"); the route label is the pattern without its method.
 func (s *Server) route(mux *http.ServeMux, pattern string, h http.HandlerFunc) {
-	if s.tel == nil || s.tel.reg == nil {
-		mux.HandleFunc(pattern, h)
-		return
-	}
 	label := pattern
 	if _, p, ok := strings.Cut(pattern, " "); ok {
 		label = p
@@ -321,7 +300,7 @@ func (s *Server) route(mux *http.ServeMux, pattern string, h http.HandlerFunc) {
 	mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		t0 := time.Now()
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		// Record in a defer so aborted streams (chaos resets panic with
+		// Record in a defer so aborted streams (a handler that panics with
 		// http.ErrAbortHandler) are still counted on their way up.
 		defer func() {
 			lat.Observe(time.Since(t0).Seconds())
@@ -362,10 +341,6 @@ func noStore(w http.ResponseWriter) {
 // handleMetrics renders the Prometheus exposition.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	noStore(w)
-	if s.tel == nil || s.tel.reg == nil {
-		http.Error(w, "telemetry disabled", http.StatusNotFound)
-		return
-	}
 	w.Header().Set("Content-Type", expositionContentType)
 	s.tel.reg.WritePrometheus(w)
 }
@@ -380,10 +355,6 @@ const partialHeader = "X-WT-Partial"
 // this process's own sampled series. Exposition format, obs.Lint-clean.
 func (s *Server) handleFleetMetrics(w http.ResponseWriter, r *http.Request) {
 	noStore(w)
-	if s.history == nil {
-		http.Error(w, "telemetry disabled", http.StatusNotFound)
-		return
-	}
 	if s.health.Partial() {
 		w.Header().Set(partialHeader, "true")
 	}
@@ -405,10 +376,6 @@ type HistoryResponse struct {
 // window defaults to 5m and is capped only by the ring depth.
 func (s *Server) handleMetricsHistory(w http.ResponseWriter, r *http.Request) {
 	noStore(w)
-	if s.history == nil {
-		writeJSON(w, http.StatusNotFound, ErrorEvent{Type: "error", Error: "telemetry disabled"})
-		return
-	}
 	name := r.URL.Query().Get("name")
 	if name == "" {
 		writeJSON(w, http.StatusBadRequest, ErrorEvent{Type: "error", Error: "missing name parameter"})
@@ -433,10 +400,6 @@ func (s *Server) handleMetricsHistory(w http.ResponseWriter, r *http.Request) {
 // handleAlerts serves the alert engine's current instance set.
 func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request) {
 	noStore(w)
-	if s.alerts == nil {
-		writeJSON(w, http.StatusNotFound, ErrorEvent{Type: "error", Error: "telemetry disabled"})
-		return
-	}
 	writeJSON(w, http.StatusOK, s.alerts.Snapshot())
 }
 
@@ -476,8 +439,8 @@ type ServerStats struct {
 	} `json:"jobs"`
 }
 
-// handleStats answers GET /v1/stats. Unlike /metrics it works with
-// telemetry disabled — it reads live state, not the registry.
+// handleStats answers GET /v1/stats. Unlike /metrics it reads live
+// state, not the registry.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	noStore(w)
 	var st ServerStats
@@ -512,10 +475,6 @@ type TraceResponse struct {
 // handleTrace serves this process's local spans for a trace id — the
 // peer endpoint a coordinator merges worker spans from.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	if s.tel == nil || s.tel.tracer == nil {
-		writeJSON(w, http.StatusNotFound, ErrorEvent{Type: "error", Error: "tracing disabled"})
-		return
-	}
 	id := r.PathValue("id")
 	spans, dropped := s.tel.tracer.Spans(id)
 	if spans == nil {
@@ -530,10 +489,6 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 // unreachable worker just contributes nothing), so a fleet job answers
 // with one connected tree spanning coordinator and workers.
 func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
-	if s.tel == nil || s.tel.tracer == nil {
-		writeJSON(w, http.StatusNotFound, ErrorEvent{Type: "error", Error: "tracing disabled"})
-		return
-	}
 	info, ok := s.Job(r.PathValue("id"))
 	if !ok {
 		writeJSON(w, http.StatusNotFound, ErrorEvent{Type: "error", Error: "no such job"})

@@ -95,22 +95,6 @@ func TestObservabilityHeaders(t *testing.T) {
 	}
 }
 
-// TestHistoryEndpointsWithTelemetryOff: the new observability routes
-// follow /metrics' contract — 404 when telemetry is disabled.
-func TestHistoryEndpointsWithTelemetryOff(t *testing.T) {
-	_, ts := newTestServer(t, Config{PoolSize: 1, NoTelemetry: true})
-	for _, path := range []string{"/v1/metrics/fleet", "/v1/metrics/history?name=x", "/v1/alerts"} {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound {
-			t.Fatalf("GET %s with telemetry off: HTTP %d, want 404", path, resp.StatusCode)
-		}
-	}
-}
-
 // TestFleetMetricsFederation: the coordinator scrapes both workers into
 // history, so /v1/metrics/fleet serves one merged, obs.Lint-clean view
 // with per-instance series, member-up gauges for every worker, and

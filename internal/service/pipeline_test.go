@@ -238,7 +238,7 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 func (c *countingWriter) Flush() { c.flushes++ }
 
 // TestReplyWritesAndFlushes: a reply is one write per event line — what
-// chaos' cut=N counts — and at most one flush per line, fewer whenever
+// the tests' cut after N writes counts — and at most one flush per line, fewer whenever
 // lines were queued together: a finished job's whole stream goes out
 // behind one. It logs the flushes of a warm 8-point reply (E23's count;
 // the handler that flushed per line made 10).

@@ -67,8 +67,9 @@ type JobInfo struct {
 	// restart: its committed prefix was served from the journal, only
 	// undelivered points were (re-)executed.
 	Resumed bool `json:"resumed,omitempty"`
-	// TraceID is the job's distributed trace id (empty with telemetry
-	// disabled). GET /v1/jobs/{id}/trace resolves it to the span tree.
+	// TraceID is the job's distributed trace id (empty for a job that
+	// had finished before a restart replayed it from the journal).
+	// GET /v1/jobs/{id}/trace resolves it to the span tree.
 	TraceID string `json:"trace_id,omitempty"`
 	// Degraded is set when a coordinator exhausted a shard's retry
 	// budget (or had no assignable worker) and executed part of the
@@ -217,15 +218,6 @@ type Config struct {
 	// across before its remainder degrades to coordinator-local
 	// execution (<= 0 = 3).
 	MaxShardRetries int
-	// Chaos, when non-nil, wraps the HTTP handler with the fault
-	// injector (the windtunneld -chaos flag).
-	Chaos *FaultInjector
-	// NoTelemetry disables the observability layer (metrics registry,
-	// Prometheus exposition, distributed tracing, telemetry history,
-	// fleet metric federation and alerting). Telemetry is on by default
-	// because it is free on the serving contract: tables and NDJSON
-	// streams are byte-identical either way.
-	NoTelemetry bool
 	// HistoryInterval is the telemetry round period (<= 0 = 2s). Each
 	// round snapshots the registry into the in-process time-series store
 	// (obs.DefaultHistoryDepth samples per series), polls the fleet
@@ -255,12 +247,11 @@ type Server struct {
 	fleet   *fleet    // non-nil in coordinator mode
 	health  *Health   // the member poller, non-nil whenever Peers is configured
 	journal *Journal  // non-nil when Config.JournalDir is set
-	chaos   *FaultInjector
-	tel     *telemetry   // always non-nil; its registry is nil with NoTelemetry
-	history *obs.History // telemetry history store, nil with NoTelemetry
-	alerts  *alertEngine // rule evaluation over history, nil with NoTelemetry
-	// stopRounds cancels the telemetry round loop (nil when the server has
-	// neither telemetry nor members); roundsDone closes when it exits.
+	tel     *telemetry
+	history *obs.History // telemetry history store
+	alerts  *alertEngine // rule evaluation over history
+	// stopRounds cancels the telemetry round loop; roundsDone closes when
+	// it exits.
 	stopRounds context.CancelFunc
 	roundsDone chan struct{}
 	started    time.Time
@@ -315,7 +306,7 @@ func newServer(cfg Config, d disk) (*Server, error) {
 	case cfg.Self != "":
 		worker = cfg.Self
 	}
-	s.tel = newTelemetry(worker, !cfg.NoTelemetry)
+	s.tel = newTelemetry(worker)
 	s.pool.instrument(
 		s.tel.reg.Histogram("wt_pool_wait_seconds",
 			"Time a design point waited for a free pool slot (contended acquires only).",
@@ -362,25 +353,20 @@ func newServer(cfg Config, d disk) (*Server, error) {
 		cache.EnablePeering(cfg.Peers, cfg.Self, nil)
 		cache.SetHealth(s.health)
 	}
-	s.chaos = cfg.Chaos
 	s.tel.bind(s)
-	if s.tel.reg != nil {
-		s.history = obs.NewHistory(obs.DefaultHistoryDepth)
-		s.alerts = newAlertEngine(s.history)
-		if cfg.Coordinator {
-			s.health.scrape = true
-		}
+	s.history = obs.NewHistory(obs.DefaultHistoryDepth)
+	s.alerts = newAlertEngine(s.history)
+	if cfg.Coordinator {
+		s.health.scrape = true
 	}
-	if s.history != nil || s.health != nil {
-		interval := cfg.HistoryInterval
-		if interval <= 0 {
-			interval = obs.DefaultSampleInterval
-		}
-		var ctx context.Context
-		ctx, s.stopRounds = context.WithCancel(context.Background())
-		s.roundsDone = make(chan struct{})
-		go s.runRounds(ctx, interval)
+	interval := cfg.HistoryInterval
+	if interval <= 0 {
+		interval = obs.DefaultSampleInterval
 	}
+	var ctx context.Context
+	ctx, s.stopRounds = context.WithCancel(context.Background())
+	s.roundsDone = make(chan struct{})
+	go s.runRounds(ctx, interval)
 	return s, nil
 }
 
@@ -425,10 +411,8 @@ func (s *Server) round(ctx context.Context, now time.Time) {
 // is queued, so no batch is left in flight. It does not wait for running
 // jobs — that is BeginDrain plus WaitJobs' business.
 func (s *Server) Close() {
-	if s.stopRounds != nil {
-		s.stopRounds()
-		<-s.roundsDone
-	}
+	s.stopRounds()
+	<-s.roundsDone
 	if s.journal != nil {
 		s.journal.log.sync()
 	}
@@ -537,7 +521,7 @@ func (s *Server) newJob(query string, tr traceCtx) (*job, context.Context, error
 // registerLocked enters j in the registry at position tr of a trace: a
 // running job gets its trace id and root span. Caller holds s.mu.
 func (s *Server) registerLocked(j *job, tr traceCtx) {
-	if s.tel.tracer != nil && j.info.State == JobRunning {
+	if j.info.State == JobRunning {
 		rootName := "job"
 		if tr.id == "" {
 			tr.id = s.tel.tracer.NewTraceID()

@@ -25,15 +25,7 @@ WHERE sla.availability >= 0.2`
 
 func newTestServer(t testing.TB, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
-	noLeakedCommitters(t)
-	srv, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(srv.Close)
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-	return srv, ts
+	return newFaultyServer(t, cfg, nil)
 }
 
 // postQuery posts a query and decodes the NDJSON stream.
