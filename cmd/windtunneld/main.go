@@ -60,21 +60,21 @@
 // Fleet mode: a set of workers plus one coordinator form a sharded wind
 // tunnel. Every member gets the same -peers list (the worker URLs);
 // each worker additionally names itself with -self, enabling cache
-// peering, and the coordinator runs with -coordinator, sharding each
-// sweep's design points across the workers by consistent-hashing their
-// cache keys and merging the streams back in point order:
+// peering, and the coordinator runs with -coordinator, running each
+// sweep's design points — MONOTONE sweeps included — on the workers that
+// own their cache keys, and committing the outcomes in point order:
 //
 //	windtunneld -addr :8867 -cache-dir /var/wt/w1 -peers http://h1:8867,http://h2:8867 -self http://h1:8867
 //	windtunneld -addr :8867 -cache-dir /var/wt/w2 -peers http://h1:8867,http://h2:8867 -self http://h2:8867
 //	windtunneld -addr :8866 -coordinator -peers http://h1:8867,http://h2:8867
 //
-// The coordinator tolerates worker failures: a torn or stalled stream
-// (see -stream-idle) re-plans only that shard's undelivered points onto
-// the surviving workers with exponential backoff, bounded by
-// -shard-retries; when no worker can take a shard the coordinator
-// executes the remainder itself and flags the job "degraded". A health
-// monitor probes every member's /v1/healthz and routes shard planning
-// and cache peering around suspect or down members.
+// The coordinator tolerates worker failures: a torn stream, or one idle
+// for two minutes, re-plans only that shard's undelivered points onto the
+// surviving workers with exponential backoff, at most three times; when
+// no worker can take a shard the coordinator executes the remainder
+// itself and flags the job "degraded". A health monitor probes every
+// member's /v1/healthz and routes shard planning and cache peering around
+// suspect or down members.
 //
 // On SIGINT/SIGTERM the daemon drains gracefully: new queries are
 // refused with 503, in-flight jobs stream to completion within the
@@ -107,8 +107,6 @@ func main() {
 	peers := flag.String("peers", "", "comma-separated fleet worker URLs (same list on every member)")
 	self := flag.String("self", "", "this worker's own URL within -peers (enables cache peering)")
 	coordinator := flag.Bool("coordinator", false, "coordinator mode: shard queries across -peers workers")
-	streamIdle := flag.Duration("stream-idle", 0, "coordinator per-stream idle deadline before failover (0 = 2m)")
-	shardRetries := flag.Int("shard-retries", 0, "max workers a shard fails over across before coordinator-local execution (0 = 3)")
 	journal := flag.String("journal", "auto", `job journal directory for crash recovery ("auto" = wtjournal-<addr>; empty = no journal: jobs are not crash-durable)`)
 	pprofAddr := flag.String("pprof", "", "mount net/http/pprof (and /metrics, /v1/stats) on this separate address (empty = off)")
 	historyInterval := flag.Duration("history-interval", 0, "telemetry round period: history sample, fleet probe and scrape, alert evaluation (0 = 2s)")
@@ -123,17 +121,15 @@ func main() {
 	}
 
 	cfg := service.Config{
-		Trials:            *trials,
-		PoolSize:          *pool,
-		CacheEntries:      *cacheEntries,
-		CacheDir:          *cacheDir,
-		Peers:             splitPeers(*peers),
-		Self:              *self,
-		Coordinator:       *coordinator,
-		StreamIdleTimeout: *streamIdle,
-		MaxShardRetries:   *shardRetries,
-		JournalDir:        journalDir,
-		HistoryInterval:   *historyInterval,
+		Trials:          *trials,
+		PoolSize:        *pool,
+		CacheEntries:    *cacheEntries,
+		CacheDir:        *cacheDir,
+		Peers:           splitPeers(*peers),
+		Self:            *self,
+		Coordinator:     *coordinator,
+		JournalDir:      journalDir,
+		HistoryInterval: *historyInterval,
 	}
 	svc, err := service.New(cfg)
 	if err != nil {

@@ -333,7 +333,7 @@ func TestRemoteRefusesForeignEvents(t *testing.T) {
 func TestRemoteWarnsWhenDegraded(t *testing.T) {
 	dead := httptest.NewServer(http.NotFoundHandler())
 	dead.Close()
-	_, _, url := listen(t, service.Config{Coordinator: true, Peers: []string{dead.URL}, MaxShardRetries: 1})
+	_, _, url := listen(t, service.Config{Coordinator: true, Peers: []string{dead.URL}})
 	stdout, stderr, err := remote(t, context.Background(), []string{url}, sweep, true, 0, false)
 	if err != nil || stdout != localTable(t) {
 		t.Fatalf("err=%v stdout=%q\n%s", err, stdout, stderr)

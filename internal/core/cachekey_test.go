@@ -389,13 +389,13 @@ func TestPointKeysThenRunKeysOnce(t *testing.T) {
 		t.Fatalf("PointKeys: %d builds and %d key computations for 4 points", builds.Load(), rendered.Load())
 	}
 	// Twice, the second time in two shards at once: still nothing rebuilt.
-	if _, err := ex.RunPoints(context.Background(), nil, nil); err != nil {
+	if _, err := ex.RunPoints(context.Background(), nil, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	errs := make(chan error, 2)
 	for _, shard := range [][]int{{0, 2}, {1, 3}} {
 		go func() {
-			_, err := ex.RunPoints(context.Background(), shard, nil)
+			_, err := ex.RunPoints(context.Background(), shard, nil, nil)
 			errs <- err
 		}()
 	}

@@ -108,7 +108,7 @@ func TestExplorerContextCancelled(t *testing.T) {
 		Runner:  Runner{Trials: 3},
 		Workers: 1,
 	}
-	_, err = e.RunPoints(ctx, nil, func(done, total int, out PointOutcome) {
+	_, err = e.RunPoints(ctx, nil, nil, func(done, total int, out PointOutcome) {
 		once.Do(cancel) // cancel as soon as the first point commits
 	})
 	if !errors.Is(err, context.Canceled) {
@@ -291,14 +291,14 @@ func TestExplorerCacheHitsAreIdentical(t *testing.T) {
 			Cache:  cache,
 		}
 	}
-	cold, err := mk().RunPoints(context.Background(), nil, nil)
+	cold, err := mk().RunPoints(context.Background(), nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cold.CacheHits != 0 {
 		t.Fatalf("cold run reported %d cache hits", cold.CacheHits)
 	}
-	warm, err := mk().RunPoints(context.Background(), nil, nil)
+	warm, err := mk().RunPoints(context.Background(), nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

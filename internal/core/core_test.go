@@ -259,7 +259,7 @@ func TestExplorerPruningSavesRuns(t *testing.T) {
 		return sc, []sla.SLA{alwaysFail{}}, nil
 	}
 	ex := &Explorer{Space: space, Build: build, Runner: Runner{Trials: 1}, Prune: true}
-	res, err := ex.RunPoints(context.Background(), nil, nil)
+	res, err := ex.RunPoints(context.Background(), nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,8 +274,8 @@ func TestExplorerPruningSavesRuns(t *testing.T) {
 	if res.Executed != 2 {
 		t.Fatalf("executed %d, want 2 (one per placement)", res.Executed)
 	}
-	if _, err := res.Best(); err == nil {
-		t.Error("Best() succeeded with nothing passing")
+	if passing := res.Passing(); len(passing) != 0 {
+		t.Errorf("%d points passed an SLA nothing meets", len(passing))
 	}
 }
 
@@ -295,22 +295,21 @@ func TestExplorerFindsCheapestPassing(t *testing.T) {
 		}
 		return sc, []sla.SLA{easy}, nil
 	}
-	ex := &Explorer{
-		Space: space, Build: build, Runner: Runner{Trials: 2},
-		Objective: func(p design.Point, _ *RunResult) (float64, error) {
-			return float64(p.MustValue("replicas").(int)), nil // replicas = cost proxy
-		},
-	}
-	res, err := ex.RunPoints(context.Background(), nil, nil)
+	ex := &Explorer{Space: space, Build: build, Runner: Runner{Trials: 2}}
+	res, err := ex.RunPoints(context.Background(), nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	best, err := res.Best()
-	if err != nil {
-		t.Fatal(err)
+	// replicas is the cost proxy: the cheapest passing point is the one
+	// with the fewest.
+	cheapest := -1
+	for _, o := range res.Passing() {
+		if r := o.Point.MustValue("replicas").(int); cheapest < 0 || r < cheapest {
+			cheapest = r
+		}
 	}
-	if best.Point.MustValue("replicas") != 3 {
-		t.Errorf("best = %v, want replicas=3 (cheapest passing)", best.Point.Key())
+	if cheapest != 3 {
+		t.Errorf("cheapest passing replicas = %d, want 3", cheapest)
 	}
 }
 
@@ -328,11 +327,11 @@ func TestExplorerParallelMatchesSequential(t *testing.T) {
 	}
 	seq := &Explorer{Space: space, Build: build, Runner: Runner{Trials: 2}, Workers: 1}
 	par := &Explorer{Space: space, Build: build, Runner: Runner{Trials: 2}, Workers: 4}
-	rs, err := seq.RunPoints(context.Background(), nil, nil)
+	rs, err := seq.RunPoints(context.Background(), nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rp, err := par.RunPoints(context.Background(), nil, nil)
+	rp, err := par.RunPoints(context.Background(), nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,8 +17,7 @@ type PointOutcome struct {
 	Point design.Point
 	// Index is the point's position in the full space's point order.
 	// Without a subset it equals the commit position; with one it is the
-	// global index, which is what lets a sharded fleet merge per-worker
-	// outcome streams back into the exact single-sweep order.
+	// global index, which is how a fleet worker's shard names its points.
 	Index  int
 	Result *RunResult // nil when pruned; analytic estimates when screened
 	Pruned bool
@@ -33,9 +31,9 @@ type PointOutcome struct {
 	// counts as Executed in the Exploration totals.
 	FromCache bool
 	AllMet    bool
-	// Objective is the optimization value (lower is better) when the
-	// explorer has an objective function.
-	Objective float64
+	// Worker names who served the point when an Executor ran it; empty
+	// for the explorer's own engine.
+	Worker string
 	// Started/Elapsed/Waited time the point's execution (build + screen +
 	// cache lookup + simulate), with Waited the portion spent blocked on
 	// the Gate. They feed the serving layer's telemetry (latency
@@ -63,8 +61,7 @@ type Exploration struct {
 	Events    uint64
 }
 
-// Passing returns the outcomes that met every SLA, sorted by ascending
-// objective (stable for equal objectives).
+// Passing returns the outcomes that met every SLA, in point order.
 func (e *Exploration) Passing() []PointOutcome {
 	var out []PointOutcome
 	for _, o := range e.Outcomes {
@@ -72,18 +69,7 @@ func (e *Exploration) Passing() []PointOutcome {
 			out = append(out, o)
 		}
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Objective < out[j].Objective })
 	return out
-}
-
-// Best returns the passing outcome with the lowest objective, or an error
-// if nothing passed.
-func (e *Exploration) Best() (PointOutcome, error) {
-	passing := e.Passing()
-	if len(passing) == 0 {
-		return PointOutcome{}, fmt.Errorf("core: no configuration met all SLAs")
-	}
-	return passing[0], nil
 }
 
 // Explorer sweeps a design space, building a scenario per point and
@@ -112,14 +98,10 @@ type Explorer struct {
 	// Screening decisions are pure functions of the point, so sweeps stay
 	// bit-identical for any Workers count, and screened points are
 	// reported in Outcomes with Screened set. A screened-pass point's
-	// Result carries analytic estimates, and the Objective function (if
-	// any) is evaluated against it — objectives that need simulation-only
-	// metrics should not be combined with screening.
+	// Result carries analytic estimates.
 	Screen *ScreenRule
 	// Workers bounds point-level parallelism (0 = GOMAXPROCS).
 	Workers int
-	// Objective, when non-nil, scores passing points (lower = better).
-	Objective func(p design.Point, r *RunResult) (float64, error)
 	// Cache, when non-nil, is consulted before simulating a point and
 	// filled afterwards. Keys are CacheKey(scenario, runner); cached
 	// results are SLA-free and the configured SLAs are re-applied on
@@ -186,12 +168,23 @@ func (e *Explorer) key(l *pointList, pp *preparedPoint) (string, worldKey) {
 	return pp.key, pp.world
 }
 
+// PointFunc returns the outcome of the point at global index gi.
+type PointFunc func(ctx context.Context, gi int) (PointOutcome, error)
+
+// An Executor decides where a sweep's points run — on a fleet of
+// workers, say — while the explorer still prunes, orders and counts every
+// outcome. RunPoints calls it once per run with the global indices the run
+// commits, in order, and its own point runner for any point the executor
+// gives up on. It returns what the explorer's workers ask for each point
+// they do not prune, and a stop function, called as the run ends, that
+// returns once everything the executor started has.
+type Executor func(ctx context.Context, subset []int, local PointFunc) (point PointFunc, stop func())
+
 // indexedPoint pairs a point outcome with its order index.
 type indexedPoint struct {
 	idx int
 	out PointOutcome
 	err error
-	ran bool // false when the worker skipped a dominated point
 }
 
 // sharedPruner serializes pruner access between workers and the
@@ -217,17 +210,21 @@ func (s *sharedPruner) recordFailure(p design.Point) {
 }
 
 // RunPoints executes the sweep, stopping early (with ctx.Err) when the
-// context is cancelled. Cancellation is observed at point granularity:
-// in-flight points finish their current trial batch and the partial
-// exploration is discarded.
+// context is cancelled, or at its first error in point order; the points
+// then in flight are cancelled and the partial exploration is discarded.
 //
 // subset, when non-nil, restricts the sweep to these indices of
 // Space.Points() (strictly ascending, in range). Outcomes commit in
 // subset order, done/total count subset points, and every PointOutcome
-// carries its global Index — the contract a sharded fleet's coordinator
-// relies on to merge per-worker streams back into the full space's
-// order. With pruning enabled, dominance is observed within the subset
-// only.
+// carries its global Index — what a fleet worker's shard reports its
+// points by. With pruning enabled, dominance is observed within the
+// subset only: a subset keeps the space's best-first order and dominance
+// is transitive, so a point pruned within a subset is pruned in the whole
+// sweep too.
+//
+// exec, when non-nil, runs every point the explorer does not prune. Its
+// outcomes are outside input: each must carry a result, or be pruned and
+// dominated by the failures committed before it.
 //
 // progress, when non-nil, is called from the commit path after each
 // point outcome is committed, strictly in point order. done counts all
@@ -237,7 +234,8 @@ func (s *sharedPruner) recordFailure(p design.Point) {
 // RunPoints only reads the explorer, so one Explorer serves any number
 // of RunPoints calls, one after another or at once — a sweep run in
 // shards, say — and they all share its prepared points.
-func (e *Explorer) RunPoints(ctx context.Context, subset []int, progress func(done, total int, out PointOutcome)) (*Exploration, error) {
+func (e *Explorer) RunPoints(ctx context.Context, subset []int, exec Executor,
+	progress func(done, total int, out PointOutcome)) (*Exploration, error) {
 	if e.Space == nil || e.Build == nil {
 		return nil, fmt.Errorf("core: explorer needs a space and a build function")
 	}
@@ -274,8 +272,18 @@ func (e *Explorer) RunPoints(ctx context.Context, subset []int, progress func(do
 		pruner = &sharedPruner{pr: design.NewPruner()}
 	}
 
+	// run is cancelled when the commit path stops early, which ends the
+	// points in flight and whatever exec started.
+	run, stop := context.WithCancel(ctx)
+	defer stop()
+	point := PointFunc(func(ctx context.Context, gi int) (PointOutcome, error) { return e.runPoint(ctx, list, gi) })
+	if exec != nil {
+		var end func()
+		point, end = exec(run, sel, point)
+		defer end()
+	}
+
 	var next atomic.Int64
-	stop := make(chan struct{})
 	results := make(chan indexedPoint, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -284,33 +292,20 @@ func (e *Explorer) RunPoints(ctx context.Context, subset []int, progress func(do
 			defer wg.Done()
 			for {
 				i := int(next.Add(1) - 1)
-				if i >= len(sel) {
+				if i >= len(sel) || run.Err() != nil {
 					return
 				}
-				select {
-				case <-stop:
-					return
-				case <-ctx.Done():
-					return
-				default:
-				}
+				// Committed failures only grow, so a point dominated now is
+				// guaranteed to still be dominated at commit time.
 				gi := sel[i]
-				p := points[gi]
-				var res indexedPoint
-				if pruner.dominated(p) {
-					// Committed failures only grow, so this point is
-					// guaranteed to still be dominated at commit time.
-					res = indexedPoint{idx: i, out: PointOutcome{Point: p, Index: gi, Pruned: true}}
-				} else {
-					out, err := e.runPoint(ctx, list, gi)
-					out.Index = gi
-					res = indexedPoint{idx: i, out: out, err: err, ran: true}
+				res := indexedPoint{idx: i, out: PointOutcome{Point: points[gi], Pruned: true}}
+				if !pruner.dominated(points[gi]) {
+					res.out, res.err = point(run, gi)
 				}
+				res.out.Index = gi
 				select {
 				case results <- res:
-				case <-stop:
-					return
-				case <-ctx.Done():
+				case <-run.Done():
 					return
 				}
 			}
@@ -328,74 +323,57 @@ func (e *Explorer) RunPoints(ctx context.Context, subset []int, progress func(do
 	// discarded, keeping Executed/Pruned/Events identical to a Workers=1
 	// sweep.
 	exp := &Exploration{}
-	var (
-		reorder    = make(map[int]indexedPoint)
-		nextCommit = 0
-		stopped    = false
-		firstErr   error
-	)
-	committed := func(out PointOutcome) {
-		if progress != nil {
-			progress(len(exp.Outcomes), len(sel), out)
-		}
-	}
+	reorder := make(map[int]indexedPoint)
+	var firstErr error
 	for res := range results {
-		if stopped {
-			continue
+		if firstErr == nil {
+			firstErr = ctx.Err()
 		}
-		if err := ctx.Err(); err != nil {
-			firstErr = err
-			stopped = true
-			close(stop)
+		if firstErr != nil {
+			stop()
 			continue
 		}
 		reorder[res.idx] = res
-		for !stopped {
-			r, ok := reorder[nextCommit]
+		for firstErr == nil {
+			r, ok := reorder[len(exp.Outcomes)]
 			if !ok {
 				break
 			}
-			delete(reorder, nextCommit)
-			nextCommit++
-			if r.err != nil {
-				firstErr = r.err
-				stopped = true
-				close(stop)
+			delete(reorder, r.idx)
+			// A point a worker skipped as dominated is still dominated here:
+			// dominance is monotone. Any other pruned outcome is unserved.
+			dominated := pruner.dominated(r.out.Point)
+			if r.err == nil && !dominated {
+				r.err = unserved(r.out)
+			}
+			if firstErr = r.err; firstErr != nil {
+				stop()
 				break
 			}
-			if pruner != nil && pruner.dominated(r.out.Point) {
-				exp.Outcomes = append(exp.Outcomes, PointOutcome{Point: r.out.Point, Index: r.out.Index, Pruned: true})
+			out := r.out
+			switch {
+			case dominated:
+				out = PointOutcome{Point: out.Point, Index: out.Index, Pruned: true}
 				exp.Pruned++
-				committed(exp.Outcomes[len(exp.Outcomes)-1])
-				continue
-			}
-			if !r.ran {
-				// Worker skipped it as dominated but commit-time state
-				// disagrees: impossible, since dominance is monotone.
-				panic("core: speculative prune skipped a non-dominated point")
-			}
-			if r.out.Screened {
+			case out.Screened:
 				// Decided analytically: no events simulated, but the
 				// decision feeds dominance pruning like any other — a
 				// screened failure is a proven failure.
 				exp.Screened++
-				if pruner != nil && !r.out.AllMet {
-					pruner.recordFailure(r.out.Point)
+			default:
+				exp.Executed++
+				exp.Events += out.Result.EventsTotal
+				if out.FromCache {
+					exp.CacheHits++
 				}
-				exp.Outcomes = append(exp.Outcomes, r.out)
-				committed(r.out)
-				continue
 			}
-			exp.Executed++
-			exp.Events += r.out.Result.EventsTotal
-			if r.out.FromCache {
-				exp.CacheHits++
+			if pruner != nil && !dominated && !out.AllMet {
+				pruner.recordFailure(out.Point)
 			}
-			if pruner != nil && !r.out.AllMet {
-				pruner.recordFailure(r.out.Point)
+			exp.Outcomes = append(exp.Outcomes, out)
+			if progress != nil {
+				progress(len(exp.Outcomes), len(sel), out)
 			}
-			exp.Outcomes = append(exp.Outcomes, r.out)
-			committed(r.out)
 		}
 	}
 	if firstErr != nil {
@@ -405,6 +383,19 @@ func (e *Explorer) RunPoints(ctx context.Context, subset []int, progress func(do
 		return nil, err
 	}
 	return exp, nil
+}
+
+// unserved returns why an outcome that the committed failures do not
+// dominate cannot commit, or nil: an Executor's worker may have pruned it
+// or sent it without its result.
+func unserved(out PointOutcome) error {
+	switch {
+	case out.Pruned:
+		return fmt.Errorf("core: point %d served by %s: pruned, but no failure committed before it dominates it", out.Index, out.Worker)
+	case out.Result == nil:
+		return fmt.Errorf("core: point %d served by %s: no result", out.Index, out.Worker)
+	}
+	return nil
 }
 
 // PointKeys returns the content address (CacheKey) of every point of
@@ -479,19 +470,11 @@ func (e *Explorer) runPoint(ctx context.Context, list *pointList, i int) (PointO
 					}
 					res.Verdicts = verdicts
 				}
-				out := PointOutcome{
+				return PointOutcome{
 					Point: p, Result: res, Screened: true,
 					Decision: dec, AllMet: res.AllMet,
 					Started: started, Elapsed: time.Since(started),
-				}
-				if e.Objective != nil && res.AllMet {
-					obj, err := e.Objective(p, res)
-					if err != nil {
-						return PointOutcome{}, fmt.Errorf("core: scoring screened point %s: %w", p.Key(), err)
-					}
-					out.Objective = obj
-				}
-				return out, nil
+				}, nil
 			}
 		}
 	}
@@ -542,16 +525,8 @@ func (e *Explorer) runPoint(ctx context.Context, list *pointList, i int) (PointO
 	if err := runner.applySLAs(res); err != nil {
 		return PointOutcome{}, fmt.Errorf("core: running point %s: %w", p.Key(), err)
 	}
-	out := PointOutcome{
+	return PointOutcome{
 		Point: p, Result: res, AllMet: res.AllMet, FromCache: fromCache,
 		Started: started, Elapsed: time.Since(started), Waited: waited,
-	}
-	if e.Objective != nil && res.AllMet {
-		obj, err := e.Objective(p, res)
-		if err != nil {
-			return PointOutcome{}, fmt.Errorf("core: scoring point %s: %w", p.Key(), err)
-		}
-		out.Objective = obj
-	}
-	return out, nil
+	}, nil
 }

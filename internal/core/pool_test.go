@@ -269,7 +269,7 @@ func TestWorldPoolBounded(t *testing.T) {
 	for i := range want {
 		useWorldPool(t, 0)
 		var err error
-		if want[i], err = sweepExplorer(t, seedOf(i)).RunPoints(context.Background(), nil, nil); err != nil {
+		if want[i], err = sweepExplorer(t, seedOf(i)).RunPoints(context.Background(), nil, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -281,7 +281,7 @@ func TestWorldPoolBounded(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got[i], errs[i] = sweepExplorer(t, seedOf(i)).RunPoints(context.Background(), nil, nil)
+			got[i], errs[i] = sweepExplorer(t, seedOf(i)).RunPoints(context.Background(), nil, nil, nil)
 		}()
 	}
 	wg.Wait()

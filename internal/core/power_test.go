@@ -236,11 +236,11 @@ func TestPowerExplorerCacheBitExact(t *testing.T) {
 			Cache:  cache,
 		}
 	}
-	cold, err := mk().RunPoints(context.Background(), nil, nil)
+	cold, err := mk().RunPoints(context.Background(), nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := mk().RunPoints(context.Background(), nil, nil)
+	warm, err := mk().RunPoints(context.Background(), nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,7 +41,7 @@ func TestExplorerSpeculativePruneMatchesSequential(t *testing.T) {
 			Prune:   true,
 			Workers: workers,
 		}
-		res, err := ex.RunPoints(context.Background(), nil, nil)
+		res, err := ex.RunPoints(context.Background(), nil, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -276,7 +276,7 @@ func TestScreeningGolden(t *testing.T) {
 			Screen:  &ScreenRule{Margin: DefaultScreenMargin},
 			Workers: workers,
 		}
-		res, err := ex.RunPoints(context.Background(), nil, nil)
+		res, err := ex.RunPoints(context.Background(), nil, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

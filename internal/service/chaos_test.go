@@ -165,12 +165,23 @@ func (c *faultWriter) Flush() {
 // the handler.
 func newFaultyServer(t testing.TB, cfg Config, f *faults) (*Server, *httptest.Server) {
 	t.Helper()
+	return newTunedServer(t, cfg, f, nil)
+}
+
+// newTunedServer is newFaultyServer with tune, when non-nil, applied to
+// the server before it serves: a test sets a coordinator's fleet knobs
+// there, where no request can race with it.
+func newTunedServer(t testing.TB, cfg Config, f *faults, tune func(*Server)) (*Server, *httptest.Server) {
+	t.Helper()
 	noLeakedCommitters(t)
 	srv, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(srv.Close)
+	if tune != nil {
+		tune(srv)
+	}
 	h := srv.Handler()
 	if f != nil {
 		h = f.wrap(h)
@@ -297,7 +308,7 @@ func TestChaosFleetSurvives(t *testing.T) {
 		_, workers[i] = newFaultyServer(t, Config{PoolSize: 2}, f)
 		urls[i] = workers[i].URL
 	}
-	coord, cts := newTestServer(t, Config{Coordinator: true, Peers: urls, MaxShardRetries: 10})
+	coord, cts := newTunedServer(t, Config{Coordinator: true, Peers: urls}, nil, func(s *Server) { s.fleet.maxShardRetries = 10 })
 
 	resp, err := http.Post(cts.URL+"/v1/query", "text/plain", strings.NewReader(chaosQuery))
 	if err != nil {

@@ -499,12 +499,10 @@ func TestClientBoundedReads(t *testing.T) {
 
 	t.Run("a coordinator's merged trace still answers", func(t *testing.T) {
 		coord, cts := newTestServer(t, Config{Coordinator: true, Peers: []string{endless.URL}})
-		// A MONOTONE sweep runs on the coordinator itself: a finished job
+		// A shard request runs on the coordinator itself: a finished job
 		// with local spans, whatever the peer is.
-		monotone := `SIMULATE availability VARY storage.replication IN (1, 2) MONOTONE
-WITH users = 20, object_mb = 10, trials = 2, horizon_hours = 200 WHERE sla.availability >= 0.2`
 		var rec recorder
-		if err := (Client{}).Query(context.Background(), cts.URL, QueryRequest{Query: monotone}, rec.on); err != nil {
+		if err := (Client{}).Query(context.Background(), cts.URL, QueryRequest{Query: smallQuery, Points: []int{0, 1}}, rec.on); err != nil {
 			t.Fatal(err)
 		}
 		info, _ := coord.Job(rec.jobs[0])

@@ -19,8 +19,9 @@ import (
 // job's own goroutine, and written line by line to the job's log through
 // commit; every reader of a job, the submitting HTTP client included,
 // follows that log. Where a point runs — this server's engine or the
-// fleet (fleet.go) — is the only thing that differs: answer resumes,
-// commits, re-sends and assembles the same way for both.
+// fleet (fleet.go) — is the only thing that differs, and core.Explorer
+// asks it point by point: answer resumes, commits, re-sends and assembles
+// the same way for both.
 //
 // A line is built once per answer, not once per job. A whole run of a
 // kept plan (plans.go) commits its plan's kept point lines while its
@@ -208,13 +209,12 @@ func (s *Server) commitPoint(j *job, index int, key string, line []byte) {
 	s.commit(j, pointRecord(index, key, line), logLine{'p', line}, sp)
 }
 
-// answer is the query itself: plan (plans.go), then run the points — on
-// the fleet when this is a coordinator and the sweep is shardable, on this
-// server's own engine otherwise (a worker's shard, req.Points, included) —
-// and commit each outcome as it arrives, in point order, with its cache
-// key, except the first len(resume), which the journal already holds. A
-// whole run also returns its resend: when that re-sends the kept answer
-// whole, the result set is nil, for the kept result line stands in for it.
+// answer is the query itself: plan (plans.go), then run the points —
+// wherever executor says, the fleet's workers on a coordinator — and
+// commit each outcome as it arrives, in point order, with its cache key,
+// except the first len(resume), which the journal already holds. A whole
+// run also returns its resend: when that re-sends the kept answer whole,
+// the result set is nil, for the kept result line stands in for it.
 func (s *Server) answer(ctx context.Context, j *job, req QueryRequest, resume []RecoveredPoint,
 	enc *eventEncoder) (*wtql.ResultSet, *resend, error) {
 	kp, err := s.plan(j, req)
@@ -245,9 +245,12 @@ func (s *Server) answer(ctx context.Context, j *job, req QueryRequest, resume []
 	if k == 0 && subset == nil {
 		rr = newResend(kp)
 	}
-	// commit takes the job's next outcome, served by worker: "" for this
-	// server's own engine.
-	commit := func(out core.PointOutcome, worker string) {
+	// commit takes the job's next outcome.
+	commit := func(out core.PointOutcome) {
+		// A point is observed where it runs: a worker observes its shard's.
+		if out.Worker == "" || out.Worker == localWorker {
+			s.tel.observePoint(j.trace, j.root.ID(), out)
+		}
 		outcomes = append(outcomes, out)
 		done := len(outcomes)
 		s.progress(j, done, total, out.FromCache)
@@ -258,13 +261,12 @@ func (s *Server) answer(ctx context.Context, j *job, req QueryRequest, resume []
 		if keys != nil {
 			key = keys[out.Index]
 		}
-		if line := rr.keptLine(done-1, &out, worker); line != nil {
+		if line := rr.keptLine(done-1, &out); line != nil {
 			s.commitPoint(j, out.Index, key, line)
 			return
 		}
 		ev := pointEvent(plan.Config(out.Index), done, total, out)
-		ev.Worker, ev.Degraded = worker, worker == localWorker
-		rr.add(&out, worker, s.emitPoint(j, enc, ev, key))
+		rr.add(&out, s.emitPoint(j, enc, ev, key))
 	}
 	if k > 0 && !plan.Pruned() {
 		// Resuming a plain sweep: the journaled prefix is final. Execute
@@ -280,18 +282,8 @@ func (s *Server) answer(ctx context.Context, j *job, req QueryRequest, resume []
 	// re-runs it in full — dominance decisions depend on the whole
 	// committed prefix, it is deterministic, and every previously-simulated
 	// point is a trial-cache hit — without emitting again the k events the
-	// journal already holds. For the same reason a MONOTONE sweep is never
-	// sharded.
-	if s.fleet != nil && !plan.Pruned() && req.Points == nil {
-		err = s.runFleet(ctx, j, req.Query, plan, subset, commit)
-	} else {
-		// A point is observed where it runs: a worker observes its shard's.
-		err = plan.RunSubset(ctx, subset, func(out core.PointOutcome) {
-			s.tel.observePoint(j.trace, j.root.ID(), out)
-			commit(out, "")
-		})
-	}
-	if err != nil {
+	// journal already holds.
+	if err := plan.RunSubsetOn(ctx, subset, s.executor(j, req, plan), commit); err != nil {
 		return nil, nil, err
 	}
 	if rr.resendsAll(len(outcomes)) {

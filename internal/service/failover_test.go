@@ -135,12 +135,8 @@ func TestFleetStreamIdleFailover(t *testing.T) {
 	}))
 	t.Cleanup(hung.Close)
 
-	_, cts := newTestServer(t, Config{
-		Coordinator:       true,
-		Peers:             []string{hung.URL},
-		StreamIdleTimeout: 100 * time.Millisecond,
-		PoolSize:          2,
-	})
+	_, cts := newTunedServer(t, Config{Coordinator: true, Peers: []string{hung.URL}, PoolSize: 2}, nil,
+		func(s *Server) { s.fleet.idleTimeout = 100 * time.Millisecond })
 	start := time.Now()
 	final := lastEvent(t, postQuery(t, cts, smallQuery))
 	if final["type"] != "result" {

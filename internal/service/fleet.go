@@ -7,7 +7,7 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -22,23 +22,22 @@ import (
 // fleet is the coordinator's side of the sharded wind tunnel: the same
 // consistent-hash ring the workers peer over, the health monitor that
 // tracks which members are worth talking to, and the Client the
-// coordinator fans queries out with. A sweep's design points are hashed
-// on core.CacheKey, so a point always lands on the worker that already
-// holds its cached trials; the workers' outcomes are handed back in
-// global point order to the job's one commit path (answer, durable.go),
-// so a coordinator's stream and table are byte-identical to a
-// single-daemon run.
+// coordinator fans queries out with. It is a point executor for
+// core.Explorer (fleetRun): a point runs on the worker that owns its
+// core.CacheKey, which already holds its cached trials, and the explorer
+// asks for each point's outcome by its global index. The explorer alone
+// orders outcomes, prunes dominated points and counts the totals, as on a
+// single daemon, so a coordinator's stream and table are byte-identical
+// to a single daemon's, MONOTONE sweeps included.
 //
 // Fault tolerance: like a fan-array wind tunnel that keeps prescribing
 // flow when individual fans degrade, the fleet keeps serving sweeps
 // when individual workers die. A failed or stalled stream triggers a
 // re-plan of only that shard's undelivered point indices onto the next
 // healthy ring owners (exponential backoff + jitter, bounded by a
-// per-shard retry budget); outcomes are deterministic per cache key and
-// assembled by global index, so the merged table stays byte-identical
-// however many times a shard moves. Exhausting the budget degrades to
-// coordinator-local execution of the remainder instead of failing the
-// job, surfaced as `degraded` in the job's NDJSON events.
+// per-shard retry budget). Exhausting the budget runs the remainder on
+// the coordinator's own engine instead of failing the job, surfaced as
+// `degraded` in the job's NDJSON events.
 type fleet struct {
 	ring   *Ring
 	client Client
@@ -47,31 +46,16 @@ type fleet struct {
 	// maxShardRetries bounds how many workers a shard chain may fail
 	// over across before its remainder runs coordinator-local.
 	maxShardRetries int
-	// backoffBase/backoffMax shape the exponential retry backoff.
-	backoffBase, backoffMax time.Duration
 	// idleTimeout is the per-stream liveness deadline: a worker stream
 	// that delivers no NDJSON event for this long is treated as failed.
 	idleTimeout time.Duration
 }
 
-const (
-	defaultMaxShardRetries = 3
-	defaultBackoffBase     = 100 * time.Millisecond
-	defaultBackoffMax      = 2 * time.Second
-	defaultStreamIdle      = 2 * time.Minute
-)
-
 // localWorker labels point events the coordinator executed itself after
 // exhausting a shard's retry budget (degraded mode).
 const localWorker = "coordinator"
 
-func newFleet(workers []string, health *Health, idleTimeout time.Duration, maxShardRetries int) *fleet {
-	if idleTimeout <= 0 {
-		idleTimeout = defaultStreamIdle
-	}
-	if maxShardRetries <= 0 {
-		maxShardRetries = defaultMaxShardRetries
-	}
+func newFleet(workers []string, health *Health) *fleet {
 	return &fleet{
 		ring: NewRing(workers),
 		// The transport bounds connection establishment — a worker that
@@ -90,31 +74,18 @@ func newFleet(workers []string, health *Health, idleTimeout time.Duration, maxSh
 			MaxIdleConnsPerHost:   16,
 		}}},
 		health:          health,
-		maxShardRetries: maxShardRetries,
-		backoffBase:     defaultBackoffBase,
-		backoffMax:      defaultBackoffMax,
-		idleTimeout:     idleTimeout,
+		maxShardRetries: 3,
+		idleTimeout:     2 * time.Minute,
 	}
 }
 
-// backoff returns the sleep before a shard's attempt-th reassignment:
-// exponential in the attempt with uniform jitter in [d/2, d), so
-// simultaneous failovers across shards do not stampede the survivors.
-func (f *fleet) backoff(attempt int) time.Duration {
-	d := f.backoffBase << (attempt - 1)
-	if d > f.backoffMax || d <= 0 {
-		d = f.backoffMax
-	}
-	half := int64(d / 2)
-	if half <= 0 {
-		return d
-	}
-	return time.Duration(half + jitterRand(half))
+// backoff returns the sleep before a shard's attempt-th reassignment: d,
+// 100 ms doubled per attempt up to 2 s, less a uniform jitter in [0, d/2),
+// so simultaneous failovers across shards do not stampede the survivors.
+func backoff(attempt int) time.Duration {
+	d := min(100*time.Millisecond<<min(attempt-1, 5), 2*time.Second)
+	return d/2 + time.Duration(rand.Int63n(int64(d/2)))
 }
-
-// jitterRand draws a uniform int in [0, n) for backoff jitter; it is a
-// seam so tests never depend on global RNG state.
-var jitterRand = func(n int64) int64 { return rand.Int63n(n) }
 
 // shard is one worker's assignment of global point indices plus its
 // failover bookkeeping: how many workers the chain has burned through
@@ -124,7 +95,10 @@ type shard struct {
 	worker  string
 	points  []int
 	attempt int
-	tried   map[string]bool
+	tried   []string // in order: the last failed it most recently
+
+	// cancel ends the shard's stream.
+	cancel context.CancelFunc
 
 	// span covers the shard stream's lifetime on the coordinator;
 	// traceHdr is the X-WT-Trace value propagated to the worker so the
@@ -134,274 +108,310 @@ type shard struct {
 	traceHdr string
 }
 
-// fleetMsg is one parsed line (or the terminal state) of a shard
-// stream.
+// fleetMsg is one point event of a shard stream or, with ev nil, its end.
 type fleetMsg struct {
 	shard *shard
 	ev    *PointEvent
-	err   error // set only on the terminal message
-	done  bool
+	err   error // the stream's, on its end
 }
 
-// runFleet runs the plan's points at subset — strictly ascending global
-// indices, nil meaning every point — across the fleet, and calls fn once
-// per outcome in subset order, as Plan.RunSubset does, with the label of
-// the worker that served it: localWorker for a point the coordinator ran
-// itself. Each point goes to its ring owner by cache key. A worker's
-// failure re-plans only its shard's undelivered points onto the next
-// healthy owners; an exhausted retry budget runs them on the
-// coordinator's own engine, and the job is marked degraded. The plan's
-// resolved trial count is forwarded to the workers so that a worker's own
-// -trials default cannot skew the cache keys the shards were hashed on.
-func (s *Server) runFleet(ctx context.Context, j *job, query string, plan *wtql.Plan, subset []int,
-	fn func(out core.PointOutcome, worker string)) error {
-	f := s.fleet
-	keys, err := plan.PointKeys()
-	if err != nil {
-		return err
-	}
-	total := len(keys)
-	if subset == nil {
-		subset = make([]int, total)
-		for i := range subset {
-			subset[i] = i
-		}
-	}
-	if len(subset) == 0 {
+// executor returns what runs req's points: the fleet on a coordinator,
+// unless the job is itself a shard; nil, this server's engine, otherwise.
+// Shards carry the plan's resolved trial count, so that a worker's own
+// -trials default cannot skew the cache keys they were hashed on.
+func (s *Server) executor(j *job, req QueryRequest, plan *wtql.Plan) core.Executor {
+	if s.fleet == nil || req.Points != nil {
 		return nil
 	}
-	points := plan.Points()
-	trace, root := j.trace, j.root.ID()
-	mergeSp := s.tel.startSpan(trace, root, "merge").
-		Attr("points", strconv.Itoa(len(subset)))
-	defer mergeSp.End()
-
-	fctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	ch := make(chan fleetMsg, 16)
-
-	active := 0
-
-	// launchStream posts one shard to its worker after an optional
-	// backoff. The terminal done message is delivered unconditionally —
-	// the merge loop drains ch until every launched stream reports done.
-	launchStream := func(sh *shard, delay time.Duration) {
-		sh.span = s.tel.startSpan(trace, root, "shard").
-			Attr("worker", sh.worker).
-			Attr("points", strconv.Itoa(len(sh.points))).
-			Attr("attempt", strconv.Itoa(sh.attempt))
-		if trace.id != "" {
-			sh.traceHdr = trace.id + ":" + sh.span.ID()
+	return func(ctx context.Context, subset []int, local core.PointFunc) (core.PointFunc, func()) {
+		r := &fleetRun{
+			s: s, j: j, req: QueryRequest{Query: req.Query, Trials: plan.Trials()},
+			points: plan.Points(), local: local,
+			merge: s.tel.startSpan(j.trace, j.root.ID(), "merge").
+				Attr("points", strconv.Itoa(len(subset))),
+			ch:     make(chan fleetMsg),
+			slots:  make([]slot, plan.NumPoints()),
+			live:   make(map[*shard]bool),
+			stopc:  make(chan struct{}),
+			exited: make(chan struct{}),
 		}
-		s.tel.shardsLaunched.Inc()
-		if sh.attempt > 0 {
-			s.tel.shardRetries.Inc()
+		r.ctx, r.cancel = context.WithCancel(ctx)
+		for _, gi := range subset {
+			r.slots[gi].ready = make(chan struct{})
 		}
-		active++
-		go func() {
-			if delay > 0 {
-				select {
-				case <-time.After(delay):
-				case <-fctx.Done():
-					ch <- fleetMsg{shard: sh, err: fctx.Err(), done: true}
-					return
+		if keys, err := plan.PointKeys(); err != nil {
+			r.fail(err)
+		} else {
+			r.keys = keys
+			r.place(subset, nil, 0, 0)
+		}
+		go r.collect()
+		return r.point, r.stop
+	}
+}
+
+// fleetRun is one job's run on the fleet. Only its collector goroutine
+// reads the streams, launches shards and fills slots; point, on the
+// explorer's workers, waits for a slot and turns it into an outcome.
+type fleetRun struct {
+	s      *Server
+	j      *job
+	req    QueryRequest // what each shard asks its worker, less the points
+	keys   []string
+	points []design.Point
+	local  core.PointFunc
+
+	ctx    context.Context // cancelled to tear every stream down
+	cancel context.CancelFunc
+	merge  *obs.SpanHandle
+	ch     chan fleetMsg
+	slots  []slot // by global index; only the subset's have a ready channel
+
+	// The collector's own.
+	live    map[*shard]bool // launched streams not yet done
+	stopped bool            // the explorer needs no more points
+
+	err    error         // the run's failure, set before it closes the slots left
+	stopc  chan struct{} // closed by stop
+	exited chan struct{} // closed when the collector returns
+}
+
+// slot is one point's answer: the collector fills it, or fails the run,
+// then closes ready.
+type slot struct {
+	ready  chan struct{}
+	ev     *PointEvent // the point as a worker streamed it
+	worker string      // the worker that streamed ev
+	local  bool        // given up on: the coordinator runs the point itself
+}
+
+// filled reports whether the slot holds its answer.
+func (sl *slot) filled() bool { return sl.ev != nil || sl.local }
+
+// point returns the outcome of global index gi with the label of the
+// worker that served it: localWorker for a point the fleet gave up on,
+// which runs here, on the coordinator's own engine, behind its Gate.
+func (r *fleetRun) point(ctx context.Context, gi int) (core.PointOutcome, error) {
+	sl := &r.slots[gi]
+	select {
+	case <-sl.ready:
+	case <-ctx.Done():
+		return core.PointOutcome{}, ctx.Err()
+	}
+	if !sl.filled() {
+		return core.PointOutcome{}, r.err
+	}
+	if sl.local {
+		r.s.markDegraded(r.j)
+		out, err := r.local(ctx, gi)
+		out.Worker = localWorker
+		return out, err
+	}
+	out := eventOutcome(r.points[gi], *sl.ev)
+	out.Worker = sl.worker
+	return out, nil
+}
+
+// stop ends the run once the explorer needs no more of it, and returns
+// when every goroutine the run started has.
+func (r *fleetRun) stop() {
+	close(r.stopc)
+	<-r.exited
+	r.cancel()
+	r.merge.End()
+}
+
+// fail records the run's failure, hands it to every point still
+// unanswered and tears the streams down.
+func (r *fleetRun) fail(err error) {
+	if r.err == nil {
+		r.err = err
+		for i := range r.slots {
+			if sl := &r.slots[i]; sl.ready != nil && !sl.filled() {
+				close(sl.ready)
+			}
+		}
+		r.cancel()
+	}
+}
+
+// place launches indices on their ring owners, one shard per owner after
+// delay, and gives up on any index no member may take. One owner rule
+// serves the first placement and every failover: untried assignable
+// members; when there is none (the rule does not depend on the key), any
+// reachable member but the one that just failed — a suspect member may
+// well have recovered, and trying it beats running here.
+func (r *fleetRun) place(indices []int, tried []string, attempt int, delay time.Duration) {
+	if len(indices) == 0 {
+		return
+	}
+	f := r.s.fleet
+	skip := func(node string) bool { return slices.Contains(tried, node) || !f.health.Assignable(node) }
+	if _, ok := f.ring.OwnerSkipping(r.keys[indices[0]], skip); !ok {
+		tried = tried[max(len(tried)-1, 0):]
+		skip = func(node string) bool { return slices.Contains(tried, node) || !f.health.Reachable(node) }
+	}
+	byWorker := make(map[string][]int)
+	var order []string
+	for _, gi := range indices {
+		w, ok := f.ring.OwnerSkipping(r.keys[gi], skip)
+		if !ok {
+			r.giveUp(gi)
+			continue
+		}
+		if byWorker[w] == nil {
+			order = append(order, w)
+		}
+		byWorker[w] = append(byWorker[w], gi)
+	}
+	for _, w := range order {
+		r.launch(&shard{worker: w, points: byWorker[w], attempt: attempt, tried: tried}, delay)
+	}
+}
+
+// giveUp leaves point gi to the coordinator's own engine.
+func (r *fleetRun) giveUp(gi int) {
+	r.slots[gi].local = true
+	close(r.slots[gi].ready)
+}
+
+// launch posts one shard to its worker after an optional backoff. The
+// terminal message is delivered unconditionally: the collector drains the
+// channel until every launched stream has ended.
+func (r *fleetRun) launch(sh *shard, delay time.Duration) {
+	trace := r.j.trace
+	sh.span = r.s.tel.startSpan(trace, r.j.root.ID(), "shard").
+		Attr("worker", sh.worker).
+		Attr("points", strconv.Itoa(len(sh.points))).
+		Attr("attempt", strconv.Itoa(sh.attempt))
+	if trace.id != "" {
+		sh.traceHdr = trace.id + ":" + sh.span.ID()
+	}
+	r.s.tel.shardsLaunched.Inc()
+	if sh.attempt > 0 {
+		r.s.tel.shardRetries.Inc()
+	}
+	var ctx context.Context
+	ctx, sh.cancel = context.WithCancel(r.ctx)
+	r.live[sh] = true
+	go func() {
+		if delay > 0 {
+			select {
+			case <-time.After(delay):
+			case <-ctx.Done():
+				r.ch <- fleetMsg{shard: sh, err: ctx.Err()}
+				return
+			}
+		}
+		r.s.fleet.stream(ctx, sh, r.req, r.ch)
+	}()
+}
+
+// collect reads the shard streams until every one has ended. Streams that
+// end on their own before the explorer is done leave it no more points:
+// any it still asks for fail the run.
+func (r *fleetRun) collect() {
+	defer close(r.exited)
+	stopc := r.stopc
+	for len(r.live) > 0 {
+		select {
+		case m := <-r.ch:
+			if m.ev != nil {
+				r.deliver(m)
+			} else {
+				r.end(m)
+			}
+		case <-stopc:
+			// A stream that still owes a point runs only what the explorer
+			// pruned: cut it. One that owes none is sending its result line
+			// and ends on its own.
+			stopc, r.stopped = nil, true
+			for sh := range r.live {
+				if slices.ContainsFunc(sh.points, func(gi int) bool { return !r.slots[gi].filled() }) {
+					sh.cancel()
 				}
 			}
-			f.stream(fctx, sh, query, plan.Trials(), ch)
-		}()
-	}
-
-	// launchLocal runs indices on the coordinator's own engine — the
-	// degraded last resort when no healthy worker can take them. The
-	// job keeps going rather than failing; the degradation is surfaced
-	// on the job record and every locally-served point event.
-	launchLocal := func(indices []int) {
-		if len(indices) == 0 {
-			return
-		}
-		sort.Ints(indices) // RunSubset wants strictly ascending global indices
-		s.markDegraded(j)
-		sh := &shard{worker: localWorker, points: indices}
-		sh.span = s.tel.startSpan(trace, root, "shard").
-			Attr("worker", localWorker).
-			Attr("points", strconv.Itoa(len(indices)))
-		active++
-		go func() {
-			err := plan.RunSubset(fctx, indices, func(out core.PointOutcome) {
-				s.tel.observePoint(trace, sh.span.ID(), out)
-				ev := pointEvent(nil, 0, 0, out)
-				select {
-				case ch <- fleetMsg{shard: sh, ev: &ev}:
-				case <-fctx.Done():
-				}
-			})
-			ch <- fleetMsg{shard: sh, err: err, done: true}
-		}()
-	}
-
-	// place groups indices by their ring owner among the members skip
-	// leaves, preserving first-seen worker order for the fan-out, and
-	// launches one shard per owner after delay; the indices no member may
-	// take run coordinator-local.
-	place := func(indices []int, skip func(string) bool, attempt int, tried map[string]bool, delay time.Duration) {
-		byWorker := make(map[string][]int)
-		var order []string
-		var local []int
-		for _, gi := range indices {
-			w, ok := f.ring.OwnerSkipping(keys[gi], skip)
-			if !ok {
-				local = append(local, gi)
-				continue
-			}
-			if byWorker[w] == nil {
-				order = append(order, w)
-			}
-			byWorker[w] = append(byWorker[w], gi)
-		}
-		for _, w := range order {
-			launchStream(&shard{worker: w, points: byWorker[w], attempt: attempt, tried: tried}, delay)
-		}
-		launchLocal(local)
-	}
-	// Initial assignment among assignable members: health skips down and
-	// draining workers at planning time. With no assignable worker at all
-	// the whole sweep runs coordinator-local.
-	place(subset, func(node string) bool { return !f.health.Assignable(node) }, 0, nil, 0)
-
-	var (
-		received = make([]*PointEvent, total) // by global index, each as delivered
-		next     = 0                          // position in subset of the next point fn is owed
-		firstErr error
-	)
-	fail := func(err error) {
-		if firstErr == nil {
-			firstErr = err
-			cancel() // tear down the remaining shards
 		}
 	}
-	for active > 0 {
-		m := <-ch
-		switch {
-		case m.done:
-			active--
-			w := m.shard.worker
-			if m.err == nil {
-				m.shard.span.Attr("status", "ok").End()
-				if w != localWorker {
-					f.health.ReportSuccess(w)
-				}
-				continue
-			}
-			m.shard.span.Attr("status", "error").Attr("error", m.err.Error()).End()
-			if w == localWorker {
-				// Local execution is the last resort; its failure is the
-				// job's failure.
-				fail(fmt.Errorf("service: degraded local execution: %w", m.err))
-				continue
-			}
-			if firstErr != nil || ctx.Err() != nil {
-				continue // torn down from this side: it says nothing about the worker
-			}
-			if own := ownFailure(m.err); own != nil {
-				// The worker ran (or refused) the shard and answered with the
-				// query's own error. It did its work, and any other worker —
-				// or this coordinator — would answer the same: fail the job
-				// in the worker's words, without failover.
-				fail(own)
-				continue
-			}
-			s.tel.workerFailures.Inc()
-			f.health.ReportFailure(w, m.err)
-			// Failover: re-plan only this shard's undelivered indices.
-			// Points already streamed (committed or pending in the
-			// reorder buffer) are complete, deterministic outcomes — a
-			// worker that died after delivering its last point but
-			// before its result line cost the job nothing.
-			var rem []int
-			for _, gi := range m.shard.points {
-				if received[gi] == nil {
-					rem = append(rem, gi)
-				}
-			}
-			if len(rem) == 0 {
-				continue
-			}
-			attempt := m.shard.attempt + 1
-			tried := make(map[string]bool, len(m.shard.tried)+1)
-			for t := range m.shard.tried {
-				tried[t] = true
-			}
-			tried[w] = true
-			if attempt > f.maxShardRetries {
-				launchLocal(rem)
-				continue
-			}
-			// Next ring owner among healthy, untried members — per key,
-			// since the failed owner's keys spread over the survivors. The
-			// skip predicate is key-independent, so either every key finds
-			// an owner or none does: when none does (every untried member
-			// is unhealthy too), forget the tried history and accept any
-			// reachable member except the one that just failed — after the
-			// backoff, a previously-failed worker may well have recovered,
-			// and trying it beats degrading to local execution while
-			// retry budget remains.
-			skip := func(node string) bool {
-				return tried[node] || !f.health.Assignable(node)
-			}
-			if _, any := f.ring.OwnerSkipping(keys[rem[0]], skip); !any {
-				tried = map[string]bool{w: true}
-				skip = func(node string) bool {
-					return tried[node] || !f.health.Reachable(node)
-				}
-			}
-			place(rem, skip, attempt, tried, f.backoff(attempt))
+	if !r.stopped {
+		r.fail(errors.New("service: the fleet's streams ended without every point"))
+	}
+}
 
-		case firstErr != nil:
-			// Already failing: drain without committing.
+// deliver fills the slot of one streamed point.
+func (r *fleetRun) deliver(m fleetMsg) {
+	ev := m.ev
+	switch {
+	case r.err != nil:
+		// Already failing: drain.
+	case ev.Index < 0 || ev.Index >= len(r.slots):
+		r.fail(fmt.Errorf("service: worker %s streamed out-of-range point index %d", m.shard.worker, ev.Index))
+	case r.slots[ev.Index].ready == nil || r.slots[ev.Index].filled():
+		// Not the run's, or a duplicate delivery (possible only in
+		// pathological failover interleavings). Outcomes are deterministic
+		// per cache key, so the first stands.
+	default:
+		sl := &r.slots[ev.Index]
+		sl.ev, sl.worker = ev, m.shard.worker
+		close(sl.ready)
+	}
+}
 
-		default:
-			ev := m.ev
-			if ev.Index < 0 || ev.Index >= total {
-				fail(fmt.Errorf("service: worker %s streamed out-of-range point index %d", m.shard.worker, ev.Index))
-				continue
-			}
-			if received[ev.Index] != nil {
-				// Outcomes are deterministic per cache key, so a
-				// duplicate delivery (possible only in pathological
-				// failover interleavings) is identical — keep the first.
-				continue
-			}
-			ev.Worker = m.shard.worker
-			received[ev.Index] = ev
-			// Hand on the contiguous run: outcomes leave in subset order,
-			// the order each worker's own commit path follows.
-			for ; next < len(subset) && received[subset[next]] != nil; next++ {
-				gi := subset[next]
-				fn(eventOutcome(points[gi], *received[gi]), received[gi].Worker)
-			}
+// end handles a stream's end: a failed stream's undelivered points fail
+// over to the next owners, or, past the retry budget, to the coordinator.
+func (r *fleetRun) end(m fleetMsg) {
+	sh, w := m.shard, m.shard.worker
+	delete(r.live, sh)
+	sh.cancel()
+	if m.err == nil {
+		sh.span.Attr("status", "ok").End()
+		r.s.fleet.health.ReportSuccess(w)
+		return
+	}
+	sh.span.Attr("status", "error").Attr("error", m.err.Error()).End()
+	if r.err != nil || r.ctx.Err() != nil || r.stopped {
+		return // torn down from this side, or no longer needed
+	}
+	// Points already streamed are complete, deterministic outcomes — a
+	// worker that died after delivering its last point but before its
+	// result line cost the job nothing.
+	var rem []int
+	for _, gi := range sh.points {
+		if !r.slots[gi].filled() {
+			rem = append(rem, gi)
 		}
 	}
-	if err := ctx.Err(); err != nil {
-		return err // job cancelled: report it as such, not as a torn stream
+	if own := ownFailure(m.err); own != nil {
+		// The worker ran (or refused) the shard and answered with the
+		// query's own error. It did its work, and any other worker — or
+		// this coordinator — would answer the same: fail the job in the
+		// worker's words, without failover, if it still needs a point.
+		if len(rem) > 0 {
+			r.fail(own)
+		}
+		return
 	}
-	if firstErr != nil {
-		return firstErr
+	r.s.tel.workerFailures.Inc()
+	r.s.fleet.health.ReportFailure(w, m.err)
+	attempt := sh.attempt + 1
+	if attempt > r.s.fleet.maxShardRetries {
+		for _, gi := range rem {
+			r.giveUp(gi)
+		}
+		return
 	}
-	if next != len(subset) {
-		return fmt.Errorf("service: fleet streams ended after %d/%d points", next, len(subset))
-	}
-	return nil
+	r.place(rem, append(slices.Clip(sh.tried), w), attempt, backoff(attempt))
 }
 
 // stream posts one shard and forwards its point events to ch, always
-// terminating with exactly one done message. The terminal send is
-// unconditionally blocking: the merge loop drains ch until every stream
-// has reported done, so the send always completes — bailing out on ctx
-// here instead would leak the done message and wedge the merge. An idle
+// terminating with exactly one end message. The terminal send is
+// unconditionally blocking: the collector drains ch until every stream
+// has ended, so the send always completes — bailing out on ctx here
+// instead would leak the end message and wedge the collector. An idle
 // watchdog bounds the gap between NDJSON events: a worker that accepted
 // the shard and then hung (no events, connection alive) is treated as
-// failed so the merge can re-plan, instead of stalling the job forever.
-func (f *fleet) stream(ctx context.Context, sh *shard, query string, trials int, ch chan<- fleetMsg) {
+// failed so the run can re-plan, instead of stalling the job forever.
+func (f *fleet) stream(ctx context.Context, sh *shard, req QueryRequest, ch chan<- fleetMsg) {
 	sctx, scancel := context.WithCancel(ctx)
 	defer scancel()
 	var stalled atomic.Bool
@@ -413,7 +423,8 @@ func (f *fleet) stream(ctx context.Context, sh *shard, query string, trials int,
 
 	c := f.client
 	c.Trace = sh.traceHdr
-	err := c.Query(sctx, sh.worker, QueryRequest{Query: query, Trials: trials, Points: sh.points}, func(ev *Event) error {
+	req.Points = sh.points
+	err := c.Query(sctx, sh.worker, req, func(ev *Event) error {
 		idle.Reset(f.idleTimeout)
 		if ev.Type != "point" {
 			return nil
@@ -435,7 +446,7 @@ func (f *fleet) stream(ctx context.Context, sh *shard, query string, trials int,
 		// the logs) sees the stall for what it was.
 		err = fmt.Errorf("stream idle past %s: %w", f.idleTimeout, err)
 	}
-	ch <- fleetMsg{shard: sh, err: err, done: true}
+	ch <- fleetMsg{shard: sh, err: err}
 }
 
 // ownFailure returns a shard stream's error in the worker's own words
@@ -463,7 +474,8 @@ func ownFailure(err error) error {
 // eventOutcome reconstructs a committed point outcome from a worker's
 // point event. encoding/json round-trips float64 bit-exactly, so
 // Assemble over these outcomes renders the very bytes a local run of
-// the same sweep would.
+// the same sweep would. An event that is neither pruned nor carries
+// metrics gives an outcome without a result, which the explorer refuses.
 func eventOutcome(p design.Point, ev PointEvent) core.PointOutcome {
 	out := core.PointOutcome{
 		Point:     p,
@@ -473,7 +485,7 @@ func eventOutcome(p design.Point, ev PointEvent) core.PointOutcome {
 		FromCache: ev.Cached,
 		AllMet:    ev.AllMet,
 	}
-	if !ev.Pruned {
+	if !ev.Pruned && ev.Metrics != nil {
 		out.Result = &core.RunResult{
 			Metrics:     ev.Metrics,
 			Trials:      ev.Trials,

@@ -6,9 +6,14 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/wtql"
 )
@@ -185,22 +190,295 @@ func TestFleetDeadWorkerFailsOver(t *testing.T) {
 	}
 }
 
-// TestFleetPrunedSweepFallsBackLocally: MONOTONE pruning decisions
-// depend on the whole committed prefix, so the coordinator must run the
-// sweep locally — and still produce a correct result.
-func TestFleetPrunedSweepFallsBackLocally(t *testing.T) {
-	_, cts, workers, _ := startFleet(t, 2, false)
-	q := `SIMULATE availability
-VARY cluster.nodes IN (5, 6, 7, 8) MONOTONE
-WITH users = 20, object_mb = 10, trials = 2, horizon_hours = 200
-WHERE sla.availability >= 0.2`
-	final := lastEvent(t, postQuery(t, cts, q))
-	if final["type"] != "result" {
-		t.Fatalf("pruned sweep on a coordinator ended with %v", final)
+// TestFleetShardsMonotoneSweep: a MONOTONE sweep runs on the workers
+// like any other — every worker that owns a point gets a shard, and the
+// coordinator prunes as the outcomes commit — so its table and counts are
+// a single daemon's, byte for byte, on two workers and on three, and when
+// a worker dies mid-sweep. No point runs on the coordinator, and a repeat
+// re-sends the answer kept from the sweep before it: the third sweep, or,
+// when the death moved a point to a worker that had not simulated it, the
+// fourth.
+func TestFleetShardsMonotoneSweep(t *testing.T) {
+	_, single := newTestServer(t, Config{PoolSize: 2})
+	want := lastEvent(t, postQuery(t, single, monotoneQuery))
+	if want["pruned"].(float64) == 0 || want["executed"].(float64) == 0 {
+		t.Fatalf("the sweep prunes nothing or runs nothing: %v", want)
 	}
-	for i, w := range workers {
-		if jobs := w.Jobs(); len(jobs) != 0 {
-			t.Fatalf("pruned sweep was sharded: worker %d saw jobs %+v", i, jobs)
+	for _, c := range []struct {
+		name    string
+		workers int
+		kill    *faults // cuts the first shard stream after one point, when set
+	}{
+		{name: "2 workers", workers: 2},
+		{name: "3 workers", workers: 3},
+		{name: "a worker dies mid-sweep", workers: 2, kill: &faults{cut: 2, once: true}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			workers := make([]*Server, c.workers)
+			urls := make([]string, c.workers)
+			for i := range workers {
+				var ts *httptest.Server
+				workers[i], ts = newFaultyServer(t, Config{PoolSize: 2}, c.kill)
+				urls[i] = ts.URL
+			}
+			// One probe round, at start-up: the members' health then moves
+			// only with the jobs' own traffic, so the second and third jobs
+			// place their points alike.
+			coord, cts := newTestServer(t, Config{Coordinator: true, Peers: urls, HistoryInterval: time.Hour})
+			jobs := 3
+			if c.kill != nil {
+				jobs = 4
+			}
+			var ids []string
+			for n := 1; n <= jobs; n++ {
+				events := postQuery(t, cts, monotoneQuery)
+				final := lastEvent(t, events)
+				for _, field := range []string{"type", "table", "executed", "pruned", "screened", "degraded"} {
+					if final[field] != want[field] {
+						t.Fatalf("job %d: %s = %v, a single daemon's is %v\n%v", n, field, final[field], want[field], final)
+					}
+				}
+				for _, ev := range events {
+					w, _ := ev["worker"].(string)
+					if ev["type"] == "point" && (w == localWorker || (w == "") != (ev["pruned"] == true)) {
+						t.Fatalf("job %d: point %v served by %q", n, ev["index"], w)
+					}
+				}
+				ids = append(ids, events[0]["id"].(string))
+			}
+			if c.kill != nil {
+				if _, cuts := c.kill.counts(); cuts != 1 {
+					t.Fatal("no worker died: the case exercised nothing")
+				}
+			}
+			if reused(t, coord, ids[0]) || !reused(t, coord, ids[jobs-1]) {
+				t.Fatalf("job %d did not re-send the answer of the job before it", jobs)
+			}
+			// Every worker that owns a point saw a shard of the first job.
+			plan, err := coord.engine().Plan(mustParse(t, monotoneQuery))
+			if err != nil {
+				t.Fatal(err)
+			}
+			keys, err := plan.PointKeys()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, k := range keys {
+				owner, _ := coord.fleet.ring.Owner(k)
+				for i, u := range urls {
+					if u == owner && len(workers[i].Jobs()) == 0 {
+						t.Fatalf("worker %s owns a point and saw no shard", u)
+					}
+				}
+			}
+		})
+	}
+}
+
+// mustParse parses a query.
+func mustParse(t testing.TB, query string) *wtql.Query {
+	t.Helper()
+	q, err := wtql.Parse(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q
+}
+
+// fakeWorker is a fleet member that answers every shard with a job line
+// and then whatever serve writes, and every other request with a healthy
+// healthz body.
+func fakeWorker(t testing.TB, serve func(w http.ResponseWriter, r *http.Request, req QueryRequest)) *httptest.Server {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/query" {
+			writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+			return
+		}
+		var req QueryRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			t.Errorf("shard request: %v", err)
+		}
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		w.Write([]byte(`{"type":"job","id":"job-fake"}` + "\n"))
+		serve(w, r, req)
+	}))
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// hang holds a fake worker's stream open, flushed, until the coordinator
+// gives it up.
+func hang(w http.ResponseWriter, r *http.Request) {
+	w.(http.Flusher).Flush()
+	<-r.Context().Done()
+}
+
+// noFleetGoroutines fails t unless every goroutine of a fleet run — the
+// collector, the shard streams, a point waiting on them — is gone soon.
+func noFleetGoroutines(t testing.TB) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		buf := make([]byte, 1<<20)
+		buf = buf[:runtime.Stack(buf, true)]
+		if !bytes.Contains(buf, []byte("(*fleetRun).")) && !bytes.Contains(buf, []byte("(*fleet).stream(")) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("a fleet run's goroutines outlived its job:\n%s", buf)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// TestFleetRefusesUnservedPoints: what a worker streams is outside input.
+// A point it calls pruned that no failure committed before it dominates,
+// or one that is not pruned and carries no metrics, fails the job with an
+// error naming the worker and the point, and the run's stream, left
+// open by the worker, is torn down with it.
+func TestFleetRefusesUnservedPoints(t *testing.T) {
+	for _, c := range []struct{ name, query, event, want string }{
+		{"pruned", monotoneQuery, `{"type":"point","index":0,"pruned":true,"all_met":false}`,
+			"pruned, but no failure committed before it dominates it"},
+		{"no result", smallQuery, `{"type":"point","index":0,"all_met":true}`, "no result"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			worker := fakeWorker(t, func(w http.ResponseWriter, r *http.Request, req QueryRequest) {
+				w.Write([]byte(c.event + "\n"))
+				hang(w, r)
+			})
+			_, cts := newTestServer(t, Config{Coordinator: true, Peers: []string{worker.URL}})
+			final := lastEvent(t, postQuery(t, cts, c.query))
+			msg, _ := final["error"].(string)
+			if final["type"] != "error" || !strings.Contains(msg, "point 0 served by "+worker.URL+": "+c.want) {
+				t.Fatalf("the job ended with %v, want an error naming %s, point 0 and %q", final, worker.URL, c.want)
+			}
+			noFleetGoroutines(t)
+		})
+	}
+}
+
+// TestFleetRunEndsWithItsJob: when the explorer stops early — its job
+// cancelled, or failed by one worker's own error — the fleet's goroutines
+// end with it, the streams of workers still running included.
+func TestFleetRunEndsWithItsJob(t *testing.T) {
+	t.Run("cancelled", func(t *testing.T) {
+		asked := make(chan struct{}, 1)
+		worker := fakeWorker(t, func(w http.ResponseWriter, r *http.Request, req QueryRequest) {
+			asked <- struct{}{}
+			hang(w, r)
+		})
+		coord, cts := newTestServer(t, Config{Coordinator: true, Peers: []string{worker.URL}})
+		go func() {
+			<-asked
+			coord.CancelAll()
+		}()
+		final := lastEvent(t, postQuery(t, cts, smallQuery))
+		if jobs := coord.Jobs(); final["type"] != "error" || len(jobs) != 1 || jobs[0].State != JobCancelled {
+			t.Fatalf("the job ended with %v, state %+v", final, jobs)
+		}
+		noFleetGoroutines(t)
+	})
+	t.Run("a worker's own error", func(t *testing.T) {
+		// The owner of point 0 fails the query; any other worker hangs.
+		var owner0 atomic.Value
+		serve := func(w http.ResponseWriter, r *http.Request, req QueryRequest) {
+			if slices.Contains(req.Points, 0) {
+				owner0.Store(true)
+				w.Write([]byte(`{"type":"error","error":"wtql: boom"}` + "\n"))
+				return
+			}
+			hang(w, r)
+		}
+		urls := []string{fakeWorker(t, serve).URL, fakeWorker(t, serve).URL}
+		coord, cts := newTestServer(t, Config{Coordinator: true, Peers: urls})
+		query := splitQuery(t, coord)
+		final := lastEvent(t, postQuery(t, cts, query))
+		if final["type"] != "error" || final["error"] != "wtql: boom" {
+			t.Fatalf("the job ended with %v, want the worker's error", final)
+		}
+		if owner0.Load() == nil {
+			t.Fatal("no worker was asked for point 0")
+		}
+		noFleetGoroutines(t)
+	})
+}
+
+// splitQuery returns a 4-point sweep whose points coord's ring spreads
+// over more than one worker, so that one shard can outlive another.
+func splitQuery(t *testing.T, coord *Server) string {
+	t.Helper()
+	for seed := 1; seed < 100; seed++ {
+		query := strings.Replace(smallQuery, "trials = 2", "trials = 2, seed = "+strconv.Itoa(seed), 1)
+		plan, err := coord.engine().Plan(mustParse(t, query))
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys, err := plan.PointKeys()
+		if err != nil {
+			t.Fatal(err)
+		}
+		owners := map[string]bool{}
+		for _, k := range keys {
+			o, _ := coord.fleet.ring.Owner(k)
+			owners[o] = true
+		}
+		if len(owners) > 1 {
+			return query
+		}
+	}
+	t.Fatal("no seed spreads the sweep over two workers")
+	return ""
+}
+
+// TestFleetShardsToSuspectMembers: a coordinator whose first probe round
+// ran before its workers listened holds every worker suspect after one
+// failed observation. The sweep still shards across them, not degraded —
+// the first placement falls back to reachable members as failover does —
+// and each worker is up again after its first served shard.
+func TestFleetShardsToSuspectMembers(t *testing.T) {
+	_, single := newTestServer(t, Config{PoolSize: 2})
+	want := lastEvent(t, postQuery(t, single, smallQuery))
+
+	var listening atomic.Bool
+	urls := make([]string, 2)
+	for i := range urls {
+		srv, _ := newTestServer(t, Config{PoolSize: 2})
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if !listening.Load() {
+				http.Error(w, "not listening yet", http.StatusServiceUnavailable)
+				return
+			}
+			srv.Handler().ServeHTTP(w, r)
+		}))
+		t.Cleanup(ts.Close)
+		urls[i] = ts.URL
+	}
+	// One round, at start-up: it finds every worker failing.
+	coord, cts := newTestServer(t, Config{Coordinator: true, Peers: urls, HistoryInterval: time.Hour})
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if coord.health.State(urls[0]) == StateSuspect && coord.health.State(urls[1]) == StateSuspect {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the first round left the members %v", coord.health.Snapshot())
+		}
+	}
+	listening.Store(true)
+
+	events := postQuery(t, cts, smallQuery)
+	final := lastEvent(t, events)
+	if final["type"] != "result" || final["table"] != want["table"] || final["degraded"] != false {
+		t.Fatalf("the sweep over suspect workers ended with type=%v degraded=%v error=%v", final["type"], final["degraded"], final["error"])
+	}
+	for _, ev := range events {
+		if w, _ := ev["worker"].(string); ev["type"] == "point" && w != urls[0] && w != urls[1] {
+			t.Fatalf("point %v served by %q, want a worker", ev["index"], w)
+		}
+	}
+	for _, m := range coord.health.Snapshot() {
+		if served := slices.ContainsFunc(events, func(ev map[string]any) bool { return ev["worker"] == m.URL }); served && m.State != StateUp {
+			t.Errorf("member %s served a shard and is still %s", m.URL, m.State)
 		}
 	}
 }
@@ -583,11 +861,7 @@ func TestFleetWorkerCancelledShardFailsOver(t *testing.T) {
 	// shard has streamed: then there is nothing left to fail over. Any of
 	// its points served elsewhere must have been re-planned.
 	cancelled := <-victim
-	q, err := wtql.Parse(bigQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := coord.engine().Plan(q)
+	plan, err := coord.engine().Plan(mustParse(t, bigQuery))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -284,6 +284,8 @@ func pointEvent(config map[string]string, done, total int, out core.PointOutcome
 		Screened: out.Screened,
 		Cached:   out.FromCache,
 		AllMet:   out.AllMet,
+		Worker:   out.Worker,
+		Degraded: out.Worker == localWorker,
 	}
 	if out.Result != nil {
 		ev.Metrics = out.Result.Metrics

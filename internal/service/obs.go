@@ -259,7 +259,7 @@ func (t *telemetry) observePoint(trace traceCtx, parent string, out core.PointOu
 		Attrs: map[string]string{"index": strconv.Itoa(out.Index)},
 	}
 	if sp.Start.IsZero() {
-		// Pruned points (and merged remote events) carry no local timing.
+		// Pruned points carry no local timing.
 		sp.Start = time.Now()
 	}
 	if out.Waited > 0 {

@@ -182,20 +182,24 @@ func TestSubmitterDisconnect(t *testing.T) {
 
 // TestParseAndPlanOncePerJob counts the stages of a job on the path that
 // used to repeat them: a journaled coordinator, which parsed twice, and
-// for a MONOTONE sweep (not shardable, so run on the coordinator itself)
-// planned twice.
+// for a sweep run on the coordinator itself (a MONOTONE one, once; a
+// shard request now) planned twice.
 func TestParseAndPlanOncePerJob(t *testing.T) {
 	urls := make([]string, 2)
 	for i := range urls {
 		_, ts := newTestServer(t, Config{PoolSize: 2})
 		urls[i] = ts.URL
 	}
-	for _, c := range []struct{ name, query string }{
-		{"sharded", smallQuery},
-		{"monotone", `SIMULATE availability VARY storage.replication IN (1, 2, 3) MONOTONE
+	for _, c := range []struct {
+		name, query string
+		points      []int
+	}{
+		{name: "sharded", query: smallQuery},
+		{name: "monotone", query: `SIMULATE availability VARY storage.replication IN (1, 2, 3) MONOTONE
 WITH users = 20, object_mb = 10, trials = 2, horizon_hours = 200 WHERE sla.availability >= 0.2`},
-		{"set", "SET runner.crn = on"}, // not a statement: a parse error
-		{"parse error", "SIMULATE"},
+		{name: "run on the coordinator", query: smallQuery, points: []int{1, 2}},
+		{name: "set", query: "SET runner.crn = on"}, // not a statement: a parse error
+		{name: "parse error", query: "SIMULATE"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			coord, cts := newTestServer(t, Config{Coordinator: true, Peers: urls, JournalDir: t.TempDir()})
@@ -206,7 +210,7 @@ WITH users = 20, object_mb = 10, trials = 2, horizon_hours = 200 WHERE sla.avail
 				stages[name]++
 				mu.Unlock()
 			}
-			final := lastEvent(t, postQuery(t, cts, c.query))
+			final := lastEvent(t, postRequest(t, cts, QueryRequest{Query: c.query, Points: c.points}))
 			plans := 1
 			want := "result"
 			if c.name == "set" || c.name == "parse error" {

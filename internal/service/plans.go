@@ -184,9 +184,9 @@ type metricBits struct {
 	bits uint64
 }
 
-func headOf(out *core.PointOutcome, worker string) outcomeHead {
+func headOf(out *core.PointOutcome) outcomeHead {
 	h := outcomeHead{
-		worker: worker, index: out.Index, cached: out.FromCache, pruned: out.Pruned,
+		worker: out.Worker, index: out.Index, cached: out.FromCache, pruned: out.Pruned,
 		screened: out.Screened, allMet: out.AllMet, hasResult: out.Result != nil,
 	}
 	if out.Result != nil {
@@ -195,9 +195,9 @@ func headOf(out *core.PointOutcome, worker string) outcomeHead {
 	return h
 }
 
-// signature takes the signature of out, served by worker.
-func signature(out *core.PointOutcome, worker string) outcomeSig {
-	sig := outcomeSig{outcomeHead: headOf(out, worker)}
+// signature takes the signature of out.
+func signature(out *core.PointOutcome) outcomeSig {
+	sig := outcomeSig{outcomeHead: headOf(out)}
 	if out.Result != nil && len(out.Result.Metrics) > 0 {
 		sig.metrics = make([]metricBits, 0, len(out.Result.Metrics))
 		for name, v := range out.Result.Metrics {
@@ -207,10 +207,9 @@ func signature(out *core.PointOutcome, worker string) outcomeSig {
 	return sig
 }
 
-// matches reports whether out, served by worker, is the outcome sig was
-// taken of.
-func (sig *outcomeSig) matches(out *core.PointOutcome, worker string) bool {
-	if sig.outcomeHead != headOf(out, worker) {
+// matches reports whether out is the outcome sig was taken of.
+func (sig *outcomeSig) matches(out *core.PointOutcome) bool {
+	if sig.outcomeHead != headOf(out) {
 		return false
 	}
 	var m map[string]float64
@@ -260,13 +259,13 @@ func newResend(kp *keptPlan) *resend {
 }
 
 // keptLine returns the kept point line for the outcome at commit position
-// pos, served by worker, when it and every outcome before it match the
-// kept answer's; nil when the run must encode its own line.
-func (r *resend) keptLine(pos int, out *core.PointOutcome, worker string) []byte {
+// pos when it and every outcome before it match the kept answer's; nil
+// when the run must encode its own line.
+func (r *resend) keptLine(pos int, out *core.PointOutcome) []byte {
 	if r == nil || r.kept == nil {
 		return nil
 	}
-	if pos < len(r.kept.outcomes) && r.kept.outcomes[pos].matches(out, worker) {
+	if pos < len(r.kept.outcomes) && r.kept.outcomes[pos].matches(out) {
 		return r.kept.points[pos]
 	}
 	n := len(r.kept.outcomes)
@@ -278,9 +277,8 @@ func (r *resend) keptLine(pos int, out *core.PointOutcome, worker string) []byte
 	return nil
 }
 
-// add records the line the run encoded for out, served by worker: nil
-// when it could not.
-func (r *resend) add(out *core.PointOutcome, worker string, line []byte) {
+// add records the line the run encoded for out: nil when it could not.
+func (r *resend) add(out *core.PointOutcome, line []byte) {
 	if r == nil {
 		return
 	}
@@ -288,7 +286,7 @@ func (r *resend) add(out *core.PointOutcome, worker string, line []byte) {
 		r.dropped = true
 		return
 	}
-	r.built.outcomes = append(r.built.outcomes, signature(out, worker))
+	r.built.outcomes = append(r.built.outcomes, signature(out))
 	r.built.points = append(r.built.points, line)
 }
 

@@ -491,23 +491,23 @@ func changed(r *core.RunResult, change func(r *core.RunResult)) *core.RunResult 
 // reused, and keeps its answer for the job after it.
 func TestKeptAnswerSignature(t *testing.T) {
 	base := core.PointOutcome{
-		Index: 2, FromCache: true, AllMet: true,
+		Index: 2, FromCache: true, AllMet: true, Worker: "http://127.0.0.1:8867",
 		Result: &core.RunResult{Trials: 3, EventsTotal: 99, Metrics: map[string]float64{
 			"availability": 0.99, "loss_prob": 0, "repairs": 4,
 		}},
 	}
-	const worker = "http://127.0.0.1:8867"
-	sig := signature(&base, worker)
+	sig := signature(&base)
 	copyOf := func() core.PointOutcome {
 		o := base
 		o.Result = changed(base.Result, func(*core.RunResult) {})
 		return o
 	}
-	if o := copyOf(); !sig.matches(&o, worker) {
+	if o := copyOf(); !sig.matches(&o) {
 		t.Fatal("an equal outcome does not match")
 	}
 	for _, other := range []string{"http://127.0.0.1:8868", localWorker, ""} {
-		if o := copyOf(); sig.matches(&o, other) {
+		o := copyOf()
+		if o.Worker = other; sig.matches(&o) {
 			t.Errorf("worker %q: an outcome another worker served matches", other)
 		}
 	}
@@ -529,14 +529,14 @@ func TestKeptAnswerSignature(t *testing.T) {
 	} {
 		o := copyOf()
 		change(&o)
-		if sig.matches(&o, worker) {
+		if sig.matches(&o) {
 			t.Errorf("%s: a changed outcome matches", name)
 		}
 	}
 	pruned := core.PointOutcome{Index: 1, Pruned: true}
 	withResult := pruned
 	withResult.Result = &core.RunResult{}
-	if s := signature(&pruned, ""); !s.matches(&pruned, "") || s.matches(&withResult, "") {
+	if s := signature(&pruned); !s.matches(&pruned) || s.matches(&withResult) {
 		t.Error("a pruned outcome's signature does not tell an empty result from none")
 	}
 

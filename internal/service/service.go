@@ -203,21 +203,12 @@ type Config struct {
 	// peer-fetching from itself); ignored in coordinator mode.
 	Self string
 	// Coordinator switches the server into fleet-coordinator mode:
-	// POST /v1/query shards the sweep's design points across Peers by
-	// consistent-hashing each point's core.CacheKey, streams the merged
-	// per-point events in global point order, and assembles the same
-	// table a single daemon would have produced, byte for byte. MONOTONE
-	// (pruned) sweeps fall back to local execution — pruning decisions
-	// depend on the whole committed prefix, so they are not shardable.
+	// POST /v1/query runs the sweep's design points on the workers in
+	// Peers, each on the owner of its core.CacheKey, streams the per-point
+	// events in global point order, and assembles the same table a single
+	// daemon would have produced, byte for byte. MONOTONE sweeps shard
+	// too: dominance pruning is decided here, as the outcomes commit.
 	Coordinator bool
-	// StreamIdleTimeout is the coordinator's per-stream liveness
-	// deadline: a worker stream delivering no NDJSON event for this
-	// long is failed over (<= 0 = 2m).
-	StreamIdleTimeout time.Duration
-	// MaxShardRetries bounds how many workers a shard may fail over
-	// across before its remainder degrades to coordinator-local
-	// execution (<= 0 = 3).
-	MaxShardRetries int
 	// HistoryInterval is the telemetry round period (<= 0 = 2s). Each
 	// round snapshots the registry into the in-process time-series store
 	// (obs.DefaultHistoryDepth samples per series), polls the fleet
@@ -329,7 +320,7 @@ func newServer(cfg Config, d disk) (*Server, error) {
 			return nil, fmt.Errorf("service: coordinator mode needs at least one worker in Peers")
 		}
 		s.health = NewHealth(cfg.Peers)
-		s.fleet = newFleet(cfg.Peers, s.health, cfg.StreamIdleTimeout, cfg.MaxShardRetries)
+		s.fleet = newFleet(cfg.Peers, s.health)
 	case len(cfg.Peers) > 0:
 		if cfg.Self == "" {
 			return nil, fmt.Errorf("service: cache peering needs Self, this worker's URL within Peers")

@@ -101,9 +101,9 @@ func (e *Engine) RunContext(ctx context.Context, q *Query) (*ResultSet, error) {
 // runner knobs, the lifted SLAs and the screening rule — everything the
 // engine binds before any simulation runs. Splitting planning from
 // execution is what makes a query shardable: a fleet coordinator plans
-// once, consistent-hashes PointKeys across workers, collects the
-// workers' outcome streams and Assembles the exact table a local run
-// would have produced.
+// once, consistent-hashes PointKeys across workers, runs the plan with its
+// fleet as the executor (RunSubsetOn) and Assembles the exact table a
+// local run would have produced.
 //
 // A plan is immutable once built: nothing in it depends on who runs it,
 // so any number of runs — shards, resumes, whole sweeps, one after another
@@ -138,8 +138,8 @@ func (p *Plan) Trials() int { return p.runner.Trials }
 
 // Pruned reports whether the query declared MONOTONE dimensions, i.e.
 // dominance pruning is active. Pruning decisions depend on the whole
-// committed prefix of the sweep, so a pruned sweep is not shardable and
-// a coordinator must execute it on one engine.
+// committed prefix of the sweep: they are made where the outcomes commit,
+// whoever runs the points, so a resumed pruned sweep runs again whole.
 func (p *Plan) Pruned() bool { return p.prune }
 
 // NumPoints is the size of the design space.
@@ -174,20 +174,23 @@ func (p *Plan) Config(index int) map[string]string {
 	return p.configs[index]
 }
 
-// RunSubset executes the given global point indices (strictly ascending;
-// nil means every point) on this plan's engine resources, invoking
-// onOutcome per committed outcome in subset order. Each outcome carries
-// its global Index. Handing the outcomes to Assemble gives the table: a
-// fleet worker's shard, a daemon job, or the coordinator's degraded-mode
-// remainder — when a shard's retry budget is exhausted with no healthy
-// worker left to take it, the remaining indices run on the coordinator's
-// own engine and merge into the same table, byte for byte.
+// RunSubset is RunSubsetOn on this plan's engine.
 func (p *Plan) RunSubset(ctx context.Context, subset []int, onOutcome func(out core.PointOutcome)) error {
+	return p.RunSubsetOn(ctx, subset, nil, onOutcome)
+}
+
+// RunSubsetOn executes the given global point indices (strictly
+// ascending; nil means every point), invoking onOutcome per committed
+// outcome in subset order. Each outcome carries its global Index. exec
+// (core.Executor) runs the points — a coordinator's fleet, on its workers
+// — or, when nil, this plan's engine; either way they are pruned, ordered
+// and counted here, and handing the outcomes to Assemble gives the table.
+func (p *Plan) RunSubsetOn(ctx context.Context, subset []int, exec core.Executor, onOutcome func(out core.PointOutcome)) error {
 	var progress func(done, total int, out core.PointOutcome)
 	if onOutcome != nil {
 		progress = func(done, total int, out core.PointOutcome) { onOutcome(out) }
 	}
-	_, err := p.ex.RunPoints(ctx, subset, progress)
+	_, err := p.ex.RunPoints(ctx, subset, exec, progress)
 	return err
 }
 
@@ -196,7 +199,7 @@ func (p *Plan) RunSubset(ctx context.Context, subset []int, onOutcome func(out c
 // so a caller that needed the plan first (for PointKeys, say) does not
 // plan twice.
 func (p *Plan) Run(ctx context.Context) (*ResultSet, error) {
-	exploration, err := p.ex.RunPoints(ctx, nil, nil)
+	exploration, err := p.ex.RunPoints(ctx, nil, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -332,10 +335,9 @@ func (e *Engine) Plan(q *Query) (*Plan, error) {
 // Assemble turns committed point outcomes into the query's final
 // ResultSet — metric rows, locally-computed cost columns, WHERE
 // filtering, ORDER BY/LIMIT and the display columns. It is the second
-// half of RunContext and, equally, the fleet coordinator's merge step:
-// the outcomes may come from a local explorer or be reconstructed from
-// worker NDJSON streams in global point order, and identical outcomes
-// assemble into byte-identical tables.
+// half of RunContext and of every daemon job: the outcomes may come from
+// this engine, from a fleet's workers or from a journal, and identical
+// outcomes assemble into byte-identical tables.
 func (p *Plan) Assemble(outcomes []core.PointOutcome) (*ResultSet, error) {
 	q := p.Query
 	book := cost.DefaultPriceBook()
