@@ -322,7 +322,7 @@ func (e *Explorer) RunPoints(ctx context.Context, subset []int, exec Executor,
 	// a speculative result for a point that should have been skipped is
 	// discarded, keeping Executed/Pruned/Events identical to a Workers=1
 	// sweep.
-	exp := &Exploration{}
+	exp := &Exploration{Outcomes: make([]PointOutcome, 0, len(sel))}
 	reorder := make(map[int]indexedPoint)
 	var firstErr error
 	for res := range results {

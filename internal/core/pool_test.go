@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"runtime"
 	"slices"
@@ -446,4 +447,48 @@ func TestRunAllocationFlatInTrials(t *testing.T) {
 		t.Errorf("each trial past the 20th allocates %d bytes, budget %d (20 trials: %d bytes, 200: %d)", perTrial, perTrialBytes, small, large)
 	}
 	t.Logf("%d bytes a trial (20 trials: %d bytes, 200: %d)", perTrial, small, large)
+}
+
+// TestWarmPointAllocationIndependentOfTrials: a point shaped like
+// sweep_repair's, run on the world an earlier run of it left in the pool,
+// allocates the same bytes and the same count at 8 trials as at 64 — a
+// warm point allocates its answer, not its trials. Its trials are repair
+// storms: node lists outgrow their room, and those outgrown lists move
+// into the store's kept index rather than storage the next Reset drops.
+func TestWarmPointAllocationIndependentOfTrials(t *testing.T) {
+	useWorldPool(t, worldBudget)
+	sc := DefaultScenario()
+	sc.Cluster.NodesPerRack, sc.Users, sc.ObjectSizeMB, sc.HorizonHours = 5, 300, 64, 2000
+	sc.Repair.MaxConcurrent = 4
+	run := func(trials int) *RunResult {
+		res, err := Runner{Trials: trials, Workers: 1}.Run(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	if res := run(64); res.Metrics["repairs"] == 0 {
+		t.Fatal("64 trials repaired nothing: the point no longer storms")
+	}
+	// The least of ten runs: a run whose cache-key buffer the sync.Pool
+	// dropped (at a GC, or at random under the race detector) allocates
+	// 4 KB more.
+	measure := func(trials int) (bytes, allocs uint64) {
+		bytes, allocs = math.MaxUint64, math.MaxUint64
+		for range 10 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			run(trials)
+			runtime.ReadMemStats(&after)
+			bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+			allocs = min(allocs, after.Mallocs-before.Mallocs)
+		}
+		return bytes, allocs
+	}
+	fewBytes, fewAllocs := measure(8)
+	manyBytes, manyAllocs := measure(64)
+	if fewBytes != manyBytes || fewAllocs != manyAllocs {
+		t.Errorf("a warm point allocates %d bytes in %d allocations at 8 trials, %d bytes in %d at 64", fewBytes, fewAllocs, manyBytes, manyAllocs)
+	}
+	t.Logf("a warm point allocates %d bytes in %d allocations", manyBytes, manyAllocs)
 }

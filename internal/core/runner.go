@@ -315,11 +315,20 @@ func (r Runner) simulate(ctx context.Context, sc Scenario, world worldKey) (*Run
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// Metric keys are compile-time literals (interned by the compiler);
-	// sizing the maps exactly keeps RunResult assembly at two fixed
-	// allocations per run, which matters when the Explorer assembles one
-	// RunResult per design point across large sweeps.
-	metrics := make(map[string]float64, mCount+4)
+	// Metric keys are compile-time literals (interned by the compiler).
+	// The map is sized for the entries it gets: the ten every run has, the
+	// two importance-sampling diagnostics and the ten power metrics when
+	// those are on. A larger hint costs bytes, not allocations: on Go 1.24
+	// a hint of 9–14 allocates 504 B and one of 15–22 allocates 984 B, and
+	// the Explorer assembles one RunResult per design point.
+	size := 10
+	if r.biasActive() {
+		size += 2
+	}
+	if sc.Power.Enabled {
+		size += 10
+	}
+	metrics := make(map[string]float64, size)
 	metrics["availability"] = agg.mean(mAvail)
 	metrics["unavail_fraction"] = 1 - agg.mean(mAvail)
 	metrics["zero_copy_fraction"] = agg.mean(mZeroCopy)

@@ -36,7 +36,24 @@ type Client struct {
 	// Trace, when non-empty, is sent as X-WT-Trace: the coordinator's
 	// shard span, which the worker's job span for a Query hangs under.
 	Trace string
+	// maxLine bounds a stream line; 0 means maxEventLine. Tests lower it.
+	maxLine int
 }
+
+// maxEventLine bounds one line of a job's NDJSON stream, its newline
+// included: a Client fails the stream at a longer one, and no daemon
+// writes one. A job, point or error line holds one point's config and
+// metrics or an error's text, each from a query body under maxQueryBody
+// (1 MB). A result line holds every row and the rendered table, 0.6–0.8 KB
+// a row for sweep_repair's shape and for a power sweep, so about 80 MB at
+// wtql's ceiling of 100 000 points; encodeTerminal refuses a longer result
+// than maxResultLine, which leaves room for a re-sent result's job id.
+const maxEventLine = 256 << 20
+
+// errLineTooLong fails a stream whose line outgrows the client's bound:
+// a peer sending one endless line is a failed peer, not a reason to grow
+// the reader's memory until the process is killed.
+var errLineTooLong = errors.New("stream line over the line bound")
 
 // MaxReply bounds a one-shot JSON reply for callers with no tighter
 // limit of their own; the largest (a job listing, a merged trace, a
@@ -171,30 +188,30 @@ func decode[T any](e *Event) (ev T, err error) {
 }
 
 // events sends one request and hands on each event of the reply's stream,
-// a line at a time however long the line (a result carries every row and
-// the rendered table). It returns nil once the result event has been
-// delivered, a *JobError for an error event, on's error if it fails,
-// ErrTorn at a clean end before any of those, and the transport's error
-// otherwise. A line counts when its newline has arrived: the daemon
-// writes an event in one piece, so a cut lands between events.
+// a line at a time, each line at most the client's bound (maxEventLine).
+// It returns nil once the result event has been delivered, a *JobError
+// for an error event, on's error if it fails, ErrTorn at a clean end
+// before any of those, an error wrapping errLineTooLong at a longer line,
+// and the transport's error otherwise. A line counts when its newline has
+// arrived: the daemon writes an event in one piece, so a cut lands
+// between events. What follows the result is read on, up to the bound,
+// so that the connection can be reused, and dropped: nothing after the
+// result can fail the stream.
 func (c Client) events(ctx context.Context, method, url string, body []byte, on func(*Event) error) error {
 	resp, err := c.do(ctx, method, url, body)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
+	limit := c.maxLine
+	if limit <= 0 {
+		limit = maxEventLine
+	}
 	rd := bufio.NewReader(resp.Body)
-	done := false
+	var line []byte // an Event's line is valid until on returns
 	for {
-		line, err := rd.ReadBytes('\n')
+		line, err = readLine(rd, line[:0], limit)
 		switch {
-		case done:
-			// Reading on to the end of the body lets the connection be
-			// reused; nothing that follows the result can fail the stream.
-			if err != nil {
-				return nil
-			}
-			continue
 		case err == io.EOF:
 			return ErrTorn
 		case err != nil:
@@ -215,7 +232,27 @@ func (c Client) events(ctx context.Context, method, url string, body []byte, on 
 		if err := on(&Event{Type: head.Type, line: line}); err != nil {
 			return err
 		}
-		done = head.Type == "result"
+		if head.Type == "result" {
+			_, _ = io.CopyN(io.Discard, rd, int64(limit)) // the tail is dropped whatever it holds
+			return nil
+		}
+	}
+}
+
+// readLine appends rd's next line, its newline included, to dst. It
+// fails with errLineTooLong once the line is longer than limit, having
+// read at most one buffer past it, and returns what it has with the
+// reader's error when the stream ends before a newline.
+func readLine(rd *bufio.Reader, dst []byte, limit int) ([]byte, error) {
+	for {
+		frag, err := rd.ReadSlice('\n')
+		if len(dst)+len(frag) > limit {
+			return dst, fmt.Errorf("%w of %d bytes", errLineTooLong, limit)
+		}
+		dst = append(dst, frag...)
+		if err != bufio.ErrBufferFull {
+			return dst, err
+		}
 	}
 }
 

@@ -3,11 +3,14 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"regexp"
 	"runtime"
 	"slices"
@@ -468,8 +471,10 @@ func TestClientErrors(t *testing.T) {
 
 // TestClientBoundedReads: a peer that never stops sending cannot make a
 // reader allocate without bound or wait without bound — a one-shot reply
-// is refused past its limit, and a coordinator merging that peer's spans
-// into a job's trace still answers, with its own.
+// is refused past its limit, a coordinator merging that peer's spans
+// into a job's trace still answers, with its own, and a sweep sharded to
+// that peer, whose stream is one endless line, fails the shard at the
+// line bound and ends with a single daemon's table.
 func TestClientBoundedReads(t *testing.T) {
 	chunk := bytes.Repeat([]byte(`{"span_id":"x"},`), 4096)
 	endless := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -516,6 +521,133 @@ func TestClientBoundedReads(t *testing.T) {
 		}
 		if len(local) == 0 || len(tr.Spans) != len(local) {
 			t.Fatalf("merged trace has %d spans, the coordinator recorded %d", len(tr.Spans), len(local))
+		}
+	})
+
+	t.Run("a sweep sharded to it ends with a single daemon's table", func(t *testing.T) {
+		// The line bound is lowered so that the shard's stream reads a
+		// megabyte, not maxEventLine, before it fails; with no other
+		// member to fail over to, its points then run on the coordinator.
+		const bound = 1 << 20
+		_, single := newTestServer(t, Config{PoolSize: 2})
+		want := lastEvent(t, postQuery(t, single, monotoneQuery))
+		coord, cts := newTunedServer(t, Config{Coordinator: true, Peers: []string{endless.URL}, HistoryInterval: time.Hour}, nil,
+			func(s *Server) { s.fleet.client.maxLine = bound })
+		// The start-up telemetry round scrapes the peer's /metrics up to
+		// its own 8 MB bound, outside what is measured: it ends by firing
+		// worker_down, and the next round is an hour away.
+		for deadline := time.Now().Add(10 * time.Second); coord.alerts.FiringCount() == 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("the start-up round fired no alert for the endless peer")
+			}
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		final := lastEvent(t, postQuery(t, cts, monotoneQuery))
+		runtime.ReadMemStats(&after)
+		for _, field := range []string{"type", "table", "executed", "pruned", "screened"} {
+			if final[field] != want[field] {
+				t.Fatalf("%s = %v, a single daemon's is %v\n%v", field, final[field], want[field], final)
+			}
+		}
+		if f := coord.tel.workerFailures.Value(); f == 0 || final["degraded"] != true {
+			t.Fatalf("%v worker failures, degraded %v: the sweep never went to the endless peer", f, final["degraded"])
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 16*bound {
+			t.Fatalf("the sweep allocated %d bytes, want at most %d (16 line bounds)", grew, 16*bound)
+		}
+	})
+}
+
+// FuzzClientEvents: whatever bytes a daemon's reply body holds, served
+// through httptest to Client.Query with a line bound from 1 byte to 8 KB,
+// the reader never panics and ends as the NDJSON framing says it must.
+// Every event it hands on is a whole line of the body, in order, under
+// the bound. It returns nil right after the first result line, a
+// *JobError at an error line, errLineTooLong at a line over the bound
+// (torn or whole), ErrTorn at an unterminated tail, and a "bad stream
+// line" error at a line that is not a JSON object; a blank line is
+// skipped. Seeded with a parent daemon's stream and its variants.
+func FuzzClientEvents(f *testing.F) {
+	stream, err := os.ReadFile(filepath.Join("testdata", "parent_be31c54", "job-1.stream"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(stream, uint16(8191))
+	f.Add(stream, uint16(200))
+	f.Add(stream[:len(stream)-1], uint16(8191))
+	f.Add(append(bytes.Clone(stream), "trailing bytes after the result\n"...), uint16(8191))
+	f.Add([]byte("\n  \n{\"type\":\"job\",\"id\":\"job-1\"}\n{\"type\":\"error\",\"error\":\"boom\"}\n"), uint16(64))
+	f.Add([]byte("{\"type\":\"point\"}\nnot json\n"), uint16(64))
+	f.Add(bytes.Repeat([]byte("x"), 10000), uint16(100))
+
+	var (
+		mu    sync.Mutex
+		reply []byte
+	)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		body := reply
+		mu.Unlock()
+		w.Write(body)
+	}))
+	defer ts.Close()
+
+	f.Fuzz(func(t *testing.T, body []byte, bound uint16) {
+		limit := int(bound)%8192 + 1
+		mu.Lock()
+		reply = body
+		mu.Unlock()
+		var got [][]byte
+		err := (Client{maxLine: limit}).Query(context.Background(), ts.URL, QueryRequest{Query: "q"}, func(ev *Event) error {
+			got = append(got, bytes.Clone(ev.line))
+			return nil
+		})
+
+		// What the framing says: walk the body's lines.
+		var want [][]byte
+		var wantErr func(error) bool
+		rest := body
+		for wantErr == nil {
+			line := rest
+			if i := bytes.IndexByte(rest, '\n'); i >= 0 {
+				line = rest[:i+1]
+			}
+			rest = rest[len(line):]
+			var head struct {
+				Type  string `json:"type"`
+				Error string `json:"error"`
+			}
+			switch {
+			case len(line) > limit:
+				wantErr = func(err error) bool { return errors.Is(err, errLineTooLong) }
+			case len(line) == 0 || line[len(line)-1] != '\n':
+				wantErr = func(err error) bool { return errors.Is(err, ErrTorn) }
+			case len(bytes.TrimSpace(line)) == 0:
+			case json.Unmarshal(line, &head) != nil:
+				wantErr = func(err error) bool { return err != nil && strings.HasPrefix(err.Error(), "bad stream line") }
+			case head.Type == "error":
+				wantErr = func(err error) bool {
+					var je *JobError
+					return errors.As(err, &je) && je.Message == head.Error
+				}
+			default:
+				want = append(want, line)
+				if head.Type == "result" {
+					wantErr = func(err error) bool { return err == nil }
+				}
+			}
+		}
+		if !wantErr(err) {
+			t.Fatalf("bound %d: the stream ended with %v", limit, err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("bound %d: %d events handed on, the framing has %d", limit, len(got), len(want))
+		}
+		for i := range got {
+			if !bytes.Equal(got[i], want[i]) || len(got[i]) > limit {
+				t.Fatalf("bound %d: event %d is %q, the framing's is %q", limit, i, got[i], want[i])
+			}
 		}
 	})
 }

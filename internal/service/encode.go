@@ -2,6 +2,7 @@ package service
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"reflect"
 	"slices"
@@ -169,11 +170,16 @@ func (e *eventEncoder) encodeResent(id string, tail []byte) []byte {
 	return e.buf
 }
 
+// maxResultLine is the longest result line encodeTerminal writes. A
+// re-sent result (encodeResent) differs from the line it copies in its
+// job id alone, so both stay under a reader's maxEventLine.
+const maxResultLine = maxEventLine - 1<<10
+
 // encodeTerminal encodes a finished job's last line: its result event,
 // or its error event when the job failed (err non-nil) — or when the
-// result cannot be encoded (a NaN or infinite row metric), so that a
-// stream always ends in a terminal line. failure is what the line
-// reports: nil for a result.
+// result cannot be encoded (a NaN or infinite row metric, or a line over
+// maxResultLine), so that a stream always ends in a terminal line.
+// failure is what the line reports: nil for a result.
 func (e *eventEncoder) encodeTerminal(id string, rs *wtql.ResultSet, degraded bool, err error) (line []byte, failure error) {
 	if err == nil {
 		rows := rs.Rows
@@ -189,6 +195,9 @@ func (e *eventEncoder) encodeTerminal(id string, rs *wtql.ResultSet, degraded bo
 			Table:     rs.Render(),
 			Degraded:  degraded,
 		})
+		if err == nil && len(line) > maxResultLine {
+			err = fmt.Errorf("service: the result line is %d bytes, over the stream's bound of %d", len(line), maxResultLine)
+		}
 		if err == nil {
 			return line, nil
 		}

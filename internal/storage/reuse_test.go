@@ -261,6 +261,56 @@ func TestReplacingAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestRelocationOverflowAllocatesNothing: a repair storm that drains a
+// node onto the lowest-numbered nodes holding no shard of each object
+// moves more shards onto node 1 than its list has room for. The first
+// trial grows the store's index; every repeat of the trial after a Reset
+// allocates nothing, because the outgrown list is carved again from the
+// kept index, not moved to storage the next Reset drops.
+func TestRelocationOverflowAllocatesNothing(t *testing.T) {
+	view := rackView(3, 5)
+	st, err := NewStore(view, Random{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var place rng.Source
+	overflowed := false
+	trial := func() {
+		st.Reset()
+		place.Reseed(1)
+		if err := st.AddObjects(300, 64, ReplicationScheme(3), &place); err != nil {
+			t.Fatal(err)
+		}
+		for n := 0; n < view.Nodes; n++ {
+			st.ObjectsOn(n)
+		}
+		room := cap(st.ObjectsOn(1))
+		for _, o := range st.Objects() {
+			if !slices.Contains(o.Locations, 0) {
+				continue
+			}
+			to := 1
+			for slices.Contains(o.Locations, to) {
+				to++
+			}
+			if err := st.Relocate(o, 0, to); err != nil {
+				t.Fatal(err)
+			}
+		}
+		overflowed = len(st.ObjectsOn(1)) > room
+		if len(st.ObjectsOn(0)) != 0 {
+			t.Fatalf("node 0 still lists %d objects after the drain", len(st.ObjectsOn(0)))
+		}
+	}
+	trial()
+	if !overflowed {
+		t.Fatal("the drain fits node 1's room: the test no longer overflows a list")
+	}
+	if allocs := testing.AllocsPerRun(10, trial); allocs != 0 {
+		t.Fatalf("a warm trial whose relocations overflow a list allocates %v times, want 0", allocs)
+	}
+}
+
 // TestDeferredStoreMatchesEager: a population the store was told of with
 // Defer is, once anything reads an object, the population AddObjects
 // places — object for object, index entry for index entry — whichever

@@ -45,7 +45,9 @@
 // first and second read are counted by the second's pass rather than
 // appended one by one, so fewer lists outgrow their room (EXPERIMENTS.md
 // E43 measures both effects against building every list at the first
-// read).
+// read). A list that does outgrow its room is carved again at the tail of
+// the index, which a store keeps between populations, so a warm store's
+// trials allocate nothing (E48).
 package storage
 
 import (
@@ -552,23 +554,30 @@ func (st *Store) buildRest() {
 	}
 }
 
-// carve makes node n's list the c entries of index from used, with room
-// to grow by half its length plus 8 before an append has to move it to
-// storage of its own: the shards a repair storm relocates onto one node
-// between two reads of it are a fraction of what it holds.
+// carve makes node n's list the c entries of index from used (see slot).
 func (st *Store) carve(n, c int) {
-	room := c/2 + 8
-	st.byNode[n] = st.index[st.used : st.used+c : st.used+c+room]
-	st.used += c + room
+	st.byNode[n] = st.slot(c)
 	st.lists++
 	st.built[n], st.stale[n] = st.epoch, false
+}
+
+// slot returns the c entries of index from used, with room to grow by
+// half its length plus 8 before Relocate has to move the list they hold:
+// the shards a repair storm relocates onto one node between two reads of
+// it are a fraction of what it holds. The caller has reserved them.
+func (st *Store) slot(c int) []*Object {
+	room := c/2 + 8
+	s := st.index[st.used : st.used+c : st.used+c+room]
+	st.used += c + room
+	return s
 }
 
 // reserve makes room for k more entries in index. A new index holds every
 // node's list at once and k on top — the shards, half as many again and 8
 // a node, the most a population's lists take unless relocations have
 // moved shards onto nodes read after them, and a list counts them twice —
-// or twice the old one, so the next population fits.
+// or twice the old one, so the next population, and the lists Relocate
+// carves again, fit.
 func (st *Store) reserve(k int) {
 	if cap(st.index)-st.used >= k {
 		return
@@ -625,7 +634,18 @@ func (st *Store) Relocate(obj *Object, from, to int) error {
 		st.stale[from] = true
 	}
 	if st.isBuilt(to) {
-		st.byNode[to] = append(st.byNode[to], obj)
+		list := st.byNode[to]
+		if len(list) == cap(list) {
+			// Out of room: the list moves to the tail of index, which Reset
+			// keeps, not to storage of its own that the next Reset drops, so
+			// a warm store's trials allocate nothing however many shards
+			// they relocate.
+			st.reserve(len(list) + len(list)/2 + 8)
+			moved := st.slot(len(list))
+			copy(moved, list)
+			list = moved
+		}
+		st.byNode[to] = append(list, obj)
 		st.stale[to] = true
 	}
 	return nil

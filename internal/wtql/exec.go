@@ -341,7 +341,7 @@ func (e *Engine) Plan(q *Query) (*Plan, error) {
 func (p *Plan) Assemble(outcomes []core.PointOutcome) (*ResultSet, error) {
 	q := p.Query
 	book := cost.DefaultPriceBook()
-	rs := &ResultSet{}
+	rs := &ResultSet{Rows: make([]Row, 0, len(outcomes))}
 	for _, out := range outcomes {
 		switch {
 		case out.Pruned:
@@ -371,7 +371,15 @@ func (p *Plan) Assemble(outcomes []core.PointOutcome) (*ResultSet, error) {
 			rs.Rows = append(rs.Rows, row)
 			continue
 		}
-		row.Metrics = make(map[string]float64, len(out.Result.Metrics)+5)
+		// The row's own map, sized for what it gets: the result's metrics
+		// and cost.total, cost.capex and storage.overhead, and cost.energy
+		// with a simulated energy_kwh. The result's map is not reused: the
+		// trial cache shares it.
+		size := len(out.Result.Metrics) + 3
+		if _, ok := out.Result.Metrics["energy_kwh"]; ok {
+			size++
+		}
+		row.Metrics = make(map[string]float64, size)
 		for k, v := range out.Result.Metrics {
 			row.Metrics[k] = v
 		}
@@ -419,8 +427,8 @@ func (p *Plan) Assemble(outcomes []core.PointOutcome) (*ResultSet, error) {
 	}
 
 	// ORDER BY and LIMIT apply to passing, executed rows first; pruned
-	// and failing rows are dropped from the final set.
-	var final []Row
+	// and failing rows are dropped from the final set, in place.
+	final := rs.Rows[:0]
 	for _, r := range rs.Rows {
 		if !r.Pruned && r.Passed {
 			final = append(final, r)
@@ -668,6 +676,14 @@ func (rs *ResultSet) Render() string {
 			}
 		}
 	}
+	// Every line is as wide as the widths and their gaps (padding counts
+	// runes, so a cell with multi-byte runes can make the table longer);
+	// the count line is under 100 bytes.
+	line := 1
+	for _, w := range widths {
+		line += w + 2
+	}
+	b.Grow((len(cells)+2)*line + 100)
 	for i, c := range rs.Columns {
 		fmt.Fprintf(&b, "%-*s  ", widths[i], c)
 	}

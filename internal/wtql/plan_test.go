@@ -2,7 +2,9 @@ package wtql
 
 import (
 	"context"
+	"math"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -59,6 +61,54 @@ func TestAssembleWarmAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() { plan.Assemble(outcomes) })
 	if allocs > parent/3 {
 		t.Fatalf("warm Assemble allocates %.0f times, want <= %d (a third of the parent's %d)", allocs, parent/3, parent)
+	}
+}
+
+// TestWarmAnswerBytes pins the bytes of a warm point's answer, which
+// TestAssembleWarmAllocs' count does not see: each map is sized for the
+// entries it gets, where the parent commit (2fa139d) sized a run's
+// metrics for 22 and a row's for 15. On Go 1.24 a map hint of 9–14
+// allocates 504 B and one of 15–22 allocates 984 B, so the two maps a
+// point's answer holds cost 480 B less each. A warm run of one
+// serveWarmQuery point (two trials on its pooled world) allocated 1 416 B
+// at the parent and 936 B after the change; a warm Assemble of the eight
+// points 9 008 B and 4 640 B. The pins leave room for a few small allocations,
+// not for one map sized as before.
+func TestWarmAnswerBytes(t *testing.T) {
+	plan, outcomes := warmPlan(t, &Engine{TrialWorkers: 1})
+	sc, err := plan.ex.Scenario(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The least of twenty calls: a run whose cache-key buffer the
+	// sync.Pool dropped (at a GC, or at random under the race detector)
+	// allocates 4 KB more.
+	bytes := func(f func()) uint64 {
+		least := uint64(math.MaxUint64)
+		for range 20 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			f()
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	run := bytes(func() {
+		if _, err := (core.Runner{Trials: 2, Workers: 1}).Run(sc); err != nil {
+			t.Fatal(err)
+		}
+	})
+	assemble := bytes(func() {
+		if _, err := plan.Assemble(outcomes); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if run > 1024 {
+		t.Errorf("a warm one-point run allocates %d B, want <= 1024 (the parent's 1 416)", run)
+	}
+	if assemble > 5000 {
+		t.Errorf("a warm 8-row Assemble allocates %d B, want <= 5000 (the parent's 9 008)", assemble)
 	}
 }
 
