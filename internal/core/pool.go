@@ -15,9 +15,11 @@ import (
 type worldKey [sha256.Size]byte
 
 // worldBudget bounds the bytes the idle worlds of the process hold, by
-// worldBytes' estimate: 64 worlds of a 120-node, 1 000-tenant sweep_quiet
-// point (1 MB each by the estimate, 0.5 MB on the heap), or one world of
-// 10 000 nodes.
+// worldBytes' estimate: 52 worlds of a 120-node, 1 000-tenant,
+// replication-3 sweep_quiet point (1.29 MB each by the estimate, 0.43 MB
+// on the heap), 150 of a 15-node, 300-tenant, replication-5 sweep_repair
+// point (0.44 MB by the estimate, 0.42 MB on the heap after 256 trials),
+// or one world of 10 000 nodes.
 const worldBudget = 64 << 20
 
 // worlds is the process's pool of idle trial worlds.
@@ -98,12 +100,15 @@ func (p *worldPool) remove(i int) {
 // component failures are on. The weights are rounded up from heap
 // measurements of quiet, repair-storm and 10 000-node worlds: the worlds
 // measured hold from about 0.4 to 0.95 of their estimate (EXPERIMENTS.md
-// E37), and TestWorldBytesCoversHeap holds them to at most 5/4.
+// E37), and TestWorldBytesCoversHeap holds them to at most 5/4. A storm
+// world's heap keeps growing for hundreds of trials, to about 200 bytes a
+// shard after 256 (E49), so a shard weighs 192 bytes, not the 96 that
+// eight trials showed.
 func worldBytes(sc *Scenario) int64 {
 	nodes := int64(sc.Cluster.Racks) * int64(sc.Cluster.NodesPerRack)
 	disks := nodes * int64(sc.Cluster.DisksPerNode)
 	shards := int64(sc.Users) * int64(sc.Scheme.Width())
-	bytes := 24<<10 + nodes*2048 + disks*384 + int64(sc.Users)*256 + shards*96
+	bytes := 24<<10 + nodes*2048 + disks*384 + int64(sc.Users)*256 + shards*192
 	if sc.Cluster.ComponentFailures {
 		bytes += (disks + nodes) * 640
 	}

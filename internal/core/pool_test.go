@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"runtime"
@@ -391,33 +392,48 @@ func TestFailedWorldNotPooled(t *testing.T) {
 // TestWorldBytesCoversHeap holds worldBytes to what built worlds hold on
 // the heap after running trials — quiet ones, repair storms, components
 // with lifecycles, a daemon query's — so that the pool's budget bounds
-// real memory: a world may not hold more than 5/4 of its estimate.
+// real memory: a world may not hold more than 5/4 of its estimate. A storm
+// world's heap keeps growing for many trials, so the six world shapes
+// of the benchmark's sweep_repair (replication 2, 3 and 5 on 3 racks of 5
+// and of 10 nodes, 300 tenants) run 256 trials each.
 func TestWorldBytesCoversHeap(t *testing.T) {
+	type world struct {
+		sc     Scenario
+		trials uint64
+	}
 	quiet := quietScenario()
-	repairing := DefaultScenario()
-	repairing.Cluster.NodesPerRack, repairing.Users, repairing.ObjectSizeMB, repairing.HorizonHours = 5, 300, 64, 2000
-	repairing.Scheme = storage.ReplicationScheme(5)
 	disks := stormRun(func(sc *Scenario) { sc.Cluster.DisksPerNode = 12 })
 	query := DefaultScenario()
 	query.Cluster.Racks, query.Cluster.NodesPerRack, query.Users, query.HorizonHours = 2, 4, 20, 200
 	query.Cluster.NodeTTF = exp(500)
-	for name, sc := range map[string]Scenario{"quiet": quiet, "repairing": repairing, "component lifecycles": disks, "query": query} {
+	worlds := map[string]world{"quiet": {quiet, 8}, "component lifecycles": {disks, 8}, "query": {query, 8}}
+	for _, replication := range []int{2, 3, 5} {
+		for _, perRack := range []int{5, 10} {
+			sc := DefaultScenario()
+			sc.Cluster.Racks, sc.Cluster.NodesPerRack = 3, perRack
+			sc.Users, sc.ObjectSizeMB, sc.HorizonHours = 300, 64, 2000
+			sc.Scheme = storage.ReplicationScheme(replication)
+			worlds[fmt.Sprintf("sweep_repair rep-%d 3x%d", replication, perRack)] = world{sc, 256}
+		}
+	}
+	for name, w := range worlds {
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
-		w := newWorld(worldKey{}, Runner{}, sc)
-		for trial := uint64(0); trial < 8; trial++ {
-			if out := w.run(context.Background(), trial); out.err != nil {
+		built := newWorld(worldKey{}, Runner{}, w.sc)
+		for trial := uint64(0); trial < w.trials; trial++ {
+			if out := built.run(context.Background(), trial); out.err != nil {
 				t.Fatal(out.err)
 			}
 		}
 		runtime.GC()
 		runtime.ReadMemStats(&after)
-		held, est := int64(after.HeapAlloc)-int64(before.HeapAlloc), worldBytes(&sc)
+		held, est := int64(after.HeapAlloc)-int64(before.HeapAlloc), worldBytes(&w.sc)
+		t.Logf("%s: %d trials, holds %d bytes, estimated %d (%.2f)", name, w.trials, held, est, float64(held)/float64(est))
 		if held > est*5/4 {
-			t.Errorf("%s: a world holds %d bytes, estimated %d", name, held, est)
+			t.Errorf("%s: after %d trials a world holds %d bytes, estimated %d", name, w.trials, held, est)
 		}
-		runtime.KeepAlive(w)
+		runtime.KeepAlive(built)
 	}
 }
 

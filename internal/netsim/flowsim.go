@@ -61,6 +61,13 @@ type FlowSim struct {
 	// callback may call OnLinkChange again; the nested call's snapshot goes
 	// after the outer one's and is taken off again when it returns.
 	walk []*Flow
+
+	// dirty is set while a solve is registered to run at the end of the
+	// current instant (see later); solve is that function, built once.
+	dirty bool
+	solve func()
+	// solves counts recompute's runs, for tests.
+	solves int
 }
 
 // maxRecycled bounds what a FlowSim keeps alive for reuse, at ~300 bytes a
@@ -82,7 +89,14 @@ const linkRoom = 2
 
 // NewFlowSim couples a simulator and a topology.
 func NewFlowSim(s *sim.Simulator, t *Topology) *FlowSim {
-	return &FlowSim{sim: s, topo: t}
+	fs := &FlowSim{sim: s, topo: t}
+	fs.solve = func() {
+		if fs.dirty {
+			fs.dirty = false
+			fs.recompute()
+		}
+	}
+	return fs
 }
 
 // Reset returns the flow simulator to its just-built state: every flow in
@@ -104,6 +118,7 @@ func (fs *FlowSim) Reset() {
 	clear(fs.walk)
 	fs.walk = fs.walk[:0]
 	fs.nextID = 0
+	fs.dirty = false
 }
 
 // Active returns the number of in-flight flows.
@@ -187,7 +202,7 @@ func (fs *FlowSim) activate(f *Flow) {
 		fs.solo(f)
 		return
 	}
-	fs.recompute()
+	fs.later()
 }
 
 // alone reports whether no other active flow crosses a link of f's route:
@@ -224,7 +239,7 @@ func (fs *FlowSim) Cancel(f *Flow) {
 		return
 	}
 	fs.removeFlow(f)
-	fs.recompute()
+	fs.later()
 }
 
 // finish completes a flow. A flow that was alone on its links leaves
@@ -240,7 +255,7 @@ func (fs *FlowSim) finish(f *Flow) {
 		fs.settle(fs.sim.Now())
 		return
 	}
-	fs.recompute()
+	fs.later()
 }
 
 // removeFlow takes a flow out of flight: its pending event is cancelled
@@ -259,7 +274,8 @@ func (fs *FlowSim) removeFlow(f *Flow) {
 }
 
 // OnLinkChange must be called after any link state change; it reroutes or
-// aborts affected flows and reallocates bandwidth.
+// aborts affected flows and has the bandwidth reallocated at the end of the
+// instant.
 func (fs *FlowSim) OnLinkChange() {
 	now := fs.sim.Now()
 	// Settle progress before rerouting.
@@ -286,7 +302,7 @@ func (fs *FlowSim) OnLinkChange() {
 	}
 	clear(fs.walk[base:])
 	fs.walk = fs.walk[:base]
-	fs.recompute()
+	fs.later()
 }
 
 // broken reports whether a route crosses a link that is down.
@@ -382,15 +398,33 @@ func (fs *FlowSim) settle(now sim.Time) {
 	}
 }
 
+// later settles progress and has the allocation solved once at the end of
+// the current instant, for every change made at it. Only the allocation
+// after an instant's last change governs elapsed time, so the one solve
+// gives the rates a solve per change would; a completion that a solve per
+// change would have moved and moved back within the instant can land an
+// ulp apart (EXPERIMENTS.md E49).
+func (fs *FlowSim) later() {
+	fs.settle(fs.sim.Now())
+	if fs.dirty {
+		return
+	}
+	fs.dirty = true
+	fs.sim.AtInstantEnd(fs.solve)
+}
+
 // recompute reruns max–min fair allocation by progressive filling and
-// reschedules the completion of every flow whose rate changed. It starts
-// from the busy links' lists, so it reads only the links that carry an
-// active flow, and each round freezes the bottleneck's own list. Ties
-// between bottleneck candidates go to the lowest link ID, so the
-// allocation, and with it every completion time, is reproducible bit for
-// bit; the order of a list does not matter, since each flow frozen in a
-// round takes the same share off every link it crosses.
+// reschedules the completion of every flow whose rate changed. It runs at
+// the end of each instant at which the allocation changed (see later),
+// not at every change. It starts from the busy links' lists, so it reads
+// only the links that carry an active flow, and each round freezes the
+// bottleneck's own list. Ties between bottleneck candidates go to the
+// lowest link ID, so the allocation, and with it every completion time, is
+// reproducible bit for bit; the order of a list does not matter, since
+// each flow frozen in a round takes the same share off every link it
+// crosses.
 func (fs *FlowSim) recompute() {
+	fs.solves++
 	fs.settle(fs.sim.Now())
 
 	unfrozen := 0

@@ -11,10 +11,12 @@ import (
 // a two-rack topology whose racks each reach two core switches, so a
 // failed uplink reroutes and a failed access link aborts. A flow's done and
 // failed callbacks run the next few operations from inside the callback.
-// After every operation run from outside, the flow simulator's
-// incremental state must be what it stands for (checkIncremental): every
-// rate the full rebuild's bit for bit, every link's list the active flows
-// that cross it.
+// At the end of every instant at which an event ran or an operation was
+// made, after the solve, the flow simulator's incremental state must be
+// what it stands for (checkIncremental): every rate the full rebuild's bit
+// for bit, every link's list the active flows that cross it. After every
+// operation run from outside, the lists must be (checkLists), and the
+// rates too unless a solve is still pending.
 type flowRun struct {
 	t     *testing.T
 	s     *sim.Simulator
@@ -26,8 +28,15 @@ type flowRun struct {
 
 	handed  []*Flow // every flow Start returned, dead ones included
 	nesting int     // callbacks running
-	started int64   // Starts that returned a flow
-	cancels int64   // Cancels of a flow in flight
+	// endCheck checks the state at the end of the instant; ending is set
+	// while it is registered, and ended counts its full checks. deferred is
+	// 1 + the events executed when it last found a solve pending.
+	endCheck func()
+	ending   bool
+	ended    int
+	deferred uint64
+	started  int64 // Starts that returned a flow
+	cancels  int64 // Cancels of a flow in flight
 	// done and failed callbacks that ran
 	completed, aborted int64
 }
@@ -54,7 +63,32 @@ func newFlowRun(t *testing.T, prog []byte) *flowRun {
 		}
 	}
 	r.fs = NewFlowSim(r.s, r.topo)
+	r.endCheck = func() {
+		if r.fs.dirty {
+			// The flow simulator's solve was registered after this check,
+			// so it runs before the check does again, unless it never was.
+			if r.deferred == r.s.Executed()+1 {
+				r.t.Fatalf("pc %d, t=%v: the flow simulator is dirty, and the instant's solve did not run before its end", r.pc, r.s.Now())
+			}
+			r.deferred = r.s.Executed() + 1
+			r.s.AtInstantEnd(r.endCheck)
+			return
+		}
+		r.deferred = 0
+		r.ending = false
+		r.ended++
+		r.check()
+	}
+	r.s.SetTracer(func(sim.Time, string) { r.checkAtEnd() })
 	return r
+}
+
+// checkAtEnd has the state checked at the end of the current instant.
+func (r *flowRun) checkAtEnd() {
+	if !r.ending {
+		r.ending = true
+		r.s.AtInstantEnd(r.endCheck)
+	}
 }
 
 func (r *flowRun) link(a, b NodeID, capacity, latency float64) {
@@ -121,12 +155,17 @@ func (r *flowRun) op() {
 	}
 	if r.nesting == 0 {
 		r.check()
+		r.checkAtEnd()
 	}
 }
 
 func (r *flowRun) check() {
 	r.t.Helper()
-	if err := checkIncremental(r.fs); err != nil {
+	check := checkIncremental
+	if r.fs.dirty {
+		check = checkLists
+	}
+	if err := check(r.fs); err != nil {
 		r.t.Fatalf("pc %d, t=%v: %v", r.pc, r.s.Now(), err)
 	}
 	fs := r.fs
@@ -147,6 +186,9 @@ func runFlowProgram(t *testing.T, prog []byte) {
 	// Drain: flows on a link at capacity 0 wait for ever, with no event.
 	r.s.Run()
 	r.check()
+	if r.ending || (r.pc > 1 && r.ended == 0) {
+		t.Fatalf("%d operations ran, but %d instants were checked at their end (one pending: %v)", r.pc/2, r.ended, r.ending)
+	}
 	r.fs.Reset()
 	r.started, r.cancels, r.completed, r.aborted = 0, 0, 0, 0
 	r.check()
@@ -202,9 +244,9 @@ func flowSeeds() [][]byte {
 }
 
 // FuzzFlowSim holds the flow simulator's per-link lists and the allocation
-// computed from them to the full rebuild, bit for bit, whatever is started,
-// cancelled, stepped, failed, restored and throttled, from outside or from
-// inside done and failed callbacks.
+// computed from them at every instant's end to the full rebuild, bit for
+// bit, whatever is started, cancelled, stepped, failed, restored and
+// throttled, from outside or from inside done and failed callbacks.
 func FuzzFlowSim(f *testing.F) {
 	for _, seed := range flowSeeds() {
 		f.Add(seed)

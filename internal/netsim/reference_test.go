@@ -174,27 +174,33 @@ func TestRecomputeStallsAndResumesFlow(t *testing.T) {
 	}
 	access := stalled.Route()[0]
 	var kept *sim.Event
+	// The readings are taken at the end of each instant, after the solve
+	// OnLinkChange registered for it.
 	s.Schedule(4, "throttle", func() {
 		kept = bystander.event
 		fs.topo.SetCapacity(access, 0)
 		fs.OnLinkChange()
-		if stalled.Rate() != 0 || stalled.event != nil || stalled.Remaining() != 600 {
-			t.Errorf("stalled flow: rate %v, event pending %v, remaining %v; want 0, false, 600",
-				stalled.Rate(), stalled.event != nil, stalled.Remaining())
-		}
-		if bystander.event != kept || bystander.Rate() != 100 {
-			t.Errorf("bystander at rate %v had its completion touched", bystander.Rate())
-		}
-		if s.Pending() != 2 { // the bystander's completion and the restore below
-			t.Errorf("%d events pending during the stall, want 2", s.Pending())
-		}
+		s.AtInstantEnd(func() {
+			if stalled.Rate() != 0 || stalled.event != nil || stalled.Remaining() != 600 {
+				t.Errorf("stalled flow: rate %v, event pending %v, remaining %v; want 0, false, 600",
+					stalled.Rate(), stalled.event != nil, stalled.Remaining())
+			}
+			if bystander.event != kept || bystander.Rate() != 100 {
+				t.Errorf("bystander at rate %v had its completion touched", bystander.Rate())
+			}
+			if s.Pending() != 2 { // the bystander's completion and the restore below
+				t.Errorf("%d events pending during the stall, want 2", s.Pending())
+			}
+		})
 	})
 	s.Schedule(9, "restore", func() {
 		fs.topo.SetCapacity(access, 100)
 		fs.OnLinkChange()
-		if stalled.Rate() != 100 || stalled.event == nil {
-			t.Errorf("restored flow: rate %v, event pending %v", stalled.Rate(), stalled.event != nil)
-		}
+		s.AtInstantEnd(func() {
+			if stalled.Rate() != 100 || stalled.event == nil {
+				t.Errorf("restored flow: rate %v, event pending %v", stalled.Rate(), stalled.event != nil)
+			}
+		})
 	})
 	s.Run()
 	if doneAt[bystander] != 10 || doneAt[stalled] != 15 {
@@ -248,6 +254,9 @@ func TestFailedCallbackStartsReplacementFlow(t *testing.T) {
 
 	topo.SetLinkUp(topo.Links()[0], false) // hosts[0]'s only link
 	fs.OnLinkChange()
+	// The replacements' activations are pending at this instant; solve
+	// ahead of them to read the bystander's rate in between.
+	fs.solveNow()
 
 	if len(abortOrder) != 3 || abortOrder[0] != 0 || abortOrder[1] != 1 || abortOrder[2] != 2 {
 		t.Fatalf("failed callbacks ran for flows %v, want [0 1 2]", abortOrder)
@@ -274,8 +283,9 @@ func TestFailedCallbackStartsReplacementFlow(t *testing.T) {
 // BenchmarkFlowSimRepairStorm is the repair manager's traffic on the
 // benchmark cluster: 16 transfer slots kept full over a 3x10 two-tier
 // topology, every completion starting the next transfer. One iteration is
-// one flow from Start to done, i.e. two flow events (activate, done), each
-// a full reallocation over the other 15.
+// one flow from Start to done, i.e. two flow events (activate, done); the
+// allocation over the other 15 is solved once per instant at which such
+// events happen, not once per event.
 func BenchmarkFlowSimRepairStorm(b *testing.B) {
 	topo, hosts, _, err := twoTier(TwoTierConfig{
 		Racks: 3, HostsPerRack: 10, HostLinkCap: 1250, UplinkCap: 12500,
@@ -411,29 +421,50 @@ func fullRebuildRates(fs *FlowSim) []float64 {
 	return rates
 }
 
+// solveNow runs the solve registered for the end of the current instant
+// at once, ahead of the events still pending at it, so a test can read the
+// allocation between two of them. The registration stays with the
+// simulator: when it runs it solves again only if a change since has
+// marked the flow simulator dirty.
+func (fs *FlowSim) solveNow() { fs.solve() }
+
 // checkIncremental holds a flow simulator's incremental state to what it
-// stands for: every active flow's rate is fullRebuildRates' bit for bit,
-// and its completion is pending at that rate exactly when the rate is
-// positive and finite;
-// each link's list holds exactly the active flows that cross it, as many
-// times as they do; no flow in its latency phase is on any list; busy lists
-// exactly the links whose list is not empty, each at the index its busyAt
-// names; and no active flow crosses a link that is down.
+// stands for at the end of an instant, once no solve is pending: every
+// active flow's rate is fullRebuildRates' bit for bit, and its completion
+// is pending at that rate exactly when the rate is positive and finite;
+// and the lists are as checkLists holds them.
 func checkIncremental(fs *FlowSim) error {
+	if fs.dirty {
+		return fmt.Errorf("a solve is pending: the rates are not the instant's yet")
+	}
+	return checkState(fs, true)
+}
+
+// checkLists holds what a flow simulator keeps current between two changes
+// at one instant, its rates aside: each link's list holds exactly the
+// active flows that cross it, as many times as they do; no flow in its
+// latency phase is on any list; busy lists exactly the links whose list is
+// not empty, each at the index its busyAt names; and no active flow
+// crosses a link that is down.
+func checkLists(fs *FlowSim) error { return checkState(fs, false) }
+
+func checkState(fs *FlowSim, rates bool) error {
 	want := map[int]map[*Flow]int{}
 	for i, rate := range fullRebuildRates(fs) {
 		f := fs.flows[i]
 		if !f.active {
 			continue
 		}
-		if math.Float64bits(f.rate) != math.Float64bits(rate) {
-			return fmt.Errorf("flow %d: rate %v (%#x), the full rebuild gives %v (%#x)",
-				f.ID, f.rate, math.Float64bits(f.rate), rate, math.Float64bits(rate))
-		}
-		if completes := rate > 0 && !math.IsInf(rate, 1); completes != (f.event != nil) ||
-			(completes && math.Float64bits(f.eventRate) != math.Float64bits(rate)) {
-			return fmt.Errorf("flow %d at rate %v: completion pending %v, scheduled at rate %v",
-				f.ID, rate, f.event != nil, f.eventRate)
+		if rates {
+			if math.Float64bits(f.rate) != math.Float64bits(rate) {
+				return fmt.Errorf("flow %d: rate %v (%#x), the full rebuild gives %v (%#x)",
+					f.ID, f.rate, math.Float64bits(f.rate), rate, math.Float64bits(rate))
+			}
+			if completes := rate > 0 && !math.IsInf(rate, 1); completes != (f.event != nil) ||
+				(completes && math.Float64bits(f.eventRate) != math.Float64bits(rate)) {
+				return fmt.Errorf("flow %d at rate %v: completion pending %v, scheduled at rate %v",
+					f.ID, rate, f.event != nil, f.eventRate)
+			}
 		}
 		if broken(f.route) {
 			return fmt.Errorf("active flow %d crosses a link that is down", f.ID)
@@ -470,7 +501,8 @@ func checkIncremental(fs *FlowSim) error {
 
 // TestOnLinkChangeAllocatesNothing: taking a link's capacity down and back,
 // and failing and restoring the link under flows that can reroute, costs
-// OnLinkChange no allocation once the flow simulator has done it before —
+// OnLinkChange and the instant's solve no allocation once the flow
+// simulator has done it before —
 // the walk's snapshot is the flow simulator's, a reroute writes over the
 // flow's own route, and the lists are put back in place.
 func TestOnLinkChangeAllocatesNothing(t *testing.T) {
@@ -481,6 +513,7 @@ func TestOnLinkChangeAllocatesNothing(t *testing.T) {
 		fs.OnLinkChange()
 		fs.topo.SetCapacity(uplink, uplink.Capacity()*4)
 		fs.OnLinkChange()
+		s.RunUntil(s.Now()) // the instant's solve
 	}
 	throttle()
 	if allocs := testing.AllocsPerRun(100, throttle); allocs != 0 {
@@ -518,6 +551,7 @@ func TestOnLinkChangeAllocatesNothing(t *testing.T) {
 		topo.SetLinkUp(second, false)
 		fs.OnLinkChange()
 		topo.SetLinkUp(second, true)
+		s.RunUntil(s.Now()) // the instant's solve
 	}
 	flap()
 	if allocs := testing.AllocsPerRun(100, flap); allocs != 0 {
@@ -564,6 +598,7 @@ func TestOnLinkChangeReentered(t *testing.T) {
 	s.RunUntil(0)
 	topo.SetLinkUp(topo.Links()[0], false) // hosts[0]'s link
 	fs.OnLinkChange()
+	s.RunUntil(s.Now()) // the instant's solve
 	if !slices.Equal(aborted, []int{0, 2, 3, 4}) {
 		t.Fatalf("failed callbacks ran for flows %v, want [0 2 3 4]: 0 in the outer walk, then 2, 3 and 4 in the nested one", aborted)
 	}
@@ -577,5 +612,71 @@ func TestOnLinkChangeReentered(t *testing.T) {
 		if f.Rate() != 100 {
 			t.Errorf("surviving flow %d at rate %v, want 100", f.ID, f.Rate())
 		}
+	}
+}
+
+// TestOneSolvePerInstant: the allocation is solved once per simulated
+// instant, not once per change made at it. k flows that share a link
+// activate at one instant: the first is alone and takes the solo path, the
+// other k-1 each mark the flow simulator dirty, and one solve at the
+// instant's end gives each its share. They finish together, at one
+// instant, and that is one solve again (the last to finish is alone and
+// only settles). k link changes from outside at one instant are one solve
+// too, run before RunUntil returns.
+func TestOneSolvePerInstant(t *testing.T) {
+	const k = 8
+	topo, hosts, err := SingleSwitch(k+1, 100, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := sim.New(1)
+	fs := NewFlowSim(s, topo)
+	var doneAt []sim.Time
+	for i := 0; i < k; i++ {
+		if _, err := fs.Start(hosts[i], hosts[k], 100, func(*Flow) { doneAt = append(doneAt, s.Now()) }, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if fs.solves != 0 {
+		t.Fatalf("%d solves before any flow activated", fs.solves)
+	}
+	s.RunUntil(1) // the activations at 1, then the instant's end
+	if fs.solves != 1 {
+		t.Fatalf("%d same-instant activations took %d solves, want 1", k, fs.solves)
+	}
+	if err := checkIncremental(fs); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range fs.Flows() {
+		if f.Rate() != 100.0/k {
+			t.Fatalf("flow %d at rate %v, want %v", f.ID, f.Rate(), 100.0/k)
+		}
+	}
+
+	fs.solves = 0
+	s.Run()
+	if len(doneAt) != k || doneAt[0] != doneAt[k-1] {
+		t.Fatalf("completions at %v, want %d at one instant", doneAt, k)
+	}
+	if fs.solves != 1 {
+		t.Fatalf("%d same-instant finishes took %d solves, want 1", k, fs.solves)
+	}
+
+	s, fs, _ = steadyFlows(t, 16)
+	fs.solves = 0
+	uplink := fs.topo.links[0]
+	for i := 0; i < k; i++ {
+		fs.topo.SetCapacity(uplink, uplink.Capacity()/2)
+		fs.OnLinkChange()
+	}
+	if fs.solves != 0 {
+		t.Fatalf("%d solves before the instant ended", fs.solves)
+	}
+	s.RunUntil(s.Now())
+	if fs.solves != 1 {
+		t.Fatalf("%d link changes at one instant took %d solves, want 1", k, fs.solves)
+	}
+	if err := checkIncremental(fs); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -8,13 +8,18 @@
 // with explicit links and bandwidth contention.
 //
 // Transfers are modelled as fluid flows: each active flow receives its
-// max–min fair share of every link on its route, recomputed whenever a
-// flow starts, finishes or a link changes state. This is the standard
-// flow-level approximation used by datacenter simulators.
+// max–min fair share of every link on its route. This is the standard
+// flow-level approximation used by datacenter simulators. The allocation
+// is solved once per simulated instant at which a flow activated,
+// finished or was cancelled or a link changed state, at the end of that
+// instant (sim.Simulator.AtInstantEnd), as SimGrid's lazy max–min updates
+// do: a repair storm finishes and starts many flows at one instant, and
+// only the allocation after the last of them is ever used across elapsed
+// time.
 //
-// A repair storm is thousands of such recomputations, so a flow event
-// costs the links it touches, as the paper's §4.2 argument has it, and not
-// a rebuild of the network's state. The FlowSim keeps, for each link, the
+// A repair storm is still thousands of solves, so a flow event costs the
+// links it touches, as the paper's §4.2 argument has it, and not a rebuild
+// of the network's state. The FlowSim keeps, for each link, the
 // active flows that cross it and the list of links that carry any; those
 // lists change only when a flow activates, leaves or is rerouted, each
 // change costing the flow's own route. The allocator (FlowSim.recompute)
@@ -23,14 +28,16 @@
 // it is frozen. Its scratch is the FlowSim's and is reused (zero
 // allocations in the steady state), and bottleneck ties go to the lowest
 // link ID, so a seed reproduces its completion times bit for bit — the
-// same bits the full rebuild it replaced gave. A flow's completion event
-// is touched only when its rate actually moved, and then it is moved in
-// place (sim.Reschedule, one sift). A flow that activates or finishes
-// alone on its links moves no other flow's rate, so it skips the solve: it
-// takes its route's least capacity, which is what progressive filling
-// would give it, and only progress is settled. That holds because a
-// link's state moves only through Topology.SetLinkUp and SetCapacity, each
-// followed by OnLinkChange, which solves again. OnLinkChange walks a
+// same bits the full rebuild it replaced gave. A change marks the FlowSim
+// dirty and the solve runs at the instant's end, so a rate read between
+// two changes at one instant can be stale. A flow's completion event is
+// touched only when its rate actually moved, and then it is moved in place
+// (sim.Reschedule, one sift). A flow that activates or finishes alone on
+// its links moves no other flow's rate, so it skips the solve: it takes
+// its route's least capacity, which is what progressive filling would give
+// it, and only progress is settled. That holds because a link's state
+// moves only through Topology.SetLinkUp and SetCapacity, each followed by
+// OnLinkChange, which has the instant solved again. OnLinkChange walks a
 // snapshot the FlowSim keeps and reroutes a flow into its own route's
 // storage, so a link change allocates nothing either. Topology.Route
 // allocates only the path it returns. While the links form a forest, as

@@ -140,14 +140,48 @@ func (c Client) Get(ctx context.Context, url string, limit int64) ([]byte, error
 		return nil, err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
-	if err != nil {
-		return nil, err
-	}
-	if int64(len(body)) > limit {
+	body, err := readBounded(resp.Body, limit)
+	if errors.Is(err, errReplyTooLong) {
 		return nil, fmt.Errorf("GET %s: reply exceeds %d bytes", url, limit)
 	}
-	return body, nil
+	return body, err
+}
+
+// errReplyTooLong is readBounded's refusal of a reply over its limit.
+var errReplyTooLong = errors.New("reply over its limit")
+
+// replyChunk is the largest piece readBounded reads into.
+const replyChunk = 64 << 10
+
+// readBounded returns all of r if it holds at most limit bytes, and
+// errReplyTooLong once it has read limit+1. It reads into pieces that
+// double from 512 bytes to replyChunk and are never copied to grow, and
+// joins them once at the end, so refusing an endless reply allocates
+// about limit bytes plus a piece, where io.ReadAll's regrown buffer
+// allocates several times limit.
+func readBounded(r io.Reader, limit int64) ([]byte, error) {
+	var pieces [][]byte
+	size, n := int64(512), int64(0)
+	for {
+		piece := make([]byte, min(size, limit+1-n))
+		m, err := io.ReadFull(r, piece)
+		pieces = append(pieces, piece[:m])
+		n += int64(m)
+		if n > limit {
+			return nil, errReplyTooLong
+		}
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		size = min(2*size, replyChunk)
+	}
+	if len(pieces) == 1 {
+		return pieces[0], nil
+	}
+	return bytes.Join(pieces, nil), nil
 }
 
 // GetJSON decodes the reply to GET url, at most limit bytes, into v.

@@ -303,12 +303,12 @@ func clientFailover(t *testing.T, workers []string, k int, wantTable string) {
 	}
 	frozen, release := make(chan struct{}), make(chan struct{})
 	var once sync.Once
-	primary.pointGate = func(index int) {
+	primary.setPointGate(func(index int) {
 		if index >= k {
 			once.Do(func() { close(frozen) })
 			<-release
 		}
-	}
+	})
 	killed := make(chan struct{})
 	go func() {
 		defer close(killed)
@@ -499,6 +499,31 @@ func TestClientBoundedReads(t *testing.T) {
 		}
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 64*limit {
 			t.Fatalf("reading at most %d bytes allocated %d", limit, grew)
+		}
+	})
+
+	t.Run("a scrape refuses within twice its bound", func(t *testing.T) {
+		// Client.Get reads into pieces that never grow past the bound, so
+		// refusing the endless /metrics costs about the bound, not the
+		// regrowths of one buffer. The least of three tries: TotalAlloc
+		// counts every goroutine of the process.
+		const bound = 1 << 20
+		h := NewHealth([]string{endless.URL})
+		h.maxScrape = bound
+		least := uint64(math.MaxUint64)
+		for try := 0; try < 3; try++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := h.fetchMetrics(context.Background(), endless.URL)
+			runtime.ReadMemStats(&after)
+			if err == nil || !strings.Contains(err.Error(), "reply exceeds 1048576 bytes") {
+				t.Fatalf("endless /metrics: %v", err)
+			}
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		t.Logf("refusing a reply at %d bytes allocated %d", bound, least)
+		if least >= 2*bound {
+			t.Fatalf("refusing a reply at %d bytes allocated %d, want under %d", bound, least, 2*bound)
 		}
 	})
 

@@ -340,11 +340,11 @@ func TestCrashPointsOfTheLog(t *testing.T) {
 	// third that finishes.
 	pointed := make(chan struct{})
 	var once sync.Once
-	srv.pointGate = func(index int) {
+	srv.setPointGate(func(index int) {
 		if index == 1 {
 			once.Do(func() { close(pointed) })
 		}
-	}
+	})
 	submit := func(query string) string {
 		id, err := srv.Submit(QueryRequest{Query: query})
 		if err != nil {
@@ -366,15 +366,15 @@ func TestCrashPointsOfTheLog(t *testing.T) {
 	// journal and are evicted: a roll copies the held job forward, and the
 	// segments the fillers leave are deleted.
 	hold, held := make(chan struct{}), make(chan struct{})
-	srv.pointGate = func(index int) {
+	srv.setPointGate(func(index int) {
 		if index == 1 {
 			close(held)
 			<-hold
 		}
-	}
+	})
 	d := submit(strings.Replace(smallQuery, "trials = 2", "trials = 2, seed = 34", 1))
 	<-held
-	srv.pointGate = nil
+	srv.setPointGate(nil)
 	// The held job's records reach the log behind a batch the job does not
 	// wait for: wait for it here, or under load the job can reach its
 	// second point before its first record owns a segment.

@@ -174,8 +174,8 @@ func (s *Server) run(ctx context.Context, j *job, req QueryRequest, resume []Rec
 			status = "cancelled"
 		}
 	}
-	if s.pointGate != nil {
-		s.pointGate(info.Done)
+	if gate := s.pointGate.Load(); gate != nil {
+		(*gate)(info.Done)
 	}
 	s.commit(j, endRecord(status, errMsg, line), logLine{'t', line}, nil)
 }
@@ -196,8 +196,8 @@ func (s *Server) emitPoint(j *job, enc *eventEncoder, ev PointEvent, key string)
 // commitPoint commits the line of the point at index, whose cache key is
 // key when the job is journaled.
 func (s *Server) commitPoint(j *job, index int, key string, line []byte) {
-	if s.pointGate != nil {
-		s.pointGate(index)
+	if gate := s.pointGate.Load(); gate != nil {
+		(*gate)(index)
 	}
 	// The journal_append span runs from here to the fsync that covers the
 	// record.

@@ -54,12 +54,12 @@ func crashAtPoint(t testing.TB, srv *Server, query string, k int) string {
 	gate := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	srv.pointGate = func(index int) {
+	srv.setPointGate(func(index int) {
 		if index >= k {
 			once.Do(func() { close(gate) })
 			<-release
 		}
-	}
+	})
 	id, err := srv.Submit(QueryRequest{Query: query})
 	if err != nil {
 		t.Fatal(err)
@@ -561,11 +561,11 @@ func TestJournalWriteAheadWatermark(t *testing.T) {
 			<-hold[n]
 		}
 	}
-	srv.pointGate = func(index int) {
+	srv.setPointGate(func(index int) {
 		if index == 0 {
 			<-firstFlush
 		}
-	}
+	})
 	id, err := srv.Submit(QueryRequest{Query: smallQuery})
 	if err != nil {
 		t.Fatal(err)
@@ -680,7 +680,7 @@ func TestJournalFlushErrorDegradesJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	const durable = 2
-	srv.pointGate = func(index int) {
+	srv.setPointGate(func(index int) {
 		if index != durable {
 			return
 		}
@@ -691,7 +691,7 @@ func TestJournalFlushErrorDegradesJob(t *testing.T) {
 		l.mu.Lock()
 		l.head.f.Close()
 		l.mu.Unlock()
-	}
+	})
 	id, err := srv.Submit(QueryRequest{Query: smallQuery})
 	if err != nil {
 		t.Fatal(err)
@@ -919,12 +919,12 @@ func TestParentJobResumesOnceAcrossTwoCrashes(t *testing.T) {
 	// Crash the resumed job once it has journaled its third point.
 	crashed, stop := make(chan struct{}), make(chan struct{})
 	t.Cleanup(func() { close(stop) })
-	a.pointGate = func(index int) {
+	a.setPointGate(func(index int) {
 		if index == 3 {
 			close(crashed)
 			<-stop // the fourth is committed only after the crash
 		}
-	}
+	})
 	if resumed, warns, err := a.Recover(); err != nil || resumed != 1 {
 		t.Fatalf("first restart resumed %d (%v, %v)", resumed, err, warns)
 	}

@@ -847,7 +847,7 @@ func TestFleetWorkerCancelledShardFailsOver(t *testing.T) {
 	var once sync.Once
 	victim := make(chan string, 1)
 	for i, w := range workers {
-		w.pointGate = func(int) { once.Do(func() { victim <- urls[i]; w.CancelAll() }) }
+		w.setPointGate(func(int) { once.Do(func() { victim <- urls[i]; w.CancelAll() }) })
 	}
 	events := postQuery(t, cts, bigQuery)
 	final := lastEvent(t, events)

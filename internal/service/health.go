@@ -84,6 +84,9 @@ type Health struct {
 	client Client
 	urls   []string // members in configuration order
 	scrape bool     // rounds also fetch each member's /metrics
+	// maxScrape bounds a /metrics reply; 0 means maxScrapeBody. Tests
+	// lower it.
+	maxScrape int64
 
 	mu      sync.Mutex
 	members map[string]*memberHealth
@@ -191,7 +194,11 @@ type scraped struct {
 func (h *Health) fetchMetrics(ctx context.Context, u string) ([]obs.FamilySnapshot, error) {
 	ctx, cancel := context.WithTimeout(ctx, scrapeTimeout)
 	defer cancel()
-	body, err := h.client.Get(ctx, strings.TrimRight(u, "/")+"/metrics", maxScrapeBody)
+	limit := h.maxScrape
+	if limit == 0 {
+		limit = maxScrapeBody
+	}
+	body, err := h.client.Get(ctx, strings.TrimRight(u, "/")+"/metrics", limit)
 	if err != nil {
 		return nil, err
 	}

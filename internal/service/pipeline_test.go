@@ -57,7 +57,7 @@ func TestFollowerLiveness(t *testing.T) {
 		t.Run(mode.name, func(t *testing.T) {
 			srv, ts := newTestServer(t, mode.config(t))
 			read := make(chan int, 8) // point indices the client has read; a 4-point sweep
-			srv.pointGate = func(index int) {
+			srv.setPointGate(func(index int) {
 				if index == 0 {
 					return
 				}
@@ -69,7 +69,7 @@ func TestFollowerLiveness(t *testing.T) {
 				case <-time.After(30 * time.Second):
 					t.Errorf("point %d was committed and never reached the client", index-1)
 				}
-			}
+			})
 			resp, err := http.Post(ts.URL+"/v1/query", "text/plain", strings.NewReader(smallQuery))
 			if err != nil {
 				t.Fatal(err)
@@ -117,11 +117,11 @@ func TestSubmitterDisconnect(t *testing.T) {
 			t.Cleanup(ts.Close)
 			// The job stops before its second point until the client is gone.
 			release := make(chan struct{})
-			srv.pointGate = func(index int) {
+			srv.setPointGate(func(index int) {
 				if index == 1 {
 					<-release
 				}
-			}
+			})
 
 			ctx, hangUp := context.WithCancel(context.Background())
 			defer hangUp()

@@ -225,7 +225,7 @@ func TestSharedPlanConcurrentJobs(t *testing.T) {
 	const coordinated = 2
 	jobs := len(requests) + 1 + coordinated
 	release := make(chan struct{})
-	srv.pointGate = func(int) { <-release }
+	srv.setPointGate(func(int) { <-release })
 	if resumed, warns, err := srv.Recover(); err != nil || resumed != 1 {
 		t.Fatalf("recovered %d jobs (%v, warnings %v)", resumed, err, warns)
 	}
@@ -630,12 +630,12 @@ func TestKeptAnswerConcurrentJobs(t *testing.T) {
 	var arrived sync.WaitGroup
 	arrived.Add(jobs)
 	release := make(chan struct{})
-	srv.pointGate = func(index int) {
+	srv.setPointGate(func(index int) {
 		if index == last && parked.Add(1) <= jobs {
 			arrived.Done()
 			<-release
 		}
-	}
+	})
 	got := make([][]byte, jobs)
 	var wg sync.WaitGroup
 	for i := range got {

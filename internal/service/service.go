@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -250,8 +251,10 @@ type Server struct {
 	// pointGate, when set (tests only), is called before each point is
 	// committed, with its index, and before the terminal line, with the
 	// number of points committed — the hook crash tests use to freeze a
-	// job at an exact committed-point count before simulating kill -9.
-	pointGate func(index int)
+	// job at an exact committed-point count before simulating kill -9. It
+	// is atomic because a test moves it while jobs run (a resumed job from
+	// Recover, a cancelled one still finishing its point).
+	pointGate atomic.Pointer[func(index int)]
 	// stage, when set (tests only), is told as a job enters "parse" and
 	// "plan", so a test can count that each happens at most once per job,
 	// and not at all for a job whose plan was kept.

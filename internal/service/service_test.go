@@ -403,12 +403,12 @@ func TestJobRegistryBounded(t *testing.T) {
 	// first to reach the gate is held there.
 	var held atomic.Bool
 	reached, release := make(chan struct{}), make(chan struct{})
-	srv.pointGate = func(int) {
+	srv.setPointGate(func(int) {
 		if held.CompareAndSwap(false, true) {
 			close(reached)
 			<-release
 		}
-	}
+	})
 	defer close(release)
 	runningID, err := srv.Submit(QueryRequest{Query: smallQuery})
 	if err != nil {
@@ -564,4 +564,14 @@ func TestPoolBounds(t *testing.T) {
 	}
 	p.Release()
 	p.Release()
+}
+
+// setPointGate installs fn as the server's point gate (nil removes it);
+// jobs running meanwhile see the old gate or the new one, never a torn one.
+func (s *Server) setPointGate(fn func(index int)) {
+	if fn == nil {
+		s.pointGate.Store(nil)
+		return
+	}
+	s.pointGate.Store(&fn)
 }

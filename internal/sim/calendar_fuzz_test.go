@@ -19,7 +19,10 @@ type refEvent struct {
 // no notion of: parking an event past it must change nothing observable.
 // The simulator is in control: every callback pops the reference's minimum
 // and must be that event, at that time; after every operation the clock,
-// Executed, Pending and each pending handle's Time agree. Only the public
+// Executed, Pending and each pending handle's Time agree. End-of-instant
+// functions are registered too, and each must run at the instant it was
+// registered in, once no event at that instant is pending, in registration
+// order, before the clock moves on. Only the public
 // surface is used, and only live handles, so the same program means the
 // same thing to any calendar that keeps the (time, seq) order.
 type calendarRun struct {
@@ -39,6 +42,15 @@ type calendarRun struct {
 	inCallback   bool
 	firing       int
 	firingHandle *Event
+	// The end-of-instant functions registered and not yet run, in
+	// registration order.
+	ends []refEnd
+}
+
+// refEnd is one end-of-instant function the reference expects to run.
+type refEnd struct {
+	at Time // the instant it was registered at
+	id int
 }
 
 // calendarDelays has repeats and zeros so that ties are the common case.
@@ -50,6 +62,37 @@ func (c *calendarRun) schedule(delay Time, nested int) {
 	c.pending = append(c.pending, refEvent{c.now + delay, c.seq, id})
 	c.seq++
 	c.handles[id] = c.s.Schedule(delay, "fuzz", func() { c.fire(id, nested) })
+}
+
+// atEnd registers an end-of-instant function. When it runs it schedules,
+// if it is told to, an event after delay: at delay 0 that event is at the
+// same instant and must run before the functions registered after this one.
+func (c *calendarRun) atEnd(delay Time, nested int, schedules bool) {
+	id := c.nextID
+	c.nextID++
+	c.ends = append(c.ends, refEnd{c.now, id})
+	c.s.AtInstantEnd(func() { c.end(id, delay, nested, schedules) })
+}
+
+// end is every end-of-instant function: it must be the first one
+// registered and not yet run, at its instant, with no event left at it.
+func (c *calendarRun) end(id int, delay Time, nested int, schedules bool) {
+	if len(c.ends) == 0 || c.ends[0].id != id {
+		c.t.Fatalf("end-of-instant function %d ran out of registration order: the reference expects %v", id, c.ends)
+	}
+	if at := c.ends[0].at; c.s.Now() != at {
+		c.t.Fatalf("end-of-instant function %d registered at %v ran at %v", id, at, c.s.Now())
+	}
+	c.ends = c.ends[1:]
+	for _, e := range c.pending {
+		if e.time <= c.s.Now() {
+			c.t.Fatalf("end-of-instant function %d ran at %v with event %d at %v pending", id, c.s.Now(), e.id, e.time)
+		}
+	}
+	c.agree("in an end-of-instant function")
+	if schedules {
+		c.schedule(delay, nested)
+	}
 }
 
 // fire is every event's callback: the reference's minimum must be this
@@ -102,12 +145,15 @@ func (c *calendarRun) refIndex(id int) int {
 	return slices.IndexFunc(c.pending, func(e refEvent) bool { return e.id == id })
 }
 
-// op decodes and runs one operation on both calendars.
+// op decodes and runs one operation on both calendars. The first byte
+// modulo 6 picks it; the rest of that byte, flags, marks a schedule that
+// registers an end-of-instant function instead (odd flags) and whether
+// that function schedules the event when it runs (flags&2).
 func (c *calendarRun) op() {
 	if c.pc+2 > len(c.prog) {
 		return
 	}
-	code, arg := c.prog[c.pc]%6, int(c.prog[c.pc+1])
+	code, flags, arg := c.prog[c.pc]%6, c.prog[c.pc]/6, int(c.prog[c.pc+1])
 	c.pc += 2
 	delay := calendarDelays[arg&7]
 	if c.inCallback && (code == 3 || code == 4) {
@@ -140,10 +186,11 @@ func (c *calendarRun) op() {
 			c.pending = append(c.pending, refEvent{c.now + delay, c.seq, id})
 		}
 		c.seq++
-	case 3: // step
-		want := len(c.pending) > 0
-		if got := c.s.Step(); got != want {
-			c.t.Fatalf("Step returned %v with %d events in the reference", got, len(c.pending))
+	case 3: // step: it ends the instant if it can, then executes one event or none
+		before := c.executed
+		if got := c.s.Step(); got != (c.executed == before+1) || (!got && (len(c.pending) > 0 || len(c.ends) > 0)) {
+			c.t.Fatalf("Step returned %v after executing %d events, with %d events and %d end-of-instant functions in the reference",
+				got, c.executed-before, len(c.pending), len(c.ends))
 		}
 	case 4: // run until
 		horizon := c.now + delay
@@ -153,10 +200,17 @@ func (c *calendarRun) op() {
 				c.t.Fatalf("RunUntil(%v) left event %d at %v behind", horizon, e.id, e.time)
 			}
 		}
+		if len(c.ends) > 0 {
+			c.t.Fatalf("RunUntil(%v) returned with %d end-of-instant functions not run", horizon, len(c.ends))
+		}
 		c.now = horizon
 	case 5: // horizon, raised or lowered
 		c.s.SetHorizon(c.now + delay)
 	default:
+		if flags&1 == 1 {
+			c.atEnd(delay, (arg>>3)&3, flags&2 != 0)
+			break
+		}
 		c.schedule(delay, (arg>>3)&3)
 	}
 	c.agree("after an operation")
@@ -173,6 +227,12 @@ func (c *calendarRun) agree(when string) {
 			c.t.Fatalf("%s (pc %d): event %d's handle reads time %v, the reference %v", when, c.pc, e.id, got, e.time)
 		}
 	}
+	for _, e := range c.ends {
+		if e.at != s.Now() {
+			c.t.Fatalf("%s (pc %d): the clock is at %v, past end-of-instant function %d registered at %v",
+				when, c.pc, s.Now(), e.id, e.at)
+		}
+	}
 }
 
 func runCalendarProgram(t *testing.T, prog []byte) {
@@ -185,9 +245,9 @@ func runCalendarProgram(t *testing.T, prog []byte) {
 	}
 	// Drain: callbacks with operations left to run have no program left.
 	c.s.Run()
-	if len(c.pending) != 0 || c.s.Pending() != 0 || c.s.Executed() != c.executed {
-		t.Fatalf("after the drain: %d pending (reference %d), executed %d (reference %d)",
-			c.s.Pending(), len(c.pending), c.s.Executed(), c.executed)
+	if len(c.pending) != 0 || c.s.Pending() != 0 || c.s.Executed() != c.executed || len(c.ends) != 0 {
+		t.Fatalf("after the drain: %d pending (reference %d), executed %d (reference %d), %d end-of-instant functions not run",
+			c.s.Pending(), len(c.pending), c.s.Executed(), c.executed, len(c.ends))
 	}
 	if len(c.s.parked) != 0 {
 		t.Fatalf("after the drain: %d events still parked", len(c.s.parked))
@@ -222,13 +282,20 @@ func calendarSeeds() [][]byte {
 		trial = append(trial, 1, byte(i*16), 2, byte(i*24+i%8), 3, 0, 5, byte(i%8))
 	}
 	trial = append(trial, 4, 2, 5, 0, 4, 7, 4, 7)
-	return [][]byte{storm, ties, horizons, trial, {}, {3, 0}, {2, 0, 1, 0, 4, 7}, {5, 0, 0, 7, 2, 0, 4, 1}}
+	// Instants: end-of-instant functions registered from outside and from
+	// callbacks at instants with ties, some scheduling an event at their own
+	// instant and some a later one, stepped and run to horizons.
+	const end, endScheduling = 6, 18 // schedule ops with flags 1 and 3
+	instants := bytes.Repeat([]byte{0, 0 | 2<<3, 0, 0, end, 2, endScheduling, 0, endScheduling, 2 | 1<<3,
+		3, 0, end, 0, 3, 0, 4, 1, endScheduling, 0, 3, 0, 3, 0}, 12)
+	return [][]byte{storm, ties, horizons, trial, {}, {3, 0}, {2, 0, 1, 0, 4, 7}, {5, 0, 0, 7, 2, 0, 4, 1}, instants}
 }
 
 // FuzzCalendar holds the calendar against the naive reference: whatever
 // is scheduled, cancelled, moved and stepped, from outside or from inside
 // callbacks, and wherever the horizon is moved, the events fire in
-// (time, seq) order.
+// (time, seq) order, and every end-of-instant function runs at the end of
+// the instant it was registered in.
 func FuzzCalendar(f *testing.F) {
 	for _, seed := range calendarSeeds() {
 		f.Add(seed)

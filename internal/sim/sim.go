@@ -48,6 +48,15 @@
 // then; after that it cancels a stranger. Holders drop (nil) a handle
 // when they cancel it and when its callback runs.
 //
+// # End of an instant
+//
+// A model that keeps derived state — netsim's max–min allocation — may
+// have several changes to it at one simulated instant, and only the state
+// after the last of them is ever read across elapsed time. AtInstantEnd
+// lets it pay for one rebuild per instant instead of one per change: the
+// functions it registers run once no event is pending at the current
+// time, before the clock moves on or a run stops at its horizon.
+//
 // # Reuse
 //
 // A sweep is thousands of replications of one model, so a Simulator can
@@ -175,6 +184,9 @@ type Simulator struct {
 	keyTrial   uint64
 	antithetic bool
 	tracer     Tracer
+	// ends holds the end-of-instant functions registered and not yet run,
+	// in registration order (see AtInstantEnd).
+	ends []func()
 }
 
 // stream is one named random stream: the source, the epoch it was last
@@ -274,6 +286,8 @@ func (s *Simulator) reset(seed uint64) {
 	s.root.Reseed(seed)
 	s.epoch++
 	s.tracer = nil
+	clear(s.ends)
+	s.ends = s.ends[:0]
 }
 
 // Antithetic reports whether this simulator is the mirrored member of
@@ -599,12 +613,43 @@ func (s *Simulator) Reschedule(e *Event, delay Time) *Event {
 	return e
 }
 
-// Step executes the next event. It returns false when the calendar is
-// empty or the simulator has been stopped.
+// AtInstantEnd registers fn to run once, at the end of the current
+// instant: when no event is pending at Now any more, before Step executes
+// a later event or reports the calendar empty, and before RunUntil or
+// RunUntilN return at their horizon. fn may schedule events, at Now too;
+// those run before the functions registered after fn. The hook takes any
+// number of owners, run first registered first; a function registered
+// twice runs twice, so an owner that registers from many places keeps a
+// flag of its own. A stopped simulator runs none of them: Stop ends the
+// run inside its instant and leaves them pending, and Reset drops them.
+func (s *Simulator) AtInstantEnd(fn func()) {
+	if fn == nil {
+		panic("sim: nil end-of-instant function")
+	}
+	s.ends = append(s.ends, fn)
+}
+
+// endInstant runs the end-of-instant functions while no event is pending
+// at now: one that schedules an event at now leaves the rest until that
+// event has run.
+func (s *Simulator) endInstant() {
+	for len(s.ends) > 0 && !s.stopped && !s.eventBy(s.now) {
+		fn := s.ends[0]
+		n := copy(s.ends, s.ends[1:])
+		s.ends[n] = nil
+		s.ends = s.ends[:n]
+		fn()
+	}
+}
+
+// Step executes the next event, after ending the current instant if no
+// event is pending at it (see AtInstantEnd). It returns false when the
+// calendar is empty or the simulator has been stopped.
 func (s *Simulator) Step() bool {
 	if s.stopped {
 		return false
 	}
+	s.endInstant()
 	if len(s.parked) > 0 && (len(s.heap) == 0 || s.heap[0].time > s.horizon) {
 		// Past the horizon the parked events may come first.
 		s.SetHorizon(math.Inf(1))
@@ -676,10 +721,17 @@ func (s *Simulator) runUntil(horizon Time, n int) bool {
 	return true
 }
 
-// due reports whether an event at or before t is pending. Past the
+// due reports whether an event at or before t is pending, after ending
+// the current instant if no event is pending at it (see AtInstantEnd).
+func (s *Simulator) due(t Time) bool {
+	s.endInstant()
+	return s.eventBy(t)
+}
+
+// eventBy reports whether an event at or before t is pending. Past the
 // horizon (a callback may have lowered it) it raises the horizon to t
 // first, so a parked event at or before t is in the heap to be found.
-func (s *Simulator) due(t Time) bool {
+func (s *Simulator) eventBy(t Time) bool {
 	if len(s.heap) > 0 && s.heap[0].time <= t {
 		return true
 	}
@@ -690,7 +742,8 @@ func (s *Simulator) due(t Time) bool {
 	return len(s.heap) > 0 && s.heap[0].time <= t
 }
 
-// Stop halts the run; subsequent Step calls return false.
+// Stop halts the run; subsequent Step calls return false, and the
+// end-of-instant functions pending stay so (see AtInstantEnd).
 func (s *Simulator) Stop() { s.stopped = true }
 
 // Stopped reports whether Stop was called.

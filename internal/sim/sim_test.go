@@ -285,6 +285,90 @@ func TestStop(t *testing.T) {
 	}
 }
 
+// TestEndOfInstant: an end-of-instant function runs once no event is
+// pending at the instant it was registered in — after the events at that
+// instant, even those scheduled after it, and before a later event, before
+// Step reports the calendar empty and before RunUntil and RunUntilN return
+// at their horizon. Owners run first registered first, and an event one of
+// them schedules at the instant runs before the next owner. Stop leaves a
+// pending function pending: a stopped run ends inside its instant, and no
+// Step or RunUntil runs it afterwards. Reset drops it.
+func TestEndOfInstant(t *testing.T) {
+	s := New(1)
+	var log []string
+	note := func(what string) func() {
+		return func() { log = append(log, fmt.Sprintf("%s@%v", what, s.Now())) }
+	}
+	s.Schedule(1, "a", func() {
+		note("a")()
+		s.AtInstantEnd(note("end1"))
+		s.AtInstantEnd(func() {
+			note("end2")()
+			s.Schedule(0, "tie", note("tie")) // at this instant: before end3
+		})
+		s.AtInstantEnd(note("end3"))
+		s.Schedule(0, "b", note("b"))
+	})
+	s.Schedule(2, "c", note("c"))
+	s.Run()
+	want := "[a@1 b@1 end1@1 end2@1 tie@1 end3@1 c@2]"
+	if got := fmt.Sprint(log); got != want {
+		t.Fatalf("ran %s, want %s", got, want)
+	}
+
+	// The last event's function runs before Step reports the calendar empty.
+	log = nil
+	s.Schedule(1, "d", func() { s.AtInstantEnd(note("end")) })
+	if !s.Step() || len(log) != 0 {
+		t.Fatalf("Step ran %v with the function's instant not over", log)
+	}
+	if s.Step() || fmt.Sprint(log) != "[end@3]" {
+		t.Fatalf("the last Step ran %v, want [end@3] and false", log)
+	}
+
+	// RunUntil and RunUntilN end the instant before they return, also one
+	// registered from outside with no event at all.
+	for _, run := range []func(Time){
+		s.RunUntil,
+		func(h Time) { s.RunUntilN(h, 1) },
+	} {
+		log = nil
+		s.Schedule(1, "e", func() { s.AtInstantEnd(note("end")) })
+		s.Schedule(5, "f", note("f"))
+		run(s.Now() + 2)
+		if want := fmt.Sprintf("[end@%v]", s.Now()-1); fmt.Sprint(log) != want {
+			t.Fatalf("the run to the horizon ran %v, want %s", log, want)
+		}
+		s.AtInstantEnd(note("outside"))
+		run(s.Now())
+		if want := fmt.Sprintf("[end@%v outside@%v]", s.Now()-1, s.Now()); fmt.Sprint(log) != want {
+			t.Fatalf("a run to now ran %v, want %s", log, want)
+		}
+		s.Step() // f
+	}
+
+	// Stop: the function registered at the stopping instant stays pending.
+	log = nil
+	s.Schedule(1, "stop", func() {
+		s.AtInstantEnd(note("end"))
+		s.Stop()
+	})
+	s.Run()
+	s.RunUntil(s.Now() + 1)
+	if s.Step() || len(log) != 0 || len(s.ends) != 1 {
+		t.Fatalf("a stopped simulator ran %v, %d functions pending; want none run, one pending", log, len(s.ends))
+	}
+	s.Reset(1)
+	if len(s.ends) != 0 {
+		t.Fatalf("Reset left %d end-of-instant functions", len(s.ends))
+	}
+	s.Schedule(1, "g", note("g"))
+	s.Run()
+	if fmt.Sprint(log) != "[g@1]" {
+		t.Fatalf("after Reset the simulator ran %v, want [g@1]", log)
+	}
+}
+
 func TestNegativeDelayPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
