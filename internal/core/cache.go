@@ -30,22 +30,12 @@ import (
 // and the SLA list (checked after simulation, against cached results
 // too), and (b) runs themselves are deterministic functions of that key.
 type TrialCache interface {
-	// Get returns the cached result for key, or ok=false.
-	Get(key string) (*RunResult, bool)
+	// GetContext returns the cached result for key, or ok=false. A lookup
+	// that does remote I/O (the serving layer's peer tier) is bounded by
+	// ctx, the sweep's: a cancelled sweep abandons the fetch and misses.
+	GetContext(ctx context.Context, key string) (*RunResult, bool)
 	// Put stores a completed (SLA-free) result under key.
 	Put(key string, r *RunResult)
-}
-
-// ContextTrialCache is an optional TrialCache extension for caches
-// whose lookups do remote I/O (e.g. the serving layer's peer-fetch
-// tier). The Explorer prefers GetContext when available, passing the
-// sweep's context, so a cancelled job abandons in-flight remote fetches
-// instead of leaving them running to their own timeouts.
-type ContextTrialCache interface {
-	TrialCache
-	// GetContext is Get bounded by ctx; a cancelled context must abort
-	// any remote fetch and report a miss.
-	GetContext(ctx context.Context, key string) (*RunResult, bool)
 }
 
 // Gate bounds simulation concurrency across independently-running

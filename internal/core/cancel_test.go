@@ -251,7 +251,7 @@ type mapCache struct {
 	m  map[string]*RunResult
 }
 
-func (c *mapCache) Get(key string) (*RunResult, bool) {
+func (c *mapCache) GetContext(_ context.Context, key string) (*RunResult, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	r, ok := c.m[key]

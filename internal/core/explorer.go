@@ -3,9 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/design"
@@ -74,15 +72,16 @@ func (e *Exploration) Passing() []PointOutcome {
 
 // Explorer sweeps a design space, building a scenario per point and
 // running it (§4.2's "queries to the wind tunnel ... iterate over a vast
-// design space"). Points run on a persistent worker pool and their
-// outcomes are committed strictly in the space's point order, so a sweep
-// is bit-identical for any Workers setting. With Prune enabled, points
-// are visited in the space's best-first order and §4.2's dominance rule
-// skips guaranteed failures; pruning composes with the worker pool by
-// running uncertain points speculatively — dominance only ever grows as
-// failures are committed, so a point a worker observes as dominated stays
-// dominated at commit time, and a speculatively-run point that commits as
-// dominated is discarded exactly as the sequential order would have.
+// design space"). Points run on up to Workers goroutines and their
+// outcomes are committed strictly in the space's point order (inOrder),
+// so a sweep is bit-identical for any Workers setting. With Prune
+// enabled, points are visited in the space's best-first order and §4.2's
+// dominance rule skips guaranteed failures; pruning composes with the
+// workers by running uncertain points speculatively — dominance only
+// ever grows as failures are committed, so a point a worker observes as
+// dominated stays dominated at commit time, and a speculatively-run point
+// that commits as dominated is discarded exactly as the sequential order
+// would have.
 type Explorer struct {
 	Space *design.Space
 	// Build maps a design point to a runnable scenario and its SLAs.
@@ -180,12 +179,35 @@ type PointFunc func(ctx context.Context, gi int) (PointOutcome, error)
 // returns once everything the executor started has.
 type Executor func(ctx context.Context, subset []int, local PointFunc) (point PointFunc, stop func())
 
-// indexedPoint pairs a point outcome with its order index.
-type indexedPoint struct {
-	idx int
+// pointResult is what a sweep's worker makes of one point.
+type pointResult struct {
 	out PointOutcome
 	err error
 }
+
+// sweepWorker runs a sweep's points for inOrder: every worker of a
+// RunPoints call is the same one, since it keeps nothing of its own.
+type sweepWorker struct {
+	points []design.Point
+	sel    []int
+	pruner *sharedPruner
+	point  PointFunc
+}
+
+// task returns the outcome of the i-th point of the sweep. Committed
+// failures only grow, so a point dominated now is guaranteed to still be
+// dominated at commit time.
+func (w *sweepWorker) task(ctx context.Context, i int) pointResult {
+	gi := w.sel[i]
+	res := pointResult{out: PointOutcome{Point: w.points[gi], Pruned: true}}
+	if !w.pruner.dominated(w.points[gi]) {
+		res.out, res.err = w.point(ctx, gi)
+	}
+	res.out.Index = gi
+	return res
+}
+
+func (*sweepWorker) end() {}
 
 // sharedPruner serializes pruner access between workers and the
 // committer.
@@ -256,13 +278,6 @@ func (e *Explorer) RunPoints(ctx context.Context, subset []int, exec Executor,
 			prev = gi
 		}
 	}
-	workers := e.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(sel) {
-		workers = len(sel)
-	}
 	if len(sel) == 0 {
 		return &Exploration{}, nil
 	}
@@ -272,49 +287,17 @@ func (e *Explorer) RunPoints(ctx context.Context, subset []int, exec Executor,
 		pruner = &sharedPruner{pr: design.NewPruner()}
 	}
 
-	// run is cancelled when the commit path stops early, which ends the
-	// points in flight and whatever exec started.
+	// run is cancelled when the commit path stops early, which ends
+	// whatever exec started.
 	run, stop := context.WithCancel(ctx)
 	defer stop()
-	point := PointFunc(func(ctx context.Context, gi int) (PointOutcome, error) { return e.runPoint(ctx, list, gi) })
+	w := &sweepWorker{points: points, sel: sel, pruner: pruner,
+		point: func(ctx context.Context, gi int) (PointOutcome, error) { return e.runPoint(ctx, list, gi) }}
 	if exec != nil {
 		var end func()
-		point, end = exec(run, sel, point)
+		w.point, end = exec(run, sel, w.point)
 		defer end()
 	}
-
-	var next atomic.Int64
-	results := make(chan indexedPoint, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1) - 1)
-				if i >= len(sel) || run.Err() != nil {
-					return
-				}
-				// Committed failures only grow, so a point dominated now is
-				// guaranteed to still be dominated at commit time.
-				gi := sel[i]
-				res := indexedPoint{idx: i, out: PointOutcome{Point: points[gi], Pruned: true}}
-				if !pruner.dominated(points[gi]) {
-					res.out, res.err = point(run, gi)
-				}
-				res.out.Index = gi
-				select {
-				case results <- res:
-				case <-run.Done():
-					return
-				}
-			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
 
 	// Commit outcomes in point order. Under pruning, the dominance test is
 	// re-evaluated here against exactly the failures committed so far —
@@ -323,59 +306,44 @@ func (e *Explorer) RunPoints(ctx context.Context, subset []int, exec Executor,
 	// discarded, keeping Executed/Pruned/Events identical to a Workers=1
 	// sweep.
 	exp := &Exploration{Outcomes: make([]PointOutcome, 0, len(sel))}
-	reorder := make(map[int]indexedPoint)
 	var firstErr error
-	for res := range results {
-		if firstErr == nil {
-			firstErr = ctx.Err()
+	inOrder(run, len(sel), e.Workers, func() worker[pointResult] { return w }, func(_ int, r pointResult) bool {
+		// A point a worker skipped as dominated is still dominated here:
+		// dominance is monotone. Any other pruned outcome is unserved.
+		dominated := pruner.dominated(r.out.Point)
+		if r.err == nil && !dominated {
+			r.err = unserved(r.out)
 		}
-		if firstErr != nil {
+		if firstErr = r.err; firstErr != nil {
 			stop()
-			continue
+			return true
 		}
-		reorder[res.idx] = res
-		for firstErr == nil {
-			r, ok := reorder[len(exp.Outcomes)]
-			if !ok {
-				break
-			}
-			delete(reorder, r.idx)
-			// A point a worker skipped as dominated is still dominated here:
-			// dominance is monotone. Any other pruned outcome is unserved.
-			dominated := pruner.dominated(r.out.Point)
-			if r.err == nil && !dominated {
-				r.err = unserved(r.out)
-			}
-			if firstErr = r.err; firstErr != nil {
-				stop()
-				break
-			}
-			out := r.out
-			switch {
-			case dominated:
-				out = PointOutcome{Point: out.Point, Index: out.Index, Pruned: true}
-				exp.Pruned++
-			case out.Screened:
-				// Decided analytically: no events simulated, but the
-				// decision feeds dominance pruning like any other — a
-				// screened failure is a proven failure.
-				exp.Screened++
-			default:
-				exp.Executed++
-				exp.Events += out.Result.EventsTotal
-				if out.FromCache {
-					exp.CacheHits++
-				}
-			}
-			if pruner != nil && !dominated && !out.AllMet {
-				pruner.recordFailure(out.Point)
-			}
-			exp.Outcomes = append(exp.Outcomes, out)
-			if progress != nil {
-				progress(len(exp.Outcomes), len(sel), out)
+		out := r.out
+		switch {
+		case dominated:
+			out = PointOutcome{Point: out.Point, Index: out.Index, Pruned: true}
+			exp.Pruned++
+		case out.Screened:
+			// Decided analytically: no events simulated, but the
+			// decision feeds dominance pruning like any other — a
+			// screened failure is a proven failure.
+			exp.Screened++
+		default:
+			exp.Executed++
+			exp.Events += out.Result.EventsTotal
+			if out.FromCache {
+				exp.CacheHits++
 			}
 		}
-	}
+		if pruner != nil && !dominated && !out.AllMet {
+			pruner.recordFailure(out.Point)
+		}
+		exp.Outcomes = append(exp.Outcomes, out)
+		if progress != nil {
+			progress(len(exp.Outcomes), len(sel), out)
+		}
+		return false
+	})
 	if firstErr != nil {
 		return nil, firstErr
 	}
@@ -486,16 +454,7 @@ func (e *Explorer) runPoint(ctx context.Context, list *pointList, i int) (PointO
 	)
 	key, world := e.key(list, pp)
 	if e.Cache != nil {
-		var hit *RunResult
-		var ok bool
-		if cc, hasCtx := e.Cache.(ContextTrialCache); hasCtx {
-			// Context-aware caches (remote peer tiers) abandon in-flight
-			// fetches when the sweep is cancelled.
-			hit, ok = cc.GetContext(ctx, key)
-		} else {
-			hit, ok = e.Cache.Get(key)
-		}
-		if ok {
+		if hit, ok := e.Cache.GetContext(ctx, key); ok {
 			// Clone so the SLA verdicts written below never touch the
 			// shared cached copy.
 			res = hit.cloneForSLA()
@@ -511,7 +470,7 @@ func (e *Explorer) runPoint(ctx context.Context, list *pointList, i int) (PointO
 			}
 			waited = time.Since(gateStart)
 		}
-		res, err = runner.simulate(ctx, sc, world)
+		res, err = runner.simulate(ctx, &pp.sc, world)
 		if e.Gate != nil {
 			e.Gate.Release()
 		}

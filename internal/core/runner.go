@@ -3,19 +3,16 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/power"
 	"repro/internal/sla"
 	"repro/internal/stats"
 )
 
-// Runner executes replicated trials of a scenario on a persistent worker
-// pool — or, with one worker, on the calling goroutine. Trials are
-// aggregated strictly in trial-index order, so results are bit-identical
-// regardless of Workers.
+// Runner executes replicated trials of a scenario on up to Workers
+// goroutines — or, with one worker, on the calling goroutine. Trials are
+// aggregated strictly in trial-index order (inOrder), so results are
+// bit-identical regardless of Workers.
 //
 // Each worker runs its trials on one trial world, which it takes from a
 // process-wide pool and gives back when the run ends. The pool is keyed by
@@ -85,12 +82,6 @@ type trialOutcome struct {
 	weight         float64     // importance weight (1 when unbiased)
 	power          power.Stats // zero unless Scenario.Power.Enabled
 	err            error
-}
-
-// indexedOutcome pairs a trial result with its index for in-order commit.
-type indexedOutcome struct {
-	idx int
-	out trialOutcome
 }
 
 // metric indices into the aggregation array.
@@ -191,7 +182,7 @@ func (r Runner) Run(sc Scenario) (*RunResult, error) {
 func (r Runner) RunContext(ctx context.Context, sc Scenario) (*RunResult, error) {
 	var world worldKey
 	walkKeys(&sc, &r, nil, &world)
-	res, err := r.simulate(ctx, sc, world)
+	res, err := r.simulate(ctx, &sc, world)
 	if err != nil {
 		return nil, err
 	}
@@ -221,7 +212,7 @@ func (r Runner) applySLAs(res *RunResult) error {
 // them across queries with different WHERE thresholds. Each worker takes
 // its world from the process's worldPool under world, sc's worldKey, and
 // gives it back when the run ends.
-func (r Runner) simulate(ctx context.Context, sc Scenario, world worldKey) (*RunResult, error) {
+func (r Runner) simulate(ctx context.Context, sc *Scenario, world worldKey) (*RunResult, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
@@ -237,14 +228,6 @@ func (r Runner) simulate(ctx context.Context, sc Scenario, world worldKey) (*Run
 	if r.biasActive() && sc.Cluster.NodeTTF == nil {
 		return nil, fmt.Errorf("core: FailureBias needs a whole-node TTF distribution (Cluster.NodeTTF)")
 	}
-	workers := r.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > r.Trials {
-		workers = r.Trials
-	}
-
 	agg := &aggregator{weighted: r.biasActive()}
 	// Outcomes are committed strictly in trial-index order, and a run that
 	// returns has committed all r.Trials of them. With Antithetic, a
@@ -252,15 +235,13 @@ func (r Runner) simulate(ctx context.Context, sc Scenario, world worldKey) (*Run
 	// commit order) and the pair mean becomes one observation; an unpaired
 	// final trial is committed alone.
 	var (
-		events    uint64
-		committed = 0
-		firstErr  error
-		pending   *trialOutcome // even twin awaiting its antithetic pair
+		events   uint64
+		firstErr error
+		pending  *trialOutcome // even twin awaiting its antithetic pair
 	)
-	// accept commits the next trial's outcome and reports whether the run
-	// stops there, at the trial's error.
-	accept := func(o trialOutcome) (stop bool) {
-		committed++
+	// accept commits trial i's outcome and reports whether the run stops
+	// there, at the trial's error.
+	accept := func(i int, o trialOutcome) (stop bool) {
 		if o.err != nil {
 			firstErr = o.err
 			return true
@@ -287,28 +268,19 @@ func (r Runner) simulate(ctx context.Context, sc Scenario, world worldKey) (*Run
 			}
 			agg.add(vals, (pw+wt)/2)
 		}
-		if committed == r.Trials && pending != nil {
+		if i+1 == r.Trials && pending != nil {
 			agg.add(pending.values(sc.Users), max1(pending.weight))
 		}
 		if r.Progress != nil {
-			r.Progress(committed, r.Trials)
+			r.Progress(i+1, r.Trials)
 		}
 		return false
 	}
-
-	if workers == 1 {
-		// One worker runs on the calling goroutine: each trial is committed
-		// as soon as it has run, with no channel and nothing to reorder.
-		w := worlds.take(world, r, sc)
-		for i := 0; i < r.Trials && ctx.Err() == nil; i++ {
-			if accept(w.run(ctx, uint64(i))) {
-				break
-			}
-		}
-		worlds.give(w)
-	} else {
-		r.pool(ctx, sc, world, workers, accept)
-	}
+	// Each worker runs its trials on a world from the pool, reset in place
+	// before each trial and seen by no other goroutine until it is given
+	// back. A trial error cancels the trials still in flight; a world whose
+	// trial was so cancelled is still fit to pool.
+	inOrder(ctx, r.Trials, r.Workers, func() worker[trialOutcome] { return worlds.take(world, r, *sc) }, accept)
 	if firstErr != nil {
 		return nil, firstErr
 	}
@@ -369,74 +341,6 @@ func (r Runner) simulate(ctx context.Context, sc Scenario, world worldKey) (*Run
 		res.Metrics["is_weight_mean"] = agg.w[mAvail].SumWeights() / float64(agg.w[mAvail].N())
 	}
 	return res, nil
-}
-
-// pool runs the trials on workers goroutines, each claiming the next
-// unstarted trial index, and hands the outcomes to accept on the calling
-// goroutine in trial-index order, through a reorder buffer, until accept
-// reports that the run stops, ctx is done, or every trial has been
-// accepted.
-func (r Runner) pool(ctx context.Context, sc Scenario, world worldKey, workers int, accept func(trialOutcome) (stop bool)) {
-	var next atomic.Int64
-	stop := make(chan struct{}) // closed to halt the workers once the run stops
-	results := make(chan indexedOutcome, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// The worker's world: pooled or built by its first trial, reset
-			// in place before each trial, seen by no other goroutine until
-			// it is given back.
-			w := worlds.take(world, r, sc)
-			defer worlds.give(w)
-			for {
-				i := int(next.Add(1) - 1)
-				if i >= r.Trials {
-					return
-				}
-				select {
-				case <-stop:
-					return
-				case <-ctx.Done():
-					return
-				default:
-				}
-				out := w.run(ctx, uint64(i))
-				select {
-				case results <- indexedOutcome{idx: i, out: out}:
-				case <-stop:
-					return
-				case <-ctx.Done():
-					return
-				}
-			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-	reorder := make(map[int]trialOutcome)
-	nextCommit, stopped := 0, false
-	for res := range results {
-		if stopped {
-			continue // drain workers already in flight
-		}
-		reorder[res.idx] = res.out
-		for !stopped && ctx.Err() == nil {
-			o, ok := reorder[nextCommit]
-			if !ok {
-				break
-			}
-			delete(reorder, nextCommit)
-			nextCommit++
-			stopped = accept(o)
-		}
-		if stopped = stopped || ctx.Err() != nil; stopped {
-			close(stop)
-		}
-	}
 }
 
 func max1(w float64) float64 {

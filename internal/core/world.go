@@ -139,6 +139,14 @@ func (w *trialWorld) run(ctx context.Context, trial uint64) trialOutcome {
 	return out
 }
 
+// task is run as inOrder numbers it.
+func (w *trialWorld) task(ctx context.Context, i int) trialOutcome {
+	return w.run(ctx, uint64(i))
+}
+
+// end gives the world back to the process's pool once its worker is done.
+func (w *trialWorld) end() { worlds.give(w) }
+
 // trial is run without the failure mark.
 func (w *trialWorld) trial(ctx context.Context, trial uint64) trialOutcome {
 	if w.sim == nil {

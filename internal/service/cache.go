@@ -145,15 +145,14 @@ func (c *Cache) SetHealth(h *Health) {
 	c.mu.Unlock()
 }
 
-// Get implements core.TrialCache.
+// Get is GetContext with no sweep to cancel the peer fetch.
 func (c *Cache) Get(key string) (*core.RunResult, bool) {
 	return c.GetContext(context.Background(), key)
 }
 
-// GetContext implements core.ContextTrialCache: Get with the sweep's
-// context flowing into the peer-fetch tier, so a cancelled job abandons
-// an in-flight peer fetch immediately instead of riding out the fetch
-// client's own timeout.
+// GetContext implements core.TrialCache: the sweep's context flows into
+// the peer-fetch tier, so a cancelled job abandons an in-flight peer
+// fetch immediately instead of riding out the fetch client's own timeout.
 func (c *Cache) GetContext(ctx context.Context, key string) (*core.RunResult, bool) {
 	c.mu.Lock()
 	if el, ok := c.items[key]; ok {
@@ -251,7 +250,7 @@ func (c *Cache) fetchPeer(ctx context.Context, key string) (*core.RunResult, boo
 			return nil, 0, false
 		}
 		res, err := decodeRecord(data)
-		if err != nil {
+		if err != nil || !producible(res) {
 			return nil, http.StatusOK, false
 		}
 		return res, http.StatusOK, true
@@ -439,6 +438,27 @@ func decodeRecord(data []byte) (*core.RunResult, error) {
 		CI:          rec.CI,
 		EventsTotal: rec.EventsTotal,
 	}, nil
+}
+
+// producible reports whether some run could have made res. A peer's entry
+// is outside input, and one that no run could have made — a metric every
+// run records missing, a value not finite, a fraction outside [0, 1], no
+// trial — is a miss, so the point runs here instead.
+func producible(res *core.RunResult) bool {
+	for i, name := range [...]string{"availability", "unavail_fraction", "zero_copy_fraction", "loss_prob",
+		"mean_unavail_objects", "repairs", "repair_bytes_mb", "node_failures", "repair_makespan", "events"} {
+		if v, ok := res.Metrics[name]; !ok || i < 4 && (v < 0 || v > 1) {
+			return false
+		}
+	}
+	for _, m := range [...]map[string]float64{res.Metrics, res.CI} {
+		for _, v := range m {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return false
+			}
+		}
+	}
+	return res.Trials >= 1
 }
 
 // entryRecord is the log record of key's disk-tier entry, or nil for a

@@ -14,11 +14,15 @@ import (
 	"repro/internal/wtql"
 )
 
+// dummyResult is a result some run could have made: it records the ten
+// metrics every run does, so a peer may serve it.
 func dummyResult(name string, avail float64) *core.RunResult {
 	return &core.RunResult{
-		Scenario:    name,
-		Trials:      4,
-		Metrics:     map[string]float64{"availability": avail, "events": 123},
+		Scenario: name,
+		Trials:   4,
+		Metrics: map[string]float64{"availability": avail, "unavail_fraction": 1 - avail, "zero_copy_fraction": 0,
+			"loss_prob": 0, "mean_unavail_objects": 0.5, "repairs": 3, "repair_bytes_mb": 96, "node_failures": 2,
+			"repair_makespan": 0.25, "events": 123},
 		CI:          map[string]float64{"availability": 0.001},
 		EventsTotal: 4321,
 	}

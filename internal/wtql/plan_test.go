@@ -194,7 +194,7 @@ type recordingCache struct {
 	gets    map[string]int
 }
 
-func (c *recordingCache) Get(key string) (*core.RunResult, bool) {
+func (c *recordingCache) GetContext(_ context.Context, key string) (*core.RunResult, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.gets == nil {
