@@ -188,10 +188,16 @@ type pointResult struct {
 // sweepWorker runs a sweep's points for inOrder: every worker of a
 // RunPoints call is the same one, since it keeps nothing of its own.
 type sweepWorker struct {
-	points []design.Point
+	e      *Explorer
+	list   *pointList
 	sel    []int
 	pruner *sharedPruner
-	point  PointFunc
+	exec   PointFunc // the executor's point runner, or nil to run here
+}
+
+// local runs point gi here.
+func (w *sweepWorker) local(ctx context.Context, gi int) (PointOutcome, error) {
+	return w.e.runPoint(ctx, w.list, gi)
 }
 
 // task returns the outcome of the i-th point of the sweep. Committed
@@ -199,9 +205,14 @@ type sweepWorker struct {
 // dominated at commit time.
 func (w *sweepWorker) task(ctx context.Context, i int) pointResult {
 	gi := w.sel[i]
-	res := pointResult{out: PointOutcome{Point: w.points[gi], Pruned: true}}
-	if !w.pruner.dominated(w.points[gi]) {
-		res.out, res.err = w.point(ctx, gi)
+	p := w.list.points[gi]
+	res := pointResult{out: PointOutcome{Point: p, Pruned: true}}
+	switch {
+	case w.pruner.dominated(p):
+	case w.exec != nil:
+		res.out, res.err = w.exec(ctx, gi)
+	default:
+		res.out, res.err = w.local(ctx, gi)
 	}
 	res.out.Index = gi
 	return res
@@ -287,15 +298,16 @@ func (e *Explorer) RunPoints(ctx context.Context, subset []int, exec Executor,
 		pruner = &sharedPruner{pr: design.NewPruner()}
 	}
 
-	// run is cancelled when the commit path stops early, which ends
+	// exec's ctx is cancelled when the commit path stops early, which ends
 	// whatever exec started.
-	run, stop := context.WithCancel(ctx)
-	defer stop()
-	w := &sweepWorker{points: points, sel: sel, pruner: pruner,
-		point: func(ctx context.Context, gi int) (PointOutcome, error) { return e.runPoint(ctx, list, gi) }}
+	w := &sweepWorker{e: e, list: list, sel: sel, pruner: pruner}
+	stop := func() {}
 	if exec != nil {
+		var run context.Context
+		run, stop = context.WithCancel(ctx)
+		defer stop()
 		var end func()
-		w.point, end = exec(run, sel, w.point)
+		w.exec, end = exec(run, sel, w.local)
 		defer end()
 	}
 
@@ -307,7 +319,7 @@ func (e *Explorer) RunPoints(ctx context.Context, subset []int, exec Executor,
 	// sweep.
 	exp := &Exploration{Outcomes: make([]PointOutcome, 0, len(sel))}
 	var firstErr error
-	inOrder(run, len(sel), e.Workers, func() worker[pointResult] { return w }, func(_ int, r pointResult) bool {
+	inOrder(ctx, len(sel), e.Workers, func() worker[pointResult] { return w }, func(_ int, r pointResult) bool {
 		// A point a worker skipped as dominated is still dominated here:
 		// dominance is monotone. Any other pruned outcome is unserved.
 		dominated := pruner.dominated(r.out.Point)

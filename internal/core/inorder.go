@@ -51,8 +51,8 @@ func inOrder[T any](ctx context.Context, n, workers int, begin func() worker[T],
 		i int
 		v T
 	}
-	// A slot a worker: a finished task is handed over while the committer
-	// is busy with an earlier one.
+	// One slot per worker: a finished task is handed over while the
+	// committer is busy with an earlier one.
 	results := make(chan result, workers)
 	var next atomic.Int64
 	var wg sync.WaitGroup

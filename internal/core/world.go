@@ -139,7 +139,7 @@ func (w *trialWorld) run(ctx context.Context, trial uint64) trialOutcome {
 	return out
 }
 
-// task is run as inOrder numbers it.
+// task runs trial i of an inOrder call.
 func (w *trialWorld) task(ctx context.Context, i int) trialOutcome {
 	return w.run(ctx, uint64(i))
 }

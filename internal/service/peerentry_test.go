@@ -2,7 +2,6 @@ package service
 
 import (
 	"encoding/json"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -144,7 +143,7 @@ func FuzzPeerEntry(f *testing.F) {
 			t.Fatalf("served an entry of %d trials and %d metrics", rec.Trials, len(rec.Metrics))
 		}
 		for _, name := range []string{"availability", "unavail_fraction", "zero_copy_fraction", "loss_prob"} {
-			if v, ok := rec.Metrics[name]; !ok || !(v >= 0 && v <= 1) || math.IsNaN(v) {
+			if v, ok := rec.Metrics[name]; !ok || !(v >= 0 && v <= 1) {
 				t.Fatalf("served an entry whose %s is %v", name, v)
 			}
 		}
